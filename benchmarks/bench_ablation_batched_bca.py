@@ -9,8 +9,8 @@ strategy and compares the work required.
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core import IndexParams, PropagationKernel
-from repro.core.propagation import initial_node_state
+from repro.core import IndexParams
+from repro.core.propagation import bca_iteration, initial_node_state
 from repro.evaluation.tables import format_table
 from repro.rwr import bca_proximity_vector, push_proximity_vector
 from repro.utils.timer import Timer
@@ -21,15 +21,13 @@ N_SOURCES = 20
 
 
 def _batched_until_target(matrix, source, params):
-    # The batched rule as the index uses it: single-source steps through the
-    # propagation kernel's scalar backend (the paper's Eq. 8-9 loop).
-    kernel = PropagationKernel(
-        matrix, np.zeros(matrix.shape[0], dtype=bool), params, backend="scalar"
-    )
+    # The batched rule as the paper states it (Eq. 8-9): the scalar
+    # reference iteration, one whole batch of active nodes per step.
+    hub_mask = np.zeros(matrix.shape[0], dtype=bool)
     state = initial_node_state(source, False)
     iterations = 0
     while state.residual_mass > RESIDUE_TARGET and iterations < 10_000:
-        if not kernel.step(state):
+        if not bca_iteration(state, matrix, hub_mask, params):
             break
         iterations += 1
     return iterations

@@ -94,12 +94,13 @@ def staircase_levels(lower: np.ndarray, k: int) -> np.ndarray:
             f"need at least k={k} lower-bound entries, got {lower.size}"
         )
     top = lower[:k]
-    if np.any(np.diff(top) > 1e-12):
+    steps = top[:-1] - top[1:]  # steps[i] = p̂(i+1) - p̂(i+2)
+    if np.any(steps < -1e-12):
         raise InvalidParameterError("lower bounds must be sorted in descending order")
     levels = np.zeros(k, dtype=np.float64)
-    for j in range(1, k):
-        delta = top[k - j - 1] - top[k - j]  # Δ_{k-j} = p̂(k-j) - p̂(k-j+1)
-        levels[j] = levels[j - 1] + j * delta
+    # z_j = z_{j-1} + j * (p̂(k-j) - p̂(k-j+1)); cumsum accumulates left to
+    # right, reproducing the recurrence term for term.
+    np.cumsum(np.arange(1, k) * steps[::-1], out=levels[1:])
     return levels
 
 
@@ -134,10 +135,12 @@ def kth_upper_bound(lower: Sequence[float] | np.ndarray, residual_mass: float, k
         return float(top[k - 1])
 
     levels = staircase_levels(top, k)
-    # Find the first step j with z_{j-1} < ||r||_1 <= z_j.
-    for j in range(1, k):
-        if levels[j - 1] < residual_mass <= levels[j]:
-            return float(top[k - j - 1] - (levels[j] - residual_mass) / j)
+    # The step j with z_{j-1} < ||r||_1 <= z_j.  Levels never decrease, so j
+    # is the number of levels below the mass (at least z_0 = 0, hence j >= 1)
+    # — the batched bound's definition, which keeps the two bit-identical.
+    j = int(np.searchsorted(levels, residual_mass, side="left"))
+    if j < k:
+        return float(top[k - j - 1] - (levels[j] - residual_mass) / j)
     # Residue exceeds z_{k-1}: the whole staircase is flooded.
     return float(top[0] + (residual_mass - levels[k - 1]) / k)
 
@@ -199,29 +202,21 @@ def kth_upper_bounds_batch(
     # z_j = z_{j-1} + j * (p̂(k-j) - p̂(k-j+1)); cumsum accumulates sequentially,
     # reproducing the scalar staircase_levels recurrence term for term.
     if workspace is None:
-        top = np.asarray(lower, dtype=np.float64)[:k, :]
-        steps = top[:-1, :] - top[1:, :]  # steps[i] = p̂(i+1) - p̂(i+2)
-        j_weights = np.arange(1, k, dtype=np.int64)[:, None]
-        levels = np.vstack(
-            [np.zeros((1, m)), np.cumsum(j_weights * steps[::-1, :], axis=0)]
-        )
-        compare = levels < masses[None, :]
-        cols = np.arange(m)
-    else:
-        top = workspace.take("top", (k, m))
-        top[...] = lower[:k, :]
-        levels = workspace.take("levels", (k, m))
-        levels[0, :] = 0.0
-        if k > 1:
-            steps = workspace.take("steps", (k - 1, m))
-            np.subtract(top[:-1, :], top[1:, :], out=steps)
-            j_weights = workspace.arange("j_weights", k)[1:, None]
-            weighted = workspace.take("weighted", (k - 1, m))
-            np.multiply(j_weights, steps[::-1, :], out=weighted)
-            np.cumsum(weighted, axis=0, out=levels[1:, :])
-        compare = workspace.take("compare", (k, m), dtype=bool)
-        np.less(levels, masses[None, :], out=compare)
-        cols = workspace.arange("cols", m)
+        workspace = BoundsWorkspace()
+    top = workspace.take("top", (k, m))
+    top[...] = lower[:k, :]
+    levels = workspace.take("levels", (k, m))
+    levels[0, :] = 0.0
+    if k > 1:
+        steps = workspace.take("steps", (k - 1, m))
+        np.subtract(top[:-1, :], top[1:, :], out=steps)  # p̂(i+1) - p̂(i+2)
+        j_weights = workspace.arange("j_weights", k)[1:, None]
+        weighted = workspace.take("weighted", (k - 1, m))
+        np.multiply(j_weights, steps[::-1, :], out=weighted)
+        np.cumsum(weighted, axis=0, out=levels[1:, :])
+    compare = workspace.take("compare", (k, m), dtype=bool)
+    np.less(levels, masses[None, :], out=compare)
+    cols = workspace.arange("cols", m)
     # Smallest j with z_{j-1} < ||r||_1 <= z_j; j == k means the staircase floods.
     j = np.sum(compare, axis=0)
 

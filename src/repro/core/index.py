@@ -98,6 +98,45 @@ _UMASK = os.umask(0)
 os.umask(_UMASK)
 
 
+def storage_breakdown(index, state_entries: int) -> Dict[str, int]:
+    """Table 2 accounting: 8-byte value plus 8-byte index per sparse entry."""
+    lower = index.capacity * index.n_nodes * _VALUE_BYTES
+    state_bytes = state_entries * (_VALUE_BYTES + _INDEX_BYTES)
+    hub_bytes = index.hub_matrix.nnz * (_VALUE_BYTES + _INDEX_BYTES)
+    return {
+        "lower_bounds": lower,
+        "bca_state": state_bytes,
+        "hub_matrix": hub_bytes,
+        "total": lower + state_bytes + hub_bytes,
+    }
+
+
+def atomic_write(path: Path, writer) -> None:
+    """Write a file via a uniquely-named temp sibling plus ``os.replace``."""
+    try:
+        descriptor, name = tempfile.mkstemp(prefix=f"{path.name}.tmp-", dir=path.parent)
+    except OSError as exc:
+        raise SerializationError(f"cannot write {path}: {exc}") from exc
+    temporary = Path(name)
+    try:
+        with os.fdopen(descriptor, "wb") as handle:
+            # mkstemp creates 0600 files; restore the umask-default mode a
+            # plain open() would have produced, so other readers of a shared
+            # snapshot directory keep working.
+            os.fchmod(descriptor, 0o666 & ~_UMASK)
+            writer(handle)
+            # Flush to disk before the rename: otherwise a crash can persist
+            # the replace but not the data, leaving a torn file.
+            handle.flush()
+            os.fsync(descriptor)
+        os.replace(temporary, path)
+    except OSError as exc:
+        raise SerializationError(f"cannot write {path}: {exc}") from exc
+    finally:
+        if temporary.exists():
+            temporary.unlink()
+
+
 def effective_state_residual_mass(
     state: "NodeState", hubs: HubSet, hub_deficit: np.ndarray
 ) -> float:
@@ -162,7 +201,7 @@ class NodeState:
         return float(self.lower_bounds[k - 1])
 
     def copy(self) -> "NodeState":
-        """Deep copy used by the no-update query mode."""
+        """Deep copy (a detached working copy for tests and ablations)."""
         return NodeState(
             residual=dict(self.residual),
             retained=dict(self.retained),
@@ -175,6 +214,156 @@ class NodeState:
     def stored_entries(self) -> int:
         """Number of sparse entries stored for this node (for size accounting)."""
         return len(self.residual) + len(self.retained) + len(self.hub_ink)
+
+
+_PARAM_FIELDS = (
+    "alpha",
+    "capacity",
+    "propagation_threshold",
+    "residue_threshold",
+    "rounding_threshold",
+    "hub_budget",
+    "tolerance",
+    "backend",
+    "block_size",
+)
+
+
+def params_to_arrays(params: IndexParams) -> Dict[str, np.ndarray]:
+    """One length-1 array per persisted :class:`IndexParams` field."""
+    return {name: np.array([getattr(params, name)]) for name in _PARAM_FIELDS}
+
+
+def params_from_arrays(data) -> IndexParams:
+    """Inverse of :func:`params_to_arrays` (monolithic and sharded archives).
+
+    Archives written before the propagation-kernel layer lack the backend
+    fields.  Their states were built by the seed loop, which the scalar
+    backend preserves bit-identically — defaulting to "vectorized" would
+    hand the dynamic maintainer a mixed index that matches neither
+    backend's from-scratch build.
+    """
+    fields = {
+        name: data[name][0].item()
+        for name in _PARAM_FIELDS
+        if name in data or name not in ("backend", "block_size")
+    }
+    fields.setdefault("backend", "scalar")
+    return IndexParams(**fields)
+
+
+def resolve_hub_components(
+    index,
+    hubs: Optional[HubSet],
+    hub_matrix: Optional[sp.spmatrix],
+    hub_deficit: Optional[np.ndarray],
+    *,
+    allow_rowless: bool = False,
+) -> Tuple[HubSet, sp.csc_matrix, np.ndarray]:
+    """An index's ``(hubs, P_H, deficit)`` with the given parts swapped in.
+
+    Parts left ``None`` keep the index's current value; the resulting triple
+    is validated together (a new matrix's row count against the node count,
+    column count and deficit length against the hub count) before anything
+    is assigned.
+    """
+    hubs = index.hubs if hubs is None else hubs
+    matrix = index.hub_matrix if hub_matrix is None else hub_matrix.tocsc()
+    deficit = (
+        index.hub_deficit
+        if hub_deficit is None
+        else np.asarray(hub_deficit, dtype=np.float64)
+    )
+    rowless_ok = allow_rowless and not matrix.shape[0]
+    if hub_matrix is not None and matrix.shape[0] != index.n_nodes and not rowless_ok:
+        raise ValueError(
+            f"hub matrix has {matrix.shape[0]} rows but the index covers "
+            f"{index.n_nodes} nodes"
+        )
+    if matrix.shape[1] != len(hubs):
+        raise ValueError(
+            f"hub matrix has {matrix.shape[1]} columns but {len(hubs)} hubs"
+        )
+    if deficit.size != len(hubs):
+        raise ValueError("hub_deficit length must equal the number of hubs")
+    return hubs, matrix, deficit
+
+
+def expand_state(
+    state: NodeState, hubs: HubSet, hub_matrix: sp.csc_matrix, n_nodes: int
+) -> np.ndarray:
+    """Dense ``p^t = w + P_H s`` of a state (Eq. 7), one hub column at a time."""
+    vector = np.zeros(n_nodes, dtype=np.float64)
+    for target, value in state.retained.items():
+        vector[target] += value
+    for hub, ink in state.hub_ink.items():
+        position = hubs.position(hub)
+        start, stop = hub_matrix.indptr[position], hub_matrix.indptr[position + 1]
+        vector[hub_matrix.indices[start:stop]] += ink * hub_matrix.data[start:stop]
+    return vector
+
+
+#: The three sparse per-node planes, in flattened-layout order.
+STATE_PLANES = ("residual", "retained", "hub_ink")
+
+
+@dataclass(frozen=True)
+class StateArrays:
+    """One node's state as flat ``(keys, values)`` segments — no dicts.
+
+    What the columnar store, a RAM shard and a memmap shard hand the
+    refinement working set *without* materialising (or pinning) a
+    :class:`NodeState`.  Segments may be read-only memmap views.
+    """
+
+    residual: Tuple[np.ndarray, np.ndarray]
+    retained: Tuple[np.ndarray, np.ndarray]
+    hub_ink: Tuple[np.ndarray, np.ndarray]
+    lower_bounds: np.ndarray
+    iterations: int = 0
+    is_hub: bool = False
+
+    @classmethod
+    def from_state(cls, state: NodeState) -> "StateArrays":
+        """Flatten a dict-backed state (entries keep their dict order)."""
+        planes = [
+            (
+                np.fromiter(entries.keys(), dtype=np.int64, count=len(entries)),
+                np.fromiter(entries.values(), dtype=np.float64, count=len(entries)),
+            )
+            for entries in (state.residual, state.retained, state.hub_ink)
+        ]
+        return cls(*planes, state.lower_bounds, state.iterations, state.is_hub)
+
+    @classmethod
+    def from_flat(cls, arrays, node: int) -> "StateArrays":
+        """Slice ``node``'s row out of the flattened state-array layout."""
+        planes = []
+        for name in STATE_PLANES:
+            indptr = arrays[f"{name}_indptr"]
+            lo, hi = int(indptr[node]), int(indptr[node + 1])
+            planes.append(
+                (
+                    np.asarray(arrays[f"{name}_keys"][lo:hi]),
+                    np.asarray(arrays[f"{name}_values"][lo:hi]),
+                )
+            )
+        return cls(
+            *planes,
+            np.asarray(arrays["lower_bounds"][node]),
+            int(arrays["iterations"][node]),
+            bool(arrays["is_hub"][node]),
+        )
+
+    def to_state(self) -> NodeState:
+        """Materialise the dict-backed :class:`NodeState` (fresh containers)."""
+        # tolist() detaches each (possibly memmapped) segment in one read.
+        planes = [
+            dict(zip(keys.tolist(), values.tolist()))
+            for keys, values in (self.residual, self.retained, self.hub_ink)
+        ]
+        lower_bounds = np.array(self.lower_bounds, dtype=np.float64)
+        return NodeState(*planes, lower_bounds, self.iterations, self.is_hub)
 
 
 class ReverseTopKIndex:
@@ -283,6 +472,13 @@ class ReverseTopKIndex:
             return self._store.state(node)
         return self._states[node]
 
+    def state_arrays(self, node: int) -> StateArrays:
+        """``node``'s state as flat segments — no ``NodeState``, nothing pinned."""
+        node = check_node_index(node, self.n_nodes)
+        if self._store is not None:
+            return self._store.state_arrays(node)
+        return StateArrays.from_state(self._states[node])
+
     def set_state(self, node: int, state: NodeState) -> None:
         """Replace the stored state of ``node`` (used by the update policy)."""
         node = check_node_index(node, self.n_nodes)
@@ -329,27 +525,9 @@ class ReverseTopKIndex:
         is bumped exactly once — one maintenance application, one cache
         generation.
         """
-        new_hubs = hubs if hubs is not None else self.hubs
-        new_matrix = (
-            hub_matrix.tocsc() if hub_matrix is not None else self.hub_matrix
+        new_hubs, new_matrix, new_deficit = resolve_hub_components(
+            self, hubs, hub_matrix, hub_deficit
         )
-        new_deficit = (
-            np.asarray(hub_deficit, dtype=np.float64)
-            if hub_deficit is not None
-            else self.hub_deficit
-        )
-        if new_matrix.shape[0] != self.n_nodes:
-            raise ValueError(
-                f"hub matrix has {new_matrix.shape[0]} rows but the index "
-                f"covers {self.n_nodes} nodes"
-            )
-        if new_matrix.shape[1] != len(new_hubs):
-            raise ValueError(
-                f"hub matrix has {new_matrix.shape[1]} columns but "
-                f"{len(new_hubs)} hubs"
-            )
-        if new_deficit.size != len(new_hubs):
-            raise ValueError("hub_deficit length must equal the number of hubs")
         if states is not None and len(states) != self.n_nodes:
             raise ValueError(
                 f"expected {self.n_nodes} states, got {len(states)}"
@@ -382,26 +560,9 @@ class ReverseTopKIndex:
         fast path pins it); callers are responsible for only leaving nodes
         untouched whose columns are unaffected by the new hub data.
         """
-        if hub_matrix is not None:
-            new_matrix = hub_matrix.tocsc()
-            if new_matrix.shape[0] != self.n_nodes:
-                raise ValueError(
-                    f"hub matrix has {new_matrix.shape[0]} rows but the "
-                    f"index covers {self.n_nodes} nodes"
-                )
-            if new_matrix.shape[1] != len(self.hubs):
-                raise ValueError(
-                    f"hub matrix has {new_matrix.shape[1]} columns but "
-                    f"{len(self.hubs)} hubs"
-                )
-            self.hub_matrix = new_matrix
-        if hub_deficit is not None:
-            new_deficit = np.asarray(hub_deficit, dtype=np.float64)
-            if new_deficit.size != len(self.hubs):
-                raise ValueError(
-                    "hub_deficit length must equal the number of hubs"
-                )
-            self.hub_deficit = new_deficit
+        _, self.hub_matrix, self.hub_deficit = resolve_hub_components(
+            self, None, hub_matrix, hub_deficit
+        )
         columns = self.columns
         for node, state in states.items():
             node = check_node_index(node, self.n_nodes)
@@ -454,22 +615,8 @@ class ReverseTopKIndex:
         ``p^t = w + P_H @ s`` — retained ink at non-hubs plus hub ink expanded
         through the (rounded) hub proximity columns.
         """
-        state = self.state(node)
         n = self.hub_matrix.shape[0] if self.hub_matrix.shape[0] else self.n_nodes
-        vector = np.zeros(n, dtype=np.float64)
-        for target, value in state.retained.items():
-            vector[target] += value
-        if state.hub_ink:
-            for hub, ink in state.hub_ink.items():
-                position = self.hubs.position(hub)
-                start, stop = (
-                    self.hub_matrix.indptr[position],
-                    self.hub_matrix.indptr[position + 1],
-                )
-                vector[self.hub_matrix.indices[start:stop]] += (
-                    ink * self.hub_matrix.data[start:stop]
-                )
-        return vector
+        return expand_state(self.state(node), self.hubs, self.hub_matrix, n)
 
     def effective_residual_mass(self, node: int) -> float:
         """Residue mass for the upper bound, including the rounding deficit.
@@ -556,19 +703,11 @@ class ReverseTopKIndex:
         matrix ``P_H`` (rounded).  Entries are counted as 8-byte value plus
         8-byte index, mirroring a coordinate sparse representation.
         """
-        lower = self.capacity * self.n_nodes * _VALUE_BYTES
         if self._store is not None:
             state_entries = self._store.stored_entries()
         else:
             state_entries = sum(state.stored_entries() for state in self._states)
-        state_bytes = state_entries * (_VALUE_BYTES + _INDEX_BYTES)
-        hub_bytes = self.hub_matrix.nnz * (_VALUE_BYTES + _INDEX_BYTES)
-        return {
-            "lower_bounds": lower,
-            "bca_state": state_bytes,
-            "hub_matrix": hub_bytes,
-            "total": lower + state_bytes + hub_bytes,
-        }
+        return storage_breakdown(self, state_entries)
 
     def total_bytes(self) -> int:
         """Total approximate index size in bytes."""
@@ -599,44 +738,13 @@ class ReverseTopKIndex:
         else:
             arrays = _states_to_arrays(self._states, self.capacity)
         hub_matrix = self.hub_matrix.tocoo()
-        try:
-            descriptor, name = tempfile.mkstemp(
-                prefix=f"{path.name}.tmp-", dir=path.parent
-            )
-        except OSError as exc:
-            raise SerializationError(f"cannot save index to {path}: {exc}") from exc
-        temporary = Path(name)
-        try:
-            with os.fdopen(descriptor, "wb") as handle:
-                # mkstemp creates 0600 files; restore the umask-default mode
-                # the plain open() of np.savez would have produced, so other
-                # readers of a shared snapshot directory keep working.
-                os.fchmod(descriptor, 0o666 & ~_UMASK)
-                self._write_npz(handle, arrays, hub_matrix)
-                # Flush to disk before the rename: otherwise a crash can
-                # persist the replace but not the data, leaving a torn file.
-                handle.flush()
-                os.fsync(descriptor)
-            os.replace(temporary, path)
-        except OSError as exc:
-            raise SerializationError(f"cannot save index to {path}: {exc}") from exc
-        finally:
-            if temporary.exists():
-                temporary.unlink()
+        atomic_write(path, lambda handle: self._write_npz(handle, arrays, hub_matrix))
 
     def _write_npz(self, handle, arrays, hub_matrix) -> None:
         """Write the archive payload to an open binary file handle."""
         np.savez_compressed(
             handle,
-            alpha=np.array([self.params.alpha]),
-            capacity=np.array([self.params.capacity]),
-            propagation_threshold=np.array([self.params.propagation_threshold]),
-            residue_threshold=np.array([self.params.residue_threshold]),
-            rounding_threshold=np.array([self.params.rounding_threshold]),
-            hub_budget=np.array([self.params.hub_budget]),
-            tolerance=np.array([self.params.tolerance]),
-            backend=np.array([self.params.backend]),
-            block_size=np.array([self.params.block_size]),
+            **params_to_arrays(self.params),
             hubs=np.asarray(self.hubs.nodes, dtype=np.int64),
             hub_deficit=self.hub_deficit,
             hub_rows=hub_matrix.row.astype(np.int64),
@@ -653,29 +761,7 @@ class ReverseTopKIndex:
         path = Path(path)
         try:
             with np.load(path, allow_pickle=False) as data:
-                # Archives written before the propagation-kernel layer lack
-                # the backend fields.  Their states were built by the seed
-                # loop, which the scalar backend preserves bit-identically —
-                # defaulting to "vectorized" would hand the dynamic
-                # maintainer a mixed index that matches neither backend's
-                # from-scratch build.
-                extras = {}
-                if "backend" in data:
-                    extras["backend"] = str(data["backend"][0])
-                else:
-                    extras["backend"] = "scalar"
-                if "block_size" in data:
-                    extras["block_size"] = int(data["block_size"][0])
-                params = IndexParams(
-                    alpha=float(data["alpha"][0]),
-                    capacity=int(data["capacity"][0]),
-                    propagation_threshold=float(data["propagation_threshold"][0]),
-                    residue_threshold=float(data["residue_threshold"][0]),
-                    rounding_threshold=float(data["rounding_threshold"][0]),
-                    hub_budget=int(data["hub_budget"][0]),
-                    tolerance=float(data["tolerance"][0]),
-                    **extras,
-                )
+                params = params_from_arrays(data)
                 hubs = HubSet.from_iterable(data["hubs"].tolist())
                 shape = tuple(int(x) for x in data["hub_shape"])
                 hub_matrix = sp.coo_matrix(
@@ -720,19 +806,9 @@ def _dicts_to_arrays(dicts: List[Dict[int, float]]) -> Tuple[np.ndarray, np.ndar
     return indptr, keys, values
 
 
-def _arrays_to_dicts(indptr: np.ndarray, keys: np.ndarray, values: np.ndarray) -> List[Dict[int, float]]:
-    result: List[Dict[int, float]] = []
-    for node in range(indptr.size - 1):
-        start, stop = int(indptr[node]), int(indptr[node + 1])
-        result.append(
-            {int(k): float(v) for k, v in zip(keys[start:stop], values[start:stop])}
-        )
-    return result
-
-
 def _states_to_arrays(states: List[NodeState], capacity: int) -> Dict[str, np.ndarray]:
     arrays: Dict[str, np.ndarray] = {}
-    for name in ("residual", "retained", "hub_ink"):
+    for name in STATE_PLANES:
         indptr, keys, values = _dicts_to_arrays([getattr(s, name) for s in states])
         arrays[f"{name}_indptr"] = indptr
         arrays[f"{name}_keys"] = keys
@@ -748,28 +824,14 @@ def _states_to_arrays(states: List[NodeState], capacity: int) -> Dict[str, np.nd
 
 
 def _states_from_arrays(data: "np.lib.npyio.NpzFile") -> List[NodeState]:
-    residuals = _arrays_to_dicts(
-        data["residual_indptr"], data["residual_keys"], data["residual_values"]
-    )
-    retained = _arrays_to_dicts(
-        data["retained_indptr"], data["retained_keys"], data["retained_values"]
-    )
-    hub_ink = _arrays_to_dicts(
-        data["hub_ink_indptr"], data["hub_ink_keys"], data["hub_ink_values"]
-    )
-    lower = data["lower_bounds"]
-    iterations = data["iterations"]
-    is_hub = data["is_hub"]
-    states = []
-    for node in range(lower.shape[0]):
-        states.append(
-            NodeState(
-                residual=residuals[node],
-                retained=retained[node],
-                hub_ink=hub_ink[node],
-                lower_bounds=lower[node].copy(),
-                iterations=int(iterations[node]),
-                is_hub=bool(is_hub[node]),
-            )
-        )
-    return states
+    # One read per array: an NpzFile decompresses on every item access.
+    arrays = {
+        name: data[name]
+        for plane in STATE_PLANES
+        for name in (f"{plane}_indptr", f"{plane}_keys", f"{plane}_values")
+    }
+    arrays.update({name: data[name] for name in ("lower_bounds", "iterations", "is_hub")})
+    return [
+        StateArrays.from_flat(arrays, node).to_state()
+        for node in range(arrays["lower_bounds"].shape[0])
+    ]

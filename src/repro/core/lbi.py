@@ -20,8 +20,8 @@ All ink movement is delegated to the unified propagation layer
 :class:`~repro.core.propagation.PropagationKernel` over every non-hub node —
 with the ``"vectorized"`` backend that is a blocked multi-source engine, with
 ``"scalar"`` the seed's per-node dict loop — and query-time refinement
-(Algorithm 4, line 13) advances candidate states through the same kernel as
-a block of one.  :func:`build_index_parallel` shards the node range across a
+(Algorithm 4, line 13) advances one candidate's array working set through the
+same kernel.  :func:`build_index_parallel` shards the node range across a
 process pool and merges the per-shard states into one index; per-source
 bitwise determinism of the kernel makes the result identical to a serial
 build under the same backend.
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,7 +44,7 @@ from ..utils.sparsetools import top_k_descending
 from ..utils.timer import StageTimer
 from .config import IndexParams
 from .hubs import HubSet, degree_union_hubs, select_hubs_by_degree
-from .index import NodeState, ReverseTopKIndex
+from .index import NodeState, ReverseTopKIndex, StateArrays
 from .statestore import CollectedStates, StateArraysSink, assemble_store
 
 # Propagation primitives live in the kernel layer; re-exported here because
@@ -53,6 +53,7 @@ from .statestore import CollectedStates, StateArraysSink, assemble_store
 from .propagation import (  # noqa: F401  (re-exports)
     BuildReport,
     PropagationKernel,
+    RefinementWorkingSet,
     _HubExpansion,
     bca_iteration,
     initial_node_state,
@@ -206,6 +207,22 @@ def _assemble_index(
                 materialize_lower_bounds(state, kernel.expansion, params.capacity)
             states.append(state)
 
+    return _finish_index(
+        params, hubs, hub_matrix, hub_deficit, states, n, n_targets, stages
+    )
+
+
+def _finish_index(
+    params: IndexParams,
+    hubs: HubSet,
+    hub_matrix: sp.csc_matrix,
+    hub_deficit: np.ndarray,
+    states,
+    n: int,
+    n_targets: int,
+    stages: StageTimer,
+) -> ReverseTopKIndex:
+    """Wrap assembled states (a list or a columnar store) and report the build."""
     report = BuildReport(
         backend=params.backend,
         block_size=params.block_size,
@@ -254,24 +271,9 @@ def _assemble_store_index(
             for node in np.flatnonzero(hub_mask).tolist():
                 hub_progress(node)
 
-    report = BuildReport(
-        backend=params.backend,
-        block_size=params.block_size,
-        n_nodes=n,
-        n_targets=n_targets,
-        stage_seconds=stages.as_dict(),
+    return _finish_index(
+        params, hubs, hub_matrix, hub_deficit, store, n, n_targets, stages
     )
-    _emit_build_metrics(report)
-    index = ReverseTopKIndex(
-        params,
-        hubs,
-        hub_matrix,
-        hub_deficit,
-        store,
-        build_seconds=report.build_seconds,
-    )
-    index.build_report = report
-    return index
 
 
 def build_index(
@@ -459,34 +461,8 @@ def build_index_parallel(
         )
         if shard.size
     ]
-    if params.backend != "scalar":
-        collected: List[CollectedStates] = []
-        done = 0
-        with stages.time("bca"):
-            with ProcessPoolExecutor(
-                max_workers=n_workers,
-                initializer=_init_shard_worker,
-                initargs=(matrix, hub_mask, params, hubs, hub_matrix),
-            ) as pool:
-                for part in pool.map(_collect_shard, shards):
-                    collected.append(part)
-                    done += part.n_sources
-                    if progress is not None:
-                        progress(done, len(bca_sources))
-        return _assemble_store_index(
-            params,
-            hubs,
-            hub_matrix,
-            hub_deficit,
-            hub_top_k,
-            collected,
-            hub_mask,
-            n,
-            n,
-            stages,
-            None,
-        )
-    built: Dict[int, NodeState] = {}
+    columnar = params.backend != "scalar"
+    parts: list = []
     done = 0
     with stages.time("bca"):
         with ProcessPoolExecutor(
@@ -494,24 +470,23 @@ def build_index_parallel(
             initializer=_init_shard_worker,
             initargs=(matrix, hub_mask, params, hubs, hub_matrix),
         ) as pool:
-            for sources, states in pool.map(_bca_shard, shards):
-                built.update(zip(sources, states))
-                done += len(sources)
+            worker = _collect_shard if columnar else _bca_shard
+            for shard, part in zip(shards, pool.map(worker, shards)):
+                parts.append(part)
+                done += len(shard)
                 if progress is not None:
                     progress(done, len(bca_sources))
+    if columnar:
+        return _assemble_store_index(
+            params, hubs, hub_matrix, hub_deficit, hub_top_k, parts, hub_mask,
+            n, n, stages, None,
+        )
+    built: Dict[int, NodeState] = {}
+    for sources, states in parts:
+        built.update(zip(sources, states))
     return _assemble_index(
-        params,
-        hubs,
-        hub_matrix,
-        hub_deficit,
-        hub_top_k,
-        built,
-        hub_mask,
-        kernel,
-        n,
-        n,
-        stages,
-        None,
+        params, hubs, hub_matrix, hub_deficit, hub_top_k, built, hub_mask,
+        kernel, n, n, stages, None,
     )
 
 
@@ -547,59 +522,65 @@ def rebuild_node_state(
 
 
 def refine_node_state(
-    state: NodeState,
+    state: Union[RefinementWorkingSet, NodeState],
     index: ReverseTopKIndex,
     transition: sp.csc_matrix,
     hub_mask: np.ndarray,
     *,
     adaptive: bool = True,
-    node: Optional[int] = None,
     kernel: Optional[PropagationKernel] = None,
 ) -> bool:
     """One refinement step used by the online query (Algorithm 4, line 13).
 
-    Applies a single batched BCA iteration to ``state`` (through the
-    propagation kernel, as a block of one source) and refreshes its top-K
-    lower bounds.  With ``adaptive=True`` (the default for query-time
-    refinement) the propagation threshold is lowered to the largest remaining
-    residue when no node reaches the configured ``eta``, so refinement always
-    makes progress while any residue remains — this is what lets Algorithm 4
+    Advances a :class:`~repro.core.propagation.RefinementWorkingSet` by a
+    single batched BCA iteration through the propagation kernel; its top-K
+    lower bounds and residue are refreshed by the step itself.  With
+    ``adaptive=True`` (the default for query-time refinement) the
+    propagation threshold is lowered to half the largest remaining residue
+    when no node reaches the configured ``eta``, so refinement always makes
+    progress while any residue remains — this is what lets Algorithm 4
     decide every candidate instead of stalling on sub-threshold residue.
 
-    When ``node`` is given and ``state`` is the index's stored state for that
-    node (the update-index query policy refines states in place), the index's
-    columnar views are refreshed too, so the vectorized scan of later queries
-    prunes with the tightened bounds.
+    The query engine loads one working set per candidate and calls this once
+    per iteration.  Given a plain :class:`NodeState` instead (tests, ablation
+    benchmarks), the same step runs on a working set loaded from it and the
+    result is spilled back into ``state`` in place.
 
     ``kernel`` lets hot callers (the query engine) reuse one prepared kernel
-    across refinements instead of re-deriving it per call.
-
-    Returns ``False`` only when the state holds no residue at all (it is
-    already exact).
+    across refinements instead of re-deriving it per call.  Returns ``False``
+    (leaving the state untouched) when no node reaches the threshold — with
+    ``adaptive=True``, only when no residue remains at all.
     """
+    if kernel is None:
+        kernel = PropagationKernel(
+            transition, hub_mask, index.params,
+            hubs=index.hubs, hub_matrix=index.hub_matrix,
+        )
+    if isinstance(state, NodeState):
+        working = kernel.load(StateArrays.from_state(state))
+        try:
+            progressed = refine_node_state(
+                working, index, transition, hub_mask, adaptive=adaptive, kernel=kernel
+            )
+            if progressed:
+                refined = working.spill().to_state()
+                state.residual = refined.residual
+                state.retained = refined.retained
+                state.hub_ink = refined.hub_ink
+                state.lower_bounds = refined.lower_bounds
+                state.iterations = refined.iterations
+        finally:
+            working.release()
+        return progressed
     threshold: Optional[float] = None
-    if adaptive and state.residual:
-        largest = max(state.residual.values())
-        if largest < index.params.propagation_threshold:
+    if adaptive and state.residue.size:
+        largest = float(state.residue.max())
+        if 0.0 < largest < index.params.propagation_threshold:
             # Half the largest residue: every node within a factor two of the
             # maximum propagates, so each step still moves a whole batch of
             # ink instead of degenerating into single-node pushes.
             threshold = largest * 0.5
-    if kernel is None:
-        kernel = PropagationKernel(
-            transition,
-            hub_mask,
-            index.params,
-            hubs=index.hubs,
-            hub_matrix=index.hub_matrix,
-        )
-    progressed = kernel.step(state, propagation_threshold=threshold)
-    if not progressed:
-        return False
-    kernel.materialize(state)
-    if node is not None and state is index.state(node):
-        index.sync_state(node)
-    return True
+    return kernel.step(state, propagation_threshold=threshold)
 
 
 def _select_hubs_from_matrix(matrix: sp.csc_matrix, budget: int) -> HubSet:

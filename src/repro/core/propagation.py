@@ -8,8 +8,8 @@ via :attr:`IndexParams.backend`:
 
 ``"scalar"``
     The original dict-based per-neighbour loop (:func:`bca_iteration`), kept
-    bit-identical to the seed implementation.  It remains the reference for
-    equivalence tests and the fallback for pathological parameters.
+    bit-identical to the seed implementation.  It remains the build loop of
+    this backend and the reference oracle of the equivalence tests.
 
 ``"vectorized"``
     A blocked multi-source engine.  The residual / retained / hub-ink state
@@ -61,7 +61,7 @@ per-iteration sparse-dense product accumulates **in place** into the residual
 plane via SciPy's low-level ``csc_matvecs`` routine, so the steady-state
 iteration allocates nothing.  Long-lived owners (the query engine, the
 dynamic maintainer, the per-process build workers) keep one workspace and
-reuse it across every run, block and refinement step.  Passing
+reuse it across every run, block and refinement working set.  Passing
 ``reuse_buffers=False`` restores the historical allocate-per-iteration
 behaviour (useful for A/B benchmarks); the in-place product accumulates
 arrivals in a different order than the legacy ``residual += transition @
@@ -83,6 +83,13 @@ The vectorized and scalar backends agree to floating-point accumulation
 order: reconstructed proximity vectors match within ``1e-12`` with identical
 top-K node sets (enforced by a Hypothesis property test), but are not
 bitwise equal — accumulation order across a batch necessarily differs.
+
+Query-time refinement (:class:`RefinementWorkingSet`)
+-----------------------------------------------------
+Refining one candidate (Algorithm 4, line 13) is not a block run: its state
+is loaded once from flat segments into dense workspace scratch, advanced in
+place by :meth:`PropagationKernel.step` — whatever backend built the index —
+and spilled back once, only on a write-back.
 """
 
 from __future__ import annotations
@@ -100,7 +107,7 @@ from ..utils.timer import StageTimer
 from ..utils.workspace import ArrayWorkspace
 from .config import PROPAGATION_BACKENDS, IndexParams
 from .hubs import HubSet
-from .index import NodeState
+from .index import NodeState, StateArrays, expand_state
 
 try:  # pragma: no cover - exercised implicitly by every blocked run
     # Low-level accumulating sparse-dense product: Y += A @ X with caller-
@@ -123,7 +130,8 @@ class KernelWorkspace(ArrayWorkspace):
     One workspace preallocates the ``(n, B)`` residual / retained / hub-ink /
     active / amounts / shares planes (plus the per-column bookkeeping
     vectors) the first time a kernel runs and hands the same storage back on
-    every subsequent run, block and single-source refinement step.  Buffers
+    every subsequent run and block; query-time refinement borrows its dense
+    ``n``-vectors from the same pool (:class:`RefinementWorkingSet`).  Buffers
     only grow, and each thread sees its own set, so a workspace may be
     shared by an engine serving concurrent read-only queries.
 
@@ -133,45 +141,13 @@ class KernelWorkspace(ArrayWorkspace):
     """
 
 
-def _column_to_dict(
-    column: np.ndarray, labels: Optional[np.ndarray] = None
-) -> Dict[int, float]:
-    """Sparse ``{index: value}`` view of a dense column (optionally relabelled)."""
-    positions = np.flatnonzero(column)
-    if not positions.size:
-        return {}
-    keys = positions if labels is None else labels[positions]
-    return dict(zip(keys.tolist(), column[positions].tolist()))
-
-
-def _columns_to_dicts(
-    matrix: np.ndarray, columns: np.ndarray, labels: Optional[np.ndarray] = None
-) -> List[Dict[int, float]]:
-    """Per-column sparse dicts for a batch of columns, in one numpy pass."""
-    sub = matrix.T[columns]  # (m, n): one gathered, C-contiguous row per column
-    rows, entries = np.nonzero(sub)
-    keys = entries if labels is None else labels[entries]
-    keys = keys.tolist()
-    values = sub[rows, entries].tolist()
-    counts = np.bincount(rows, minlength=columns.size).tolist()
-    dicts: List[Dict[int, float]] = []
-    start = 0
-    for count in counts:
-        stop = start + count
-        dicts.append(dict(zip(keys[start:stop], values[start:stop])))
-        start = stop
-    return dicts
-
-
 def _flat_columns(
     matrix: np.ndarray, columns: np.ndarray, labels: Optional[np.ndarray] = None
 ) -> tuple:
     """Flat ``(counts, keys, values)`` segments for a batch of dense columns.
 
-    The columnar twin of :func:`_columns_to_dicts`: the same ``np.nonzero``
-    gather, so segment ``i`` holds exactly the (key, value) pairs — in the
-    same ascending-key order — that the dict path would produce for
-    ``columns[i]``.
+    One ``np.nonzero`` gather: segment ``i`` holds the (key, value) pairs of
+    ``columns[i]`` in ascending-key order.
     """
     sub = matrix.T[columns]  # (m, n): one gathered, C-contiguous row per column
     rows, entries = np.nonzero(sub)
@@ -180,6 +156,54 @@ def _flat_columns(
     values = sub[rows, entries]
     counts = np.bincount(rows, minlength=columns.size).astype(np.int64)
     return counts, keys, values
+
+
+def _segment_dicts(counts, keys, values) -> List[Dict[int, float]]:
+    """One ``{key: value}`` dict per flat segment (one ``tolist`` per array)."""
+    keys, values = keys.tolist(), values.tolist()
+    stops = np.cumsum(counts).tolist()
+    return [dict(zip(keys[lo:hi], values[lo:hi])) for lo, hi in zip([0] + stops, stops)]
+
+
+def _emit_states(
+    sources: np.ndarray,
+    iterations: np.ndarray,
+    bounds: Optional[np.ndarray],
+    planes: Sequence[tuple],
+    results: Dict[int, NodeState],
+    on_done: Optional["SourceCallback"],
+    sink,
+) -> None:
+    """Hand one converged batch to the sink, or build its ``NodeState`` objects.
+
+    ``planes`` are the residual / retained / hub-ink ``(counts, keys,
+    values)`` triples aligned with ``sources``; ``bounds`` is ``(K, m)``.
+    Both outlets read the same segments, so a sink-built store and the
+    object list hold identical keys, values and key order.
+    """
+    if sink is not None:
+        residual, retained, hub_ink = planes
+        sink.absorb(
+            sources=sources.copy(),
+            iterations=iterations.copy(),
+            bounds=np.ascontiguousarray(bounds.T) if bounds is not None else None,
+            residual=residual,
+            retained=retained,
+            hub_ink=hub_ink,
+        )
+    else:
+        per_plane = [_segment_dicts(*plane) for plane in planes]
+        for position, source in enumerate(sources.tolist()):
+            state = NodeState(
+                *(dicts[position] for dicts in per_plane),
+                iterations=int(iterations[position]),
+            )
+            if bounds is not None:
+                state.lower_bounds = bounds[:, position].copy()
+            results[source] = state
+    if on_done is not None:
+        for source in sources.tolist():
+            on_done(source)
 
 
 def _batched_top_k(vectors: np.ndarray, k: int) -> np.ndarray:
@@ -300,17 +324,7 @@ class _HubExpansion:
         self.hub_matrix = hub_matrix
 
     def expand(self, state: NodeState) -> np.ndarray:
-        vector = np.zeros(self.n_nodes, dtype=np.float64)
-        for target, value in state.retained.items():
-            vector[target] += value
-        for hub, ink in state.hub_ink.items():
-            position = self.hubs.position(hub)
-            start, stop = (
-                self.hub_matrix.indptr[position],
-                self.hub_matrix.indptr[position + 1],
-            )
-            vector[self.hub_matrix.indices[start:stop]] += ink * self.hub_matrix.data[start:stop]
-        return vector
+        return expand_state(state, self.hubs, self.hub_matrix, self.n_nodes)
 
 
 def materialize_lower_bounds(
@@ -393,7 +407,7 @@ class PropagationKernel:
         default the kernel owns a private one.  Pass a shared workspace when
         several kernels with compatible lifetimes should reuse buffers.
     reuse_buffers:
-        When ``False``, the blocked path allocates fresh planes per run and
+        When ``False``, the blocked run allocates fresh planes per run and
         a fresh arrivals array per iteration (the historical behaviour) —
         kept for A/B benchmarking of the workspace; leave ``True`` otherwise.
     profiler:
@@ -565,31 +579,20 @@ class PropagationKernel:
         # routine; otherwise fall back to the allocating legacy product.
         fused = self.reuse_buffers and _CSC_MATVECS is not None
 
-        if self.reuse_buffers:
-            ws = self.workspace
-            residual = ws.zeros("residual", (n, block))
-            retained = ws.zeros("retained", (n, block))
-            hub_ink = ws.zeros("hub_ink", (hub_nodes.size, block))
-            iterations = ws.zeros("iterations", block, np.int64)
-            column_source = ws.take("column_source", block, np.int64)
-            # Work planes fully (re)written before every read; bookkeeping
-            # vectors for parked columns are masked off by ``live``.
-            amounts = ws.take("amounts", (n, block))
-            column_mass = ws.take("column_mass", block)
-            column_active = ws.take("column_active", block, bool)
-            active = ws.take("active", (n, block), bool) if jit is None else None
-            shares = ws.take("shares", (n, block)) if jit is None else None
-        else:
-            residual = np.zeros((n, block), dtype=np.float64)
-            retained = np.zeros((n, block), dtype=np.float64)
-            hub_ink = np.zeros((hub_nodes.size, block), dtype=np.float64)
-            iterations = np.zeros(block, dtype=np.int64)
-            column_source = np.full(block, -1, dtype=np.int64)
-            amounts = np.zeros((n, block), dtype=np.float64)
-            column_mass = np.zeros(block, dtype=np.float64)
-            column_active = np.zeros(block, dtype=bool)
-            active = np.zeros((n, block), dtype=bool) if jit is None else None
-            shares = np.zeros((n, block), dtype=np.float64) if jit is None else None
+        # Without buffer reuse the planes come from a throwaway pool.
+        ws = self.workspace if self.reuse_buffers else KernelWorkspace()
+        residual = ws.zeros("residual", (n, block))
+        retained = ws.zeros("retained", (n, block))
+        hub_ink = ws.zeros("hub_ink", (hub_nodes.size, block))
+        iterations = ws.zeros("iterations", block, np.int64)
+        column_source = ws.take("column_source", block, np.int64)
+        # Work planes fully (re)written before every read; bookkeeping
+        # vectors for parked columns are masked off by ``live``.
+        amounts = ws.take("amounts", (n, block))
+        column_mass = ws.take("column_mass", block)
+        column_active = ws.take("column_active", block, bool)
+        active = ws.take("active", (n, block), bool) if jit is None else None
+        shares = ws.take("shares", (n, block)) if jit is None else None
 
         results: Dict[int, NodeState] = {}
         next_source = 0
@@ -770,38 +773,19 @@ class PropagationKernel:
                     ink[None, :] * matrix.data[start:stop, None]
                 )
             bounds = _batched_top_k(vectors, self.params.capacity)
-        if sink is not None:
-            spilled = column_source[columns]
-            sink.absorb(
-                sources=spilled.copy(),
-                iterations=iterations[columns].copy(),
-                bounds=(
-                    np.ascontiguousarray(bounds.T) if bounds is not None else None
-                ),
-                residual=_flat_columns(residual, columns),
-                retained=_flat_columns(retained, columns),
-                hub_ink=_flat_columns(hub_ink, columns, hub_nodes),
-            )
-            if on_done is not None:
-                for source in spilled.tolist():
-                    on_done(int(source))
-            return
-        residual_dicts = _columns_to_dicts(residual, columns)
-        retained_dicts = _columns_to_dicts(retained, columns)
-        ink_dicts = _columns_to_dicts(hub_ink, columns, hub_nodes)
-        for position, column in enumerate(columns.tolist()):
-            source = int(column_source[column])
-            state = NodeState(
-                residual=residual_dicts[position],
-                retained=retained_dicts[position],
-                hub_ink=ink_dicts[position],
-                iterations=int(iterations[column]),
-            )
-            if bounds is not None:
-                state.lower_bounds = bounds[:, position].copy()
-            results[source] = state
-            if on_done is not None:
-                on_done(source)
+        _emit_states(
+            column_source[columns],
+            iterations[columns],
+            bounds,
+            (
+                _flat_columns(residual, columns),
+                _flat_columns(retained, columns),
+                _flat_columns(hub_ink, columns, hub_nodes),
+            ),
+            results,
+            on_done,
+            sink,
+        )
 
     def _run_sparse(
         self,
@@ -1026,170 +1010,271 @@ class PropagationKernel:
                     scratch[touched] = 0.0
                     for targets in hub_touched:
                         scratch[targets] = 0.0
-        if sink is not None:
-            sink.absorb(
-                sources=chunk.copy(),
-                iterations=iterations.copy(),
-                bounds=(
-                    np.ascontiguousarray(bounds.T) if bounds is not None else None
-                ),
-                residual=(
-                    np.diff(residual.indptr).astype(np.int64),
-                    residual.indices.astype(np.int64),
-                    residual.data,
-                ),
-                retained=(
-                    np.diff(retained.indptr).astype(np.int64),
-                    retained.indices.astype(np.int64),
-                    retained.data,
-                ),
-                hub_ink=_flat_columns(
-                    hub_ink, np.arange(width, dtype=np.int64), hub_nodes
-                ),
-            )
-            if on_done is not None:
-                for source in chunk.tolist():
-                    on_done(int(source))
-            return
-        ink_dicts = _columns_to_dicts(
-            hub_ink, np.arange(width, dtype=np.int64), hub_nodes
-        )
-        for column in range(width):
-            parts: List[Dict[int, float]] = []
-            for plane in (residual, retained):
-                lo, hi = plane.indptr[column], plane.indptr[column + 1]
-                parts.append(
-                    dict(
-                        zip(
-                            plane.indices[lo:hi].tolist(),
-                            plane.data[lo:hi].tolist(),
-                        )
+        _emit_states(
+            chunk,
+            iterations,
+            bounds,
+            (
+                *(
+                    (
+                        np.diff(plane.indptr).astype(np.int64),
+                        plane.indices.astype(np.int64),
+                        plane.data,
                     )
-                )
-            state = NodeState(
-                residual=parts[0],
-                retained=parts[1],
-                hub_ink=ink_dicts[column],
-                iterations=int(iterations[column]),
-            )
-            if bounds is not None:
-                state.lower_bounds = bounds[:, column].copy()
-            results[int(chunk[column])] = state
-            if on_done is not None:
-                on_done(int(chunk[column]))
+                    for plane in (residual, retained)
+                ),
+                _flat_columns(hub_ink, np.arange(width, dtype=np.int64), hub_nodes),
+            ),
+            results,
+            on_done,
+            sink,
+        )
 
     # ------------------------------------------------------------------ #
-    # single steps (query-time refinement: a block of one source)
+    # single steps (query-time refinement: one candidate's working set)
     # ------------------------------------------------------------------ #
-    #: Minimum residue-support fraction of ``n`` at which the dense
-    #: single-source step pays off; sparser states fall back to the dict
-    #: iteration, whose cost scales with the active set instead of ``n``.
-    _DENSE_STEP_FRACTION = 1 / 32
+    def load(self, arrays: StateArrays) -> "RefinementWorkingSet":
+        """One node's flat segments as a working set (one live set per thread;
+        the caller must :meth:`~RefinementWorkingSet.release` it)."""
+        if self.hub_matrix is None:
+            raise ValueError(
+                "kernel was constructed without hubs/hub_matrix; it cannot "
+                "materialize lower bounds"
+            )
+        return RefinementWorkingSet(self, arrays)
 
     def step(
         self,
-        state: NodeState,
+        working: "RefinementWorkingSet",
         *,
         propagation_threshold: Optional[float] = None,
     ) -> bool:
-        """Advance ``state`` by one batched BCA iteration (Algorithm 4, line 13).
+        """Advance ``working`` by one batched BCA iteration (Algorithm 4, line 13).
 
-        Returns ``True`` when ink moved, ``False`` when no node reaches the
-        threshold.  The vectorized backend treats the state as a block of one
-        source through the same dense code path as :meth:`run` — but only
-        once the residue support is a sizable fraction of the graph; a dense
-        pass over all ``n`` nodes (and a sparse product over every stored
-        edge) for a handful of active residues would make query-time
-        refinement orders of magnitude slower than the dict iteration on
-        large graphs.  Both paths implement the identical batched rule
-        (Eq. 8-9); they differ only in floating-point accumulation order.
+        A frontier push (Eq. 8-9): every node holding at least the threshold
+        of residue retains an ``alpha`` share and scatters the rest along its
+        out-edges (a gather of the active CSC columns plus one scatter-add);
+        ink that landed on hubs moves to ``s``, and ``v`` and its top-K are
+        refreshed incrementally (``v += alpha * amounts + P_H @ delta_s``).
+        Cost follows the residue support and the entries pushed, never ``n``
+        or ``nnz(A)``.  Returns ``False`` (changing nothing) when no node
+        reaches the threshold.
         """
-        dense = (
-            self.backend in ("vectorized", "numba")
-            and len(state.residual) >= self.n_nodes * self._DENSE_STEP_FRACTION
-        )
-        if self.profiler.enabled:
-            self.profiler.on_step(dense=dense)
-        if dense:
-            return self._step_vectorized(state, propagation_threshold)
-        return bca_iteration(
-            state,
-            self.transition,
-            self.hub_mask,
-            self.params,
-            propagation_threshold=propagation_threshold,
-        )
-
-    def _step_vectorized(
-        self, state: NodeState, propagation_threshold: Optional[float]
-    ) -> bool:
         eta = (
             self.params.propagation_threshold
             if propagation_threshold is None
             else propagation_threshold
         )
-        if not state.residual:
+        active = working.residue >= eta
+        nodes = working.support[active]
+        if not nodes.size:
             return False
-        n = self.n_nodes
-        reuse = self.reuse_buffers and _CSC_MATVECS is not None
-        if reuse:
-            # Same arithmetic as the allocating path below, on workspace
-            # scratch: ``residual * active`` matches ``where(active, r, 0)``
-            # bit for bit on non-negative residues, and the accumulating
-            # product from a zeroed output scatters contributions in the
-            # identical ascending-column order as ``transition @ shares``.
-            ws = self.workspace
-            residual = ws.zeros("step_residual", n)
-            amounts = ws.take("step_amounts", n)
-            shares = ws.take("step_shares", n)
-            arrivals = ws.zeros("step_arrivals", n)
-            active = ws.take("step_active", n, bool)
-        else:
-            residual = np.zeros(n, dtype=np.float64)
-        keys = np.fromiter(state.residual.keys(), dtype=np.int64, count=len(state.residual))
-        residual[keys] = np.fromiter(
-            state.residual.values(), dtype=np.float64, count=len(state.residual)
-        )
+        # Consume exactly the snapshot amounts (Eq. 9 operates on r_{t-1});
+        # ink pushed back onto an active node stays as residue for next time.
+        amounts = working.residue[active]
         alpha = self.params.alpha
-        if reuse:
-            np.greater_equal(residual, eta, out=active)
-            if not active.any():
-                return False
-            np.multiply(residual, active, out=amounts)
-            np.multiply(amounts, 1.0 - alpha, out=shares)
-            _CSC_MATVECS(
-                n, n, 1, self.transition.indptr, self.transition.indices,
-                self.transition.data, shares, arrivals,
-            )
-            residual -= amounts
-            kept = np.multiply(amounts, alpha, out=amounts)
-        else:
-            active = residual >= eta
-            if not active.any():
-                return False
-            amounts = np.where(active, residual, 0.0)
-            arrivals = self.transition @ ((1.0 - alpha) * amounts)
-            residual -= amounts
-            kept = alpha * amounts
-        for node in np.flatnonzero(active):
-            state.retained[int(node)] = state.retained.get(int(node), 0.0) + float(kept[node])
+        residual = working.residual
+        residual[nodes] = 0.0
+        kept = alpha * amounts
+        working.retained[nodes] += kept
+        working.vector[nodes] += kept
+        targets = _scatter_columns(
+            self.transition, nodes, (1.0 - alpha) * amounts, residual
+        )
+        changed = nodes
         hub_nodes = self._hub_nodes
         if hub_nodes.size:
-            for hub in hub_nodes[arrivals[hub_nodes] != 0.0]:
-                state.hub_ink[int(hub)] = state.hub_ink.get(int(hub), 0.0) + float(
-                    arrivals[hub]
+            # Hub rows hold no residue by invariant, so whatever sits there
+            # now is exactly this step's arrivals: park it in s.
+            arrived = residual[hub_nodes]
+            positions = np.flatnonzero(arrived)
+            if positions.size:
+                ink = arrived[positions]
+                residual[hub_nodes[positions]] = 0.0
+                working.hub_ink[positions] += ink
+                rows = _scatter_columns(
+                    self.hub_matrix, positions, ink, working.vector
                 )
-            arrivals[hub_nodes] = 0.0
-        residual += arrivals
-        state.residual = _column_to_dict(residual)
-        state.iterations += 1
+                changed = np.concatenate([nodes, rows])
+        working.absorb(targets)
+        working.refresh(changed)
+        working.iterations += 1
+        if self.profiler.enabled:
+            self.profiler.on_step(
+                n_active=int(nodes.size),
+                n_support=int(working.support.size),
+                n_edges=int(targets.size),
+            )
         return True
 
-    def materialize(self, state: NodeState) -> None:
-        """Refresh ``state.lower_bounds`` through the kernel's hub expansion."""
-        if self.expansion is None:
-            raise ValueError(
-                "kernel was constructed without hubs/hub_matrix; it cannot "
-                "materialize lower bounds"
-            )
-        materialize_lower_bounds(state, self.expansion, self.params.capacity)
+
+def _column_entries(matrix: sp.csc_matrix, columns: np.ndarray):
+    """Storage positions of every entry of the listed CSC columns, and counts."""
+    indptr = matrix.indptr
+    starts = indptr[columns]
+    counts = indptr[columns + 1] - starts
+    ends = counts.cumsum()
+    total = int(ends[-1]) if ends.size else 0
+    entries = (starts - (ends - counts)).repeat(counts) + np.arange(total)
+    return entries, counts
+
+
+def _scatter_columns(
+    matrix: sp.csc_matrix, columns: np.ndarray, scales: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """``out += matrix[:, columns] @ scales`` over the stored entries only.
+
+    Gathers the listed CSC columns and scatter-adds ``scale * weight`` into
+    the dense ``out`` in (column, entry) order — the association and order of
+    the scalar reference's ``share * weight`` loop.  Returns the row index of
+    every pushed entry (with repeats), so callers can track what changed.
+    """
+    entries, counts = _column_entries(matrix, columns)
+    rows = matrix.indices[entries]
+    np.add.at(out, rows, scales.repeat(counts) * matrix.data[entries])
+    return rows
+
+
+class RefinementWorkingSet:
+    """One refinement candidate's BCA state on dense thread-local scratch.
+
+    The residual ``r``, retained ``w`` and expanded vector ``v = w + P_H s``
+    are ``n``-vectors borrowed from the kernel's :class:`KernelWorkspace`;
+    ``support`` lists every node whose ``r`` or ``w`` may be non-zero, so all
+    per-step work gathers through it instead of sweeping ``n``.  The state is
+    loaded **once** from flat ``(keys, values)`` segments (copied into the
+    scratch — memmapped segments are only ever read), advanced in place by
+    :meth:`PropagationKernel.step`, and spilled back **once**, by
+    :meth:`spill`, only if the caller writes it back.
+
+    The scratch stays all-zero between borrowers: :meth:`release` clears
+    exactly the entries this set touched, so neither loading nor releasing
+    costs ``O(n)``; a borrower that died without releasing leaves ``busy`` up
+    and the next load pays one full clear instead.
+    """
+
+    def __init__(self, kernel: PropagationKernel, arrays: StateArrays) -> None:
+        n = kernel.n_nodes
+        ws = kernel.workspace
+        self._busy = ws.clean("refine_busy", 1, bool)
+        self.residual = ws.clean("refine_residual", n)
+        self.retained = ws.clean("refine_retained", n)
+        self.vector = ws.clean("refine_vector", n)
+        self._seen = ws.clean("refine_seen", n, bool)
+        if self._busy[0]:
+            for plane in (self.residual, self.retained, self.vector, self._seen):
+                plane.fill(0)
+        self._busy[0] = True
+        # Written before every read, so it needs no clearing (see _distinct).
+        self._stamp = ws.take("refine_stamp", n, np.int64)
+        self.capacity = int(kernel.params.capacity)
+        self.iterations = int(arrays.iterations)
+        self.is_hub = bool(arrays.is_hub)
+        self._hub_nodes = kernel._hub_nodes
+        self._hub_matrix = kernel.hub_matrix
+
+        residual_keys, residual_values = arrays.residual
+        retained_keys, retained_values = arrays.retained
+        self.residual[residual_keys] = residual_values
+        self.retained[retained_keys] = retained_values
+        self.vector[retained_keys] = retained_values
+        self.support = self._distinct(np.concatenate([residual_keys, retained_keys]))
+        self._seen[self.support] = True
+        self.residue = self.residual[self.support]
+
+        # Hub ink, dense by hub position; expanded through P_H one column at
+        # a time in storage order (the order _HubExpansion.expand uses).
+        hub_keys, hub_values = arrays.hub_ink
+        self.hub_ink = np.zeros(self._hub_nodes.size, dtype=np.float64)
+        positions = np.searchsorted(self._hub_nodes, hub_keys)
+        self.hub_ink[positions] = hub_values
+        rows = _scatter_columns(
+            self._hub_matrix,
+            positions,
+            np.asarray(hub_values, dtype=np.float64),
+            self.vector,
+        )
+        self.top = np.zeros(0, dtype=np.int64)
+        self.lower_bounds = np.zeros(self.capacity, dtype=np.float64)
+        self.refresh(np.concatenate([retained_keys, rows]))
+
+    def _distinct(self, nodes: np.ndarray) -> np.ndarray:
+        """``nodes`` without repeats, unsorted: no sort, no hashing, no sweep.
+
+        Each node's stamp ends up holding the position of its *last*
+        occurrence (repeated fancy-index assignment keeps the last value),
+        so exactly one occurrence per node reads its own position back.
+        """
+        order = np.arange(nodes.size)
+        self._stamp[nodes] = order
+        return nodes[self._stamp[nodes] == order]
+
+    # -- reads ------------------------------------------------------------
+    @property
+    def is_exact(self) -> bool:
+        """True when no residue remains (the lower bounds are exact values)."""
+        return self.is_hub or not self.residue.any()
+
+    def residual_mass(self, hub_deficit: np.ndarray) -> float:
+        """``||r||_1`` plus the hub rounding-deficit correction ``s . deficit``."""
+        mass = float(self.residue.sum())
+        if self.hub_ink.size:
+            mass += float(self.hub_ink @ hub_deficit)
+        return mass
+
+    # -- updates (driven by PropagationKernel.step) -----------------------
+    def absorb(self, targets: np.ndarray) -> None:
+        """Extend the support by freshly reached nodes; re-read the residue."""
+        fresh = targets[~self._seen[targets]]
+        if fresh.size:
+            fresh = self._distinct(fresh)
+            self._seen[fresh] = True
+            self.support = np.concatenate([self.support, fresh])
+        self.residue = self.residual[self.support]
+
+    def refresh(self, changed: np.ndarray) -> None:
+        """Re-derive the top-K of ``v`` after the entries ``changed`` grew.
+
+        Entries of ``v`` only ever grow, so the new top-K is contained in the
+        old top-K plus those changed entries that now exceed the old K-th
+        value (Eq. 7 without the sweep over ``n``).
+        """
+        vector = self.vector
+        risen = changed[vector[changed] > self.lower_bounds[-1]]
+        candidates = self._distinct(np.concatenate([self.top, risen]))
+        values = vector[candidates]
+        surplus = candidates.size - self.capacity
+        if surplus > 0:
+            keep = np.argpartition(values, surplus)[surplus:]
+            candidates, values = candidates[keep], values[keep]
+        order = np.argsort(values)[::-1]
+        self.top = candidates[order]
+        self.lower_bounds = np.zeros(self.capacity, dtype=np.float64)
+        self.lower_bounds[: order.size] = values[order]
+
+    # -- hand-back --------------------------------------------------------
+    def spill(self) -> StateArrays:
+        """The current state as flat segments (ascending keys, zeros dropped)."""
+        support = np.sort(self.support)
+        planes = []
+        for plane in (self.residual, self.retained):
+            values = plane[support]
+            keep = values != 0.0
+            planes.append((support[keep], values[keep]))
+        positions = np.flatnonzero(self.hub_ink)
+        planes.append((self._hub_nodes[positions], self.hub_ink[positions]))
+        return StateArrays(
+            *planes, self.lower_bounds.copy(), self.iterations, self.is_hub
+        )
+
+    def release(self) -> None:
+        """Hand the scratch back all-zero (clears only what was touched)."""
+        support = self.support
+        self.residual[support] = 0.0
+        self.retained[support] = 0.0
+        self.vector[support] = 0.0
+        self._seen[support] = False
+        # v also holds the expansion of every hub column with ink in s.
+        entries, _ = _column_entries(self._hub_matrix, np.flatnonzero(self.hub_ink))
+        self.vector[self._hub_matrix.indices[entries]] = 0.0
+        self._busy[0] = False

@@ -62,7 +62,7 @@ from .bounds import (
     kth_upper_bounds_batch,
 )
 from .config import SCAN_PRECISIONS, IndexParams, QueryParams
-from .index import ColumnarView, NodeState, ReverseTopKIndex
+from .index import ColumnarView, NodeState, ReverseTopKIndex, StateArrays
 from .lbi import build_index, refine_node_state
 from .pmpn import proximity_to_node
 from .propagation import PropagationKernel
@@ -716,17 +716,10 @@ class ReverseTopKEngine:
         the per-node refinement loop (timed as the separate ``refine`` stage).
         """
         tally = _ScanTally()
-        columns = self.index.columns
         with stages.time("scan"):
-            exact_idx, candidates, hits, n_pruned = columnar_stage_decisions(
-                proximity_to_q,
-                columns,
-                k,
-                lower32=self._scan_lower32(),
-                workspace=self._bounds_workspace,
-                jit=jit,
+            exact_idx, candidates, hits = self._columnar_decisions(
+                proximity_to_q, k, tally, jit
             )
-            tally.n_pruned = n_pruned
             tally.n_exact = int(exact_idx.size)
             tally.n_candidates = int(candidates.size)
             tally.n_hits = int(np.count_nonzero(hits))
@@ -751,6 +744,21 @@ class ReverseTopKEngine:
             )
         ).astype(np.int64)
         return nodes, tally
+
+    def _columnar_decisions(
+        self, proximity_to_q: np.ndarray, k: int, tally: "_ScanTally", jit
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(exact, candidates, hit mask)`` of the columnar stages; records the
+        prune count on ``tally``.  The sharded router overrides only this."""
+        exact_idx, candidates, hits, tally.n_pruned = columnar_stage_decisions(
+            proximity_to_q,
+            self.index.columns,
+            k,
+            lower32=self._scan_lower32(),
+            workspace=self._bounds_workspace,
+            jit=jit,
+        )
+        return exact_idx, candidates, hits
 
     def _scan_scalar(
         self,
@@ -807,15 +815,14 @@ class ReverseTopKEngine:
 
         # Candidate: run the first upper-bound check, then hand over to the
         # shared refinement loop (also used by the vectorized scan).
-        working = state if params.update_index else state.copy()
-        residual_mass = self._effective_residual_mass(working)
-        upper = kth_upper_bound(working.lower_bounds, residual_mass, k)
+        residual_mass = self.index.state_residual_mass(state)
+        upper = kth_upper_bound(state.lower_bounds, residual_mass, k)
         if proximity_to_query >= upper:
             outcome.is_result = True
             outcome.was_candidate = True
             outcome.was_immediate_hit = True
             return outcome
-        return self._refine_candidate(node, proximity_to_query, k, params, working=working)
+        return self._refine_candidate(node, proximity_to_query, k, params)
 
     def _refine_candidate(
         self,
@@ -823,7 +830,6 @@ class ReverseTopKEngine:
         proximity_to_query: float,
         k: int,
         params: QueryParams,
-        working: Optional[NodeState] = None,
     ) -> "_NodeOutcome":
         """Continue Algorithm 4 for a candidate whose first bound check failed.
 
@@ -834,54 +840,76 @@ class ReverseTopKEngine:
         (budget check, refinement, re-check), so outcomes and counters are
         identical regardless of which scan produced the candidate.
 
-        Column sync happens once per refined candidate through the final
-        ``set_state`` write-back; nothing reads the columnar views between
-        refinement iterations of a single candidate.
+        The candidate's state is loaded once, as flat segments, into a
+        refinement working set (no :class:`NodeState` is materialised and
+        nothing is pinned in the store, so read-only queries leave the index
+        untouched), advanced in place, and spilled back once — through the
+        final ``set_state`` — only under ``update_index``.
         """
-        if working is None:
-            state = self.index.state(node)
-            working = state if params.update_index else state.copy()
         outcome = _NodeOutcome(was_candidate=True)
         refinements = 0
-        while True:
-            if refinements >= params.max_refinements:
-                # Refinement budget exhausted: decide exactly with one power
-                # method run instead of guessing (rare; counted in statistics).
-                outcome.is_result = self._exact_decision(node, working, proximity_to_query, k)
-                outcome.used_exact_fallback = True
-                break
-            progressed = refine_node_state(
-                working, self.index, self.transition, self._hub_mask,
-                kernel=self._kernel,
-            )
-            refinements += 1
-            if not progressed:
-                # No residue remains: the lower bounds are exact values now.
-                outcome.is_result = proximity_to_query >= working.kth_lower_bound(k)
-                break
-            if proximity_to_query < working.kth_lower_bound(k):
-                break
-            if working.is_exact:
-                outcome.is_result = True
-                break
-            residual_mass = self._effective_residual_mass(working)
-            upper = kth_upper_bound(working.lower_bounds, residual_mass, k)
-            if proximity_to_query >= upper:
-                outcome.is_result = True
-                break
+        refined: Optional[NodeState] = None
+        working = self._kernel.load(self.index.state_arrays(node))
+        try:
+            while True:
+                if refinements >= params.max_refinements:
+                    # Refinement budget exhausted: decide exactly with one
+                    # power method run instead of guessing (rare; counted).
+                    outcome.is_result, refined = self._exact_decision(
+                        node, proximity_to_query, k, working.iterations,
+                        write_back=params.update_index,
+                    )
+                    outcome.used_exact_fallback = True
+                    break
+                progressed = refine_node_state(
+                    working, self.index, self.transition, self._hub_mask,
+                    kernel=self._kernel,
+                )
+                refinements += 1
+                if not progressed:
+                    # No residue remains: the lower bounds are exact values now.
+                    outcome.is_result = bool(
+                        proximity_to_query >= working.lower_bounds[k - 1]
+                    )
+                    break
+                if proximity_to_query < working.lower_bounds[k - 1]:
+                    break
+                if working.is_exact:
+                    outcome.is_result = True
+                    break
+                upper = kth_upper_bound(
+                    working.lower_bounds,
+                    working.residual_mass(self.index.hub_deficit),
+                    k,
+                )
+                if proximity_to_query >= upper:
+                    outcome.is_result = True
+                    break
+            if params.update_index and refined is None:
+                refined = working.spill().to_state()
+        finally:
+            working.release()
 
         outcome.refinement_iterations = refinements
-        if params.update_index and (refinements or outcome.used_exact_fallback):
-            self.index.set_state(node, working)
+        if params.update_index:
+            self.index.set_state(node, refined)
         return outcome
 
     def _exact_decision(
-        self, node: int, state: NodeState, proximity_to_query: float, k: int
-    ) -> bool:
+        self,
+        node: int,
+        proximity_to_query: float,
+        k: int,
+        iterations: int,
+        *,
+        write_back: bool,
+    ) -> Tuple[bool, Optional[NodeState]]:
         """Decide membership exactly by computing the node's proximity vector.
 
-        Used only when the refinement budget runs out; the exact top-K values
-        replace the node's lower bounds (a strictly better index entry).
+        Used only when the refinement budget runs out.  With ``write_back``
+        the exact vector also becomes the node's index entry (its top-K values
+        replace the lower bounds — a strictly better entry); otherwise only
+        the k-th value is read and nothing is built.
         """
         from ..rwr.power_method import proximity_vector
         from ..utils.sparsetools import top_k_descending
@@ -892,19 +920,15 @@ class ReverseTopKEngine:
             alpha=self.index.params.alpha,
             tolerance=self.index.params.tolerance,
         ).vector
-        state.lower_bounds = top_k_descending(exact, self.index.capacity)
-        state.retained = {
-            int(target): float(value)
-            for target, value in enumerate(exact)
-            if value > 0.0
-        }
-        state.residual = {}
-        state.hub_ink = {}
-        return proximity_to_query >= state.kth_lower_bound(k)
-
-    def _effective_residual_mass(self, state: NodeState) -> float:
-        """Residue mass for the upper bound, including the hub rounding deficit."""
-        return self.index.state_residual_mass(state)
+        top = top_k_descending(exact, self.index.capacity)
+        state = None
+        if write_back:
+            empty = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64))
+            support = np.flatnonzero(exact > 0.0)
+            state = StateArrays(
+                empty, (support, exact[support]), empty, top, iterations
+            ).to_state()
+        return bool(proximity_to_query >= top[k - 1]), state
 
 
 @dataclass

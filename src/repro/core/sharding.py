@@ -62,9 +62,9 @@ scan the same values an in-RAM shard holds.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+import contextlib
 import os
 from pathlib import Path
-import tempfile
 import threading
 import time
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -85,12 +85,17 @@ from .bounds import float32_prune_envelope
 from .config import IndexParams
 from .hubs import HubSet
 from .index import (
-    _UMASK,
     ColumnarView,
     NodeState,
     ReverseTopKIndex,
+    StateArrays,
     _states_to_arrays,
+    atomic_write,
     effective_state_residual_mass,
+    params_from_arrays,
+    params_to_arrays,
+    resolve_hub_components,
+    storage_breakdown,
 )
 from .lbi import (
     _bca_shard,
@@ -100,13 +105,14 @@ from .lbi import (
     _resolve_build_inputs,
 )
 from .propagation import PropagationKernel, initial_node_state
-from .query import ReverseTopKEngine, _ScanTally, columnar_stage_decisions
+from .query import ReverseTopKEngine, columnar_stage_decisions
 from .statestore import (
     STATE_ARRAY_NAMES,
     ColumnarStateStore,
     StateArraysSink,
     assemble_store,
     count_materialization,
+    stored_entries,
 )
 
 PathLike = Union[str, os.PathLike]
@@ -154,27 +160,6 @@ def shard_boundaries(n_nodes: int, n_shards: int) -> np.ndarray:
 
 def _shard_stem(ordinal: int) -> str:
     return f"shard-{ordinal:05d}"
-
-
-def _atomic_write(path: Path, writer: Callable) -> None:
-    """Write a file via a uniquely-named temp sibling plus ``os.replace``."""
-    try:
-        descriptor, name = tempfile.mkstemp(prefix=f"{path.name}.tmp-", dir=path.parent)
-    except OSError as exc:
-        raise SerializationError(f"cannot write {path}: {exc}") from exc
-    temporary = Path(name)
-    try:
-        with os.fdopen(descriptor, "wb") as handle:
-            os.fchmod(descriptor, 0o666 & ~_UMASK)
-            writer(handle)
-            handle.flush()
-            os.fsync(descriptor)
-        os.replace(temporary, path)
-    except OSError as exc:
-        raise SerializationError(f"cannot write {path}: {exc}") from exc
-    finally:
-        if temporary.exists():
-            temporary.unlink()
 
 
 class IndexShard:
@@ -487,27 +472,23 @@ class IndexShard:
             overlaid = self._overlay.get(local)
             yield overlaid if overlaid is not None else self._materialize_state(local)
 
+    def state_arrays(self, local: int) -> StateArrays:
+        """Flat-segment read of ``local``'s state: nothing pinned or built.
+
+        Lazy shards slice the node's rows straight off the (possibly
+        memmapped, read-only) flattened arrays; overlaid write-backs and
+        object-backed shards flatten the stored state instead.
+        """
+        if self._states is not None:
+            return StateArrays.from_state(self._states[local])
+        overlaid = self._overlay.get(local)
+        if overlaid is not None:
+            return StateArrays.from_state(overlaid)
+        return StateArrays.from_flat(self._ensure_state_arrays(), local)
+
     def _materialize_state(self, local: int) -> NodeState:
         count_materialization()
-        arrays = self._ensure_state_arrays()
-        parts: Dict[str, Dict[int, float]] = {}
-        for name in ("residual", "retained", "hub_ink"):
-            indptr = arrays[f"{name}_indptr"]
-            lo, hi = int(indptr[local]), int(indptr[local + 1])
-            # tolist() detaches the memmap slice in one read: iterating the
-            # slice directly would bounce through memmap.__getitem__ per
-            # element, which dominates refinement-candidate materialisation.
-            keys = np.asarray(arrays[f"{name}_keys"][lo:hi]).tolist()
-            values = np.asarray(arrays[f"{name}_values"][lo:hi]).tolist()
-            parts[name] = dict(zip(keys, values))
-        return NodeState(
-            residual=parts["residual"],
-            retained=parts["retained"],
-            hub_ink=parts["hub_ink"],
-            lower_bounds=np.array(arrays["lower_bounds"][local], dtype=np.float64),
-            iterations=int(arrays["iterations"][local]),
-            is_hub=bool(arrays["is_hub"][local]),
-        )
+        return StateArrays.from_flat(self._ensure_state_arrays(), local).to_state()
 
     def set_state(self, local: int, state: NodeState, mass: float) -> None:
         """Store a state write-back and refresh its column.
@@ -558,24 +539,7 @@ class IndexShard:
         """
         if self._states is not None:
             return sum(state.stored_entries() for state in self._states)
-        # Overlaid write-backs supersede their on-disk rows: count the disk
-        # totals (an O(1) memmap peek at the indptr tails), then swap each
-        # overlaid node's disk entries for its live state's.
-        arrays = self._ensure_state_arrays()
-        total = sum(
-            int(arrays[f"{name}_indptr"][-1])
-            for name in ("residual", "retained", "hub_ink")
-        )
-        for local, state in self._overlay.items():
-            on_disk = sum(
-                int(
-                    arrays[f"{name}_indptr"][local + 1]
-                    - arrays[f"{name}_indptr"][local]
-                )
-                for name in ("residual", "retained", "hub_ink")
-            )
-            total += state.stored_entries() - on_disk
-        return total
+        return stored_entries(self._ensure_state_arrays(), self._overlay)
 
     def resident_bytes(self) -> int:
         """Rough bytes this shard currently keeps in RAM (not on disk)."""
@@ -620,25 +584,25 @@ class IndexShard:
         else:
             states = list(self.iter_states())
             arrays = _states_to_arrays(states, self.capacity)
-        _atomic_write(
+        atomic_write(
             directory / f"{stem}.lower.npy", lambda handle: np.save(handle, lower)
         )
         # The float32 screening plane: written alongside the float64 truth so
         # memmap-backed scans stream half the bytes; derived data, so layouts
         # without it (older writers) simply fall back to the float64 slice.
         lower32 = lower.astype(np.float32)
-        _atomic_write(
+        atomic_write(
             directory / f"{stem}.lower32.npy", lambda handle: np.save(handle, lower32)
         )
-        _atomic_write(
+        atomic_write(
             directory / f"{stem}.mass.npy", lambda handle: np.save(handle, mass)
         )
-        _atomic_write(
+        atomic_write(
             directory / f"{stem}.exact.npy", lambda handle: np.save(handle, exact)
         )
         for name in _STATE_ARRAY_NAMES:
             array = arrays[name]
-            _atomic_write(
+            atomic_write(
                 directory / f"{stem}.states.{name}.npy",
                 lambda handle, array=array: np.save(handle, array),
             )
@@ -781,6 +745,11 @@ class ShardedReverseTopKIndex:
         shard, local = self.shard_of(node)
         return shard.state(local)
 
+    def state_arrays(self, node: int) -> StateArrays:
+        """``node``'s state as flat segments, routed to its shard (no pin)."""
+        shard, local = self.shard_of(node)
+        return shard.state_arrays(local)
+
     def set_state(self, node: int, state: NodeState) -> None:
         """Persist a state write-back into the owning shard (version bump)."""
         shard, local = self.shard_of(node)
@@ -824,26 +793,9 @@ class ShardedReverseTopKIndex:
         and the global version bumps exactly once.  The hub set itself is
         unchanged by construction.
         """
-        if hub_matrix is not None:
-            new_matrix = hub_matrix.tocsc()
-            if new_matrix.shape[0] not in (0, self.n_nodes):
-                raise ValueError(
-                    f"hub matrix has {new_matrix.shape[0]} rows but the "
-                    f"index covers {self.n_nodes} nodes"
-                )
-            if new_matrix.shape[1] != len(self.hubs):
-                raise ValueError(
-                    f"hub matrix has {new_matrix.shape[1]} columns but "
-                    f"{len(self.hubs)} hubs"
-                )
-            self.hub_matrix = new_matrix
-        if hub_deficit is not None:
-            new_deficit = np.asarray(hub_deficit, dtype=np.float64)
-            if new_deficit.size != len(self.hubs):
-                raise ValueError(
-                    "hub_deficit length must equal the number of hubs"
-                )
-            self.hub_deficit = new_deficit
+        _, self.hub_matrix, self.hub_deficit = resolve_hub_components(
+            self, None, hub_matrix, hub_deficit, allow_rowless=True
+        )
         for node, state in states.items():
             shard, local = self.shard_of(node)
             shard.set_state(local, state, self.state_residual_mass(state))
@@ -877,25 +829,9 @@ class ShardedReverseTopKIndex:
         version is bumped exactly once.  Shard boundaries are preserved, so
         maintenance invalidations land in their owning shards.
         """
-        new_hubs = hubs if hubs is not None else self.hubs
-        new_matrix = hub_matrix.tocsc() if hub_matrix is not None else self.hub_matrix
-        new_deficit = (
-            np.asarray(hub_deficit, dtype=np.float64)
-            if hub_deficit is not None
-            else self.hub_deficit
+        new_hubs, new_matrix, new_deficit = resolve_hub_components(
+            self, hubs, hub_matrix, hub_deficit
         )
-        if new_matrix.shape[0] != self.n_nodes:
-            raise ValueError(
-                f"hub matrix has {new_matrix.shape[0]} rows but the index "
-                f"covers {self.n_nodes} nodes"
-            )
-        if new_matrix.shape[1] != len(new_hubs):
-            raise ValueError(
-                f"hub matrix has {new_matrix.shape[1]} columns but "
-                f"{len(new_hubs)} hubs"
-            )
-        if new_deficit.size != len(new_hubs):
-            raise ValueError("hub_deficit length must equal the number of hubs")
         if states is not None and len(states) != self.n_nodes:
             raise ValueError(f"expected {self.n_nodes} states, got {len(states)}")
         if states is None:
@@ -946,16 +882,9 @@ class ShardedReverseTopKIndex:
     # ------------------------------------------------------------------ #
     def storage_bytes(self) -> Dict[str, int]:
         """Approximate logical storage per component (Table 2 accounting)."""
-        lower = self.capacity * self.n_nodes * _VALUE_BYTES
-        state_entries = sum(shard.stored_entries() for shard in self.shards)
-        state_bytes = state_entries * (_VALUE_BYTES + _INDEX_BYTES)
-        hub_bytes = self.hub_matrix.nnz * (_VALUE_BYTES + _INDEX_BYTES)
-        return {
-            "lower_bounds": lower,
-            "bca_state": state_bytes,
-            "hub_matrix": hub_bytes,
-            "total": lower + state_bytes + hub_bytes,
-        }
+        return storage_breakdown(
+            self, sum(shard.stored_entries() for shard in self.shards)
+        )
 
     def total_bytes(self) -> int:
         """Total approximate logical index size in bytes."""
@@ -1054,19 +983,10 @@ class ShardedReverseTopKIndex:
     def _write_meta(self, directory: Path) -> None:
         """Write (and thereby seal) the layout's global metadata archive."""
         hub_matrix = self.hub_matrix.tocoo()
-        params = self.params
         meta = {
             "layout_version": np.array([_LAYOUT_VERSION], dtype=np.int64),
             "boundaries": self._boundaries,
-            "alpha": np.array([params.alpha]),
-            "capacity": np.array([params.capacity]),
-            "propagation_threshold": np.array([params.propagation_threshold]),
-            "residue_threshold": np.array([params.residue_threshold]),
-            "rounding_threshold": np.array([params.rounding_threshold]),
-            "hub_budget": np.array([params.hub_budget]),
-            "tolerance": np.array([params.tolerance]),
-            "backend": np.array([params.backend]),
-            "block_size": np.array([params.block_size]),
+            **params_to_arrays(self.params),
             "hubs": np.asarray(self.hubs.nodes, dtype=np.int64),
             "hub_deficit": self.hub_deficit,
             "hub_rows": hub_matrix.row.astype(np.int64),
@@ -1076,7 +996,7 @@ class ShardedReverseTopKIndex:
             "build_seconds": np.array([self.build_seconds]),
             "total_bytes": np.array([self.total_bytes()], dtype=np.int64),
         }
-        _atomic_write(
+        atomic_write(
             directory / _META_NAME,
             lambda handle: np.savez_compressed(handle, **meta),
         )
@@ -1101,17 +1021,7 @@ class ShardedReverseTopKIndex:
                         f"unsupported sharded layout version "
                         f"{int(data['layout_version'][0])} at {directory}"
                     )
-                params = IndexParams(
-                    alpha=float(data["alpha"][0]),
-                    capacity=int(data["capacity"][0]),
-                    propagation_threshold=float(data["propagation_threshold"][0]),
-                    residue_threshold=float(data["residue_threshold"][0]),
-                    rounding_threshold=float(data["rounding_threshold"][0]),
-                    hub_budget=int(data["hub_budget"][0]),
-                    tolerance=float(data["tolerance"][0]),
-                    backend=str(data["backend"][0]),
-                    block_size=int(data["block_size"][0]),
-                )
+                params = params_from_arrays(data)
                 hubs = HubSet.from_iterable(data["hubs"].tolist())
                 shape = tuple(int(x) for x in data["hub_shape"])
                 hub_matrix = sp.coo_matrix(
@@ -1310,66 +1220,56 @@ def build_sharded_index(
             if progress is not None:
                 progress(done, n)
 
-        def shard_from_objects(start: int, stop: int, built: Dict[int, NodeState]) -> IndexShard:
-            return IndexShard.from_states(
-                int(start), int(stop), params.capacity, assemble(start, stop, built), mass_of
-            )
-
-        def shard_from_collected(start: int, stop: int, part) -> IndexShard:
-            store = assemble_store(
-                int(start), int(stop), params.capacity, [part], hub_mask, hub_top_k
-            )
-            return IndexShard.from_store(
-                int(start),
-                int(stop),
-                params.capacity,
-                store,
-                store.column_masses(hubs, hub_deficit),
-            )
-
         # Non-scalar backends spill converged columns straight into flat
         # arrays (no per-node NodeState objects on the build path); the
         # scalar reference backend keeps the object pipeline.
         columnar = params.backend != "scalar"
+
+        def make_shard(start: int, stop: int, part) -> IndexShard:
+            """A shard from one range's worker output (collected or objects)."""
+            start, stop = int(start), int(stop)
+            if not columnar:
+                states = assemble(start, stop, dict(zip(*part)))
+                return IndexShard.from_states(
+                    start, stop, params.capacity, states, mass_of
+                )
+            store = assemble_store(
+                start, stop, params.capacity, [part], hub_mask, hub_top_k
+            )
+            return IndexShard.from_store(
+                start, stop, params.capacity, store,
+                store.column_masses(hubs, hub_deficit),
+            )
+
         source_lists = [
             [node for node in range(start, stop) if not hub_mask[node]]
             for start, stop in ranges
         ]
         if n_workers is not None and n_workers > 1:
-            with ProcessPoolExecutor(
+            pool = ProcessPoolExecutor(
                 max_workers=n_workers,
                 initializer=_init_shard_worker,
                 initargs=(matrix, hub_mask, params, hubs, hub_matrix),
-            ) as pool:
-                if columnar:
-                    for (start, stop), part in zip(
-                        ranges, pool.map(_collect_shard, source_lists)
-                    ):
-                        finish_shard(
-                            len(shards), start, stop,
-                            shard_from_collected(start, stop, part),
-                        )
-                else:
-                    for (start, stop), (sources, states) in zip(
-                        ranges, pool.map(_bca_shard, source_lists)
-                    ):
-                        finish_shard(
-                            len(shards), start, stop,
-                            shard_from_objects(start, stop, dict(zip(sources, states))),
-                        )
+            )
+            run, worker = pool.map, _collect_shard if columnar else _bca_shard
         else:
+            pool = contextlib.nullcontext()
             kernel = PropagationKernel(
                 matrix, hub_mask, params, hubs=hubs, hub_matrix=hub_matrix
             )
-            for (start, stop), sources in zip(ranges, source_lists):
-                if columnar:
-                    sink = StateArraysSink(params.capacity)
-                    kernel.run(sources, sink=sink)
-                    shard = shard_from_collected(start, stop, sink.collected())
-                else:
-                    built = dict(zip(sources, kernel.run(sources)))
-                    shard = shard_from_objects(start, stop, built)
-                finish_shard(len(shards), start, stop, shard)
+
+            def worker(sources: List[int]):
+                """In-process twin of the pool's shard workers."""
+                if not columnar:
+                    return sources, kernel.run(sources)
+                sink = StateArraysSink(params.capacity)
+                kernel.run(sources, sink=sink)
+                return sink.collected()
+
+            run = map
+        with pool:
+            for (start, stop), part in zip(ranges, run(worker, source_lists)):
+                finish_shard(len(shards), start, stop, make_shard(start, stop, part))
 
     sharded = ShardedReverseTopKIndex(
         params,
@@ -1519,8 +1419,8 @@ class ShardedReverseTopKEngine(ReverseTopKEngine):
     # ------------------------------------------------------------------ #
     # the per-shard scan
     # ------------------------------------------------------------------ #
-    def _scan_vectorized(self, proximity_to_q, k, params, stages, jit=None):
-        """Columnar scan routed across shards; refinement stays global.
+    def _columnar_decisions(self, proximity_to_q, k, tally, jit):
+        """The columnar stages routed across shards; refinement stays global.
 
         Per-shard stages are column-local, so evaluating them slice by slice
         yields the monolithic scan's floats; shard outcomes concatenate in
@@ -1531,83 +1431,41 @@ class ShardedReverseTopKEngine(ReverseTopKEngine):
         memmapped ``.lower32.npy`` when the layout carries one) through the
         same shared stage pipeline the monolithic engine uses.
         """
-        tally = _ScanTally()
         shards = self.index.shards
-        screened = self.scan_precision == "float32"
-        workspace = self._bounds_workspace
-        with stages.time("scan"):
-            if self.scan_workers > 1 and len(shards) > 1:
-                pool = self._ensure_scan_pool()
-                outcomes = list(
-                    pool.map(
-                        lambda shard: _scan_shard(
-                            shard,
-                            proximity_to_q,
-                            k,
-                            screened=screened,
-                            workspace=workspace,
-                            jit=jit,
-                        ),
-                        shards,
-                    )
-                )
-            else:
-                outcomes = [
-                    _scan_shard(
-                        shard,
-                        proximity_to_q,
-                        k,
-                        screened=screened,
-                        workspace=workspace,
-                        jit=jit,
-                    )
-                    for shard in shards
-                ]
-            exact_parts: List[np.ndarray] = []
-            candidate_parts: List[np.ndarray] = []
-            hit_parts: List[np.ndarray] = []
-            traced = current_span() is not None
-            for shard, outcome in zip(shards, outcomes):
-                start, exact_local, cand_local, hits, n_pruned, seconds = outcome
-                tally.n_pruned += n_pruned
-                tally.n_exact += int(exact_local.size)
-                tally.n_candidates += int(cand_local.size)
-                tally.n_hits += int(np.count_nonzero(hits))
-                if traced:
-                    tally.shard_records.append(
-                        (start, shard.stop - shard.start, seconds, int(n_pruned))
-                    )
-                exact_parts.append(exact_local + start)
-                candidate_parts.append(cand_local + start)
-                hit_parts.append(hits)
-            exact_nodes = np.concatenate(exact_parts)
-            candidates = np.concatenate(candidate_parts)
-            hits = (
-                np.concatenate(hit_parts)
-                if candidates.size
-                else np.zeros(0, dtype=bool)
+
+        def scan(shard: IndexShard):
+            return _scan_shard(
+                shard,
+                proximity_to_q,
+                k,
+                screened=self.scan_precision == "float32",
+                workspace=self._bounds_workspace,
+                jit=jit,
             )
 
-        refined_results: List[int] = []
-        with stages.time("refine"):
-            for node in candidates[~hits]:
-                outcome = self._refine_candidate(
-                    int(node), float(proximity_to_q[node]), k, params
+        if self.scan_workers > 1 and len(shards) > 1:
+            outcomes = list(self._ensure_scan_pool().map(scan, shards))
+        else:
+            outcomes = [scan(shard) for shard in shards]
+        exact_parts: List[np.ndarray] = []
+        candidate_parts: List[np.ndarray] = []
+        hit_parts: List[np.ndarray] = []
+        traced = current_span() is not None
+        for shard, outcome in zip(shards, outcomes):
+            start, exact_local, cand_local, hits, n_pruned, seconds = outcome
+            tally.n_pruned += n_pruned
+            if traced:
+                tally.shard_records.append(
+                    (start, shard.stop - shard.start, seconds, int(n_pruned))
                 )
-                tally.absorb_refinement(outcome)
-                if outcome.is_result:
-                    refined_results.append(int(node))
-
-        nodes = np.sort(
-            np.concatenate(
-                [
-                    exact_nodes,
-                    candidates[hits],
-                    np.asarray(refined_results, dtype=np.int64),
-                ]
-            )
-        ).astype(np.int64)
-        return nodes, tally
+            exact_parts.append(exact_local + start)
+            candidate_parts.append(cand_local + start)
+            hit_parts.append(hits)
+        return (
+            np.concatenate(exact_parts),
+            np.concatenate(candidate_parts),
+            np.concatenate(hit_parts),
+        )
 
 
 def _scan_shard(

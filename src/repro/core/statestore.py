@@ -45,7 +45,9 @@ import numpy as np
 from ..exceptions import InvalidParameterError
 from .hubs import HubSet
 from .index import (
+    STATE_PLANES as _PLANES,
     NodeState,
+    StateArrays,
     _states_to_arrays,
     effective_state_residual_mass,
 )
@@ -69,9 +71,6 @@ STATE_ARRAY_NAMES = (
     "is_hub",
 )
 
-#: The three sparse per-node planes.
-_PLANES = ("residual", "retained", "hub_ink")
-
 #: Module-level count of NodeState materialisations from columnar storage.
 #: The large-graph bench (and the statestore tests) reset this before a
 #: build and assert it stayed at zero — the acceptance check that the build
@@ -94,6 +93,20 @@ def count_materialization(n: int = 1) -> None:
     """Record ``n`` NodeState materialisations (internal hook)."""
     global _MATERIALIZATIONS
     _MATERIALIZATIONS += n
+
+
+def stored_entries(arrays, overlay: Dict[int, NodeState]) -> int:
+    """Sparse entries of a flattened layout with ``overlay`` rows swapped in.
+
+    An O(1) peek at the index-pointer tails (memmaps stay lazy) plus one
+    correction per overlaid node, whose live state supersedes its stored row.
+    """
+    indptrs = [arrays[f"{plane}_indptr"] for plane in _PLANES]
+    total = sum(int(indptr[-1]) for indptr in indptrs)
+    for node, state in overlay.items():
+        stored = sum(int(indptr[node + 1] - indptr[node]) for indptr in indptrs)
+        total += state.stored_entries() - stored
+    return total
 
 
 class ColumnarStateStore:
@@ -183,24 +196,16 @@ class ColumnarStateStore:
         for node in range(self._n):
             yield self.peek_state(node)
 
+    def state_arrays(self, node: int) -> StateArrays:
+        """Overlay-aware flat-segment read: no ``NodeState``, nothing pinned."""
+        pinned = self._overlay.get(node)
+        if pinned is not None:
+            return StateArrays.from_state(pinned)
+        return StateArrays.from_flat(self.arrays, node)
+
     def _materialize(self, node: int) -> NodeState:
         count_materialization()
-        arrays = self.arrays
-        parts: Dict[str, Dict[int, float]] = {}
-        for name in _PLANES:
-            indptr = arrays[f"{name}_indptr"]
-            lo, hi = int(indptr[node]), int(indptr[node + 1])
-            keys = np.asarray(arrays[f"{name}_keys"][lo:hi]).tolist()
-            values = np.asarray(arrays[f"{name}_values"][lo:hi]).tolist()
-            parts[name] = dict(zip(keys, values))
-        return NodeState(
-            residual=parts["residual"],
-            retained=parts["retained"],
-            hub_ink=parts["hub_ink"],
-            lower_bounds=np.array(arrays["lower_bounds"][node], dtype=np.float64),
-            iterations=int(arrays["iterations"][node]),
-            is_hub=bool(arrays["is_hub"][node]),
-        )
+        return StateArrays.from_flat(self.arrays, node).to_state()
 
     # ------------------------------------------------------------------ #
     # bulk columnar reads (the build / persist hot paths)
@@ -321,19 +326,7 @@ class ColumnarStateStore:
     # ------------------------------------------------------------------ #
     def stored_entries(self) -> int:
         """Total sparse entries across planes (overlay-aware, O(overlay))."""
-        total = sum(
-            int(self.arrays[f"{plane}_indptr"][-1]) for plane in _PLANES
-        )
-        for node, state in self._overlay.items():
-            on_arrays = sum(
-                int(
-                    self.arrays[f"{plane}_indptr"][node + 1]
-                    - self.arrays[f"{plane}_indptr"][node]
-                )
-                for plane in _PLANES
-            )
-            total += state.stored_entries() - on_arrays
-        return total
+        return stored_entries(self.arrays, self._overlay)
 
     def nbytes(self) -> int:
         """Bytes held by the backing arrays (overlay states excluded)."""

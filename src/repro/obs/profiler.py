@@ -78,6 +78,11 @@ class KernelProfiler:
         self.n_block_iterations = 0
         self.n_live_columns = 0
         self.n_steps = 0
+        # What explains a slow refinement step: how many nodes pushed, how
+        # wide the working set's support was, how many edges were pushed.
+        self.n_step_active = 0
+        self.n_step_support = 0
+        self.n_step_edges = 0
         self.n_spills = 0
         self.n_spilled_sources = 0
         self.product_seconds = 0.0
@@ -153,9 +158,13 @@ class KernelProfiler:
         if self._m is not None:
             self._m["spill"].inc(float(seconds))
 
-    def on_step(self, *, dense: bool) -> None:
+    def on_step(self, *, n_active: int, n_support: int, n_edges: int) -> None:
+        """One refinement step: nodes that pushed, support size, entries pushed."""
         with self._lock:
             self.n_steps += 1
+            self.n_step_active += int(n_active)
+            self.n_step_support += int(n_support)
+            self.n_step_edges += int(n_edges)
         if self._m is not None:
             self._m["steps"].inc()
 
@@ -212,6 +221,9 @@ class KernelProfiler:
                 "n_block_iterations": self.n_block_iterations,
                 "n_live_columns": self.n_live_columns,
                 "n_steps": self.n_steps,
+                "n_step_active": self.n_step_active,
+                "n_step_support": self.n_step_support,
+                "n_step_edges": self.n_step_edges,
                 "n_spills": self.n_spills,
                 "n_spilled_sources": self.n_spilled_sources,
                 "product_seconds": self.product_seconds,

@@ -88,6 +88,23 @@ class ArrayWorkspace:
         array.fill(0)
         return array
 
+    def clean(
+        self, name: str, shape: Tuple[int, ...] | int, dtype=np.float64
+    ) -> np.ndarray:
+        """Like :meth:`zeros`, but trusts the last borrower to have re-zeroed it.
+
+        Only a freshly (re)allocated buffer is cleared, so a sparse user of a
+        long vector pays for the entries it touches, not for the length.  The
+        contract is the caller's: hand the array back all-zero.
+        """
+        key = (name, np.dtype(dtype).str)
+        before = self._pool().get(key)
+        array = self.take(name, shape, dtype)
+        backing = self._pool()[key]
+        if backing is not before:
+            backing.fill(0)
+        return array
+
     def arange(self, name: str, size: int) -> np.ndarray:
         """Return ``[0, 1, ..., size - 1]`` as int64 without reallocating.
 

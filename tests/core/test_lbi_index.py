@@ -333,20 +333,6 @@ class TestColumnarViews:
         )
         assert np.all(index.columns.lower[:, node] >= before - 1e-12)
 
-    def test_refine_node_state_syncs_when_node_given(self, small_index, small_transition):
-        index = copy.deepcopy(small_index)
-        hub_mask = index.hubs.mask(index.n_nodes)
-        matrix = sp.csc_matrix(small_transition)
-        node = next(v for v, s in index.states() if not s.is_exact)
-        state = index.state(node)
-        assert refine_node_state(state, index, matrix, hub_mask, node=node)
-        np.testing.assert_array_equal(
-            index.columns.lower[:, node], state.lower_bounds[: index.capacity]
-        )
-        assert index.columns.residual_mass[node] == pytest.approx(
-            index.effective_residual_mass(node)
-        )
-
 
 class TestReplaceContentsValidation:
     def test_wrong_row_count_hub_matrix_rejected(self, small_web_graph):

@@ -16,10 +16,11 @@ from repro.core import (
     rebuild_node_state,
     refine_node_state,
 )
-from repro.core.index import ReverseTopKIndex
+from repro.core.index import ReverseTopKIndex, StateArrays
 from repro.core.lbi import _compute_hub_matrix
 from repro.core.propagation import (
     _HubExpansion,
+    bca_iteration,
     initial_node_state,
     materialize_lower_bounds,
     run_node_bca,
@@ -126,29 +127,31 @@ class TestKernelBackends:
         with pytest.raises(ValueError, match="backend"):
             IndexParams(capacity=5, backend="gpu")
 
-    def test_step_equivalent_across_backends(self, kernel_inputs):
-        # One vectorized step from the same state content moves the same ink
-        # as one scalar step (within accumulation-order tolerance).
+    def test_step_matches_scalar_reference(self, kernel_inputs):
+        # One working-set step from the same state content moves the same ink
+        # as one scalar bca_iteration (within accumulation-order tolerance).
         matrix, hub_mask, params, hubs, hub_matrix = kernel_inputs
         source = int(np.flatnonzero(~hub_mask)[0])
-        vec_state = initial_node_state(source, False)
-        sca_state = initial_node_state(source, False)
-        vec_kernel = PropagationKernel(
+        reference = initial_node_state(source, False)
+        kernel = PropagationKernel(
             matrix, hub_mask, params, hubs=hubs, hub_matrix=hub_matrix
         )
-        sca_kernel = PropagationKernel(
-            matrix, hub_mask, params, hubs=hubs, hub_matrix=hub_matrix,
-            backend="scalar",
-        )
-        for _ in range(4):
-            progressed_vec = vec_kernel.step(vec_state)
-            progressed_sca = sca_kernel.step(sca_state)
-            assert progressed_vec == progressed_sca
-            if not progressed_vec:
-                break
-            assert vec_state.residual == pytest.approx(sca_state.residual, abs=1e-12)
-            assert vec_state.retained == pytest.approx(sca_state.retained, abs=1e-12)
-            assert vec_state.hub_ink == pytest.approx(sca_state.hub_ink, abs=1e-12)
+        working = kernel.load(StateArrays.from_state(reference))
+        try:
+            for _ in range(4):
+                progressed = kernel.step(working)
+                assert progressed == bca_iteration(
+                    reference, matrix, hub_mask, params
+                )
+                if not progressed:
+                    break
+                state = working.spill().to_state()
+                assert state.residual == pytest.approx(reference.residual, abs=1e-12)
+                assert state.retained == pytest.approx(reference.retained, abs=1e-12)
+                assert state.hub_ink == pytest.approx(reference.hub_ink, abs=1e-12)
+                assert state.iterations == reference.iterations
+        finally:
+            working.release()
 
     def test_step_honours_propagation_threshold_override(self, kernel_inputs):
         matrix, hub_mask, params, hubs, hub_matrix = kernel_inputs
@@ -158,16 +161,51 @@ class TestKernelBackends:
         kernel = PropagationKernel(
             matrix, hub_mask, params, hubs=hubs, hub_matrix=hub_matrix
         )
-        assert not kernel.step(state)
-        assert kernel.step(
-            state, propagation_threshold=params.propagation_threshold / 8
-        )
+        working = kernel.load(StateArrays.from_state(state))
+        try:
+            assert not kernel.step(working)
+            assert working.iterations == 0
+            assert kernel.step(
+                working, propagation_threshold=params.propagation_threshold / 8
+            )
+            assert working.iterations == 1
+        finally:
+            working.release()
 
-    def test_materialize_requires_hub_info(self, kernel_inputs):
+    def test_release_hands_scratch_back_clean(self, kernel_inputs):
+        # The dense scratch is shared by every candidate a thread refines:
+        # a released working set must leave no ink behind, and one that was
+        # abandoned mid-refinement must not leak into the next load.
+        matrix, hub_mask, params, hubs, hub_matrix = kernel_inputs
+        kernel = PropagationKernel(
+            matrix, hub_mask, params, hubs=hubs, hub_matrix=hub_matrix
+        )
+        sources = np.flatnonzero(~hub_mask)[:2]
+        first = kernel.load(StateArrays.from_state(initial_node_state(int(sources[0]), False)))
+        for _ in range(5):
+            kernel.step(first)
+        first.release()
+        for plane in (first.residual, first.retained, first.vector):
+            assert not plane.any()
+        abandoned = kernel.load(
+            StateArrays.from_state(initial_node_state(int(sources[0]), False))
+        )
+        for _ in range(5):
+            kernel.step(abandoned)
+        fresh = kernel.load(
+            StateArrays.from_state(initial_node_state(int(sources[1]), False))
+        )
+        try:
+            assert fresh.spill().to_state().residual == {int(sources[1]): 1.0}
+            assert not fresh.vector.any()
+        finally:
+            fresh.release()
+
+    def test_load_requires_hub_info(self, kernel_inputs):
         matrix, hub_mask, params, _, _ = kernel_inputs
         kernel = PropagationKernel(matrix, hub_mask, params)
         with pytest.raises(ValueError, match="materialize"):
-            kernel.materialize(initial_node_state(0, False))
+            kernel.load(StateArrays.from_state(initial_node_state(0, False)))
 
 
 class TestBuildBackends:
@@ -227,7 +265,7 @@ class TestBuildBackends:
             state = index.state(node)
             before = state.lower_bounds.copy()
             for _ in range(10_000):
-                if not refine_node_state(state, index, matrix, hub_mask, node=node):
+                if not refine_node_state(state, index, matrix, hub_mask):
                     break
             assert state.is_exact
             assert np.all(state.lower_bounds >= before - 1e-12)

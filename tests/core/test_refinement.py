@@ -1,0 +1,283 @@
+"""Array-native candidate refinement: store hygiene, write-back and scaling.
+
+The equivalence with the scalar reference and the lower/exact/upper sandwich
+live in ``tests/properties/test_property_refinement.py``; this module pins the
+behaviour around the working set — what a refinement leaves behind in the
+store (nothing, for read-only queries), that write-backs round-trip through
+the flat layout, and that a step's cost does not depend on the graph size.
+"""
+
+import copy
+import statistics
+import time
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from repro.core import (
+    IndexParams,
+    PropagationKernel,
+    QueryParams,
+    ReverseTopKEngine,
+    ShardedReverseTopKEngine,
+    build_index,
+    build_sharded_index,
+    refine_node_state,
+)
+from repro.core.hubs import HubSet
+from repro.core.index import StateArrays
+from repro.core.propagation import initial_node_state
+from repro.core.statestore import materialization_count, reset_materialization_count
+from repro.graph import copying_web_graph, transition_matrix
+from repro.obs import KernelProfiler
+
+#: A deliberately weak index: most candidates need refinement to decide.
+WEAK = IndexParams(
+    capacity=8, hub_budget=4, propagation_threshold=5e-2, residue_threshold=0.6
+)
+
+
+@pytest.fixture(scope="module")
+def web():
+    graph = copying_web_graph(240, out_degree=5, seed=4)
+    return graph, transition_matrix(graph)
+
+
+def _overlays(index):
+    shards = getattr(index, "shards", None)
+    if shards is None:
+        return [index.store.overlay]
+    return [shard._overlay for shard in shards]
+
+
+def _engines(web, tmp_path):
+    graph, matrix = web
+    yield "monolithic", ReverseTopKEngine(
+        matrix, build_index(graph, WEAK, transition=matrix)
+    )
+    yield "ram-sharded", ShardedReverseTopKEngine(
+        matrix, build_sharded_index(graph, WEAK, transition=matrix, n_shards=3)
+    )
+    yield "memmap-sharded", ShardedReverseTopKEngine(
+        matrix,
+        build_sharded_index(
+            graph, WEAK, transition=matrix, n_shards=3,
+            directory=tmp_path / "layout", memory_budget=0,
+        ),
+    )
+
+
+class TestReadOnlyQueriesLeaveTheStoreUntouched:
+    def test_no_overlay_growth_and_no_materialisation(self, web, tmp_path):
+        # Regression: _refine_candidate used index.state(node), which pins a
+        # dict-backed NodeState in the store / shard overlay per distinct
+        # refined candidate — forever, on the read-only serving path.
+        queries = list(range(30, 90))
+        answers = {}
+        for name, engine in _engines(web, tmp_path):
+            assert all(not overlay for overlay in _overlays(engine.index))
+            version = engine.index.version
+            reset_materialization_count()
+            results = engine.query_many_readonly(queries, k=4)
+            refined = sum(r.statistics.n_refined_nodes for r in results)
+            assert refined > 20, "the workload must actually refine candidates"
+            assert materialization_count() == 0, name
+            assert all(not overlay for overlay in _overlays(engine.index)), name
+            assert engine.index.version == version
+            answers[name] = [r.nodes.tolist() for r in results]
+        assert answers["ram-sharded"] == answers["monolithic"]
+        assert answers["memmap-sharded"] == answers["monolithic"]
+
+    def test_memmap_segments_are_never_written(self, web, tmp_path):
+        graph, matrix = web
+        index = build_sharded_index(
+            graph, WEAK, transition=matrix, n_shards=2,
+            directory=tmp_path / "ro", memory_budget=0,
+        )
+        node = int(np.flatnonzero(~np.asarray(index.shards[0].columns.is_exact))[0])
+        arrays = index.state_arrays(node)
+        keys, values = arrays.residual
+        assert not values.flags.writeable and not keys.flags.writeable
+        before = np.array(values)
+        engine = ShardedReverseTopKEngine(matrix, index)
+        working = engine._kernel.load(arrays)
+        try:
+            for _ in range(5):
+                refine_node_state(
+                    working, index, engine.transition, engine._hub_mask,
+                    kernel=engine._kernel,
+                )
+        finally:
+            working.release()
+        np.testing.assert_array_equal(index.state_arrays(node).residual[1], before)
+
+
+class TestWriteBack:
+    def test_update_query_round_trips_through_the_flat_layout(self, web, tmp_path):
+        # Written-back refinements must survive persistence bit for bit and
+        # keep the columnar views in step with the stored states.
+        graph, matrix = web
+        engine = ReverseTopKEngine(matrix, build_index(graph, WEAK, transition=matrix))
+        for query in range(30, 50):
+            engine.query(query, k=4, update_index=True)
+        index = engine.index
+        assert index.store.overlay, "update queries must write refinements back"
+        for node, state in index.store.overlay.items():
+            np.testing.assert_array_equal(
+                index.columns.lower[:, node], state.lower_bounds
+            )
+            assert index.columns.residual_mass[node] == index.state_residual_mass(state)
+            assert list(state.residual) == sorted(state.residual)
+            assert list(state.retained) == sorted(state.retained)
+        index.save(tmp_path / "refined.npz")
+        loaded = type(index).load(tmp_path / "refined.npz")
+        np.testing.assert_array_equal(loaded.columns.lower, index.columns.lower)
+        np.testing.assert_array_equal(
+            loaded.columns.residual_mass, index.columns.residual_mass
+        )
+
+    def test_exact_fallback_writes_only_under_update(self, web):
+        graph, matrix = web
+        base = build_index(graph, WEAK, transition=matrix)
+        for update in (False, True):
+            engine = ReverseTopKEngine(matrix, copy.deepcopy(base))
+            fallbacks = 0
+            for query in range(30, 60):
+                result = engine.query(
+                    query, params=QueryParams(k=4, update_index=update, max_refinements=1)
+                )
+                fallbacks += result.statistics.n_exact_fallbacks
+            assert fallbacks > 0
+            overlay = engine.index.store.overlay
+            if not update:
+                assert not overlay
+                continue
+            # A fallback replaces the entry by the exact vector: all of the
+            # ink retained, none parked at hubs, nothing left to propagate.
+            solved = [
+                state for state in overlay.values()
+                if not state.residual and not state.hub_ink
+            ]
+            assert solved
+            for state in solved:
+                assert sum(state.retained.values()) == pytest.approx(1.0, abs=1e-6)
+                np.testing.assert_array_equal(
+                    state.lower_bounds,
+                    np.sort(list(state.retained.values()))[::-1][: WEAK.capacity],
+                )
+
+
+class TestNodeStateEntryPoint:
+    def test_plain_state_and_working_set_share_one_step(self, web):
+        # refine_node_state on a NodeState is load -> the same step -> spill.
+        graph, matrix = web
+        index = build_index(graph, WEAK, transition=matrix)
+        hub_mask = index.hubs.mask(graph.n_nodes)
+        csc = sp.csc_matrix(matrix)
+        node = int(np.flatnonzero(~np.asarray(index.columns.is_exact))[0])
+        state = index.store.peek_state(node)
+        kernel = PropagationKernel(
+            csc, hub_mask, index.params, hubs=index.hubs, hub_matrix=index.hub_matrix
+        )
+        working = kernel.load(index.state_arrays(node))
+        try:
+            steps = 0
+            for _ in range(6):
+                progressed = refine_node_state(state, index, csc, hub_mask)
+                assert progressed == refine_node_state(
+                    working, index, csc, hub_mask, kernel=kernel
+                )
+                if not progressed:
+                    break
+                steps += 1
+                stepped = working.spill().to_state()
+                assert stepped.residual == state.residual
+                assert stepped.retained == state.retained
+                assert stepped.hub_ink == state.hub_ink
+                np.testing.assert_array_equal(stepped.lower_bounds, state.lower_bounds)
+                assert stepped.iterations == state.iterations
+            assert steps
+        finally:
+            working.release()
+
+    def test_exact_state_is_left_untouched(self, web):
+        graph, matrix = web
+        index = build_index(graph, WEAK, transition=matrix)
+        hub = index.hubs.nodes[0]
+        state = index.store.peek_state(hub)
+        before = copy.deepcopy(state)
+        assert not refine_node_state(
+            state, index, sp.csc_matrix(matrix), index.hubs.mask(graph.n_nodes)
+        )
+        assert state.hub_ink == before.hub_ink and state.iterations == 0
+        np.testing.assert_array_equal(state.lower_bounds, before.lower_bounds)
+
+
+class TestProfilerStepCounts:
+    def test_step_reports_active_support_and_edges(self, web):
+        graph, matrix = web
+        profiler = KernelProfiler()
+        csc = sp.csc_matrix(matrix)
+        kernel = PropagationKernel(
+            csc,
+            np.zeros(graph.n_nodes, dtype=bool),
+            WEAK,
+            hubs=HubSet(()),
+            hub_matrix=sp.csc_matrix((graph.n_nodes, 0)),
+            profiler=profiler,
+        )
+        working = kernel.load(StateArrays.from_state(initial_node_state(0, False)))
+        try:
+            assert kernel.step(working)
+        finally:
+            working.release()
+        out_degree = int(csc.indptr[1] - csc.indptr[0])
+        assert profiler.n_steps == 1
+        assert profiler.n_step_active == 1
+        assert profiler.n_step_edges == out_degree
+        assert 1 <= profiler.n_step_support <= 1 + out_degree
+
+
+def _median_step_seconds(n_nodes: int, core: sp.csc_matrix, source: int) -> float:
+    """Median wall time of one refinement step of ``source`` inside ``n_nodes``."""
+    padding = n_nodes - core.shape[0]
+    matrix = sp.block_diag(
+        [core, sp.identity(padding, format="csc")], format="csc"
+    )
+    params = IndexParams(capacity=16, hub_budget=0, propagation_threshold=1e-4)
+    kernel = PropagationKernel(
+        matrix,
+        np.zeros(n_nodes, dtype=bool),
+        params,
+        hubs=HubSet(()),
+        hub_matrix=sp.csc_matrix((n_nodes, 0)),
+    )
+    medians = []
+    for _ in range(3):
+        working = kernel.load(
+            StateArrays.from_state(initial_node_state(source, False))
+        )
+        seconds = []
+        try:
+            for _ in range(40):
+                started = time.perf_counter()
+                assert kernel.step(working)
+                seconds.append(time.perf_counter() - started)
+        finally:
+            working.release()
+        medians.append(statistics.median(seconds[5:]))
+    return min(medians)
+
+
+class TestStepCostIsIndependentOfGraphSize:
+    def test_same_candidate_in_2k_and_200k_nodes(self):
+        # The padding nodes are unreachable from the core, so the candidate's
+        # trajectory is identical in both graphs; only n differs.  A
+        # full-length np.zeros(n) or A @ x per step would cost 100x here.
+        core = sp.csc_matrix(
+            transition_matrix(copying_web_graph(2000, out_degree=6, seed=2))
+        )
+        small = _median_step_seconds(2_000, core, source=1500)
+        large = _median_step_seconds(200_000, core, source=1500)
+        assert large / small < 3.0, (small, large)

@@ -24,7 +24,7 @@ class TestNullProfiler:
         assert NULL_PROFILER.enabled is False
         NULL_PROFILER.on_block_iteration(backend="x", n_live=1, seconds=0.0)
         NULL_PROFILER.on_spill(n_sources=1, seconds=0.0)
-        NULL_PROFILER.on_step(dense=True)
+        NULL_PROFILER.on_step(n_active=1, n_support=1, n_edges=1)
         NULL_PROFILER.on_run(backend="x", n_sources=1, plane_bytes=0)
 
     def test_kernel_defaults_to_null_sink(self, small_web_graph):
