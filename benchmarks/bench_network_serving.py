@@ -84,7 +84,7 @@ def _verify_bit_identity(graph, events, responses, update_acks):
                 np.testing.assert_array_equal(response["nodes"], direct.nodes)
                 assert np.array_equal(
                     np.asarray(response["proximities"], dtype=np.float64),
-                    direct.proximities_to_query,
+                    direct.proximities_to_query[direct.nodes],
                 ), f"proximities not bit-identical for {key}"
                 assert response["index_version"] == mirror.engine.index.version
                 verified += 1
@@ -164,7 +164,6 @@ def test_network_serving_under_churn():
                 admission=AdmissionPolicy(
                     max_pending=MAX_PENDING, retry_after_s=0.02
                 ),
-                batch_window=0.002,
                 max_batch=256,
             ),
         )

@@ -51,7 +51,8 @@ async def drive(handle, service, new_edge) -> None:
         handle.host, handle.port, max_connections=128
     ) as client:
         # 2. A concurrent burst: the coalescer funnels all connections onto
-        #    one batched serve() call; answers match the engine bit for bit.
+        #    shared serve() bursts (whatever arrives while a scan runs leaves
+        #    as the next one); answers match the engine bit for bit.
         queries = [(q % 60, 10) for q in range(48)]
         responses = await asyncio.gather(
             *[client.query(q, k) for q, k in queries]
@@ -60,7 +61,7 @@ async def drive(handle, service, new_edge) -> None:
             direct = service.engine.query(q, k, update_index=False)
             np.testing.assert_array_equal(response["nodes"], direct.nodes)
             np.testing.assert_array_equal(
-                response["proximities"], direct.proximities_to_query
+                response["proximities"], direct.proximities_to_query[direct.nodes]
             )
         print(f"burst of {len(queries)} concurrent queries: "
               "answers bit-identical to the in-process engine")
@@ -116,7 +117,6 @@ def main() -> None:
     #    exposes the bound address and a blocking stop().
     config = ServerConfig(
         admission=AdmissionPolicy(max_pending=64, retry_after_s=0.02),
-        batch_window=0.002,
     )
     handle = start_in_thread(service, config)
     print(f"serving on http://{handle.host}:{handle.port}")

@@ -237,31 +237,41 @@ class ColumnarStateStore:
         return merged
 
     def _merge_plane(self, plane: str) -> Dict[str, np.ndarray]:
-        """Splice overlaid rows into one sparse plane's flat arrays."""
+        """Splice overlaid rows into one sparse plane's flat arrays.
+
+        Untouched rows move in one segment gather; only the overlaid rows —
+        the handful a maintenance batch or a write-back produced — are
+        visited in Python.
+        """
         indptr = np.asarray(self.arrays[f"{plane}_indptr"], dtype=np.int64)
-        keys = self.arrays[f"{plane}_keys"]
-        values = self.arrays[f"{plane}_values"]
         counts = np.diff(indptr)
+        kept = np.ones(self._n, dtype=bool)
         for node, state in self._overlay.items():
             counts[node] = len(getattr(state, plane))
+            kept[node] = False
         new_indptr = np.concatenate([[0], np.cumsum(counts)])
         new_keys = np.empty(int(new_indptr[-1]), dtype=np.int64)
         new_values = np.empty(int(new_indptr[-1]), dtype=np.float64)
-        for node in range(self._n):
+        rows = np.flatnonzero(kept)
+        _segment_gather(
+            new_indptr,
+            rows,
+            indptr[:-1][rows],
+            counts[rows],
+            self.arrays[f"{plane}_keys"],
+            self.arrays[f"{plane}_values"],
+            new_keys,
+            new_values,
+        )
+        for node, state in self._overlay.items():
             dst_lo, dst_hi = int(new_indptr[node]), int(new_indptr[node + 1])
-            state = self._overlay.get(node)
-            if state is None:
-                src_lo, src_hi = int(indptr[node]), int(indptr[node + 1])
-                new_keys[dst_lo:dst_hi] = keys[src_lo:src_hi]
-                new_values[dst_lo:dst_hi] = values[src_lo:src_hi]
-            else:
-                entries = getattr(state, plane)
-                new_keys[dst_lo:dst_hi] = np.fromiter(
-                    entries.keys(), dtype=np.int64, count=len(entries)
-                )
-                new_values[dst_lo:dst_hi] = np.fromiter(
-                    entries.values(), dtype=np.float64, count=len(entries)
-                )
+            entries = getattr(state, plane)
+            new_keys[dst_lo:dst_hi] = np.fromiter(
+                entries.keys(), dtype=np.int64, count=len(entries)
+            )
+            new_values[dst_lo:dst_hi] = np.fromiter(
+                entries.values(), dtype=np.float64, count=len(entries)
+            )
         return {
             f"{plane}_indptr": new_indptr,
             f"{plane}_keys": new_keys,
@@ -331,6 +341,21 @@ class ColumnarStateStore:
     def nbytes(self) -> int:
         """Bytes held by the backing arrays (overlay states excluded)."""
         return int(sum(np.asarray(a).nbytes for a in self.arrays.values()))
+
+    def __getstate__(self) -> dict:
+        """Pickle as flat arrays only: the overlay is merged, never shipped.
+
+        A rollover clone (or a process-pool transfer) of a store with pinned
+        or maintained states would otherwise carry every dict-backed
+        ``NodeState`` along — and the next clone would carry those plus its
+        own, so a served index grew by tens of thousands of Python objects
+        per update batch.  The copy gets :meth:`to_arrays` and an empty
+        overlay; this store is left exactly as it was.
+        """
+        state = self.__dict__.copy()
+        state["arrays"] = self.to_arrays()
+        state["_overlay"] = {}
+        return state
 
     def __repr__(self) -> str:
         return (

@@ -11,14 +11,16 @@ duplicate.  :class:`QueryCoalescer` is that funnel:
   ``(query, k)`` creates a shared future; every later arrival while the
   computation is in flight awaits the *same* future (one engine evaluation,
   N responses);
-* **micro-batching** — unique keys buffer for at most ``batch_window``
-  seconds (or until ``max_batch`` accumulate) and are then handed to
-  ``service.serve`` as one burst, where the existing ``BatchScheduler``
-  groups them by ``k`` and the result cache absorbs repeats across bursts;
-* **executor offload** — the burst runs in a thread-pool executor via
-  ``loop.run_in_executor``, so the event loop keeps accepting connections
-  and parsing requests while NumPy scans the index (the scans release the
-  GIL for the heavy array work).
+* **load-adaptive batching** — a unique key arriving while a scan thread
+  is free leaves on the next loop tick (same-tick arrivals share the burst);
+  keys arriving while every scan thread is busy buffer, and the completion
+  of a burst hands the buffer (up to ``max_batch`` keys) to ``service.serve``
+  as the next one.  Batches grow because scans take time, never because a
+  timer fired: an idle server adds no wait, a loaded one batches itself;
+* **executor offload** — at most ``scan_threads`` bursts run at once in the
+  thread-pool executor via ``loop.run_in_executor``, so the event loop
+  keeps accepting connections and parsing requests while NumPy scans the
+  index (the scans release the GIL for the heavy array work).
 
 Cancellation safety (pinned by tests): waiters must wrap the shared future
 in ``asyncio.shield`` — a client disconnecting or timing out cancels only
@@ -33,8 +35,8 @@ threads, so the batch runner activates a fresh ``Trace("coalesce.batch")``
 *inside* the worker (``with trace: service.serve(keys)``) — the service and
 engine spans attach to that batch tree — and on completion the shared tree
 is grafted under every registered parent, annotated with the key's coalesce
-fan-in.  Batches with no traced waiter skip all of this (one dict pop per
-key).
+fan-in and the burst's size.  Batches with no traced waiter skip all of
+this (one dict pop per key).
 
 A coalescer belongs to exactly **one service generation** (one index
 version): the rollover layer creates a fresh coalescer per generation, so a
@@ -45,7 +47,7 @@ from __future__ import annotations
 
 import asyncio
 from concurrent.futures import Executor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..core.query import QueryResult
@@ -73,6 +75,8 @@ class CoalesceStats:
         Unique keys evaluated across all bursts.
     n_failed_batches:
         Bursts that raised (every waiter received the exception).
+    burst_size_max:
+        Largest burst dispatched — how far load has grown the batches.
     """
 
     n_submitted: int = 0
@@ -80,15 +84,10 @@ class CoalesceStats:
     n_batches: int = 0
     n_executed: int = 0
     n_failed_batches: int = 0
+    burst_size_max: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "n_submitted": self.n_submitted,
-            "n_coalesced": self.n_coalesced,
-            "n_batches": self.n_batches,
-            "n_executed": self.n_executed,
-            "n_failed_batches": self.n_failed_batches,
-        }
+        return asdict(self)
 
 
 def _retrieve_exception(future: "asyncio.Future[QueryResult]") -> None:
@@ -108,7 +107,8 @@ class QueryCoalescer:
     Event-loop-confined: ``submit`` must be called from the loop thread
     (the server's connection handlers), which is what makes the in-flight
     table and buffer race-free without locks.  Only the engine scan itself
-    leaves the loop, via ``executor``.
+    leaves the loop, via ``executor``, at most ``scan_threads`` (its width)
+    bursts at a time.
     """
 
     def __init__(
@@ -116,25 +116,27 @@ class QueryCoalescer:
         service: ReverseTopKService,
         executor: Executor,
         *,
-        batch_window: float = 0.002,
+        scan_threads: int = 1,
         max_batch: int = 128,
         stats: Optional[CoalesceStats] = None,
     ) -> None:
-        if batch_window < 0:
-            raise ValueError(f"batch_window must be >= 0, got {batch_window}")
+        if scan_threads < 1:
+            raise ValueError(f"scan_threads must be >= 1, got {scan_threads}")
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self.service = service
         self.stats = stats if stats is not None else CoalesceStats()
         self._executor = executor
-        self._batch_window = float(batch_window)
+        self._scan_threads = int(scan_threads)
         self._max_batch = int(max_batch)
         self._inflight: Dict[Key, "asyncio.Future[QueryResult]"] = {}
         #: Traced waiters per in-flight key: the spans the batch tree is
         #: grafted under when the key's result lands (fan-in = list length).
         self._trace_parents: Dict[Key, List[Span]] = {}
         self._buffer: List[Key] = []
-        self._flush_handle: Optional[asyncio.TimerHandle] = None
+        self._flush_scheduled = False
+        #: Bursts currently in the executor (what a new key queues behind).
+        self.n_running = 0
         self._batch_tasks: "set[asyncio.Task]" = set()
         self._closed = False
 
@@ -165,13 +167,11 @@ class QueryCoalescer:
         future.add_done_callback(_retrieve_exception)
         self._inflight[key] = future
         self._buffer.append(key)
-        if len(self._buffer) >= self._max_batch:
-            self._flush()
-        elif self._flush_handle is None:
-            if self._batch_window > 0.0:
-                self._flush_handle = loop.call_later(self._batch_window, self._flush)
-            else:
-                self._flush_handle = loop.call_soon(self._flush)
+        # A free scan thread: leave on the next tick, with this tick's other
+        # arrivals.  Otherwise the key waits for a burst to finish.
+        if self.n_running < self._scan_threads and not self._flush_scheduled:
+            self._flush_scheduled = True
+            loop.call_soon(self._flush)
         return future, False
 
     @property
@@ -180,17 +180,17 @@ class QueryCoalescer:
         return len(self._inflight)
 
     def _flush(self) -> None:
-        """Hand the buffered keys to the service as one burst."""
-        if self._flush_handle is not None:
-            self._flush_handle.cancel()
-            self._flush_handle = None
-        if not self._buffer:
-            return
-        keys, self._buffer = self._buffer, []
-        task = asyncio.get_running_loop().create_task(self._execute(keys))
-        # Keep a strong reference: a GC'd batch task would orphan waiters.
-        self._batch_tasks.add(task)
-        task.add_done_callback(self._batch_tasks.discard)
+        """Hand buffered keys to the service, one burst per free scan thread."""
+        self._flush_scheduled = False
+        loop = asyncio.get_running_loop()
+        while self._buffer and self.n_running < self._scan_threads:
+            keys = self._buffer[: self._max_batch]
+            del self._buffer[: self._max_batch]
+            self.n_running += 1
+            task = loop.create_task(self._execute(keys))
+            # Keep a strong reference: a GC'd batch task would orphan waiters.
+            self._batch_tasks.add(task)
+            task.add_done_callback(self._batch_tasks.discard)
 
     async def _execute(self, keys: List[Key]) -> None:
         """Run one burst in the executor and fan results out to waiters.
@@ -200,7 +200,8 @@ class QueryCoalescer:
         shared computation other waiters depend on.  Keys are removed from
         the in-flight table exactly when their outcome is known — success
         and failure both clear them, so a failed burst cannot poison the
-        table for later retries.
+        table for later retries, and both free the scan thread for whatever
+        buffered behind this burst.
 
         When any waiter is traced, the batch runs inside its own
         :class:`Trace` activated *in the worker thread* (contextvars do not
@@ -208,39 +209,38 @@ class QueryCoalescer:
         under every waiter's span at fan-out time.
         """
         self.stats.n_batches += 1
-        loop = asyncio.get_running_loop()
+        self.stats.burst_size_max = max(self.stats.burst_size_max, len(keys))
+        runner = self.service.serve
         batch_trace: Optional[Trace] = None
         if any(key in self._trace_parents for key in keys):
             batch_trace = Trace("coalesce.batch", n_keys=len(keys))
 
-            def _run_traced(trace: Trace = batch_trace) -> List[QueryResult]:
+            def runner(keys: List[Key], trace: Trace = batch_trace):
                 with trace:
                     return self.service.serve(keys)
 
-            runner = _run_traced
-        else:
-            runner = None
+        results: List[QueryResult] = []
+        failure: Optional[Exception] = None
+        loop = asyncio.get_running_loop()
         try:
-            if runner is not None:
-                results = await loop.run_in_executor(self._executor, runner)
-            else:
-                results = await loop.run_in_executor(
-                    self._executor, self.service.serve, keys
-                )
+            results = await loop.run_in_executor(self._executor, runner, keys)
+            self.stats.n_executed += len(keys)
         except Exception as exc:
             self.stats.n_failed_batches += 1
-            for key in keys:
-                future = self._inflight.pop(key, None)
-                self._graft_waiters(key, batch_trace)
-                if future is not None and not future.done():
-                    future.set_exception(exc)
-        else:
-            self.stats.n_executed += len(keys)
-            for key, result in zip(keys, results):
-                future = self._inflight.pop(key, None)
-                self._graft_waiters(key, batch_trace)
-                if future is not None and not future.done():
-                    future.set_result(result)
+            failure = exc
+        # Start the next burst before fanning out: it scans while the loop
+        # renders this one's responses.
+        self.n_running -= 1
+        self._flush()
+        for position, key in enumerate(keys):
+            future = self._inflight.pop(key, None)
+            self._graft_waiters(key, batch_trace)
+            if future is None or future.done():
+                continue
+            if failure is None:
+                future.set_result(results[position])
+            else:
+                future.set_exception(failure)
 
     def _graft_waiters(self, key: Key, batch_trace: Optional[Trace]) -> None:
         """Attach the completed batch tree under every traced waiter of ``key``.
@@ -254,28 +254,21 @@ class QueryCoalescer:
         waiting = self._trace_parents.pop(key, None)
         if not waiting or batch_trace is None:
             return
+        burst_size = batch_trace.root.annotations["n_keys"]
         for parent in waiting:
-            parent.annotate(coalesce_fan_in=len(waiting))
+            parent.annotate(coalesce_fan_in=len(waiting), burst_size=burst_size)
             parent.graft(batch_trace.root)
 
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
-    def flush_now(self) -> None:
-        """Dispatch whatever is buffered immediately (tests, shutdown)."""
-        self._flush()
-
     async def aclose(self) -> None:
-        """Stop accepting, flush nothing further, and settle stragglers.
+        """Stop accepting, dispatch nothing further, and settle stragglers.
 
-        In-flight batches are awaited (their waiters get real results);
-        buffered-but-never-flushed keys fail with
-        :class:`~repro.exceptions.ServiceClosedError`.
+        Running bursts are awaited (their waiters get real results); keys
+        still buffered behind them fail with ``ServiceClosedError``.
         """
         self._closed = True
-        if self._flush_handle is not None:
-            self._flush_handle.cancel()
-            self._flush_handle = None
         buffered, self._buffer = self._buffer, []
         for key in buffered:
             future = self._inflight.pop(key, None)
@@ -288,5 +281,5 @@ class QueryCoalescer:
     def __repr__(self) -> str:
         return (
             f"QueryCoalescer(inflight={len(self._inflight)}, "
-            f"buffered={len(self._buffer)}, window={self._batch_window}s)"
+            f"buffered={len(self._buffer)}, running={self.n_running})"
         )

@@ -44,8 +44,10 @@ Endpoints
     ``X-Trace`` (any value but ``0``/``false`` returns the span tree).
     ``GET /query?query=..&k=..`` is accepted too.  Answers
     ``{"query", "k", "nodes", "proximities", "generation",
-    "index_version", "coalesced"[, "trace"]}`` — ``nodes``/``proximities``
-    are bit-exact float64 round-trips of the engine's answer.
+    "index_version", "coalesced"[, "trace"]}`` — ``nodes`` is the reverse
+    top-k set and ``proximities[i]`` is ``p_{nodes[i]}(query)``, a bit-exact
+    float64 round-trip.  The response is the size of the answer: the dense
+    length-``n`` vector PMPN computes on the way never crosses the wire.
 ``POST /update``
     Body ``{"updates": [[op, u, v] | [op, u, v, w], ...]}``; applies one
     batch through the rollover manager and reports the maintenance outcome.
@@ -108,16 +110,16 @@ class ServerConfig:
         Bind address; port ``0`` asks the kernel for a free one (tests).
     admission:
         The :class:`AdmissionPolicy` applied before any work.
-    batch_window:
-        Coalescer micro-batch window in seconds — how long unique keys
-        buffer before one ``serve`` burst (0 flushes on the next loop tick).
     max_batch:
-        Coalescer flush threshold: a burst dispatches immediately once this
-        many unique keys buffer.
+        Largest burst the coalescer hands to one ``serve`` call; whatever
+        buffered beyond it leaves as the following burst.
     scan_threads:
-        Thread-pool width for engine scans.  NumPy releases the GIL inside
-        the heavy array ops, but on a small host 1–2 threads is the sweet
-        spot — the coalescer already turns concurrency into batch size.
+        Thread-pool width for engine scans, hence how many bursts may be
+        out at once: a key arriving while a thread is free leaves on the
+        next loop tick, one arriving while all are busy buffers until a
+        burst completes (no batching timer).  NumPy releases the GIL in the
+        heavy array ops, but 1–2 threads is the sweet spot on a small host
+        — the coalescer already turns load into batch size.
     max_body_bytes:
         Request body bound (413 beyond it).
     shutdown_grace:
@@ -133,7 +135,6 @@ class ServerConfig:
     host: str = "127.0.0.1"
     port: int = 0
     admission: AdmissionPolicy = field(default_factory=AdmissionPolicy)
-    batch_window: float = 0.002
     max_batch: int = 128
     scan_threads: int = 1
     max_body_bytes: int = MAX_BODY_BYTES
@@ -146,8 +147,6 @@ class ServerConfig:
         check_positive_int(self.max_batch, "max_batch")
         check_positive_int(self.max_body_bytes, "max_body_bytes")
         check_positive_int(self.slow_log_capacity, "slow_log_capacity")
-        if self.batch_window < 0:
-            raise ValueError(f"batch_window must be >= 0, got {self.batch_window}")
         if self.shutdown_grace < 0:
             raise ValueError(
                 f"shutdown_grace must be >= 0, got {self.shutdown_grace}"
@@ -214,7 +213,7 @@ class ReverseTopKServer:
         return QueryCoalescer(
             service,
             self._scan_executor,
-            batch_window=self.config.batch_window,
+            scan_threads=self.config.scan_threads,
             max_batch=self.config.max_batch,
             stats=self.coalesce_stats,
         )
@@ -269,6 +268,9 @@ class ReverseTopKServer:
             ),
             "n_failed_batches": registry.counter(
                 "repro_coalesce_failed_batches_total", "Bursts that raised"
+            ),
+            "burst_size_max": registry.gauge(  # high-water mark: only advances
+                "repro_coalesce_burst_size_max", "Largest burst dispatched"
             ),
             "rollovers": registry.counter(
                 "repro_rollover_swaps_total", "Generation swaps completed"
@@ -595,15 +597,21 @@ class ReverseTopKServer:
                         generation=generation.generation_id,
                         index_version=generation.index_version,
                     )
-                # The coalescer registers the current span as this key's
-                # trace parent; the shared batch tree is grafted under it
-                # before the future settles.
-                future, coalesced = generation.coalescer.submit(query, k)
-                if coalesced:
-                    self.admission.note_coalesced(tenant)
-                # shield: a timeout/disconnect here must cancel only this
-                # wait, never the shared batch siblings depend on.
-                with trace_span("await.result", coalesced=coalesced):
+                coalescer = generation.coalescer
+                # Queueing behind running scans is the coalescer's only
+                # wait.  ``submit`` registers this span as the key's trace
+                # parent: before the future settles it gains the fan-in, the
+                # burst size and the shared batch tree.
+                with trace_span(
+                    "await.result", queued_behind=coalescer.n_running
+                ) as waiting:
+                    future, coalesced = coalescer.submit(query, k)
+                    if coalesced:
+                        self.admission.note_coalesced(tenant)
+                    if waiting is not None:
+                        waiting.annotate(coalesced=coalesced)
+                    # shield: a timeout/disconnect here must cancel only
+                    # this wait, never the shared batch siblings depend on.
                     if deadline is not None:
                         remaining = deadline - time.monotonic()
                         try:
@@ -621,11 +629,13 @@ class ReverseTopKServer:
             finally:
                 generation.unpin()
             self._record_latency(tenant, time.monotonic() - started)
+            # Answer-sized: the members and *their* proximities, aligned.
+            # The dense length-n vector stays on the in-process QueryResult.
             return 200, {
                 "query": result.query,
                 "k": result.k,
-                "nodes": [int(node) for node in result.nodes],
-                "proximities": [float(p) for p in result.proximities_to_query],
+                "nodes": result.nodes.tolist(),
+                "proximities": result.proximities_to_query[result.nodes].tolist(),
                 "generation": generation.generation_id,
                 "index_version": generation.index_version,
                 "coalesced": coalesced,
@@ -846,7 +856,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--rate-limit", type=float, default=None, help="per-tenant requests/second"
     )
     parser.add_argument("--burst", type=int, default=64)
-    parser.add_argument("--batch-window", type=float, default=0.002)
     return parser
 
 
@@ -882,12 +891,7 @@ def main(argv: Optional[list] = None) -> int:
         rate_limit=args.rate_limit,
         burst=args.burst,
     )
-    config = ServerConfig(
-        host=args.host,
-        port=args.port,
-        admission=policy,
-        batch_window=args.batch_window,
-    )
+    config = ServerConfig(host=args.host, port=args.port, admission=policy)
     server = ReverseTopKServer(service, config)
     try:
         asyncio.run(_run_until_signal(server))

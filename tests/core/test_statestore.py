@@ -160,6 +160,33 @@ class TestRoundTrips:
             )
         assert_states_equal(sharded, clone)
 
+    def test_store_pickles_merged_arrays_and_leaves_the_source_alone(self, graph):
+        """The copy gets flat arrays and an empty overlay (rollover clones)."""
+        index = build_index(graph, PARAMS.for_graph(graph.n_nodes))
+        store = index.store
+        # Pin a few states and rewrite them the way refinement and the
+        # maintainer do: grown, shrunk and emptied sparse rows.
+        grown, shrunk, emptied = [
+            node for node, state in index.states() if state.residual
+        ][:3]
+        store.state(grown).residual[graph.n_nodes - 1] = 0.125
+        store.state(shrunk).residual.popitem()
+        store.state(emptied).residual.clear()
+        pinned = dict(store.overlay)
+        expected = store.to_arrays()
+
+        clone = pickle.loads(pickle.dumps(index))
+
+        assert clone.store.overlay == {}
+        assert set(store.overlay) == {grown, shrunk, emptied}
+        assert all(store.overlay[node] is state for node, state in pinned.items())
+        for name in STATE_ARRAY_NAMES:
+            np.testing.assert_array_equal(clone.store.arrays[name], expected[name])
+        assert_states_equal(index, clone)
+        # Storage order feeds the sequential mass sums: it must survive too.
+        assert list(clone.state(grown).residual) == list(pinned[grown].residual)
+        assert clone.store.stored_entries() == store.stored_entries()
+
     def test_state_array_layout_is_stable(self):
         # The 12-plane layout is a persistence format; renaming/reordering
         # breaks memmap layouts on disk.

@@ -1,4 +1,9 @@
-"""Coalescer tests: dedup, batching, and cancellation/poisoning safety."""
+"""Coalescer tests: dedup, load-adaptive batching, cancellation/poisoning safety.
+
+Scenarios that depend on *when* a burst finishes hold it in the executor
+with the ``gated_service`` fixture (``tests/net/conftest.py``) instead of
+sleeping: the coalescer has no timer, so neither do its tests.
+"""
 
 from __future__ import annotations
 
@@ -35,7 +40,7 @@ def run(coro):
 class TestDedupAndBatching:
     def test_identical_keys_share_one_future(self, service, executor):
         async def scenario():
-            coalescer = QueryCoalescer(service, executor, batch_window=0.005)
+            coalescer = QueryCoalescer(service, executor)
             first, was_first = coalescer.submit(3, 5)
             second, was_second = coalescer.submit(3, 5)
             assert first is second
@@ -51,9 +56,7 @@ class TestDedupAndBatching:
     def test_burst_becomes_one_service_call(self, service, executor):
         async def scenario():
             stats = CoalesceStats()
-            coalescer = QueryCoalescer(
-                service, executor, batch_window=0.005, stats=stats
-            )
+            coalescer = QueryCoalescer(service, executor, stats=stats)
             futures = [coalescer.submit(q, 5)[0] for q in range(10)]
             results = await asyncio.gather(*map(asyncio.shield, futures))
             await coalescer.aclose()
@@ -64,26 +67,29 @@ class TestDedupAndBatching:
         assert stats.n_executed == 10
         assert [r.query for r in results] == list(range(10))
 
-    def test_max_batch_flushes_immediately(self, service, executor):
+    def test_max_batch_splits_same_tick_arrivals(self, gated_service, executor):
         async def scenario():
             stats = CoalesceStats()
             coalescer = QueryCoalescer(
-                service, executor, batch_window=60.0, max_batch=4, stats=stats
+                gated_service, executor, max_batch=4, stats=stats
             )
-            futures = [coalescer.submit(q, 5)[0] for q in range(4)]
-            # window is a minute: only the max_batch trigger can flush
-            await asyncio.wait_for(
-                asyncio.gather(*map(asyncio.shield, futures)), timeout=10.0
-            )
+            futures = [coalescer.submit(q, 5)[0] for q in range(6)]
+            await gated_service.wait_entered()
+            # One scan thread: the cap's overflow waits for the first burst.
+            assert gated_service.bursts == [[(q, 5) for q in range(4)]]
+            gated_service.release(2)
+            await asyncio.gather(*map(asyncio.shield, futures))
             await coalescer.aclose()
             return stats
 
         stats = run(scenario())
-        assert stats.n_batches == 1
+        assert [len(burst) for burst in gated_service.bursts] == [4, 2]
+        assert (stats.n_batches, stats.n_executed) == (2, 6)
+        assert stats.burst_size_max == 4
 
     def test_results_are_bit_identical_to_direct_engine(self, service, executor):
         async def scenario():
-            coalescer = QueryCoalescer(service, executor, batch_window=0.001)
+            coalescer = QueryCoalescer(service, executor)
             futures = [coalescer.submit(q, 7)[0] for q in range(20)]
             results = await asyncio.gather(*map(asyncio.shield, futures))
             await coalescer.aclose()
@@ -103,7 +109,7 @@ class TestCancellationIsolation:
         """One client disconnecting mid-batch must not starve the others."""
 
         async def scenario():
-            coalescer = QueryCoalescer(service, executor, batch_window=0.02)
+            coalescer = QueryCoalescer(service, executor)
             shared, _ = coalescer.submit(3, 5)
             sibling_wait = asyncio.ensure_future(asyncio.shield(shared))
             doomed_wait = asyncio.ensure_future(asyncio.shield(shared))
@@ -124,7 +130,7 @@ class TestCancellationIsolation:
         re-submittable and yield a fresh, correct answer."""
 
         async def scenario():
-            coalescer = QueryCoalescer(service, executor, batch_window=0.01)
+            coalescer = QueryCoalescer(service, executor)
             shared, _ = coalescer.submit(4, 5)
             wait = asyncio.ensure_future(asyncio.shield(shared))
             await asyncio.sleep(0)
@@ -151,9 +157,7 @@ class TestFailureIsolation:
 
         async def scenario():
             stats = CoalesceStats()
-            coalescer = QueryCoalescer(
-                ExplodingService(), executor, batch_window=0.001, stats=stats
-            )
+            coalescer = QueryCoalescer(ExplodingService(), executor, stats=stats)
             future, _ = coalescer.submit(1, 5)
             with pytest.raises(RuntimeError, match="engine exploded"):
                 await asyncio.shield(future)
@@ -167,20 +171,155 @@ class TestFailureIsolation:
         stats = run(scenario())
         assert stats.n_failed_batches == 1
 
-    def test_close_fails_buffered_waiters(self, service, executor):
+    def test_close_fails_buffered_waiters(self, gated_service, executor):
         async def scenario():
-            coalescer = QueryCoalescer(service, executor, batch_window=60.0)
-            future, _ = coalescer.submit(1, 5)
-            await coalescer.aclose()
+            coalescer = QueryCoalescer(gated_service, executor)
+            running, _ = coalescer.submit(1, 5)
+            await gated_service.wait_entered()
+            buffered, _ = coalescer.submit(2, 5)  # queued behind the scan
+            closing = asyncio.ensure_future(coalescer.aclose())
             with pytest.raises(ServiceClosedError):
-                await future
+                await buffered
             with pytest.raises(ServiceClosedError):
-                coalescer.submit(2, 5)
+                coalescer.submit(3, 5)
+            # The running burst is awaited, not abandoned.
+            assert not closing.done()
+            gated_service.release()
+            await closing
+            return await running
 
-        run(scenario())
+        assert run(scenario()).query == 1
+        assert gated_service.bursts == [[(1, 5)]]
 
     def test_validation_rejects_bad_knobs(self, service, executor):
         with pytest.raises(ValueError):
-            QueryCoalescer(service, executor, batch_window=-1.0)
+            QueryCoalescer(service, executor, scan_threads=0)
         with pytest.raises(ValueError):
             QueryCoalescer(service, executor, max_batch=0)
+
+
+class TestLoadAdaptiveDispatch:
+    """No timer: idle → next tick; busy → buffer until a burst completes."""
+
+    def test_lone_submit_dispatches_within_two_ticks_without_a_timer(
+        self, service
+    ):
+        class CountingExecutor(ThreadPoolExecutor):
+            n_handed = 0
+
+            def submit(self, fn, *args, **kwargs):
+                self.n_handed += 1
+                return super().submit(fn, *args, **kwargs)
+
+        async def scenario(pool):
+            loop = asyncio.get_running_loop()
+            timers = []
+            for name in ("call_later", "call_at"):
+                real = getattr(loop, name)
+                setattr(
+                    loop,
+                    name,
+                    lambda *args, _real=real: timers.append(args) or _real(*args),
+                )
+            coalescer = QueryCoalescer(service, pool)
+            future, _ = coalescer.submit(3, 5)
+            assert pool.n_handed == 0
+            await asyncio.sleep(0)  # tick 1: the flush creates the burst task
+            await asyncio.sleep(0)  # tick 2: the task reaches run_in_executor
+            assert pool.n_handed == 1
+            result = await asyncio.shield(future)
+            await coalescer.aclose()
+            assert timers == []
+            return result
+
+        with CountingExecutor(max_workers=1) as pool:
+            assert run(scenario(pool)).query == 3
+
+    def test_keys_behind_a_running_burst_leave_as_one_burst(
+        self, gated_service, executor
+    ):
+        n_behind = 7
+
+        async def scenario():
+            stats = CoalesceStats()
+            coalescer = QueryCoalescer(gated_service, executor, stats=stats)
+            futures = [coalescer.submit(0, 5)[0]]
+            await gated_service.wait_entered()
+            futures += [coalescer.submit(q, 5)[0] for q in range(1, 1 + n_behind)]
+            await asyncio.sleep(0)
+            await asyncio.sleep(0)
+            assert stats.n_batches == 1 and coalescer.n_running == 1
+            gated_service.release(2)
+            results = await asyncio.gather(*map(asyncio.shield, futures))
+            await coalescer.aclose()
+            return stats, results
+
+        stats, results = run(scenario())
+        assert (stats.n_batches, stats.n_executed) == (2, 1 + n_behind)
+        assert stats.burst_size_max == n_behind
+        assert [len(burst) for burst in gated_service.bursts] == [1, n_behind]
+        assert [r.query for r in results] == list(range(1 + n_behind))
+
+    def test_max_batch_drains_a_deep_buffer_in_capped_bursts(
+        self, gated_service, executor
+    ):
+        async def scenario():
+            coalescer = QueryCoalescer(gated_service, executor, max_batch=4)
+            futures = [coalescer.submit(0, 5)[0]]
+            await gated_service.wait_entered()
+            futures += [coalescer.submit(q, 5)[0] for q in range(1, 11)]
+            gated_service.release(4)
+            await asyncio.gather(*map(asyncio.shield, futures))
+            await coalescer.aclose()
+
+        run(scenario())
+        assert [len(burst) for burst in gated_service.bursts] == [1, 4, 4, 2]
+
+    def test_two_scan_threads_run_two_bursts_and_never_three(self, gated_service):
+        async def scenario(pool):
+            stats = CoalesceStats()
+            coalescer = QueryCoalescer(
+                gated_service, pool, scan_threads=2, stats=stats
+            )
+            futures = [coalescer.submit(0, 5)[0]]
+            await gated_service.wait_entered()
+            futures.append(coalescer.submit(1, 5)[0])
+            await gated_service.wait_entered()  # a second burst, concurrently
+            futures += [coalescer.submit(q, 5)[0] for q in (2, 3)]
+            await asyncio.sleep(0)
+            await asyncio.sleep(0)
+            assert coalescer.n_running == 2 and len(gated_service.bursts) == 2
+            gated_service.release(3)
+            await asyncio.gather(*map(asyncio.shield, futures))
+            await coalescer.aclose()
+            return stats
+
+        # A third worker would happily run a third burst: only the
+        # coalescer's own limit holds it back.
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            stats = run(scenario(pool))
+        assert gated_service.peak_running == 2
+        assert [len(burst) for burst in gated_service.bursts] == [1, 1, 2]
+        assert stats.n_batches == 3
+
+    def test_failed_burst_still_flushes_what_buffered_behind_it(
+        self, gated_service, executor
+    ):
+        gated_service.fail_bursts.add(0)
+
+        async def scenario():
+            stats = CoalesceStats()
+            coalescer = QueryCoalescer(gated_service, executor, stats=stats)
+            doomed, _ = coalescer.submit(1, 5)
+            await gated_service.wait_entered()
+            behind, _ = coalescer.submit(2, 5)
+            gated_service.release(2)
+            with pytest.raises(RuntimeError, match="engine exploded"):
+                await asyncio.shield(doomed)
+            result = await asyncio.shield(behind)
+            await coalescer.aclose()
+            return stats, result
+
+        stats, result = run(scenario())
+        assert result.query == 2
+        assert (stats.n_batches, stats.n_failed_batches, stats.n_executed) == (2, 1, 1)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import asyncio
 from concurrent.futures import ThreadPoolExecutor
+import time
 
 import pytest
 
@@ -81,8 +82,17 @@ class TestTraceHeader:
         assert annotations["query"] == 5 and annotations["k"] == 4
         assert annotations["generation"] == 0
         assert annotations["index_version"] == 0
-        assert annotations["coalesce_fan_in"] == 1
         assert find_span(tree, "admission")["annotations"]["queue_depth"] >= 0
+        # Why the request waited: nothing was scanning when it arrived, and
+        # it left alone.  The batch it waited for hangs under that wait.
+        waited = find_span(tree, "await.result")
+        assert waited["annotations"] == {
+            "queued_behind": 0,
+            "coalesced": False,
+            "coalesce_fan_in": 1,
+            "burst_size": 1,
+        }
+        assert find_span(waited, "coalesce.batch") is not None
         engine = find_span(tree, "engine.query")
         assert engine["annotations"]["n_pruned"] >= 0
         assert engine["annotations"]["pmpn_iterations"] > 0
@@ -116,7 +126,23 @@ class TestTraceHeader:
 
         assert "trace" not in drive(obs_handle, scenario)
 
-    def test_coalesced_waiters_share_the_batch_tree(self, obs_handle):
+    def test_coalesced_waiters_share_the_batch_tree(
+        self, obs_handle, dynamic_service
+    ):
+        # Hold the scan until both requests are in the funnel: with no
+        # batching timer, whether the second one arrives while the first is
+        # still in flight would otherwise be a race between two sockets.
+        stats = obs_handle.server.coalesce_stats
+        real_serve = dynamic_service.serve
+
+        def held_serve(keys):
+            deadline = time.monotonic() + 10.0
+            while stats.n_submitted < 2 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            return real_serve(keys)
+
+        dynamic_service.serve = held_serve  # instance-attr shadow
+
         async def scenario(client):
             return await asyncio.gather(
                 client.query(9, 4, trace=True),
@@ -125,7 +151,9 @@ class TestTraceHeader:
 
         first, second = drive(obs_handle, scenario)
         fan_ins = sorted(
-            response["trace"]["annotations"]["coalesce_fan_in"]
+            find_span(response["trace"], "await.result")["annotations"][
+                "coalesce_fan_in"
+            ]
             for response in (first, second)
         )
         assert fan_ins == [2, 2]
@@ -156,6 +184,8 @@ class TestDualMetrics:
             parsed['repro_request_seconds_count{tenant="default"}'] == 6.0
         )
         assert parsed["repro_rollover_generation"] == 0.0
+        # Sequential lone queries: no burst ever held more than one key.
+        assert payload["coalesce"]["burst_size_max"] == 1
         # The JSON document keeps its historical shape.
         assert set(payload) == {
             "server",
@@ -216,7 +246,7 @@ class TestCoalescerTracePropagation:
 
     def test_trace_crosses_executor_boundary(self, service, executor):
         async def scenario():
-            coalescer = QueryCoalescer(service, executor, batch_window=0.005)
+            coalescer = QueryCoalescer(service, executor)
             trace = Trace("request")
             with trace:
                 future, coalesced = coalescer.submit(3, 5)
@@ -233,7 +263,7 @@ class TestCoalescerTracePropagation:
 
     def test_untraced_submits_stay_trace_free(self, service, executor):
         async def scenario():
-            coalescer = QueryCoalescer(service, executor, batch_window=0.0)
+            coalescer = QueryCoalescer(service, executor)
             future, _ = coalescer.submit(3, 5)
             result = await asyncio.shield(future)
             assert not coalescer._trace_parents
@@ -244,10 +274,10 @@ class TestCoalescerTracePropagation:
         assert result.query == 3
 
     def test_graft_survives_concurrent_waiter_cancellation(
-        self, service, executor
+        self, gated_service, executor
     ):
         async def scenario():
-            coalescer = QueryCoalescer(service, executor, batch_window=0.02)
+            coalescer = QueryCoalescer(gated_service, executor)
             survivor_trace = Trace("survivor")
             doomed_trace = Trace("doomed")
             with survivor_trace:
@@ -255,10 +285,16 @@ class TestCoalescerTracePropagation:
             with doomed_trace:
                 same, coalesced = coalescer.submit(3, 5)
             assert same is future and coalesced
-            # The doomed waiter times out while the batch is still pending;
-            # shield keeps the shared future (and the survivor) alive.
-            with pytest.raises(asyncio.TimeoutError):
-                await asyncio.wait_for(asyncio.shield(future), timeout=0.001)
+            # The doomed waiter is cancelled while the burst is held in the
+            # executor; shield keeps the shared future (and the survivor)
+            # alive.
+            doomed_wait = asyncio.ensure_future(asyncio.shield(future))
+            await gated_service.wait_entered()
+            doomed_wait.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await doomed_wait
+            assert not future.done()
+            gated_service.release()
             result = await asyncio.shield(future)
             await coalescer.aclose()
             return survivor_trace, doomed_trace, result
@@ -270,6 +306,7 @@ class TestCoalescerTracePropagation:
         for trace in (survivor_trace, doomed_trace):
             tree = trace.to_dict()
             assert trace.root.annotations["coalesce_fan_in"] == 2
+            assert trace.root.annotations["burst_size"] == 1
             batch = find_span(tree, "coalesce.batch")
             assert batch is not None
             assert find_span(batch, "engine.query") is not None
@@ -280,7 +317,7 @@ class TestCoalescerTracePropagation:
         self, service, executor
     ):
         async def scenario():
-            coalescer = QueryCoalescer(service, executor, batch_window=0.01)
+            coalescer = QueryCoalescer(service, executor)
             traces = []
             futures = []
             for i in range(12):

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import asyncio
 from concurrent.futures import ThreadPoolExecutor
+import gc
 
 import numpy as np
 import pytest
 
 from repro.dynamic import DynamicReverseTopKService, GraphUpdate
 from repro.exceptions import ServiceClosedError
+from repro.graph import copying_web_graph
 from repro.net.coalesce import QueryCoalescer
 from repro.net.rollover import (
     RolloverManager,
@@ -64,7 +66,7 @@ class TestClone:
 
 def make_manager(service, executor):
     def make_coalescer(generation_service):
-        return QueryCoalescer(generation_service, executor, batch_window=0.001)
+        return QueryCoalescer(generation_service, executor)
 
     return RolloverManager(
         service,
@@ -164,9 +166,7 @@ class TestRolloverManager:
 
         async def scenario():
             with ThreadPoolExecutor(max_workers=2) as executor:
-                coalescer = QueryCoalescer(
-                    dynamic_service, executor, batch_window=0.001
-                )
+                coalescer = QueryCoalescer(dynamic_service, executor)
                 generation = ServiceGeneration(0, dynamic_service, coalescer)
                 started = threading.Event()
                 release = threading.Event()
@@ -212,3 +212,88 @@ class TestRolloverManager:
                 assert len(snapshot["retired"]) == 1
 
         asyncio.run(scenario())
+
+
+class TestRolloverFootprint:
+    """Regression: a generation inherits its parent's answers, not its objects.
+
+    The clone pickled the parent store's overlay of dict-backed ``NodeState``
+    views and then added its own batch's, so every rollover made the served
+    index heavier.  ``ColumnarStateStore.__getstate__`` now ships merged flat
+    arrays and an empty overlay.
+    """
+
+    N_BATCHES = 30
+
+    @staticmethod
+    def roll(graph, on_generation, mirror=None):
+        """Apply ``N_BATCHES`` one-edge batches through a ``RolloverManager``.
+
+        ``on_generation(service, report)`` observes each fresh generation;
+        ``mirror`` (optional) gets the same batches applied in place.
+        """
+        rng = np.random.default_rng(0)
+        present = {(u, v) for u, v, _ in graph.edges()}
+
+        async def scenario():
+            service = DynamicReverseTopKService.from_graph(graph)
+            with ThreadPoolExecutor(max_workers=2) as executor:
+                manager = make_manager(service, executor)
+                for _ in range(TestRolloverFootprint.N_BATCHES):
+                    while True:
+                        u, v = (int(x) for x in rng.integers(0, graph.n_nodes, 2))
+                        if u != v and (u, v) not in present:
+                            break
+                    present.add((u, v))
+                    batch = [GraphUpdate.add(u, v)]
+                    report = await manager.apply_updates(batch)
+                    assert report.changed and not report.full_rebuild
+                    if mirror is not None:
+                        mirrored = mirror.apply_updates(batch)
+                        assert mirrored.n_invalidated == report.n_invalidated
+                    on_generation(manager.current.service, report)
+                await manager.aclose()
+
+        asyncio.run(scenario())
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return copying_web_graph(400, out_degree=5, seed=5)
+
+    def test_fresh_generation_carries_only_its_own_batch(self, graph):
+        mirror = DynamicReverseTopKService.from_graph(graph)
+        probes = [(q, k) for q in range(0, graph.n_nodes, 57) for k in (3, 10)]
+
+        def check(service, report):
+            index = service.engine.index
+            written = (
+                report.n_hub_columns + report.n_invalidated + report.n_rematerialized
+            )
+            assert len(index.store.overlay) <= written
+            assert index.total_bytes() == mirror.engine.index.total_bytes()
+            for q, k in probes:
+                rolled = service.engine.query(q, k, update_index=False)
+                direct = mirror.engine.query(q, k, update_index=False)
+                np.testing.assert_array_equal(rolled.nodes, direct.nodes)
+                np.testing.assert_array_equal(
+                    rolled.proximities_to_query, direct.proximities_to_query
+                )
+
+        try:
+            self.roll(graph, check, mirror=mirror)
+        finally:
+            mirror.close()
+
+    def test_object_count_is_flat_across_rollovers(self, graph):
+        baselines = []
+
+        def measure(service, report):
+            gc.collect()
+            # The live generation's own overlay (one tracked object per
+            # written state) is the one term that legitimately varies with
+            # the batch; everything else must not accumulate.
+            overlay = len(service.engine.index.store.overlay)
+            baselines.append(len(gc.get_objects()) - overlay)
+
+        self.roll(graph, measure)
+        assert max(baselines[3:]) <= max(baselines[:3]) + 50, baselines

@@ -15,6 +15,7 @@ from repro.net import (
     ServerRejected,
     start_in_thread,
 )
+from repro.net.http import json_payload
 
 
 def drive(handle, coro_fn, *args, **kwargs):
@@ -53,12 +54,50 @@ class TestQueryPath:
         responses = drive(server_handle, scenario)
         for q, response in enumerate(responses):
             direct = dynamic_service.engine.query(q, 7, update_index=False)
-            np.testing.assert_array_equal(response["nodes"], direct.nodes)
+            assert response["nodes"] == direct.nodes.tolist()
             assert np.array_equal(
                 np.asarray(response["proximities"], dtype=np.float64),
-                direct.proximities_to_query,
+                direct.proximities_to_query[direct.nodes],
             )
             assert response["index_version"] == 0
+
+    @pytest.mark.parametrize("method", ["POST", "GET"])
+    def test_wire_contract_is_the_answer_and_only_the_answer(
+        self, server_handle, dynamic_service, method
+    ):
+        """``nodes`` and ``proximities`` are aligned and answer-sized.
+
+        ``proximities[i]`` is ``p_{nodes[i]}(q)`` bit for bit; the dense
+        length-n vector PMPN computes on the way stays in process, so the
+        body is bounded by the answer — an O(n) payload fails the bound.
+        """
+        engine = dynamic_service.engine
+        # k=1 leaves several queries with an empty reverse top-1 set.
+        keys = [(q, k) for k in (1, 7, 20) for q in range(0, engine.n_nodes, 3)]
+
+        async def scenario(client):
+            if method == "POST":
+                return [await client.query(q, k) for q, k in keys]
+            return [
+                await client._request("GET", f"/query?query={q}&k={k}")
+                for q, k in keys
+            ]
+
+        n_empty = 0
+        for (q, k), response in zip(keys, drive(server_handle, scenario)):
+            direct = engine.query(q, k, update_index=False)
+            assert response["nodes"] == direct.nodes.tolist()
+            assert len(response["proximities"]) == len(response["nodes"])
+            assert np.array_equal(
+                np.asarray(response["proximities"], dtype=np.float64),
+                direct.proximities_to_query[direct.nodes],
+            )
+            # json_payload is the server's own serialiser: same bytes.
+            assert len(json_payload(response)) <= 256 + 48 * len(response["nodes"])
+            if direct.nodes.size == 0:
+                n_empty += 1
+                assert response["nodes"] == [] and response["proximities"] == []
+        assert n_empty > 0, "the contract's empty case was not exercised"
 
     def test_get_and_post_agree(self, server_handle):
         async def scenario(client):
@@ -83,8 +122,6 @@ class TestQueryPath:
     )
     def test_invalid_queries_answer_400(self, server_handle, payload):
         async def scenario(client):
-            from repro.net.http import json_payload
-
             with pytest.raises(ServerRejected) as excinfo:
                 await client._request(
                     "POST", "/query", body=json_payload(payload)
