@@ -145,6 +145,45 @@ def kth_upper_bound(lower: Sequence[float] | np.ndarray, residual_mass: float, k
     return float(top[0] + (residual_mass - levels[k - 1]) / k)
 
 
+def kth_other_upper_bound(
+    lower: np.ndarray,
+    top: np.ndarray,
+    query: int,
+    residual_mass: float,
+    known_gap: float,
+    k: int,
+) -> float:
+    """Upper bound of the k-th largest proximity of ``u`` among nodes *other than* ``q``.
+
+    PMPN hands Algorithm 4 the exact ``p_u(q)``, so the gap
+    ``eps = p_u(q) - v̂_u[q] >= 0`` is residue *known* to end on ``q``:
+
+    1. every node's gap is non-negative and all gaps sum to at most the mass
+       ``m`` (hub rounding deficit included), so
+       ``sum_{w != q} (p_u(w) - v̂_u[w]) <= m - eps``;
+    2. pouring ``m - eps`` over the staircase of ``top-k(v̂_u \\ {q})`` bounds
+       the k-th largest *other* proximity as Proposition 4 bounds the k-th
+       largest overall with ``m``;
+    3. ``q in top-k(u)`` iff at most ``k - 1`` others exceed ``p_u(q)``, i.e.
+       iff that k-th other is ``<= p_u(q)``.
+
+    Never looser than :func:`kth_upper_bound` (less mass, and ``q``'s own step
+    leaves the staircase), and the only test that can decide ``u = q``.
+
+    ``lower`` is the descending top-``K`` of ``v̂_u``, ``top`` the nodes holding
+    those values.  Removing ``q``'s step pulls the ``(k+1)``-th value in; at
+    ``k = K`` that value is unknown but at most ``lower[K-1]``, and the level
+    is monotone in the step heights.
+    """
+    lower = np.asarray(lower, dtype=np.float64)
+    rank = np.flatnonzero(top[:k] == query)
+    if rank.size:
+        lower = np.append(np.delete(lower, rank[0]), lower[-1])
+    # Both operands carry PMPN / accumulation rounding; clamp, never go negative.
+    others_mass = max(residual_mass - max(known_gap, 0.0), 0.0)
+    return kth_upper_bound(lower, others_mass, k)
+
+
 def kth_upper_bounds_batch(
     lower: np.ndarray,
     residual_masses: np.ndarray,

@@ -146,11 +146,11 @@ class QueryParams:
     tolerance:
         PMPN convergence tolerance for the exact proximities to the query.
     max_refinements:
-        Cap on refinement iterations per candidate.  A candidate that is still
-        undecided after this many batched BCA steps is resolved exactly with
-        one (vectorised) power-method run instead — usually cheaper than
-        thousands of tiny residue pushes on near-tie candidates, and always
-        exact.
+        Cap on refinement iterations per candidate.  Every step pushes all of
+        the candidate's residue, so ``t`` steps leave at most ``(1-alpha)^t``
+        of it (3e-5 at the default); a candidate still undecided then ties
+        its k-th value that closely and is resolved exactly with one
+        power-method run instead.
     """
 
     k: int = 10

@@ -80,9 +80,11 @@ def _compute_hub_matrix(
     columns = []
     deficits = np.zeros(len(hubs), dtype=np.float64)
     exact_top_k: Dict[int, np.ndarray] = {}
+    # The power method multiplies by rows; convert once, not once per hub.
+    by_rows = transition.tocsr()
     for position, hub in enumerate(hubs):
         exact = proximity_vector(
-            transition, hub, alpha=params.alpha, tolerance=params.tolerance
+            by_rows, hub, alpha=params.alpha, tolerance=params.tolerance
         ).vector
         exact_top_k[int(hub)] = top_k_descending(exact, params.capacity)
         if omega > 0:
@@ -527,19 +529,16 @@ def refine_node_state(
     transition: sp.csc_matrix,
     hub_mask: np.ndarray,
     *,
-    adaptive: bool = True,
     kernel: Optional[PropagationKernel] = None,
 ) -> bool:
     """One refinement step used by the online query (Algorithm 4, line 13).
 
     Advances a :class:`~repro.core.propagation.RefinementWorkingSet` by a
-    single batched BCA iteration through the propagation kernel; its top-K
-    lower bounds and residue are refreshed by the step itself.  With
-    ``adaptive=True`` (the default for query-time refinement) the
-    propagation threshold is lowered to half the largest remaining residue
-    when no node reaches the configured ``eta``, so refinement always makes
-    progress while any residue remains — this is what lets Algorithm 4
-    decide every candidate instead of stalling on sub-threshold residue.
+    single batched BCA iteration in which **every** node holding residue
+    pushes — one power-iteration step on ``r``.  Each pushed unit retains an
+    ``alpha`` share, so the residual mass falls to at most ``1 - alpha`` of
+    itself per step whatever ``eta`` the index was built with (``eta`` governs
+    construction only).  The step refreshes the top-K lower bounds itself.
 
     The query engine loads one working set per candidate and calls this once
     per iteration.  Given a plain :class:`NodeState` instead (tests, ablation
@@ -548,8 +547,7 @@ def refine_node_state(
 
     ``kernel`` lets hot callers (the query engine) reuse one prepared kernel
     across refinements instead of re-deriving it per call.  Returns ``False``
-    (leaving the state untouched) when no node reaches the threshold — with
-    ``adaptive=True``, only when no residue remains at all.
+    (leaving the state untouched) only when no residue remains at all.
     """
     if kernel is None:
         kernel = PropagationKernel(
@@ -559,9 +557,7 @@ def refine_node_state(
     if isinstance(state, NodeState):
         working = kernel.load(StateArrays.from_state(state))
         try:
-            progressed = refine_node_state(
-                working, index, transition, hub_mask, adaptive=adaptive, kernel=kernel
-            )
+            progressed = kernel.step(working)
             if progressed:
                 refined = working.spill().to_state()
                 state.residual = refined.residual
@@ -572,15 +568,7 @@ def refine_node_state(
         finally:
             working.release()
         return progressed
-    threshold: Optional[float] = None
-    if adaptive and state.residue.size:
-        largest = float(state.residue.max())
-        if 0.0 < largest < index.params.propagation_threshold:
-            # Half the largest residue: every node within a factor two of the
-            # maximum propagates, so each step still moves a whole batch of
-            # ink instead of degenerating into single-node pushes.
-            threshold = largest * 0.5
-    return kernel.step(state, propagation_threshold=threshold)
+    return kernel.step(state)
 
 
 def _select_hubs_from_matrix(matrix: sp.csc_matrix, budget: int) -> HubSet:

@@ -89,7 +89,9 @@ Query-time refinement (:class:`RefinementWorkingSet`)
 Refining one candidate (Algorithm 4, line 13) is not a block run: its state
 is loaded once from flat segments into dense workspace scratch, advanced in
 place by :meth:`PropagationKernel.step` — whatever backend built the index —
-and spilled back once, only on a write-back.
+and spilled back once, only on a write-back.  A step has no threshold: every
+node holding residue pushes, so the mass shrinks to ``1 - alpha`` of itself
+per step; ``eta`` governs index construction only.
 """
 
 from __future__ import annotations
@@ -238,8 +240,8 @@ def bca_iteration(
     Returns ``True`` when at least one node propagated ink, ``False`` when no
     non-hub node holds ``eta`` or more residue (the state cannot be refined
     further at this threshold).  ``propagation_threshold`` overrides the
-    configured ``eta`` for a single step — query-time refinement lowers it
-    adaptively so candidates can always be decided.
+    configured ``eta`` for a single step (tests mirror the threshold-free
+    :meth:`PropagationKernel.step` with the smallest positive float).
     """
     eta = params.propagation_threshold if propagation_threshold is None else propagation_threshold
     alpha = params.alpha
@@ -1043,29 +1045,19 @@ class PropagationKernel:
             )
         return RefinementWorkingSet(self, arrays)
 
-    def step(
-        self,
-        working: "RefinementWorkingSet",
-        *,
-        propagation_threshold: Optional[float] = None,
-    ) -> bool:
+    def step(self, working: "RefinementWorkingSet") -> bool:
         """Advance ``working`` by one batched BCA iteration (Algorithm 4, line 13).
 
-        A frontier push (Eq. 8-9): every node holding at least the threshold
-        of residue retains an ``alpha`` share and scatters the rest along its
-        out-edges (a gather of the active CSC columns plus one scatter-add);
-        ink that landed on hubs moves to ``s``, and ``v`` and its top-K are
-        refreshed incrementally (``v += alpha * amounts + P_H @ delta_s``).
-        Cost follows the residue support and the entries pushed, never ``n``
-        or ``nnz(A)``.  Returns ``False`` (changing nothing) when no node
-        reaches the threshold.
+        A frontier push (Eq. 8-9) of **all** residue — one power-iteration
+        step on ``r``: every node holding any retains an ``alpha`` share and
+        scatters the rest along its out-edges (a gather of the active CSC
+        columns plus one scatter-add); ink that landed on hubs moves to ``s``,
+        and ``v`` and its top-K are refreshed incrementally
+        (``v += alpha * amounts + P_H @ delta_s``).  Cost follows the residue
+        support and the entries pushed, never ``n`` or ``nnz(A)``.  Returns
+        ``False`` (changing nothing) when no residue remains.
         """
-        eta = (
-            self.params.propagation_threshold
-            if propagation_threshold is None
-            else propagation_threshold
-        )
-        active = working.residue >= eta
+        active = working.residue > 0.0
         nodes = working.support[active]
         if not nodes.size:
             return False

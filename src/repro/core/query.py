@@ -8,8 +8,9 @@ Query evaluation proceeds in two phases:
 2. **Candidate-centric scan** — nodes are pruned with their indexed k-th
    lower bound, confirmed with the staircase upper bound (Algorithm 3), or
    progressively refined with additional batched BCA iterations until one of
-   the two tests decides.  Refinements can be written back into the index
-   ("update" mode), tightening bounds for future queries.
+   the two tests — or the query-aware bound on the k-th *other* entry —
+   decides.  Refinements can be written back into the index ("update" mode),
+   tightening bounds for future queries.
 
 Vectorized pipeline (the default, ``scan_mode="vectorized"``)
 -------------------------------------------------------------
@@ -58,6 +59,7 @@ from .bounds import (
     FLOAT32_RELATIVE_ENVELOPE,
     float32_prune_envelope,
     float32_staircase_envelope,
+    kth_other_upper_bound,
     kth_upper_bound,
     kth_upper_bounds_batch,
 )
@@ -283,7 +285,7 @@ class QueryStatistics:
         Number of distinct candidates that needed at least one refinement.
     n_exact_fallbacks:
         Candidates whose refinement budget ran out and that were resolved
-        exactly with one power-method run instead.
+        exactly with one power-method run instead (near-exact ties only).
     pmpn_iterations:
         Iterations used by the exact proximity-to-query computation.
     seconds:
@@ -626,9 +628,10 @@ class ReverseTopKEngine:
             proximity_to_q = pmpn.proximities
 
             if scan_mode == "scalar":
-                nodes, tally = self._scan_scalar(proximity_to_q, k, params, stages)
+                nodes, tally = self._scan_scalar(query, proximity_to_q, k, params, stages)
             else:
                 nodes, tally = self._scan_vectorized(
+                    query,
                     proximity_to_q,
                     k,
                     params,
@@ -661,6 +664,7 @@ class ReverseTopKEngine:
                 n_staircase_hits=tally.n_hits,
                 n_refine_iterations=tally.n_refine_iterations,
                 n_refined_nodes=tally.n_refined_nodes,
+                n_query_aware_hits=tally.n_query_aware_hits,
                 n_exact_fallbacks=tally.n_fallbacks,
                 pmpn_iterations=pmpn.iterations,
             )
@@ -704,6 +708,7 @@ class ReverseTopKEngine:
 
     def _scan_vectorized(
         self,
+        query: int,
         proximity_to_q: np.ndarray,
         k: int,
         params: QueryParams,
@@ -728,7 +733,7 @@ class ReverseTopKEngine:
         with stages.time("refine"):
             for node in candidates[~hits]:
                 outcome = self._refine_candidate(
-                    int(node), float(proximity_to_q[node]), k, params
+                    int(node), query, float(proximity_to_q[node]), k, params
                 )
                 tally.absorb_refinement(outcome)
                 if outcome.is_result:
@@ -762,6 +767,7 @@ class ReverseTopKEngine:
 
     def _scan_scalar(
         self,
+        query: int,
         proximity_to_q: np.ndarray,
         k: int,
         params: QueryParams,
@@ -774,6 +780,7 @@ class ReverseTopKEngine:
             for node in range(self.n_nodes):
                 outcome = self._verify_node(
                     node,
+                    query,
                     float(proximity_to_q[node]),
                     k,
                     params,
@@ -789,6 +796,7 @@ class ReverseTopKEngine:
     def _verify_node(
         self,
         node: int,
+        query: int,
         proximity_to_query: float,
         k: int,
         params: QueryParams,
@@ -822,11 +830,12 @@ class ReverseTopKEngine:
             outcome.was_candidate = True
             outcome.was_immediate_hit = True
             return outcome
-        return self._refine_candidate(node, proximity_to_query, k, params)
+        return self._refine_candidate(node, query, proximity_to_query, k, params)
 
     def _refine_candidate(
         self,
         node: int,
+        query: int,
         proximity_to_query: float,
         k: int,
         params: QueryParams,
@@ -838,13 +847,17 @@ class ReverseTopKEngine:
         iteration of Algorithm 4 ran through its upper-bound check
         unsuccessfully.  This picks up exactly where that iteration left off
         (budget check, refinement, re-check), so outcomes and counters are
-        identical regardless of which scan produced the candidate.
+        identical regardless of which scan produced the candidate.  From
+        here on the accept test is the bound on the k-th *other* entry: never
+        looser than the paper's, and the only one that can admit
+        ``node == query`` at ``k = 1``.
 
         The candidate's state is loaded once, as flat segments, into a
         refinement working set (no :class:`NodeState` is materialised and
         nothing is pinned in the store, so read-only queries leave the index
         untouched), advanced in place, and spilled back once — through the
-        final ``set_state`` — only under ``update_index``.
+        final ``set_state`` — only under ``update_index`` and only if a step
+        changed it.
         """
         outcome = _NodeOutcome(was_candidate=True)
         refinements = 0
@@ -852,9 +865,18 @@ class ReverseTopKEngine:
         working = self._kernel.load(self.index.state_arrays(node))
         try:
             while True:
+                # The paper's test failed on the stored state and is never
+                # tighter than this one, so each round tests only this bound.
+                if proximity_to_query >= kth_other_upper_bound(
+                    working.lower_bounds, working.top, query,
+                    working.residual_mass(self.index.hub_deficit),
+                    proximity_to_query - working.vector[query], k,
+                ):
+                    outcome.is_result = outcome.used_query_aware_bound = True
+                    break
                 if refinements >= params.max_refinements:
-                    # Refinement budget exhausted: decide exactly with one
-                    # power method run instead of guessing (rare; counted).
+                    # Refinement budget exhausted (a tie at the bounds'
+                    # resolution): decide exactly with one power method run.
                     outcome.is_result, refined = self._exact_decision(
                         node, proximity_to_query, k, working.iterations,
                         write_back=params.update_index,
@@ -877,21 +899,15 @@ class ReverseTopKEngine:
                 if working.is_exact:
                     outcome.is_result = True
                     break
-                upper = kth_upper_bound(
-                    working.lower_bounds,
-                    working.residual_mass(self.index.hub_deficit),
-                    k,
-                )
-                if proximity_to_query >= upper:
-                    outcome.is_result = True
-                    break
-            if params.update_index and refined is None:
+            if params.update_index and refinements and refined is None:
                 refined = working.spill().to_state()
         finally:
             working.release()
 
         outcome.refinement_iterations = refinements
-        if params.update_index:
+        if refined is not None:
+            # A state accepted as stored is not rewritten: a repeated query
+            # must not bump the index version (and empty the result caches).
             self.index.set_state(node, refined)
         return outcome
 
@@ -906,10 +922,13 @@ class ReverseTopKEngine:
     ) -> Tuple[bool, Optional[NodeState]]:
         """Decide membership exactly by computing the node's proximity vector.
 
-        Used only when the refinement budget runs out.  With ``write_back``
-        the exact vector also becomes the node's index entry (its top-K values
-        replace the lower bounds — a strictly better entry); otherwise only
-        the k-th value is read and nothing is built.
+        Used only when the refinement budget runs out: ``p_u(q)`` ties the
+        k-th value to within what is left of the residue (or of the hub
+        rounding deficit).  With ``write_back`` the exact vector also becomes
+        the node's index entry (its top-K values replace the lower bounds — a
+        strictly better entry); otherwise only the k-th value is read.  The
+        solve converts the CSC transition to CSR itself (O(nnz)): only ties
+        come here, so no engine holds a second matrix for it.
         """
         from ..rwr.power_method import proximity_vector
         from ..utils.sparsetools import top_k_descending
@@ -939,6 +958,7 @@ class _NodeOutcome:
     was_candidate: bool = False
     was_immediate_hit: bool = False
     used_exact_shortcut: bool = False
+    used_query_aware_bound: bool = False
     used_exact_fallback: bool = False
     pruned_immediately: bool = False
     refinement_iterations: int = 0
@@ -954,6 +974,7 @@ class _ScanTally:
     n_pruned: int = 0
     n_refine_iterations: int = 0
     n_refined_nodes: int = 0
+    n_query_aware_hits: int = 0
     n_fallbacks: int = 0
     #: Per-shard ``(start, n_nodes, seconds, n_pruned)`` records, collected
     #: by the sharded scan only while a trace is active.
@@ -971,4 +992,5 @@ class _ScanTally:
         """Tally the refinement counters of one candidate outcome."""
         self.n_refine_iterations += outcome.refinement_iterations
         self.n_refined_nodes += outcome.refinement_iterations > 0
+        self.n_query_aware_hits += outcome.used_query_aware_bound
         self.n_fallbacks += outcome.used_exact_fallback

@@ -74,7 +74,9 @@ def proximity_vector(
     Parameters
     ----------
     transition:
-        Column-stochastic transition matrix ``A``.
+        Column-stochastic transition matrix ``A``.  The iteration multiplies
+        by rows, so any other format is converted to CSR on **every** call
+        (O(nnz)); callers that solve repeatedly convert once and pass the CSR.
     source:
         The restart node ``u``.
     alpha:

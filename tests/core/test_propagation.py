@@ -16,7 +16,7 @@ from repro.core import (
     rebuild_node_state,
     refine_node_state,
 )
-from repro.core.index import ReverseTopKIndex, StateArrays
+from repro.core.index import NodeState, ReverseTopKIndex, StateArrays
 from repro.core.lbi import _compute_hub_matrix
 from repro.core.propagation import (
     _HubExpansion,
@@ -129,7 +129,8 @@ class TestKernelBackends:
 
     def test_step_matches_scalar_reference(self, kernel_inputs):
         # One working-set step from the same state content moves the same ink
-        # as one scalar bca_iteration (within accumulation-order tolerance).
+        # as one scalar bca_iteration that pushes every node holding residue
+        # (within accumulation-order tolerance).
         matrix, hub_mask, params, hubs, hub_matrix = kernel_inputs
         source = int(np.flatnonzero(~hub_mask)[0])
         reference = initial_node_state(source, False)
@@ -141,7 +142,8 @@ class TestKernelBackends:
             for _ in range(4):
                 progressed = kernel.step(working)
                 assert progressed == bca_iteration(
-                    reference, matrix, hub_mask, params
+                    reference, matrix, hub_mask, params,
+                    propagation_threshold=5e-324,  # smallest positive float
                 )
                 if not progressed:
                     break
@@ -153,24 +155,34 @@ class TestKernelBackends:
         finally:
             working.release()
 
-    def test_step_honours_propagation_threshold_override(self, kernel_inputs):
+    def test_step_pushes_residue_below_the_build_threshold(self, kernel_inputs):
+        # eta stops the *build*; a query-time step pushes whatever is left,
+        # and reports no progress only once nothing is.
         matrix, hub_mask, params, hubs, hub_matrix = kernel_inputs
         source = int(np.flatnonzero(~hub_mask)[0])
         state = initial_node_state(source, False)
         state.residual = {source: params.propagation_threshold / 4}
+        assert not bca_iteration(state, matrix, hub_mask, params)
         kernel = PropagationKernel(
             matrix, hub_mask, params, hubs=hubs, hub_matrix=hub_matrix
         )
         working = kernel.load(StateArrays.from_state(state))
         try:
-            assert not kernel.step(working)
-            assert working.iterations == 0
-            assert kernel.step(
-                working, propagation_threshold=params.propagation_threshold / 8
-            )
+            assert kernel.step(working)
             assert working.iterations == 1
+            # Arrivals on hubs move to s; the rest of the 1 - alpha share stays.
+            pushed = (1.0 - params.alpha) * params.propagation_threshold / 4
+            assert working.residue.sum() + working.hub_ink.sum() == pytest.approx(pushed)
         finally:
             working.release()
+        drained = kernel.load(
+            StateArrays.from_state(NodeState(retained={source: 1.0}))
+        )
+        try:
+            assert not kernel.step(drained)
+            assert drained.iterations == 0
+        finally:
+            drained.release()
 
     def test_release_hands_scratch_back_clean(self, kernel_inputs):
         # The dense scratch is shared by every candidate a thread refines:

@@ -1,4 +1,4 @@
-"""Property tests for array-native candidate refinement (ISSUE 12).
+"""Property tests for array-native candidate refinement (ISSUES 12, 14).
 
 The refinement working set is checked against references that share no code
 with it:
@@ -11,15 +11,23 @@ with it:
    dangling nodes, self-loops and zero-residue states;
 2. the paper's sandwich (ROADMAP item 4a): after **every** refinement step
    ``lower_k <= exact_k <= upper_k`` against the sparse direct solver of
-   :mod:`repro.rwr.linear_solver`, which shares nothing with BCA.
+   :mod:`repro.rwr.linear_solver`, which shares nothing with BCA;
+3. the query-aware bound: after every step, for every query node ``q`` and
+   depth ``k``, the k-th largest of ``{p_u(w) : w != q}`` from the direct
+   solver stays below ``kth_other_upper_bound`` — with hubs that carry a
+   rounding deficit, dangling nodes, self-loops, ``q`` inside and outside
+   the top-k, ``k = K`` and ``eps = 0`` (unreachable ``q``, drained states).
+
+Steps run under the query-time rule (every node holding residue pushes).
 """
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 import numpy as np
 import scipy.sparse as sp
 
 from repro.core import IndexParams, ReverseTopKEngine, kth_upper_bound, refine_node_state
+from repro.core.bounds import kth_other_upper_bound
 from repro.core.hubs import HubSet
 from repro.core.index import NodeState, StateArrays
 from repro.core.lbi import _compute_hub_matrix
@@ -33,6 +41,10 @@ from repro.core.propagation import (
 from repro.graph import DiGraph
 from repro.rwr.linear_solver import ProximityLU
 from repro.utils.sparsetools import top_k_descending
+
+#: Threshold that makes the scalar reference push every node holding residue,
+#: as ``PropagationKernel.step`` always does: the smallest positive float.
+PUSH_ALL = 5e-324
 
 
 @st.composite
@@ -84,21 +96,7 @@ def refinement_cases(draw):
         # A zero-residue state: everything already retained at the source.
         state = NodeState(retained={source: 1.0})
     steps = draw(st.integers(min_value=1, max_value=8))
-    return matrix, hubs, params, state, steps
-
-
-def _threshold_clear_of_ties(state: NodeState, eta: float) -> float:
-    """The adaptive threshold of ``refine_node_state``, nudged off knife edges.
-
-    Both sides must agree on *which* nodes propagate; a residue that sits
-    within rounding of the threshold could legitimately fall either way, so
-    the threshold is moved until no residue is that close.
-    """
-    largest = max(state.residual.values())
-    threshold = eta if largest >= eta else largest * 0.5
-    while any(abs(v - threshold) <= 1e-9 * threshold for v in state.residual.values()):
-        threshold *= 0.97
-    return threshold
+    return matrix, hubs, params, source, state, steps
 
 
 def _dense(entries, n):
@@ -112,7 +110,7 @@ class TestWorkingSetAgainstScalarReference:
     @given(refinement_cases())
     @settings(max_examples=150, deadline=None)
     def test_steps_match_dict_loop_and_dense_expansion(self, case):
-        matrix, hubs, params, reference, steps = case
+        matrix, hubs, params, _, reference, steps = case
         n = matrix.shape[0]
         hub_mask = hubs.mask(n)
         hub_matrix, _, _ = _compute_hub_matrix(matrix, hubs, params)
@@ -132,13 +130,10 @@ class TestWorkingSetAgainstScalarReference:
                     assert working.is_exact
                     assert not kernel.step(working)
                     break
-                threshold = _threshold_clear_of_ties(
-                    reference, params.propagation_threshold
-                )
-                assert kernel.step(working, propagation_threshold=threshold)
+                assert kernel.step(working)
                 assert bca_iteration(
                     reference, matrix, hub_mask, params,
-                    propagation_threshold=threshold,
+                    propagation_threshold=PUSH_ALL,
                 )
                 state = working.spill().to_state()
                 for plane in ("residual", "retained", "hub_ink"):
@@ -162,6 +157,58 @@ class TestWorkingSetAgainstScalarReference:
                 assert abs(ink - reference_ink) <= 1e-12
                 if abs(reference_ink - 1.0) <= 1e-12:
                     assert abs(ink - 1.0) <= 1e-12
+        finally:
+            working.release()
+
+
+def _kth_largest(values: np.ndarray, k: int) -> float:
+    """k-th largest entry, or 0 when there are fewer than ``k``."""
+    return float(np.sort(values)[-k]) if values.size >= k else 0.0
+
+
+class TestOthersBoundAgainstDirectSolver:
+    @given(refinement_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_kth_other_entry_stays_below_the_bound(self, case):
+        matrix, hubs, params, source, state, steps = case
+        # The synthetic "drained" state is not a BCA state of this graph, so
+        # its v is no lower bound; eps = 0 still occurs (unreachable q).
+        assume(state.residual)
+        n = matrix.shape[0]
+        hub_mask = hubs.mask(n)
+        hub_matrix, hub_deficit, _ = _compute_hub_matrix(matrix, hubs, params)
+        kernel = PropagationKernel(
+            matrix, hub_mask, params, hubs=hubs, hub_matrix=hub_matrix
+        )
+        exact = ProximityLU(matrix, alpha=params.alpha).column(source)
+        # Hub columns come from the power method at the index tolerance.
+        slack = 10 * params.tolerance
+        working = kernel.load(StateArrays.from_state(state))
+        try:
+            for _ in range(steps + 1):
+                mass = working.residual_mass(hub_deficit)
+                assert np.all(exact - working.vector >= -slack)
+                assert (exact - working.vector).sum() <= mass + slack
+                for query in range(n):
+                    others = np.delete(exact, query)
+                    for k in range(1, params.capacity + 1):
+                        kth_other = _kth_largest(others, k)
+                        bound = kth_other_upper_bound(
+                            working.lower_bounds, working.top, query, mass,
+                            exact[query] - working.vector[query], k,
+                        )
+                        assert bound >= kth_other - slack, (query, k)
+                        # ... never looser than the paper's bound ...
+                        assert bound <= slack + kth_upper_bound(
+                            working.lower_bounds, mass, k
+                        )
+                        # ... and the k-th other entry decides membership.
+                        assert (exact[query] >= _kth_largest(exact, k)) == (
+                            kth_other <= exact[query]
+                        )
+                if not kernel.step(working):
+                    assert working.is_exact
+                    break
         finally:
             working.release()
 
