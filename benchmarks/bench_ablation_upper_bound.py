@@ -30,7 +30,7 @@ def _query_without_upper_bound(engine, query, k):
     refinements = 0
     results = []
     for node in range(engine.n_nodes):
-        state = engine.index.state(node).copy()
+        state = engine.index.state(node)
         value = float(proximities[node])
         while value >= state.kth_lower_bound(k):
             if state.is_exact:

@@ -249,7 +249,7 @@ def _symbol_of(node: ast.expr, scope) -> Optional[str]:
             return None
         return f"{inner}.{node.attr}"
     if isinstance(node, ast.Subscript):
-        # element of a tainted container (e.g. self._state_arrays["lo"])
+        # element of a tainted container (e.g. self.arrays["lower_bounds"])
         return _symbol_of(node.value, scope)
     return None
 

@@ -9,13 +9,26 @@ The index ``I = (P̂, R, W, S, P_H)`` holds, for every node ``u``:
 * ``S`` — the ink accumulated at hub nodes ``s^t_u``;
 * ``P_H`` — the (optionally rounded) exact proximity vectors of the hubs.
 
-Per-node sparse state is stored as plain ``{node: value}`` dictionaries, which
-keeps the refinement loop simple and allocation-free; ``P_H`` is a CSC matrix
-with one column per hub.
+One representation
+------------------
+``R``, ``W``, ``S`` and ``P̂`` are column-per-node sparse matrices, and that
+is how they are stored: flat ``(indptr, keys, values)`` arrays in a
+:class:`~repro.core.statestore.ColumnarStateStore` — the layout the ``.npz``
+archive and the sharded on-disk files persist byte for byte.  Every index
+owns a store (a ``List[NodeState]`` handed to the constructor is flattened
+once, there; :meth:`ReverseTopKIndex.load` reads the archive's arrays
+straight into one).  One node's column travels as a :class:`StateArrays`
+(flat segments): what the refinement working set loads, what a write-back
+spills, and what the store's overlay holds.  :class:`NodeState` — three
+``{node: value}`` dicts — survives only as the *by-value* view
+:meth:`ReverseTopKIndex.state` returns and as the working representation of
+the scalar reference primitives; mutating one changes nothing until it is
+handed back through :meth:`ReverseTopKIndex.set_state`.  ``P_H`` is a CSC
+matrix with one column per hub.
 
 Columnar views (vectorized query engine)
 ----------------------------------------
-On top of the per-node states the index maintains three incrementally-updated
+On top of the store the index maintains three incrementally-updated
 columnar arrays, exposed as :attr:`ReverseTopKIndex.columns`:
 
 * ``lower`` — the dense ``(K, n)`` lower-bound matrix ``P̂`` (column ``u`` =
@@ -26,10 +39,8 @@ columnar arrays, exposed as :attr:`ReverseTopKIndex.columns`:
 
 These views are what Algorithm 4's vectorized scan phase operates on: the
 whole-array prune ``p_u(q) < P̂[k-1, u]``, the exact-shortcut acceptance and
-the batched staircase upper-bound check all read the columns directly instead
-of looping over :class:`NodeState` objects.  The per-node states remain the
-refinement-time representation; every write-back through :meth:`set_state` (or
-:meth:`sync_state` after an in-place mutation) refreshes the corresponding
+the batched staircase upper-bound check all read the columns directly.
+Every write-back through :meth:`set_state` refreshes the corresponding
 column so the views never go stale.
 
 Rounding note (§4.1.3): zeroing hub proximity entries below ``omega`` keeps
@@ -67,8 +78,8 @@ class ColumnarView:
 
     The arrays are the index's working storage, *not* copies: they reflect
     every state write-back immediately and must be treated as read-only by
-    callers (mutate node states through :meth:`ReverseTopKIndex.set_state` /
-    :meth:`ReverseTopKIndex.sync_state` instead).
+    callers (write node states through :meth:`ReverseTopKIndex.set_state`
+    instead).
 
     Attributes
     ----------
@@ -138,18 +149,26 @@ def atomic_write(path: Path, writer) -> None:
 
 
 def effective_state_residual_mass(
-    state: "NodeState", hubs: HubSet, hub_deficit: np.ndarray
+    state: "StateArrays", hubs: HubSet, hub_deficit: np.ndarray
 ) -> float:
     """Effective residual mass of a state under a given hub configuration.
 
     ``||r||_1`` plus the hub rounding-deficit correction (see the module
-    docstring).  Shared by the monolithic index and the sharded layout, so
-    every columnar ``residual_mass`` entry is computed by exactly one
-    definition regardless of where the state lives.
+    docstring): a sequential sum over the residual values in storage order,
+    then the corrections in hub-ink storage order.  Shared by the monolithic
+    index and the sharded layout, so every columnar ``residual_mass`` entry
+    is computed by exactly one definition wherever the state lives.
     """
-    mass = state.residual_mass
-    if state.hub_ink and hub_deficit.size:
-        for hub, ink in state.hub_ink.items():
+    hub_keys, hub_values = state.hub_ink
+    return _row_mass(state.residual[1], hub_keys, hub_values, hubs, hub_deficit)
+
+
+def _row_mass(residual_values, hub_keys, hub_values, hubs, hub_deficit) -> float:
+    # Python's sequential sum, not NumPy's pairwise reduction: the two are
+    # not bitwise equal, and the dict-based reference loop sums sequentially.
+    mass = float(sum(residual_values.tolist()))
+    if hub_deficit.size and len(hub_keys):
+        for hub, ink in zip(hub_keys.tolist(), hub_values.tolist()):
             mass += ink * float(hub_deficit[hubs.position(hub)])
     return mass
 
@@ -290,13 +309,17 @@ def resolve_hub_components(
 
 
 def expand_state(
-    state: NodeState, hubs: HubSet, hub_matrix: sp.csc_matrix, n_nodes: int
+    state: "StateArrays | NodeState",
+    hubs: HubSet,
+    hub_matrix: sp.csc_matrix,
+    n_nodes: int,
 ) -> np.ndarray:
     """Dense ``p^t = w + P_H s`` of a state (Eq. 7), one hub column at a time."""
+    arrays = _as_arrays(state)
     vector = np.zeros(n_nodes, dtype=np.float64)
-    for target, value in state.retained.items():
-        vector[target] += value
-    for hub, ink in state.hub_ink.items():
+    keys, values = arrays.retained
+    vector[keys] = values
+    for hub, ink in zip(*(segment.tolist() for segment in arrays.hub_ink)):
         position = hubs.position(hub)
         start, stop = hub_matrix.indptr[position], hub_matrix.indptr[position + 1]
         vector[hub_matrix.indices[start:stop]] += ink * hub_matrix.data[start:stop]
@@ -306,14 +329,34 @@ def expand_state(
 #: The three sparse per-node planes, in flattened-layout order.
 STATE_PLANES = ("residual", "retained", "hub_ink")
 
+#: The canonical flattened state layout (one array per name): what a
+#: :class:`~repro.core.statestore.ColumnarStateStore` holds, the monolithic
+#: ``.npz`` archive stores, and the sharded on-disk layout persists as
+#: per-shard ``.npy`` files.
+STATE_ARRAY_NAMES = (
+    "residual_indptr",
+    "residual_keys",
+    "residual_values",
+    "retained_indptr",
+    "retained_keys",
+    "retained_values",
+    "hub_ink_indptr",
+    "hub_ink_keys",
+    "hub_ink_values",
+    "lower_bounds",
+    "iterations",
+    "is_hub",
+)
+
 
 @dataclass(frozen=True)
 class StateArrays:
     """One node's state as flat ``(keys, values)`` segments — no dicts.
 
-    What the columnar store, a RAM shard and a memmap shard hand the
-    refinement working set *without* materialising (or pinning) a
-    :class:`NodeState`.  Segments may be read-only memmap views.
+    The unit every layer exchanges: what the store (a RAM shard and a memmap
+    shard alike) hands the refinement working set, what a write-back spills,
+    and what the store's overlay holds.  Segments may be read-only memmap
+    views.
     """
 
     residual: Tuple[np.ndarray, np.ndarray]
@@ -322,6 +365,16 @@ class StateArrays:
     lower_bounds: np.ndarray
     iterations: int = 0
     is_hub: bool = False
+
+    @property
+    def is_exact(self) -> bool:
+        """True when no residue remains, i.e. the lower bounds are exact values."""
+        return self.is_hub or not len(self.residual[0])
+
+    def stored_entries(self) -> int:
+        """Number of sparse entries stored for this node (for size accounting)."""
+        planes = (self.residual, self.retained, self.hub_ink)
+        return sum(len(keys) for keys, _ in planes)
 
     @classmethod
     def from_state(cls, state: NodeState) -> "StateArrays":
@@ -366,6 +419,10 @@ class StateArrays:
         return NodeState(*planes, lower_bounds, self.iterations, self.is_hub)
 
 
+def _as_arrays(state: "StateArrays | NodeState") -> StateArrays:
+    return state if isinstance(state, StateArrays) else StateArrays.from_state(state)
+
+
 class ReverseTopKIndex:
     """The complete offline index over all nodes of a graph.
 
@@ -388,21 +445,7 @@ class ReverseTopKIndex:
         self.hubs = hubs
         self.hub_matrix = hub_matrix.tocsc()
         self.hub_deficit = np.asarray(hub_deficit, dtype=np.float64)
-        # ``states`` is either a list of NodeState objects (the historical
-        # representation) or a ColumnarStateStore (duck-typed to avoid a
-        # circular import) — large builds hand over the columnar store so no
-        # per-node Python objects ever exist on the build path.
-        if hasattr(states, "peek_state"):
-            if int(states.capacity) != int(params.capacity):
-                raise ValueError(
-                    f"columnar store capacity {states.capacity} does not "
-                    f"match index capacity {params.capacity}"
-                )
-            self._store = states
-            self._states = None
-        else:
-            self._store = None
-            self._states = states
+        self._store = _as_store(states, params.capacity)
         self.build_seconds = float(build_seconds)
         #: Per-phase cost breakdown of the build that produced this index
         #: (a :class:`repro.core.propagation.BuildReport`); ``None`` for
@@ -424,13 +467,11 @@ class ReverseTopKIndex:
     @property
     def n_nodes(self) -> int:
         """Number of indexed nodes."""
-        if self._store is not None:
-            return self._store.n_states
-        return len(self._states)
+        return self._store.n_states
 
     @property
     def store(self):
-        """The backing columnar store, or ``None`` for object-backed indexes."""
+        """The :class:`~repro.core.statestore.ColumnarStateStore` of all states."""
         return self._store
 
     @property
@@ -443,9 +484,9 @@ class ReverseTopKIndex:
         """Monotonic mutation counter, bumped on every state write-back.
 
         The serving layer keys its result cache on ``(query, k, version)``:
-        any refinement persisted through :meth:`set_state` / :meth:`sync_state`
-        bumps the counter, so cache entries computed against older index
-        state stop matching and age out of the LRU.
+        any refinement persisted through :meth:`set_state` bumps the counter,
+        so cache entries computed against older index state stop matching
+        and age out of the LRU.
         """
         return self._version
 
@@ -461,46 +502,25 @@ class ReverseTopKIndex:
         return self._columns
 
     def state(self, node: int) -> NodeState:
-        """The mutable :class:`NodeState` of ``node``.
+        """``node``'s state as a detached :class:`NodeState`, by value.
 
-        Callers that mutate the returned state in place must call
-        :meth:`sync_state` (or :meth:`set_state`) afterwards so the columnar
-        views stay consistent.
+        Mutating the returned view changes nothing in the index; hand it
+        back through :meth:`set_state` to store it.
         """
-        node = check_node_index(node, self.n_nodes)
-        if self._store is not None:
-            return self._store.state(node)
-        return self._states[node]
+        return self._store.state(check_node_index(node, self.n_nodes))
 
     def state_arrays(self, node: int) -> StateArrays:
-        """``node``'s state as flat segments — no ``NodeState``, nothing pinned."""
-        node = check_node_index(node, self.n_nodes)
-        if self._store is not None:
-            return self._store.state_arrays(node)
-        return StateArrays.from_state(self._states[node])
+        """``node``'s state as flat segments — no ``NodeState`` is built."""
+        return self._store.state_arrays(check_node_index(node, self.n_nodes))
 
-    def set_state(self, node: int, state: NodeState) -> None:
+    def set_state(self, node: int, state: "StateArrays | NodeState") -> None:
         """Replace the stored state of ``node`` (used by the update policy)."""
         node = check_node_index(node, self.n_nodes)
-        if self._store is not None:
-            self._store.set_state(node, state)
-        else:
-            self._states[node] = state
-        self._sync_column(node, state)
-
-    def sync_state(self, node: int) -> None:
-        """Refresh the columnar views of ``node`` after an in-place mutation."""
-        node = check_node_index(node, self.n_nodes)
-        if self._store is not None:
-            self._sync_column(node, self._store.state(node))
-        else:
-            self._sync_column(node, self._states[node])
+        self._sync_column(node, self._store.set_state(node, _as_arrays(state)))
 
     def states(self) -> Iterable[Tuple[int, NodeState]]:
-        """Iterate over ``(node, state)`` pairs."""
-        if self._store is not None:
-            return enumerate(self._store.iter_states())
-        return enumerate(self._states)
+        """Iterate over ``(node, state)`` pairs (by-value views)."""
+        return enumerate(self._store.iter_states())
 
     def replace_contents(
         self,
@@ -508,9 +528,12 @@ class ReverseTopKIndex:
         hubs: Optional[HubSet] = None,
         hub_matrix: Optional[sp.spmatrix] = None,
         hub_deficit: Optional[np.ndarray] = None,
-        states: Optional[List[NodeState]] = None,
+        states=None,
     ) -> None:
         """Swap index components wholesale after dynamic-graph maintenance.
+
+        ``states`` is a :class:`~repro.core.statestore.ColumnarStateStore`
+        (a full rebuild hands over the fresh index's).
 
         The dynamic subsystem mutates the index *in place* rather than
         producing a new object, so every holder of a reference (the engine,
@@ -528,35 +551,31 @@ class ReverseTopKIndex:
         new_hubs, new_matrix, new_deficit = resolve_hub_components(
             self, hubs, hub_matrix, hub_deficit
         )
-        if states is not None and len(states) != self.n_nodes:
-            raise ValueError(
-                f"expected {self.n_nodes} states, got {len(states)}"
-            )
+        if states is not None:
+            if (len(states), states.capacity) != (self.n_nodes, self.capacity):
+                raise ValueError(
+                    f"expected {self.n_nodes} states of capacity {self.capacity}, "
+                    f"got {len(states)} of capacity {states.capacity}"
+                )
+            self._store = states
         self.hubs = new_hubs
         self.hub_matrix = new_matrix
         self.hub_deficit = new_deficit
-        if states is not None:
-            # A wholesale state replacement switches the index to object
-            # storage: the maintainer hands over plain NodeState lists.
-            self._store = None
-            self._states = list(states)
         self._version += 1
         self._columns = self._build_columns()
 
     def apply_updates(
         self,
-        states: Dict[int, NodeState],
+        states: Dict[int, StateArrays],
         *,
         hub_matrix: Optional[sp.spmatrix] = None,
         hub_deficit: Optional[np.ndarray] = None,
     ) -> None:
         """Targeted maintenance writes with a single version bump.
 
-        The delta-maintenance fast path rewrites only the nodes it
-        invalidated (plus hub rows), instead of handing over a full state
-        list — on a store-backed index that keeps the columnar arrays as
-        the primary storage and touches ``O(len(states))`` columns, not
-        ``O(n)``.  The hub set itself is unchanged by construction (the
+        Delta maintenance rewrites only the nodes it invalidated (plus hub
+        rows) — ``O(len(states))`` overlay writes and columns, not ``O(n)``.
+        The hub set itself is unchanged by construction (the
         fast path pins it); callers are responsible for only leaving nodes
         untouched whose columns are unaffected by the new hub data.
         """
@@ -566,11 +585,7 @@ class ReverseTopKIndex:
         columns = self.columns
         for node, state in states.items():
             node = check_node_index(node, self.n_nodes)
-            if self._store is not None:
-                self._store.set_state(node, state)
-            else:
-                self._states[node] = state
-            self._write_column(columns, node, state)
+            self._write_column(columns, node, self._store.set_state(node, state))
             if self._lower32 is not None:
                 self._lower32[:, node] = columns.lower[:, node]
         self._version += 1
@@ -616,7 +631,7 @@ class ReverseTopKIndex:
         through the (rounded) hub proximity columns.
         """
         n = self.hub_matrix.shape[0] if self.hub_matrix.shape[0] else self.n_nodes
-        return expand_state(self.state(node), self.hubs, self.hub_matrix, n)
+        return expand_state(self.state_arrays(node), self.hubs, self.hub_matrix, n)
 
     def effective_residual_mass(self, node: int) -> float:
         """Residue mass for the upper bound, including the rounding deficit.
@@ -624,9 +639,9 @@ class ReverseTopKIndex:
         ``||r_u||_1`` plus the mass lost because hub proximities were rounded
         (``sum_h s_u[h] * deficit[h]``) — see the module docstring.
         """
-        return self.state_residual_mass(self.state(node))
+        return self.state_residual_mass(self.state_arrays(node))
 
-    def state_residual_mass(self, state: NodeState) -> float:
+    def state_residual_mass(self, state: StateArrays) -> float:
         """Effective residual mass of an arbitrary (possibly detached) state.
 
         Used by the query engine on working copies during refinement, and by
@@ -639,30 +654,17 @@ class ReverseTopKIndex:
     # columnar view maintenance
     # ------------------------------------------------------------------ #
     def _build_columns(self) -> ColumnarView:
-        """Assemble the columnar views from the per-node states (one pass)."""
+        """Assemble the columnar views straight off the store's arrays."""
         # A wholesale rebuild invalidates the float32 mirror; it re-derives
         # lazily from the fresh columns on the next screened scan.
         self._lower32 = None
-        if self._store is not None:
-            # Columnar mode: the views come straight off the store's arrays
-            # (overlay-aware) — no per-node objects are materialised.
-            return ColumnarView(
-                lower=self._store.lower_matrix(),
-                residual_mass=self._store.column_masses(
-                    self.hubs, self.hub_deficit
-                ),
-                is_exact=self._store.is_exact_mask(),
-            )
-        columns = ColumnarView(
-            lower=np.zeros((self.capacity, self.n_nodes), dtype=np.float64),
-            residual_mass=np.zeros(self.n_nodes, dtype=np.float64),
-            is_exact=np.zeros(self.n_nodes, dtype=bool),
+        return ColumnarView(
+            lower=self._store.lower_matrix(),
+            residual_mass=self._store.column_masses(self.hubs, self.hub_deficit),
+            is_exact=self._store.is_exact_mask(),
         )
-        for node, state in enumerate(self._states):
-            self._write_column(columns, node, state)
-        return columns
 
-    def _sync_column(self, node: int, state: NodeState) -> None:
+    def _sync_column(self, node: int, state: StateArrays) -> None:
         # Every write-back is a visible index mutation: bump the version so
         # version-keyed caches (the serving layer) stop serving stale answers.
         self._version += 1
@@ -681,14 +683,8 @@ class ReverseTopKIndex:
         state["_lower32"] = None
         return state
 
-    def __setstate__(self, state: dict) -> None:
-        state.setdefault("_store", None)
-        self.__dict__.update(state)
-
-    def _write_column(self, columns: ColumnarView, node: int, state: NodeState) -> None:
-        count = min(self.capacity, state.lower_bounds.size)
-        columns.lower[:count, node] = state.lower_bounds[:count]
-        columns.lower[count:, node] = 0.0
+    def _write_column(self, columns: ColumnarView, node: int, state: StateArrays) -> None:
+        columns.lower[:, node] = state.lower_bounds
         columns.residual_mass[node] = self.state_residual_mass(state)
         columns.is_exact[node] = state.is_exact
 
@@ -703,11 +699,7 @@ class ReverseTopKIndex:
         matrix ``P_H`` (rounded).  Entries are counted as 8-byte value plus
         8-byte index, mirroring a coordinate sparse representation.
         """
-        if self._store is not None:
-            state_entries = self._store.stored_entries()
-        else:
-            state_entries = sum(state.stored_entries() for state in self._states)
-        return storage_breakdown(self, state_entries)
+        return storage_breakdown(self, self._store.stored_entries())
 
     def total_bytes(self) -> int:
         """Total approximate index size in bytes."""
@@ -733,10 +725,7 @@ class ReverseTopKIndex:
         path = Path(path)
         if not path.name.endswith(".npz"):
             path = path.with_name(path.name + ".npz")
-        if self._store is not None:
-            arrays = self._store.to_arrays()
-        else:
-            arrays = _states_to_arrays(self._states, self.capacity)
+        arrays = self._store.to_arrays()
         hub_matrix = self.hub_matrix.tocoo()
         atomic_write(path, lambda handle: self._write_npz(handle, arrays, hub_matrix))
 
@@ -767,7 +756,11 @@ class ReverseTopKIndex:
                 hub_matrix = sp.coo_matrix(
                     (data["hub_vals"], (data["hub_rows"], data["hub_cols"])), shape=shape
                 ).tocsc()
-                states = _states_from_arrays(data)
+                # One read per array (an NpzFile decompresses on every item
+                # access), straight into the store: no per-node objects.
+                states = _as_store(
+                    {name: data[name] for name in STATE_ARRAY_NAMES}, params.capacity
+                )
                 return cls(
                     params,
                     hubs,
@@ -823,15 +816,18 @@ def _states_to_arrays(states: List[NodeState], capacity: int) -> Dict[str, np.nd
     return arrays
 
 
-def _states_from_arrays(data: "np.lib.npyio.NpzFile") -> List[NodeState]:
-    # One read per array: an NpzFile decompresses on every item access.
-    arrays = {
-        name: data[name]
-        for plane in STATE_PLANES
-        for name in (f"{plane}_indptr", f"{plane}_keys", f"{plane}_values")
-    }
-    arrays.update({name: data[name] for name in ("lower_bounds", "iterations", "is_hub")})
-    return [
-        StateArrays.from_flat(arrays, node).to_state()
-        for node in range(arrays["lower_bounds"].shape[0])
-    ]
+def _as_store(states, capacity: int):
+    """``states`` — a store, flat arrays or a state list — as a store."""
+    # statestore imports this module, so the class is looked up at call time.
+    from .statestore import ColumnarStateStore
+
+    if isinstance(states, dict):
+        states = ColumnarStateStore(states, capacity)
+    elif not isinstance(states, ColumnarStateStore):
+        states = ColumnarStateStore.from_states(states, capacity)
+    if int(states.capacity) != int(capacity):
+        raise ValueError(
+            f"columnar store capacity {states.capacity} does not match "
+            f"index capacity {capacity}"
+        )
+    return states

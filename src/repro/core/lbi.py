@@ -21,10 +21,12 @@ All ink movement is delegated to the unified propagation layer
 with the ``"vectorized"`` backend that is a blocked multi-source engine, with
 ``"scalar"`` the seed's per-node dict loop — and query-time refinement
 (Algorithm 4, line 13) advances one candidate's array working set through the
-same kernel.  :func:`build_index_parallel` shards the node range across a
-process pool and merges the per-shard states into one index; per-source
-bitwise determinism of the kernel makes the result identical to a serial
-build under the same backend.
+same kernel.  Every backend hands its converged states over as flat segments,
+which :func:`~repro.core.statestore.assemble_store` merges with the hub and
+untargeted rows into the index's columnar store.  :func:`build_index_parallel`
+shards the node range across a process pool and merges the per-shard segments
+into one index; per-source bitwise determinism of the kernel makes the result
+identical to a serial build under the same backend.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from ..utils.timer import StageTimer
 from .config import IndexParams
 from .hubs import HubSet, degree_union_hubs, select_hubs_by_degree
 from .index import NodeState, ReverseTopKIndex, StateArrays
-from .statestore import CollectedStates, StateArraysSink, assemble_store
+from .statestore import CollectedStates, assemble_store
 
 # Propagation primitives live in the kernel layer; re-exported here because
 # this module is their historical home (tests and benchmarks import them
@@ -176,75 +178,6 @@ def _emit_build_metrics(report: BuildReport) -> None:
         stage_family.labels(backend=report.backend, stage=stage).inc(seconds)
 
 
-def _assemble_index(
-    params: IndexParams,
-    hubs: HubSet,
-    hub_matrix: sp.csc_matrix,
-    hub_deficit: np.ndarray,
-    hub_top_k: Dict[int, np.ndarray],
-    built: Dict[int, NodeState],
-    hub_mask: np.ndarray,
-    kernel: PropagationKernel,
-    n: int,
-    n_targets: int,
-    stages: StageTimer,
-    hub_progress: Optional[Callable[[int], None]],
-) -> ReverseTopKIndex:
-    """Merge hub states, built states and untargeted placeholders into an index."""
-    with stages.time("materialize"):
-        states: List[NodeState] = []
-        for node in range(n):
-            if hub_mask[node]:
-                # Hubs carry their exact (un-rounded) top-K proximities.
-                state = initial_node_state(node, True)
-                state.lower_bounds = hub_top_k[node].copy()
-                if hub_progress is not None:
-                    hub_progress(node)
-            elif node in built:
-                state = built[node]
-            else:
-                # Untargeted node: an un-refined unit of residue, trivially
-                # materialized (all-zero lower bounds).
-                state = initial_node_state(node, False)
-                materialize_lower_bounds(state, kernel.expansion, params.capacity)
-            states.append(state)
-
-    return _finish_index(
-        params, hubs, hub_matrix, hub_deficit, states, n, n_targets, stages
-    )
-
-
-def _finish_index(
-    params: IndexParams,
-    hubs: HubSet,
-    hub_matrix: sp.csc_matrix,
-    hub_deficit: np.ndarray,
-    states,
-    n: int,
-    n_targets: int,
-    stages: StageTimer,
-) -> ReverseTopKIndex:
-    """Wrap assembled states (a list or a columnar store) and report the build."""
-    report = BuildReport(
-        backend=params.backend,
-        block_size=params.block_size,
-        n_nodes=n,
-        n_targets=n_targets,
-        stage_seconds=stages.as_dict(),
-    )
-    _emit_build_metrics(report)
-    index = ReverseTopKIndex(
-        params,
-        hubs,
-        hub_matrix,
-        hub_deficit,
-        states,
-        build_seconds=report.build_seconds,
-    )
-    index.build_report = report
-    return index
-
-
 def _assemble_store_index(
     params: IndexParams,
     hubs: HubSet,
@@ -258,12 +191,12 @@ def _assemble_store_index(
     stages: StageTimer,
     hub_progress: Optional[Callable[[int], None]],
 ) -> ReverseTopKIndex:
-    """Columnar twin of :func:`_assemble_index`: no NodeState objects.
+    """Merge collected, hub and untargeted rows into an index; report the build.
 
-    The collected flat segments plus vectorised hub / untargeted rows merge
-    into a :class:`~repro.core.statestore.ColumnarStateStore` that backs the
-    index directly — the build hot path materialises zero per-node Python
-    state objects.
+    The collected flat segments plus vectorised hub rows (exact top-K
+    proximities, ``s = e_hub``) and untargeted rows (one un-refined unit of
+    residue, all-zero bounds) merge into the
+    :class:`~repro.core.statestore.ColumnarStateStore` that backs the index.
     """
     with stages.time("materialize"):
         store = assemble_store(
@@ -273,9 +206,24 @@ def _assemble_store_index(
             for node in np.flatnonzero(hub_mask).tolist():
                 hub_progress(node)
 
-    return _finish_index(
-        params, hubs, hub_matrix, hub_deficit, store, n, n_targets, stages
+    report = BuildReport(
+        backend=params.backend,
+        block_size=params.block_size,
+        n_nodes=n,
+        n_targets=n_targets,
+        stage_seconds=stages.as_dict(),
     )
+    _emit_build_metrics(report)
+    index = ReverseTopKIndex(
+        params,
+        hubs,
+        hub_matrix,
+        hub_deficit,
+        store,
+        build_seconds=report.build_seconds,
+    )
+    index.build_report = report
+    return index
 
 
 def build_index(
@@ -345,35 +293,15 @@ def build_index(
             progress(done, total)
 
     bca_sources = [node for node in range(n) if not hub_mask[node] and node in target_set]
-    if params.backend != "scalar" and nodes is None:
-        # Full builds on the blocked backends spill converged columns
-        # straight into flat arrays and assemble a columnar store — the
-        # default (and only) large-graph path; states stay lazy views.
-        sink = StateArraysSink(params.capacity)
-        kernel.run(bca_sources, stages=stages, on_done=advance, sink=sink)
-        return _assemble_store_index(
-            params,
-            hubs,
-            hub_matrix,
-            hub_deficit,
-            hub_top_k,
-            [sink.collected()],
-            hub_mask,
-            n,
-            total,
-            stages,
-            advance,
-        )
-    built = dict(zip(bca_sources, kernel.run(bca_sources, stages=stages, on_done=advance)))
-    return _assemble_index(
+    collected = kernel.run(bca_sources, stages=stages, on_done=advance)
+    return _assemble_store_index(
         params,
         hubs,
         hub_matrix,
         hub_deficit,
         hub_top_k,
-        built,
+        [collected],
         hub_mask,
-        kernel,
         n,
         total,
         stages,
@@ -400,20 +328,13 @@ def _init_shard_worker(
     )
 
 
-def _bca_shard(sources: List[int]) -> Tuple[List[int], List[NodeState]]:
-    """Process-pool worker: run the shared kernel over one shard of sources."""
-    return sources, _WORKER_KERNEL.run(sources)
-
-
 def _collect_shard(sources: List[int]) -> CollectedStates:
     """Process-pool worker: run one shard into flat collected arrays.
 
-    The columnar twin of :func:`_bca_shard` — the return payload is plain
-    NumPy arrays (cheap to pickle), not per-node Python objects.
+    The return payload is plain NumPy arrays (cheap to pickle), not per-node
+    Python objects.
     """
-    sink = StateArraysSink(_WORKER_KERNEL.params.capacity)
-    _WORKER_KERNEL.run(sources, sink=sink)
-    return sink.collected()
+    return _WORKER_KERNEL.run(sources)
 
 
 def build_index_parallel(
@@ -448,9 +369,6 @@ def build_index_parallel(
     with stages.time("hub_matrix"):
         hub_matrix, hub_deficit, hub_top_k = _compute_hub_matrix(matrix, hubs, params)
     hub_mask = hubs.mask(n)
-    kernel = PropagationKernel(
-        matrix, hub_mask, params, hubs=hubs, hub_matrix=hub_matrix
-    )
 
     bca_sources = [node for node in range(n) if not hub_mask[node]]
     # More shards than workers (4x) keeps the pool load-balanced when shard
@@ -463,8 +381,7 @@ def build_index_parallel(
         )
         if shard.size
     ]
-    columnar = params.backend != "scalar"
-    parts: list = []
+    parts: List[CollectedStates] = []
     done = 0
     with stages.time("bca"):
         with ProcessPoolExecutor(
@@ -472,23 +389,14 @@ def build_index_parallel(
             initializer=_init_shard_worker,
             initargs=(matrix, hub_mask, params, hubs, hub_matrix),
         ) as pool:
-            worker = _collect_shard if columnar else _bca_shard
-            for shard, part in zip(shards, pool.map(worker, shards)):
+            for shard, part in zip(shards, pool.map(_collect_shard, shards)):
                 parts.append(part)
                 done += len(shard)
                 if progress is not None:
                     progress(done, len(bca_sources))
-    if columnar:
-        return _assemble_store_index(
-            params, hubs, hub_matrix, hub_deficit, hub_top_k, parts, hub_mask,
-            n, n, stages, None,
-        )
-    built: Dict[int, NodeState] = {}
-    for sources, states in parts:
-        built.update(zip(sources, states))
-    return _assemble_index(
-        params, hubs, hub_matrix, hub_deficit, hub_top_k, built, hub_mask,
-        kernel, n, n, stages, None,
+    return _assemble_store_index(
+        params, hubs, hub_matrix, hub_deficit, hub_top_k, parts, hub_mask,
+        n, n, stages, None,
     )
 
 
@@ -498,15 +406,15 @@ def rebuild_node_state(
     hub_mask: np.ndarray,
     params: IndexParams,
     expansion: _HubExpansion,
-) -> NodeState:
-    """From-scratch BCA state for one non-hub node — the invalidation fallback.
+) -> StateArrays:
+    """From-scratch BCA state for one non-hub node, as flat segments.
 
-    The dynamic-graph maintainer calls this for every node whose buffered
-    state touched a mutated transition column: the state is reset to one unit
-    of residue ink and re-refined exactly as :func:`build_index` would, so
-    the result is bit-identical to the state a full rebuild on ``transition``
-    produces (under the same propagation backend).  ``expansion`` must wrap
-    the hub matrix computed for the *new* transition.
+    What invalidation does to a node whose buffered state touched a mutated
+    transition column: the state is reset to one unit of residue ink and
+    re-refined exactly as :func:`build_index` would, so the result is
+    bit-identical to the state a full rebuild on ``transition`` produces
+    (under the same propagation backend).  ``expansion`` must wrap the hub
+    matrix computed for the *new* transition.
     """
     if hub_mask[node]:
         raise ValueError(
@@ -520,7 +428,8 @@ def rebuild_node_state(
         hubs=expansion.hubs,
         hub_matrix=expansion.hub_matrix,
     )
-    return kernel.run([node])[0]
+    (_, arrays), = kernel.run([node]).state_arrays()
+    return arrays
 
 
 def refine_node_state(

@@ -17,9 +17,9 @@ via :attr:`IndexParams.backend`:
     arrays and *all* sources advance together per iteration with a single
     sparse-dense product ``A @ ((1-alpha) * active)`` — eta-thresholding,
     alpha retention and the hub-mask split are whole-array operations.
-    Sources that converge are spilled into :class:`NodeState` objects and
-    their block column is refilled from the pending worklist, so stragglers
-    never hold the whole block hostage.
+    Sources that converge are spilled as flat segments and their block
+    column is refilled from the pending worklist, so stragglers never hold
+    the whole block hostage.
 
 ``"numba"``
     The blocked engine with its per-iteration inner loop JIT-compiled
@@ -42,16 +42,16 @@ via :attr:`IndexParams.backend`:
     which other sources share its chunk.  Agreement with the scalar
     reference is to tolerance (like the dense backends), not bit-for-bit.
 
-Columnar spill (``sink=``)
---------------------------
-:meth:`PropagationKernel.run` accepts an optional
-:class:`~repro.core.statestore.StateArraysSink`.  With a sink, converged
-columns spill as flat ``(counts, keys, values)`` segments — produced by the
-same ``np.nonzero`` gather as the dict path, so keys/values are identical —
-and **no** :class:`NodeState` objects are constructed; ``run`` then returns
-an empty list and the caller assembles a columnar store from the sink.  The
-scalar backend has no columnar spill (it builds dicts natively) and rejects
-a sink.
+One outlet
+----------
+:meth:`PropagationKernel.run` has one outlet: a
+:class:`~repro.core.statestore.StateArraysSink`.  Converged columns spill as
+flat ``(counts, keys, values)`` segments (ascending keys, one ``np.nonzero``
+gather per batch) and ``run`` returns the sink's
+:class:`~repro.core.statestore.CollectedStates`, which callers assemble into
+a columnar store — the blocked backends construct no :class:`NodeState` at
+all.  The scalar reference backend works on dicts natively and flattens each
+finished state into the same sink (entries keep their dict order).
 
 Buffer reuse (:class:`KernelWorkspace`)
 ---------------------------------------
@@ -110,6 +110,7 @@ from ..utils.workspace import ArrayWorkspace
 from .config import PROPAGATION_BACKENDS, IndexParams
 from .hubs import HubSet
 from .index import NodeState, StateArrays, expand_state
+from .statestore import CollectedStates, StateArraysSink
 
 try:  # pragma: no cover - exercised implicitly by every blocked run
     # Low-level accumulating sparse-dense product: Y += A @ X with caller-
@@ -160,49 +161,28 @@ def _flat_columns(
     return counts, keys, values
 
 
-def _segment_dicts(counts, keys, values) -> List[Dict[int, float]]:
-    """One ``{key: value}`` dict per flat segment (one ``tolist`` per array)."""
-    keys, values = keys.tolist(), values.tolist()
-    stops = np.cumsum(counts).tolist()
-    return [dict(zip(keys[lo:hi], values[lo:hi])) for lo, hi in zip([0] + stops, stops)]
-
-
 def _emit_states(
     sources: np.ndarray,
     iterations: np.ndarray,
     bounds: Optional[np.ndarray],
     planes: Sequence[tuple],
-    results: Dict[int, NodeState],
     on_done: Optional["SourceCallback"],
-    sink,
+    sink: StateArraysSink,
 ) -> None:
-    """Hand one converged batch to the sink, or build its ``NodeState`` objects.
+    """Hand one converged batch to the sink.
 
     ``planes`` are the residual / retained / hub-ink ``(counts, keys,
     values)`` triples aligned with ``sources``; ``bounds`` is ``(K, m)``.
-    Both outlets read the same segments, so a sink-built store and the
-    object list hold identical keys, values and key order.
     """
-    if sink is not None:
-        residual, retained, hub_ink = planes
-        sink.absorb(
-            sources=sources.copy(),
-            iterations=iterations.copy(),
-            bounds=np.ascontiguousarray(bounds.T) if bounds is not None else None,
-            residual=residual,
-            retained=retained,
-            hub_ink=hub_ink,
-        )
-    else:
-        per_plane = [_segment_dicts(*plane) for plane in planes]
-        for position, source in enumerate(sources.tolist()):
-            state = NodeState(
-                *(dicts[position] for dicts in per_plane),
-                iterations=int(iterations[position]),
-            )
-            if bounds is not None:
-                state.lower_bounds = bounds[:, position].copy()
-            results[source] = state
+    residual, retained, hub_ink = planes
+    sink.absorb(
+        sources=sources.copy(),
+        iterations=iterations.copy(),
+        bounds=np.ascontiguousarray(bounds.T) if bounds is not None else None,
+        residual=residual,
+        retained=retained,
+        hub_ink=hub_ink,
+    )
     if on_done is not None:
         for source in sources.tolist():
             on_done(source)
@@ -479,20 +459,13 @@ class PropagationKernel:
         *,
         stages: Optional[StageTimer] = None,
         on_done: Optional[SourceCallback] = None,
-        sink=None,
-    ) -> List[NodeState]:
+    ) -> CollectedStates:
         """Run BCA to convergence from every (non-hub) source node.
 
-        Returns one :class:`NodeState` per source, aligned with ``sources``.
+        Returns the converged states as flat segments, one row per source in
+        convergence order (``.state_arrays()`` pairs each with its source).
         ``stages`` accumulates ``bca`` / ``materialize`` phase timings;
         ``on_done`` fires once per source as it converges (progress hook).
-
-        With a ``sink`` (a :class:`~repro.core.statestore.StateArraysSink`),
-        converged columns spill as flat array segments instead of
-        :class:`NodeState` objects and the return value is an empty list —
-        the caller assembles a columnar store from the sink.  Only the
-        blocked backends support a sink (the scalar path builds dicts
-        natively and raises ``ValueError``).
         """
         sources = [int(source) for source in sources]
         for source in sources:
@@ -501,24 +474,20 @@ class PropagationKernel:
                     f"node {source} is a hub; hub states are built from the "
                     "exact hub proximities, not with BCA"
                 )
-        if sink is not None and self.backend == "scalar":
-            raise ValueError(
-                "the scalar backend does not support columnar sinks; use the "
-                "vectorized, numba or sparse backend"
-            )
         if stages is None:
             stages = StageTimer()
         stages.add("bca", 0.0)
         stages.add("materialize", 0.0)
+        sink = StateArraysSink(self.params.capacity)
         if not sources:
-            return []
+            return sink.collected()
         self._sparse_peak_bytes = 0
         if self.backend in ("vectorized", "numba"):
-            states = self._run_vectorized(sources, stages, on_done, sink)
+            self._run_vectorized(sources, stages, on_done, sink)
         elif self.backend == "sparse":
-            states = self._run_sparse(sources, stages, on_done, sink)
+            self._run_sparse(sources, stages, on_done, sink)
         else:
-            states = self._run_scalar(sources, stages, on_done)
+            self._run_scalar(sources, stages, on_done, sink)
         if self.profiler.enabled:
             plane_bytes = 0
             if self.backend in ("vectorized", "numba"):
@@ -536,35 +505,45 @@ class PropagationKernel:
                 plane_bytes=plane_bytes,
                 workspace=self.workspace.stats(),
             )
-        return states
+        return sink.collected()
 
     def _run_scalar(
         self,
         sources: List[int],
         stages: StageTimer,
         on_done: Optional[SourceCallback],
-    ) -> List[NodeState]:
+        sink: StateArraysSink,
+    ) -> None:
         """Per-source reference path — bit-identical to the seed build loop."""
-        states: List[NodeState] = []
         for source in sources:
             state = initial_node_state(source, False)
             with stages.time("bca"):
                 run_node_bca(state, self.transition, self.hub_mask, self.params)
+            bounds = None
             if self.expansion is not None:
                 with stages.time("materialize"):
                     materialize_lower_bounds(state, self.expansion, self.params.capacity)
-            states.append(state)
-            if on_done is not None:
-                on_done(source)
-        return states
+                bounds = state.lower_bounds[:, None]
+            flat = StateArrays.from_state(state)
+            _emit_states(
+                np.array([source]),
+                np.array([state.iterations]),
+                bounds,
+                [
+                    (np.array([keys.size]), keys, values)
+                    for keys, values in (flat.residual, flat.retained, flat.hub_ink)
+                ],
+                on_done,
+                sink,
+            )
 
     def _run_vectorized(
         self,
         sources: List[int],
         stages: StageTimer,
         on_done: Optional[SourceCallback],
-        sink=None,
-    ) -> List[NodeState]:
+        sink: StateArraysSink,
+    ) -> None:
         """Blocked multi-source engine: dense ``(n, B)`` state, one product per step."""
         params = self.params
         n = self.n_nodes
@@ -596,7 +575,6 @@ class PropagationKernel:
         active = ws.take("active", (n, block), bool) if jit is None else None
         shares = ws.take("shares", (n, block)) if jit is None else None
 
-        results: Dict[int, NodeState] = {}
         next_source = 0
         # Hoisted once: the profiling-off cost inside the loop is `prof is
         # not None` checks, no attribute loads or clock reads.
@@ -648,7 +626,7 @@ class PropagationKernel:
                     columns = np.flatnonzero(finished)
                     self._spill_columns(
                         columns, column_source, residual, retained, hub_ink,
-                        iterations, hub_nodes, results, on_done, sink,
+                        iterations, hub_nodes, on_done, sink,
                     )
                     refill(columns)
                     if prof is not None:
@@ -738,10 +716,6 @@ class PropagationKernel:
                         seconds=time.perf_counter() - product_start,
                     )
 
-        if sink is not None:
-            return []
-        return [results[source] for source in sources]
-
     def _spill_columns(
         self,
         columns: np.ndarray,
@@ -751,16 +725,15 @@ class PropagationKernel:
         hub_ink: np.ndarray,
         iterations: np.ndarray,
         hub_nodes: np.ndarray,
-        results: Dict[int, NodeState],
         on_done: Optional[SourceCallback],
-        sink=None,
+        sink: StateArraysSink,
     ) -> None:
-        """Convert a batch of converged dense columns back into NodeStates."""
+        """Spill a batch of converged dense columns into the sink."""
         bounds: Optional[np.ndarray] = None
         if self.hub_matrix is not None:
             # Reproduce _HubExpansion.expand's accumulation order exactly
             # (retained first, then one hub column at a time in ascending
-            # position order): states whose hub-ink dicts are in ascending
+            # position order): states whose hub ink is stored in ascending
             # order — everything this backend produces — re-materialize
             # through expand() to the bit-identical lower bounds, which the
             # dynamic maintainer's hub re-expansion path relies on.
@@ -784,7 +757,6 @@ class PropagationKernel:
                 _flat_columns(retained, columns),
                 _flat_columns(hub_ink, columns, hub_nodes),
             ),
-            results,
             on_done,
             sink,
         )
@@ -794,8 +766,8 @@ class PropagationKernel:
         sources: List[int],
         stages: StageTimer,
         on_done: Optional[SourceCallback],
-        sink=None,
-    ) -> List[NodeState]:
+        sink: StateArraysSink,
+    ) -> None:
         """Blocked engine on sparse CSC planes: memory scales with the frontier.
 
         Each chunk of ``B`` sources runs to full convergence before the next
@@ -815,7 +787,6 @@ class PropagationKernel:
         hub_nodes = self._hub_nodes
         matrix = self.transition
         block = max(1, min(int(params.block_size), len(sources)))
-        results: Dict[int, NodeState] = {}
         prof = self.profiler if self.profiler.enabled else None
         peak = 0
 
@@ -936,7 +907,7 @@ class PropagationKernel:
                 spill_start = time.perf_counter() if prof is not None else 0.0
                 self._spill_sparse(
                     chunk, residual, retained, hub_ink, iterations,
-                    hub_nodes, results, on_done, sink,
+                    hub_nodes, on_done, sink,
                 )
                 if prof is not None:
                     prof.on_spill(
@@ -945,9 +916,6 @@ class PropagationKernel:
                     )
 
         self._sparse_peak_bytes = peak
-        if sink is not None:
-            return []
-        return [results[source] for source in sources]
 
     def _spill_sparse(
         self,
@@ -957,11 +925,10 @@ class PropagationKernel:
         hub_ink: np.ndarray,
         iterations: np.ndarray,
         hub_nodes: np.ndarray,
-        results: Dict[int, NodeState],
         on_done: Optional[SourceCallback],
-        sink=None,
+        sink: StateArraysSink,
     ) -> None:
-        """Spill a converged sparse chunk into a sink or NodeState objects.
+        """Spill a converged sparse chunk into the sink.
 
         The CSC columns, once sorted, *are* the flat ``(counts, keys,
         values)`` segments — keys ascending per column, the same order the
@@ -1027,7 +994,6 @@ class PropagationKernel:
                 ),
                 _flat_columns(hub_ink, np.arange(width, dtype=np.int64), hub_nodes),
             ),
-            results,
             on_done,
             sink,
         )

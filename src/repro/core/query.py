@@ -64,7 +64,7 @@ from .bounds import (
     kth_upper_bounds_batch,
 )
 from .config import SCAN_PRECISIONS, IndexParams, QueryParams
-from .index import ColumnarView, NodeState, ReverseTopKIndex, StateArrays
+from .index import ColumnarView, ReverseTopKIndex, StateArrays
 from .lbi import build_index, refine_node_state
 from .pmpn import proximity_to_node
 from .propagation import PropagationKernel
@@ -807,10 +807,10 @@ class ReverseTopKEngine:
         including the refinement of line 13 and the bookkeeping needed for
         Figure 6's candidate/hit statistics.
         """
-        state = self.index.state(node)
+        state = self.index.state_arrays(node)
         outcome = _NodeOutcome()
 
-        lower_k = state.kth_lower_bound(k)
+        lower_k = float(state.lower_bounds[k - 1])
         if proximity_to_query < lower_k:
             outcome.pruned_immediately = True
             return outcome
@@ -853,15 +853,15 @@ class ReverseTopKEngine:
         ``node == query`` at ``k = 1``.
 
         The candidate's state is loaded once, as flat segments, into a
-        refinement working set (no :class:`NodeState` is materialised and
-        nothing is pinned in the store, so read-only queries leave the index
-        untouched), advanced in place, and spilled back once — through the
-        final ``set_state`` — only under ``update_index`` and only if a step
-        changed it.
+        refinement working set (no :class:`NodeState` is materialised, so
+        read-only queries leave the index untouched), advanced in place, and
+        spilled back once — flat segments straight into the store's overlay
+        through the final ``set_state`` — only under ``update_index`` and
+        only if a step changed it.
         """
         outcome = _NodeOutcome(was_candidate=True)
         refinements = 0
-        refined: Optional[NodeState] = None
+        refined: Optional[StateArrays] = None
         working = self._kernel.load(self.index.state_arrays(node))
         try:
             while True:
@@ -900,7 +900,7 @@ class ReverseTopKEngine:
                     outcome.is_result = True
                     break
             if params.update_index and refinements and refined is None:
-                refined = working.spill().to_state()
+                refined = working.spill()
         finally:
             working.release()
 
@@ -919,7 +919,7 @@ class ReverseTopKEngine:
         iterations: int,
         *,
         write_back: bool,
-    ) -> Tuple[bool, Optional[NodeState]]:
+    ) -> Tuple[bool, Optional[StateArrays]]:
         """Decide membership exactly by computing the node's proximity vector.
 
         Used only when the refinement budget runs out: ``p_u(q)`` ties the
@@ -946,7 +946,7 @@ class ReverseTopKEngine:
             support = np.flatnonzero(exact > 0.0)
             state = StateArrays(
                 empty, (support, exact[support]), empty, top, iterations
-            ).to_state()
+            )
         return bool(proximity_to_query >= top[k - 1]), state
 
 

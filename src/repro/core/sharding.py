@@ -1,33 +1,35 @@
 """Partitioned index shards with a query router (out-of-core serving).
 
 The monolithic :class:`~repro.core.index.ReverseTopKIndex` keeps the whole
-``(K, n)`` columnar state — plus every per-node BCA state dict — resident in
-one process.  That caps the graph size a single serving process can hold well
-short of the ROADMAP's "millions of users" target.  This module partitions
+``(K, n)`` columnar state — plus every node's flattened BCA state — resident
+in one process.  That caps the graph size a single serving process can hold
+well short of the ROADMAP's "millions of users" target.  This module partitions
 the index the same way PR 4 already shards its *construction*:
 
 ``IndexShard``
     One contiguous node range ``[start, stop)`` holding that range's slice of
     the columnar views (lower-bound matrix columns, effective-residual-mass
-    vector, exactness mask) and its node states.  A shard is backed either
+    vector, exactness mask) and a
+    :class:`~repro.core.statestore.ColumnarStateStore` over its node states —
+    the same container the monolithic index owns.  A shard is backed either
 
-    * **in RAM** — plain writable arrays plus a materialised state list, or
-    * **by the on-disk layout** — the columnar slices and the flattened
-      state arrays are ``np.memmap`` views over per-shard ``.npy`` files
-      opened read-only, and states are materialised lazily, per node, by
-      slicing single rows out of the mapped arrays.
+    * **in RAM** — writable column arrays and a store over heap arrays, or
+    * **by the on-disk layout** — the columnar slices and the store's
+      flattened state arrays are ``np.memmap`` views over per-shard ``.npy``
+      files opened read-only (the store lazily, on first state access), and
+      one node's state is read by slicing its rows out of the mapped arrays.
 
     The on-disk layout is **immutable**: a refinement write-back promotes the
     owning shard's columnar arrays into RAM (copy-on-write) instead of
-    mutating files that are content-addressed by the snapshot layer.  Written
-    states live in a per-shard overlay consulted before the lazy arrays.
+    mutating files that are content-addressed by the snapshot layer, and the
+    written state lands in the store's overlay.
 
 ``ShardedReverseTopKIndex``
     The partitioned index: global hub data (hub set, hub proximity matrix,
     rounding deficits) shared across ``P`` contiguous shards, plus the same
     node-level API the query engine consumes on the monolithic index
-    (``state`` / ``set_state`` / ``sync_state`` / ``states`` /
-    ``replace_contents`` / ``version``).  Reads and write-backs route to the
+    (``state`` / ``state_arrays`` / ``set_state`` / ``states`` /
+    ``apply_updates`` / ``version``).  Reads and write-backs route to the
     owning shard; the mutation version stays **global** — one counter, bumped
     exactly like the monolithic index, so the serving layer's version-keyed
     cache behaves identically.
@@ -44,7 +46,7 @@ the index the same way PR 4 already shards its *construction*:
     equivalent monolithic index.
 
 ``build_sharded_index``
-    Constructs the sharded layout directly — each shard's states are built
+    Constructs the sharded layout directly — each shard's store is built
     (optionally on PR 4's process-pool shard workers) and written out before
     the next shard starts, so peak memory is one shard plus the hub matrix
     and there is **no monolithic merge step**.
@@ -54,7 +56,7 @@ and exactness shortcut are all column-local (no cross-node arithmetic), so
 evaluating them on a column slice yields the same floats as on the full
 matrix; per-shard candidate lists concatenated in shard order reproduce the
 monolithic ascending candidate order; and refinement operates on the same
-:class:`NodeState` values through the same kernel.  ``float64`` round-trips
+flat state segments through the same kernel.  ``float64`` round-trips
 through ``.npy``/``.npz`` files are bitwise exact, so memmap-backed shards
 scan the same values an in-RAM shard holds.
 """
@@ -67,7 +69,7 @@ import os
 from pathlib import Path
 import threading
 import time
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import zipfile
 
 import numpy as np
@@ -89,7 +91,7 @@ from .index import (
     NodeState,
     ReverseTopKIndex,
     StateArrays,
-    _states_to_arrays,
+    _as_arrays,
     atomic_write,
     effective_state_residual_mass,
     params_from_arrays,
@@ -98,22 +100,14 @@ from .index import (
     storage_breakdown,
 )
 from .lbi import (
-    _bca_shard,
     _collect_shard,
     _compute_hub_matrix,
     _init_shard_worker,
     _resolve_build_inputs,
 )
-from .propagation import PropagationKernel, initial_node_state
+from .propagation import PropagationKernel
 from .query import ReverseTopKEngine, columnar_stage_decisions
-from .statestore import (
-    STATE_ARRAY_NAMES,
-    ColumnarStateStore,
-    StateArraysSink,
-    assemble_store,
-    count_materialization,
-    stored_entries,
-)
+from .statestore import STATE_ARRAY_NAMES, ColumnarStateStore, assemble_store
 
 PathLike = Union[str, os.PathLike]
 
@@ -133,12 +127,10 @@ _META_NAME = "sharded-meta.npz"
 _VALUE_BYTES = 8
 _INDEX_BYTES = 8
 
-#: Flattened per-shard state arrays (the :func:`_states_to_arrays` layout).
+#: Flattened per-shard state arrays (the columnar state store's layout).
 #: Each is persisted as its own ``.npy`` file so shards can memmap them and
-#: materialise *single nodes* by slicing — loading a whole shard's states
-#: because one candidate needed refinement would erode the memory budget.
-#: The layout is canonically defined by the columnar state store — the
-#: build path hands shards the same arrays it would otherwise persist.
+#: read *single nodes* by slicing — loading a whole shard's states because
+#: one candidate needed refinement would erode the memory budget.
 _STATE_ARRAY_NAMES = STATE_ARRAY_NAMES
 
 
@@ -165,7 +157,7 @@ def _shard_stem(ordinal: int) -> str:
 class IndexShard:
     """One contiguous node-range slice of a sharded reverse top-k index.
 
-    Constructed through :meth:`from_states` (in-RAM backing) or
+    Constructed through :meth:`from_store` (in-RAM backing) or
     :meth:`from_layout` (memmap backing over the immutable on-disk layout).
     Node indices at this level are *local* (``0 .. stop - start``); the
     owning :class:`ShardedReverseTopKIndex` translates.
@@ -192,61 +184,12 @@ class IndexShard:
         # Per-k float64 screening rows derived from the mirror, cached so a
         # query workload converts each threshold row once, not per query.
         self._screen_bounds: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        # State storage: a full list (RAM) or lazy flattened arrays plus a
-        # write overlay (memmap).
-        self._states: Optional[List[NodeState]] = None
-        self._state_arrays: Optional[Dict[str, np.ndarray]] = None
-        self._overlay: Dict[int, NodeState] = {}
+        # The range's states (None = a memmap shard's store, not yet opened).
+        self._store: Optional[ColumnarStateStore] = None
 
     # ------------------------------------------------------------------ #
     # construction
     # ------------------------------------------------------------------ #
-    @classmethod
-    def from_states(
-        cls,
-        start: int,
-        stop: int,
-        capacity: int,
-        states: Sequence[NodeState],
-        mass_of: Callable[[NodeState], float],
-    ) -> "IndexShard":
-        """In-RAM shard over ``states`` (one per node of the range, in order)."""
-        shard = cls(start, stop, capacity)
-        if len(states) != shard.n_nodes:
-            raise InvalidParameterError(
-                f"shard [{start}, {stop}) needs {shard.n_nodes} states, "
-                f"got {len(states)}"
-            )
-        shard._states = list(states)
-        shard._lower = np.zeros((capacity, shard.n_nodes), dtype=np.float64)
-        shard._mass = np.zeros(shard.n_nodes, dtype=np.float64)
-        shard._exact = np.zeros(shard.n_nodes, dtype=bool)
-        for local, state in enumerate(shard._states):
-            shard._write_column(local, state, mass_of(state))
-        return shard
-
-    @classmethod
-    def from_columns(
-        cls,
-        start: int,
-        stop: int,
-        capacity: int,
-        columns: ColumnarView,
-        states: Sequence[NodeState],
-    ) -> "IndexShard":
-        """In-RAM shard adopting pre-built columnar slices (copied)."""
-        shard = cls(start, stop, capacity)
-        if len(states) != shard.n_nodes:
-            raise InvalidParameterError(
-                f"shard [{start}, {stop}) needs {shard.n_nodes} states, "
-                f"got {len(states)}"
-            )
-        shard._states = list(states)
-        shard._lower = np.array(columns.lower, dtype=np.float64, copy=True)
-        shard._mass = np.array(columns.residual_mass, dtype=np.float64, copy=True)
-        shard._exact = np.array(columns.is_exact, dtype=bool, copy=True)
-        return shard
-
     @classmethod
     def from_store(
         cls,
@@ -256,15 +199,11 @@ class IndexShard:
         store: ColumnarStateStore,
         mass: np.ndarray,
     ) -> "IndexShard":
-        """In-RAM shard adopting a columnar state store (no state objects).
+        """In-RAM shard adopting a columnar state store.
 
-        The store's flattened arrays become the shard's lazy state backing
-        directly — exactly the representation :meth:`write` persists and
-        :meth:`from_layout` memmaps back — so building, persisting and
-        scanning a shard never materialises per-node ``NodeState`` objects;
-        states stay lazy per node, as on a memmap shard.  ``mass`` is the
-        per-node effective residual mass (the store computes it bitwise
-        exactly as ``effective_state_residual_mass``).
+        The store holds exactly the representation :meth:`write` persists
+        and :meth:`from_layout` memmaps back.  ``mass`` is the per-node
+        effective residual mass (:meth:`ColumnarStateStore.column_masses`).
         """
         shard = cls(start, stop, capacity)
         if store.n_states != shard.n_nodes:
@@ -277,13 +216,13 @@ class IndexShard:
                 f"store capacity {store.capacity} does not match the shard "
                 f"capacity {capacity}"
             )
-        mass = np.ascontiguousarray(mass, dtype=np.float64)
+        mass = np.array(mass, dtype=np.float64)  # private: write-backs mutate it
         if mass.shape != (shard.n_nodes,):
             raise InvalidParameterError(
                 f"shard [{start}, {stop}) needs {shard.n_nodes} masses, "
                 f"got shape {mass.shape}"
             )
-        shard._state_arrays = store.to_arrays()
+        shard._store = store
         shard._lower = store.lower_matrix()
         shard._mass = mass
         shard._exact = store.is_exact_mask()
@@ -295,7 +234,7 @@ class IndexShard:
     ) -> "IndexShard":
         """Memmap shard over the immutable layout files in ``directory``.
 
-        Nothing is opened here; columnar memmaps and state arrays load
+        Nothing is opened here; columnar memmaps and the state store open
         lazily on first access, so constructing a sharded index from a large
         layout is O(P) metadata work.
         """
@@ -413,95 +352,42 @@ class IndexShard:
             self._screen_bounds[k] = cached
         return cached
 
-    def _ensure_state_arrays(self) -> Dict[str, np.ndarray]:
-        """Open the per-array state memmaps (lazy; O(1) resident memory).
+    @property
+    def store(self) -> ColumnarStateStore:
+        """The range's state store (local ids), opened lazily on memmap shards.
 
-        The arrays stay memory-mapped: :meth:`_materialize_state` slices one
-        node's rows out of them, so only the pages a refinement candidate
-        actually touches ever become resident — states are lazy *per node*,
-        not per shard.
+        The arrays stay memory-mapped (O(1) resident memory): a state read
+        slices one node's rows out of them, so only the pages a refinement
+        candidate actually touches ever become resident — states are lazy
+        *per node*, not per shard.
         """
-        if self._state_arrays is None:
+        if self._store is None:
             stem = _shard_stem(self.ordinal)
-            arrays: Dict[str, np.ndarray] = {}
             try:
-                for name in _STATE_ARRAY_NAMES:
-                    arrays[name] = np.load(
-                        self.directory / f"{stem}.states.{name}.npy", mmap_mode="r"
-                    )
+                self._store = ColumnarStateStore(
+                    {
+                        name: np.load(
+                            self.directory / f"{stem}.states.{name}.npy", mmap_mode="r"
+                        )
+                        for name in _STATE_ARRAY_NAMES
+                    },
+                    self.capacity,
+                )
             except (OSError, ValueError) as exc:
                 raise SerializationError(
                     f"cannot open shard states under {self.directory}: {exc}"
                 ) from exc
-            self._state_arrays = arrays
-        return self._state_arrays
+        return self._store
 
-    # ------------------------------------------------------------------ #
-    # state access
-    # ------------------------------------------------------------------ #
-    def state(self, local: int) -> NodeState:
-        """The state of local node ``local`` (materialised lazily on memmap).
-
-        Lazy shards *pin* the materialised state in the overlay: the
-        monolithic index's contract is that ``state()`` returns the stored
-        mutable object (callers mutate it in place and call ``sync_state``),
-        so repeated reads must observe one identity — an ephemeral copy
-        would silently drop in-place mutations.  Only nodes actually read
-        through this path (refinement candidates) are pinned; the scan never
-        touches states, and bulk iteration uses :meth:`iter_states`.
-        """
-        if self._states is not None:
-            return self._states[local]
-        overlaid = self._overlay.get(local)
-        if overlaid is not None:
-            return overlaid
-        state = self._materialize_state(local)
-        self._overlay[local] = state
-        return state
-
-    def iter_states(self) -> Iterator[NodeState]:
-        """States of the range in node order (overlay-aware, non-pinning).
-
-        Bulk consumers (persistence, maintenance materialisation) read every
-        state once by value; pinning them all would defeat the lazy backing.
-        """
-        if self._states is not None:
-            yield from self._states
-            return
-        for local in range(self.n_nodes):
-            overlaid = self._overlay.get(local)
-            yield overlaid if overlaid is not None else self._materialize_state(local)
-
-    def state_arrays(self, local: int) -> StateArrays:
-        """Flat-segment read of ``local``'s state: nothing pinned or built.
-
-        Lazy shards slice the node's rows straight off the (possibly
-        memmapped, read-only) flattened arrays; overlaid write-backs and
-        object-backed shards flatten the stored state instead.
-        """
-        if self._states is not None:
-            return StateArrays.from_state(self._states[local])
-        overlaid = self._overlay.get(local)
-        if overlaid is not None:
-            return StateArrays.from_state(overlaid)
-        return StateArrays.from_flat(self._ensure_state_arrays(), local)
-
-    def _materialize_state(self, local: int) -> NodeState:
-        count_materialization()
-        return StateArrays.from_flat(self._ensure_state_arrays(), local).to_state()
-
-    def set_state(self, local: int, state: NodeState, mass: float) -> None:
+    def set_state(self, local: int, state: StateArrays, mass: float) -> None:
         """Store a state write-back and refresh its column.
 
-        Memmap shards promote their columnar arrays to RAM first (the disk
-        layout is immutable) and record the state in the overlay.
+        The state lands in the store's overlay; memmap shards promote their
+        columnar arrays to RAM first (the disk layout is immutable).
         """
-        if self._states is not None:
-            self._states[local] = state
-        else:
-            self._overlay[local] = state
+        arrays = self.store.set_state(local, state)
         self._promote_columns()
-        self._write_column(local, state, mass)
+        self._write_column(local, arrays, mass)
 
     def _promote_columns(self) -> None:
         """Copy-on-write: make the columnar arrays private and writable."""
@@ -516,10 +402,8 @@ class IndexShard:
             self._lower32 = None
             self._screen_bounds.clear()
 
-    def _write_column(self, local: int, state: NodeState, mass: float) -> None:
-        count = min(self.capacity, state.lower_bounds.size)
-        self._lower[:count, local] = state.lower_bounds[:count]
-        self._lower[count:, local] = 0.0
+    def _write_column(self, local: int, state: StateArrays, mass: float) -> None:
+        self._lower[:, local] = state.lower_bounds
         self._mass[local] = mass
         self._exact[local] = state.is_exact
         if self._lower32 is not None:
@@ -533,13 +417,11 @@ class IndexShard:
     def stored_entries(self) -> int:
         """Total sparse state entries in this shard (for size accounting).
 
-        A lazy shard answers by peeking at the on-disk index pointers
-        *without* populating the state-array cache — size accounting (the
-        layout meta records it) must not force the whole shard resident.
+        A lazy shard answers by peeking at the tails of the memmapped index
+        pointers — size accounting (the layout meta records it) must not
+        force the whole shard resident.
         """
-        if self._states is not None:
-            return sum(state.stored_entries() for state in self._states)
-        return stored_entries(self._ensure_state_arrays(), self._overlay)
+        return self.store.stored_entries()
 
     def resident_bytes(self) -> int:
         """Rough bytes this shard currently keeps in RAM (not on disk)."""
@@ -550,21 +432,10 @@ class IndexShard:
             total += self._lower.nbytes + self._mass.nbytes + self._exact.nbytes
         if self._lower32 is not None and not isinstance(self._lower32, np.memmap):
             total += self._lower32.nbytes
-        if self._states is not None:
-            entries = sum(state.stored_entries() for state in self._states)
-            total += entries * (_VALUE_BYTES + _INDEX_BYTES)
-            total += self.n_nodes * self.capacity * _VALUE_BYTES
-        if self._state_arrays is not None:
+        if self._store is not None:
             # Memmapped state arrays are backed by the page cache, not the
-            # process heap; only materialised (heap) arrays count.
-            total += sum(
-                array.nbytes
-                for array in self._state_arrays.values()
-                if not isinstance(array, np.memmap)
-            )
-        for state in self._overlay.values():
-            total += state.stored_entries() * (_VALUE_BYTES + _INDEX_BYTES)
-            total += self.capacity * _VALUE_BYTES
+            # process heap; only heap arrays and overlay rows count.
+            total += self._store.resident_bytes()
         return total
 
     def write(self, directory: PathLike, ordinal: int) -> None:
@@ -575,15 +446,9 @@ class IndexShard:
         lower = np.ascontiguousarray(columns.lower, dtype=np.float64)
         mass = np.ascontiguousarray(columns.residual_mass, dtype=np.float64)
         exact = np.ascontiguousarray(columns.is_exact, dtype=bool)
-        if self._states is None and not self._overlay:
-            # Array-backed (or clean memmap) shard with no overlaid writes:
-            # the flattened arrays *are* the persisted representation —
-            # write them out directly, never materialising a per-node
-            # state object.
-            arrays = self._ensure_state_arrays()
-        else:
-            states = list(self.iter_states())
-            arrays = _states_to_arrays(states, self.capacity)
+        # The store's flattened arrays *are* the persisted representation
+        # (overlay writes merged in): no per-node object is ever built.
+        arrays = self.store.to_arrays()
         atomic_write(
             directory / f"{stem}.lower.npy", lambda handle: np.save(handle, lower)
         )
@@ -623,18 +488,25 @@ class IndexShard:
         state["_lower32"] = None
         state["_screen_bounds"] = {}
         if self.backing == "memmap":
-            # State memmaps never ship (np.memmap pickles by value); the
-            # receiver reopens them lazily.  Columns ship only once promoted
-            # — a promoted shard's RAM copies are the authoritative values.
-            state["_state_arrays"] = None
+            # A clean store still over the layout's memmaps never ships
+            # (np.memmap pickles by value): the receiver reopens them
+            # lazily.  One carrying writes — in its overlay, or merged into
+            # heap arrays by an earlier pickle — ships through the store's
+            # own ``__getstate__`` as flat arrays.  Columns ship only once
+            # promoted — a promoted shard's RAM copies are the
+            # authoritative values.
+            store = self._store
+            if (
+                store is not None
+                and not store.overlay
+                and all(isinstance(a, np.memmap) for a in store.arrays.values())
+            ):
+                state["_store"] = None
             if not self.is_promoted:
                 state["_lower"] = None
                 state["_mass"] = None
                 state["_exact"] = None
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
 
     def __repr__(self) -> str:
         return (
@@ -648,8 +520,8 @@ class ShardedReverseTopKIndex:
 
     Exposes the node-level surface the query engine and the dynamic
     maintainer consume on :class:`~repro.core.index.ReverseTopKIndex`
-    (``state`` / ``set_state`` / ``sync_state`` / ``states`` /
-    ``replace_contents`` / ``kth_lower_bounds`` / ``version``), routing each
+    (``state`` / ``state_arrays`` / ``set_state`` / ``states`` /
+    ``apply_updates`` / ``kth_lower_bounds`` / ``version``), routing each
     call to the owning shard.  Hub data is global — every shard's states
     reference the same hub proximity matrix — and so is the mutation
     version: one counter, bumped once per write-back exactly like the
@@ -741,55 +613,48 @@ class ShardedReverseTopKIndex:
         return shard, node - shard.start
 
     def state(self, node: int) -> NodeState:
-        """The state of ``node``, routed to (and materialised by) its shard."""
+        """``node``'s state as a detached :class:`NodeState`, by value."""
         shard, local = self.shard_of(node)
-        return shard.state(local)
+        return shard.store.state(local)
 
     def state_arrays(self, node: int) -> StateArrays:
-        """``node``'s state as flat segments, routed to its shard (no pin)."""
+        """``node``'s state as flat segments, routed to its shard's store."""
         shard, local = self.shard_of(node)
-        return shard.state_arrays(local)
+        return shard.store.state_arrays(local)
 
-    def set_state(self, node: int, state: NodeState) -> None:
+    def set_state(self, node: int, state: "StateArrays | NodeState") -> None:
         """Persist a state write-back into the owning shard (version bump)."""
         shard, local = self.shard_of(node)
-        shard.set_state(local, state, self.state_residual_mass(state))
-        self._version += 1
-
-    def sync_state(self, node: int) -> None:
-        """Refresh the owning shard's column for ``node`` (version bump)."""
-        shard, local = self.shard_of(node)
-        state = shard.state(local)
+        state = _as_arrays(state)
         shard.set_state(local, state, self.state_residual_mass(state))
         self._version += 1
 
     def states(self) -> Iterable[Tuple[int, NodeState]]:
-        """Iterate ``(node, state)`` pairs in node order across shards."""
+        """Iterate ``(node, state)`` pairs (by-value views) across shards."""
         for shard in self.shards:
-            for local, state in enumerate(shard.iter_states()):
+            for local, state in enumerate(shard.store.iter_states()):
                 yield shard.start + local, state
 
-    def state_residual_mass(self, state: NodeState) -> float:
+    def state_residual_mass(self, state: StateArrays) -> float:
         """Effective residual mass of a (possibly detached) state."""
         return effective_state_residual_mass(state, self.hubs, self.hub_deficit)
 
     def effective_residual_mass(self, node: int) -> float:
         """Residue mass of ``node``'s state, including the rounding deficit."""
-        return self.state_residual_mass(self.state(node))
+        return self.state_residual_mass(self.state_arrays(node))
 
     def apply_updates(
         self,
-        states: Dict[int, NodeState],
+        states: Dict[int, StateArrays],
         *,
         hub_matrix: Optional[sp.spmatrix] = None,
         hub_deficit: Optional[np.ndarray] = None,
     ) -> None:
         """Targeted maintenance writes with a single version bump.
 
-        The delta-maintenance fast path's sharded twin of
-        :meth:`ReverseTopKIndex.apply_updates`: each rewritten node routes
-        to its owning shard (memmap shards promote copy-on-write and record
-        the state in their overlay), untouched shards and nodes stay lazy,
+        The sharded twin of :meth:`ReverseTopKIndex.apply_updates`: each
+        rewritten node routes to its owning shard (memmap shards promote
+        copy-on-write), untouched shards and nodes stay lazy,
         and the global version bumps exactly once.  The hub set itself is
         unchanged by construction.
         """
@@ -812,48 +677,6 @@ class ShardedReverseTopKIndex:
             [np.asarray(shard.columns.lower[k - 1]) for shard in self.shards]
         )
 
-    def replace_contents(
-        self,
-        *,
-        hubs: Optional[HubSet] = None,
-        hub_matrix: Optional[sp.spmatrix] = None,
-        hub_deficit: Optional[np.ndarray] = None,
-        states: Optional[List[NodeState]] = None,
-    ) -> None:
-        """Swap index components wholesale after dynamic-graph maintenance.
-
-        Mirrors :meth:`ReverseTopKIndex.replace_contents`: all components are
-        validated together, every shard is rebuilt (in RAM — the immutable
-        disk layout, if any, is now stale and must be re-persisted by the
-        snapshot layer under the new graph's content key), and the global
-        version is bumped exactly once.  Shard boundaries are preserved, so
-        maintenance invalidations land in their owning shards.
-        """
-        new_hubs, new_matrix, new_deficit = resolve_hub_components(
-            self, hubs, hub_matrix, hub_deficit
-        )
-        if states is not None and len(states) != self.n_nodes:
-            raise ValueError(f"expected {self.n_nodes} states, got {len(states)}")
-        if states is None:
-            states = [state for _, state in self.states()]
-        self.hubs = new_hubs
-        self.hub_matrix = new_matrix
-        self.hub_deficit = new_deficit
-        mass_of = self.state_residual_mass
-        rebuilt = [
-            IndexShard.from_states(
-                shard.start,
-                shard.stop,
-                self.capacity,
-                states[shard.start : shard.stop],
-                mass_of,
-            )
-            for shard in self.shards
-        ]
-        self.shards = rebuilt
-        self.directory = None
-        self._version += 1
-
     def adopt(self, fresh: "ShardedReverseTopKIndex") -> None:
         """Swap in another sharded index's components, in place.
 
@@ -861,7 +684,8 @@ class ShardedReverseTopKIndex:
         sharded index for the new graph and splices it into the *live*
         object, so every holder of a reference (engine, serving façade)
         keeps observing the same index and the same monotonic version
-        counter — bumped exactly once, like :meth:`replace_contents`.
+        counter — bumped exactly once, like
+        :meth:`ReverseTopKIndex.replace_contents`.
         """
         if fresh.n_nodes != self.n_nodes:
             raise ValueError(
@@ -920,19 +744,16 @@ class ShardedReverseTopKIndex:
         back memmap-backed (``directory`` is then required).
         """
         boundaries = shard_boundaries(index.n_nodes, n_shards)
-        columns = index.columns
-        all_states = [state for _, state in index.states()]
+        masses = index.columns.residual_mass
+        # Merge the index's overlay once, not once per shard's ``rows()``.
+        merged = ColumnarStateStore(index.store.to_arrays(), index.capacity)
         shards = [
-            IndexShard.from_columns(
+            IndexShard.from_store(
                 int(start),
                 int(stop),
                 index.capacity,
-                ColumnarView(
-                    lower=columns.lower[:, start:stop],
-                    residual_mass=columns.residual_mass[start:stop],
-                    is_exact=columns.is_exact[start:stop],
-                ),
-                all_states[start:stop],
+                merged.rows(int(start), int(stop)),
+                masses[start:stop],
             )
             for start, stop in zip(boundaries[:-1], boundaries[1:])
         ]
@@ -952,16 +773,14 @@ class ShardedReverseTopKIndex:
 
     def to_index(self) -> ReverseTopKIndex:
         """Materialise the equivalent monolithic index (RAM-heavy; tests)."""
-        states = [state for _, state in self.states()]
-        index = ReverseTopKIndex(
+        return ReverseTopKIndex(
             self.params,
             self.hubs,
             self.hub_matrix,
             self.hub_deficit,
-            states,
+            ColumnarStateStore.concatenate([shard.store for shard in self.shards]),
             build_seconds=self.build_seconds,
         )
-        return index
 
     # ------------------------------------------------------------------ #
     # persistence (the on-disk layout)
@@ -1060,36 +879,20 @@ class ShardedReverseTopKIndex:
     def _materialize_all(self) -> None:
         """Promote every shard to an in-RAM shard (no disk-lazy storage).
 
-        Clean memmap shards (no overlaid writes) promote by copying their
-        flattened state arrays into RAM wholesale — states stay lazy *per
-        node* and no ``NodeState`` objects are created.  Shards carrying
-        overlay writes or materialised state lists fall back to the
-        object-based rebuild, which folds the overlay in.
+        Each shard's flattened state arrays (overlay writes merged) and
+        columns are copied into RAM wholesale — states stay lazy *per node*
+        and no ``NodeState`` objects are created.
         """
-        promoted: List[IndexShard] = []
-        for shard in self.shards:
-            if shard._states is None and not shard._overlay:
-                arrays = shard._ensure_state_arrays()
-                columns = shard.columns
-                fresh = IndexShard(shard.start, shard.stop, self.capacity)
-                fresh._state_arrays = {
-                    name: np.array(arrays[name]) for name in _STATE_ARRAY_NAMES
-                }
-                fresh._lower = np.array(columns.lower, dtype=np.float64, copy=True)
-                fresh._mass = np.array(
-                    columns.residual_mass, dtype=np.float64, copy=True
-                )
-                fresh._exact = np.array(columns.is_exact, dtype=bool, copy=True)
-            else:
-                fresh = IndexShard.from_columns(
-                    shard.start,
-                    shard.stop,
-                    self.capacity,
-                    shard.columns,
-                    list(shard.iter_states()),
-                )
-            promoted.append(fresh)
-        self.shards = promoted
+        self.shards = [
+            IndexShard.from_store(
+                shard.start,
+                shard.stop,
+                self.capacity,
+                shard.store.rows(0, shard.n_nodes),
+                shard.columns.residual_mass,
+            )
+            for shard in self.shards
+        ]
         # Boundaries are unchanged; keep the recorded directory so callers
         # can tell where this index came from.
 
@@ -1187,20 +990,6 @@ def build_sharded_index(
         if target is not None:
             target.mkdir(parents=True, exist_ok=True)
 
-        def assemble(start: int, stop: int, built: Dict[int, NodeState]) -> List[NodeState]:
-            states: List[NodeState] = []
-            for node in range(start, stop):
-                if hub_mask[node]:
-                    state = initial_node_state(node, True)
-                    state.lower_bounds = hub_top_k[int(node)].copy()
-                else:
-                    state = built[node]
-                states.append(state)
-            return states
-
-        mass_of = lambda state: effective_state_residual_mass(  # noqa: E731
-            state, hubs, hub_deficit
-        )
         shards: List[IndexShard] = []
         done = 0
 
@@ -1220,19 +1009,9 @@ def build_sharded_index(
             if progress is not None:
                 progress(done, n)
 
-        # Non-scalar backends spill converged columns straight into flat
-        # arrays (no per-node NodeState objects on the build path); the
-        # scalar reference backend keeps the object pipeline.
-        columnar = params.backend != "scalar"
-
         def make_shard(start: int, stop: int, part) -> IndexShard:
-            """A shard from one range's worker output (collected or objects)."""
+            """A shard from one range's collected segments."""
             start, stop = int(start), int(stop)
-            if not columnar:
-                states = assemble(start, stop, dict(zip(*part)))
-                return IndexShard.from_states(
-                    start, stop, params.capacity, states, mass_of
-                )
             store = assemble_store(
                 start, stop, params.capacity, [part], hub_mask, hub_top_k
             )
@@ -1251,22 +1030,13 @@ def build_sharded_index(
                 initializer=_init_shard_worker,
                 initargs=(matrix, hub_mask, params, hubs, hub_matrix),
             )
-            run, worker = pool.map, _collect_shard if columnar else _bca_shard
+            run, worker = pool.map, _collect_shard
         else:
             pool = contextlib.nullcontext()
-            kernel = PropagationKernel(
+            # In-process twin of the pool's shard workers.
+            run, worker = map, PropagationKernel(
                 matrix, hub_mask, params, hubs=hubs, hub_matrix=hub_matrix
-            )
-
-            def worker(sources: List[int]):
-                """In-process twin of the pool's shard workers."""
-                if not columnar:
-                    return sources, kernel.run(sources)
-                sink = StateArraysSink(params.capacity)
-                kernel.run(sources, sink=sink)
-                return sink.collected()
-
-            run = map
+            ).run
         with pool:
             for (start, stop), part in zip(ranges, run(worker, source_lists)):
                 finish_shard(len(shards), start, stop, make_shard(start, stop, part))

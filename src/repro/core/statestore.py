@@ -1,43 +1,40 @@
-"""Columnar struct-of-arrays node-state storage for million-node builds.
+"""The one container of per-node BCA state: flat struct-of-arrays storage.
 
-The monolithic :class:`~repro.core.index.ReverseTopKIndex` and the sharded
-layout both describe per-node BCA state as :class:`NodeState` objects — three
-``{node: value}`` dicts plus a small lower-bound vector.  At a few thousand
-nodes that is convenient; at web-Google scale (~875k nodes) the Python object
-overhead alone (dict headers, boxed floats, per-object GC tracking) costs
-gigabytes and minutes of allocator time before any ink moves.
-
-This module keeps the *flattened* representation those objects already
-round-trip through (:data:`STATE_ARRAY_NAMES`, the exact
-``_states_to_arrays`` / per-shard ``.npy`` layout) as the **primary** storage:
+The paper's index *is* four column-per-node sparse matrices (``R``, ``W``,
+``S``, ``P̂``; Algorithm 1), and this module stores them exactly so — the
+flattened layout :data:`STATE_ARRAY_NAMES`, which is also, byte for byte,
+what the monolithic ``.npz`` archive and the sharded per-shard ``.npy`` files
+persist.  Nothing else holds node state: the monolithic index owns one store
+over all nodes, every shard owns one over its range (opened lazily over the
+layout's memmaps), and builds, maintenance and query write-backs all hand
+over flat segments.
 
 ``ColumnarStateStore``
-    Struct-of-arrays state for a contiguous node range.  ``NodeState`` is
-    demoted to a lazy per-node *view* materialised on demand (and pinned in a
-    write overlay, preserving the mutate-in-place + ``sync_state`` contract),
-    so the query engine's refinement path is unchanged while bulk paths touch
-    only arrays.  Every materialisation increments a module-level counter —
-    the large-graph benchmark asserts the build hot path performs **zero**.
+    Struct-of-arrays state for a contiguous node range.  The arrays are
+    immutable; writes land in an overlay of per-node :class:`StateArrays`
+    (flat segments — a write-back is ``working.spill()`` → overlay, no dicts)
+    consulted before the arrays and merged back by :meth:`to_arrays`.
+    ``NodeState`` is only the *by-value* view :meth:`state` materialises on
+    request; every materialisation increments a module-level counter, which
+    the large-graph benchmark and the tests assert stays at **zero** across
+    builds, loads, maintenance and read-only serving.
 
 ``StateArraysSink``
     The kernel-side collector: converged block columns spill straight into
-    flat ``(counts, keys, values)`` segments (plus bounds / iteration rows)
-    without constructing a single ``NodeState``.
+    flat ``(counts, keys, values)`` segments (plus bounds / iteration rows).
 
 ``assemble_store``
     Merges collected segments with vectorised hub and untargeted rows into a
     finished store, ordered by node id.
 
-Bit-identity: the flat segments are produced by the same
-``np.nonzero``-gather the dict spill path uses, so keys appear in the same
-(ascending) order and values are the same floats — a store round-trips
-through ``to_arrays`` to byte-identical files, and through ``state()`` to
-dict-identical :class:`NodeState` views.
+Storage order is part of the state: the effective residual mass is a
+sequential sum over a row's entries *in storage order*, so every path that
+moves a row (merge, slice, pickle, persist) keeps its keys where they were.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,36 +42,21 @@ import numpy as np
 from ..exceptions import InvalidParameterError
 from .hubs import HubSet
 from .index import (
+    STATE_ARRAY_NAMES,
     STATE_PLANES as _PLANES,
+    _INDEX_BYTES,
+    _VALUE_BYTES,
     NodeState,
     StateArrays,
+    _row_mass,
     _states_to_arrays,
     effective_state_residual_mass,
 )
 
-#: The canonical flattened state layout (one array per name).  This is
-#: exactly the layout :func:`repro.core.index._states_to_arrays` produces,
-#: the monolithic ``.npz`` archive stores, and the sharded on-disk layout
-#: persists as per-shard ``.npy`` files.
-STATE_ARRAY_NAMES = (
-    "residual_indptr",
-    "residual_keys",
-    "residual_values",
-    "retained_indptr",
-    "retained_keys",
-    "retained_values",
-    "hub_ink_indptr",
-    "hub_ink_keys",
-    "hub_ink_values",
-    "lower_bounds",
-    "iterations",
-    "is_hub",
-)
-
 #: Module-level count of NodeState materialisations from columnar storage.
-#: The large-graph bench (and the statestore tests) reset this before a
-#: build and assert it stayed at zero — the acceptance check that the build
-#: hot path allocates no per-node Python state objects.
+#: The large-graph bench (and the statestore tests) reset this and assert it
+#: stayed at zero — the acceptance check that builds, loads, maintenance and
+#: read-only queries allocate no per-node Python state objects.
 _MATERIALIZATIONS = 0
 
 
@@ -89,33 +71,13 @@ def reset_materialization_count() -> None:
     _MATERIALIZATIONS = 0
 
 
-def count_materialization(n: int = 1) -> None:
-    """Record ``n`` NodeState materialisations (internal hook)."""
-    global _MATERIALIZATIONS
-    _MATERIALIZATIONS += n
-
-
-def stored_entries(arrays, overlay: Dict[int, NodeState]) -> int:
-    """Sparse entries of a flattened layout with ``overlay`` rows swapped in.
-
-    An O(1) peek at the index-pointer tails (memmaps stay lazy) plus one
-    correction per overlaid node, whose live state supersedes its stored row.
-    """
-    indptrs = [arrays[f"{plane}_indptr"] for plane in _PLANES]
-    total = sum(int(indptr[-1]) for indptr in indptrs)
-    for node, state in overlay.items():
-        stored = sum(int(indptr[node + 1] - indptr[node]) for indptr in indptrs)
-        total += state.stored_entries() - stored
-    return total
-
-
 class ColumnarStateStore:
     """Struct-of-arrays storage for the per-node states of a node range.
 
     The store owns one array per :data:`STATE_ARRAY_NAMES` entry covering
-    ``n`` nodes (local ids ``0 .. n-1``).  Reads materialise lazy
-    :class:`NodeState` views; writes land in an overlay dict consulted before
-    the arrays, so the arrays themselves stay immutable until
+    ``n`` nodes (local ids ``0 .. n-1``).  Writes land in an overlay of flat
+    :class:`StateArrays` consulted before the arrays, so the arrays
+    themselves (possibly read-only memmaps) stay immutable until
     :meth:`to_arrays` merges the overlay back.
     """
 
@@ -141,7 +103,7 @@ class ColumnarStateStore:
                 f"{self.arrays['lower_bounds'].shape}"
             )
         self._n = n
-        self._overlay: Dict[int, NodeState] = {}
+        self._overlay: Dict[int, StateArrays] = {}
 
     # ------------------------------------------------------------------ #
     # construction
@@ -153,8 +115,40 @@ class ColumnarStateStore:
         """Flatten a list of states into a store (object → columnar bridge)."""
         return cls(_states_to_arrays(list(states), int(capacity)), capacity)
 
+    @classmethod
+    def concatenate(
+        cls, stores: Sequence["ColumnarStateStore"]
+    ) -> "ColumnarStateStore":
+        """One store over the stores' ranges back to back (overlays merged)."""
+        parts = [store.to_arrays() for store in stores]
+        arrays: Dict[str, np.ndarray] = {}
+        for plane in _PLANES:
+            counts = np.concatenate(
+                [np.diff(part[f"{plane}_indptr"]) for part in parts]
+            )
+            arrays[f"{plane}_indptr"] = np.concatenate([[0], np.cumsum(counts)])
+        for name in STATE_ARRAY_NAMES:
+            if name not in arrays:
+                arrays[name] = np.concatenate([part[name] for part in parts])
+        return cls(arrays, stores[0].capacity)
+
+    def rows(self, start: int, stop: int) -> "ColumnarStateStore":
+        """A store over the rows ``[start, stop)``: heap copies, overlay merged."""
+        merged = self.to_arrays()
+        arrays: Dict[str, np.ndarray] = {
+            name: np.array(merged[name][start:stop])
+            for name in ("lower_bounds", "iterations", "is_hub")
+        }
+        for plane in _PLANES:
+            indptr = np.asarray(merged[f"{plane}_indptr"][start : stop + 1])
+            lo, hi = int(indptr[0]), int(indptr[-1])
+            arrays[f"{plane}_indptr"] = indptr - lo
+            arrays[f"{plane}_keys"] = np.array(merged[f"{plane}_keys"][lo:hi])
+            arrays[f"{plane}_values"] = np.array(merged[f"{plane}_values"][lo:hi])
+        return ColumnarStateStore(arrays, self.capacity)
+
     # ------------------------------------------------------------------ #
-    # basic accessors
+    # per-node access
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
         return self._n
@@ -165,47 +159,40 @@ class ColumnarStateStore:
         return self._n
 
     @property
-    def overlay(self) -> Dict[int, NodeState]:
-        """Live write overlay: ``{local id: pinned NodeState}``."""
+    def overlay(self) -> Dict[int, StateArrays]:
+        """Live write overlay: ``{local id: written StateArrays}``."""
         return self._overlay
 
-    def state(self, node: int) -> NodeState:
-        """The mutable state view of ``node``, pinned in the overlay.
-
-        The monolithic index contract is that repeated ``state()`` calls
-        return one identity (callers mutate in place, then ``sync_state``);
-        pinning the first materialisation preserves that.
-        """
-        pinned = self._overlay.get(node)
-        if pinned is None:
-            pinned = self._materialize(node)
-            self._overlay[node] = pinned
-        return pinned
-
-    def peek_state(self, node: int) -> NodeState:
-        """Overlay-aware read without pinning (bulk by-value consumers)."""
-        pinned = self._overlay.get(node)
-        return pinned if pinned is not None else self._materialize(node)
-
-    def set_state(self, node: int, state: NodeState) -> None:
-        """Replace the state of ``node`` (overlay write)."""
-        self._overlay[node] = state
-
-    def iter_states(self) -> Iterator[NodeState]:
-        """All states in node order (overlay-aware, non-pinning)."""
-        for node in range(self._n):
-            yield self.peek_state(node)
-
     def state_arrays(self, node: int) -> StateArrays:
-        """Overlay-aware flat-segment read: no ``NodeState``, nothing pinned."""
-        pinned = self._overlay.get(node)
-        if pinned is not None:
-            return StateArrays.from_state(pinned)
+        """``node``'s flat segments: its overlay write, else its stored row."""
+        written = self._overlay.get(node)
+        if written is not None:
+            return written
         return StateArrays.from_flat(self.arrays, node)
 
-    def _materialize(self, node: int) -> NodeState:
-        count_materialization()
-        return StateArrays.from_flat(self.arrays, node).to_state()
+    def state(self, node: int) -> NodeState:
+        """``node``'s state as a detached, dict-backed view (counted)."""
+        global _MATERIALIZATIONS
+        _MATERIALIZATIONS += 1
+        return self.state_arrays(node).to_state()
+
+    def iter_states(self) -> Iterator[NodeState]:
+        """By-value views of all states, in node order."""
+        for node in range(self._n):
+            yield self.state(node)
+
+    def set_state(self, node: int, state: StateArrays) -> StateArrays:
+        """Write ``node``'s state into the overlay; returns what was stored.
+
+        The lower bounds are stored as exactly ``capacity`` values
+        (zero-padded or truncated), the shape of a ``lower_bounds`` row.
+        """
+        bounds = np.zeros(self.capacity, dtype=np.float64)
+        count = min(self.capacity, state.lower_bounds.size)
+        bounds[:count] = state.lower_bounds[:count]
+        arrays = replace(state, lower_bounds=bounds)
+        self._overlay[node] = arrays
+        return arrays
 
     # ------------------------------------------------------------------ #
     # bulk columnar reads (the build / persist hot paths)
@@ -214,8 +201,7 @@ class ColumnarStateStore:
         """The flattened state arrays, with any overlay writes merged in.
 
         With an empty overlay (the build hot path) this is a dict copy —
-        the arrays themselves pass through untouched, so persisting a fresh
-        store never re-serialises per-node objects.
+        the arrays themselves pass through untouched.
         """
         if not self._overlay:
             return dict(self.arrays)
@@ -226,11 +212,9 @@ class ColumnarStateStore:
         iterations = np.array(self.arrays["iterations"], dtype=np.int64, copy=True)
         is_hub = np.array(self.arrays["is_hub"], dtype=bool, copy=True)
         for node, state in self._overlay.items():
-            count = min(self.capacity, state.lower_bounds.size)
-            lower[node, :count] = state.lower_bounds[:count]
-            lower[node, count:] = 0.0
-            iterations[node] = int(state.iterations)
-            is_hub[node] = bool(state.is_hub)
+            lower[node] = state.lower_bounds
+            iterations[node] = state.iterations
+            is_hub[node] = state.is_hub
         merged["lower_bounds"] = lower
         merged["iterations"] = iterations
         merged["is_hub"] = is_hub
@@ -247,7 +231,7 @@ class ColumnarStateStore:
         counts = np.diff(indptr)
         kept = np.ones(self._n, dtype=bool)
         for node, state in self._overlay.items():
-            counts[node] = len(getattr(state, plane))
+            counts[node] = len(getattr(state, plane)[0])
             kept[node] = False
         new_indptr = np.concatenate([[0], np.cumsum(counts)])
         new_keys = np.empty(int(new_indptr[-1]), dtype=np.int64)
@@ -265,13 +249,7 @@ class ColumnarStateStore:
         )
         for node, state in self._overlay.items():
             dst_lo, dst_hi = int(new_indptr[node]), int(new_indptr[node + 1])
-            entries = getattr(state, plane)
-            new_keys[dst_lo:dst_hi] = np.fromiter(
-                entries.keys(), dtype=np.int64, count=len(entries)
-            )
-            new_values[dst_lo:dst_hi] = np.fromiter(
-                entries.values(), dtype=np.float64, count=len(entries)
-            )
+            new_keys[dst_lo:dst_hi], new_values[dst_lo:dst_hi] = getattr(state, plane)
         return {
             f"{plane}_indptr": new_indptr,
             f"{plane}_keys": new_keys,
@@ -282,45 +260,30 @@ class ColumnarStateStore:
         """Fresh dense ``(K, n)`` lower-bound matrix (overlay-aware copy)."""
         lower = np.ascontiguousarray(self.arrays["lower_bounds"].T, dtype=np.float64)
         for node, state in self._overlay.items():
-            count = min(self.capacity, state.lower_bounds.size)
-            lower[:count, node] = state.lower_bounds[:count]
-            lower[count:, node] = 0.0
+            lower[:, node] = state.lower_bounds
         return lower
 
     def column_masses(self, hubs: HubSet, hub_deficit: np.ndarray) -> np.ndarray:
-        """Per-node effective residual masses, bitwise-faithful.
-
-        Reproduces :func:`~repro.core.index.effective_state_residual_mass`
-        exactly: a Python sequential ``sum`` over the residual values in
-        storage order, then the hub-deficit corrections in hub-ink storage
-        order.  (NumPy's pairwise reductions are *not* bitwise equal to a
-        sequential sum, so this deliberately stays a per-row Python loop —
-        small slices off large arrays, no large intermediate.)
-        """
+        """Per-node effective residual masses (overlay-aware), bitwise the
+        per-node :func:`~repro.core.index.effective_state_residual_mass`."""
         hub_deficit = np.asarray(hub_deficit, dtype=np.float64)
         out = np.empty(self._n, dtype=np.float64)
-        r_indptr = self.arrays["residual_indptr"]
+        r_indptr = self.arrays["residual_indptr"].tolist()
         r_values = self.arrays["residual_values"]
-        h_indptr = self.arrays["hub_ink_indptr"]
+        h_indptr = self.arrays["hub_ink_indptr"].tolist()
         h_keys = self.arrays["hub_ink_keys"]
         h_values = self.arrays["hub_ink_values"]
-        correct = bool(hub_deficit.size)
-        overlay = self._overlay
         for node in range(self._n):
-            state = overlay.get(node)
-            if state is not None:
-                out[node] = effective_state_residual_mass(state, hubs, hub_deficit)
-                continue
-            lo, hi = int(r_indptr[node]), int(r_indptr[node + 1])
-            mass = float(sum(r_values[lo:hi].tolist()))
-            if correct:
-                hlo, hhi = int(h_indptr[node]), int(h_indptr[node + 1])
-                if hhi > hlo:
-                    for key, ink in zip(
-                        h_keys[hlo:hhi].tolist(), h_values[hlo:hhi].tolist()
-                    ):
-                        mass += ink * float(hub_deficit[hubs.position(int(key))])
-            out[node] = mass
+            lo, hi = h_indptr[node], h_indptr[node + 1]
+            out[node] = _row_mass(
+                r_values[r_indptr[node] : r_indptr[node + 1]],
+                h_keys[lo:hi],
+                h_values[lo:hi],
+                hubs,
+                hub_deficit,
+            )
+        for node, state in self._overlay.items():
+            out[node] = effective_state_residual_mass(state, hubs, hub_deficit)
         return out
 
     def is_exact_mask(self) -> np.ndarray:
@@ -335,22 +298,36 @@ class ColumnarStateStore:
     # accounting
     # ------------------------------------------------------------------ #
     def stored_entries(self) -> int:
-        """Total sparse entries across planes (overlay-aware, O(overlay))."""
-        return stored_entries(self.arrays, self._overlay)
+        """Total sparse entries across planes (overlay-aware, O(overlay)).
 
-    def nbytes(self) -> int:
-        """Bytes held by the backing arrays (overlay states excluded)."""
-        return int(sum(np.asarray(a).nbytes for a in self.arrays.values()))
+        An O(1) peek at the index-pointer tails (memmaps stay lazy) plus one
+        correction per overlaid node, whose write supersedes its stored row.
+        """
+        indptrs = [self.arrays[f"{plane}_indptr"] for plane in _PLANES]
+        total = sum(int(indptr[-1]) for indptr in indptrs)
+        for node, state in self._overlay.items():
+            stored = sum(int(indptr[node + 1] - indptr[node]) for indptr in indptrs)
+            total += state.stored_entries() - stored
+        return total
+
+    def resident_bytes(self) -> int:
+        """Heap bytes held: non-memmap backing arrays plus the overlay's rows."""
+        total = sum(
+            array.nbytes
+            for array in self.arrays.values()
+            if not isinstance(array, np.memmap)
+        )
+        for state in self._overlay.values():
+            total += state.stored_entries() * (_VALUE_BYTES + _INDEX_BYTES)
+            total += self.capacity * _VALUE_BYTES
+        return int(total)
 
     def __getstate__(self) -> dict:
         """Pickle as flat arrays only: the overlay is merged, never shipped.
 
-        A rollover clone (or a process-pool transfer) of a store with pinned
-        or maintained states would otherwise carry every dict-backed
-        ``NodeState`` along — and the next clone would carry those plus its
-        own, so a served index grew by tens of thousands of Python objects
-        per update batch.  The copy gets :meth:`to_arrays` and an empty
-        overlay; this store is left exactly as it was.
+        A rollover clone (or a process-pool transfer) gets :meth:`to_arrays`
+        and an empty overlay — one generation's writes never ride along into
+        the next; this store is left exactly as it was.
         """
         state = self.__dict__.copy()
         state["arrays"] = self.to_arrays()
@@ -384,6 +361,19 @@ class CollectedStates:
     @property
     def n_sources(self) -> int:
         return int(self.sources.size)
+
+    def state_arrays(self) -> Iterator[Tuple[int, StateArrays]]:
+        """``(source, flat state)`` per collected source, in collection order."""
+        planes = [self.planes[plane] for plane in _PLANES]
+        stops = [np.cumsum(counts).tolist() for counts, _, _ in planes]
+        for row, source in enumerate(self.sources.tolist()):
+            segments = []
+            for (counts, keys, values), stop in zip(planes, stops):
+                rows = slice(stop[row] - int(counts[row]), stop[row])
+                segments.append((keys[rows], values[rows]))
+            yield source, StateArrays(
+                *segments, self.bounds[row], int(self.iterations[row])
+            )
 
 
 def _empty_collected(capacity: int) -> CollectedStates:

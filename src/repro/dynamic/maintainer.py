@@ -24,18 +24,24 @@ trajectory and lands in the bit-identical state.
 3. recomputes the exact hub proximity columns ``P_H`` (they depend globally
    on the graph) and notes which hub columns actually changed;
 4. **invalidates** every non-hub state whose residue/retained support
-   touches a changed column — those are reset and re-refined from scratch
-   as one :class:`~repro.core.propagation.PropagationKernel` run (a blocked
+   touches a changed column — found by vectorised scans over the stores'
+   flat key arrays, never by walking per-node objects — and re-refines
+   those from scratch as one
+   :class:`~repro.core.propagation.PropagationKernel` run (a blocked
    multi-source rebuild under the vectorized backend); if the stale
    fraction reaches ``rebuild_ratio``, a full rebuild is cheaper and runs
    instead;
 5. **re-materializes** the lower bounds of kept states whose hub ink refers
-   to a changed hub column (the dicts are still exact; only the ``P_H``
-   expansion moved);
-6. swaps the new components into the index *in place*
-   (:meth:`~repro.core.index.ReverseTopKIndex.replace_contents`) — one
-   version bump, so the serving layer's result cache drops exactly one
-   generation — and rebinds the engine's transition caches.
+   to a changed hub column (the stored ink is still exact; only the
+   ``P_H`` expansion moved);
+6. writes the result into the index *in place*, as flat segments: the
+   rewritten rows through ``apply_updates`` (``O(rewritten)`` overlay
+   writes, every other row untouched), a full rebuild's fresh store through
+   :meth:`~repro.core.index.ReverseTopKIndex.replace_contents` (sharded:
+   ``adopt``) — one version bump either way, so the serving layer's result
+   cache drops exactly one generation, and an index is array-backed after
+   maintenance however the batch was applied — and rebinds the engine's
+   transition caches.
 
 The invariant all of this preserves: after ``apply()``, the maintained index
 is **bit-identical** to ``build_index`` run from scratch on the new graph
@@ -52,29 +58,27 @@ and the decision legitimately depends on the rounding path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Optional, Set
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
 from .._validation import check_positive_float
 from ..core.config import IndexParams
 from ..core.hubs import HubSet
-from ..core.index import NodeState
+from ..core.index import StateArrays
 from ..core.lbi import (
     _compute_hub_matrix,
     build_index,
     default_hub_selection,
 )
-from ..core.propagation import (
-    KernelWorkspace,
-    PropagationKernel,
-    materialize_lower_bounds,
-)
+from ..core.propagation import KernelWorkspace, PropagationKernel
 from ..core.query import ReverseTopKEngine
 from ..core.sharding import ShardedReverseTopKIndex, build_sharded_index
+from ..core.statestore import ColumnarStateStore
 from ..graph.digraph import DiGraph
 from ..graph.transition import rebuild_transition_columns
+from ..utils.sparsetools import top_k_descending
 from ..utils.timer import Timer
 
 #: Default stale-state fraction past which a full rebuild wins.
@@ -309,7 +313,7 @@ class IndexMaintainer:
                 hubs=fresh.hubs,
                 hub_matrix=fresh.hub_matrix,
                 hub_deficit=fresh.hub_deficit,
-                states=[state for _, state in fresh.states()],
+                states=fresh.store,
             )
         self.engine.rebind(transition)
         n_non_hub = index.n_nodes - len(hubs)
@@ -324,14 +328,7 @@ class IndexMaintainer:
         changed_mask[changed] = True
 
         segments = _array_segments(index)
-        if segments is not None:
-            invalid = _invalid_from_arrays(segments, changed_mask).tolist()
-        else:
-            invalid = [
-                node
-                for node, state in index.states()
-                if not state.is_hub and _touches(node, state, changed_mask)
-            ]
+        invalid = _invalid_from_arrays(segments, changed_mask).tolist()
         n_non_hub = max(1, n - len(hubs))
         staleness = len(invalid) / n_non_hub
         if staleness >= self.rebuild_ratio:
@@ -355,181 +352,115 @@ class IndexMaintainer:
             transition, hub_mask, params, hubs=hubs, hub_matrix=hub_matrix,
             workspace=self._workspace,
         )
-        expansion = kernel.expansion
-
-        if segments is not None:
-            return self._apply_targeted(
-                index, kernel, expansion, segments, invalid, changed_hubs,
-                hubs, hub_matrix, hub_deficit, hub_top_k, transition, staleness,
-            )
-
-        states = [state for _, state in index.states()]
-        for hub in hubs:
-            states[hub] = NodeState(
-                hub_ink={int(hub): 1.0},
-                is_hub=True,
-                lower_bounds=hub_top_k[int(hub)].copy(),
-            )
-        invalid_set = set(invalid)
-        # All invalidated nodes are re-refined as one kernel run — with the
-        # vectorized backend that is a blocked multi-source rebuild instead
-        # of one BCA loop per node.  Per-source bitwise determinism of the
-        # kernel keeps the result identical to a from-scratch build.
-        for node, fresh in zip(invalid, kernel.run(invalid)):
-            states[node] = fresh
-        rematerialized = 0
-        if changed_hubs:
-            for node, state in enumerate(states):
-                if state.is_hub or node in invalid_set or not state.hub_ink:
-                    continue
-                if changed_hubs.intersection(state.hub_ink):
-                    # The dicts are still exact; only the hub expansion the
-                    # lower bounds were materialized through has moved.
-                    materialize_lower_bounds(state, expansion, params.capacity)
-                    rematerialized += 1
-
-        index.replace_contents(
-            hubs=hubs,
-            hub_matrix=hub_matrix,
-            hub_deficit=hub_deficit,
-            states=states,
+        return self._apply_targeted(
+            index, kernel, segments, invalid, changed_hubs,
+            hubs, hub_matrix, hub_deficit, hub_top_k, transition, staleness,
         )
-        self.engine.rebind(transition)
-        return len(invalid), rematerialized, len(hubs), staleness, False
 
     def _apply_targeted(
-        self, index, kernel, expansion, segments, invalid, changed_hubs,
+        self, index, kernel, segments, invalid, changed_hubs,
         hubs, hub_matrix, hub_deficit, hub_top_k, transition, staleness,
     ):
-        """Array-backed delta apply: rewrite only the affected nodes.
+        """Rewrite only the affected nodes, as flat segments.
 
-        The object path above materialises every state and hands
-        ``replace_contents`` a full list — O(n) Python objects per apply.
-        On array-backed indexes (columnar store, array/memmap shards) the
-        same invariant holds with targeted writes: invalidated nodes are
-        re-refined as one kernel run, hub rows are refreshed against the
-        recomputed exact top-K, kept states whose hub ink references a
-        changed hub column get their lower bounds re-expanded — and every
-        *other* node's stored state, mass and columns are untouched, which
-        is exactly what the wholesale path would have recomputed to
-        bit-identical values (unchanged residual support, unchanged hub
-        deficits on the hubs it references).
+        Invalidated nodes are re-refined as one kernel run — per-source
+        bitwise determinism of the kernel keeps the result identical to a
+        from-scratch build — hub rows are refreshed against the recomputed
+        exact top-K, and kept states whose hub ink references a changed hub
+        column get their lower bounds re-expanded.  Every *other* node's
+        stored state, mass and columns are untouched, which is exactly what
+        a wholesale recomputation would reproduce bit for bit (unchanged
+        residual support, unchanged hub deficits on the hubs it references).
         """
-        updates: Dict[int, NodeState] = {}
-        for hub in hubs:
-            updates[int(hub)] = NodeState(
-                hub_ink={int(hub): 1.0},
+        empty = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64))
+        updates: Dict[int, StateArrays] = {
+            int(hub): StateArrays(
+                empty,
+                empty,
+                (np.array([hub], dtype=np.int64), np.ones(1)),
+                hub_top_k[int(hub)].copy(),
                 is_hub=True,
-                lower_bounds=hub_top_k[int(hub)].copy(),
             )
-        invalid_list = [int(node) for node in invalid]
-        for node, fresh in zip(invalid_list, kernel.run(invalid_list)):
-            updates[node] = fresh
+            for hub in hubs
+        }
+        updates.update(kernel.run(invalid).state_arrays())
 
         rematerialized = 0
         if changed_hubs:
-            n = index.n_nodes
-            changed_hub_mask = np.zeros(n, dtype=bool)
+            changed_hub_mask = np.zeros(index.n_nodes, dtype=bool)
             changed_hub_mask[np.asarray(sorted(changed_hubs), dtype=np.int64)] = True
             hit = _plane_hits(segments, "hub_ink", changed_hub_mask)
             for node in np.flatnonzero(hit).tolist():
                 if node in updates:
                     continue
-                # The dicts are still exact; only the hub expansion the
+                # The stored ink is still exact; only the hub expansion the
                 # lower bounds were materialized through has moved.
-                state = index.state(node)
-                materialize_lower_bounds(state, expansion, index.params.capacity)
-                updates[node] = state
+                arrays = index.state_arrays(node)
+                updates[node] = replace(
+                    arrays,
+                    lower_bounds=top_k_descending(
+                        kernel.expansion.expand(arrays), index.capacity
+                    ),
+                )
                 rematerialized += 1
 
         index.apply_updates(
             updates, hub_matrix=hub_matrix, hub_deficit=hub_deficit
         )
         self.engine.rebind(transition)
-        return len(invalid_list), rematerialized, len(hubs), staleness, False
+        return len(invalid), rematerialized, len(hubs), staleness, False
 
 
-def _array_segments(index):
-    """``(start, arrays, overlay)`` per contiguous range, or ``None``.
+def _array_segments(index) -> List[Tuple[int, ColumnarStateStore, np.ndarray]]:
+    """``(start, store, is_hub rows)`` per contiguous node range of ``index``.
 
-    ``None`` means the index stores plain object lists somewhere and the
-    maintainer must walk states the object way.  Memmap shards open their
-    state arrays lazily here — a sequential read over the flat key arrays,
-    not a per-node materialisation.
+    Memmap shards open their stores lazily here — a sequential read over
+    the flat key arrays, not a per-node materialisation.  The hub rows are
+    the store's ``is_hub`` column with its overlay's rows swapped in.
     """
     if isinstance(index, ShardedReverseTopKIndex):
-        segments = []
-        for shard in index.shards:
-            if shard._states is not None:
-                return None
-            segments.append(
-                (shard.start, shard._ensure_state_arrays(), shard._overlay)
-            )
-        return segments
-    store = getattr(index, "store", None)
-    if store is None:
-        return None
-    return [(0, store.arrays, store.overlay)]
+        stores = [(shard.start, shard.store) for shard in index.shards]
+    else:
+        stores = [(0, index.store)]
+    segments = []
+    for start, store in stores:
+        is_hub = np.array(store.arrays["is_hub"], dtype=bool)
+        for local, state in store.overlay.items():
+            is_hub[local] = state.is_hub
+        segments.append((start, store, is_hub))
+    return segments
 
 
 def _plane_hits(segments, plane: str, key_mask: np.ndarray) -> np.ndarray:
-    """Nodes (global ids, as a bool mask) whose ``plane`` support hits the mask.
+    """Non-hub nodes (global ids, as a bool mask) whose ``plane`` support hits the mask.
 
     Vectorised per segment: flag every stored key against ``key_mask``, then
     reduce per row with ``bitwise_or.reduceat`` over the non-empty rows (the
     entries between consecutive non-empty row starts belong exactly to the
-    first — empty rows contribute none).  Overlaid states are checked as
-    objects; they supersede their array rows.
+    first — empty rows contribute none).  Overlaid rows supersede their
+    array rows.
     """
-    n = key_mask.size
-    hit = np.zeros(n, dtype=bool)
-    for start, arrays, overlay in segments:
-        m = int(arrays["is_hub"].shape[0])
-        keys = np.asarray(arrays[f"{plane}_keys"])
-        indptr = np.asarray(arrays[f"{plane}_indptr"])
+    hit = np.zeros(key_mask.size, dtype=bool)
+    for start, store, is_hub in segments:
+        m = store.n_states
+        keys = np.asarray(store.arrays[f"{plane}_keys"])
+        indptr = np.asarray(store.arrays[f"{plane}_indptr"])
         row_hit = np.zeros(m, dtype=bool)
         if keys.size:
             flags = key_mask[keys]
-            counts = np.diff(indptr)
-            nonempty = counts > 0
+            nonempty = np.diff(indptr) > 0
             if np.any(nonempty):
                 row_hit[nonempty] = np.bitwise_or.reduceat(
                     flags, indptr[:-1][nonempty]
                 )
-        row_hit &= ~np.asarray(arrays["is_hub"], dtype=bool)
-        for local, state in overlay.items():
-            row_hit[local] = (not state.is_hub) and any(
-                key_mask[int(key)] for key in getattr(state, plane)
-            )
-        hit[start : start + m] = row_hit
+        for local, state in store.overlay.items():
+            row_hit[local] = key_mask[getattr(state, plane)[0]].any()
+        hit[start : start + m] = row_hit & ~is_hub
     return hit
 
 
 def _invalid_from_arrays(segments, changed_mask: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`_touches` over flattened state arrays.
-
-    A non-hub node is invalid when its retained or residual support — or
-    the node itself — touches a changed transition column.
-    """
-    hit = (
-        _plane_hits(segments, "retained", changed_mask)
-        | _plane_hits(segments, "residual", changed_mask)
-    )
-    for start, arrays, overlay in segments:
-        m = int(arrays["is_hub"].shape[0])
-        own = changed_mask[start : start + m] & ~np.asarray(
-            arrays["is_hub"], dtype=bool
-        )
-        hit[start : start + m] |= own
-        for local, state in overlay.items():
-            hit[start + local] = (not state.is_hub) and _touches(
-                start + local, state, changed_mask
-            )
-    return np.flatnonzero(hit)
-
-
-def _touches(node: int, state: NodeState, changed_mask: np.ndarray) -> bool:
-    """Conservative test: did this state's trajectory read a changed column?
+    """Non-hub nodes whose trajectory may have read a changed column.
 
     Every node that ever propagated ink appears in ``retained`` (it keeps an
     ``alpha`` share), so the retained support covers all columns read.  The
@@ -537,15 +468,14 @@ def _touches(node: int, state: NodeState, changed_mask: np.ndarray) -> bool:
     they cost nothing and keep the test obviously safe for hand-constructed
     states.
     """
-    if changed_mask[node]:
-        return True
-    for key in state.retained:
-        if changed_mask[key]:
-            return True
-    for key in state.residual:
-        if changed_mask[key]:
-            return True
-    return False
+    hit = (
+        _plane_hits(segments, "retained", changed_mask)
+        | _plane_hits(segments, "residual", changed_mask)
+    )
+    for start, store, is_hub in segments:
+        stop = start + store.n_states
+        hit[start:stop] |= changed_mask[start:stop] & ~is_hub
+    return np.flatnonzero(hit)
 
 
 def _changed_hub_columns(

@@ -261,12 +261,13 @@ class DynamicReverseTopKService(ReverseTopKService):
 
         ``n_shards`` / ``memory_budget`` / ``scan_workers`` select the
         partitioned index exactly as on the static service: maintenance
-        invalidations route to the owning shards through the sharded
-        index's ``replace_contents``, the version bump stays global (one
-        retired cache generation per batch), and the re-archive after each
-        batch persists the sharded layout under the new graph's key.  Note
-        that maintenance rebuilds shards in RAM; memmap backing returns at
-        the next warm start from the re-archived layout.
+        writes route to the owning shards' stores through the sharded
+        index's ``apply_updates`` (a full rebuild through ``adopt``), the
+        version bump stays global (one retired cache generation per batch),
+        and the re-archive after each batch persists the sharded layout
+        under the new graph's key.  Note that a full rebuild builds its
+        shards in RAM; memmap backing returns at the next warm start from
+        the re-archived layout.
         """
         from ..graph.transition import transition_matrix, weighted_transition_matrix
 

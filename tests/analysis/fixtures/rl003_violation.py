@@ -23,8 +23,8 @@ def patch_via_alias(path):
     return view
 
 
-class IndexShard:
-    """The registry says ``IndexShard._state_arrays`` holds memmaps."""
+class ColumnarStateStore:
+    """The registry says ``ColumnarStateStore.arrays`` holds memmaps."""
 
     def poke(self, count):
-        self._state_arrays["residual"][:count] = 0.0  # RL003
+        self.arrays["residual"][:count] = 0.0  # RL003

@@ -65,12 +65,12 @@ def test_rl002_names_both_locks_in_the_cycle():
 
 def test_rl003_flags_every_seeded_mutation():
     found = _findings(CASES["RL003"][0], "RL003")
-    # patch_layout seeds 5, patch_via_alias 1, IndexShard.poke 1.
+    # patch_layout seeds 5, patch_via_alias 1, ColumnarStateStore.poke 1.
     assert len(found) == 7, [f.render() for f in found]
     assert {f.symbol for f in found} == {
         "patch_layout",
         "patch_via_alias",
-        "IndexShard.poke",
+        "ColumnarStateStore.poke",
     }
 
 

@@ -112,6 +112,15 @@ def assert_reverse_topk_consistent(result_nodes, exact_matrix, query, k, *, atol
             assert node not in result, f"node {node} (clear non-member) wrongly included"
 
 
+def run_states(kernel, sources):
+    """``kernel.run(sources)`` as by-value ``NodeState`` views aligned with ``sources``."""
+    by_source = {
+        source: arrays.to_state()
+        for source, arrays in kernel.run(sources).state_arrays()
+    }
+    return [by_source[int(source)] for source in sources]
+
+
 @pytest.fixture(scope="session")
 def reverse_topk_checker():
     """Expose the tie-aware checker to test modules as a fixture."""

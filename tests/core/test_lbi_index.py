@@ -317,21 +317,101 @@ class TestColumnarViews:
         assert index.columns.residual_mass[node] == 0.0
         assert bool(index.columns.is_exact[node])
 
-    def test_sync_state_after_in_place_mutation(self, small_index, small_transition):
+    def test_state_is_by_value_until_set_state(self, small_index, small_transition):
+        # index.state(v) is a detached view: refining (mutating) it changes
+        # neither the columns, the version nor a second read — only handing
+        # it back through set_state does.
         index = copy.deepcopy(small_index)
         hub_mask = index.hubs.mask(index.n_nodes)
         matrix = sp.csc_matrix(small_transition)
         node = next(v for v, s in index.states() if not s.is_exact)
         state = index.state(node)
         before = index.columns.lower[:, node].copy()
+        mass_before = index.columns.residual_mass[node]
+        version = index.version
         assert refine_node_state(state, index, matrix, hub_mask)
-        # Without a sync the columns are allowed to lag ...
-        index.sync_state(node)
-        # ... after the sync they must reflect the refined bounds exactly.
-        np.testing.assert_array_equal(
-            index.columns.lower[:, node], state.lower_bounds[: index.capacity]
-        )
+        state.residual[index.n_nodes - 1] = 0.5
+        np.testing.assert_array_equal(index.columns.lower[:, node], before)
+        assert index.columns.residual_mass[node] == mass_before
+        assert index.version == version
+        assert not index.store.overlay
+        again = index.state(node)
+        assert again is not state
+        assert again.residual != state.residual
+        np.testing.assert_array_equal(again.lower_bounds, before)
+
+        index.set_state(node, state)
+        assert index.version == version + 1
+        np.testing.assert_array_equal(index.columns.lower[:, node], state.lower_bounds)
         assert np.all(index.columns.lower[:, node] >= before - 1e-12)
+        assert index.state(node).residual == state.residual
+        # ... and the stored copy is detached from the object handed in.
+        state.lower_bounds[:] = 0.0
+        assert index.state(node).lower_bounds[0] > 0.0
+
+
+def _exact_hub_vector(matrix, hub, params):
+    """The exact proximity vector a build computes for ``hub`` (power method)."""
+    from repro.rwr.power_method import proximity_vector
+
+    return proximity_vector(
+        matrix.tocsr(), hub, alpha=params.alpha, tolerance=params.tolerance
+    ).vector
+
+
+class TestBuildsEqualTheScalarReferenceLoop:
+    """Every build lands in the store; the scalar loop stays the oracle."""
+
+    @pytest.mark.parametrize("nodes", [None, [5, 17, 3, 40]])
+    def test_scalar_store_equals_flattened_reference(
+        self, small_web_graph, small_transition, small_params, nodes
+    ):
+        from repro.core.index import StateArrays, _states_to_arrays
+        from repro.core.lbi import (
+            _HubExpansion,
+            materialize_lower_bounds,
+            run_node_bca,
+        )
+        from repro.core.statestore import (
+            STATE_ARRAY_NAMES,
+            materialization_count,
+            reset_materialization_count,
+        )
+
+        reset_materialization_count()
+        index = build_index(
+            small_web_graph, small_params, transition=small_transition,
+            backend="scalar", nodes=nodes,
+        )
+        assert materialization_count() == 0 and not index.store.overlay
+        n = small_web_graph.n_nodes
+        matrix = sp.csc_matrix(small_transition)
+        hub_mask = index.hubs.mask(n)
+        expansion = _HubExpansion(n, index.hubs, index.hub_matrix)
+        targets = set(range(n) if nodes is None else nodes)
+        reference = []
+        for node in range(n):
+            state = initial_node_state(node, bool(hub_mask[node]))
+            if hub_mask[node]:
+                state.lower_bounds = top_k_descending(
+                    _exact_hub_vector(matrix, node, index.params),
+                    index.capacity,
+                )
+            else:
+                if node in targets:
+                    run_node_bca(state, matrix, hub_mask, index.params)
+                materialize_lower_bounds(state, expansion, index.capacity)
+            reference.append(state)
+        expected = _states_to_arrays(reference, index.capacity)
+        for name in STATE_ARRAY_NAMES:
+            np.testing.assert_array_equal(index.store.arrays[name], expected[name], name)
+        # One node's segments are the flattened reference state, dict order kept.
+        probe = next(iter(targets - set(index.hubs.nodes)))
+        flat = StateArrays.from_state(reference[probe])
+        stored = index.state_arrays(probe)
+        for plane in ("residual", "retained", "hub_ink"):
+            for got, want in zip(getattr(stored, plane), getattr(flat, plane)):
+                np.testing.assert_array_equal(got, want)
 
 
 class TestReplaceContentsValidation:

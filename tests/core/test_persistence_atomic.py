@@ -1,11 +1,14 @@
 """Atomic snapshot writes and pickling of the index and the engine."""
 
+import copy
 import pickle
 
 import numpy as np
 import pytest
 
 from repro.core import ReverseTopKEngine, ReverseTopKIndex
+from repro.core import index as index_module
+from repro.core.statestore import STATE_ARRAY_NAMES, ColumnarStateStore
 from repro.exceptions import SerializationError
 
 
@@ -92,6 +95,73 @@ class TestAtomicSave:
         path.write_bytes(payload[: len(payload) // 2])
         with pytest.raises(SerializationError):
             ReverseTopKIndex.load(path)
+
+
+#: Every array of a monolithic archive: the flattened state layout, one
+#: length-1 array per persisted IndexParams field, and the hub data.  The
+#: archive *is* the store's layout — renaming any of these breaks every
+#: snapshot on disk.
+ARCHIVE_ARRAYS = set(STATE_ARRAY_NAMES) | {
+    "alpha", "capacity", "propagation_threshold", "residue_threshold",
+    "rounding_threshold", "hub_budget", "tolerance", "backend", "block_size",
+    "hubs", "hub_deficit", "hub_rows", "hub_cols", "hub_vals", "hub_shape",
+    "build_seconds",
+}
+
+
+class TestLoadedIndexIsTheSavedIndex:
+    def test_archive_array_set_is_pinned(self, small_index, tmp_path):
+        small_index.save(tmp_path / "index.npz")
+        with np.load(tmp_path / "index.npz") as data:
+            assert set(data.files) == ARCHIVE_ARRAYS
+
+    def test_load_constructs_no_node_states(self, small_index, tmp_path, monkeypatch):
+        small_index.save(tmp_path / "index.npz")
+        constructed = []
+        init = index_module.NodeState.__init__
+
+        def counting_init(self, *args, **kwargs):
+            constructed.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(index_module.NodeState, "__init__", counting_init)
+        loaded = ReverseTopKIndex.load(tmp_path / "index.npz")
+        _ = loaded.columns, loaded.total_bytes()
+        assert not constructed
+        assert isinstance(loaded.store, ColumnarStateStore) and not loaded.store.overlay
+        loaded.state(0)
+        assert len(constructed) == 1  # the counter is live
+
+    def test_write_back_survives_and_resave_is_byte_identical(
+        self, small_index, small_transition, tmp_path
+    ):
+        engine = ReverseTopKEngine(small_transition, copy.deepcopy(small_index))
+        for query in range(engine.n_nodes):
+            engine.query(query, engine.index.capacity, update_index=True)
+        index = engine.index
+        written = sorted(index.store.overlay)
+        assert written, "the queries must have written refinements back"
+        index.save(tmp_path / "first.npz")
+        loaded = ReverseTopKIndex.load(tmp_path / "first.npz")
+        for node in written:
+            assert loaded.state(node).residual == index.state(node).residual
+            assert loaded.state(node).retained == index.state(node).retained
+            np.testing.assert_array_equal(
+                loaded.state_arrays(node).lower_bounds,
+                index.state_arrays(node).lower_bounds,
+            )
+        for column in ("lower", "residual_mass", "is_exact"):
+            np.testing.assert_array_equal(
+                getattr(loaded.columns, column), getattr(index.columns, column)
+            )
+        loaded.save(tmp_path / "second.npz")
+        with np.load(tmp_path / "first.npz") as first, np.load(
+            tmp_path / "second.npz"
+        ) as second:
+            assert set(first.files) == set(second.files) == ARCHIVE_ARRAYS
+            for name in ARCHIVE_ARRAYS:
+                assert first[name].dtype == second[name].dtype, name
+                assert first[name].tobytes() == second[name].tobytes(), name
 
 
 class TestIndexPickling:

@@ -49,6 +49,8 @@ def kernel_inputs(small_web_graph, small_transition, small_params):
 
 class TestKernelBackends:
     def test_scalar_backend_matches_seed_loop(self, kernel_inputs):
+        from tests.conftest import run_states
+
         # The scalar backend IS the seed implementation: states produced by
         # kernel.run must be bit-identical to driving the per-node primitives
         # (initial state -> run_node_bca -> materialize) by hand.
@@ -58,7 +60,7 @@ class TestKernelBackends:
             backend="scalar",
         )
         sources = [node for node in range(matrix.shape[0]) if not hub_mask[node]]
-        states = kernel.run(sources)
+        states = run_states(kernel, sources)
         expansion = _HubExpansion(matrix.shape[0], hubs, hub_matrix)
         for source, state in zip(sources, states):
             reference = initial_node_state(source, False)
@@ -70,6 +72,8 @@ class TestKernelBackends:
         # A source's trajectory must not depend on which other sources share
         # its block: tiny blocks, huge blocks and single-source runs all
         # produce bit-identical states.
+        from tests.conftest import run_states
+
         matrix, hub_mask, params, hubs, hub_matrix = kernel_inputs
         sources = [node for node in range(matrix.shape[0]) if not hub_mask[node]]
 
@@ -78,7 +82,7 @@ class TestKernelBackends:
                 matrix, hub_mask, replace(params, block_size=block_size),
                 hubs=hubs, hub_matrix=hub_matrix,
             )
-            return kernel.run(sources)
+            return run_states(kernel, sources)
 
         wide = build_with(512)
         narrow = build_with(2)
@@ -88,19 +92,27 @@ class TestKernelBackends:
             matrix, hub_mask, params, hubs=hubs, hub_matrix=hub_matrix
         )
         for source, state in zip(sources[:5], wide[:5]):
-            _states_bit_identical(state, solo_kernel.run([source])[0])
+            _states_bit_identical(state, run_states(solo_kernel, [source])[0])
 
     def test_vectorized_close_to_scalar(self, kernel_inputs):
+        from tests.conftest import run_states
+
         matrix, hub_mask, params, hubs, hub_matrix = kernel_inputs
         sources = [node for node in range(matrix.shape[0]) if not hub_mask[node]]
         expansion = _HubExpansion(matrix.shape[0], hubs, hub_matrix)
-        vectorized = PropagationKernel(
-            matrix, hub_mask, params, hubs=hubs, hub_matrix=hub_matrix
-        ).run(sources)
-        scalar = PropagationKernel(
-            matrix, hub_mask, params, hubs=hubs, hub_matrix=hub_matrix,
-            backend="scalar",
-        ).run(sources)
+        vectorized = run_states(
+            PropagationKernel(
+                matrix, hub_mask, params, hubs=hubs, hub_matrix=hub_matrix
+            ),
+            sources,
+        )
+        scalar = run_states(
+            PropagationKernel(
+                matrix, hub_mask, params, hubs=hubs, hub_matrix=hub_matrix,
+                backend="scalar",
+            ),
+            sources,
+        )
         for vec_state, sca_state in zip(vectorized, scalar):
             np.testing.assert_allclose(
                 expansion.expand(vec_state), expansion.expand(sca_state),
@@ -261,7 +273,7 @@ class TestBuildBackends:
                 rebuilt = rebuild_node_state(
                     int(node), matrix, hub_mask, index.params, expansion
                 )
-                _states_bit_identical(rebuilt, index.state(int(node)))
+                _states_bit_identical(rebuilt.to_state(), index.state(int(node)))
 
     def test_refine_uses_index_backend(self, small_web_graph, small_transition, small_params):
         # Whichever backend built the index, refinement routes through the

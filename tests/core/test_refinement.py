@@ -56,7 +56,7 @@ def _overlays(index):
     shards = getattr(index, "shards", None)
     if shards is None:
         return [index.store.overlay]
-    return [shard._overlay for shard in shards]
+    return [shard.store.overlay for shard in shards]
 
 
 def _engines(web, tmp_path):
@@ -78,9 +78,9 @@ def _engines(web, tmp_path):
 
 class TestReadOnlyQueriesLeaveTheStoreUntouched:
     def test_no_overlay_growth_and_no_materialisation(self, web, tmp_path):
-        # Regression: _refine_candidate used index.state(node), which pins a
-        # dict-backed NodeState in the store / shard overlay per distinct
-        # refined candidate — forever, on the read-only serving path.
+        # Regression: _refine_candidate once read index.state(node), which
+        # pinned a dict-backed NodeState in the overlay per distinct refined
+        # candidate — forever, on the read-only serving path.
         queries = list(range(30, 90))
         answers = {}
         for name, engine in _engines(web, tmp_path):
@@ -136,8 +136,8 @@ class TestWriteBack:
                 index.columns.lower[:, node], state.lower_bounds
             )
             assert index.columns.residual_mass[node] == index.state_residual_mass(state)
-            assert list(state.residual) == sorted(state.residual)
-            assert list(state.retained) == sorted(state.retained)
+            assert state.residual[0].tolist() == sorted(state.residual[0])
+            assert state.retained[0].tolist() == sorted(state.retained[0])
         index.save(tmp_path / "refined.npz")
         loaded = type(index).load(tmp_path / "refined.npz")
         np.testing.assert_array_equal(loaded.columns.lower, index.columns.lower)
@@ -165,14 +165,14 @@ class TestWriteBack:
             # ink retained, none parked at hubs, nothing left to propagate.
             solved = [
                 state for state in overlay.values()
-                if not state.residual and not state.hub_ink
+                if not state.residual[0].size and not state.hub_ink[0].size
             ]
             assert solved
             for state in solved:
-                assert sum(state.retained.values()) == pytest.approx(1.0, abs=1e-6)
+                assert state.retained[1].sum() == pytest.approx(1.0, abs=1e-6)
                 np.testing.assert_array_equal(
                     state.lower_bounds,
-                    np.sort(list(state.retained.values()))[::-1][: WEAK.capacity],
+                    np.sort(state.retained[1])[::-1][: WEAK.capacity],
                 )
 
 
@@ -200,7 +200,7 @@ class TestNodeStateEntryPoint:
         hub_mask = index.hubs.mask(graph.n_nodes)
         csc = sp.csc_matrix(matrix)
         node = int(np.flatnonzero(~np.asarray(index.columns.is_exact))[0])
-        state = index.store.peek_state(node)
+        state = index.state(node)
         kernel = PropagationKernel(
             csc, hub_mask, index.params, hubs=index.hubs, hub_matrix=index.hub_matrix
         )
@@ -229,7 +229,7 @@ class TestNodeStateEntryPoint:
         graph, matrix = web
         index = build_index(graph, WEAK, transition=matrix)
         hub = index.hubs.nodes[0]
-        state = index.store.peek_state(hub)
+        state = index.state(hub)
         before = copy.deepcopy(state)
         assert not refine_node_state(
             state, index, sp.csc_matrix(matrix), index.hubs.mask(graph.n_nodes)
@@ -342,7 +342,7 @@ class TestRefinementConvergesByConstruction:
             reference = run_node_bca(
                 initial_node_state(node, False), csc, hub_mask, index.params
             )
-            built = index.store.peek_state(node)
+            built = index.state(node)
             assert built.iterations == reference.iterations
             assert built.residual == pytest.approx(reference.residual, abs=1e-12)
             assert built.retained == pytest.approx(reference.retained, abs=1e-12)

@@ -95,30 +95,8 @@ class TestShardedIndexRam:
         state = sharded.state(50)
         sharded.set_state(50, state)
         assert sharded.version == 1
-        sharded.sync_state(100)
+        sharded.set_state(100, sharded.state_arrays(100))
         assert sharded.version == 2
-
-    def test_replace_contents_validations(self, medium_setup):
-        _, _, _, index = medium_setup
-        sharded = ShardedReverseTopKIndex.from_index(index, 3)
-        with pytest.raises(ValueError):
-            sharded.replace_contents(states=[])
-        with pytest.raises(ValueError):
-            sharded.replace_contents(hub_deficit=np.zeros(len(index.hubs) + 1))
-
-    def test_replace_contents_single_version_bump_and_reroute(self, medium_setup):
-        _, _, _, index = medium_setup
-        sharded = ShardedReverseTopKIndex.from_index(index, 3)
-        states = [state for _, state in sharded.states()]
-        sharded.replace_contents(states=states)
-        assert sharded.version == 1
-        # Columns rebuilt per shard from the given states.
-        columns = index.columns
-        for shard in sharded.shards:
-            np.testing.assert_array_equal(
-                np.asarray(shard.columns.lower),
-                columns.lower[:, shard.start : shard.stop],
-            )
 
     def test_adopt_swaps_in_place_with_one_bump(self, medium_setup):
         graph, matrix, params, index = medium_setup
@@ -192,22 +170,23 @@ class TestShardedLayoutOnDisk:
         for path in sorted(directory.iterdir()):
             assert path.read_bytes() == snapshot[path.name], path.name
 
-    def test_sync_state_preserves_in_place_mutations_on_memmap(
+    def test_state_is_by_value_and_set_state_writes_on_memmap(
         self, medium_setup, tmp_path
     ):
-        # Regression: lazy shards used to hand out ephemeral state copies,
-        # so the monolithic contract (mutate in place, then sync_state)
-        # silently dropped the mutation while still bumping the version.
+        # A lazy shard hands out detached views: mutating one changes nothing
+        # (no pin, no version bump) until it is handed back via set_state.
         _, _, _, index = medium_setup
         ShardedReverseTopKIndex.from_index(index, 3).persist(tmp_path / "sync")
         loaded = ShardedReverseTopKIndex.load(tmp_path / "sync", memory_budget=0)
-        node = 7
+        node = next(v for v, s in index.states() if s.residual)
         state = loaded.state(node)
-        assert loaded.state(node) is state  # pinned: one identity per node
+        assert loaded.state(node) is not state
         state.residual.clear()
-        loaded.sync_state(node)
-        assert loaded.state(node).residual == {}
         shard, local = loaded.shard_of(node)
+        assert loaded.state(node).residual and not shard.store.overlay
+        assert loaded.version == 0 and not shard.is_promoted
+        loaded.set_state(node, state)
+        assert loaded.state(node).residual == {} and loaded.version == 1
         assert bool(np.asarray(shard.columns.is_exact)[local])
 
     def test_state_arrays_stay_memmapped_per_node(self, medium_setup, tmp_path):
@@ -220,10 +199,10 @@ class TestShardedLayoutOnDisk:
         shard, _ = loaded.shard_of(0)
         loaded.state(0)
         assert all(
-            isinstance(array, np.memmap) for array in shard._state_arrays.values()
+            isinstance(array, np.memmap) for array in shard.store.arrays.values()
         )
-        # Resident cost is the one pinned state, not the shard's arrays.
-        assert shard.resident_bytes() < shard.n_nodes * loaded.capacity
+        # Nothing became resident: the view is by value, the arrays mapped.
+        assert not shard.store.overlay and shard.resident_bytes() == 0
 
     def test_directory_without_budget_archives_ram_build(
         self, medium_setup, tmp_path
@@ -287,6 +266,42 @@ class TestShardedLayoutOnDisk:
         assert len(blob) < len(pickle.dumps(ReverseTopKEngine(matrix, index)))
         engine.close()
         clone.close()
+
+
+    def test_written_memmap_shard_pickles_a_merged_store(self, medium_setup, tmp_path):
+        # The store's own __getstate__: a shard carrying write-backs ships
+        # flat arrays with the overlay merged in (never the overlay itself);
+        # its clean neighbours still ship a path reference only.
+        _, _, _, index = medium_setup
+        directory = tmp_path / "written"
+        ShardedReverseTopKIndex.from_index(index, 3).persist(directory)
+        loaded = ShardedReverseTopKIndex.load(directory, memory_budget=0)
+        node = 5
+        state = loaded.state(node)
+        state.retained[0] = 0.25
+        loaded.set_state(node, state)
+        clone = pickle.loads(pickle.dumps(loaded))
+        # The second generation's store is clean but no longer disk-backed:
+        # its merged heap arrays must keep shipping, or the third reopens the
+        # stale layout under the promoted columns.
+        for clone in (clone, pickle.loads(pickle.dumps(clone))):
+            written, local = clone.shard_of(node)
+            assert written.is_promoted and not written.store.overlay
+            assert clone.state(node).retained == loaded.state(node).retained
+            assert loaded.shard_of(node)[0].store.overlay.keys() == {local}
+            for shard in clone.shards:
+                if shard is not written:
+                    assert shard._store is None and shard._lower is None
+            assert clone.total_bytes() == loaded.total_bytes()
+            for (_, a), (_, b) in zip(clone.states(), loaded.states()):
+                assert (a.residual, a.retained, a.hub_ink) == (
+                    b.residual, b.retained, b.hub_ink
+                )
+            for a, b in zip(clone.shards, loaded.shards):
+                for column in ("lower", "residual_mass", "is_exact"):
+                    np.testing.assert_array_equal(
+                        getattr(a.columns, column), getattr(b.columns, column)
+                    )
 
 
 class TestBuildShardedIndex:

@@ -1,11 +1,11 @@
-"""Columnar node-state store: bitwise parity with per-node objects.
+"""Columnar node-state store: the one container of per-node state.
 
 The build/shard hot paths write residual / retained / hub-ink entries
-straight into preallocated struct-of-arrays storage; ``NodeState`` survives
-only as a lazy per-node *view*.  These tests pin the contract:
+straight into struct-of-arrays storage; ``NodeState`` survives only as a
+by-value per-node *view*.  These tests pin the contract:
 
-* a store-backed build is **bit-identical** to an object-backed index over
-  the same states (columns, per-node dicts, bounds);
+* every index owns a store — a ``List[NodeState]`` handed to the constructor
+  is flattened once, there, to the byte-identical arrays;
 * building never materialises per-node ``NodeState`` objects (module
   counter);
 * the columnar store round-trips through sharded memmap persist/load and
@@ -24,6 +24,7 @@ from repro.core.lbi import build_index
 from repro.core.sharding import ShardedReverseTopKIndex, build_sharded_index
 from repro.core.statestore import (
     STATE_ARRAY_NAMES,
+    ColumnarStateStore,
     materialization_count,
     reset_materialization_count,
 )
@@ -43,19 +44,6 @@ def store_index(graph):
     return build_index(graph, PARAMS.for_graph(graph.n_nodes))
 
 
-@pytest.fixture(scope="module")
-def object_twin(store_index):
-    # Same states, object-backed: the representation under test vs the
-    # historical one, with identical kernel parameters.
-    return ReverseTopKIndex(
-        store_index.params,
-        store_index.hubs,
-        store_index.hub_matrix,
-        store_index.hub_deficit,
-        [state for _, state in store_index.states()],
-    )
-
-
 def assert_states_equal(left, right):
     for (node_a, state_a), (node_b, state_b) in zip(left.states(), right.states()):
         assert node_a == node_b
@@ -66,23 +54,32 @@ def assert_states_equal(left, right):
         np.testing.assert_array_equal(state_a.lower_bounds, state_b.lower_bounds)
 
 
-class TestStoreVersusObjects:
-    def test_build_is_store_backed_for_vector_backends(self, store_index):
-        assert store_index.store is not None
+class TestEveryIndexOwnsAStore:
+    @pytest.mark.parametrize("backend", ["vectorized", "sparse", "scalar"])
+    def test_every_build_is_store_backed(self, graph, backend):
+        index = build_index(graph, PARAMS.for_graph(graph.n_nodes), backend=backend)
+        assert isinstance(index.store, ColumnarStateStore)
+        assert not index.store.overlay
 
-    def test_columns_bitwise_equal(self, store_index, object_twin):
-        np.testing.assert_array_equal(
-            store_index.columns.lower, object_twin.columns.lower
+    def test_state_list_is_flattened_once_at_the_constructor(self, store_index):
+        # store -> by-value states -> constructor -> store: the same bytes.
+        twin = ReverseTopKIndex(
+            store_index.params,
+            store_index.hubs,
+            store_index.hub_matrix,
+            store_index.hub_deficit,
+            [state for _, state in store_index.states()],
         )
-        np.testing.assert_array_equal(
-            store_index.columns.residual_mass, object_twin.columns.residual_mass
-        )
-        np.testing.assert_array_equal(
-            store_index.columns.is_exact, object_twin.columns.is_exact
-        )
-
-    def test_states_bitwise_equal(self, store_index, object_twin):
-        assert_states_equal(store_index, object_twin)
+        assert isinstance(twin.store, ColumnarStateStore)
+        for name in STATE_ARRAY_NAMES:
+            np.testing.assert_array_equal(
+                twin.store.arrays[name], store_index.store.arrays[name]
+            )
+            assert twin.store.arrays[name].dtype == store_index.store.arrays[name].dtype
+        for column in ("lower", "residual_mass", "is_exact"):
+            np.testing.assert_array_equal(
+                getattr(twin.columns, column), getattr(store_index.columns, column)
+            )
 
     def test_build_emits_observability_counters(self, graph):
         registry = get_registry()
@@ -110,8 +107,10 @@ class TestNoMaterializationOnBuild:
             graph, PARAMS.for_graph(graph.n_nodes), n_shards=3
         )
         assert materialization_count() == 0
-        # Accessing a state lazily *does* count — the counter is live.
+        # Asking for a by-value view *does* count — the counter is live —
+        # while the flat-segment read the engine uses does not.
         _ = index.state(0)
+        _ = index.state_arrays(0)
         assert materialization_count() == 1
 
     def test_monolithic_build_materialises_zero_nodestates(self, graph):
@@ -164,14 +163,17 @@ class TestRoundTrips:
         """The copy gets flat arrays and an empty overlay (rollover clones)."""
         index = build_index(graph, PARAMS.for_graph(graph.n_nodes))
         store = index.store
-        # Pin a few states and rewrite them the way refinement and the
-        # maintainer do: grown, shrunk and emptied sparse rows.
+        # Rewrite a few states the way refinement and the maintainer do:
+        # grown, shrunk and emptied sparse rows.
         grown, shrunk, emptied = [
             node for node, state in index.states() if state.residual
         ][:3]
-        store.state(grown).residual[graph.n_nodes - 1] = 0.125
-        store.state(shrunk).residual.popitem()
-        store.state(emptied).residual.clear()
+        views = {node: index.state(node) for node in (grown, shrunk, emptied)}
+        views[grown].residual[graph.n_nodes - 1] = 0.125
+        views[shrunk].residual.popitem()
+        views[emptied].residual.clear()
+        for node, view in views.items():
+            index.set_state(node, view)
         pinned = dict(store.overlay)
         expected = store.to_arrays()
 
@@ -184,7 +186,7 @@ class TestRoundTrips:
             np.testing.assert_array_equal(clone.store.arrays[name], expected[name])
         assert_states_equal(index, clone)
         # Storage order feeds the sequential mass sums: it must survive too.
-        assert list(clone.state(grown).residual) == list(pinned[grown].residual)
+        assert list(clone.state(grown).residual) == list(views[grown].residual)
         assert clone.store.stored_entries() == store.stored_entries()
 
     def test_state_array_layout_is_stable(self):

@@ -11,6 +11,12 @@ import numpy as np
 import pytest
 
 from repro.core import IndexParams, ReverseTopKEngine, build_index
+from repro.core.statestore import (
+    STATE_ARRAY_NAMES,
+    ColumnarStateStore,
+    materialization_count,
+    reset_materialization_count,
+)
 from repro.dynamic import DynamicGraph, IndexMaintainer
 from repro.graph import copying_web_graph, erdos_renyi_graph, transition_matrix
 
@@ -77,6 +83,9 @@ def assert_engines_bit_identical(maintained, fresh):
     np.testing.assert_array_equal(
         maintained.index.columns.is_exact, fresh.index.columns.is_exact
     )
+    kept, rebuilt = maintained.index.store.to_arrays(), fresh.index.store.to_arrays()
+    for name in STATE_ARRAY_NAMES:
+        np.testing.assert_array_equal(kept[name], rebuilt[name], name)
 
 
 def assert_answers_identical(maintained, fresh, k):
@@ -182,6 +191,40 @@ class TestEscapeHatches:
         assert report.staleness > 0
         assert report.full_rebuild
         assert_engines_bit_identical(engine, build_engine(new_graph))
+
+    def test_full_rebuild_does_not_demote_the_index(self):
+        # Regression: the monolithic full rebuild handed replace_contents a
+        # NodeState list, which silently switched the live index to object
+        # storage — every later batch then walked n objects instead of
+        # taking the targeted path — for the rest of the service's life.
+        graph = copying_web_graph(60, out_degree=4, seed=10)
+        engine = build_engine(graph)
+        maintainer = IndexMaintainer(engine, rebuild_ratio=1e-9)
+        dynamic = DynamicGraph(graph)
+        dynamic.add_edge(*pick_hub_stable_insertion(graph, require_non_hub=True))
+        rebuilt_graph, touched = dynamic.drain()
+        reset_materialization_count()
+        assert maintainer.apply(rebuilt_graph, touched).full_rebuild
+        store = engine.index.store
+        assert isinstance(store, ColumnarStateStore) and not store.overlay
+
+        targeted = []
+        apply_targeted = maintainer._apply_targeted
+        maintainer._apply_targeted = lambda *args: (
+            targeted.append(1) or apply_targeted(*args)
+        )
+        maintainer.rebuild_ratio = 1.0
+        dynamic.add_edge(
+            *pick_hub_stable_insertion(rebuilt_graph, require_non_hub=True)
+        )
+        new_graph, touched = dynamic.drain()
+        report = maintainer.apply(new_graph, touched)
+        assert report.changed and not report.full_rebuild and targeted
+        assert engine.index.store is store and store.overlay
+        assert materialization_count() == 0
+        assert_engines_bit_identical(
+            engine, build_engine(new_graph, hubs=engine.index.hubs)
+        )
 
     def test_reselect_policy_rebuilds_on_hub_churn(self):
         # Adding many out-edges to one tail node shifts the degree-based hub

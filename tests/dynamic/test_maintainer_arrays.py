@@ -1,21 +1,26 @@
-"""Maintainer targeted fast path over columnar stores.
+"""Maintainer targeted path over columnar stores.
 
-When the index keeps its node state in struct-of-arrays form (monolithic
-store or sharded columnar shards), the maintainer detects invalidation and
-hub-proximity hits with vectorised segment scans and applies the delta via
-``apply_updates`` — no full-state materialisation.  The contract: the fast
-path is **bit-identical** to the historical object path (same backend) and
-to a from-scratch build on the post-churn graph under pinned hubs.
+The index keeps its node state in struct-of-arrays form (monolithic store or
+per-shard stores); the maintainer detects invalidation and hub-proximity hits
+with vectorised segment scans and applies the delta via ``apply_updates`` —
+no per-node materialisation.  The contract, against one oracle: the
+maintained index is **bit-identical** (columns and every state array) to a
+from-scratch build on the post-churn graph under the pinned hubs, and the
+sharded index to the monolithic one.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import IndexParams
-from repro.core.index import ReverseTopKIndex
 from repro.core.lbi import build_index
 from repro.core.query import ReverseTopKEngine
 from repro.core.sharding import ShardedReverseTopKEngine, build_sharded_index
+from repro.core.statestore import (
+    STATE_ARRAY_NAMES,
+    materialization_count,
+    reset_materialization_count,
+)
 from repro.dynamic.maintainer import IndexMaintainer
 from repro.graph.builder import from_edges
 from repro.graph.datasets import load_dataset
@@ -53,43 +58,28 @@ def mutate(graph, seed, *, from_hub=None):
 
 
 def engines_for(graph):
-    """(store-backed engine, object-twin engine, sharded engine) — same backend."""
+    """(monolithic engine, sharded engine) over the same graph and backend."""
     matrix = transition_matrix(graph)
     params = PARAMS.for_graph(graph.n_nodes)
-    fast_index = build_index(graph, params, transition=matrix)
-    assert fast_index.store is not None
-    object_twin = ReverseTopKIndex(
-        fast_index.params,
-        fast_index.hubs,
-        fast_index.hub_matrix,
-        fast_index.hub_deficit,
-        [state for _, state in fast_index.states()],
-    )
-    assert object_twin.store is None
     sharded = build_sharded_index(
         graph, params, transition=matrix, n_shards=3
     )
     return (
-        ReverseTopKEngine(matrix, fast_index),
-        ReverseTopKEngine(transition_matrix(graph), object_twin),
+        ReverseTopKEngine(matrix, build_index(graph, params, transition=matrix)),
         ShardedReverseTopKEngine(transition_matrix(graph), sharded),
     )
 
 
-def assert_indexes_equal(fast, other):
-    np.testing.assert_array_equal(
-        np.asarray(fast.columns.lower), np.asarray(other.columns.lower)
-    )
-    np.testing.assert_array_equal(
-        np.asarray(fast.columns.residual_mass),
-        np.asarray(other.columns.residual_mass),
-    )
-    for (node_a, state_a), (node_b, state_b) in zip(fast.states(), other.states()):
-        assert node_a == node_b
-        assert state_a.residual == state_b.residual
-        assert state_a.retained == state_b.retained
-        assert state_a.hub_ink == state_b.hub_ink
-        np.testing.assert_array_equal(state_a.lower_bounds, state_b.lower_bounds)
+def assert_equals_fresh_build(maintained, graph):
+    """Maintained == build_index from scratch under the maintained hub set."""
+    fresh = build_index(graph, maintained.params, hubs=maintained.hubs)
+    for column in ("lower", "residual_mass", "is_exact"):
+        np.testing.assert_array_equal(
+            getattr(maintained.columns, column), getattr(fresh.columns, column)
+        )
+    kept, rebuilt = maintained.store.to_arrays(), fresh.store.to_arrays()
+    for name in STATE_ARRAY_NAMES:
+        np.testing.assert_array_equal(kept[name], rebuilt[name], name)
 
 
 def assert_sharded_matches(sharded_index, mono_index):
@@ -100,75 +90,67 @@ def assert_sharded_matches(sharded_index, mono_index):
         )
 
 
-class TestTargetedFastPath:
-    def test_fast_path_matches_object_path_and_fresh_build(self, base_graph):
+class TestTargetedPath:
+    def test_maintained_matches_fresh_build_and_sharded(self, base_graph):
         new_graph, touched = mutate(base_graph, seed=42)
-        eng_fast, eng_obj, eng_sharded = engines_for(base_graph)
+        eng_mono, eng_sharded = engines_for(base_graph)
 
-        report_fast = IndexMaintainer(eng_fast, rebuild_ratio=1.0).apply(
-            new_graph, touched
-        )
-        report_obj = IndexMaintainer(eng_obj, rebuild_ratio=1.0).apply(
+        reset_materialization_count()
+        report = IndexMaintainer(eng_mono, rebuild_ratio=1.0).apply(
             new_graph, touched
         )
         report_sharded = IndexMaintainer(eng_sharded, rebuild_ratio=1.0).apply(
             new_graph, touched
         )
+        assert materialization_count() == 0
 
-        assert not report_fast.full_rebuild
-        assert report_fast.n_invalidated == report_obj.n_invalidated
-        assert report_fast.n_rematerialized == report_obj.n_rematerialized
-        assert report_sharded.n_invalidated == report_fast.n_invalidated
-
-        assert_indexes_equal(eng_fast.index, eng_obj.index)
-        assert_sharded_matches(eng_sharded.index, eng_fast.index)
-
-        # Maintained == from-scratch under the same (pinned) hub set.
-        fresh = build_index(new_graph, eng_fast.index.params, hubs=eng_fast.index.hubs)
-        np.testing.assert_array_equal(
-            eng_fast.index.columns.lower, fresh.columns.lower
-        )
-        np.testing.assert_array_equal(
-            eng_fast.index.columns.residual_mass, fresh.columns.residual_mass
-        )
+        assert not report.full_rebuild and report.n_invalidated > 0
+        assert report_sharded.n_invalidated == report.n_invalidated
+        assert report_sharded.n_rematerialized == report.n_rematerialized
+        assert_equals_fresh_build(eng_mono.index, new_graph)
+        assert_sharded_matches(eng_sharded.index, eng_mono.index)
 
     def test_query_parity_after_maintenance(self, base_graph):
         new_graph, touched = mutate(base_graph, seed=7)
-        eng_fast, _, eng_sharded = engines_for(base_graph)
-        IndexMaintainer(eng_fast, rebuild_ratio=1.0).apply(new_graph, touched)
+        eng_mono, eng_sharded = engines_for(base_graph)
+        IndexMaintainer(eng_mono, rebuild_ratio=1.0).apply(new_graph, touched)
         IndexMaintainer(eng_sharded, rebuild_ratio=1.0).apply(new_graph, touched)
         rng = np.random.default_rng(3)
         for query in rng.choice(base_graph.n_nodes, size=6, replace=False).tolist():
-            mono = eng_fast.query(int(query), 3, update_index=False)
+            mono = eng_mono.query(int(query), 3, update_index=False)
             sharded = eng_sharded.query(int(query), 3, update_index=False)
             np.testing.assert_array_equal(
                 np.asarray(mono.nodes), np.asarray(sharded.nodes)
             )
 
     def test_hub_out_edge_triggers_rematerialisation(self, base_graph):
-        eng_fast, eng_obj, _ = engines_for(base_graph)
-        hub = int(eng_fast.index.hubs.nodes[0])
+        eng_mono, eng_sharded = engines_for(base_graph)
+        hub = int(eng_mono.index.hubs.nodes[0])
         new_graph, touched = mutate(base_graph, seed=11, from_hub=hub)
-        report_fast = IndexMaintainer(eng_fast, rebuild_ratio=1.0).apply(
+        reset_materialization_count()
+        report = IndexMaintainer(eng_mono, rebuild_ratio=1.0).apply(
             new_graph, touched
         )
-        report_obj = IndexMaintainer(eng_obj, rebuild_ratio=1.0).apply(
+        report_sharded = IndexMaintainer(eng_sharded, rebuild_ratio=1.0).apply(
             new_graph, touched
         )
-        assert report_fast.n_rematerialized > 0
-        assert report_fast.n_rematerialized == report_obj.n_rematerialized
-        assert_indexes_equal(eng_fast.index, eng_obj.index)
+        assert report.n_rematerialized > 0
+        assert report_sharded.n_rematerialized == report.n_rematerialized
+        assert materialization_count() == 0  # re-expanded as flat segments
+        assert_equals_fresh_build(eng_mono.index, new_graph)
+        assert_sharded_matches(eng_sharded.index, eng_mono.index)
 
     def test_second_round_with_overlays_present(self, base_graph):
         graph_one, touched_one = mutate(base_graph, seed=42)
-        eng_fast, eng_obj, eng_sharded = engines_for(base_graph)
-        for engine in (eng_fast, eng_obj, eng_sharded):
+        engines = engines_for(base_graph)
+        for engine in engines:
             IndexMaintainer(engine, rebuild_ratio=1.0).apply(graph_one, touched_one)
+        assert engines[0].index.store.overlay
         graph_two, touched_two = mutate(graph_one, seed=99)
         reports = [
             IndexMaintainer(engine, rebuild_ratio=1.0).apply(graph_two, touched_two)
-            for engine in (eng_fast, eng_obj, eng_sharded)
+            for engine in engines
         ]
         assert len({report.n_invalidated for report in reports}) == 1
-        assert_indexes_equal(eng_fast.index, eng_obj.index)
-        assert_sharded_matches(eng_sharded.index, eng_fast.index)
+        assert_equals_fresh_build(engines[0].index, graph_two)
+        assert_sharded_matches(engines[1].index, engines[0].index)

@@ -217,16 +217,22 @@ class TestRolloverManager:
 class TestRolloverFootprint:
     """Regression: a generation inherits its parent's answers, not its objects.
 
-    The clone pickled the parent store's overlay of dict-backed ``NodeState``
-    views and then added its own batch's, so every rollover made the served
-    index heavier.  ``ColumnarStateStore.__getstate__`` now ships merged flat
-    arrays and an empty overlay.
+    The clone pickled the parent's overlay of written states and then added
+    its own batch's, so every rollover made the served index heavier.
+    ``ColumnarStateStore.__getstate__`` ships merged flat arrays and an empty
+    overlay — for the monolithic index's store and, since a shard owns a
+    store too, for every shard of a sharded deployment.
     """
 
     N_BATCHES = 30
 
     @staticmethod
-    def roll(graph, on_generation, mirror=None):
+    def overlays(index):
+        shards = getattr(index, "shards", None)
+        return [shard.store.overlay for shard in shards] if shards else [index.store.overlay]
+
+    @staticmethod
+    def roll(graph, on_generation, mirror=None, **deployment):
         """Apply ``N_BATCHES`` one-edge batches through a ``RolloverManager``.
 
         ``on_generation(service, report)`` observes each fresh generation;
@@ -236,7 +242,7 @@ class TestRolloverFootprint:
         present = {(u, v) for u, v, _ in graph.edges()}
 
         async def scenario():
-            service = DynamicReverseTopKService.from_graph(graph)
+            service = DynamicReverseTopKService.from_graph(graph, **deployment)
             with ThreadPoolExecutor(max_workers=2) as executor:
                 manager = make_manager(service, executor)
                 for _ in range(TestRolloverFootprint.N_BATCHES):
@@ -260,8 +266,23 @@ class TestRolloverFootprint:
     def graph(self):
         return copying_web_graph(400, out_degree=5, seed=5)
 
-    def test_fresh_generation_carries_only_its_own_batch(self, graph):
-        mirror = DynamicReverseTopKService.from_graph(graph)
+    @pytest.mark.parametrize("deployment", ["monolithic", "ram_shards", "memmap_shards"])
+    def test_fresh_generation_carries_only_its_own_batch(
+        self, graph, deployment, tmp_path
+    ):
+        # Memmap shards: a shard a batch leaves unwritten is pickled clean but
+        # heap-backed from the second generation on — its merged rows must
+        # keep shipping, not fall back to the layout's stale files.
+        def options(name):
+            return {
+                "monolithic": {},
+                "ram_shards": {"n_shards": 3},
+                "memmap_shards": {
+                    "n_shards": 3, "memory_budget": 0, "snapshot_dir": tmp_path / name
+                },
+            }[deployment]
+
+        mirror = DynamicReverseTopKService.from_graph(graph, **options("mirror"))
         probes = [(q, k) for q in range(0, graph.n_nodes, 57) for k in (3, 10)]
 
         def check(service, report):
@@ -269,7 +290,7 @@ class TestRolloverFootprint:
             written = (
                 report.n_hub_columns + report.n_invalidated + report.n_rematerialized
             )
-            assert len(index.store.overlay) <= written
+            assert sum(len(overlay) for overlay in self.overlays(index)) <= written
             assert index.total_bytes() == mirror.engine.index.total_bytes()
             for q, k in probes:
                 rolled = service.engine.query(q, k, update_index=False)
@@ -280,20 +301,29 @@ class TestRolloverFootprint:
                 )
 
         try:
-            self.roll(graph, check, mirror=mirror)
+            self.roll(graph, check, mirror=mirror, **options("rolled"))
         finally:
             mirror.close()
 
-    def test_object_count_is_flat_across_rollovers(self, graph):
+    @pytest.mark.parametrize("n_shards", [None, 3])
+    def test_object_count_is_flat_across_rollovers(self, graph, n_shards):
         baselines = []
 
         def measure(service, report):
             gc.collect()
-            # The live generation's own overlay (one tracked object per
-            # written state) is the one term that legitimately varies with
-            # the batch; everything else must not accumulate.
-            overlay = len(service.engine.index.store.overlay)
+            # The live generation's own overlay is the one term that
+            # legitimately varies with the batch — per written state: the
+            # StateArrays, its field dict and its three (keys, values)
+            # tuples; everything else must not accumulate.
+            overlay = sum(
+                gc.is_tracked(obj)
+                for written in self.overlays(service.engine.index)
+                for state in written.values()
+                for obj in (
+                    state, vars(state), state.residual, state.retained, state.hub_ink
+                )
+            )
             baselines.append(len(gc.get_objects()) - overlay)
 
-        self.roll(graph, measure)
+        self.roll(graph, measure, n_shards=n_shards)
         assert max(baselines[3:]) <= max(baselines[:3]) + 50, baselines

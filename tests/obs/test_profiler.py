@@ -55,13 +55,15 @@ class TestKernelProfiler:
         assert 0.0 <= snapshot["workspace_hit_rate"] <= 1.0
 
     def test_profiled_run_is_bit_identical(self, small_web_graph):
+        from tests.conftest import run_states
+
         plain_kernel, _ = _kernel(small_web_graph)
         profiled_kernel, _ = _kernel(
             small_web_graph, profiler=KernelProfiler()
         )
         sources = np.arange(3, 15, dtype=np.int64)
-        plain = plain_kernel.run(sources)
-        profiled = profiled_kernel.run(sources)
+        plain = run_states(plain_kernel, sources)
+        profiled = run_states(profiled_kernel, sources)
         assert len(plain) == len(profiled)
         for expected, observed in zip(plain, profiled):
             assert expected.residual == observed.residual

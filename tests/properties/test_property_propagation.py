@@ -86,6 +86,8 @@ class TestBackendEquivalence:
     @given(random_digraphs(), st.data())
     @settings(max_examples=40, deadline=None)
     def test_vectorized_reconstructions_match_scalar(self, graph, data):
+        from tests.conftest import run_states
+
         params = data.draw(index_params(graph.n_nodes)).for_graph(graph.n_nodes)
         matrix = sp.csc_matrix(transition_matrix(graph))
         hubs = default_hub_selection(graph, params)
@@ -94,13 +96,13 @@ class TestBackendEquivalence:
         expansion = _HubExpansion(graph.n_nodes, hubs, hub_matrix)
         sources = [node for node in range(graph.n_nodes) if not hub_mask[node]]
 
-        vectorized = PropagationKernel(
+        vectorized = run_states(PropagationKernel(
             matrix, hub_mask, params, hubs=hubs, hub_matrix=hub_matrix
-        ).run(sources)
-        scalar = PropagationKernel(
+        ), sources)
+        scalar = run_states(PropagationKernel(
             matrix, hub_mask, params, hubs=hubs, hub_matrix=hub_matrix,
             backend="scalar",
-        ).run(sources)
+        ), sources)
 
         for vec_state, sca_state in zip(vectorized, scalar):
             vec_vector = expansion.expand(vec_state)
@@ -181,6 +183,8 @@ class TestNumbaBackendEquivalence:
     @given(random_digraphs(), st.data())
     @settings(max_examples=25, deadline=None)
     def test_numba_reconstructions_match_scalar(self, graph, data):
+        from tests.conftest import run_states
+
         params = data.draw(index_params(graph.n_nodes)).for_graph(graph.n_nodes)
         matrix = sp.csc_matrix(transition_matrix(graph))
         hubs = default_hub_selection(graph, params)
@@ -189,14 +193,14 @@ class TestNumbaBackendEquivalence:
         expansion = _HubExpansion(graph.n_nodes, hubs, hub_matrix)
         sources = [node for node in range(graph.n_nodes) if not hub_mask[node]]
 
-        compiled = PropagationKernel(
+        compiled = run_states(PropagationKernel(
             matrix, hub_mask, params, hubs=hubs, hub_matrix=hub_matrix,
             backend="numba",
-        ).run(sources)
-        scalar = PropagationKernel(
+        ), sources)
+        scalar = run_states(PropagationKernel(
             matrix, hub_mask, params, hubs=hubs, hub_matrix=hub_matrix,
             backend="scalar",
-        ).run(sources)
+        ), sources)
 
         for jit_state, sca_state in zip(compiled, scalar):
             jit_vector = expansion.expand(jit_state)

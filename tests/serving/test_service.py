@@ -228,6 +228,29 @@ class TestReadonlyEntryPoint:
             )
 
 
+class TestScalarScanServing:
+    def test_read_only_scalar_scan_writes_nothing(self, small_transition, small_index):
+        # Regression: the per-node reference scan read index.state(node),
+        # which pinned one dict-backed object per scanned node into shared
+        # state under the *read* lock.  It reads flat segments now.
+        from repro.core.statestore import (
+            materialization_count,
+            reset_materialization_count,
+        )
+
+        engine = ReverseTopKEngine(small_transition, copy.deepcopy(small_index))
+        service = ReverseTopKService(engine, ServiceConfig(scan_mode="scalar"))
+        version = engine.index.version
+        reset_materialization_count()
+        results = service.serve([(q, 5) for q in range(0, engine.n_nodes, 7)])
+        assert len(engine.index.store.overlay) == 0
+        assert materialization_count() == 0
+        assert engine.index.version == version
+        for result in results:
+            expected = engine.query(result.query, 5, update_index=False)
+            np.testing.assert_array_equal(result.nodes, expected.nodes)
+
+
 class TestVersioningAndInvalidation:
     def test_refinement_bumps_version(self, small_transition, small_index):
         engine = ReverseTopKEngine(small_transition, copy.deepcopy(small_index))
@@ -238,10 +261,10 @@ class TestVersioningAndInvalidation:
             engine.query(query, engine.index.capacity, update_index=True)
         assert engine.index.version > before
 
-    def test_sync_state_bumps_version(self, small_transition, small_index):
+    def test_set_state_bumps_version(self, small_transition, small_index):
         index = copy.deepcopy(small_index)
         before = index.version
-        index.sync_state(0)
+        index.set_state(0, index.state(0))
         assert index.version == before + 1
 
     def test_version_bump_invalidates_cached_answers(
@@ -253,7 +276,7 @@ class TestVersioningAndInvalidation:
         assert service.metrics().n_engine_queries == 1
         # Persisting any refinement bumps the version ⇒ the old entry no
         # longer matches and the answer is recomputed.
-        engine.index.sync_state(0)
+        engine.index.set_state(0, engine.index.state(0))
         service.query(3, 5)
         metrics = service.metrics()
         assert metrics.n_engine_queries == 2

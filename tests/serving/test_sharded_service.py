@@ -169,7 +169,7 @@ class TestShardedStaticService:
             assert cached_before > 0
             # Force a write-back so the version actually bumps, then refine
             # (which purges under the post-bump version).
-            service.engine.index.sync_state(0)
+            service.engine.index.set_state(0, service.engine.index.state(0))
             service.refine(5, 6)
             stats = service._cache.stats()
             assert stats.purged >= cached_before
