@@ -459,7 +459,7 @@ class ReverseTopKIndex:
         if self.hub_deficit.size != len(hubs):
             raise ValueError("hub_deficit length must equal the number of hubs")
         self._lower32: Optional[np.ndarray] = None
-        self._columns: Optional[ColumnarView] = self._build_columns()
+        self._columns: ColumnarView = self._build_columns()
 
     # ------------------------------------------------------------------ #
     # basic accessors
@@ -494,11 +494,9 @@ class ReverseTopKIndex:
     def columns(self) -> ColumnarView:
         """The live :class:`ColumnarView` over this index (read-only arrays).
 
-        Rebuilt lazily after unpickling (the views are derived state and are
-        dropped from the pickle payload).
+        Built once per store (construction, :meth:`replace_contents`) and
+        kept in step by every write; a pickled index carries it along.
         """
-        if self._columns is None:
-            self._columns = self._build_columns()
         return self._columns
 
     def state(self, node: int) -> NodeState:
@@ -615,9 +613,9 @@ class ReverseTopKIndex:
         every column write-back, so it always mirrors :attr:`columns`
         ``.lower`` rounded to float32.  Callers must treat the array as
         read-only; it is derived state and is dropped from pickles (rebuilt
-        on first access, like the columnar views).
+        on first access).
         """
-        if getattr(self, "_lower32", None) is None:
+        if self._lower32 is None:
             self._lower32 = self.columns.lower.astype(np.float32)
         return self._lower32
 
@@ -668,18 +666,24 @@ class ReverseTopKIndex:
         # Every write-back is a visible index mutation: bump the version so
         # version-keyed caches (the serving layer) stop serving stale answers.
         self._version += 1
-        if self._columns is not None:
-            self._write_column(self._columns, node, state)
-            if self._lower32 is not None:
-                self._lower32[:, node] = self._columns.lower[:, node]
+        self._write_column(self._columns, node, state)
+        if self._lower32 is not None:
+            self._lower32[:, node] = self._columns.lower[:, node]
 
     # ------------------------------------------------------------------ #
     # pickling (process-pool workers)
     # ------------------------------------------------------------------ #
     def __getstate__(self) -> dict:
-        """Drop the derived columnar views; they are rebuilt lazily on access."""
+        """Ship the columnar view with the store; drop only the float32 mirror.
+
+        The view (``K·n·8 + 9n`` bytes beside a much larger store) costs one
+        Python-level mass computation *per node* to re-derive, which every
+        rollover clone and process-pool worker used to pay on its first
+        ``columns`` access; it is current by construction (every write goes
+        through :meth:`_write_column`), so it travels as is.  The float32
+        mirror is one ``astype`` away and re-derives lazily.
+        """
         state = self.__dict__.copy()
-        state["_columns"] = None
         state["_lower32"] = None
         return state
 

@@ -76,6 +76,11 @@ def _compute_hub_matrix(
     *exact* (un-rounded) top-``K`` proximity values of every hub.  The exact
     top-K lists are what the index stores as the hubs' lower bounds — they
     cost no extra space and keep hub decisions exact regardless of ``omega``.
+
+    Every column is an independent solve, so ``hubs`` may be any subset of an
+    index's hub set: the dynamic maintainer passes just the hubs an update
+    batch can have moved and splices the returned columns (one per given hub,
+    in the given order) into the matrix it already holds.
     """
     n = transition.shape[0]
     omega = params.rounding_threshold

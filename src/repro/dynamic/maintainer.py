@@ -21,8 +21,14 @@ trajectory and lands in the bit-identical state.
    (the hub mask steers every trajectory) and the tie-heavy degree
    heuristic flips on single-edge changes; ``"reselect"`` follows the
    heuristic and degenerates to a full rebuild whenever it moves;
-3. recomputes the exact hub proximity columns ``P_H`` (they depend globally
-   on the graph) and notes which hub columns actually changed;
+3. re-solves the exact hub proximity columns ``P_H`` of the hubs that can
+   *reach* a changed column, and of no other: one backward sweep from the
+   changed columns ``C`` over the *old* transition yields ``R``, the nodes
+   with a path into ``C``; hubs in ``R`` get a fresh power-method solve
+   (spliced into the CSC matrix and ``hub_deficit``), and of those it notes
+   which columns actually moved.  Hubs outside ``R`` keep their column,
+   deficit and exact top-K untouched, and when ``R`` holds no hub the index
+   keeps its very ``hub_matrix`` / ``hub_deficit`` objects (lemma below);
 4. **invalidates** every non-hub state whose residue/retained support
    touches a changed column — found by vectorised scans over the stores'
    flat key arrays, never by walking per-node objects — and re-refines
@@ -45,15 +51,31 @@ trajectory and lands in the bit-identical state.
 
 The invariant all of this preserves: after ``apply()``, the maintained index
 is **bit-identical** to ``build_index`` run from scratch on the new graph
-*under the maintained hub set* (states, columnar views, and therefore every
-query answer and statistics counter), as long as no query-time refinement
-was persisted in between — under ``"reselect"`` that hub set is exactly the
-default build's, so the equivalence is unconditional.  With persisted
-refinements the kept states remain *valid* BCA states on the new graph, so
-answers still match a fresh engine (same hub set) exactly.  Across
-*different* hub sets answers agree except on floating-point knife-edge
+*under the maintained hub set* (states, hub matrix, columnar views, and
+therefore every query answer and statistics counter), as long as no
+query-time refinement was persisted in between — under ``"reselect"`` that
+hub set is exactly the default build's, so the equivalence is unconditional.
+With persisted refinements the kept states remain *valid* BCA states on the
+new graph, so answers still match a fresh engine (same hub set) exactly.
+Across *different* hub sets answers agree except on floating-point knife-edge
 ties, where the kth value and the query proximity coincide to the last ulp
 and the decision legitimately depends on the rounding path.
+
+**Lemma (the hub screen of step 3 is exact).**  Let ``C`` be the changed
+transition columns and ``R`` the nodes with a path into ``C`` in the *old*
+graph (``C ⊆ R``).  If a hub ``h ∉ R``, then ``h`` has no path into ``C`` in
+the *new* graph either: the first changed source on such a path would be
+reached through unchanged columns only, hence already in the old graph.  The
+``t``-th power-method iterate of ``h`` is supported on the nodes ``h`` reaches
+in at most ``t`` steps, so every iterate is exactly ``0`` on ``C``, before
+and after the batch.  The two transitions differ only in the columns ``C``,
+and every product term a row sum reads from such a column is ``A[i, c] · 0``,
+an exact ``+0.0`` — adding or dropping ``+0.0`` terms leaves each sequential
+row sum (all terms non-negative) bit for bit what it was.  The solve, its
+iteration count, the ``omega`` rounding, the deficit and the exact top-K
+therefore replay bit for bit, and skipping the solve changes nothing but its
+cost.  Maintenance work follows what the batch can affect — ``|R ∩ H|``
+solves, not ``|H|`` — which on sources nobody links to is none at all.
 """
 
 from __future__ import annotations
@@ -77,8 +99,8 @@ from ..core.query import ReverseTopKEngine
 from ..core.sharding import ShardedReverseTopKIndex, build_sharded_index
 from ..core.statestore import ColumnarStateStore
 from ..graph.digraph import DiGraph
-from ..graph.transition import rebuild_transition_columns
-from ..utils.sparsetools import top_k_descending
+from ..graph.transition import column_slice, rebuild_transition_columns
+from ..utils.sparsetools import splice_csc_columns, top_k_descending
 from ..utils.timer import Timer
 
 #: Default stale-state fraction past which a full rebuild wins.
@@ -111,7 +133,9 @@ class MaintenanceReport:
         Kept states whose lower bounds were re-expanded against the new
         hub columns.
     n_hub_columns:
-        Hub proximity columns recomputed.
+        Hub proximity columns actually re-solved: the hubs with a path into
+        a changed column (``0`` when none has one; every hub on a full
+        rebuild).
     staleness:
         Invalidated fraction of the non-hub population (what the rebuild
         threshold is compared against).
@@ -343,45 +367,66 @@ class IndexMaintainer:
             )
             return count, 0, hub_columns, staleness, rebuilt
 
-        hub_matrix, hub_deficit, hub_top_k = _compute_hub_matrix(
-            transition, hubs, params
-        )
-        changed_hubs = _changed_hub_columns(index, hubs, hub_matrix, hub_deficit)
-        hub_mask = hubs.mask(n)
+        # Only hubs with a path into a changed column can have moved (module
+        # docstring, lemma); the sweep runs over the transition the engine
+        # still holds — the *old* one.
+        hub_nodes = np.asarray(hubs.nodes, dtype=np.int64)
+        reaching = _nodes_reaching(self.engine.transition, changed, hub_nodes)
+        stale = np.flatnonzero(reaching[hub_nodes])
+        hub_matrix, hub_deficit = index.hub_matrix, index.hub_deficit
+        hub_top_k: Dict[int, np.ndarray] = {}
+        changed_hubs: Set[int] = set()
+        if stale.size:
+            columns, deficits, hub_top_k = _compute_hub_matrix(
+                transition, HubSet(tuple(hub_nodes[stale].tolist())), params
+            )
+            hub_matrix = splice_csc_columns(
+                index.hub_matrix,
+                {
+                    position: column_slice(columns, slot)
+                    for slot, position in enumerate(stale.tolist())
+                },
+            )
+            hub_deficit = index.hub_deficit.copy()
+            hub_deficit[stale] = deficits
+            changed_hubs = _changed_hub_columns(
+                index, hubs, hub_matrix, hub_deficit, stale
+            )
         kernel = PropagationKernel(
-            transition, hub_mask, params, hubs=hubs, hub_matrix=hub_matrix,
+            transition, hubs.mask(n), params, hubs=hubs, hub_matrix=hub_matrix,
             workspace=self._workspace,
         )
         return self._apply_targeted(
             index, kernel, segments, invalid, changed_hubs,
-            hubs, hub_matrix, hub_deficit, hub_top_k, transition, staleness,
+            hub_matrix, hub_deficit, hub_top_k, transition, staleness,
         )
 
     def _apply_targeted(
         self, index, kernel, segments, invalid, changed_hubs,
-        hubs, hub_matrix, hub_deficit, hub_top_k, transition, staleness,
+        hub_matrix, hub_deficit, hub_top_k, transition, staleness,
     ):
         """Rewrite only the affected nodes, as flat segments.
 
         Invalidated nodes are re-refined as one kernel run — per-source
         bitwise determinism of the kernel keeps the result identical to a
-        from-scratch build — hub rows are refreshed against the recomputed
-        exact top-K, and kept states whose hub ink references a changed hub
-        column get their lower bounds re-expanded.  Every *other* node's
-        stored state, mass and columns are untouched, which is exactly what
-        a wholesale recomputation would reproduce bit for bit (unchanged
-        residual support, unchanged hub deficits on the hubs it references).
+        from-scratch build — the rows of re-solved hubs (``hub_top_k``) are
+        refreshed against their recomputed exact top-K, and kept states whose
+        hub ink references a changed hub column get their lower bounds
+        re-expanded.  Every *other* node's stored state, mass and columns are
+        untouched, which is exactly what a wholesale recomputation would
+        reproduce bit for bit (unchanged residual support, unchanged hub
+        deficits on the hubs it references).
         """
         empty = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64))
         updates: Dict[int, StateArrays] = {
-            int(hub): StateArrays(
+            hub: StateArrays(
                 empty,
                 empty,
                 (np.array([hub], dtype=np.int64), np.ones(1)),
-                hub_top_k[int(hub)].copy(),
+                top_k.copy(),
                 is_hub=True,
             )
-            for hub in hubs
+            for hub, top_k in hub_top_k.items()
         }
         updates.update(kernel.run(invalid).state_arrays())
 
@@ -404,11 +449,35 @@ class IndexMaintainer:
                 )
                 rematerialized += 1
 
+        # With no hub re-solved these are the index's own objects, handed
+        # straight back.
         index.apply_updates(
             updates, hub_matrix=hub_matrix, hub_deficit=hub_deficit
         )
         self.engine.rebind(transition)
-        return len(invalid), rematerialized, len(hubs), staleness, False
+        return len(invalid), rematerialized, len(hub_top_k), staleness, False
+
+
+def _nodes_reaching(
+    transition, targets: np.ndarray, watched: np.ndarray
+) -> np.ndarray:
+    """Bool mask of the nodes with a path into ``targets`` (themselves included).
+
+    A backward sweep in rounds: a node joins when one of its out-edges lands
+    in the previous round's frontier, ``(Aᵀ·f) > 0`` — the CSC arrays of
+    ``A`` read as the CSR of ``Aᵀ``, so nothing is converted.  The sweep
+    stops when the set stops growing or already holds every ``watched`` node
+    (the hubs: all the maintainer asks about), so the mask is complete on
+    ``watched`` and a lower bound elsewhere.
+    """
+    reached = np.zeros(transition.shape[0], dtype=bool)
+    reached[targets] = True
+    frontier = reached
+    by_source = transition.T
+    while frontier.any() and not reached[watched].all():
+        frontier = (by_source @ frontier.astype(np.float64) > 0) & ~reached
+        reached |= frontier
+    return reached
 
 
 def _array_segments(index) -> List[Tuple[int, ColumnarStateStore, np.ndarray]]:
@@ -479,9 +548,10 @@ def _invalid_from_arrays(segments, changed_mask: np.ndarray) -> np.ndarray:
 
 
 def _changed_hub_columns(
-    index, hubs: HubSet, hub_matrix, hub_deficit: np.ndarray
+    index, hubs: HubSet, hub_matrix, hub_deficit: np.ndarray, positions: np.ndarray
 ) -> Set[int]:
-    """Hub ids whose rounded proximity column (or deficit) actually moved.
+    """Hub ids, among the re-solved ``positions``, whose rounded proximity
+    column (or deficit) actually moved.
 
     Kept states whose hub ink only references unchanged hubs keep their
     lower bounds verbatim — re-expanding them against bit-identical columns
@@ -489,7 +559,8 @@ def _changed_hub_columns(
     """
     old_matrix = index.hub_matrix
     changed: Set[int] = set()
-    for position, hub in enumerate(hubs):
+    for position in positions.tolist():
+        hub = hubs.nodes[position]
         if float(hub_deficit[position]) != float(index.hub_deficit[position]):
             changed.add(int(hub))
             continue

@@ -197,9 +197,25 @@ class DynamicReverseTopKService(ReverseTopKService):
     def bind_registry(self, registry) -> None:
         """Extend the base binding with maintenance-path instruments."""
         super().bind_registry(registry)
+        self.bind_maintenance(registry)
+
+    def bind_maintenance(self, registry) -> None:
+        """Bind only the update-path series (plain counters) to ``registry``.
+
+        A rollover clone applies its batch *before* it enters serving, where
+        the server re-binds everything; binding these alone, up front, lands
+        that batch with the rest of the server's series without touching the
+        serving-side instruments the live generation still owns.
+        """
         batches = registry.counter(
             "repro_update_batches_total",
             "apply_updates batches by outcome",
+            labels=("outcome",),
+        )
+        hub_columns = registry.counter(
+            "repro_maintenance_hub_columns_total",
+            "Hub proximity columns of applied batches: re-solved because the "
+            "hub reaches a changed column, or reused untouched",
             labels=("outcome",),
         )
         self._dyn_obs = {
@@ -216,6 +232,8 @@ class DynamicReverseTopKService(ReverseTopKService):
                 "repro_maintenance_rematerialized_total",
                 "Lower-bound re-expansions performed by maintenance",
             ),
+            "hubs_resolved": hub_columns.labels(outcome="resolved"),
+            "hubs_reused": hub_columns.labels(outcome="reused"),
             "full_rebuilds": registry.counter(
                 "repro_maintenance_full_rebuilds_total",
                 "Update batches escalated to a from-scratch rebuild",
@@ -391,6 +409,9 @@ class DynamicReverseTopKService(ReverseTopKService):
         obs["updates"].inc(len(batch))
         obs["invalidated"].inc(report.n_invalidated)
         obs["rematerialized"].inc(report.n_rematerialized)
+        if report.changed:
+            obs["hubs_resolved"].inc(report.n_hub_columns)
+            obs["hubs_reused"].inc(len(self.engine.index.hubs) - report.n_hub_columns)
         obs["full_rebuilds"].inc(int(report.full_rebuild))
         obs["seconds"].inc(report.seconds)
         self._obs["index_version"].set(version_after)

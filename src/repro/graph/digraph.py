@@ -187,12 +187,8 @@ class DiGraph:
         Binary search over the node's sorted CSR index slice — ``O(log d)``
         per lookup instead of a linear scan of the out-neighbour list.
         """
-        source = self._check_node(source)
-        target = self._check_node(target)
-        start, stop = self._adjacency.indptr[source], self._adjacency.indptr[source + 1]
-        row = self._adjacency.indices[start:stop]
-        position = int(np.searchsorted(row, target))
-        return position < row.size and int(row[position]) == target
+        source, target = self._check_node(source), self._check_node(target)
+        return self._edge_position(source, target) >= 0
 
     def edge_weight(self, source: int, target: int) -> float:
         """Return the weight of edge ``source -> target`` (0 when absent)."""
@@ -329,12 +325,34 @@ class DiGraph:
             set_edges.append((source, target, weight))
         if not removed_edges and not set_edges:
             return self
-        matrix = self._adjacency.tolil(copy=True)
-        for source, target in removed_edges:
-            matrix[source, target] = 0.0
-        for source, target, weight in set_edges:
-            matrix[source, target] = weight
-        return DiGraph(matrix.tocsr(), self._node_names)
+        # Edit the CSR directly, at a cost of one pass over the arrays plus
+        # the edits: mask the removed and overwritten entries, append each
+        # set edge at the end of its row (a dict keeps the last occurrence),
+        # and let the constructor's canonicalisation sort the touched rows.
+        adjacency = self._adjacency
+        weights = {(source, target): weight for source, target, weight in set_edges}
+        keep = np.ones(adjacency.nnz, dtype=bool)
+        counts = np.diff(adjacency.indptr)
+        for source, target in removed_set.union(weights):
+            position = self._edge_position(source, target)
+            if position >= 0:
+                keep[position] = False
+                counts[source] -= 1
+        # Row-major order: inserts that share a slot (rows left empty in
+        # between) must line up with the row counts below.
+        edges = sorted(weights)
+        sources = np.array([source for source, _ in edges], dtype=np.int64)
+        slots = np.cumsum(counts)[sources]
+        np.add.at(counts, sources, 1)
+        matrix = sp.csr_matrix(
+            (
+                np.insert(adjacency.data[keep], slots, [weights[edge] for edge in edges]),
+                np.insert(adjacency.indices[keep], slots, [t for _, t in edges]),
+                np.concatenate([[0], np.cumsum(counts)]),
+            ),
+            shape=adjacency.shape,
+        )
+        return DiGraph(matrix, self._node_names)
 
     def with_self_loops_on_dangling(self) -> "DiGraph":
         """Return a copy where every dangling node gets a self-loop.
@@ -408,6 +426,15 @@ class DiGraph:
     # ------------------------------------------------------------------ #
     # internal helpers
     # ------------------------------------------------------------------ #
+    def _edge_position(self, source: int, target: int) -> int:
+        """Offset of edge ``source -> target`` in the CSR arrays, ``-1`` if absent."""
+        start, stop = self._adjacency.indptr[source], self._adjacency.indptr[source + 1]
+        row = self._adjacency.indices[start:stop]
+        position = int(np.searchsorted(row, target))
+        if position < row.size and int(row[position]) == target:
+            return int(start) + position
+        return -1
+
     def _check_node(self, node: int) -> int:
         try:
             return check_node_index(node, self.n_nodes)

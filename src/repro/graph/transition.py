@@ -24,6 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..exceptions import GraphError
+from ..utils.sparsetools import splice_csc_columns
 from .digraph import DiGraph
 
 
@@ -242,36 +243,7 @@ def rebuild_transition_columns(
     if not replacements:
         return old, np.asarray([], dtype=np.int64)
 
-    # Splice by contiguous spans, not per column: the unchanged stretches
-    # between changed columns are copied as single slices, so the assembly
-    # cost scales with the number of *changed* columns, not with n.
-    column_indices = []
-    column_data = []
-    counts = np.diff(old.indptr).astype(np.int64)
-    previous = 0
-    for j in changed:  # already sorted (subset of the sorted source_ids)
-        if previous < j:
-            span = slice(old.indptr[previous], old.indptr[j])
-            column_indices.append(old.indices[span])
-            column_data.append(old.data[span])
-        indices, data = replacements[j]
-        column_indices.append(indices)
-        column_data.append(data)
-        counts[j] = indices.size
-        previous = j + 1
-    if previous < n:
-        span = slice(old.indptr[previous], old.indptr[n])
-        column_indices.append(old.indices[span])
-        column_data.append(old.data[span])
-    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(old.indptr.dtype)
-    matrix = sp.csc_matrix(
-        (
-            np.concatenate(column_data),
-            np.concatenate(column_indices),
-            indptr,
-        ),
-        shape=(n, n),
-    )
+    matrix = splice_csc_columns(old, replacements)
     return matrix, np.asarray(changed, dtype=np.int64)
 
 

@@ -76,7 +76,7 @@ def clone_for_rollover(
         hub_policy=source.hub_policy,
         hub_selector=source.hub_selector,
     )
-    return DynamicReverseTopKService(
+    clone = DynamicReverseTopKService(
         engine,
         service.config,
         graph=graph,
@@ -84,6 +84,10 @@ def clone_for_rollover(
         snapshot=service._snapshots,
         _trusted_transition=True,
     )
+    # The batch this clone exists for is applied before it is swapped in:
+    # its maintenance series continue the source generation's.
+    clone.bind_maintenance(service.registry)
+    return clone
 
 
 class ServiceGeneration:

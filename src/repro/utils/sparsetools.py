@@ -9,7 +9,7 @@ readable.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, Mapping, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -103,3 +103,41 @@ def iter_sparse_entries(column: sp.spmatrix) -> Iterable[Tuple[int, float]]:
     rows = coo.row if coo.shape[1] == 1 else coo.col
     for index, value in zip(rows.tolist(), coo.data.tolist()):
         yield int(index), float(value)
+
+
+def splice_csc_columns(
+    matrix: sp.csc_matrix,
+    replacements: Mapping[int, Tuple[np.ndarray, np.ndarray]],
+) -> sp.csc_matrix:
+    """A copy of ``matrix`` with the given columns' ``(indices, data)`` swapped in.
+
+    Spliced by contiguous spans, not per column: the unchanged stretches
+    between replaced columns are copied as single slices, so the assembly
+    cost scales with the number of *replaced* columns, not with the column
+    count.  Index dtypes follow ``matrix``; every other column keeps its
+    entries byte for byte.
+    """
+    n_columns = matrix.shape[1]
+    column_indices = []
+    column_data = []
+    counts = np.diff(matrix.indptr).astype(np.int64)
+    previous = 0
+    for j in sorted(replacements):
+        if previous < j:
+            span = slice(matrix.indptr[previous], matrix.indptr[j])
+            column_indices.append(matrix.indices[span])
+            column_data.append(matrix.data[span])
+        indices, data = replacements[j]
+        column_indices.append(np.asarray(indices, dtype=matrix.indices.dtype))
+        column_data.append(data)
+        counts[j] = len(indices)
+        previous = j + 1
+    if previous < n_columns:
+        span = slice(matrix.indptr[previous], matrix.indptr[n_columns])
+        column_indices.append(matrix.indices[span])
+        column_data.append(matrix.data[span])
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(matrix.indptr.dtype)
+    return sp.csc_matrix(
+        (np.concatenate(column_data), np.concatenate(column_indices), indptr),
+        shape=matrix.shape,
+    )

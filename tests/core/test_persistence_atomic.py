@@ -176,7 +176,7 @@ class TestIndexPickling:
             assert restored.retained == state.retained
             assert restored.hub_ink == state.hub_ink
             np.testing.assert_array_equal(restored.lower_bounds, state.lower_bounds)
-        # Columnar views are dropped from the payload and rebuilt lazily.
+        # The columnar view travels with the payload.
         np.testing.assert_array_equal(
             clone.columns.lower, small_index.columns.lower
         )
@@ -187,9 +187,102 @@ class TestIndexPickling:
             clone.columns.is_exact, small_index.columns.is_exact
         )
 
-    def test_pickle_payload_excludes_columns(self, small_index):
+    def test_pickle_payload_carries_the_columnar_view(self, small_index):
+        small_index.lower_bounds_f32()  # materialise the mirror: it must not ship
         state = small_index.__getstate__()
-        assert state["_columns"] is None
+        assert state["_columns"] is small_index.columns
+        assert state["_lower32"] is None
+        view_bytes = sum(
+            getattr(small_index.columns, name).nbytes
+            for name in ("lower", "residual_mass", "is_exact")
+        )
+        n, capacity = small_index.n_nodes, small_index.capacity
+        assert view_bytes == capacity * n * 8 + 9 * n
+
+    def test_view_is_never_rebuilt_across_rollover_generations(
+        self, medium_web_graph, monkeypatch
+    ):
+        """clone -> apply_updates -> query write-back -> pickle, four times over.
+
+        Every generation after the first inherits its view through the
+        pickle: ``_build_columns`` (one Python-level mass per node) runs for
+        generation 0 only, and at each step the travelling view equals one
+        rebuilt from that generation's store, bit for bit.
+        """
+        from repro.core import IndexParams
+        from repro.dynamic import DynamicReverseTopKService, GraphUpdate
+        from repro.net.rollover import clone_for_rollover
+
+        rebuild = ReverseTopKIndex._build_columns
+        calls = []
+
+        def counted(index):
+            calls.append(index)
+            return rebuild(index)
+
+        monkeypatch.setattr(ReverseTopKIndex, "_build_columns", counted)
+
+        def assert_view_matches_store(index):
+            fresh = rebuild(index)
+            for name in ("lower", "residual_mass", "is_exact"):
+                np.testing.assert_array_equal(
+                    getattr(index.columns, name), getattr(fresh, name), err_msg=name
+                )
+
+        graph = medium_web_graph
+        n = graph.n_nodes
+        service = DynamicReverseTopKService.from_graph(
+            graph, IndexParams(capacity=10, hub_budget=4)
+        )
+        assert len(calls) == 1
+        try:
+            for generation in range(1, 5):
+                clone = clone_for_rollover(service)
+                service.close()
+                service = clone
+                source = n - generation  # the youngest nodes: nobody links to them
+                target = next(t for t in range(n) if not graph.has_edge(source, t))
+                report = service.apply_updates([GraphUpdate.add(source, target)])
+                assert report.changed and not report.full_rebuild
+                index = service.engine.index
+                assert_view_matches_store(index)
+                maintained = index.version
+                for query in range(generation, n, 7):  # fresh candidates each time
+                    service.engine.query(query, index.capacity, update_index=True)
+                assert index.version > maintained, "no refinement was written back"
+                assert_view_matches_store(index)
+                assert_view_matches_store(pickle.loads(pickle.dumps(index)))
+        finally:
+            service.close()
+        assert len(calls) == 1
+
+    def test_process_workers_answer_from_the_shipped_view(
+        self, medium_web_graph, monkeypatch
+    ):
+        from repro.serving import ReverseTopKService, ServiceConfig
+
+        engine = ReverseTopKEngine.build(medium_web_graph)
+        requests = [(int(q), 5) for q in np.linspace(0, engine.n_nodes - 1, 50)]
+
+        def must_not_rebuild(index):
+            raise AssertionError("a pickled index rebuilt its columnar view")
+
+        # Forked pool workers inherit the patch; spawned ones simply skip it.
+        monkeypatch.setattr(ReverseTopKIndex, "_build_columns", must_not_rebuild)
+        answers = {}
+        for backend in ("thread", "process"):
+            service = ReverseTopKService(
+                engine, ServiceConfig(n_workers=2, backend=backend, cache_capacity=0)
+            )
+            try:
+                answers[backend] = service.serve(requests)
+            finally:
+                service.close()
+        for threaded, forked in zip(answers["thread"], answers["process"]):
+            np.testing.assert_array_equal(forked.nodes, threaded.nodes)
+            np.testing.assert_array_equal(
+                forked.proximities_to_query, threaded.proximities_to_query
+            )
 
     def test_unpickled_index_still_refines(self, small_index, small_transition):
         clone = pickle.loads(pickle.dumps(small_index))

@@ -1,5 +1,7 @@
 """Unit tests for the DiGraph container."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -290,6 +292,91 @@ class TestWithEdges:
             ]
         )
         assert updated == DiGraph(expected)
+
+
+def lil_with_edges(graph: DiGraph, added, removed) -> DiGraph:
+    """Reference for ``with_edges``: the whole adjacency through LIL and back."""
+    matrix = graph.adjacency.tolil(copy=True)
+    for source, target in removed:
+        matrix[source, target] = 0.0
+    for source, target, *weight in added:
+        matrix[source, target] = weight[0] if weight else 1.0
+    return DiGraph(matrix.tocsr(), graph.node_names)
+
+
+@st.composite
+def edit_cases(draw):
+    """A small weighted digraph and an edit set hitting every awkward shape."""
+    n = draw(st.integers(min_value=2, max_value=9))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=10_000)))
+    dense = (rng.random((n, n)) < draw(st.sampled_from([0.15, 0.4, 0.8]))) * (
+        rng.integers(1, 4, (n, n)).astype(float)
+    )
+    names = [f"v{i}" for i in range(n)] if draw(st.booleans()) else None
+    graph = DiGraph(sp.csr_matrix(dense), names)
+    edges = [(u, v) for u, v, _ in graph.edges()]
+    removed = [edges[i] for i in rng.permutation(len(edges))[: rng.integers(0, len(edges) + 1)]]
+    if removed and draw(st.booleans()):
+        # Empty a whole row, and name one removal twice.
+        row = removed[0][0]
+        removed += [edge for edge in edges if edge[0] == row and edge not in removed]
+        removed.append(removed[0])
+    taken = set(removed)
+    added = []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        u, v = int(rng.integers(n)), int(rng.integers(n))
+        if (u, v) in taken:
+            continue
+        # Existing edges get overwritten, repeats keep the last weight.
+        added.append((u, v, float(rng.integers(1, 6))) if rng.random() < 0.7 else (u, v))
+        if rng.random() < 0.3:
+            added.append((u, v, float(rng.integers(6, 9))))
+    if removed and draw(st.booleans()):
+        # Remove + add on the same source.
+        u = removed[0][0]
+        free = [v for v in range(n) if (u, v) not in taken]
+        if free:
+            added.append((u, free[0], 2.5))
+    return graph, added, removed
+
+
+class TestWithEdgesMatchesLilReference:
+    @given(edit_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_same_canonical_adjacency(self, case):
+        graph, added, removed = case
+        before = graph.adjacency.copy()
+        edited = graph.with_edges(added, removed)
+        expected = lil_with_edges(graph, added, removed)
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(
+                getattr(edited.adjacency, name), getattr(expected.adjacency, name), name
+            )
+            assert (
+                getattr(edited.adjacency, name).dtype
+                == getattr(expected.adjacency, name).dtype
+            )
+        adjacency = edited.adjacency
+        for row in range(graph.n_nodes):
+            columns = adjacency.indices[adjacency.indptr[row] : adjacency.indptr[row + 1]]
+            assert np.all(np.diff(columns) > 0)  # sorted, no duplicates
+        assert np.all(adjacency.data > 0)  # no stored zeros
+        assert edited.node_names == graph.node_names
+        # The source graph is immutable.
+        assert (before != graph.adjacency).nnz == 0
+
+    def test_never_goes_through_lil(self, triangle, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("with_edges converted the adjacency to LIL")
+
+        monkeypatch.setattr(sp.csr_matrix, "tolil", forbidden)
+        edited = triangle.with_edges(added=[(0, 2, 4.0), (0, 1, 5.0)], removed=[(1, 2)])
+        assert edited.edge_weight(0, 2) == 4.0 and edited.edge_weight(0, 1) == 5.0
+        assert edited.out_degree.tolist() == [2, 0, 1]
+
+    def test_added_and_removed_overlap_still_raises(self, triangle):
+        with pytest.raises(GraphError, match="both added and removed"):
+            triangle.with_edges(added=[(2, 1), (0, 1)], removed=[(0, 1)])
 
 
 class TestEmptyGraphEdgeCases:

@@ -196,6 +196,31 @@ class TestDualMetrics:
             "service",
         }
 
+    def test_hub_column_outcomes_survive_rollover(self, obs_handle, small_web_graph):
+        """Each generation is a fresh clone re-bound onto the server's
+        registry, so the series keeps accumulating across swaps."""
+        n_hubs = len(obs_handle.server.rollover.current.service.engine.index.hubs)
+        # The copying model only links to older nodes: nothing reaches the
+        # youngest two, so editing their out-links re-solves no hub.
+        n = small_web_graph.n_nodes
+        batches = [
+            [("add", source, next(t for t in range(n) if not small_web_graph.has_edge(source, t)))]
+            for source in (n - 1, n - 2)
+        ]
+
+        async def scenario(client):
+            acks = [await client.update(batch) for batch in batches]
+            return acks, await client.metrics_text()
+
+        acks, text = drive(obs_handle, scenario)
+        assert [ack["generation"] for ack in acks] == [1, 2]
+        assert n_hubs > 0
+        assert 'repro_maintenance_hub_columns_total{outcome="resolved"} 0' in text
+        assert (
+            f'repro_maintenance_hub_columns_total{{outcome="reused"}} {2 * n_hubs}'
+            in text
+        )
+
     def test_server_registry_is_isolated(self, obs_handle):
         assert obs_handle.server.registry is not get_registry()
         families = obs_handle.server.registry.as_dict()
