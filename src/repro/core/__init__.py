@@ -47,7 +47,7 @@ from .estimates import predicted_index_bytes, rounding_error_bound
 from .hubs import degree_union_hubs, select_hubs_by_degree, select_hubs_greedy, HubSet
 from .index import ReverseTopKIndex, NodeState, ColumnarView
 from .lbi import build_index, build_index_parallel, rebuild_node_state, refine_node_state
-from .pmpn import proximity_to_node, PMPNResult
+from .pmpn import proximity_to_node, PMPNPlan, PMPNResult
 from .propagation import BuildReport, KernelWorkspace, PropagationKernel
 from .query import (
     ReverseTopKEngine,
@@ -89,6 +89,7 @@ __all__ = [
     "NodeState",
     "ColumnarView",
     "proximity_to_node",
+    "PMPNPlan",
     "PMPNResult",
     "kth_upper_bound",
     "kth_upper_bounds_batch",

@@ -28,11 +28,11 @@ from ..utils.workspace import ArrayWorkspace
 class BoundsWorkspace(ArrayWorkspace):
     """Reusable scratch planes for the batched staircase bound.
 
-    :func:`kth_upper_bounds_batch` builds ``(k, m)`` intermediates (the
-    sorted-prefix ``top`` matrix, step differences, weighted cumulative
-    levels and the level/mass comparison) on every call; a workspace lets
-    the query engine reuse that storage across scan rounds instead of
-    re-allocating it per query.  Results are bit-identical either way.
+    :func:`kth_upper_bounds_batch` builds its staircase — step differences
+    turned, in place, into the cumulative levels — in one ``(k + 1, m)``
+    float64 plane on every call; a workspace lets the query engine reuse
+    that storage across scan rounds instead of re-allocating it per query.
+    Results are bit-identical either way.
     Thread-local like every :class:`~repro.utils.workspace.ArrayWorkspace`,
     so one instance may serve concurrent read-only queries.
     """
@@ -211,9 +211,9 @@ def kth_upper_bounds_batch(
     k:
         The query depth.
     workspace:
-        Optional :class:`BoundsWorkspace` supplying the ``(k, m)`` scratch
-        planes; without one every call allocates them afresh.  The computed
-        bounds are bit-identical in both modes.
+        Optional :class:`BoundsWorkspace` supplying the ``(k + 1, m)``
+        staircase plane; without one every call allocates it afresh.  The
+        computed bounds are bit-identical in both modes.
 
     Returns
     -------
@@ -238,39 +238,33 @@ def kth_upper_bounds_batch(
     if masses.min() < 0.0:
         raise InvalidParameterError("residual masses must be non-negative")
 
-    # z_j = z_{j-1} + j * (p̂(k-j) - p̂(k-j+1)); cumsum accumulates sequentially,
-    # reproducing the scalar staircase_levels recurrence term for term.
-    if workspace is None:
-        workspace = BoundsWorkspace()
-    top = workspace.take("top", (k, m))
-    top[...] = lower[:k, :]
-    levels = workspace.take("levels", (k, m))
-    levels[0, :] = 0.0
-    if k > 1:
-        steps = workspace.take("steps", (k - 1, m))
-        np.subtract(top[:-1, :], top[1:, :], out=steps)  # p̂(i+1) - p̂(i+2)
-        j_weights = workspace.arange("j_weights", k)[1:, None]
-        weighted = workspace.take("weighted", (k - 1, m))
-        np.multiply(j_weights, steps[::-1, :], out=weighted)
-        np.cumsum(weighted, axis=0, out=levels[1:, :])
-    compare = workspace.take("compare", (k, m), dtype=bool)
-    np.less(levels, masses[None, :], out=compare)
-    cols = workspace.arange("cols", m)
-    # Smallest j with z_{j-1} < ||r||_1 <= z_j; j == k means the staircase floods.
-    j = np.sum(compare, axis=0)
-
-    out = np.empty(m, dtype=np.float64)
-    exact = masses == 0.0
-    flooded = ~exact & (j >= k)
-    partial = ~exact & ~flooded
-    out[exact] = top[k - 1, exact]
-    if np.any(partial):
-        pj = j[partial]
-        pcols = cols[partial]
-        out[partial] = top[k - pj - 1, pcols] - (levels[pj, pcols] - masses[partial]) / pj
-    if np.any(flooded):
-        out[flooded] = top[0, flooded] + (masses[flooded] - levels[k - 1, flooded]) / k
-    return out
+    top = np.asarray(lower[:k], dtype=np.float64)
+    # Rows 0..k-1 hold z_0..z_{k-1}; row k repeats z_{k-1}, which makes the
+    # flooded pour ``p̂(1) + (m - z_{k-1}) / k`` the partial one at j = k
+    # (``a - (b - m) / j`` and ``a + (m - b) / j`` are the same float: IEEE
+    # subtraction and division are exact under negation).
+    levels = (
+        workspace.take("levels", (k + 1, m))
+        if workspace is not None
+        else np.empty((k + 1, m))
+    )
+    levels[0] = 0.0
+    # z_j = z_{j-1} + j * (p̂(k-j) - p̂(k-j+1)), built in place in reversed
+    # step order; cumsum accumulates sequentially, reproducing the scalar
+    # staircase_levels recurrence term for term.
+    steps = levels[1:k]
+    np.subtract(top[-2::-1], top[:0:-1], out=steps)
+    steps *= np.arange(1, k)[:, None]
+    np.cumsum(steps, axis=0, out=steps)
+    levels[k] = levels[k - 1]
+    # Smallest j with z_{j-1} < ||r||_1 <= z_j; j == k means the staircase
+    # floods.  A zero mass (j = 0) takes its exact value below; j >= 1 keeps
+    # its throwaway pour finite.
+    j = (levels[:k] < masses).sum(axis=0)
+    np.maximum(j, 1, out=j)
+    cols = np.arange(m)
+    poured = top[np.maximum(k - 1 - j, 0), cols] - (levels[j, cols] - masses) / j
+    return np.where(masses == 0.0, top[k - 1], poured)
 
 
 def is_valid_upper_bound(upper: float, exact_kth: float, *, atol: float = 1e-9) -> bool:

@@ -66,7 +66,7 @@ from .bounds import (
 from .config import SCAN_PRECISIONS, IndexParams, QueryParams
 from .index import ColumnarView, ReverseTopKIndex, StateArrays
 from .lbi import build_index, refine_node_state
-from .pmpn import proximity_to_node
+from .pmpn import PMPNPlan, proximity_to_node
 from .propagation import PropagationKernel
 
 #: Accepted scan-phase implementations: the columnar pipeline, the per-node
@@ -425,8 +425,9 @@ class ReverseTopKEngine:
             )
         self.index = index
         self._hub_mask = index.hubs.mask(self.transition.shape[0])
-        # PMPN iterates with A^T; transpose once and share it across queries.
-        self._transposed = self.transition.T.tocsr()
+        # PMPN iterates A^T laid out by strongly connected component; lay it
+        # out once per binding and share it across queries.
+        self._pmpn_plan = PMPNPlan(self.transition)
         # Candidate refinement advances states through the shared propagation
         # kernel (a block of one source); prepared once per (transition,
         # index) binding, like the other derived caches.
@@ -477,9 +478,9 @@ class ReverseTopKEngine:
         """Point the engine at a new transition matrix (dynamic maintenance).
 
         Re-derives every transition-dependent cache — the hub mask and the
-        shared CSR transpose PMPN iterates with — exactly as construction
-        does.  The index defaults to the engine's current one, which the
-        maintainer mutates in place so version-keyed caches stay monotonic.
+        PMPN plan — exactly as construction does.  The index defaults to the
+        engine's current one, which the maintainer mutates in place so
+        version-keyed caches stay monotonic.
         """
         self.__init__(
             transition,
@@ -542,9 +543,9 @@ class ReverseTopKEngine:
         """Evaluate a workload of queries (Figures 7 and 8).
 
         The batched path validates ``k``/``params``/``scan_mode`` once and
-        shares the columnar index views, the CSC transition and its cached
-        CSR transpose across all queries.  Per-query results and statistics
-        are identical to calling :meth:`query` in a loop.
+        shares the columnar index views, the CSC transition and its PMPN plan
+        across all queries.  Per-query results and statistics are identical
+        to calling :meth:`query` in a loop.
         """
         if params is None:
             params = QueryParams(k=k, update_index=update_index)
@@ -572,10 +573,10 @@ class ReverseTopKEngine:
         This is the serving-layer path: ``update_index`` is forced off, so the
         call never mutates the index (refinement happens on per-candidate
         working copies) and never bumps the index version.  Because every
-        touched structure — the columnar views, the CSC transition, the cached
-        CSR transpose — is only read, any number of threads may call this
-        concurrently on one shared engine, and process-pool workers may call
-        it on a pickled snapshot of the engine.
+        touched structure — the columnar views, the CSC transition, the PMPN
+        plan — is only read, any number of threads may call this concurrently
+        on one shared engine, and process-pool workers may call it on a
+        pickled snapshot of the engine.
 
         Results are identical to :meth:`query_many` with
         ``update_index=False``.
@@ -600,7 +601,7 @@ class ReverseTopKEngine:
         }
 
     def __setstate__(self, state: dict) -> None:
-        # __init__ re-derives the hub mask and the shared CSR transpose.
+        # __init__ re-derives the hub mask and the PMPN plan.
         self.__init__(
             state["transition"],
             state["index"],
@@ -623,7 +624,7 @@ class ReverseTopKEngine:
                     query,
                     alpha=self.index.params.alpha,
                     tolerance=params.tolerance,
-                    transposed=self._transposed,
+                    plan=self._pmpn_plan,
                 )
             proximity_to_q = pmpn.proximities
 
@@ -667,6 +668,8 @@ class ReverseTopKEngine:
                 n_query_aware_hits=tally.n_query_aware_hits,
                 n_exact_fallbacks=tally.n_fallbacks,
                 pmpn_iterations=pmpn.iterations,
+                pmpn_rows=pmpn.rows,
+                pmpn_edges=pmpn.edges,
             )
             # Stage timings come straight from the StageTimer (already
             # exclusive per stage) — synthetic children, no double timing.

@@ -308,5 +308,12 @@ class TestEnginePickling:
     def test_derived_caches_rebuilt(self, small_index, small_transition):
         engine = ReverseTopKEngine(small_transition, small_index)
         clone = pickle.loads(pickle.dumps(engine))
-        assert clone._transposed.shape == engine._transposed.shape
+        plan, rebuilt = engine._pmpn_plan, clone._pmpn_plan
+        assert rebuilt is not plan
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(
+                getattr(rebuilt.transposed, name), getattr(plan.transposed, name)
+            )
+        np.testing.assert_array_equal(rebuilt.first, plan.first)
+        np.testing.assert_array_equal(rebuilt.order, plan.order)
         np.testing.assert_array_equal(clone._hub_mask, engine._hub_mask)

@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from repro.core.pmpn import proximity_to_node
 from repro.net import ReverseTopKClient, ServerConfig, start_in_thread
 from repro.net.coalesce import QueryCoalescer
 from repro.obs import Trace, get_registry
@@ -96,6 +97,19 @@ class TestTraceHeader:
         engine = find_span(tree, "engine.query")
         assert engine["annotations"]["n_pruned"] >= 0
         assert engine["annotations"]["pmpn_iterations"] > 0
+
+    def test_engine_span_reports_the_pmpn_row_set(self, obs_handle, dynamic_service):
+        async def scenario(client):
+            return await client.query(5, 4, trace=True)
+
+        engine_span = find_span(drive(obs_handle, scenario)["trace"], "engine.query")
+        engine = dynamic_service.engine
+        direct = proximity_to_node(engine.transition, 5, plan=engine._pmpn_plan)
+        annotations = engine_span["annotations"]
+        assert annotations["pmpn_rows"] == direct.rows
+        assert annotations["pmpn_edges"] == direct.edges
+        assert 0 < annotations["pmpn_rows"] <= engine.n_nodes
+        assert 0 < annotations["pmpn_edges"] <= engine.transition.nnz
 
     def test_timings_sum_consistently(self, obs_handle):
         async def scenario(client):
