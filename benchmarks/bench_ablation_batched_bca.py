@@ -9,8 +9,7 @@ strategy and compares the work required.
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core import IndexParams
-from repro.core.propagation import bca_iteration, initial_node_state
+from repro.core import IndexParams, PropagationKernel
 from repro.evaluation.tables import format_table
 from repro.rwr import bca_proximity_vector, push_proximity_vector
 from repro.utils.timer import Timer
@@ -21,16 +20,12 @@ N_SOURCES = 20
 
 
 def _batched_until_target(matrix, source, params):
-    # The batched rule as the paper states it (Eq. 8-9): the scalar
-    # reference iteration, one whole batch of active nodes per step.
+    # The batched rule as the paper states it (Eq. 8-9): one whole batch of
+    # active nodes per step, run by the propagation kernel until the residue
+    # drops to the target (params.residue_threshold).
     hub_mask = np.zeros(matrix.shape[0], dtype=bool)
-    state = initial_node_state(source, False)
-    iterations = 0
-    while state.residual_mass > RESIDUE_TARGET and iterations < 10_000:
-        if not bca_iteration(state, matrix, hub_mask, params):
-            break
-        iterations += 1
-    return iterations
+    collected = PropagationKernel(matrix, hub_mask, params).run([source])
+    return int(collected.iterations[0])
 
 
 def test_ablation_batched_vs_single_node(benchmark, bench_graphs, bench_transitions,

@@ -22,16 +22,11 @@ def test_fig5_query_time(benchmark, bench_graphs, bench_transitions, bench_param
 
     benchmark(lambda: engine.query(0, 10, update_index=True))
 
-    # The vectorized scan must agree with the seed per-node loop at bench
-    # scale (fresh index copies on both sides: the benchmark rounds above
-    # refined the engine's own index).
-    vectorized_engine = ReverseTopKEngine(matrix, copy.deepcopy(index))
-    scalar_engine = ReverseTopKEngine(matrix, copy.deepcopy(index))
-    vec = vectorized_engine.query(1, 10, update_index=False, scan_mode="vectorized")
-    sca = scalar_engine.query(1, 10, update_index=False, scan_mode="scalar")
-    assert set(vec.nodes.tolist()) == set(sca.nodes.tolist())
-    assert vec.statistics.n_candidates == sca.statistics.n_candidates
-    assert "refine" in vec.statistics.stage_seconds
+    # A read-only query on a fresh index copy reports every stage (the
+    # benchmark rounds above refined the engine's own index).
+    fresh = ReverseTopKEngine(matrix, copy.deepcopy(index))
+    vec = fresh.query(1, 10, update_index=False)
+    assert {"pmpn", "scan", "refine"} <= set(vec.statistics.stage_seconds)
 
     result = figure5_query_time(
         graph,

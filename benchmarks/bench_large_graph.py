@@ -127,7 +127,6 @@ def _build(args, graph: DiGraph, matrix, workdir: Path, record: dict):
         hub_budget=HUB_BUDGET,
         propagation_threshold=ETA,
         residue_threshold=DELTA,
-        backend="sparse",
     ).for_graph(graph.n_nodes)
     reset_materialization_count()
     started = time.perf_counter()
@@ -153,7 +152,6 @@ def _build(args, graph: DiGraph, matrix, workdir: Path, record: dict):
         seconds,
         n_shards=index.n_shards,
         n_workers=args.workers,
-        backend=params.backend,
         index_mb=round(index.total_bytes() / 2**20, 1),
         resident_mb=round(index.resident_bytes() / 2**20, 1),
         nodestate_materializations=materialized,
@@ -241,7 +239,6 @@ def main(argv=None) -> dict:
             "hub_budget": HUB_BUDGET,
             "propagation_threshold": ETA,
             "residue_threshold": DELTA,
-            "backend": "sparse",
             "n_shards": args.shards,
             "n_workers": args.workers,
             "memory_budget": 0,

@@ -1,11 +1,4 @@
-"""Setuptools entry point.
-
-The base package needs only numpy/scipy; the compiled propagation and scan
-kernels are an opt-in extra so the pure-NumPy fallback stays installable
-everywhere::
-
-    pip install repro[fast]   # numba-compiled BCA iteration + scan stages
-"""
+"""Setuptools entry point.  The package needs only numpy and scipy."""
 
 from setuptools import find_packages, setup
 
@@ -17,5 +10,4 @@ setup(
     packages=find_packages("src"),
     python_requires=">=3.10",
     install_requires=["numpy>=1.24", "scipy>=1.10"],
-    extras_require={"fast": ["numba>=0.57"]},
 )

@@ -30,7 +30,6 @@ Modules
     Theorem 1 storage estimate and Proposition 3 rounding-error bound.
 """
 
-from .backends import available_backends, numba_available, require_backend
 from .baseline import (
     brute_force_reverse_topk,
     InfeasibleBruteForce,
@@ -42,7 +41,7 @@ from .bounds import (
     kth_upper_bounds_batch,
     staircase_levels,
 )
-from .config import IndexParams, QueryParams, PROPAGATION_BACKENDS, SCAN_PRECISIONS
+from .config import IndexParams, QueryParams, SCAN_PRECISIONS
 from .estimates import predicted_index_bytes, rounding_error_bound
 from .hubs import degree_union_hubs, select_hubs_by_degree, select_hubs_greedy, HubSet
 from .index import ReverseTopKIndex, NodeState, ColumnarView
@@ -53,7 +52,6 @@ from .query import (
     ReverseTopKEngine,
     QueryResult,
     QueryStatistics,
-    SCAN_MODES,
     columnar_stage_decisions,
 )
 from .sharding import (
@@ -67,11 +65,7 @@ from .sharding import (
 __all__ = [
     "IndexParams",
     "QueryParams",
-    "PROPAGATION_BACKENDS",
     "SCAN_PRECISIONS",
-    "available_backends",
-    "numba_available",
-    "require_backend",
     "KernelWorkspace",
     "BoundsWorkspace",
     "columnar_stage_decisions",
@@ -100,7 +94,6 @@ __all__ = [
     "ShardedReverseTopKIndex",
     "build_sharded_index",
     "shard_boundaries",
-    "SCAN_MODES",
     "QueryResult",
     "QueryStatistics",
     "brute_force_reverse_topk",

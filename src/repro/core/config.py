@@ -8,6 +8,11 @@ The defaults mirror the experimental setup of the paper:
 * residue threshold ``delta = 0.1``;
 * hub rounding threshold ``omega = 1e-6``;
 * convergence tolerance ``epsilon = 1e-10``.
+
+Parameters say *what* is computed, never *how*: there is one propagation
+kernel (:mod:`repro.core.propagation`) and one scan (:mod:`repro.core.query`),
+so no field picks an implementation or sizes its working memory.  The one
+remaining implementation choice is the engine's ``scan_precision``.
 """
 
 from __future__ import annotations
@@ -21,27 +26,11 @@ from .._validation import (
     check_probability,
 )
 
-#: Accepted ink-propagation backends (see :mod:`repro.core.propagation`):
-#: the dict-based per-neighbour reference loop, the blocked multi-source
-#: dense engine, the optional JIT-compiled variant of the latter, and the
-#: sparse-plane blocked engine whose memory scales with the residue frontier
-#: instead of ``n * block_size`` (the million-node build backend).
-#: ``"numba"`` is accepted here unconditionally (parameters must stay
-#: loadable on machines without the extra); availability is checked when a
-#: kernel is actually constructed (:func:`repro.core.backends.require_backend`).
-PROPAGATION_BACKENDS = ("scalar", "vectorized", "numba", "sparse")
-
 #: Precisions accepted for the scan phase's lower-bound reads: ``"float64"``
 #: scans the authoritative matrix directly; ``"float32"`` screens with a
 #: half-width copy plus a conservative error envelope and re-checks only
 #: near-threshold nodes against the float64 truth (bit-identical answers).
 SCAN_PRECISIONS = ("float64", "float32")
-
-#: Default multi-source block width of the vectorized backend.  The working
-#: set is roughly ``41 * block_size * n_nodes`` bytes: five float64 planes
-#: (residual, retained, amounts, shares and the per-iteration arrivals
-#: product) plus one bool active mask.  Shrink it for very large graphs.
-DEFAULT_BLOCK_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -71,24 +60,6 @@ class IndexParams:
         vectors (and for PMPN at query time).
     max_index_iterations:
         Safety cap on batched BCA iterations per node.
-    backend:
-        Ink-propagation backend (:data:`PROPAGATION_BACKENDS`):
-        ``"vectorized"`` (default) runs blocked multi-source BCA over dense
-        arrays; ``"scalar"`` is the dict-based reference loop, bit-identical
-        to the seed implementation; ``"numba"`` JIT-compiles the blocked
-        engine's inner iteration (requires the optional ``fast`` extra —
-        kernel construction fails with ``ConfigurationError`` without it);
-        ``"sparse"`` keeps the block state in sparse CSC matrices so memory
-        scales with the live residue frontier — the backend for
-        million-node builds, where the dense planes would not fit.
-    block_size:
-        ``B`` — number of source nodes the vectorized backend advances
-        together.  Larger blocks amortize the per-iteration sparse product
-        over more sources at the cost of ``O(block_size * n)`` memory
-        (roughly ``41 * block_size * n`` bytes, see
-        :data:`DEFAULT_BLOCK_SIZE`).  Per-source results are bitwise
-        independent of the block size, so it never participates in snapshot
-        content keys.
     """
 
     alpha: float = 0.15
@@ -99,8 +70,6 @@ class IndexParams:
     hub_budget: int = 50
     tolerance: float = 1e-10
     max_index_iterations: int = 10_000
-    backend: str = "vectorized"
-    block_size: int = DEFAULT_BLOCK_SIZE
 
     def __post_init__(self) -> None:
         check_probability(self.alpha, "alpha")
@@ -112,11 +81,6 @@ class IndexParams:
             raise ValueError("hub_budget must be non-negative")
         check_positive_float(self.tolerance, "tolerance")
         check_positive_int(self.max_index_iterations, "max_index_iterations")
-        if self.backend not in PROPAGATION_BACKENDS:
-            raise ValueError(
-                f"backend must be one of {PROPAGATION_BACKENDS}, got {self.backend!r}"
-            )
-        check_positive_int(self.block_size, "block_size")
 
     def for_graph(self, n_nodes: int) -> "IndexParams":
         """Clamp the capacity and hub budget to the graph size.

@@ -22,8 +22,8 @@ straight into one).  One node's column travels as a :class:`StateArrays`
 spills, and what the store's overlay holds.  :class:`NodeState` — three
 ``{node: value}`` dicts — survives only as the *by-value* view
 :meth:`ReverseTopKIndex.state` returns and as the working representation of
-the scalar reference primitives; mutating one changes nothing until it is
-handed back through :meth:`ReverseTopKIndex.set_state`.  ``P_H`` is a CSC
+the seed reference loop under ``tests/``; mutating one changes nothing until
+it is handed back through :meth:`ReverseTopKIndex.set_state`.  ``P_H`` is a CSC
 matrix with one column per hub.
 
 Columnar views (vectorized query engine)
@@ -243,8 +243,6 @@ _PARAM_FIELDS = (
     "rounding_threshold",
     "hub_budget",
     "tolerance",
-    "backend",
-    "block_size",
 )
 
 
@@ -256,19 +254,11 @@ def params_to_arrays(params: IndexParams) -> Dict[str, np.ndarray]:
 def params_from_arrays(data) -> IndexParams:
     """Inverse of :func:`params_to_arrays` (monolithic and sharded archives).
 
-    Archives written before the propagation-kernel layer lack the backend
-    fields.  Their states were built by the seed loop, which the scalar
-    backend preserves bit-identically — defaulting to "vectorized" would
-    hand the dynamic maintainer a mixed index that matches neither
-    backend's from-scratch build.
+    Reads exactly :data:`_PARAM_FIELDS`, so the ``backend`` and
+    ``block_size`` entries that older archives carry are ignored: they named
+    implementation choices that no longer exist and never changed contents.
     """
-    fields = {
-        name: data[name][0].item()
-        for name in _PARAM_FIELDS
-        if name in data or name not in ("backend", "block_size")
-    }
-    fields.setdefault("backend", "scalar")
-    return IndexParams(**fields)
+    return IndexParams(**{name: data[name][0].item() for name in _PARAM_FIELDS})
 
 
 def resolve_hub_components(

@@ -15,24 +15,23 @@ For every node ``u`` the indexer runs a *batched* adaptation of BCA:
 Hub proximity vectors are computed exactly with the power method, rounded
 (entries below ``omega`` zeroed) and stored as the columns of ``P_H``.
 
-All ink movement is delegated to the unified propagation layer
-(:mod:`repro.core.propagation`): construction runs the
-:class:`~repro.core.propagation.PropagationKernel` over every non-hub node —
-with the ``"vectorized"`` backend that is a blocked multi-source engine, with
-``"scalar"`` the seed's per-node dict loop — and query-time refinement
-(Algorithm 4, line 13) advances one candidate's array working set through the
-same kernel.  Every backend hands its converged states over as flat segments,
-which :func:`~repro.core.statestore.assemble_store` merges with the hub and
+All ink movement is delegated to the one propagation kernel
+(:mod:`repro.core.propagation`): construction runs the blocked sparse
+:class:`~repro.core.propagation.PropagationKernel` over every non-hub node,
+and query-time refinement (Algorithm 4, line 13) advances one candidate's
+array working set through the same kernel.  The kernel hands its converged
+states over as flat segments, which
+:func:`~repro.core.statestore.assemble_store` merges with the hub and
 untargeted rows into the index's columnar store.  :func:`build_index_parallel`
 shards the node range across a process pool and merges the per-shard segments
 into one index; per-source bitwise determinism of the kernel makes the result
-identical to a serial build under the same backend.
+identical to a serial build.  The seed's per-node dict loop lives on under
+``tests/`` as the reference oracle the kernel is tested against.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -47,21 +46,13 @@ from ..utils.timer import StageTimer
 from .config import IndexParams
 from .hubs import HubSet, degree_union_hubs, select_hubs_by_degree
 from .index import NodeState, ReverseTopKIndex, StateArrays
-from .statestore import CollectedStates, assemble_store
-
-# Propagation primitives live in the kernel layer; re-exported here because
-# this module is their historical home (tests and benchmarks import them
-# from ``repro.core.lbi``).
-from .propagation import (  # noqa: F401  (re-exports)
+from .propagation import (
     BuildReport,
     PropagationKernel,
     RefinementWorkingSet,
     _HubExpansion,
-    bca_iteration,
-    initial_node_state,
-    materialize_lower_bounds,
-    run_node_bca,
 )
+from .statestore import CollectedStates, assemble_store
 
 
 def _compute_hub_matrix(
@@ -125,7 +116,6 @@ def _resolve_build_inputs(
     params: Optional[IndexParams],
     hubs: Optional[HubSet],
     transition: Optional[sp.spmatrix],
-    backend: Optional[str],
 ) -> Tuple[sp.csc_matrix, int, IndexParams, HubSet]:
     """Shared preamble of the serial and parallel builders."""
     if isinstance(graph, DiGraph):
@@ -140,10 +130,6 @@ def _resolve_build_inputs(
     if params is None:
         params = IndexParams()
     params = params.for_graph(n)
-    if backend is not None and backend != params.backend:
-        # replace() re-runs IndexParams.__post_init__, which rejects unknown
-        # backends — no separate membership check needed here.
-        params = replace(params, backend=backend)
 
     if hubs is None:
         if graph is not None:
@@ -160,27 +146,23 @@ def _emit_build_metrics(report: BuildReport) -> None:
 
     Index builds run from library code (no server to own a registry), so
     build telemetry lands in the default registry: build counts and indexed
-    nodes by backend, plus per-stage seconds — the same exposition the
-    serving layer scrapes, per the observability layer's one-API rule.
+    nodes, plus per-stage seconds — the same exposition the serving layer
+    scrapes, per the observability layer's one-API rule.
     """
     registry = get_registry()
     registry.counter(
-        "repro_index_builds_total",
-        "Completed index builds",
-        labels=("backend",),
-    ).labels(backend=report.backend).inc()
+        "repro_index_builds_total", "Completed index builds"
+    ).inc()
     registry.counter(
-        "repro_index_build_nodes_total",
-        "Nodes (re)indexed across builds",
-        labels=("backend",),
-    ).labels(backend=report.backend).inc(report.n_targets)
+        "repro_index_build_nodes_total", "Nodes (re)indexed across builds"
+    ).inc(report.n_targets)
     stage_family = registry.counter(
         "repro_index_build_seconds_total",
         "Seconds per index-build phase",
-        labels=("backend", "stage"),
+        labels=("stage",),
     )
     for stage, seconds in report.stage_seconds.items():
-        stage_family.labels(backend=report.backend, stage=stage).inc(seconds)
+        stage_family.labels(stage=stage).inc(seconds)
 
 
 def _assemble_store_index(
@@ -212,8 +194,6 @@ def _assemble_store_index(
                 hub_progress(node)
 
     report = BuildReport(
-        backend=params.backend,
-        block_size=params.block_size,
         n_nodes=n,
         n_targets=n_targets,
         stage_seconds=stages.as_dict(),
@@ -239,7 +219,6 @@ def build_index(
     transition: Optional[sp.spmatrix] = None,
     nodes: Optional[Sequence[int]] = None,
     progress: Optional[Callable[[int, int], None]] = None,
-    backend: Optional[str] = None,
 ) -> ReverseTopKIndex:
     """Build the reverse top-k index for a graph (Algorithm 1).
 
@@ -250,9 +229,7 @@ def build_index(
         column-stochastic transition matrix.
     params:
         Index construction parameters; defaults to the paper's settings,
-        clamped to the graph size.  ``params.backend`` selects the
-        propagation backend and ``params.block_size`` the vectorized block
-        width.
+        clamped to the graph size.
     hubs:
         Pre-selected hub set; defaults to the degree heuristic of §4.1.1 with
         ``params.hub_budget``.
@@ -265,18 +242,13 @@ def build_index(
     progress:
         Optional callback ``(done, total)`` invoked once per target node, so
         long builds can report progress.
-    backend:
-        Per-call override of ``params.backend`` (recorded on the returned
-        index's parameters).
 
     The returned index carries a :class:`~repro.core.propagation.BuildReport`
     as ``index.build_report``: per-phase seconds for the exact hub proximity
     computation (``hub_matrix``), ink propagation (``bca``) and lower-bound
     materialization (``materialize``), which sum to ``index.build_seconds``.
     """
-    matrix, n, params, hubs = _resolve_build_inputs(
-        graph, params, hubs, transition, backend
-    )
+    matrix, n, params, hubs = _resolve_build_inputs(graph, params, hubs, transition)
 
     stages = StageTimer()
     with stages.time("hub_matrix"):
@@ -369,7 +341,7 @@ def build_index_parallel(
             graph, params, hubs=hubs, transition=transition, progress=progress
         )
 
-    matrix, n, params, hubs = _resolve_build_inputs(graph, params, hubs, transition, None)
+    matrix, n, params, hubs = _resolve_build_inputs(graph, params, hubs, transition)
     stages = StageTimer()
     with stages.time("hub_matrix"):
         hub_matrix, hub_deficit, hub_top_k = _compute_hub_matrix(matrix, hubs, params)
@@ -417,9 +389,8 @@ def rebuild_node_state(
     What invalidation does to a node whose buffered state touched a mutated
     transition column: the state is reset to one unit of residue ink and
     re-refined exactly as :func:`build_index` would, so the result is
-    bit-identical to the state a full rebuild on ``transition`` produces
-    (under the same propagation backend).  ``expansion`` must wrap the hub
-    matrix computed for the *new* transition.
+    bit-identical to the state a full rebuild on ``transition`` produces.
+    ``expansion`` must wrap the hub matrix computed for the *new* transition.
     """
     if hub_mask[node]:
         raise ValueError(

@@ -12,8 +12,8 @@ Query evaluation proceeds in two phases:
    decides.  Refinements can be written back into the index ("update" mode),
    tightening bounds for future queries.
 
-Vectorized pipeline (the default, ``scan_mode="vectorized"``)
--------------------------------------------------------------
+The scan
+--------
 Instead of looping over all ``n`` nodes, the scan phase runs as whole-array
 stages over the index's columnar views (:attr:`ReverseTopKIndex.columns`):
 
@@ -29,13 +29,15 @@ stages over the index's columnar views (:attr:`ReverseTopKIndex.columns`):
 * **refine** — only the few candidates that all three vectorized stages left
   undecided enter the per-node refinement loop of Algorithm 4, line 13.
 
-The stages produce results and :class:`QueryStatistics` counters that are
-bit-identical to the per-node reference scan, which remains available as
-``scan_mode="scalar"`` for equivalence tests and benchmarks.
+This is the only scan.  Its results, its :class:`QueryStatistics` counters
+and the index it writes back are bit-identical to the paper's per-node
+while-loop, which lives under ``tests/`` as the reference oracle.  The one
+remaining knob is the engine's ``scan_precision``: float32 screening reads
+half the bytes and decides exactly as float64 does.
 
 The engine also collects the per-query statistics reported in Figures 5–8:
 candidate count, immediate hits, refinement iterations, and stage timings
-(``pmpn``, ``scan``, and — in vectorized mode — ``refine``).
+(``pmpn``, ``scan`` and ``refine``).
 """
 
 from __future__ import annotations
@@ -52,15 +54,11 @@ from ..graph.digraph import DiGraph
 from ..graph.transition import transition_matrix
 from ..obs.tracing import current_span
 from ..utils.timer import StageTimer, Timer
-from .backends import load_numba_kernels
 from .bounds import (
     BoundsWorkspace,
-    FLOAT32_ABSOLUTE_ENVELOPE,
-    FLOAT32_RELATIVE_ENVELOPE,
     float32_prune_envelope,
     float32_staircase_envelope,
     kth_other_upper_bound,
-    kth_upper_bound,
     kth_upper_bounds_batch,
 )
 from .config import SCAN_PRECISIONS, IndexParams, QueryParams
@@ -68,12 +66,6 @@ from .index import ColumnarView, ReverseTopKIndex, StateArrays
 from .lbi import build_index, refine_node_state
 from .pmpn import PMPNPlan, proximity_to_node
 from .propagation import PropagationKernel
-
-#: Accepted scan-phase implementations: the columnar pipeline, the per-node
-#: reference loop (kept for equivalence testing and benchmarks), and the
-#: JIT-compiled fused scan (requires the optional ``fast`` extra).
-SCAN_MODES = ("vectorized", "scalar", "numba")
-
 
 # --------------------------------------------------------------------- #
 # the shared columnar stage pipeline
@@ -86,12 +78,11 @@ def columnar_stage_decisions(
     lower32: Optional[np.ndarray] = None,
     screen: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     workspace: Optional[BoundsWorkspace] = None,
-    jit=None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Prune / exact-shortcut / staircase decisions over one columnar slice.
 
-    The single decision pipeline behind both the monolithic vectorized scan
-    and the per-shard router scan.  Returns ``(exact_idx, candidate_idx,
+    The single decision pipeline behind both the monolithic scan and the
+    per-shard router scan.  Returns ``(exact_idx, candidate_idx,
     hits, n_pruned)`` with ascending slice-local node indices: nodes accepted
     by the exact shortcut, undecided-or-hit candidates, the boolean hit mask
     aligned with ``candidate_idx``, and the immediate-prune count.
@@ -104,12 +95,7 @@ def columnar_stage_decisions(
     half the bytes.  ``screen`` optionally supplies precomputed ``(hi, lo)``
     prune rows (``threshold ± envelope`` at rank ``k``) so a caller serving
     many queries against the same plane pays the float64 conversion once.
-    ``jit`` routes the stage pipeline through the compiled
-    :func:`repro.core._numba_kernels.scan_decide` kernel instead of NumPy,
-    again with identical decisions.
     """
-    if jit is not None:
-        return _stage_decisions_numba(proximity, columns, k, lower32, workspace, jit)
     if lower32 is not None:
         return _stage_decisions_screened(
             proximity, columns, k, lower32, screen, workspace
@@ -200,64 +186,6 @@ def _stage_decisions_screened(
             workspace=workspace,
         )
         hits[unsure] = prox[unsure] >= upper
-    return exact_idx, candidates, hits, n_pruned
-
-
-def _stage_decisions_numba(
-    proximity: np.ndarray,
-    columns: ColumnarView,
-    k: int,
-    lower32: Optional[np.ndarray],
-    workspace: Optional[BoundsWorkspace],
-    jit,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Fused compiled pipeline; envelope hits resolve through NumPy at f64."""
-    n = proximity.shape[0]
-    if lower32 is not None:
-        plane = np.asarray(lower32)
-        eps, tiny = FLOAT32_RELATIVE_ENVELOPE, FLOAT32_ABSOLUTE_ENVELOPE
-    else:
-        plane = np.asarray(columns.lower)
-        eps, tiny = 0.0, 0.0
-    codes = (
-        workspace.take("codes", n, np.uint8)
-        if workspace is not None
-        else np.empty(n, dtype=np.uint8)
-    )
-    jit.scan_decide(
-        np.asarray(proximity),
-        plane,
-        np.asarray(columns.residual_mass),
-        np.asarray(columns.is_exact),
-        k,
-        eps,
-        tiny,
-        codes,
-    )
-    unsure = np.flatnonzero(codes == 4)
-    if unsure.size:
-        # Replay the full float64 pipeline for the envelope nodes only.
-        lower = columns.lower
-        survived = proximity[unsure] >= lower[k - 1][unsure]
-        codes[unsure[~survived]] = 0
-        alive = unsure[survived]
-        exact_alive = np.asarray(columns.is_exact)[alive]
-        codes[alive[exact_alive]] = 1
-        borderline = alive[~exact_alive]
-        if borderline.size:
-            upper = kth_upper_bounds_batch(
-                lower[:k, borderline],
-                columns.residual_mass[borderline],
-                k,
-                workspace=workspace,
-            )
-            codes[borderline] = np.where(
-                proximity[borderline] >= upper, 2, 3
-            ).astype(np.uint8)
-    n_pruned = int(np.count_nonzero(codes == 0))
-    exact_idx = np.flatnonzero(codes == 1)
-    candidates = np.flatnonzero(codes >= 2)
-    hits = codes[candidates] == 2
     return exact_idx, candidates, hits, n_pruned
 
 
@@ -403,8 +331,7 @@ class ReverseTopKEngine:
         ``"float32"`` screens the prune and staircase stages against the
         index's float32 lower-bound mirror, re-checking only borderline
         nodes at float64 — answers and statistics are bit-identical, at
-        half the bytes read per columnar pass.  Affects the columnar scan
-        modes only (the scalar reference loop always reads float64).
+        half the bytes read per columnar pass.
     """
 
     def __init__(
@@ -441,8 +368,6 @@ class ReverseTopKEngine:
         # Scratch for the batched staircase bound, reused across queries
         # (thread-local, so concurrent read-only queries stay safe).
         self._bounds_workspace = BoundsWorkspace()
-        # Compiled scan kernels, loaded on the first scan_mode="numba" query.
-        self._scan_jit = None
 
     # ------------------------------------------------------------------ #
     # construction helpers
@@ -498,7 +423,6 @@ class ReverseTopKEngine:
         *,
         update_index: bool = True,
         params: Optional[QueryParams] = None,
-        scan_mode: str = "vectorized",
     ) -> QueryResult:
         """Evaluate a reverse top-k query (Algorithm 4).
 
@@ -514,22 +438,12 @@ class ReverseTopKEngine:
         params:
             Full :class:`QueryParams`; overrides ``k`` and ``update_index``
             when given.
-        scan_mode:
-            ``"vectorized"`` (default) runs the columnar whole-array scan;
-            ``"scalar"`` runs the per-node reference loop; ``"numba"`` runs
-            the fused compiled scan (requires the optional ``fast`` extra,
-            raising :class:`~repro.exceptions.ConfigurationError` when numba
-            is unavailable).  All return identical results and statistics
-            counters.
         """
         if params is None:
             params = QueryParams(k=k, update_index=update_index)
         query = check_node_index(query, self.n_nodes, "query")
         k = check_k(params.k, self.n_nodes, maximum=self.index.capacity)
-        scan_mode = check_membership(scan_mode, SCAN_MODES, "scan_mode")
-        if scan_mode == "numba":
-            self._ensure_scan_jit()
-        return self._query_checked(query, k, params, scan_mode)
+        return self._query_checked(query, k, params)
 
     def query_many(
         self,
@@ -538,24 +452,21 @@ class ReverseTopKEngine:
         *,
         update_index: bool = True,
         params: Optional[QueryParams] = None,
-        scan_mode: str = "vectorized",
     ) -> List[QueryResult]:
         """Evaluate a workload of queries (Figures 7 and 8).
 
-        The batched path validates ``k``/``params``/``scan_mode`` once and
-        shares the columnar index views, the CSC transition and its PMPN plan
-        across all queries.  Per-query results and statistics are identical
-        to calling :meth:`query` in a loop.
+        The batched path validates ``k``/``params`` once and shares the
+        columnar index views, the CSC transition and its PMPN plan across all
+        queries.  Each query id is validated exactly as :meth:`query`
+        validates it; per-query results and statistics are identical to
+        calling :meth:`query` in a loop.
         """
         if params is None:
             params = QueryParams(k=k, update_index=update_index)
         k = check_k(params.k, self.n_nodes, maximum=self.index.capacity)
-        scan_mode = check_membership(scan_mode, SCAN_MODES, "scan_mode")
-        if scan_mode == "numba":
-            self._ensure_scan_jit()
         return [
             self._query_checked(
-                check_node_index(int(query), self.n_nodes, "query"), k, params, scan_mode
+                check_node_index(query, self.n_nodes, "query"), k, params
             )
             for query in queries
         ]
@@ -566,7 +477,6 @@ class ReverseTopKEngine:
         k: int = 10,
         *,
         params: Optional[QueryParams] = None,
-        scan_mode: str = "vectorized",
     ) -> List[QueryResult]:
         """Shared-view batch entry point: evaluate ``queries`` without writes.
 
@@ -587,7 +497,7 @@ class ReverseTopKEngine:
             raise QueryError(
                 "query_many_readonly requires params with update_index=False"
             )
-        return self.query_many(queries, params=params, scan_mode=scan_mode)
+        return self.query_many(queries, params=params)
 
     # ------------------------------------------------------------------ #
     # pickling (process-pool workers)
@@ -612,9 +522,9 @@ class ReverseTopKEngine:
     # internals — query pipeline
     # ------------------------------------------------------------------ #
     def _query_checked(
-        self, query: int, k: int, params: QueryParams, scan_mode: str
+        self, query: int, k: int, params: QueryParams
     ) -> QueryResult:
-        """Run one pre-validated query through PMPN plus the chosen scan."""
+        """Run one pre-validated query through PMPN plus the scan."""
         stages = StageTimer()
         total_timer = Timer()
         with total_timer:
@@ -628,17 +538,7 @@ class ReverseTopKEngine:
                 )
             proximity_to_q = pmpn.proximities
 
-            if scan_mode == "scalar":
-                nodes, tally = self._scan_scalar(query, proximity_to_q, k, params, stages)
-            else:
-                nodes, tally = self._scan_vectorized(
-                    query,
-                    proximity_to_q,
-                    k,
-                    params,
-                    stages,
-                    jit=self._ensure_scan_jit() if scan_mode == "numba" else None,
-                )
+            nodes, tally = self._scan(query, proximity_to_q, k, params, stages)
 
         statistics = QueryStatistics(
             n_results=int(nodes.size),
@@ -697,36 +597,29 @@ class ReverseTopKEngine:
             statistics=statistics,
         )
 
-    def _ensure_scan_jit(self):
-        """Load (once) the compiled scan kernels for ``scan_mode="numba"``."""
-        if self._scan_jit is None:
-            self._scan_jit = load_numba_kernels()
-        return self._scan_jit
-
     def _scan_lower32(self) -> Optional[np.ndarray]:
         """The float32 screening plane, or ``None`` at full precision."""
         if self.scan_precision != "float32":
             return None
         return self.index.lower_bounds_f32()
 
-    def _scan_vectorized(
+    def _scan(
         self,
         query: int,
         proximity_to_q: np.ndarray,
         k: int,
         params: QueryParams,
         stages: StageTimer,
-        jit=None,
     ) -> Tuple[np.ndarray, "_ScanTally"]:
         """Columnar scan: whole-array prune, exact shortcut, batched bound.
 
-        Only candidates left undecided by all three vectorized stages enter
+        Only candidates left undecided by all three columnar stages enter
         the per-node refinement loop (timed as the separate ``refine`` stage).
         """
         tally = _ScanTally()
         with stages.time("scan"):
             exact_idx, candidates, hits = self._columnar_decisions(
-                proximity_to_q, k, tally, jit
+                proximity_to_q, k, tally
             )
             tally.n_exact = int(exact_idx.size)
             tally.n_candidates = int(candidates.size)
@@ -754,7 +647,7 @@ class ReverseTopKEngine:
         return nodes, tally
 
     def _columnar_decisions(
-        self, proximity_to_q: np.ndarray, k: int, tally: "_ScanTally", jit
+        self, proximity_to_q: np.ndarray, k: int, tally: "_ScanTally"
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(exact, candidates, hit mask)`` of the columnar stages; records the
         prune count on ``tally``.  The sharded router overrides only this."""
@@ -764,77 +657,12 @@ class ReverseTopKEngine:
             k,
             lower32=self._scan_lower32(),
             workspace=self._bounds_workspace,
-            jit=jit,
         )
         return exact_idx, candidates, hits
 
-    def _scan_scalar(
-        self,
-        query: int,
-        proximity_to_q: np.ndarray,
-        k: int,
-        params: QueryParams,
-        stages: StageTimer,
-    ) -> Tuple[np.ndarray, "_ScanTally"]:
-        """Reference scan: the per-node while-loop of Algorithm 4 over all nodes."""
-        tally = _ScanTally()
-        results: List[int] = []
-        with stages.time("scan"):
-            for node in range(self.n_nodes):
-                outcome = self._verify_node(
-                    node,
-                    query,
-                    float(proximity_to_q[node]),
-                    k,
-                    params,
-                )
-                if outcome.is_result:
-                    results.append(node)
-                tally.absorb(outcome)
-        return np.asarray(results, dtype=np.int64), tally
-
     # ------------------------------------------------------------------ #
-    # internals — per-node verification
+    # internals — refinement
     # ------------------------------------------------------------------ #
-    def _verify_node(
-        self,
-        node: int,
-        query: int,
-        proximity_to_query: float,
-        k: int,
-        params: QueryParams,
-    ) -> "_NodeOutcome":
-        """Decide whether ``node`` belongs to the reverse top-k result.
-
-        Implements the while-loop body of Algorithm 4 for a single node,
-        including the refinement of line 13 and the bookkeeping needed for
-        Figure 6's candidate/hit statistics.
-        """
-        state = self.index.state_arrays(node)
-        outcome = _NodeOutcome()
-
-        lower_k = float(state.lower_bounds[k - 1])
-        if proximity_to_query < lower_k:
-            outcome.pruned_immediately = True
-            return outcome
-
-        if state.is_exact:
-            # The lower bound is the true k-th value; the comparison is final.
-            outcome.is_result = True
-            outcome.used_exact_shortcut = True
-            return outcome
-
-        # Candidate: run the first upper-bound check, then hand over to the
-        # shared refinement loop (also used by the vectorized scan).
-        residual_mass = self.index.state_residual_mass(state)
-        upper = kth_upper_bound(state.lower_bounds, residual_mass, k)
-        if proximity_to_query >= upper:
-            outcome.is_result = True
-            outcome.was_candidate = True
-            outcome.was_immediate_hit = True
-            return outcome
-        return self._refine_candidate(node, query, proximity_to_query, k, params)
-
     def _refine_candidate(
         self,
         node: int,
@@ -849,8 +677,7 @@ class ReverseTopKEngine:
         is not exact, and was not an immediate hit — i.e. the first loop
         iteration of Algorithm 4 ran through its upper-bound check
         unsuccessfully.  This picks up exactly where that iteration left off
-        (budget check, refinement, re-check), so outcomes and counters are
-        identical regardless of which scan produced the candidate.  From
+        (budget check, refinement, re-check).  From
         here on the accept test is the bound on the k-th *other* entry: never
         looser than the paper's, and the only one that can admit
         ``node == query`` at ``k = 1``.
@@ -862,7 +689,7 @@ class ReverseTopKEngine:
         through the final ``set_state`` — only under ``update_index`` and
         only if a step changed it.
         """
-        outcome = _NodeOutcome(was_candidate=True)
+        outcome = _NodeOutcome()
         refinements = 0
         refined: Optional[StateArrays] = None
         working = self._kernel.load(self.index.state_arrays(node))
@@ -955,15 +782,11 @@ class ReverseTopKEngine:
 
 @dataclass
 class _NodeOutcome:
-    """Private per-node bookkeeping of Algorithm 4's while loop."""
+    """Private bookkeeping of one candidate's refinement (Algorithm 4's loop)."""
 
     is_result: bool = False
-    was_candidate: bool = False
-    was_immediate_hit: bool = False
-    used_exact_shortcut: bool = False
     used_query_aware_bound: bool = False
     used_exact_fallback: bool = False
-    pruned_immediately: bool = False
     refinement_iterations: int = 0
 
 
@@ -982,14 +805,6 @@ class _ScanTally:
     #: Per-shard ``(start, n_nodes, seconds, n_pruned)`` records, collected
     #: by the sharded scan only while a trace is active.
     shard_records: List[Tuple[int, int, float, int]] = field(default_factory=list)
-
-    def absorb(self, outcome: _NodeOutcome) -> None:
-        """Tally one scalar-scan outcome (any of the per-node exit paths)."""
-        self.n_candidates += outcome.was_candidate
-        self.n_hits += outcome.was_immediate_hit
-        self.n_exact += outcome.used_exact_shortcut
-        self.n_pruned += outcome.pruned_immediately
-        self.absorb_refinement(outcome)
 
     def absorb_refinement(self, outcome: _NodeOutcome) -> None:
         """Tally the refinement counters of one candidate outcome."""

@@ -967,9 +967,7 @@ def build_sharded_index(
     """
     from ..utils.timer import Timer
 
-    matrix, n, params, hubs = _resolve_build_inputs(
-        graph, params, hubs, transition, None
-    )
+    matrix, n, params, hubs = _resolve_build_inputs(graph, params, hubs, transition)
     with Timer() as timer:
         hub_matrix, hub_deficit, hub_top_k = _compute_hub_matrix(matrix, hubs, params)
         hub_mask = hubs.mask(n)
@@ -1189,17 +1187,17 @@ class ShardedReverseTopKEngine(ReverseTopKEngine):
     # ------------------------------------------------------------------ #
     # the per-shard scan
     # ------------------------------------------------------------------ #
-    def _columnar_decisions(self, proximity_to_q, k, tally, jit):
+    def _columnar_decisions(self, proximity_to_q, k, tally):
         """The columnar stages routed across shards; refinement stays global.
 
         Per-shard stages are column-local, so evaluating them slice by slice
         yields the monolithic scan's floats; shard outcomes concatenate in
         range order, reproducing the monolithic ascending candidate order —
         and therefore identical refinement trajectories, write-back order,
-        version bumps and statistics counters.  Precision screening and the
-        compiled scan compose: each shard scans its own float32 plane (the
-        memmapped ``.lower32.npy`` when the layout carries one) through the
-        same shared stage pipeline the monolithic engine uses.
+        version bumps and statistics counters.  Under float32 screening each
+        shard scans its own float32 plane (the memmapped ``.lower32.npy``
+        when the layout carries one) through the same shared stage pipeline
+        the monolithic engine uses.
         """
         shards = self.index.shards
 
@@ -1210,7 +1208,6 @@ class ShardedReverseTopKEngine(ReverseTopKEngine):
                 k,
                 screened=self.scan_precision == "float32",
                 workspace=self._bounds_workspace,
-                jit=jit,
             )
 
         if self.scan_workers > 1 and len(shards) > 1:
@@ -1245,7 +1242,6 @@ def _scan_shard(
     *,
     screened: bool = False,
     workspace=None,
-    jit=None,
 ) -> Tuple[int, np.ndarray, np.ndarray, np.ndarray, int, float]:
     """Prune / exact-shortcut / batched-bound stages over one shard's slice.
 
@@ -1263,9 +1259,8 @@ def _scan_shard(
         shard.columns,
         k,
         lower32=shard.lower32() if screened else None,
-        screen=shard.screen_bounds(k) if screened and jit is None else None,
+        screen=shard.screen_bounds(k) if screened else None,
         workspace=workspace,
-        jit=jit,
     )
     seconds = time.perf_counter() - scan_start
     return shard.start, exact_local, candidates_local, hits, n_pruned, seconds

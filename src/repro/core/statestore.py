@@ -501,8 +501,8 @@ def assemble_store(
     ``collected`` may come from several sinks (parallel shard workers) in any
     order; rows are placed by global source id.  Nodes in ``[start, stop)``
     that are neither collected nor hubs get the untargeted initial state
-    (one unit of residue at themselves, all-zero bounds) — exactly what
-    ``initial_node_state`` plus a trivial materialisation produces.
+    (one unit of residue at themselves, all-zero bounds) — the state the
+    seed loop starts every node from, before any iteration.
     """
     start, stop, capacity = int(start), int(stop), int(capacity)
     m = stop - start

@@ -34,7 +34,7 @@ trajectory and lands in the bit-identical state.
    flat key arrays, never by walking per-node objects — and re-refines
    those from scratch as one
    :class:`~repro.core.propagation.PropagationKernel` run (a blocked
-   multi-source rebuild under the vectorized backend); if the stale
+   multi-source rebuild); if the stale
    fraction reaches ``rebuild_ratio``, a full rebuild is cheaper and runs
    instead;
 5. **re-materializes** the lower bounds of kept states whose hub ink refers

@@ -53,16 +53,6 @@ class QueryError(ReproError):
     """Raised when a reverse top-k query cannot be evaluated."""
 
 
-class ConfigurationError(ReproError):
-    """Raised when a requested feature is not available in this environment.
-
-    The canonical case is selecting an optional compiled backend (e.g.
-    ``backend="numba"``) on an installation without the corresponding extra:
-    the registry raises this error with an actionable message instead of
-    letting an ``ImportError`` escape from deep inside the kernel.
-    """
-
-
 class ServiceClosedError(ReproError, RuntimeError):
     """Raised when a request reaches a service whose resources are released.
 

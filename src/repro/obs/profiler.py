@@ -1,4 +1,4 @@
-"""Kernel profiling sinks: per-block iteration, spill and product accounting.
+"""Kernel profiling sinks: per-chunk iteration, spill and product accounting.
 
 The blocked BCA engine (:class:`~repro.core.propagation.PropagationKernel`)
 is the cost center of index construction and query refinement, but its
@@ -13,8 +13,9 @@ when unused.  The contract:
   attribute load per run (asserted by
   ``benchmarks/bench_observability_overhead.py``);
 * :class:`KernelProfiler` is the reference sink: thread-safe aggregate
-  counters (block iterations, live-column totals, fused-product and spill
-  seconds, plane bytes high-water, workspace reuse hits/misses), optionally
+  counters (chunk iterations, live-column totals, product and spill
+  seconds, sparse-plane bytes high-water, refinement-workspace reuse
+  hits/misses), optionally
   mirrored into a :class:`~repro.obs.registry.MetricsRegistry` so kernel
   internals appear in the same exposition as serving metrics.
 
@@ -41,7 +42,7 @@ class NullProfiler:
     enabled = False
 
     def on_block_iteration(self, **kwargs: object) -> None:
-        """One blocked BCA step advanced (never called when disabled)."""
+        """One chunk-wide BCA step advanced (never called when disabled)."""
 
     def on_spill(self, **kwargs: object) -> None:
         """A batch of converged columns was spilled to node states."""
@@ -65,8 +66,8 @@ class KernelProfiler:
     ----------
     registry:
         When given, the aggregates are also emitted as registry metrics
-        (``repro_kernel_*``, labeled by ``backend``), so kernel internals
-        share an exposition with the serving layer.
+        (``repro_kernel_*``), so kernel internals share an exposition with
+        the serving layer.
     """
 
     enabled = True
@@ -96,17 +97,14 @@ class KernelProfiler:
                 "iterations": registry.counter(
                     "repro_kernel_block_iterations_total",
                     "Blocked BCA iterations advanced",
-                    labels=("backend",),
                 ),
                 "live": registry.counter(
                     "repro_kernel_live_columns_total",
                     "Live columns summed across blocked iterations",
-                    labels=("backend",),
                 ),
                 "product": registry.counter(
                     "repro_kernel_product_seconds_total",
                     "Seconds inside the per-iteration propagation product",
-                    labels=("backend",),
                 ),
                 "spill": registry.counter(
                     "repro_kernel_spill_seconds_total",
@@ -115,7 +113,6 @@ class KernelProfiler:
                 "runs": registry.counter(
                     "repro_kernel_runs_total",
                     "Multi-source kernel runs completed",
-                    labels=("backend",),
                 ),
                 "steps": registry.counter(
                     "repro_kernel_steps_total",
@@ -123,7 +120,7 @@ class KernelProfiler:
                 ),
                 "plane_bytes": registry.gauge(
                     "repro_kernel_plane_bytes",
-                    "High-water bytes across the kernel's dense work planes",
+                    "High-water bytes across the kernel's sparse chunk planes",
                 ),
                 "ws_hits": registry.counter(
                     "repro_kernel_workspace_hits_total",
@@ -138,17 +135,15 @@ class KernelProfiler:
     # ------------------------------------------------------------------ #
     # sink interface
     # ------------------------------------------------------------------ #
-    def on_block_iteration(
-        self, *, backend: str, n_live: int, seconds: float
-    ) -> None:
+    def on_block_iteration(self, *, n_live: int, seconds: float) -> None:
         with self._lock:
             self.n_block_iterations += 1
             self.n_live_columns += int(n_live)
             self.product_seconds += float(seconds)
         if self._m is not None:
-            self._m["iterations"].labels(backend=backend).inc()
-            self._m["live"].labels(backend=backend).inc(int(n_live))
-            self._m["product"].labels(backend=backend).inc(float(seconds))
+            self._m["iterations"].inc()
+            self._m["live"].inc(int(n_live))
+            self._m["product"].inc(float(seconds))
 
     def on_spill(self, *, n_sources: int, seconds: float) -> None:
         with self._lock:
@@ -171,7 +166,6 @@ class KernelProfiler:
     def on_run(
         self,
         *,
-        backend: str,
         n_sources: int,
         plane_bytes: int,
         workspace: Optional[Dict[str, int]] = None,
@@ -187,7 +181,7 @@ class KernelProfiler:
                 self.workspace_hits = int(workspace.get("hits", 0))
                 self.workspace_misses = int(workspace.get("misses", 0))
         if self._m is not None:
-            self._m["runs"].labels(backend=backend).inc()
+            self._m["runs"].inc()
             self._m["plane_bytes"].set(self.peak_plane_bytes)
             if workspace is not None:
                 # Registry counters are monotonic; re-derive the delta from

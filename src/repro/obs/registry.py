@@ -3,8 +3,8 @@
 One :class:`MetricsRegistry` holds every instrument of one serving process
 (or, for isolation, of one server instance): monotonic **counters**,
 settable **gauges**, and fixed-bucket **histograms**, each optionally
-dimensioned by a small set of labels (``tenant``, ``shard``, ``backend``,
-``stage``).  The design goals, in order:
+dimensioned by a small set of labels (``tenant``, ``shard``, ``stage``,
+``outcome``).  The design goals, in order:
 
 1. **snapshot consistency** — every mutation and every export pass takes
    the *same* registry lock, so a rendered exposition is one atomic cut

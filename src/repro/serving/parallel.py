@@ -50,14 +50,12 @@ def _initialize_worker(engine: ReverseTopKEngine) -> None:
     _WORKER_ENGINE = engine
 
 
-def _process_chunk(
-    queries: List[int], k: int, scan_mode: str
-) -> Tuple[List[QueryResult], float]:
+def _process_chunk(queries: List[int], k: int) -> Tuple[List[QueryResult], float]:
     """Evaluate one chunk in a pool worker against its engine snapshot."""
     if _WORKER_ENGINE is None:  # pragma: no cover - initializer always runs
         raise RuntimeError("worker process has no engine snapshot installed")
     with Timer() as timer:
-        results = _WORKER_ENGINE.query_many_readonly(queries, k, scan_mode=scan_mode)
+        results = _WORKER_ENGINE.query_many_readonly(queries, k)
     return results, timer.elapsed
 
 
@@ -136,31 +134,26 @@ class ParallelExecutor:
         self,
         queries: Sequence[int],
         k: int,
-        *,
-        scan_mode: str = "vectorized",
     ) -> Tuple[List[QueryResult], List[WorkerReport]]:
         """Evaluate ``queries`` at depth ``k``; results keep the input order.
 
         A single same-``k`` batch is split into contiguous chunks across the
-        workers (sequential executors keep it whole).
+        workers (sequential executors keep it whole).  Query ids reach the
+        engine as given, so it validates them exactly as :meth:`query` does.
         """
-        queries = [int(q) for q in queries]
+        queries = list(queries)
         if not queries:
             return [], []
         if not self.is_parallel or len(queries) == 1:
             chunks = [queries]
         else:
             chunks = _split_evenly(queries, self.n_workers)
-        groups, reports = self._dispatch(
-            [(k, chunk) for chunk in chunks], scan_mode
-        )
+        groups, reports = self._dispatch([(k, chunk) for chunk in chunks])
         return [result for group in groups for result in group], reports
 
     def run_many(
         self,
         batches: Sequence[Tuple[int, Sequence[int]]],
-        *,
-        scan_mode: str = "vectorized",
     ) -> Tuple[List[List[QueryResult]], List[WorkerReport]]:
         """Evaluate several ``(k, queries)`` batches, concurrently when parallel.
 
@@ -170,17 +163,17 @@ class ParallelExecutor:
         turn.  A single batch falls back to :meth:`run`, which splits it
         across the workers.  Result groups align with the input batches.
         """
-        batches = [(int(k), [int(q) for q in queries]) for k, queries in batches]
+        batches = [(int(k), list(queries)) for k, queries in batches]
         if not batches:
             return [], []
         if len(batches) == 1:
             k, queries = batches[0]
-            results, reports = self.run(queries, k, scan_mode=scan_mode)
+            results, reports = self.run(queries, k)
             return [results], reports
-        return self._dispatch(batches, scan_mode)
+        return self._dispatch(batches)
 
     def _dispatch(
-        self, tasks: List[Tuple[int, List[int]]], scan_mode: str
+        self, tasks: List[Tuple[int, List[int]]]
     ) -> Tuple[List[List[QueryResult]], List[WorkerReport]]:
         """Execute ``(k, queries)`` work units, one result group per unit.
 
@@ -193,9 +186,7 @@ class ParallelExecutor:
         if not self.is_parallel or len(tasks) == 1:
             for worker, (k, queries) in enumerate(tasks):
                 with Timer() as timer:
-                    group = self.engine.query_many_readonly(
-                        queries, k, scan_mode=scan_mode
-                    )
+                    group = self.engine.query_many_readonly(queries, k)
                 groups.append(group)
                 reports.append(WorkerReport(worker, len(queries), timer.elapsed))
             return groups, reports
@@ -206,14 +197,13 @@ class ParallelExecutor:
 
             def task(queries: List[int], k: int) -> Tuple[List[QueryResult], float]:
                 with Timer() as timer:
-                    group = engine.query_many_readonly(queries, k, scan_mode=scan_mode)
+                    group = engine.query_many_readonly(queries, k)
                 return group, timer.elapsed
 
             futures = [pool.submit(task, queries, k) for k, queries in tasks]
         else:
             futures = [
-                pool.submit(_process_chunk, queries, k, scan_mode)
-                for k, queries in tasks
+                pool.submit(_process_chunk, queries, k) for k, queries in tasks
             ]
         for worker, ((k, queries), future) in enumerate(zip(tasks, futures)):
             group, seconds = future.result()

@@ -35,7 +35,7 @@ from .._validation import (
     check_positive_int,
 )
 from ..core.config import IndexParams
-from ..core.query import SCAN_MODES, QueryResult, ReverseTopKEngine
+from ..core.query import QueryResult, ReverseTopKEngine
 from ..exceptions import InvalidParameterError, ServiceClosedError
 from ..graph.digraph import DiGraph
 from ..obs.registry import MetricsRegistry, get_registry
@@ -65,23 +65,18 @@ class ServiceConfig:
         batches sequentially in-process.
     backend:
         ``"thread"`` (shared engine) or ``"process"`` (snapshot per worker).
-    scan_mode:
-        Scan implementation forwarded to the engine (``"vectorized"`` /
-        ``"scalar"``).
     """
 
     cache_capacity: int = 1024
     max_batch_size: int = 64
     n_workers: int = 0
     backend: str = "thread"
-    scan_mode: str = "vectorized"
 
     def __post_init__(self) -> None:
         check_non_negative_int(self.cache_capacity, "cache_capacity")
         check_positive_int(self.max_batch_size, "max_batch_size")
         check_non_negative_int(self.n_workers, "n_workers")
         check_membership(self.backend, BACKENDS, "backend")
-        check_membership(self.scan_mode, SCAN_MODES, "scan_mode")
 
 
 @dataclass(frozen=True)
@@ -434,9 +429,10 @@ class ReverseTopKService:
         — or the cache's — result.
         """
         self._ensure_open()
-        requests = [(int(q), int(k)) for q, k in requests]
-        for query, _ in requests:
-            check_node_index(query, self.engine.n_nodes, "query")
+        requests = [
+            (check_node_index(q, self.engine.n_nodes, "query"), int(k))
+            for q, k in requests
+        ]
         use_cache = self.config.cache_capacity > 0
         worker_seconds = 0.0
         engine_latency = LatencyStats()
@@ -477,9 +473,7 @@ class ReverseTopKService:
             # (With n_workers > 1 the engine runs on pool threads, outside
             # this trace context; its spans then simply don't attach.)
             with trace_span("batch.execute"):
-                groups, reports = self._executor.run_many(
-                    plan.batches, scan_mode=self.config.scan_mode
-                )
+                groups, reports = self._executor.run_many(plan.batches)
             worker_seconds += sum(report.seconds for report in reports)
             for (k, queries), batch_results in zip(plan.batches, groups):
                 for query, result in zip(queries, batch_results):
@@ -531,9 +525,7 @@ class ReverseTopKService:
         with self._index_lock.write():
             self._ensure_open()
             version = self.engine.index.version
-            result = self.engine.query(
-                query, k, update_index=True, scan_mode=self.config.scan_mode
-            )
+            result = self.engine.query(query, k, update_index=True)
             self._discard_stale_workers(version)
             # Eagerly drop the stranded cache generation: its keys can never
             # match the bumped version again, and LRU aging would leave them

@@ -18,7 +18,7 @@ miss, not an error.
 
 from __future__ import annotations
 
-from dataclasses import fields, replace
+from dataclasses import fields
 import hashlib
 import os
 from pathlib import Path
@@ -74,26 +74,15 @@ def transition_fingerprint(matrix: sp.spmatrix) -> str:
     return digest.hexdigest()
 
 
-#: IndexParams fields that provably cannot change index *contents* and are
-#: therefore excluded from the snapshot key.  ``block_size`` only shapes the
-#: vectorized backend's working memory: per-source trajectories are bitwise
-#: independent of the block composition (a tested kernel invariant), so
-#: retuning it must not invalidate every warm-start archive.
-_CONTENT_NEUTRAL_FIELDS = frozenset({"block_size"})
-
-
 def params_fingerprint(params: IndexParams) -> str:
     """SHA-256 over every content-affecting :class:`IndexParams` field.
 
     Iterating ``dataclasses.fields`` means a future parameter added to
     ``IndexParams`` automatically changes the key — an old snapshot can
-    never be mistaken for one built under the new parameter — unless it is
-    explicitly declared content-neutral (:data:`_CONTENT_NEUTRAL_FIELDS`).
+    never be mistaken for one built under the new parameter.
     """
     digest = hashlib.sha256()
     for spec in fields(params):
-        if spec.name in _CONTENT_NEUTRAL_FIELDS:
-            continue
         digest.update(f"{spec.name}={getattr(params, spec.name)!r};".encode())
     return digest.hexdigest()
 
@@ -239,14 +228,6 @@ class SnapshotManager:
         path = self.path_for(graph, effective, transition)
         cached = self._read_archive(path)
         if cached is not None:
-            if cached.params.block_size != effective.block_size:
-                # block_size is content-neutral (excluded from the key) but
-                # sizes every downstream kernel's dense working set: a hit
-                # must honor the caller's retune, not resurrect the width
-                # the archive happened to be built with.
-                cached.params = replace(
-                    cached.params, block_size=effective.block_size
-                )
             return cached, True
         if parallel is not None and parallel > 1:
             index = build_index_parallel(
@@ -316,12 +297,6 @@ class SnapshotManager:
             except SerializationError:
                 cached = None  # torn or stale layout: rebuild below
             if cached is not None:
-                if cached.params.block_size != effective.block_size:
-                    # Content-neutral, but sizes kernel working sets — honor
-                    # the caller's retune exactly as the monolithic hit does.
-                    cached.params = replace(
-                        cached.params, block_size=effective.block_size
-                    )
                 return cached, True
         index = build_sharded_index(
             graph,

@@ -2,11 +2,11 @@
 
 ``ColumnarStateStore`` (flat arrays) is the only container of node state;
 ``NodeState`` is the by-value view ``index.state(node)`` returns and the
-working representation of the scalar reference primitives.  So under
-``src/repro`` a ``NodeState`` is *constructed* only where a flat row is turned
-into that view (``StateArrays.to_state``, ``NodeState.copy``) and where the
-scalar reference loop starts (``initial_node_state``) — and neither index
-class keeps a ``_states`` list of them.
+working representation of the seed's scalar reference loop, which lives
+under ``tests/``.  So under ``src/repro`` a ``NodeState`` is *constructed*
+only where a flat row is turned into that view (``StateArrays.to_state``,
+``NodeState.copy``) — and neither index class keeps a ``_states`` list of
+them.
 """
 
 import ast
@@ -18,7 +18,6 @@ SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 ALLOWED_CONSTRUCTORS = {
     ("core/index.py", "to_state"),
     ("core/index.py", "copy"),
-    ("core/propagation.py", "initial_node_state"),
 }
 
 

@@ -103,7 +103,7 @@ class TestAtomicSave:
 #: snapshot on disk.
 ARCHIVE_ARRAYS = set(STATE_ARRAY_NAMES) | {
     "alpha", "capacity", "propagation_threshold", "residue_threshold",
-    "rounding_threshold", "hub_budget", "tolerance", "backend", "block_size",
+    "rounding_threshold", "hub_budget", "tolerance",
     "hubs", "hub_deficit", "hub_rows", "hub_cols", "hub_vals", "hub_shape",
     "build_seconds",
 }

@@ -1,7 +1,10 @@
-"""Tests for the unified propagation-kernel layer and the build report."""
+"""Tests for the propagation kernel and the build report.
+
+The kernel is the one BCA path; the seed's per-node dict loop in
+``tests/reference.py`` is the oracle it is compared against.
+"""
 
 import copy
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,17 +16,23 @@ from repro.core import (
     ReverseTopKEngine,
     build_index,
     build_index_parallel,
+    build_sharded_index,
     rebuild_node_state,
     refine_node_state,
 )
+from repro.core import propagation
 from repro.core.index import NodeState, ReverseTopKIndex, StateArrays
 from repro.core.lbi import _compute_hub_matrix
-from repro.core.propagation import (
-    _HubExpansion,
+from repro.core.propagation import _HubExpansion, _batched_top_k, _flat_columns
+from repro.utils.sparsetools import top_k_descending
+from repro.core.sharding import ShardedReverseTopKIndex
+
+from tests.conftest import run_states
+from tests.reference import (
     bca_iteration,
     initial_node_state,
-    materialize_lower_bounds,
-    run_node_bca,
+    seed_index,
+    seed_states,
 )
 
 
@@ -48,72 +57,38 @@ def kernel_inputs(small_web_graph, small_transition, small_params):
 
 
 class TestKernelBackends:
-    def test_scalar_backend_matches_seed_loop(self, kernel_inputs):
-        from tests.conftest import run_states
+    """The one kernel: chunking, the seed oracle, single steps, scratch."""
 
-        # The scalar backend IS the seed implementation: states produced by
-        # kernel.run must be bit-identical to driving the per-node primitives
-        # (initial state -> run_node_bca -> materialize) by hand.
-        matrix, hub_mask, params, hubs, hub_matrix = kernel_inputs
-        kernel = PropagationKernel(
-            matrix, hub_mask, params, hubs=hubs, hub_matrix=hub_matrix,
-            backend="scalar",
-        )
-        sources = [node for node in range(matrix.shape[0]) if not hub_mask[node]]
-        states = run_states(kernel, sources)
-        expansion = _HubExpansion(matrix.shape[0], hubs, hub_matrix)
-        for source, state in zip(sources, states):
-            reference = initial_node_state(source, False)
-            run_node_bca(reference, matrix, hub_mask, params)
-            materialize_lower_bounds(reference, expansion, params.capacity)
-            _states_bit_identical(state, reference)
-
-    def test_vectorized_block_composition_invariance(self, kernel_inputs):
+    def test_vectorized_block_composition_invariance(self, kernel_inputs, monkeypatch):
         # A source's trajectory must not depend on which other sources share
-        # its block: tiny blocks, huge blocks and single-source runs all
+        # its chunk: tiny chunks, one wide chunk and single-source runs all
         # produce bit-identical states.
-        from tests.conftest import run_states
-
         matrix, hub_mask, params, hubs, hub_matrix = kernel_inputs
         sources = [node for node in range(matrix.shape[0]) if not hub_mask[node]]
-
-        def build_with(block_size):
-            kernel = PropagationKernel(
-                matrix, hub_mask, replace(params, block_size=block_size),
-                hubs=hubs, hub_matrix=hub_matrix,
-            )
-            return run_states(kernel, sources)
-
-        wide = build_with(512)
-        narrow = build_with(2)
-        for a, b in zip(wide, narrow):
-            _states_bit_identical(a, b)
-        solo_kernel = PropagationKernel(
+        kernel = PropagationKernel(
             matrix, hub_mask, params, hubs=hubs, hub_matrix=hub_matrix
         )
+        wide = run_states(kernel, sources)
+        monkeypatch.setattr(propagation, "CHUNK_WIDTH", 2)
+        narrow = run_states(kernel, sources)
+        for a, b in zip(wide, narrow):
+            _states_bit_identical(a, b)
         for source, state in zip(sources[:5], wide[:5]):
-            _states_bit_identical(state, run_states(solo_kernel, [source])[0])
+            _states_bit_identical(state, run_states(kernel, [source])[0])
 
     def test_vectorized_close_to_scalar(self, kernel_inputs):
-        from tests.conftest import run_states
-
+        # Against the seed loop the kernel agrees to accumulation order.
         matrix, hub_mask, params, hubs, hub_matrix = kernel_inputs
         sources = [node for node in range(matrix.shape[0]) if not hub_mask[node]]
         expansion = _HubExpansion(matrix.shape[0], hubs, hub_matrix)
-        vectorized = run_states(
+        kernel_states = run_states(
             PropagationKernel(
                 matrix, hub_mask, params, hubs=hubs, hub_matrix=hub_matrix
             ),
             sources,
         )
-        scalar = run_states(
-            PropagationKernel(
-                matrix, hub_mask, params, hubs=hubs, hub_matrix=hub_matrix,
-                backend="scalar",
-            ),
-            sources,
-        )
-        for vec_state, sca_state in zip(vectorized, scalar):
+        scalar = seed_states(matrix, hub_mask, params, expansion, sources)
+        for vec_state, sca_state in zip(kernel_states, scalar):
             np.testing.assert_allclose(
                 expansion.expand(vec_state), expansion.expand(sca_state),
                 rtol=0, atol=1e-12,
@@ -133,16 +108,20 @@ class TestKernelBackends:
             kernel.run([hub])
 
     def test_rejects_unknown_backend(self, kernel_inputs):
-        matrix, hub_mask, params, hubs, hub_matrix = kernel_inputs
-        with pytest.raises(ValueError, match="backend"):
-            PropagationKernel(matrix, hub_mask, params, backend="gpu")
-        with pytest.raises(ValueError, match="backend"):
-            IndexParams(capacity=5, backend="gpu")
+        # There is one kernel: no parameter selects or sizes another.
+        matrix, hub_mask, params, _, _ = kernel_inputs
+        with pytest.raises(TypeError, match="backend"):
+            PropagationKernel(matrix, hub_mask, params, backend="sparse")
+        with pytest.raises(TypeError, match="reuse_buffers"):
+            PropagationKernel(matrix, hub_mask, params, reuse_buffers=False)
+        for field in ("backend", "block_size"):
+            with pytest.raises(TypeError, match=field):
+                IndexParams(capacity=5, **{field: 1})
 
     def test_step_matches_scalar_reference(self, kernel_inputs):
         # One working-set step from the same state content moves the same ink
-        # as one scalar bca_iteration that pushes every node holding residue
-        # (within accumulation-order tolerance).
+        # as one seed-loop bca_iteration that pushes every node holding
+        # residue (within accumulation-order tolerance).
         matrix, hub_mask, params, hubs, hub_matrix = kernel_inputs
         source = int(np.flatnonzero(~hub_mask)[0])
         reference = initial_node_state(source, False)
@@ -232,57 +211,78 @@ class TestKernelBackends:
             kernel.load(StateArrays.from_state(initial_node_state(0, False)))
 
 
-class TestBuildBackends:
-    def test_backend_override_recorded(self, small_web_graph, small_transition, small_params):
-        index = build_index(
-            small_web_graph, small_params, transition=small_transition,
-            backend="scalar",
+class TestSpillHelpers:
+    """The batched helpers the spill uses instead of one sort per source."""
+
+    @pytest.mark.parametrize("k", [3, 8, 11], ids=["below_n", "at_n", "above_n"])
+    def test_batched_top_k_matches_top_k_descending(self, k):
+        rng = np.random.default_rng(k)
+        vectors = rng.random((8, 5))
+        vectors[rng.random((8, 5)) < 0.4] = 0.0
+        vectors[:, 1] = 0.25  # an all-tied column
+        vectors[:, 2] = 0.0  # an empty column
+        got = _batched_top_k(vectors, k)
+        assert got.shape == (k, 5)
+        for column in range(5):
+            np.testing.assert_array_equal(
+                got[:, column], top_k_descending(vectors[:, column], k)
+            )
+
+    def test_flat_columns_are_ascending_key_segments(self):
+        matrix = np.array(
+            [[0.0, 0.5, 0.0], [0.3, 0.0, 0.0], [0.2, 0.1, 0.0], [0.0, 0.4, 0.0]]
         )
-        assert index.params.backend == "scalar"
-        assert index.build_report.backend == "scalar"
+        labels = np.array([10, 20, 30, 40])
+        counts, keys, values = _flat_columns(matrix, np.array([2, 0, 1]), labels)
+        np.testing.assert_array_equal(counts, [0, 2, 3])
+        np.testing.assert_array_equal(keys, [20, 30, 10, 30, 40])
+        np.testing.assert_array_equal(values, [0.3, 0.2, 0.5, 0.1, 0.4])
+        assert keys.dtype == np.int64 and counts.dtype == np.int64
+
+
+class TestBuildBackends:
+    """Kernel-built indexes against the seed loop and against themselves."""
 
     def test_build_backends_agree_on_queries(
         self, small_web_graph, small_transition, small_params
     ):
-        vec = build_index(small_web_graph, small_params, transition=small_transition)
-        sca = build_index(
-            small_web_graph, small_params, transition=small_transition,
-            backend="scalar",
+        # The kernel's index and one assembled from the seed loop's states
+        # answer every probed query identically.
+        kernel_engine = ReverseTopKEngine(
+            small_transition,
+            build_index(small_web_graph, small_params, transition=small_transition),
         )
-        vec_engine = ReverseTopKEngine(small_transition, vec)
-        sca_engine = ReverseTopKEngine(small_transition, sca)
+        seed_engine = ReverseTopKEngine(
+            small_transition,
+            seed_index(small_web_graph, small_params, small_transition),
+        )
         for query in (0, 7, 23, 59):
-            a = vec_engine.query(query, 5, update_index=False)
-            b = sca_engine.query(query, 5, update_index=False)
+            a = kernel_engine.query(query, 5, update_index=False)
+            b = seed_engine.query(query, 5, update_index=False)
             np.testing.assert_array_equal(a.nodes, b.nodes)
 
     def test_rebuild_node_state_matches_build(
         self, small_web_graph, small_transition, small_params
     ):
-        for backend in ("vectorized", "scalar"):
-            index = build_index(
-                small_web_graph, small_params, transition=small_transition,
-                backend=backend,
+        index = build_index(small_web_graph, small_params, transition=small_transition)
+        hub_mask = index.hubs.mask(small_web_graph.n_nodes)
+        expansion = _HubExpansion(
+            small_web_graph.n_nodes, index.hubs, index.hub_matrix
+        )
+        matrix = sp.csc_matrix(small_transition)
+        for node in np.flatnonzero(~hub_mask)[:6]:
+            rebuilt = rebuild_node_state(
+                int(node), matrix, hub_mask, index.params, expansion
             )
-            hub_mask = index.hubs.mask(small_web_graph.n_nodes)
-            expansion = _HubExpansion(
-                small_web_graph.n_nodes, index.hubs, index.hub_matrix
-            )
-            matrix = sp.csc_matrix(small_transition)
-            for node in np.flatnonzero(~hub_mask)[:6]:
-                rebuilt = rebuild_node_state(
-                    int(node), matrix, hub_mask, index.params, expansion
-                )
-                _states_bit_identical(rebuilt.to_state(), index.state(int(node)))
+            _states_bit_identical(rebuilt.to_state(), index.state(int(node)))
 
     def test_refine_uses_index_backend(self, small_web_graph, small_transition, small_params):
-        # Whichever backend built the index, refinement routes through the
-        # kernel and keeps tightening bounds until the state is exact.
-        for backend in ("vectorized", "scalar"):
-            index = build_index(
-                small_web_graph, small_params, transition=small_transition,
-                backend=backend,
-            )
+        # Whether the kernel or the seed loop built the index, refinement
+        # routes through the kernel and keeps tightening bounds until exact.
+        for index in (
+            build_index(small_web_graph, small_params, transition=small_transition),
+            seed_index(small_web_graph, small_params, small_transition),
+        ):
             hub_mask = index.hubs.mask(small_web_graph.n_nodes)
             matrix = sp.csc_matrix(small_transition)
             node = next(v for v, s in index.states() if not s.is_exact)
@@ -295,13 +295,16 @@ class TestBuildBackends:
             assert np.all(state.lower_bounds >= before - 1e-12)
 
     def test_params_backend_round_trips_through_save(self, small_web_graph, small_transition, tmp_path):
-        params = IndexParams(capacity=10, hub_budget=3, backend="scalar", block_size=7)
+        # Parameters round-trip through an archive, which records no
+        # implementation choice.
+        params = IndexParams(capacity=10, hub_budget=3).for_graph(small_web_graph.n_nodes)
         index = build_index(small_web_graph, params, transition=small_transition)
         path = tmp_path / "index.npz"
         index.save(path)
+        with np.load(path, allow_pickle=False) as data:
+            assert not {"backend", "block_size"} & set(data.files)
         loaded = ReverseTopKIndex.load(path)
-        assert loaded.params.backend == "scalar"
-        assert loaded.params.block_size == 7
+        assert loaded.params == params
         assert loaded.build_report is None
 
 
@@ -334,14 +337,10 @@ class TestBuildProgressAndReport:
         assert len(calls) == len(targets)
         assert calls[-1] == (len(targets), len(targets))
 
-    @pytest.mark.parametrize("backend", ["vectorized", "scalar"])
     def test_report_phases_sum_to_build_seconds(
-        self, small_web_graph, small_transition, small_params, backend
+        self, small_web_graph, small_transition, small_params
     ):
-        index = build_index(
-            small_web_graph, small_params, transition=small_transition,
-            backend=backend,
-        )
+        index = build_index(small_web_graph, small_params, transition=small_transition)
         report = index.build_report
         assert set(report.stage_seconds) == {"hub_matrix", "bca", "materialize"}
         assert all(seconds >= 0.0 for seconds in report.stage_seconds.values())
@@ -352,7 +351,9 @@ class TestBuildProgressAndReport:
         assert report.n_nodes == small_web_graph.n_nodes
         assert report.n_targets == small_web_graph.n_nodes
         as_dict = report.as_dict()
-        assert as_dict["backend"] == backend
+        assert set(as_dict) == {
+            "n_nodes", "n_targets", "stage_seconds", "build_seconds"
+        }
         assert as_dict["build_seconds"] == report.build_seconds
 
     def test_report_survives_deepcopy_not_reload(self, small_index):
@@ -406,27 +407,53 @@ class TestParallelBuild:
 
 
 class TestLegacyArchiveCompat:
-    def test_archive_without_backend_fields_loads_as_scalar(
-        self, small_web_graph, small_transition, small_params, tmp_path
+    """Archives written while ``IndexParams`` still carried ``backend`` and
+    ``block_size`` load with those fields ignored, with or without them."""
+
+    @staticmethod
+    def _with_legacy_fields(arrays, backend):
+        patched = dict(arrays)
+        if backend is not None:
+            patched["backend"] = np.array([backend])
+            patched["block_size"] = np.array([7])
+        return patched
+
+    @pytest.mark.parametrize("backend", [None, "scalar", "vectorized", "sparse"])
+    def test_monolithic_archive_loads_with_or_without_backend_fields(
+        self, small_web_graph, small_transition, small_params, tmp_path, backend
     ):
-        # Archives from before the kernel layer were built by the seed loop,
-        # which only the scalar backend preserves bit-identically: loading
-        # them as "vectorized" would hand the dynamic maintainer a mixed
-        # index matching neither backend's from-scratch build.
-        index = build_index(
-            small_web_graph, small_params, transition=small_transition,
-            backend="scalar",
-        )
+        index = build_index(small_web_graph, small_params, transition=small_transition)
         path = tmp_path / "modern.npz"
         index.save(path)
         with np.load(path, allow_pickle=False) as data:
-            payload = {
-                name: data[name]
-                for name in data.files
-                if name not in ("backend", "block_size")
-            }
+            payload = self._with_legacy_fields(
+                {name: data[name] for name in data.files}, backend
+            )
         legacy = tmp_path / "legacy.npz"
         np.savez_compressed(legacy, **payload)
         loaded = ReverseTopKIndex.load(legacy)
-        assert loaded.params.backend == "scalar"
-        assert loaded.params.block_size == IndexParams().block_size
+        assert loaded.params == index.params
+        np.testing.assert_array_equal(loaded.columns.lower, index.columns.lower)
+
+    @pytest.mark.parametrize("backend", [None, "scalar", "vectorized", "sparse"])
+    def test_sharded_archive_loads_with_or_without_backend_fields(
+        self, small_web_graph, small_transition, small_params, tmp_path, backend
+    ):
+        layout = tmp_path / "layout"
+        index = build_sharded_index(
+            small_web_graph, small_params, transition=small_transition,
+            n_shards=3, directory=layout,
+        )
+        meta = layout / "sharded-meta.npz"
+        with np.load(meta, allow_pickle=False) as data:
+            payload = self._with_legacy_fields(
+                {name: data[name] for name in data.files}, backend
+            )
+        with open(meta, "wb") as handle:
+            np.savez(handle, **payload)
+        loaded = ShardedReverseTopKIndex.load(layout)
+        assert loaded.params == index.params
+        k = index.params.capacity
+        np.testing.assert_array_equal(
+            loaded.kth_lower_bounds(k), index.kth_lower_bounds(k)
+        )

@@ -9,6 +9,8 @@ from repro.core import IndexParams, QueryParams, ReverseTopKEngine
 from repro.exceptions import InvalidParameterError, QueryError
 from repro.graph import transition_matrix, trust_graph
 
+from tests.reference import SCAN_COUNTERS, reference_scan
+
 
 @pytest.fixture(scope="module")
 def engine(small_transition, small_index):
@@ -159,14 +161,17 @@ class TestScanModes:
 
     @pytest.mark.parametrize("update_index", [True, False])
     def test_vectorized_matches_scalar(self, small_transition, small_index, update_index):
+        # The columnar scan against the per-node reference scan in tests/.
         vectorized = ReverseTopKEngine(small_transition, copy.deepcopy(small_index))
         scalar = ReverseTopKEngine(small_transition, copy.deepcopy(small_index))
         for query in (0, 7, 23, 42):
-            a = vectorized.query(query, 8, update_index=update_index, scan_mode="vectorized")
-            b = scalar.query(query, 8, update_index=update_index, scan_mode="scalar")
-            np.testing.assert_array_equal(a.nodes, b.nodes)
-            for counter in self._COUNTERS:
-                assert getattr(a.statistics, counter) == getattr(b.statistics, counter)
+            a = vectorized.query(query, 8, update_index=update_index)
+            nodes, counters = reference_scan(
+                scalar, query, 8, update_index=update_index
+            )
+            np.testing.assert_array_equal(a.nodes, nodes)
+            for counter in SCAN_COUNTERS:
+                assert getattr(a.statistics, counter) == counters[counter], counter
 
     def test_vectorized_reports_refine_stage(self, small_transition, small_index):
         engine = ReverseTopKEngine(small_transition, copy.deepcopy(small_index))
@@ -174,17 +179,18 @@ class TestScanModes:
         assert "refine" in stats.stage_seconds
 
     def test_invalid_scan_mode_rejected(self, engine):
-        with pytest.raises(InvalidParameterError):
-            engine.query(0, 3, scan_mode="turbo")
+        # There is one scan: no entry point takes a scan mode any more.
+        for call in (engine.query, engine.query_many, engine.query_many_readonly):
+            target = 0 if call is engine.query else [0]
+            with pytest.raises(TypeError, match="scan_mode"):
+                call(target, 3, scan_mode="vectorized")
 
     def test_query_many_scan_modes_agree(self, small_transition, small_index):
         vectorized = ReverseTopKEngine(small_transition, copy.deepcopy(small_index))
         scalar = ReverseTopKEngine(small_transition, copy.deepcopy(small_index))
-        for a, b in zip(
-            vectorized.query_many([0, 5, 9], k=4, scan_mode="vectorized"),
-            scalar.query_many([0, 5, 9], k=4, scan_mode="scalar"),
-        ):
-            np.testing.assert_array_equal(a.nodes, b.nodes)
+        for query, a in zip([0, 5, 9], vectorized.query_many([0, 5, 9], k=4)):
+            nodes, _ = reference_scan(scalar, query, 4)
+            np.testing.assert_array_equal(a.nodes, nodes)
 
 
 class TestQueryValidation:
@@ -204,6 +210,23 @@ class TestQueryValidation:
     def test_query_params_override(self, engine):
         result = engine.query(0, 3, params=QueryParams(k=5, update_index=False))
         assert result.k == 5
+
+    @pytest.mark.parametrize("bad", [3.7, True, 3.0, "3", None])
+    def test_batched_entry_points_reject_what_query_rejects(self, engine, bad):
+        # The raw id is validated: coercing first would answer node 3 for
+        # 3.7 and node 1 for True.
+        with pytest.raises(InvalidParameterError):
+            engine.query(bad, 2)
+        with pytest.raises(InvalidParameterError):
+            engine.query_many([bad], 2)
+        with pytest.raises(InvalidParameterError):
+            engine.query_many_readonly([0, bad], 2)
+
+    def test_batched_entry_points_accept_numpy_integers(self, engine):
+        ids = np.array([3, 5], dtype=np.int64)
+        results = engine.query_many_readonly(list(ids), 2)
+        assert [r.query for r in results] == [3, 5]
+        assert all(type(r.query) is int for r in results)
 
     def test_query_many_returns_per_query_results(self, engine):
         results = engine.query_many([0, 1, 2], k=4)

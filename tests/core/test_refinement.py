@@ -10,6 +10,7 @@ the flat layout, and that a step's cost does not depend on the graph size.
 import copy
 import statistics
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,13 +28,14 @@ from repro.core import (
 )
 from repro.core.hubs import HubSet
 from repro.core.index import StateArrays
-from repro.core.propagation import initial_node_state, run_node_bca
 from repro.core.statestore import materialization_count, reset_materialization_count
 from repro.graph import copying_web_graph, erdos_renyi_graph, transition_matrix
 from repro.graph.generators import scale_free_graph
 from repro.obs import KernelProfiler
 from repro.obs.tracing import Trace
 from repro.rwr.linear_solver import ProximityLU
+
+from tests.reference import initial_node_state, reference_scan, run_node_bca
 
 #: A deliberately weak index: most candidates need refinement to decide.
 WEAK = IndexParams(
@@ -359,15 +361,20 @@ class TestRefinementConvergesByConstruction:
         n = graph.n_nodes
         membership = {}
         for update in (True, False):
-            for scan_mode in ("vectorized", "scalar"):
+            for scan in ("engine", "reference"):
                 engine = ReverseTopKEngine(matrix, copy.deepcopy(base))
                 steps = refined = 0
                 members = []
                 for query in range(n):
-                    result = engine.query(
-                        query, 1, update_index=update, scan_mode=scan_mode
-                    )
-                    statistics = result.statistics
+                    if scan == "engine":
+                        result = engine.query(query, 1, update_index=update)
+                        statistics = result.statistics
+                        answer = result.nodes
+                    else:
+                        answer, counters = reference_scan(
+                            engine, query, 1, update_index=update
+                        )
+                        statistics = SimpleNamespace(**counters)
                     assert statistics.n_exact_fallbacks == 0, query
                     # The wall was 64 steps + a solve per candidate.  A
                     # candidate needs (1-alpha)^t * mass under its gap to the
@@ -382,11 +389,11 @@ class TestRefinementConvergesByConstruction:
                     ), query
                     steps += statistics.n_refinement_iterations
                     refined += statistics.n_refined_nodes
-                    members.append(query in result)
+                    members.append(query in answer)
                 assert refined >= n // 2, "the weak index must leave q undecided"
                 assert steps <= 20 * refined
-                membership[update, scan_mode] = members
-        reference = membership[True, "vectorized"]
+                membership[update, scan] = members
+        reference = membership[True, "engine"]
         assert all(members == reference for members in membership.values())
         # Which bound admitted q is visible from the outside (aim 4).
         engine = ReverseTopKEngine(matrix, copy.deepcopy(base))

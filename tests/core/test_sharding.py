@@ -440,10 +440,14 @@ class TestShardedEngine:
         router = ShardedReverseTopKEngine(
             matrix, ShardedReverseTopKIndex.from_index(index, 3)
         )
+        # The routed columnar scan against the per-node reference scan.
+        from tests.reference import SCAN_COUNTERS, reference_scan
+
         a = router.query(11, 5, update_index=False)
-        b = router.query(11, 5, update_index=False, scan_mode="scalar")
-        np.testing.assert_array_equal(a.nodes, b.nodes)
-        assert a.statistics.n_candidates == b.statistics.n_candidates
+        nodes, counters = reference_scan(router, 11, 5, update_index=False)
+        np.testing.assert_array_equal(a.nodes, nodes)
+        for counter in SCAN_COUNTERS:
+            assert getattr(a.statistics, counter) == counters[counter], counter
 
     def test_rebind_preserves_scan_workers(self, medium_setup):
         _, matrix, _, index = medium_setup

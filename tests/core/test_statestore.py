@@ -31,7 +31,7 @@ from repro.core.statestore import (
 from repro.graph.datasets import load_dataset
 from repro.obs.registry import get_registry
 
-PARAMS = IndexParams(capacity=8, hub_budget=6, backend="vectorized")
+PARAMS = IndexParams(capacity=8, hub_budget=6)
 
 
 @pytest.fixture(scope="module")
@@ -55,9 +55,9 @@ def assert_states_equal(left, right):
 
 
 class TestEveryIndexOwnsAStore:
-    @pytest.mark.parametrize("backend", ["vectorized", "sparse", "scalar"])
-    def test_every_build_is_store_backed(self, graph, backend):
-        index = build_index(graph, PARAMS.for_graph(graph.n_nodes), backend=backend)
+    @pytest.mark.parametrize("nodes", [None, [3, 1, 4, 15]])
+    def test_every_build_is_store_backed(self, graph, nodes):
+        index = build_index(graph, PARAMS.for_graph(graph.n_nodes), nodes=nodes)
         assert isinstance(index.store, ColumnarStateStore)
         assert not index.store.overlay
 
@@ -84,18 +84,17 @@ class TestEveryIndexOwnsAStore:
     def test_build_emits_observability_counters(self, graph):
         registry = get_registry()
         family = registry.counter(
-            "repro_index_builds_total", "Completed index builds",
-            labels=("backend",),
+            "repro_index_builds_total", "Completed index builds"
         )
         seconds = registry.counter(
             "repro_index_build_seconds_total", "Seconds per index-build phase",
-            labels=("backend", "stage"),
+            labels=("stage",),
         )
-        before = family.labels(backend="vectorized").value
-        seconds_before = seconds.labels(backend="vectorized", stage="bca").value
+        before = family.value
+        seconds_before = seconds.labels(stage="bca").value
         build_index(graph, PARAMS.for_graph(graph.n_nodes))
-        after = family.labels(backend="vectorized").value
-        seconds_after = seconds.labels(backend="vectorized", stage="bca").value
+        after = family.value
+        seconds_after = seconds.labels(stage="bca").value
         assert after == before + 1
         assert seconds_after > seconds_before
 

@@ -26,7 +26,7 @@ from repro.graph.builder import from_edges
 from repro.graph.datasets import load_dataset
 from repro.graph.transition import transition_matrix
 
-PARAMS = IndexParams(capacity=8, hub_budget=6, backend="vectorized")
+PARAMS = IndexParams(capacity=8, hub_budget=6)
 
 
 @pytest.fixture(scope="module")

@@ -6,9 +6,15 @@ import pickle
 
 import numpy as np
 
+import scipy.sparse as sp
+
 from repro.core import IndexParams, PropagationKernel, build_index
+from repro.core.hubs import HubSet
+from repro.core.index import StateArrays
 from repro.graph import transition_matrix
 from repro.obs import NULL_PROFILER, KernelProfiler, MetricsRegistry, NullProfiler
+
+from tests.reference import initial_node_state
 
 
 def _kernel(graph, profiler=None):
@@ -16,16 +22,33 @@ def _kernel(graph, profiler=None):
     hub_mask = np.zeros(graph.n_nodes, dtype=bool)
     hub_mask[:3] = True
     params = IndexParams(capacity=10, hub_budget=3)
-    return PropagationKernel(matrix, hub_mask, params, profiler=profiler), matrix
+    # A zero hub matrix is enough for refinement working sets to load.
+    hubs = HubSet(range(3))
+    hub_matrix = sp.csc_matrix((graph.n_nodes, 3))
+    kernel = PropagationKernel(
+        matrix, hub_mask, params, hubs=hubs, hub_matrix=hub_matrix,
+        profiler=profiler,
+    )
+    return kernel, matrix
+
+
+def _refine(kernel, source, steps=3):
+    """Load, step and release one refinement working set."""
+    working = kernel.load(StateArrays.from_state(initial_node_state(source, False)))
+    try:
+        for _ in range(steps):
+            kernel.step(working)
+    finally:
+        working.release()
 
 
 class TestNullProfiler:
     def test_disabled_and_callable(self):
         assert NULL_PROFILER.enabled is False
-        NULL_PROFILER.on_block_iteration(backend="x", n_live=1, seconds=0.0)
+        NULL_PROFILER.on_block_iteration(n_live=1, seconds=0.0)
         NULL_PROFILER.on_spill(n_sources=1, seconds=0.0)
         NULL_PROFILER.on_step(n_active=1, n_support=1, n_edges=1)
-        NULL_PROFILER.on_run(backend="x", n_sources=1, plane_bytes=0)
+        NULL_PROFILER.on_run(n_sources=1, plane_bytes=0)
 
     def test_kernel_defaults_to_null_sink(self, small_web_graph):
         kernel, _ = _kernel(small_web_graph)
@@ -74,11 +97,18 @@ class TestKernelProfiler:
             )
 
     def test_workspace_reuse_shows_up_across_runs(self, small_web_graph):
+        # Refinement working sets borrow their scratch from the kernel's
+        # workspace: the second candidate reuses the first one's vectors,
+        # and the next run reports the cumulative reuse.
         profiler = KernelProfiler()
         kernel, _ = _kernel(small_web_graph, profiler=profiler)
-        sources = np.arange(3, 11, dtype=np.int64)
-        kernel.run(sources)
-        kernel.run(sources)  # second run reuses the pooled planes
+        _refine(kernel, 3)
+        kernel.run(np.arange(3, 11, dtype=np.int64))
+        misses = profiler.workspace_misses
+        assert misses > 0
+        _refine(kernel, 4)
+        kernel.run(np.arange(3, 11, dtype=np.int64))
+        assert profiler.workspace_misses == misses
         assert profiler.workspace_hits > 0
         assert profiler.workspace_hit_rate > 0.0
 
@@ -86,13 +116,17 @@ class TestKernelProfiler:
         registry = MetricsRegistry()
         profiler = KernelProfiler(registry=registry)
         kernel, _ = _kernel(small_web_graph, profiler=profiler)
-        kernel.run(np.arange(3, 9, dtype=np.int64))
-        kernel.run(np.arange(3, 9, dtype=np.int64))
+        for source in (3, 4):
+            _refine(kernel, source)
+            kernel.run(np.arange(3, 9, dtype=np.int64))
         payload = registry.as_dict()
         runs = payload["repro_kernel_runs_total"]["samples"]
         assert sum(sample["value"] for sample in runs) == 2
         iterations = payload["repro_kernel_block_iterations_total"]["samples"]
         assert sum(s["value"] for s in iterations) == profiler.n_block_iterations
+        assert all(sample["labels"] == {} for sample in runs + iterations)
+        steps = payload["repro_kernel_steps_total"]["samples"][0]["value"]
+        assert steps == profiler.n_steps == 6
         # The monotonic mirror of the cumulative workspace snapshot matches
         # the profiler's own (latest-snapshot) counters.
         hits = payload["repro_kernel_workspace_hits_total"]["samples"][0]["value"]
@@ -101,17 +135,7 @@ class TestKernelProfiler:
     def test_build_emits_into_default_registry(self, small_web_graph):
         from repro.obs import get_registry
 
-        before = (
-            get_registry()
-            .counter("repro_index_builds_total", labels=("backend",))
-            .labels(backend="vectorized")
-            .value
-        )
+        before = get_registry().counter("repro_index_builds_total").value
         build_index(small_web_graph, IndexParams(capacity=10, hub_budget=3))
-        after = (
-            get_registry()
-            .counter("repro_index_builds_total", labels=("backend",))
-            .labels(backend="vectorized")
-            .value
-        )
+        after = get_registry().counter("repro_index_builds_total").value
         assert after == before + 1

@@ -1,11 +1,12 @@
-"""Property test: the vectorized scan is equivalent to the seed per-node scan.
+"""Property test: the engine's scan is equivalent to the seed per-node scan.
 
-The vectorized engine must return *identical* result sets and identical
-``QueryStatistics`` counters to the reference scalar scan (the seed's
-per-node Algorithm 4 loop) — and both must agree with the brute-force
-oracle ``brute_force_reverse_topk`` up to numerical ties — across random
-graphs, both ``update_index`` modes, and the extreme depths ``k = 1`` and
-``k = K`` (the index capacity).
+``engine.query`` must return *identical* result sets, identical
+``QueryStatistics`` counters and a bit-identical written-back index to the
+per-node reference scan in ``tests/reference.py`` (the seed's Algorithm 4
+loop) — and must agree with the brute-force oracle
+``brute_force_reverse_topk`` up to numerical ties — across random graphs,
+both ``update_index`` modes, and the extreme depths ``k = 1`` and ``k = K``
+(the index capacity).
 """
 
 import copy
@@ -21,20 +22,10 @@ from repro.core import (
     brute_force_reverse_topk,
     build_index,
 )
+from repro.core.statestore import STATE_ARRAY_NAMES
 from repro.graph import DiGraph, transition_matrix
 
-#: Statistics counters that must match exactly between the two scan modes.
-_COUNTERS = (
-    "n_results",
-    "n_candidates",
-    "n_hits",
-    "n_exact_shortcut",
-    "n_pruned_immediately",
-    "n_refinement_iterations",
-    "n_refined_nodes",
-    "n_exact_fallbacks",
-    "pmpn_iterations",
-)
+from tests.reference import SCAN_COUNTERS, reference_scan
 
 
 @st.composite
@@ -69,16 +60,14 @@ class TestEngineEquivalence:
         for k in (1, params.capacity):
             vectorized = ReverseTopKEngine(matrix, copy.deepcopy(reference))
             scalar = ReverseTopKEngine(matrix, copy.deepcopy(reference))
-            result_vec = vectorized.query(
-                query, k, update_index=update_index, scan_mode="vectorized"
+            result_vec = vectorized.query(query, k, update_index=update_index)
+            nodes_sca, counters_sca = reference_scan(
+                scalar, query, k, update_index=update_index
             )
-            result_sca = scalar.query(
-                query, k, update_index=update_index, scan_mode="scalar"
-            )
-            np.testing.assert_array_equal(result_vec.nodes, result_sca.nodes)
-            for counter in _COUNTERS:
-                assert getattr(result_vec.statistics, counter) == getattr(
-                    result_sca.statistics, counter
+            np.testing.assert_array_equal(result_vec.nodes, nodes_sca)
+            for counter in SCAN_COUNTERS:
+                assert getattr(result_vec.statistics, counter) == (
+                    counters_sca[counter]
                 ), counter
             # Update-mode refinements must leave bit-identical index state.
             np.testing.assert_array_equal(
@@ -92,6 +81,13 @@ class TestEngineEquivalence:
             np.testing.assert_array_equal(
                 vectorized.index.columns.is_exact, scalar.index.columns.is_exact
             )
+            assert vectorized.index.version == scalar.index.version
+            for name in STATE_ARRAY_NAMES:
+                np.testing.assert_array_equal(
+                    vectorized.index.store.to_arrays()[name],
+                    scalar.index.store.to_arrays()[name],
+                    name,
+                )
 
     @given(engine_cases())
     @settings(max_examples=15, deadline=None)

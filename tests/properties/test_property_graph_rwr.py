@@ -6,10 +6,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.core.config import IndexParams
-from repro.core.lbi import bca_iteration, initial_node_state
 from repro.graph import DiGraph, is_column_stochastic, transition_matrix, weighted_transition_matrix
 from repro.rwr import proximity_column, push_proximity_vector
 from repro.utils.sparsetools import dense_top_k
+
+from tests.reference import bca_iteration, initial_node_state
 
 
 @st.composite

@@ -1,13 +1,17 @@
-"""Property tests for the propagation-kernel layer (ISSUE 4).
+"""Property tests for the propagation kernel against the seed reference loop.
 
-Two guarantees under random graphs and parameters:
+Under random graphs and parameters:
 
-1. the vectorized backend's states reconstruct proximity vectors within
-   ``1e-12`` of the scalar backend's, with identical top-K *node sets*
-   (modulo genuinely tied boundary values);
-2. the scalar backend is bit-identical to the seed implementation — states,
-   lower bounds and query statistics — which it preserves verbatim as the
-   per-node primitives it is built from.
+1. the kernel's states reconstruct proximity vectors within ``1e-12`` of the
+   seed loop's (``tests/reference.py``), with identical top-K *node sets*
+   (modulo genuinely tied boundary values), and an index built by either
+   answers queries exactly;
+2. each source's segments, iterations and bounds are bitwise independent of
+   its chunk mates, their order, the chunk width and the spill's dense
+   sub-chunk width — on both spill branches (with and without hub ink);
+3. the stored bounds are exactly ``top_k_descending(expand_state(state))``,
+   which the dynamic maintainer's hub re-expansion relies on;
+4. float32-screened scanning decides exactly as the float64 scan.
 """
 
 from hypothesis import given, settings
@@ -16,21 +20,16 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.core import (
-    IndexParams,
-    PropagationKernel,
-    ReverseTopKEngine,
-    build_index,
-    numba_available,
-)
+from repro.core import IndexParams, PropagationKernel, ReverseTopKEngine, build_index
+from repro.core import propagation
+from repro.core.index import expand_state
 from repro.core.lbi import _compute_hub_matrix, default_hub_selection
-from repro.core.propagation import (
-    _HubExpansion,
-    initial_node_state,
-    materialize_lower_bounds,
-    run_node_bca,
-)
+from repro.core.propagation import _HubExpansion
 from repro.graph import DiGraph, transition_matrix
+from repro.utils.sparsetools import top_k_descending
+
+from tests.conftest import run_states
+from tests.reference import seed_index, seed_states
 
 
 @st.composite
@@ -54,21 +53,19 @@ def index_params(draw, n_nodes: int):
     hub_budget = draw(st.integers(min_value=0, max_value=n_nodes // 2))
     eta = draw(st.sampled_from([1e-2, 1e-3, 1e-4]))
     delta = draw(st.sampled_from([0.3, 0.1, 0.05]))
-    block_size = draw(st.integers(min_value=1, max_value=6))
     return IndexParams(
         capacity=capacity,
         hub_budget=hub_budget,
         propagation_threshold=eta,
         residue_threshold=delta,
-        block_size=block_size,
     )
 
 
 def _topk_node_sets_match(vec_vector, sca_vector, k, atol=1e-9):
-    """Tie-aware top-k node-set comparison between the two backends.
+    """Tie-aware top-k node-set comparison between the kernel and the seed.
 
-    Nodes strictly above the k-th scalar value must be in the vectorized
-    top-k set, and the vectorized top-k set may not contain any node
+    Nodes strictly above the k-th seed-loop value must be in the kernel's
+    top-k set, and the kernel's top-k set may not contain any node
     strictly below it — boundary ties (within ``atol``) may legitimately
     resolve either way.
     """
@@ -82,29 +79,40 @@ def _topk_node_sets_match(vec_vector, sca_vector, k, atol=1e-9):
     assert not (set(must_exclude.tolist()) & vec_set)
 
 
+def _kernel_inputs(graph, params):
+    matrix = sp.csc_matrix(transition_matrix(graph))
+    hubs = default_hub_selection(graph, params)
+    hub_matrix, _, _ = _compute_hub_matrix(matrix, hubs, params)
+    hub_mask = hubs.mask(graph.n_nodes)
+    sources = [node for node in range(graph.n_nodes) if not hub_mask[node]]
+    return matrix, hubs, hub_matrix, hub_mask, sources
+
+
+def _segments_bit_identical(a, b):
+    for plane in ("residual", "retained", "hub_ink"):
+        for x, y in zip(getattr(a, plane), getattr(b, plane)):
+            assert x.dtype == y.dtype
+            np.testing.assert_array_equal(x, y)
+    assert a.iterations == b.iterations
+    assert a.lower_bounds.tobytes() == b.lower_bounds.tobytes()
+
+
 class TestBackendEquivalence:
+    """The kernel against the seed's per-node dict loop."""
+
     @given(random_digraphs(), st.data())
     @settings(max_examples=40, deadline=None)
     def test_vectorized_reconstructions_match_scalar(self, graph, data):
-        from tests.conftest import run_states
-
         params = data.draw(index_params(graph.n_nodes)).for_graph(graph.n_nodes)
-        matrix = sp.csc_matrix(transition_matrix(graph))
-        hubs = default_hub_selection(graph, params)
-        hub_matrix, _, _ = _compute_hub_matrix(matrix, hubs, params)
-        hub_mask = hubs.mask(graph.n_nodes)
+        matrix, hubs, hub_matrix, hub_mask, sources = _kernel_inputs(graph, params)
         expansion = _HubExpansion(graph.n_nodes, hubs, hub_matrix)
-        sources = [node for node in range(graph.n_nodes) if not hub_mask[node]]
 
-        vectorized = run_states(PropagationKernel(
+        kernel_states = run_states(PropagationKernel(
             matrix, hub_mask, params, hubs=hubs, hub_matrix=hub_matrix
         ), sources)
-        scalar = run_states(PropagationKernel(
-            matrix, hub_mask, params, hubs=hubs, hub_matrix=hub_matrix,
-            backend="scalar",
-        ), sources)
+        scalar = seed_states(matrix, hub_mask, params, expansion, sources)
 
-        for vec_state, sca_state in zip(vectorized, scalar):
+        for vec_state, sca_state in zip(kernel_states, scalar):
             vec_vector = expansion.expand(vec_state)
             sca_vector = expansion.expand(sca_state)
             np.testing.assert_allclose(vec_vector, sca_vector, rtol=0, atol=1e-12)
@@ -114,45 +122,12 @@ class TestBackendEquivalence:
             _topk_node_sets_match(vec_vector, sca_vector, params.capacity)
 
     @given(random_digraphs(), st.data())
-    @settings(max_examples=25, deadline=None)
-    def test_scalar_backend_bit_identical_to_seed(self, graph, data):
-        """The scalar backend replays the seed build loop exactly.
-
-        The seed reference is reconstructed from the per-node primitives it
-        was factored into (initial state -> run_node_bca -> materialize per
-        node, hub states from the exact hub top-K) — states, lower bounds
-        and the derived columnar statistics must match bit for bit.
-        """
-        params = data.draw(index_params(graph.n_nodes)).for_graph(graph.n_nodes)
-        matrix = sp.csc_matrix(transition_matrix(graph))
-        hubs = default_hub_selection(graph, params)
-        index = build_index(
-            graph, params, transition=matrix, hubs=hubs, backend="scalar"
-        )
-        hub_matrix, _, hub_top_k = _compute_hub_matrix(matrix, hubs, params)
-        hub_mask = hubs.mask(graph.n_nodes)
-        expansion = _HubExpansion(graph.n_nodes, hubs, hub_matrix)
-        for node in range(graph.n_nodes):
-            state = index.state(node)
-            if hub_mask[node]:
-                assert state.is_hub
-                np.testing.assert_array_equal(state.lower_bounds, hub_top_k[node])
-                continue
-            reference = initial_node_state(node, False)
-            run_node_bca(reference, matrix, hub_mask, params)
-            materialize_lower_bounds(reference, expansion, params.capacity)
-            assert state.residual == reference.residual
-            assert state.retained == reference.retained
-            assert state.hub_ink == reference.hub_ink
-            assert state.iterations == reference.iterations
-            np.testing.assert_array_equal(state.lower_bounds, reference.lower_bounds)
-
-    @given(random_digraphs(), st.data())
     @settings(max_examples=15, deadline=None)
     def test_backends_answer_queries_identically(self, graph, data):
-        # Both backends must produce the exact reverse top-k answer: compare
-        # each against the LU oracle (tie-aware at the k-th boundary, where
-        # membership legitimately depends on the floating-point path).
+        # The kernel's index and the seed loop's must both produce the exact
+        # reverse top-k answer: compare each against the LU oracle (tie-aware
+        # at the k-th boundary, where membership legitimately depends on the
+        # floating-point path).
         from repro.rwr import ProximityLU
 
         from tests.conftest import assert_reverse_topk_consistent
@@ -161,73 +136,80 @@ class TestBackendEquivalence:
         matrix = transition_matrix(graph)
         exact_matrix = ProximityLU(matrix).matrix()
         k = data.draw(st.integers(min_value=1, max_value=params.capacity))
-        vec_engine = ReverseTopKEngine(
+        kernel_engine = ReverseTopKEngine(
             matrix, build_index(graph, params, transition=matrix)
         )
-        sca_engine = ReverseTopKEngine(
-            matrix, build_index(graph, params, transition=matrix, backend="scalar")
-        )
+        seed_engine = ReverseTopKEngine(matrix, seed_index(graph, params, matrix))
         for query in range(graph.n_nodes):
-            a = vec_engine.query(query, k, update_index=False)
-            b = sca_engine.query(query, k, update_index=False)
+            a = kernel_engine.query(query, k, update_index=False)
+            b = seed_engine.query(query, k, update_index=False)
             assert_reverse_topk_consistent(a.nodes, exact_matrix, query, k)
             assert_reverse_topk_consistent(b.nodes, exact_matrix, query, k)
 
 
-@pytest.mark.skipif(not numba_available(), reason="numba not installed")
-class TestNumbaBackendEquivalence:
-    """The compiled backend must track the scalar reference like the
-    vectorized one does: within 1e-12 on reconstructed vectors and lower
-    bounds, with tie-aware identical top-K node sets."""
+class TestChunkComposition:
+    """A source's result is a function of the source alone."""
 
     @given(random_digraphs(), st.data())
-    @settings(max_examples=25, deadline=None)
-    def test_numba_reconstructions_match_scalar(self, graph, data):
-        from tests.conftest import run_states
-
+    @settings(max_examples=40, deadline=None)
+    def test_source_is_bitwise_independent_of_its_chunk(self, graph, data):
         params = data.draw(index_params(graph.n_nodes)).for_graph(graph.n_nodes)
-        matrix = sp.csc_matrix(transition_matrix(graph))
-        hubs = default_hub_selection(graph, params)
-        hub_matrix, _, _ = _compute_hub_matrix(matrix, hubs, params)
-        hub_mask = hubs.mask(graph.n_nodes)
-        expansion = _HubExpansion(graph.n_nodes, hubs, hub_matrix)
-        sources = [node for node in range(graph.n_nodes) if not hub_mask[node]]
-
-        compiled = run_states(PropagationKernel(
-            matrix, hub_mask, params, hubs=hubs, hub_matrix=hub_matrix,
-            backend="numba",
-        ), sources)
-        scalar = run_states(PropagationKernel(
-            matrix, hub_mask, params, hubs=hubs, hub_matrix=hub_matrix,
-            backend="scalar",
-        ), sources)
-
-        for jit_state, sca_state in zip(compiled, scalar):
-            jit_vector = expansion.expand(jit_state)
-            sca_vector = expansion.expand(sca_state)
-            np.testing.assert_allclose(jit_vector, sca_vector, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(
-                jit_state.lower_bounds, sca_state.lower_bounds, rtol=0, atol=1e-12
+        matrix, hubs, hub_matrix, hub_mask, sources = _kernel_inputs(graph, params)
+        if not sources:
+            return
+        kernel = PropagationKernel(
+            matrix, hub_mask, params, hubs=hubs, hub_matrix=hub_matrix
+        )
+        alone = {
+            source: arrays
+            for source in sources
+            for _, arrays in kernel.run([source]).state_arrays()
+        }
+        source = data.draw(st.sampled_from(sources))
+        others = [node for node in sources if node != source]
+        mates = data.draw(
+            st.lists(
+                st.sampled_from(others) if others else st.nothing(),
+                min_size=min(1, len(others)),
+                max_size=min(6, len(others)),
+                unique=True,
             )
-            _topk_node_sets_match(jit_vector, sca_vector, params.capacity)
+        )
+        batch = data.draw(st.permutations([source, *mates]))
+        # Chunk width 1..3 and dense spill sub-chunks of 1..3 columns put
+        # chunk and sub-chunk boundaries anywhere in the batch.
+        chunk_width = data.draw(st.sampled_from([1, 2, 3, propagation.CHUNK_WIDTH]))
+        spill_columns = data.draw(st.integers(min_value=1, max_value=3))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(propagation, "CHUNK_WIDTH", chunk_width)
+            patch.setattr(
+                propagation, "SPILL_BYTES", 8 * graph.n_nodes * spill_columns
+            )
+            together = dict(kernel.run(batch).state_arrays())
+        assert sorted(together) == sorted(batch)
+        for node in batch:
+            _segments_bit_identical(together[node], alone[node])
 
     @given(random_digraphs(), st.data())
-    @settings(max_examples=10, deadline=None)
-    def test_numba_scan_mode_answers_queries_exactly(self, graph, data):
-        from repro.rwr import ProximityLU
-
-        from tests.conftest import assert_reverse_topk_consistent
-
+    @settings(max_examples=40, deadline=None)
+    def test_stored_bounds_rematerialize_bitwise(self, graph, data):
         params = data.draw(index_params(graph.n_nodes)).for_graph(graph.n_nodes)
-        matrix = transition_matrix(graph)
-        exact_matrix = ProximityLU(matrix).matrix()
-        k = data.draw(st.integers(min_value=1, max_value=params.capacity))
-        engine = ReverseTopKEngine(matrix, build_index(graph, params, transition=matrix))
-        for query in range(graph.n_nodes):
-            numpy_res = engine.query(query, k, update_index=False)
-            jit_res = engine.query(query, k, update_index=False, scan_mode="numba")
-            np.testing.assert_array_equal(jit_res.nodes, numpy_res.nodes)
-            assert_reverse_topk_consistent(jit_res.nodes, exact_matrix, query, k)
+        matrix, hubs, hub_matrix, hub_mask, sources = _kernel_inputs(graph, params)
+        spill_columns = data.draw(st.integers(min_value=1, max_value=3))
+        kernel = PropagationKernel(
+            matrix, hub_mask, params, hubs=hubs, hub_matrix=hub_matrix
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                propagation, "SPILL_BYTES", 8 * graph.n_nodes * spill_columns
+            )
+            collected = kernel.run(sources)
+        for _, arrays in collected.state_arrays():
+            again = top_k_descending(
+                expand_state(arrays, hubs, hub_matrix, graph.n_nodes),
+                params.capacity,
+            )
+            assert again.tobytes() == arrays.lower_bounds.tobytes()
 
 
 class TestFloat32ScreenedScan:

@@ -31,16 +31,12 @@ from repro.core.bounds import kth_other_upper_bound
 from repro.core.hubs import HubSet
 from repro.core.index import NodeState, StateArrays
 from repro.core.lbi import _compute_hub_matrix
-from repro.core.propagation import (
-    PropagationKernel,
-    _HubExpansion,
-    bca_iteration,
-    initial_node_state,
-    run_node_bca,
-)
+from repro.core.propagation import PropagationKernel, _HubExpansion
 from repro.graph import DiGraph
 from repro.rwr.linear_solver import ProximityLU
 from repro.utils.sparsetools import top_k_descending
+
+from tests.reference import bca_iteration, initial_node_state, run_node_bca
 
 #: Threshold that makes the scalar reference push every node holding residue,
 #: as ``PropagationKernel.step`` always does: the smallest positive float.

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import ReverseTopKEngine
-from repro.exceptions import QueryError
+from repro.exceptions import InvalidParameterError, QueryError
 from repro.serving import (
     ParallelExecutor,
     ReverseTopKService,
@@ -199,6 +199,20 @@ class TestParallelBackends:
         with pytest.raises(Exception):
             ParallelExecutor(serving_engine, backend="fiber")
 
+    @pytest.mark.parametrize("bad", [3.7, True])
+    def test_executor_and_service_reject_what_query_rejects(self, serving_engine, bad):
+        # Ids reach the engine as given: coercing them first would answer
+        # node 3 for 3.7 and node 1 for True.
+        with ParallelExecutor(serving_engine, n_workers=2) as executor:
+            with pytest.raises(InvalidParameterError):
+                executor.run([0, bad], 5)
+            with pytest.raises(InvalidParameterError):
+                executor.run_many([(5, [bad]), (3, [1])])
+        service = _fresh_service(serving_engine)
+        with pytest.raises(InvalidParameterError):
+            service.serve([(bad, 5)])
+        service.close()
+
     def test_service_with_thread_workers(self, serving_engine):
         service = _fresh_service(serving_engine, n_workers=2, max_batch_size=4)
         requests = [(q, 5) for q in range(10)]
@@ -230,16 +244,16 @@ class TestReadonlyEntryPoint:
 
 class TestScalarScanServing:
     def test_read_only_scalar_scan_writes_nothing(self, small_transition, small_index):
-        # Regression: the per-node reference scan read index.state(node),
-        # which pinned one dict-backed object per scanned node into shared
-        # state under the *read* lock.  It reads flat segments now.
+        # Regression: the per-node scan read index.state(node), which pinned
+        # one dict-backed object per scanned node into shared state under the
+        # *read* lock.  The one (columnar) scan must write nothing either.
         from repro.core.statestore import (
             materialization_count,
             reset_materialization_count,
         )
 
         engine = ReverseTopKEngine(small_transition, copy.deepcopy(small_index))
-        service = ReverseTopKService(engine, ServiceConfig(scan_mode="scalar"))
+        service = ReverseTopKService(engine, ServiceConfig())
         version = engine.index.version
         reset_materialization_count()
         results = service.serve([(q, 5) for q in range(0, engine.n_nodes, 7)])

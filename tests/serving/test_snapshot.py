@@ -35,6 +35,13 @@ class TestFingerprints:
         assert params_fingerprint(base) != params_fingerprint(
             IndexParams(capacity=10, hub_budget=3)
         )
+        # No field is exempt: every parameter of IndexParams changes contents.
+        from dataclasses import fields, replace
+
+        for spec in fields(IndexParams):
+            value = getattr(base, spec.name)
+            bumped = replace(base, **{spec.name: value * 2 if value else 1})
+            assert params_fingerprint(bumped) != params_fingerprint(base), spec.name
 
     def test_transition_fingerprint_does_not_mutate_input(self):
         import scipy.sparse as sp
@@ -263,56 +270,3 @@ class TestParallelBuildOrLoad:
             a = engine.query(query, 5, update_index=False)
             b = serial_engine.query(query, 5, update_index=False)
             np.testing.assert_array_equal(a.nodes, b.nodes)
-
-
-class TestContentNeutralParams:
-    def test_block_size_excluded_from_snapshot_key(self, small_web_graph, small_transition):
-        # block_size cannot change index contents (per-source trajectories
-        # are bitwise block-independent), so retuning it must keep existing
-        # warm-start archives valid.
-        a = IndexParams(capacity=10, hub_budget=2, block_size=256)
-        b = IndexParams(capacity=10, hub_budget=2, block_size=32)
-        assert params_fingerprint(a) == params_fingerprint(b)
-        assert snapshot_key(small_web_graph, a, small_transition) == snapshot_key(
-            small_web_graph, b, small_transition
-        )
-
-    def test_backend_participates_in_snapshot_key(self, small_web_graph):
-        a = IndexParams(capacity=10, hub_budget=2, backend="vectorized")
-        b = IndexParams(capacity=10, hub_budget=2, backend="scalar")
-        assert params_fingerprint(a) != params_fingerprint(b)
-
-    def test_block_size_retune_hits_existing_archive(
-        self, tmp_path, small_web_graph, small_transition
-    ):
-        manager = SnapshotManager(tmp_path)
-        manager.build_or_load(
-            small_web_graph,
-            IndexParams(capacity=10, hub_budget=2, block_size=256),
-            transition=small_transition,
-        )
-        _, hit = manager.build_or_load(
-            small_web_graph,
-            IndexParams(capacity=10, hub_budget=2, block_size=16),
-            transition=small_transition,
-        )
-        assert hit
-
-    def test_warm_hit_honours_retuned_block_size(
-        self, tmp_path, small_web_graph, small_transition
-    ):
-        # A hit must not resurrect the archive's block width: the retune is
-        # exactly how operators cap the kernel's dense working set.
-        manager = SnapshotManager(tmp_path)
-        manager.build_or_load(
-            small_web_graph,
-            IndexParams(capacity=10, hub_budget=2, block_size=256),
-            transition=small_transition,
-        )
-        warm, hit = manager.build_or_load(
-            small_web_graph,
-            IndexParams(capacity=10, hub_budget=2, block_size=16),
-            transition=small_transition,
-        )
-        assert hit
-        assert warm.params.block_size == 16
