@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from repro.core import IndexParams, build_index, build_index_parallel
+from repro.core import IndexParams, build_index
 from repro.graph import copying_web_graph, transition_matrix
 
 N_NODES = 2_000
@@ -45,10 +45,10 @@ def test_index_build(benchmark):
     _, second = _timed(lambda: build_index(graph, PARAMS, transition=matrix))
     serial_seconds = min(first, second)
     parallel, parallel_seconds = _timed(
-        lambda: build_index_parallel(graph, PARAMS, transition=matrix, n_workers=2)
+        lambda: build_index(graph, PARAMS, transition=matrix, n_workers=2)
     )
 
-    # Per-source determinism: the sharded build merges to the same index.
+    # Per-source determinism: the pooled build lands in the same index.
     for name in ("lower", "residual_mass", "is_exact"):
         np.testing.assert_array_equal(
             getattr(parallel.columns, name), getattr(serial.columns, name), name

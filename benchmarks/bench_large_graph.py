@@ -49,11 +49,7 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from repro.core import IndexParams  # noqa: E402
-from repro.core.sharding import (  # noqa: E402
-    ShardedReverseTopKEngine,
-    build_sharded_index,
-)
+from repro.core import IndexParams, ReverseTopKEngine, build_index  # noqa: E402
 from repro.core.statestore import (  # noqa: E402
     materialization_count,
     reset_materialization_count,
@@ -130,7 +126,7 @@ def _build(args, graph: DiGraph, matrix, workdir: Path, record: dict):
     ).for_graph(graph.n_nodes)
     reset_materialization_count()
     started = time.perf_counter()
-    index = build_sharded_index(
+    index = build_index(
         graph,
         params,
         transition=matrix,
@@ -251,7 +247,7 @@ def main(argv=None) -> dict:
         graph = _ingest(args, workdir, record)
         matrix = transition_matrix(graph)
         index = _build(args, graph, matrix, workdir, record)
-        engine = ShardedReverseTopKEngine(matrix, index, scan_precision="float32")
+        engine = ReverseTopKEngine(matrix, index, scan_precision="float32")
         _query(args, engine, graph.n_nodes, record)
         _churn(args, graph, engine, record)
     record["peak_rss_mb"] = round(peak_rss_mb(), 1)

@@ -27,7 +27,6 @@ import numpy as np
 from repro.core import IndexParams, PropagationKernel, ReverseTopKEngine, build_index
 from repro.core.lbi import _compute_hub_matrix, default_hub_selection
 import repro.core.query as query_module
-import repro.core.sharding as sharding_module
 from repro.graph import copying_web_graph, transition_matrix
 from repro.obs import KernelProfiler, Trace
 
@@ -51,13 +50,12 @@ RESULTS_JSON = (
 @contextmanager
 def _stripped_hooks():
     """Replace the scan path's tracing hooks with the cheapest stub."""
-    saved = (query_module.current_span, sharding_module.current_span)
+    saved = query_module.current_span
     query_module.current_span = lambda: None
-    sharding_module.current_span = lambda: None
     try:
         yield
     finally:
-        query_module.current_span, sharding_module.current_span = saved
+        query_module.current_span = saved
 
 
 def _time_queries(engine, traced: bool = False) -> float:

@@ -1,15 +1,16 @@
-"""Sharded-vs-monolithic serving: throughput and peak RSS.
+"""Out-of-core vs in-RAM serving: throughput and peak RSS.
 
-The acceptance contract of the partitioned index layer: memmap-backed
-sharded serving must answer **bit-identically** to the monolithic engine,
-stay within ``MAX_SLOWDOWN`` of its throughput, and hold **measurably less
+The acceptance contract of the partitioned layout: memmap-backed serving
+over ``N_SHARDS`` shards must answer **bit-identically** to the whole index
+held in RAM as one shard (the ``monolithic`` mode and record key), stay
+within ``MAX_SLOWDOWN`` of its throughput, and hold **measurably less
 resident memory** — the whole point of the layout is that the ``(K, n)``
-columnar state and the per-node BCA dicts no longer have to live in the
+columnar state and the per-node BCA state no longer have to live in the
 serving process.
 
 Peak RSS is a high-water mark, so the two scenarios cannot share a process:
-the benchmark builds both archives once (parent), then runs each scenario in
-a **fresh subprocess** that only *loads* its archive, serves the identical
+the benchmark builds both layouts once (parent), then runs each scenario in
+a **fresh subprocess** that only *loads* its layout, serves the identical
 query workload through its engine, and reports throughput plus
 ``ru_maxrss``.  Results land in ``benchmarks/results/sharded_query.json``.
 """
@@ -46,7 +47,6 @@ _RSS_CHILD_TEMPLATE = """
 import json, resource, sys
 import numpy as np
 from repro.core import IndexParams, ReverseTopKEngine, ReverseTopKIndex
-from repro.core import ShardedReverseTopKEngine, ShardedReverseTopKIndex
 from repro.graph import copying_web_graph, transition_matrix
 
 mode = {mode!r}
@@ -57,8 +57,8 @@ if mode == "monolithic":
     engine = ReverseTopKEngine(matrix, index)
 else:
     precision = "float32" if mode == "sharded_f32" else "float64"
-    index = ShardedReverseTopKIndex.load({archive!r}, memory_budget=0)
-    engine = ShardedReverseTopKEngine(matrix, index, scan_precision=precision)
+    index = ReverseTopKIndex.load({archive!r}, memory_budget=0)
+    engine = ReverseTopKEngine(matrix, index, scan_precision=precision)
 
 queries = list(np.random.default_rng(11).integers(0, {n_nodes}, size={n_queries}))
 results = engine.query_many_readonly(queries, {k})
@@ -94,18 +94,17 @@ _THROUGHPUT_CHILD_TEMPLATE = """
 import json, sys
 import numpy as np
 from repro.core import IndexParams, ReverseTopKEngine, ReverseTopKIndex
-from repro.core import ShardedReverseTopKEngine, ShardedReverseTopKIndex
 from repro.graph import copying_web_graph, transition_matrix
 from repro.utils.timer import Timer
 
 graph = copying_web_graph({n_nodes}, out_degree={out_degree}, seed={graph_seed})
 matrix = transition_matrix(graph)
 mono_index = ReverseTopKIndex.load({mono_archive!r})
-shard_index = ShardedReverseTopKIndex.load({shard_archive!r}, memory_budget=0)
+shard_index = ReverseTopKIndex.load({shard_archive!r}, memory_budget=0)
 engines = {{
     "monolithic": ReverseTopKEngine(matrix, mono_index),
-    "sharded": ShardedReverseTopKEngine(matrix, shard_index),
-    "sharded_f32": ShardedReverseTopKEngine(
+    "sharded": ReverseTopKEngine(matrix, shard_index),
+    "sharded_f32": ReverseTopKEngine(
         matrix, shard_index, scan_precision="float32"
     ),
 }}
@@ -183,10 +182,10 @@ def test_sharded_query_throughput_and_rss(tmp_path):
     )
     manager = SnapshotManager(tmp_path)
 
-    # Build both archives once in the parent; children only load.
+    # Build both layouts once in the parent; children only load.
     index, _ = manager.build_or_load(graph, params, transition=matrix)
-    mono_archive = str(manager.path_for(graph, index.params, matrix))
-    sharded, _ = manager.build_or_load_sharded(
+    mono_archive = str(index.directory)
+    sharded, _ = manager.build_or_load(
         graph, params, transition=matrix, n_shards=N_SHARDS, memory_budget=0
     )
     layout = str(sharded.directory)

@@ -64,11 +64,11 @@ def main() -> None:
     print(f"\nagreement with brute force: {overlap:.1%} "
           f"({len(ours)} vs {len(expected)} nodes; differences are exact ties)")
 
-    # 5. Persist the (already refined) index and load it back.
+    # 5. Persist the (already refined) index as its on-disk layout — one
+    #    directory of per-shard arrays — and load it back.
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "index.npz"
-        engine.index.save(path)
-        reloaded = ReverseTopKIndex.load(path)
+        layout = engine.index.persist(Path(tmp) / "index")
+        reloaded = ReverseTopKIndex.load(layout)
         print(f"round-tripped index covers {reloaded.n_nodes} nodes "
               f"({reloaded.total_bytes() / 1024:.1f} KB on disk)")
 

@@ -109,11 +109,11 @@ def main() -> None:
               f"{service.metrics().n_engine_queries} (stale cache entry skipped)")
         service.close()
 
-        # 6. Sharded serving: partition the index into contiguous node-range
-        #    shards served as memmap views over the snapshot layout.  The
-        #    answers are bit-identical to the monolithic engine; the resident
-        #    footprint shrinks to the hub matrix plus whatever the query mix
-        #    actually touches.
+        # 6. Out-of-core serving: partition the index into contiguous
+        #    node-range shards served as memmap views over the snapshot
+        #    layout.  The answers are bit-identical to the in-RAM engine; the
+        #    resident footprint shrinks to the hub matrix plus whatever the
+        #    query mix actually touches.
         sharded = ReverseTopKService.from_graph(
             graph, params, config=config, snapshot_dir=tmp,
             n_shards=4,       # four contiguous node-range shards
@@ -128,7 +128,7 @@ def main() -> None:
             a = sharded.query(query, k)
             b = service.engine.query(query, k, update_index=False)
             np.testing.assert_array_equal(a.nodes, b.nodes)
-        print("sharded answers identical to the monolithic engine "
+        print("sharded answers identical to the in-RAM engine "
               f"(resident now {index.resident_bytes() / 2**20:.2f} MB "
               "after lazily touching candidate states)")
         sharded.close()

@@ -43,10 +43,6 @@ from .core import (
     QueryResult,
     QueryStatistics,
     build_index,
-    build_index_parallel,
-    build_sharded_index,
-    ShardedReverseTopKEngine,
-    ShardedReverseTopKIndex,
     BuildReport,
     PropagationKernel,
     kth_upper_bounds_batch,
@@ -86,10 +82,6 @@ __all__ = [
     "QueryResult",
     "QueryStatistics",
     "build_index",
-    "build_index_parallel",
-    "build_sharded_index",
-    "ShardedReverseTopKEngine",
-    "ShardedReverseTopKIndex",
     "BuildReport",
     "PropagationKernel",
     "kth_upper_bounds_batch",

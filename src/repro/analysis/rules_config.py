@@ -185,7 +185,6 @@ BLOCKING_METHOD_NAMES: FrozenSet[str] = frozenset(
         "build",
         "build_index",
         "build_or_load",
-        "load_or_build",
         "acquire",
         "shutdown",
         "close",

@@ -9,21 +9,23 @@ Modules
     Hub selection: the paper's degree-based heuristic (§4.1.1) and Berkhin's
     greedy BCA-driven scheme for comparison.
 ``lbi``
-    Algorithm 1 — Lower Bound Indexing via batched BCA with hubs.
+    Algorithm 1 — Lower Bound Indexing via batched BCA with hubs: the hub
+    matrix, the kernel's pool worker, single-node rebuild and refinement.
 ``index``
-    The :class:`ReverseTopKIndex` data structure: per-node BCA state, top-K
-    lower bounds, rounded hub proximities, dynamic updates, persistence and
-    size accounting (§4.1.3) — plus the incrementally-maintained columnar
-    views (:class:`ColumnarView`) the vectorized engine scans.
+    Per-node index pieces: :class:`NodeState` / ``StateArrays``, the
+    :class:`ColumnarView` the scan reads, residual-mass and size accounting
+    (§4.1.3), the atomic file write.
+``sharding``
+    The :class:`ReverseTopKIndex` itself — global hub data plus ``P ≥ 1``
+    contiguous node-range shards, in RAM or memmap-backed — its on-disk
+    layout, the per-shard columnar scan stages, and :func:`build_index`.
 ``pmpn``
     Algorithm 2 — Power Method for Proximity to Node (Theorem 2).
 ``bounds``
     Algorithm 3 — staircase upper bound for the k-th largest proximity.
 ``query``
-    Algorithm 4 — the online reverse top-k query engine.
-``sharding``
-    Partitioned index shards (in-RAM or memmap-backed) with a query router
-    that answers bit-identically to the monolithic engine.
+    Algorithm 4 — the online reverse top-k query engine, scanning shard by
+    shard.
 ``baseline``
     Brute-force comparators: BF, IBF and FBF (§3, §5.3).
 ``estimates``
@@ -44,21 +46,16 @@ from .bounds import (
 from .config import IndexParams, QueryParams, SCAN_PRECISIONS
 from .estimates import predicted_index_bytes, rounding_error_bound
 from .hubs import degree_union_hubs, select_hubs_by_degree, select_hubs_greedy, HubSet
-from .index import ReverseTopKIndex, NodeState, ColumnarView
-from .lbi import build_index, build_index_parallel, rebuild_node_state, refine_node_state
+from .index import NodeState, ColumnarView
+from .lbi import rebuild_node_state, refine_node_state
 from .pmpn import proximity_to_node, PMPNPlan, PMPNResult
 from .propagation import BuildReport, KernelWorkspace, PropagationKernel
-from .query import (
-    ReverseTopKEngine,
-    QueryResult,
-    QueryStatistics,
-    columnar_stage_decisions,
-)
+from .query import ReverseTopKEngine, QueryResult, QueryStatistics
 from .sharding import (
     IndexShard,
-    ShardedReverseTopKEngine,
-    ShardedReverseTopKIndex,
-    build_sharded_index,
+    ReverseTopKIndex,
+    build_index,
+    columnar_stage_decisions,
     shard_boundaries,
 )
 
@@ -76,7 +73,6 @@ __all__ = [
     "BuildReport",
     "PropagationKernel",
     "build_index",
-    "build_index_parallel",
     "rebuild_node_state",
     "refine_node_state",
     "ReverseTopKIndex",
@@ -90,9 +86,6 @@ __all__ = [
     "staircase_levels",
     "ReverseTopKEngine",
     "IndexShard",
-    "ShardedReverseTopKEngine",
-    "ShardedReverseTopKIndex",
-    "build_sharded_index",
     "shard_boundaries",
     "QueryResult",
     "QueryStatistics",

@@ -15,24 +15,20 @@ For every node ``u`` the indexer runs a *batched* adaptation of BCA:
 Hub proximity vectors are computed exactly with the power method, rounded
 (entries below ``omega`` zeroed) and stored as the columns of ``P_H``.
 
-All ink movement is delegated to the one propagation kernel
-(:mod:`repro.core.propagation`): construction runs the blocked sparse
-:class:`~repro.core.propagation.PropagationKernel` over every non-hub node,
-and query-time refinement (Algorithm 4, line 13) advances one candidate's
-array working set through the same kernel.  The kernel hands its converged
-states over as flat segments, which
-:func:`~repro.core.statestore.assemble_store` merges with the hub and
-untargeted rows into the index's columnar store.  :func:`build_index_parallel`
-shards the node range across a process pool and merges the per-shard segments
-into one index; per-source bitwise determinism of the kernel makes the result
-identical to a serial build.  The seed's per-node dict loop lives on under
-``tests/`` as the reference oracle the kernel is tested against.
+This module holds the pieces of Algorithm 1: the exact hub matrix, the
+default hub selection, the process-pool worker that runs the propagation
+kernel over a list of sources, and the single-node rebuild and query-time
+refinement steps.  All ink movement is delegated to the one propagation
+kernel (:mod:`repro.core.propagation`).  The builder that puts the pieces
+together, shard by shard, is :func:`repro.core.sharding.build_index`;
+per-source bitwise determinism of the kernel makes its result the same for
+every shard count and worker count.  The seed's per-node dict loop lives on
+under ``tests/`` as the reference oracle the kernel is tested against.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,17 +38,21 @@ from ..graph.transition import transition_matrix
 from ..obs.registry import get_registry
 from ..rwr.power_method import proximity_vector
 from ..utils.sparsetools import top_k_descending
-from ..utils.timer import StageTimer
 from .config import IndexParams
 from .hubs import HubSet, degree_union_hubs, select_hubs_by_degree
-from .index import NodeState, ReverseTopKIndex, StateArrays
+from .index import NodeState, StateArrays
 from .propagation import (
     BuildReport,
     PropagationKernel,
     RefinementWorkingSet,
     _HubExpansion,
 )
-from .statestore import CollectedStates, assemble_store
+# ``assemble_store`` is bound here only so benchmarks/perf/trace.py's wrap
+# table resolves; the builder in repro.core.sharding calls its own binding.
+from .statestore import CollectedStates, assemble_store  # noqa: F401
+
+if TYPE_CHECKING:
+    from .sharding import ReverseTopKIndex
 
 
 def _compute_hub_matrix(
@@ -99,7 +99,7 @@ def _compute_hub_matrix(
 
 
 def default_hub_selection(graph: DiGraph, params: IndexParams) -> HubSet:
-    """The hub set :func:`build_index` selects by default for a graph.
+    """The hub set :func:`~repro.core.sharding.build_index` selects by default.
 
     One shared definition of the default policy (the degree heuristic of
     §4.1.1, or no hubs when the budget is zero): the dynamic maintainer's
@@ -117,7 +117,7 @@ def _resolve_build_inputs(
     hubs: Optional[HubSet],
     transition: Optional[sp.spmatrix],
 ) -> Tuple[sp.csc_matrix, int, IndexParams, HubSet]:
-    """Shared preamble of the serial and parallel builders."""
+    """The builder's preamble: transition, node count, clamped params, hubs."""
     if isinstance(graph, DiGraph):
         matrix = transition if transition is not None else transition_matrix(graph)
         n = graph.n_nodes
@@ -165,130 +165,9 @@ def _emit_build_metrics(report: BuildReport) -> None:
         stage_family.labels(stage=stage).inc(seconds)
 
 
-def _assemble_store_index(
-    params: IndexParams,
-    hubs: HubSet,
-    hub_matrix: sp.csc_matrix,
-    hub_deficit: np.ndarray,
-    hub_top_k: Dict[int, np.ndarray],
-    collected: Sequence[CollectedStates],
-    hub_mask: np.ndarray,
-    n: int,
-    n_targets: int,
-    stages: StageTimer,
-    hub_progress: Optional[Callable[[int], None]],
-) -> ReverseTopKIndex:
-    """Merge collected, hub and untargeted rows into an index; report the build.
-
-    The collected flat segments plus vectorised hub rows (exact top-K
-    proximities, ``s = e_hub``) and untargeted rows (one un-refined unit of
-    residue, all-zero bounds) merge into the
-    :class:`~repro.core.statestore.ColumnarStateStore` that backs the index.
-    """
-    with stages.time("materialize"):
-        store = assemble_store(
-            0, n, params.capacity, collected, hub_mask, hub_top_k
-        )
-        if hub_progress is not None:
-            for node in np.flatnonzero(hub_mask).tolist():
-                hub_progress(node)
-
-    report = BuildReport(
-        n_nodes=n,
-        n_targets=n_targets,
-        stage_seconds=stages.as_dict(),
-    )
-    _emit_build_metrics(report)
-    index = ReverseTopKIndex(
-        params,
-        hubs,
-        hub_matrix,
-        hub_deficit,
-        store,
-        build_seconds=report.build_seconds,
-    )
-    index.build_report = report
-    return index
-
-
-def build_index(
-    graph: DiGraph | sp.spmatrix,
-    params: Optional[IndexParams] = None,
-    *,
-    hubs: Optional[HubSet] = None,
-    transition: Optional[sp.spmatrix] = None,
-    nodes: Optional[Sequence[int]] = None,
-    progress: Optional[Callable[[int, int], None]] = None,
-) -> ReverseTopKIndex:
-    """Build the reverse top-k index for a graph (Algorithm 1).
-
-    Parameters
-    ----------
-    graph:
-        Either a :class:`~repro.graph.digraph.DiGraph` or a pre-built
-        column-stochastic transition matrix.
-    params:
-        Index construction parameters; defaults to the paper's settings,
-        clamped to the graph size.
-    hubs:
-        Pre-selected hub set; defaults to the degree heuristic of §4.1.1 with
-        ``params.hub_budget``.
-    transition:
-        Pre-computed transition matrix (overrides the graph's default,
-        unweighted one — pass the weighted matrix for co-authorship graphs).
-    nodes:
-        Restrict indexing to a subset of nodes (used by incremental tests);
-        other nodes receive an un-refined state with a single unit of residue.
-    progress:
-        Optional callback ``(done, total)`` invoked once per target node, so
-        long builds can report progress.
-
-    The returned index carries a :class:`~repro.core.propagation.BuildReport`
-    as ``index.build_report``: per-phase seconds for the exact hub proximity
-    computation (``hub_matrix``), ink propagation (``bca``) and lower-bound
-    materialization (``materialize``), which sum to ``index.build_seconds``.
-    """
-    matrix, n, params, hubs = _resolve_build_inputs(graph, params, hubs, transition)
-
-    stages = StageTimer()
-    with stages.time("hub_matrix"):
-        hub_matrix, hub_deficit, hub_top_k = _compute_hub_matrix(matrix, hubs, params)
-    hub_mask = hubs.mask(n)
-    kernel = PropagationKernel(
-        matrix, hub_mask, params, hubs=hubs, hub_matrix=hub_matrix
-    )
-
-    target_nodes = range(n) if nodes is None else [int(v) for v in nodes]
-    target_set = set(target_nodes)
-    total = len(target_set)
-    done = 0
-
-    def advance(node: int) -> None:
-        nonlocal done
-        if progress is not None and node in target_set:
-            done += 1
-            progress(done, total)
-
-    bca_sources = [node for node in range(n) if not hub_mask[node] and node in target_set]
-    collected = kernel.run(bca_sources, stages=stages, on_done=advance)
-    return _assemble_store_index(
-        params,
-        hubs,
-        hub_matrix,
-        hub_deficit,
-        hub_top_k,
-        [collected],
-        hub_mask,
-        n,
-        total,
-        stages,
-        advance,
-    )
-
-
 #: Per-process kernel for parallel builds, installed by the pool initializer
 #: so the (identical, read-only) matrices ship once per worker instead of
-#: once per shard, and per-shard task payloads are just source-id lists.
+#: once per task, and task payloads are just source-id lists.
 _WORKER_KERNEL: Optional[PropagationKernel] = None
 
 
@@ -306,75 +185,12 @@ def _init_shard_worker(
 
 
 def _collect_shard(sources: List[int]) -> CollectedStates:
-    """Process-pool worker: run one shard into flat collected arrays.
+    """Process-pool worker: run one list of sources into flat collected arrays.
 
     The return payload is plain NumPy arrays (cheap to pickle), not per-node
     Python objects.
     """
     return _WORKER_KERNEL.run(sources)
-
-
-def build_index_parallel(
-    graph: DiGraph | sp.spmatrix,
-    params: Optional[IndexParams] = None,
-    *,
-    hubs: Optional[HubSet] = None,
-    transition: Optional[sp.spmatrix] = None,
-    n_workers: int = 2,
-    progress: Optional[Callable[[int, int], None]] = None,
-) -> ReverseTopKIndex:
-    """Build the index with the node range sharded across a process pool.
-
-    The exact hub proximity matrix is computed once in the parent; each
-    worker runs the :class:`~repro.core.propagation.PropagationKernel` over a
-    contiguous shard of the non-hub node range, and the parent merges the
-    per-shard states into one :class:`ReverseTopKIndex`.  Because the kernel
-    is bitwise deterministic per source, the merged index is **identical** to
-    a serial :func:`build_index` under the same parameters.
-
-    ``progress`` fires once per completed *shard* (with node counts), not per
-    node — workers do not stream per-node completions across the pool.  With
-    ``n_workers <= 1`` this falls back to the serial builder.
-    """
-    if n_workers <= 1:
-        return build_index(
-            graph, params, hubs=hubs, transition=transition, progress=progress
-        )
-
-    matrix, n, params, hubs = _resolve_build_inputs(graph, params, hubs, transition)
-    stages = StageTimer()
-    with stages.time("hub_matrix"):
-        hub_matrix, hub_deficit, hub_top_k = _compute_hub_matrix(matrix, hubs, params)
-    hub_mask = hubs.mask(n)
-
-    bca_sources = [node for node in range(n) if not hub_mask[node]]
-    # More shards than workers (4x) keeps the pool load-balanced when shard
-    # convergence times are uneven; shard payloads are just source-id lists,
-    # the matrices ship once per worker through the initializer.
-    shards = [
-        shard.tolist()
-        for shard in np.array_split(
-            np.asarray(bca_sources, dtype=np.int64), 4 * n_workers
-        )
-        if shard.size
-    ]
-    parts: List[CollectedStates] = []
-    done = 0
-    with stages.time("bca"):
-        with ProcessPoolExecutor(
-            max_workers=n_workers,
-            initializer=_init_shard_worker,
-            initargs=(matrix, hub_mask, params, hubs, hub_matrix),
-        ) as pool:
-            for shard, part in zip(shards, pool.map(_collect_shard, shards)):
-                parts.append(part)
-                done += len(shard)
-                if progress is not None:
-                    progress(done, len(bca_sources))
-    return _assemble_store_index(
-        params, hubs, hub_matrix, hub_deficit, hub_top_k, parts, hub_mask,
-        n, n, stages, None,
-    )
 
 
 def rebuild_node_state(
@@ -388,8 +204,9 @@ def rebuild_node_state(
 
     What invalidation does to a node whose buffered state touched a mutated
     transition column: the state is reset to one unit of residue ink and
-    re-refined exactly as :func:`build_index` would, so the result is
-    bit-identical to the state a full rebuild on ``transition`` produces.
+    re-refined exactly as :func:`~repro.core.sharding.build_index` would, so
+    the result is bit-identical to the state a full rebuild on ``transition``
+    produces.
     ``expansion`` must wrap the hub matrix computed for the *new* transition.
     """
     if hub_mask[node]:

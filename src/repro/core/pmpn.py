@@ -184,8 +184,8 @@ class PMPNPlan:
     """``A^T`` laid out for PMPN: permuted into a topological order of its SCCs.
 
     Built once per transition matrix: the engine builds one per binding, so
-    ``rebind``, unpickling and the sharded engine all get a fresh one, and a
-    pickled engine carries none.  Read-only after construction, hence shared
+    ``rebind`` and unpickling both get a fresh one, and a pickled engine
+    carries none.  Read-only after construction, hence shared
     freely by concurrent queries.
 
     Attributes

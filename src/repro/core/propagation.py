@@ -18,12 +18,14 @@ which SciPy accumulates column by column.
 
 Per-source bitwise determinism
 ------------------------------
-A chunk column only ever reads and writes its own column, so a source
-produces the *bit-identical* trajectory, iteration count and bounds whichever
-other sources share its chunk and in whatever order they come.  That is what
+A chunk column only ever reads and writes its own column, and every column
+keeps its entries in ascending order (see :meth:`PropagationKernel._converge`
+for why that needs saying), so a source produces the *bit-identical*
+trajectory, iteration count and bounds whichever other sources share its
+chunk and in whatever order they come.  That is what
 lets the dynamic maintainer rebuild invalidated nodes as one run, and the
-parallel builder shard the node range across processes, while both stay
-bit-identical to a serial from-scratch build.  Against the seed's per-node
+builder split the node range into shards and pool tasks, while both stay
+bit-identical to a serial single-shard build.  Against the seed's per-node
 dict loop (kept under ``tests/`` as the reference oracle) the kernel agrees
 to floating-point accumulation order: reconstructions within ``1e-12`` and
 tie-aware equal top-K sets.
@@ -57,7 +59,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import time
-from typing import Callable, Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -79,10 +81,6 @@ CHUNK_WIDTH = 256
 #: sub-chunk width ``m`` is ``SPILL_BYTES // (8 * n)`` (at least one column),
 #: so memory stays bounded on million-node graphs.
 SPILL_BYTES = 64 << 20
-
-#: Progress hook invoked with the source node id as each source converges.
-SourceCallback = Callable[[int], None]
-
 
 class KernelWorkspace(ArrayWorkspace):
     """Reusable dense scratch for query-time refinement working sets.
@@ -248,14 +246,12 @@ class PropagationKernel:
         sources: Sequence[int],
         *,
         stages: Optional[StageTimer] = None,
-        on_done: Optional[SourceCallback] = None,
     ) -> CollectedStates:
         """Run BCA to convergence from every (non-hub) source node.
 
         Returns the converged states as flat segments, one row per source in
         convergence order (``.state_arrays()`` pairs each with its source).
-        ``stages`` accumulates ``bca`` / ``materialize`` phase timings;
-        ``on_done`` fires once per source as it converges (progress hook).
+        ``stages`` accumulates ``bca`` / ``materialize`` phase timings.
         """
         sources = [int(source) for source in sources]
         for source in sources:
@@ -284,9 +280,7 @@ class PropagationKernel:
             peak = max(peak, chunk_peak)
             with stages.time("materialize"):
                 spill_start = time.perf_counter() if prof is not None else 0.0
-                self._spill(
-                    chunk, residual, retained, hub_ink, iterations, on_done, sink
-                )
+                self._spill(chunk, residual, retained, hub_ink, iterations, sink)
                 if prof is not None:
                     prof.on_spill(
                         n_sources=int(chunk.size),
@@ -305,8 +299,14 @@ class PropagationKernel:
 
         Returns ``(residual, retained, hub_ink, iterations, peak_bytes)``.
         All per-iteration arithmetic is element-wise on the CSC ``data``
-        vector or per-column sparse algebra, so every source's trajectory is
-        bitwise independent of its chunk mates.
+        vector or per-column sparse algebra.  That alone does not make a
+        source's trajectory independent of its chunk mates: a sparse product
+        sums each output entry in its column's *entry order*, and SciPy's
+        sparse sum picks its kernel — and with it whether output columns come
+        out sorted — from the sortedness of the whole operands.  Every plane
+        therefore enters each sum with sorted indices, so every column's entry
+        order is ascending whatever its mates hold, and every source's
+        trajectory is bitwise independent of its chunk mates.
         """
         params = self.params
         n = self.n_nodes
@@ -387,6 +387,13 @@ class PropagationKernel:
                 if moved:
                     rows.eliminate_zeros()
                     arrivals = rows.tocsc()
+            # SciPy adds two CSC matrices with its sorted-merge kernel only
+            # when *both whole matrices* have sorted indices; otherwise its
+            # general kernel leaves every output column unsorted, and the
+            # next product sums each column in that entry order.  Sorting
+            # the arrivals keeps the sum on the sorted path, so a column's
+            # entry order — and its floats — never depend on its chunk mates.
+            arrivals.sort_indices()
             residual = (residual + arrivals).tocsc()
             iterations[stepping] += 1
             live_bytes = hub_ink.nbytes + sum(
@@ -408,7 +415,6 @@ class PropagationKernel:
         retained: sp.csc_matrix,
         hub_ink: np.ndarray,
         iterations: np.ndarray,
-        on_done: Optional[SourceCallback],
         sink: StateArraysSink,
     ) -> None:
         """Spill a converged chunk into the sink.
@@ -447,9 +453,6 @@ class PropagationKernel:
                 hub_ink, np.arange(width, dtype=np.int64), self._hub_nodes
             ),
         )
-        if on_done is not None:
-            for source in chunk.tolist():
-                on_done(source)
 
     def _expanded_bounds(
         self, retained: sp.csc_matrix, hub_ink: np.ndarray

@@ -15,7 +15,9 @@ Query evaluation proceeds in two phases:
 The scan
 --------
 Instead of looping over all ``n`` nodes, the scan phase runs as whole-array
-stages over the index's columnar views (:attr:`ReverseTopKIndex.columns`):
+stages over each shard's columnar slice
+(:func:`~repro.core.sharding.columnar_stage_decisions`), shard after shard or
+fanned across a thread pool (``scan_workers``):
 
 * **prune** — one NumPy comparison ``p_*(q) < P̂[k-1, *]`` rejects almost
   every node in a single pass (the paper's headline pruning result,
@@ -29,11 +31,14 @@ stages over the index's columnar views (:attr:`ReverseTopKIndex.columns`):
 * **refine** — only the few candidates that all three vectorized stages left
   undecided enter the per-node refinement loop of Algorithm 4, line 13.
 
-This is the only scan.  Its results, its :class:`QueryStatistics` counters
-and the index it writes back are bit-identical to the paper's per-node
-while-loop, which lives under ``tests/`` as the reference oracle.  The one
-remaining knob is the engine's ``scan_precision``: float32 screening reads
-half the bytes and decides exactly as float64 does.
+This is the only scan.  The stages are column-local, so the shard count
+changes nothing a caller can observe: its results, its
+:class:`QueryStatistics` counters and the index it writes back are
+bit-identical to the paper's per-node while-loop, which lives under
+``tests/`` as the reference oracle.  With one shard (the default) the slice
+is the whole array and nothing is copied or re-offset.  The one remaining
+knob is the engine's ``scan_precision``: float32 screening reads half the
+bytes and decides exactly as float64 does.
 
 The engine also collects the per-query statistics reported in Figures 5–8:
 candidate count, immediate hits, refinement iterations, and stage timings
@@ -42,151 +47,38 @@ candidate count, immediate hits, refinement iterations, and stage timings
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+import threading
+import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from .._validation import check_k, check_membership, check_node_index
+from .._validation import (
+    check_k,
+    check_membership,
+    check_node_index,
+    check_non_negative_int,
+)
 from ..exceptions import QueryError
 from ..graph.digraph import DiGraph
 from ..graph.transition import transition_matrix
 from ..obs.tracing import current_span
 from ..utils.timer import StageTimer, Timer
-from .bounds import (
-    BoundsWorkspace,
-    float32_prune_envelope,
-    float32_staircase_envelope,
-    kth_other_upper_bound,
-    kth_upper_bounds_batch,
-)
+from .bounds import BoundsWorkspace, kth_other_upper_bound
 from .config import SCAN_PRECISIONS, IndexParams, QueryParams
-from .index import ColumnarView, ReverseTopKIndex, StateArrays
-from .lbi import build_index, refine_node_state
+from .index import StateArrays
+from .lbi import refine_node_state
 from .pmpn import PMPNPlan, proximity_to_node
 from .propagation import PropagationKernel
-
-# --------------------------------------------------------------------- #
-# the shared columnar stage pipeline
-# --------------------------------------------------------------------- #
-def columnar_stage_decisions(
-    proximity: np.ndarray,
-    columns: ColumnarView,
-    k: int,
-    *,
-    lower32: Optional[np.ndarray] = None,
-    screen: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    workspace: Optional[BoundsWorkspace] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Prune / exact-shortcut / staircase decisions over one columnar slice.
-
-    The single decision pipeline behind both the monolithic scan and the
-    per-shard router scan.  Returns ``(exact_idx, candidate_idx,
-    hits, n_pruned)`` with ascending slice-local node indices: nodes accepted
-    by the exact shortcut, undecided-or-hit candidates, the boolean hit mask
-    aligned with ``candidate_idx``, and the immediate-prune count.
-
-    ``lower32`` switches on float32 screening: the comparisons run against
-    the float32 mirror of the lower-bound plane, and only nodes inside the
-    conservative rounding envelope (see :mod:`repro.core.bounds`) are
-    re-checked against the float64 columns — so decisions (and therefore the
-    derived statistics) stay bit-identical while the screening passes read
-    half the bytes.  ``screen`` optionally supplies precomputed ``(hi, lo)``
-    prune rows (``threshold ± envelope`` at rank ``k``) so a caller serving
-    many queries against the same plane pays the float64 conversion once.
-    """
-    if lower32 is not None:
-        return _stage_decisions_screened(
-            proximity, columns, k, lower32, screen, workspace
-        )
-    return _stage_decisions_float64(proximity, columns, k, workspace)
-
-
-def _stage_decisions_float64(
-    proximity: np.ndarray,
-    columns: ColumnarView,
-    k: int,
-    workspace: Optional[BoundsWorkspace],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """The reference whole-array pipeline over the float64 columns."""
-    survivors = proximity >= columns.lower[k - 1]
-    n_pruned = proximity.size - int(np.count_nonzero(survivors))
-    is_exact = np.asarray(columns.is_exact)
-    exact_idx = np.flatnonzero(survivors & is_exact)
-    candidates = np.flatnonzero(survivors & ~is_exact)
-    if candidates.size:
-        # Gather only the k rows the staircase needs: the plane holds K >= k
-        # rows and a full-column gather would touch (and copy) all of them.
-        upper = kth_upper_bounds_batch(
-            columns.lower[:k, candidates],
-            columns.residual_mass[candidates],
-            k,
-            workspace=workspace,
-        )
-        hits = proximity[candidates] >= upper
-    else:
-        hits = np.zeros(0, dtype=bool)
-    return exact_idx, candidates, hits, n_pruned
-
-
-def _stage_decisions_screened(
-    proximity: np.ndarray,
-    columns: ColumnarView,
-    k: int,
-    lower32: np.ndarray,
-    screen: Optional[Tuple[np.ndarray, np.ndarray]],
-    workspace: Optional[BoundsWorkspace],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """float32-screened pipeline: screen wide, re-check the envelope at f64.
-
-    Comparisons whose margin exceeds the rounding envelope provably decide
-    the same way as the float64 comparison, so only the (rare) borderline
-    nodes ever touch the float64 plane — and those are resolved against it,
-    making every returned decision bit-identical to the float64 pipeline.
-    """
-    lower = columns.lower
-    if screen is not None:
-        hi, lo = screen
-    else:
-        thresholds = np.asarray(lower32[k - 1], dtype=np.float64)
-        envelope = float32_prune_envelope(thresholds)
-        hi = thresholds + envelope
-        lo = thresholds - envelope
-    survivors = proximity >= hi
-    near = proximity >= lo
-    # hi >= lo, so survivors is a subset of near: xor leaves exactly the
-    # envelope sliver that needs the float64 row.
-    np.logical_xor(near, survivors, out=near)
-    unsure = np.flatnonzero(near)
-    if unsure.size:
-        survivors[unsure] = proximity[unsure] >= lower[k - 1][unsure]
-    n_pruned = proximity.size - int(np.count_nonzero(survivors))
-    is_exact = np.asarray(columns.is_exact)
-    exact_idx = np.flatnonzero(survivors & is_exact)
-    candidates = np.flatnonzero(survivors & ~is_exact)
-    if not candidates.size:
-        return exact_idx, candidates, np.zeros(0, dtype=bool), n_pruned
-    masses = columns.residual_mass[candidates]
-    upper32 = kth_upper_bounds_batch(
-        lower32[:k, candidates], masses, k, workspace=workspace
-    )
-    stair_envelope = float32_staircase_envelope(
-        np.asarray(lower32[0, candidates], dtype=np.float64), masses
-    )
-    prox = proximity[candidates]
-    hits = prox >= upper32 + stair_envelope
-    unsure = np.flatnonzero(~hits & (prox >= upper32 - stair_envelope))
-    if unsure.size:
-        borderline = candidates[unsure]
-        upper = kth_upper_bounds_batch(
-            lower[:k, borderline],
-            columns.residual_mass[borderline],
-            k,
-            workspace=workspace,
-        )
-        hits[unsure] = prox[unsure] >= upper
-    return exact_idx, candidates, hits, n_pruned
+from .sharding import (
+    IndexShard,
+    ReverseTopKIndex,
+    build_index,
+    columnar_stage_decisions,
+)
 
 
 @dataclass(frozen=True)
@@ -325,7 +217,13 @@ class ReverseTopKEngine:
     transition:
         Column-stochastic transition matrix of the graph.
     index:
-        A pre-built :class:`ReverseTopKIndex` over the same graph.
+        A pre-built :class:`~repro.core.sharding.ReverseTopKIndex` over the
+        same graph.
+    scan_workers:
+        With ``> 1`` and several shards, the per-shard scan fans across a
+        thread pool of this size (the scan is pure reads over disjoint
+        slices, and the NumPy kernels release the GIL); release it with
+        :meth:`close`.
     scan_precision:
         ``"float64"`` (default) scans the full-precision columns;
         ``"float32"`` screens the prune and staircase stages against the
@@ -339,11 +237,15 @@ class ReverseTopKEngine:
         transition: sp.spmatrix,
         index: ReverseTopKIndex,
         *,
+        scan_workers: int = 0,
         scan_precision: str = "float64",
     ) -> None:
         self.scan_precision = check_membership(
             scan_precision, SCAN_PRECISIONS, "scan_precision"
         )
+        self.scan_workers = check_non_negative_int(scan_workers, "scan_workers")
+        self._scan_pool: Optional[ThreadPoolExecutor] = None
+        self._scan_pool_lock = threading.Lock()
         self.transition = sp.csc_matrix(transition)
         if self.transition.shape[0] != index.n_nodes and index.n_nodes:
             raise QueryError(
@@ -403,15 +305,36 @@ class ReverseTopKEngine:
         """Point the engine at a new transition matrix (dynamic maintenance).
 
         Re-derives every transition-dependent cache — the hub mask and the
-        PMPN plan — exactly as construction does.  The index defaults to the
-        engine's current one, which the maintainer mutates in place so
-        version-keyed caches stay monotonic.
+        PMPN plan — exactly as construction does, keeping the scan settings.
+        The index defaults to the engine's current one, which the maintainer
+        mutates in place so version-keyed caches stay monotonic.
         """
+        self.close()
         self.__init__(
             transition,
             index if index is not None else self.index,
+            scan_workers=self.scan_workers,
             scan_precision=self.scan_precision,
         )
+
+    def close(self) -> None:
+        """Shut down the per-shard scan pool, if one was started (idempotent)."""
+        with self._scan_pool_lock:
+            if self._scan_pool is not None:
+                self._scan_pool.shutdown(wait=True)
+                self._scan_pool = None
+
+    def __enter__(self) -> "ReverseTopKEngine":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def _ensure_scan_pool(self) -> ThreadPoolExecutor:
+        with self._scan_pool_lock:
+            if self._scan_pool is None:
+                self._scan_pool = ThreadPoolExecutor(max_workers=self.scan_workers)
+            return self._scan_pool
 
     # ------------------------------------------------------------------ #
     # query evaluation
@@ -503,10 +426,12 @@ class ReverseTopKEngine:
     # pickling (process-pool workers)
     # ------------------------------------------------------------------ #
     def __getstate__(self) -> dict:
-        """Ship only the transition and the index; derived caches rebuild."""
+        """Ship the transition, the index and the scan settings; derived
+        caches (and the scan pool) rebuild on the receiving side."""
         return {
             "transition": self.transition,
             "index": self.index,
+            "scan_workers": self.scan_workers,
             "scan_precision": self.scan_precision,
         }
 
@@ -515,7 +440,8 @@ class ReverseTopKEngine:
         self.__init__(
             state["transition"],
             state["index"],
-            scan_precision=state.get("scan_precision", "float64"),
+            scan_workers=state["scan_workers"],
+            scan_precision=state["scan_precision"],
         )
 
     # ------------------------------------------------------------------ #
@@ -597,12 +523,6 @@ class ReverseTopKEngine:
             statistics=statistics,
         )
 
-    def _scan_lower32(self) -> Optional[np.ndarray]:
-        """The float32 screening plane, or ``None`` at full precision."""
-        if self.scan_precision != "float32":
-            return None
-        return self.index.lower_bounds_f32()
-
     def _scan(
         self,
         query: int,
@@ -649,16 +569,63 @@ class ReverseTopKEngine:
     def _columnar_decisions(
         self, proximity_to_q: np.ndarray, k: int, tally: "_ScanTally"
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(exact, candidates, hit mask)`` of the columnar stages; records the
-        prune count on ``tally``.  The sharded router overrides only this."""
-        exact_idx, candidates, hits, tally.n_pruned = columnar_stage_decisions(
-            proximity_to_q,
-            self.index.columns,
+        """``(exact, candidates, hit mask)`` of the columnar stages, shard by shard.
+
+        Shard outcomes concatenate in range order — the ascending candidate
+        order, so refinement trajectories, write-back order, version bumps
+        and counters do not depend on the shard count.  One shard's local
+        ids are the global ones: its outcome is returned as is.  Records the
+        prune count (and, under a trace, one record per shard) on ``tally``.
+        """
+        shards = self.index.shards
+
+        def scan(shard: IndexShard):
+            return self._scan_shard(shard, proximity_to_q, k)
+
+        if self.scan_workers > 1 and len(shards) > 1:
+            outcomes = list(self._ensure_scan_pool().map(scan, shards))
+        else:
+            outcomes = [scan(shard) for shard in shards]
+        if current_span() is not None:
+            tally.shard_records.extend(
+                (shard.start, shard.n_nodes, outcome[4], outcome[3])
+                for shard, outcome in zip(shards, outcomes)
+            )
+        tally.n_pruned = sum(outcome[3] for outcome in outcomes)
+        if len(outcomes) == 1:
+            exact_idx, candidates, hits = outcomes[0][:3]
+            return exact_idx, candidates, hits
+        return (
+            np.concatenate(
+                [outcome[0] + shard.start for shard, outcome in zip(shards, outcomes)]
+            ),
+            np.concatenate(
+                [outcome[1] + shard.start for shard, outcome in zip(shards, outcomes)]
+            ),
+            np.concatenate([outcome[2] for outcome in outcomes]),
+        )
+
+    def _scan_shard(
+        self, shard: IndexShard, proximity_to_q: np.ndarray, k: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, float]:
+        """The columnar stages over one shard's slice, with local node ids.
+
+        Returns ``(exact, candidates, hits, n_pruned, seconds)``; pure reads,
+        safe to fan across threads (the bounds workspace is thread-local).
+        Under float32 screening the shard scans its own float32 plane (the
+        memmapped ``.lower32.npy`` when the layout carries one).
+        """
+        started = time.perf_counter()
+        screened = self.scan_precision == "float32"
+        exact_idx, candidates, hits, n_pruned = columnar_stage_decisions(
+            proximity_to_q[shard.start : shard.stop],
+            shard.columns,
             k,
-            lower32=self._scan_lower32(),
+            lower32=shard.lower32() if screened else None,
+            screen=shard.screen_bounds(k) if screened else None,
             workspace=self._bounds_workspace,
         )
-        return exact_idx, candidates, hits
+        return exact_idx, candidates, hits, n_pruned, time.perf_counter() - started
 
     # ------------------------------------------------------------------ #
     # internals — refinement
@@ -803,7 +770,7 @@ class _ScanTally:
     n_query_aware_hits: int = 0
     n_fallbacks: int = 0
     #: Per-shard ``(start, n_nodes, seconds, n_pruned)`` records, collected
-    #: by the sharded scan only while a trace is active.
+    #: only while a trace is active.
     shard_records: List[Tuple[int, int, float, int]] = field(default_factory=list)
 
     def absorb_refinement(self, outcome: _NodeOutcome) -> None:

@@ -1,17 +1,17 @@
-"""Partitioned index shards with a query router (out-of-core serving).
+"""The reverse top-k index (§4.1): ``P ≥ 1`` contiguous node-range shards.
 
-The monolithic :class:`~repro.core.index.ReverseTopKIndex` keeps the whole
-``(K, n)`` columnar state — plus every node's flattened BCA state — resident
-in one process.  That caps the graph size a single serving process can hold
-well short of the ROADMAP's "millions of users" target.  This module partitions
-the index the same way PR 4 already shards its *construction*:
+The paper's index ``I = (P̂, R, W, S, P_H)`` is stored as global hub data —
+the hub set, the rounded hub proximity matrix ``P_H`` and its rounding
+deficits — plus ``P`` contiguous shards, each holding its node range's slice
+of everything per-node.  ``P = 1`` (the default) is one in-RAM shard over all
+nodes; larger ``P`` and a ``memory_budget`` put the index out of core.
 
 ``IndexShard``
-    One contiguous node range ``[start, stop)`` holding that range's slice of
-    the columnar views (lower-bound matrix columns, effective-residual-mass
+    One contiguous node range ``[start, stop)`` holding that range's slice
+    of the columnar views (lower-bound matrix columns, effective-residual-mass
     vector, exactness mask) and a
-    :class:`~repro.core.statestore.ColumnarStateStore` over its node states —
-    the same container the monolithic index owns.  A shard is backed either
+    :class:`~repro.core.statestore.ColumnarStateStore` over its node states.
+    A shard is backed either
 
     * **in RAM** — writable column arrays and a store over heap arrays, or
     * **by the on-disk layout** — the columnar slices and the store's
@@ -24,52 +24,50 @@ the index the same way PR 4 already shards its *construction*:
     mutating files that are content-addressed by the snapshot layer, and the
     written state lands in the store's overlay.
 
-``ShardedReverseTopKIndex``
-    The partitioned index: global hub data (hub set, hub proximity matrix,
-    rounding deficits) shared across ``P`` contiguous shards, plus the same
-    node-level API the query engine consumes on the monolithic index
-    (``state`` / ``state_arrays`` / ``set_state`` / ``states`` /
-    ``apply_updates`` / ``version``).  Reads and write-backs route to the
-    owning shard; the mutation version stays **global** — one counter, bumped
-    exactly like the monolithic index, so the serving layer's version-keyed
-    cache behaves identically.
+``ReverseTopKIndex``
+    The index: the node-level API the query engine and the dynamic
+    maintainer consume (``state`` / ``state_arrays`` / ``set_state`` /
+    ``states`` / ``apply_updates`` / ``kth_lower_bounds`` / ``version``),
+    each call routed to the owning shard.  The mutation version is
+    **global** — one counter, bumped once per write-back, which the serving
+    layer's version-keyed cache relies on.  :meth:`ReverseTopKIndex.persist`
+    and :meth:`ReverseTopKIndex.load` write and read the one on-disk layout:
+    per-shard ``.npy`` files first, the ``sharded-meta.npz`` archive last.
 
-``ShardedReverseTopKEngine``
-    The query router: PMPN runs once globally (proximities to the query do
-    not partition), then Algorithm 4's vectorized scan — whole-array prune,
-    exact shortcut, batched staircase bound — runs **per shard** over that
-    shard's columnar slice, sequentially or fanned across a thread pool.
-    Per-shard outcomes concatenate in shard order (node ranges are contiguous
-    and ascending), so candidates refine in exactly the monolithic scan
-    order and answers, statistics counters, and refinement write-backs are
-    bit-identical to :class:`~repro.core.query.ReverseTopKEngine` on the
-    equivalent monolithic index.
+``columnar_stage_decisions``
+    Algorithm 4's columnar stages — whole-array prune, exact shortcut,
+    batched staircase bound — over one shard's slice; the engine
+    (:class:`~repro.core.query.ReverseTopKEngine`) runs it shard by shard.
 
-``build_sharded_index``
-    Constructs the sharded layout directly — each shard's store is built
-    (optionally on PR 4's process-pool shard workers) and written out before
-    the next shard starts, so peak memory is one shard plus the hub matrix
-    and there is **no monolithic merge step**.
+``build_index``
+    Algorithm 1 end to end: the exact hub proximity matrix once, then each
+    node range in turn — non-hub sources through the propagation kernel
+    (optionally on a process pool), hub rows from their exact top-K — and,
+    under a ``memory_budget``, each shard written to the layout before the
+    next starts, so peak build memory is one shard plus the hub matrix.
 
-Bit-identity argument, in one place: the staircase bound, prune comparison
-and exactness shortcut are all column-local (no cross-node arithmetic), so
-evaluating them on a column slice yields the same floats as on the full
-matrix; per-shard candidate lists concatenated in shard order reproduce the
-monolithic ascending candidate order; and refinement operates on the same
-flat state segments through the same kernel.  ``float64`` round-trips
-through ``.npy``/``.npz`` files are bitwise exact, so memmap-backed shards
-scan the same values an in-RAM shard holds.
+Sharding invariance, in one place: the prune comparison, the exactness
+shortcut and the staircase bound are all column-local (no cross-node
+arithmetic), so evaluating them slice by slice yields the same floats as one
+whole-array pass; per-shard candidates concatenated in range order are the
+ascending candidate order; refinement operates on the same flat state
+segments through the same kernel; and the kernel's trajectory per source is
+bitwise independent of the sources sharing its chunk.  So answers, every
+statistics counter, write-backs and versions are the same for every ``P``,
+and ``float64`` round-trips through ``.npy``/``.npz`` files are bitwise exact,
+so memmap-backed shards scan the values an in-RAM shard holds.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 import contextlib
+import functools
+import itertools
 import os
 from pathlib import Path
-import threading
-import time
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import zipfile
 
 import numpy as np
@@ -82,18 +80,25 @@ from .._validation import (
 )
 from ..exceptions import InvalidParameterError, SerializationError
 from ..graph.digraph import DiGraph
-from ..obs.tracing import current_span
-from .bounds import float32_prune_envelope
+from ..utils.timer import StageTimer
+from .bounds import (
+    BoundsWorkspace,
+    float32_prune_envelope,
+    float32_staircase_envelope,
+    kth_upper_bounds_batch,
+)
 from .config import IndexParams
 from .hubs import HubSet
 from .index import (
+    _INDEX_BYTES,
+    _VALUE_BYTES,
     ColumnarView,
     NodeState,
-    ReverseTopKIndex,
     StateArrays,
     _as_arrays,
     atomic_write,
     effective_state_residual_mass,
+    expand_state,
     params_from_arrays,
     params_to_arrays,
     resolve_hub_components,
@@ -102,17 +107,14 @@ from .index import (
 from .lbi import (
     _collect_shard,
     _compute_hub_matrix,
+    _emit_build_metrics,
     _init_shard_worker,
     _resolve_build_inputs,
 )
-from .propagation import PropagationKernel
-from .query import ReverseTopKEngine, columnar_stage_decisions
+from .propagation import BuildReport, PropagationKernel
 from .statestore import STATE_ARRAY_NAMES, ColumnarStateStore, assemble_store
 
 PathLike = Union[str, os.PathLike]
-
-#: Accepted shard backings.
-SHARD_BACKINGS = ("ram", "memmap")
 
 #: On-disk layout format version (bumped on incompatible layout changes).
 _LAYOUT_VERSION = 1
@@ -121,17 +123,6 @@ _LAYOUT_VERSION = 1
 #: a directory without a readable meta archive is a torn layout and is
 #: treated as a snapshot miss, never loaded partially.
 _META_NAME = "sharded-meta.npz"
-
-#: Bytes per stored value/index in the resident-size estimate (mirrors the
-#: monolithic index's Table 2 accounting).
-_VALUE_BYTES = 8
-_INDEX_BYTES = 8
-
-#: Flattened per-shard state arrays (the columnar state store's layout).
-#: Each is persisted as its own ``.npy`` file so shards can memmap them and
-#: read *single nodes* by slicing — loading a whole shard's states because
-#: one candidate needed refinement would erode the memory budget.
-_STATE_ARRAY_NAMES = STATE_ARRAY_NAMES
 
 
 def shard_boundaries(n_nodes: int, n_shards: int) -> np.ndarray:
@@ -154,13 +145,136 @@ def _shard_stem(ordinal: int) -> str:
     return f"shard-{ordinal:05d}"
 
 
+# --------------------------------------------------------------------- #
+# the columnar stage pipeline (one shard's slice)
+# --------------------------------------------------------------------- #
+def columnar_stage_decisions(
+    proximity: np.ndarray,
+    columns: ColumnarView,
+    k: int,
+    *,
+    lower32: Optional[np.ndarray] = None,
+    screen: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    workspace: Optional[BoundsWorkspace] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Prune / exact-shortcut / staircase decisions over one columnar slice.
+
+    The one decision pipeline of Algorithm 4's scan, run over each shard's
+    slice in turn.  Returns ``(exact_idx, candidate_idx,
+    hits, n_pruned)`` with ascending slice-local node indices: nodes accepted
+    by the exact shortcut, undecided-or-hit candidates, the boolean hit mask
+    aligned with ``candidate_idx``, and the immediate-prune count.
+
+    ``lower32`` switches on float32 screening: the comparisons run against
+    the float32 mirror of the lower-bound plane, and only nodes inside the
+    conservative rounding envelope (see :mod:`repro.core.bounds`) are
+    re-checked against the float64 columns — so decisions (and therefore the
+    derived statistics) stay bit-identical while the screening passes read
+    half the bytes.  ``screen`` optionally supplies precomputed ``(hi, lo)``
+    prune rows (``threshold ± envelope`` at rank ``k``) so a caller serving
+    many queries against the same plane pays the float64 conversion once.
+    """
+    if lower32 is not None:
+        return _stage_decisions_screened(
+            proximity, columns, k, lower32, screen, workspace
+        )
+    return _stage_decisions_float64(proximity, columns, k, workspace)
+
+
+def _stage_decisions_float64(
+    proximity: np.ndarray,
+    columns: ColumnarView,
+    k: int,
+    workspace: Optional[BoundsWorkspace],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The reference whole-array pipeline over the float64 columns."""
+    survivors = proximity >= columns.lower[k - 1]
+    n_pruned = proximity.size - int(np.count_nonzero(survivors))
+    is_exact = np.asarray(columns.is_exact)
+    exact_idx = np.flatnonzero(survivors & is_exact)
+    candidates = np.flatnonzero(survivors & ~is_exact)
+    if candidates.size:
+        # Gather only the k rows the staircase needs: the plane holds K >= k
+        # rows and a full-column gather would touch (and copy) all of them.
+        upper = kth_upper_bounds_batch(
+            columns.lower[:k, candidates],
+            columns.residual_mass[candidates],
+            k,
+            workspace=workspace,
+        )
+        hits = proximity[candidates] >= upper
+    else:
+        hits = np.zeros(0, dtype=bool)
+    return exact_idx, candidates, hits, n_pruned
+
+
+def _stage_decisions_screened(
+    proximity: np.ndarray,
+    columns: ColumnarView,
+    k: int,
+    lower32: np.ndarray,
+    screen: Optional[Tuple[np.ndarray, np.ndarray]],
+    workspace: Optional[BoundsWorkspace],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """float32-screened pipeline: screen wide, re-check the envelope at f64.
+
+    Comparisons whose margin exceeds the rounding envelope provably decide
+    the same way as the float64 comparison, so only the (rare) borderline
+    nodes ever touch the float64 plane — and those are resolved against it,
+    making every returned decision bit-identical to the float64 pipeline.
+    """
+    lower = columns.lower
+    if screen is not None:
+        hi, lo = screen
+    else:
+        thresholds = np.asarray(lower32[k - 1], dtype=np.float64)
+        envelope = float32_prune_envelope(thresholds)
+        hi = thresholds + envelope
+        lo = thresholds - envelope
+    survivors = proximity >= hi
+    near = proximity >= lo
+    # hi >= lo, so survivors is a subset of near: xor leaves exactly the
+    # envelope sliver that needs the float64 row.
+    np.logical_xor(near, survivors, out=near)
+    unsure = np.flatnonzero(near)
+    if unsure.size:
+        survivors[unsure] = proximity[unsure] >= lower[k - 1][unsure]
+    n_pruned = proximity.size - int(np.count_nonzero(survivors))
+    is_exact = np.asarray(columns.is_exact)
+    exact_idx = np.flatnonzero(survivors & is_exact)
+    candidates = np.flatnonzero(survivors & ~is_exact)
+    if not candidates.size:
+        return exact_idx, candidates, np.zeros(0, dtype=bool), n_pruned
+    masses = columns.residual_mass[candidates]
+    upper32 = kth_upper_bounds_batch(
+        lower32[:k, candidates], masses, k, workspace=workspace
+    )
+    stair_envelope = float32_staircase_envelope(
+        np.asarray(lower32[0, candidates], dtype=np.float64), masses
+    )
+    prox = proximity[candidates]
+    hits = prox >= upper32 + stair_envelope
+    unsure = np.flatnonzero(~hits & (prox >= upper32 - stair_envelope))
+    if unsure.size:
+        borderline = candidates[unsure]
+        upper = kth_upper_bounds_batch(
+            lower[:k, borderline],
+            columns.residual_mass[borderline],
+            k,
+            workspace=workspace,
+        )
+        hits[unsure] = prox[unsure] >= upper
+    return exact_idx, candidates, hits, n_pruned
+
+
+
 class IndexShard:
-    """One contiguous node-range slice of a sharded reverse top-k index.
+    """One contiguous node-range slice of the reverse top-k index.
 
     Constructed through :meth:`from_store` (in-RAM backing) or
     :meth:`from_layout` (memmap backing over the immutable on-disk layout).
     Node indices at this level are *local* (``0 .. stop - start``); the
-    owning :class:`ShardedReverseTopKIndex` translates.
+    owning :class:`ReverseTopKIndex` translates.
     """
 
     def __init__(self, start: int, stop: int, capacity: int) -> None:
@@ -178,6 +292,9 @@ class IndexShard:
         self._lower: Optional[np.ndarray] = None
         self._mass: Optional[np.ndarray] = None
         self._exact: Optional[np.ndarray] = None
+        # The three arrays as one view, built on first use (every scan reads
+        # it) and dropped whenever the arrays are replaced.
+        self._view: Optional[ColumnarView] = None
         # float32 mirror of the lower slice (lazy; memmapped when the layout
         # carries a ``.lower32.npy`` file, derived from ``_lower`` otherwise).
         self._lower32: Optional[np.ndarray] = None
@@ -235,19 +352,19 @@ class IndexShard:
         """Memmap shard over the immutable layout files in ``directory``.
 
         Nothing is opened here; columnar memmaps and the state store open
-        lazily on first access, so constructing a sharded index from a large
-        layout is O(P) metadata work.
+        lazily on first access, so opening an index over a large layout is
+        O(P) metadata work.
         """
         shard = cls(start, stop, capacity)
         shard.backing = "memmap"
         shard.directory = Path(directory)
         shard.ordinal = int(ordinal)
         suffixes = ["lower.npy", "mass.npy", "exact.npy"]
-        suffixes += [f"states.{name}.npy" for name in _STATE_ARRAY_NAMES]
+        suffixes += [f"states.{name}.npy" for name in STATE_ARRAY_NAMES]
         for suffix in suffixes:
             path = shard.directory / f"{_shard_stem(ordinal)}.{suffix}"
             if not path.exists():
-                raise SerializationError(f"sharded layout is missing {path}")
+                raise SerializationError(f"index layout is missing {path}")
         return shard
 
     # ------------------------------------------------------------------ #
@@ -268,10 +385,13 @@ class IndexShard:
     @property
     def columns(self) -> ColumnarView:
         """This shard's columnar slice (read-only for callers)."""
-        self._ensure_columns()
-        return ColumnarView(
-            lower=self._lower, residual_mass=self._mass, is_exact=self._exact
-        )
+        view = self._view
+        if view is None:
+            self._ensure_columns()
+            view = self._view = ColumnarView(
+                lower=self._lower, residual_mass=self._mass, is_exact=self._exact
+            )
+        return view
 
     def _ensure_columns(self) -> None:
         if self._lower is not None:
@@ -369,7 +489,7 @@ class IndexShard:
                         name: np.load(
                             self.directory / f"{stem}.states.{name}.npy", mmap_mode="r"
                         )
-                        for name in _STATE_ARRAY_NAMES
+                        for name in STATE_ARRAY_NAMES
                     },
                     self.capacity,
                 )
@@ -396,6 +516,7 @@ class IndexShard:
             self._lower = np.array(self._lower, dtype=np.float64, copy=True)
             self._mass = np.array(self._mass, dtype=np.float64, copy=True)
             self._exact = np.array(self._exact, dtype=bool, copy=True)
+            self._view = None
             # The on-disk float32 plane mirrors the *unpromoted* columns;
             # drop it so the next screened scan re-derives from the promoted
             # float64 truth instead of reading a stale file.
@@ -465,7 +586,7 @@ class IndexShard:
         atomic_write(
             directory / f"{stem}.exact.npy", lambda handle: np.save(handle, exact)
         )
-        for name in _STATE_ARRAY_NAMES:
+        for name in STATE_ARRAY_NAMES:
             array = arrays[name]
             atomic_write(
                 directory / f"{stem}.states.{name}.npy",
@@ -483,10 +604,11 @@ class IndexShard:
         cache instead of receiving a full copy of the arrays.
         """
         state = self.__dict__.copy()
-        # The float32 mirror and its screening rows are derived (and possibly
-        # memmap-backed); receivers re-derive or reopen them lazily.
+        # The float32 mirror, its screening rows and the view are derived
+        # (and possibly memmap-backed); receivers rebuild or reopen them lazily.
         state["_lower32"] = None
         state["_screen_bounds"] = {}
+        state["_view"] = None
         if self.backing == "memmap":
             # A clean store still over the layout's memmaps never ships
             # (np.memmap pickles by value): the receiver reopens them
@@ -515,18 +637,14 @@ class IndexShard:
         )
 
 
-class ShardedReverseTopKIndex:
-    """A reverse top-k index partitioned into contiguous node-range shards.
+class ReverseTopKIndex:
+    """The reverse top-k index over all nodes of a graph, in ``P ≥ 1`` shards.
 
-    Exposes the node-level surface the query engine and the dynamic
-    maintainer consume on :class:`~repro.core.index.ReverseTopKIndex`
-    (``state`` / ``state_arrays`` / ``set_state`` / ``states`` /
-    ``apply_updates`` / ``kth_lower_bounds`` / ``version``), routing each
-    call to the owning shard.  Hub data is global — every shard's states
-    reference the same hub proximity matrix — and so is the mutation
-    version: one counter, bumped once per write-back exactly like the
-    monolithic index, which keeps the serving layer's version-keyed cache
-    semantics unchanged.
+    Instances are produced by :func:`build_index` or :meth:`load`; they are
+    mutable because Algorithm 4 refines node states during query evaluation
+    and (optionally) persists the refinement.  Every node-level call routes
+    to the owning shard.  Hub data is global — every shard's states reference
+    the same hub proximity matrix — and so is the mutation :attr:`version`.
     """
 
     def __init__(
@@ -546,13 +664,17 @@ class ShardedReverseTopKIndex:
         self.hub_deficit = np.asarray(hub_deficit, dtype=np.float64)
         self.shards: List[IndexShard] = list(shards)
         self.build_seconds = float(build_seconds)
-        #: Layout directory the shards were loaded from (``None`` for pure
-        #: in-RAM indexes); informational — persistence always takes an
-        #: explicit target.
+        #: Per-phase cost breakdown of the build that produced this index
+        #: (a :class:`repro.core.propagation.BuildReport`); ``None`` for
+        #: indexes loaded from disk or assembled by hand.
+        self.build_report: Optional[BuildReport] = None
+        #: Layout directory the index was written to or loaded from (``None``
+        #: for a pure in-RAM index); informational — persistence always takes
+        #: an explicit target.
         self.directory = directory
         self._version = 0
         if not self.shards:
-            raise InvalidParameterError("a sharded index needs at least one shard")
+            raise InvalidParameterError("an index needs at least one shard")
         expected = 0
         for shard in self.shards:
             if shard.start != expected:
@@ -578,7 +700,7 @@ class ShardedReverseTopKIndex:
             )
 
     # ------------------------------------------------------------------ #
-    # basic accessors (monolithic-index surface)
+    # basic accessors
     # ------------------------------------------------------------------ #
     @property
     def n_nodes(self) -> int:
@@ -597,13 +719,35 @@ class ShardedReverseTopKIndex:
 
     @property
     def version(self) -> int:
-        """Global monotonic mutation counter (see the monolithic index)."""
+        """Monotonic mutation counter, bumped on every state write-back.
+
+        The serving layer keys its result cache on ``(query, k, version)``:
+        any refinement persisted through :meth:`set_state` bumps the counter,
+        so cache entries computed against older index state stop matching
+        and age out of the LRU.
+        """
         return self._version
 
     @property
     def boundaries(self) -> np.ndarray:
         """``P + 1`` ascending shard-range offsets (copy)."""
         return self._boundaries.copy()
+
+    @property
+    def columns(self) -> ColumnarView:
+        """The columnar view over all nodes (read-only for callers).
+
+        With one shard this is the shard's live view; with several it is a
+        concatenated copy — the scan reads each shard's own slice instead.
+        """
+        if len(self.shards) == 1:
+            return self.shards[0].columns
+        views = [shard.columns for shard in self.shards]
+        return ColumnarView(
+            lower=np.concatenate([np.asarray(v.lower) for v in views], axis=1),
+            residual_mass=np.concatenate([np.asarray(v.residual_mass) for v in views]),
+            is_exact=np.concatenate([np.asarray(v.is_exact) for v in views]),
+        )
 
     def shard_of(self, node: int) -> Tuple[IndexShard, int]:
         """The shard owning ``node`` and the node's local offset within it."""
@@ -613,12 +757,16 @@ class ShardedReverseTopKIndex:
         return shard, node - shard.start
 
     def state(self, node: int) -> NodeState:
-        """``node``'s state as a detached :class:`NodeState`, by value."""
+        """``node``'s state as a detached :class:`NodeState`, by value.
+
+        Mutating the returned view changes nothing in the index; hand it
+        back through :meth:`set_state` to store it.
+        """
         shard, local = self.shard_of(node)
         return shard.store.state(local)
 
     def state_arrays(self, node: int) -> StateArrays:
-        """``node``'s state as flat segments, routed to its shard's store."""
+        """``node``'s state as flat segments — no ``NodeState`` is built."""
         shard, local = self.shard_of(node)
         return shard.store.state_arrays(local)
 
@@ -643,6 +791,15 @@ class ShardedReverseTopKIndex:
         """Residue mass of ``node``'s state, including the rounding deficit."""
         return self.state_residual_mass(self.state_arrays(node))
 
+    def approximate_vector(self, node: int) -> np.ndarray:
+        """Materialise the lower-bound proximity vector ``p^t_node`` (Eq. 7).
+
+        ``p^t = w + P_H @ s`` — retained ink at non-hubs plus hub ink expanded
+        through the (rounded) hub proximity columns.
+        """
+        n = self.hub_matrix.shape[0] if self.hub_matrix.shape[0] else self.n_nodes
+        return expand_state(self.state_arrays(node), self.hubs, self.hub_matrix, n)
+
     def apply_updates(
         self,
         states: Dict[int, StateArrays],
@@ -652,11 +809,12 @@ class ShardedReverseTopKIndex:
     ) -> None:
         """Targeted maintenance writes with a single version bump.
 
-        The sharded twin of :meth:`ReverseTopKIndex.apply_updates`: each
-        rewritten node routes to its owning shard (memmap shards promote
-        copy-on-write), untouched shards and nodes stay lazy,
-        and the global version bumps exactly once.  The hub set itself is
-        unchanged by construction.
+        Delta maintenance rewrites only the nodes it invalidated (plus hub
+        rows): each routes to its owning shard (memmap shards promote
+        copy-on-write), untouched shards and nodes stay as they are, and the
+        version bumps exactly once.  The hub set itself is unchanged by
+        construction; callers only leave nodes untouched whose columns the
+        new hub data does not affect.
         """
         _, self.hub_matrix, self.hub_deficit = resolve_hub_components(
             self, None, hub_matrix, hub_deficit, allow_rowless=True
@@ -666,26 +824,15 @@ class ShardedReverseTopKIndex:
             shard.set_state(local, state, self.state_residual_mass(state))
         self._version += 1
 
-    def kth_lower_bounds(self, k: int) -> np.ndarray:
-        """The k-th lower bound of every node, concatenated across shards."""
-        k = check_positive_int(k, "k")
-        if k > self.capacity:
-            raise InvalidParameterError(
-                f"k={k} exceeds the index capacity K={self.capacity}"
-            )
-        return np.concatenate(
-            [np.asarray(shard.columns.lower[k - 1]) for shard in self.shards]
-        )
-
-    def adopt(self, fresh: "ShardedReverseTopKIndex") -> None:
-        """Swap in another sharded index's components, in place.
+    def adopt(self, fresh: "ReverseTopKIndex") -> None:
+        """Swap in another index's components, in place.
 
         The dynamic maintainer's full-rebuild escape hatch builds a fresh
-        sharded index for the new graph and splices it into the *live*
-        object, so every holder of a reference (engine, serving façade)
-        keeps observing the same index and the same monotonic version
-        counter — bumped exactly once, like
-        :meth:`ReverseTopKIndex.replace_contents`.
+        index for the new graph and splices it into the *live* object, so
+        every holder of a reference (engine, serving façade) keeps observing
+        the same index and the same monotonic version counter — bumped
+        exactly once: a freshly constructed index would restart at version 0
+        and collide with cache entries keyed under the old generation.
         """
         if fresh.n_nodes != self.n_nodes:
             raise ValueError(
@@ -701,11 +848,39 @@ class ShardedReverseTopKIndex:
         self.directory = fresh.directory
         self._version += 1
 
+    def kth_lower_bounds(self, k: int) -> np.ndarray:
+        """The k-th row of ``P̂`` across all nodes — the primary pruning signal.
+
+        ``k`` is validated against the index capacity ``K`` only: the matrix
+        stores ``K`` slots per node regardless of the graph size, and slots
+        beyond a node's known bounds hold the trivial lower bound ``0``.
+        """
+        k = check_positive_int(k, "k")
+        if k > self.capacity:
+            raise InvalidParameterError(
+                f"k={k} exceeds the index capacity K={self.capacity}"
+            )
+        return np.concatenate(
+            [np.asarray(shard.columns.lower[k - 1]) for shard in self.shards]
+        )
+
+    def lower_bound_matrix(self) -> np.ndarray:
+        """Dense ``K x n`` matrix ``P̂`` (column ``u`` = top-K lower bounds of ``u``)."""
+        return np.concatenate(
+            [np.asarray(shard.columns.lower) for shard in self.shards], axis=1
+        )
+
     # ------------------------------------------------------------------ #
-    # size accounting
+    # size accounting (Table 2)
     # ------------------------------------------------------------------ #
     def storage_bytes(self) -> Dict[str, int]:
-        """Approximate logical storage per component (Table 2 accounting)."""
+        """Approximate storage footprint per index component, in bytes.
+
+        Matches the accounting of Table 2: the top-K lower bound matrix, the
+        sparse BCA state matrices ``R``/``W``/``S`` and the hub proximity
+        matrix ``P_H`` (rounded), each entry counted as an 8-byte value plus
+        an 8-byte index.
+        """
         return storage_breakdown(
             self, sum(shard.stored_entries() for shard in self.shards)
         )
@@ -719,78 +894,21 @@ class ShardedReverseTopKIndex:
 
         Memmap-backed shards whose columns and states were never touched
         contribute nothing; the gap between this and :meth:`total_bytes` is
-        what the partitioned layout saves a serving process.
+        what the out-of-core layout saves a serving process.
         """
         hub_bytes = self.hub_matrix.nnz * (_VALUE_BYTES + _INDEX_BYTES)
         return hub_bytes + sum(shard.resident_bytes() for shard in self.shards)
 
     # ------------------------------------------------------------------ #
-    # conversions
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_index(
-        cls,
-        index: ReverseTopKIndex,
-        n_shards: int,
-        *,
-        directory: Optional[PathLike] = None,
-        memory_budget: Optional[int] = None,
-    ) -> "ShardedReverseTopKIndex":
-        """Partition a monolithic index into ``n_shards`` contiguous shards.
-
-        ``memory_budget`` (bytes) selects the backing: ``None`` keeps every
-        shard in RAM; otherwise, when the index's approximate size exceeds
-        the budget the layout is persisted under ``directory`` and loaded
-        back memmap-backed (``directory`` is then required).
-        """
-        boundaries = shard_boundaries(index.n_nodes, n_shards)
-        masses = index.columns.residual_mass
-        # Merge the index's overlay once, not once per shard's ``rows()``.
-        merged = ColumnarStateStore(index.store.to_arrays(), index.capacity)
-        shards = [
-            IndexShard.from_store(
-                int(start),
-                int(stop),
-                index.capacity,
-                merged.rows(int(start), int(stop)),
-                masses[start:stop],
-            )
-            for start, stop in zip(boundaries[:-1], boundaries[1:])
-        ]
-        sharded = cls(
-            index.params,
-            index.hubs,
-            index.hub_matrix,
-            index.hub_deficit,
-            shards,
-            build_seconds=index.build_seconds,
-        )
-        if _resolve_backing(sharded.total_bytes(), memory_budget) == "memmap":
-            path = _require_directory(directory, memory_budget)
-            sharded.persist(path)
-            return cls.load(path, memory_budget=memory_budget)
-        return sharded
-
-    def to_index(self) -> ReverseTopKIndex:
-        """Materialise the equivalent monolithic index (RAM-heavy; tests)."""
-        return ReverseTopKIndex(
-            self.params,
-            self.hubs,
-            self.hub_matrix,
-            self.hub_deficit,
-            ColumnarStateStore.concatenate([shard.store for shard in self.shards]),
-            build_seconds=self.build_seconds,
-        )
-
-    # ------------------------------------------------------------------ #
     # persistence (the on-disk layout)
     # ------------------------------------------------------------------ #
     def persist(self, directory: PathLike) -> Path:
-        """Write the full sharded layout under ``directory``.
+        """Write the full layout under ``directory``.
 
         Per-shard files first, the global ``sharded-meta.npz`` last — a torn
         write leaves a directory without a readable meta archive, which
         :meth:`load` rejects, so readers never observe a partial layout.
+        Every file is written atomically (temp file plus ``os.replace``).
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
@@ -823,13 +941,14 @@ class ShardedReverseTopKIndex:
     @classmethod
     def load(
         cls, directory: PathLike, *, memory_budget: Optional[int] = None
-    ) -> "ShardedReverseTopKIndex":
-        """Load a layout written by :meth:`persist`.
+    ) -> "ReverseTopKIndex":
+        """Load a layout written by :meth:`persist` (or a directory build).
 
         ``memory_budget`` decides the backing exactly as at build time:
         ``None`` materialises every shard into RAM; with a budget the shards
         stay memmap-backed (lazy columns, per-node lazy states) whenever the
-        recorded index size exceeds it.
+        recorded index size exceeds it.  A missing, torn or unreadable layout
+        raises :class:`~repro.exceptions.SerializationError`.
         """
         directory = Path(directory)
         meta_path = directory / _META_NAME
@@ -837,7 +956,7 @@ class ShardedReverseTopKIndex:
             with np.load(meta_path, allow_pickle=False) as data:
                 if int(data["layout_version"][0]) != _LAYOUT_VERSION:
                     raise SerializationError(
-                        f"unsupported sharded layout version "
+                        f"unsupported layout version "
                         f"{int(data['layout_version'][0])} at {directory}"
                     )
                 params = params_from_arrays(data)
@@ -852,8 +971,10 @@ class ShardedReverseTopKIndex:
                 build_seconds = float(data["build_seconds"][0])
                 total_bytes = int(data["total_bytes"][0])
         except (OSError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+            # BadZipFile: a truncated meta archive that still begins with the
+            # zip magic — np.load raises it instead of ValueError.
             raise SerializationError(
-                f"cannot load sharded layout from {directory}: {exc}"
+                f"cannot load index layout from {directory}: {exc}"
             ) from exc
         shards = [
             IndexShard.from_layout(
@@ -863,7 +984,7 @@ class ShardedReverseTopKIndex:
                 zip(boundaries[:-1], boundaries[1:])
             )
         ]
-        sharded = cls(
+        index = cls(
             params,
             hubs,
             hub_matrix,
@@ -873,8 +994,8 @@ class ShardedReverseTopKIndex:
             directory=directory,
         )
         if _resolve_backing(total_bytes, memory_budget) == "ram":
-            sharded._materialize_all()
-        return sharded
+            index._materialize_all()
+        return index
 
     def _materialize_all(self) -> None:
         """Promote every shard to an in-RAM shard (no disk-lazy storage).
@@ -893,24 +1014,22 @@ class ShardedReverseTopKIndex:
             )
             for shard in self.shards
         ]
-        # Boundaries are unchanged; keep the recorded directory so callers
-        # can tell where this index came from.
 
     def __repr__(self) -> str:
         backings = {shard.backing for shard in self.shards}
         return (
-            f"ShardedReverseTopKIndex(n_nodes={self.n_nodes}, "
-            f"K={self.capacity}, hubs={len(self.hubs)}, "
-            f"shards={self.n_shards}, backing={'/'.join(sorted(backings))})"
+            f"ReverseTopKIndex(n_nodes={self.n_nodes}, K={self.capacity}, "
+            f"hubs={len(self.hubs)}, shards={self.n_shards}, "
+            f"backing={'/'.join(sorted(backings))})"
         )
 
 
 def _resolve_backing(total_bytes: int, memory_budget: Optional[int]) -> str:
     """Pick the shard backing for an index of ``total_bytes`` under a budget.
 
-    ``None`` budget means "hold everything in RAM" (the monolithic default);
-    otherwise the index goes out-of-core exactly when it does not fit.  A
-    budget of ``0`` therefore always selects the memmap layout.
+    ``None`` budget means "hold everything in RAM" (the default); otherwise
+    the index goes out-of-core exactly when it does not fit.  A budget of
+    ``0`` therefore always selects the memmap layout.
     """
     if memory_budget is None:
         return "ram"
@@ -931,336 +1050,144 @@ def _require_directory(
 
 
 # ----------------------------------------------------------------------- #
-# direct sharded construction (no monolithic merge step)
+# construction (Algorithm 1), shard by shard
 # ----------------------------------------------------------------------- #
-def build_sharded_index(
+def build_index(
     graph: Union[DiGraph, sp.spmatrix],
     params: Optional[IndexParams] = None,
     *,
     hubs: Optional[HubSet] = None,
     transition: Optional[sp.spmatrix] = None,
-    n_shards: int = 4,
+    n_shards: int = 1,
     directory: Optional[PathLike] = None,
     memory_budget: Optional[int] = None,
     n_workers: Optional[int] = None,
-    progress: Optional[Callable[[int, int], None]] = None,
-) -> ShardedReverseTopKIndex:
-    """Build a sharded index shard-by-shard, without a monolithic merge.
+) -> ReverseTopKIndex:
+    """Build the reverse top-k index for a graph (Algorithm 1).
 
-    The exact hub proximity matrix is computed once; then each contiguous
-    node range is built in turn — non-hub sources through the propagation
-    kernel (optionally on ``n_workers`` process-pool workers, reusing the
-    parallel shard build of :func:`~repro.core.lbi.build_index_parallel`'s
-    worker functions), hub nodes from their exact top-K proximities — and,
-    whenever a ``memory_budget`` is given, written straight to the layout
-    before the next range starts, so peak build memory is one shard plus the
-    hub matrix.  The backing is then decided from the sealed layout's
-    *recorded* total (exactly :meth:`ShardedReverseTopKIndex.load`'s rule):
-    an index that fits the budget is materialised back into RAM, one that
-    does not stays memmap-backed.
+    Parameters
+    ----------
+    graph:
+        Either a :class:`~repro.graph.digraph.DiGraph` or a pre-built
+        column-stochastic transition matrix.
+    params:
+        Index construction parameters; defaults to the paper's settings,
+        clamped to the graph size.
+    hubs:
+        Pre-selected hub set; defaults to the degree heuristic of §4.1.1 with
+        ``params.hub_budget``.
+    transition:
+        Pre-computed transition matrix (overrides the graph's default,
+        unweighted one — pass the weighted matrix for co-authorship graphs).
+    n_shards:
+        Number of contiguous node-range shards ``P`` (clamped to the node
+        count).  The contents do not depend on it.
+    directory:
+        Where to write the on-disk layout.  Without a ``memory_budget`` the
+        index is built in RAM and the layout archived there.
+    memory_budget:
+        Bytes the index may keep resident.  Each shard streams to
+        ``directory`` (then required) as soon as it is built; the sealed
+        layout's recorded total then decides the backing exactly as
+        :meth:`ReverseTopKIndex.load` does — an index that fits is
+        materialised back into RAM, one that does not stays memmap-backed.
+    n_workers:
+        Run the propagation on a pool of this many processes (``None`` or
+        ``<= 1`` runs in-process).  The kernel is bitwise deterministic per
+        source, so the index is the same either way.
 
-    The kernel is bitwise deterministic per source, so the resulting shards
-    hold exactly the states (and columnar values) a serial
-    :func:`~repro.core.lbi.build_index` would produce for the same range.
-
-    ``progress`` fires once per completed shard with ``(done_nodes, total)``.
+    The returned index carries a :class:`~repro.core.propagation.BuildReport`
+    as ``index.build_report``: per-phase seconds for the exact hub proximity
+    computation (``hub_matrix``), ink propagation (``bca``), lower-bound and
+    column materialization (``materialize``) and — with a ``directory`` —
+    writing the shards (``persist``), which sum to ``index.build_seconds``.
     """
-    from ..utils.timer import Timer
-
     matrix, n, params, hubs = _resolve_build_inputs(graph, params, hubs, transition)
-    with Timer() as timer:
+    budgeted = memory_budget is not None
+    if budgeted:
+        target: Optional[Path] = _require_directory(directory, memory_budget)
+    else:
+        target = Path(directory) if directory is not None else None
+    if target is not None:
+        target.mkdir(parents=True, exist_ok=True)
+
+    stages = StageTimer()
+    with stages.time("hub_matrix"):
         hub_matrix, hub_deficit, hub_top_k = _compute_hub_matrix(matrix, hubs, params)
-        hub_mask = hubs.mask(n)
-        boundaries = shard_boundaries(n, n_shards)
-        ranges = list(zip(boundaries[:-1], boundaries[1:]))
+    hub_mask = hubs.mask(n)
+    boundaries = shard_boundaries(n, n_shards).tolist()
+    ranges = list(zip(boundaries[:-1], boundaries[1:]))
 
-        # State sizes are unknown until the build runs, so a budgeted build
-        # always streams to the layout first and decides RAM vs memmap from
-        # the *recorded* total afterwards — the exact rule :meth:`load`
-        # applies, so a cold build and a warm start of the same layout can
-        # never resolve the same budget to opposite backings.  A directory
-        # without a budget means "build in RAM but archive the layout".
-        budgeted = memory_budget is not None
-        if budgeted:
-            target = _require_directory(directory, memory_budget)
-        else:
-            target = Path(directory) if directory is not None else None
-        if target is not None:
-            target.mkdir(parents=True, exist_ok=True)
+    # Each range's non-hub sources as pool tasks: about four per worker keeps
+    # the pool balanced when convergence times are uneven; in-process, one
+    # task per range.
+    parallel = n_workers is not None and n_workers > 1
+    pieces = -(-4 * n_workers // len(ranges)) if parallel else 1
+    tasks: List[Tuple[int, List[int]]] = []
+    for ordinal, (start, stop) in enumerate(ranges):
+        sources = np.flatnonzero(~hub_mask[start:stop]) + start
+        split = [part for part in np.array_split(sources, pieces) if part.size]
+        tasks += [(ordinal, part.tolist()) for part in split or [sources]]
+    per_range = Counter(ordinal for ordinal, _ in tasks)
 
-        shards: List[IndexShard] = []
-        done = 0
+    if parallel:
+        pool = ProcessPoolExecutor(
+            max_workers=n_workers,
+            initializer=_init_shard_worker,
+            initargs=(matrix, hub_mask, params, hubs, hub_matrix),
+        )
+        run, worker = pool.map, _collect_shard
+    else:
+        pool = contextlib.nullcontext()
+        kernel = PropagationKernel(
+            matrix, hub_mask, params, hubs=hubs, hub_matrix=hub_matrix
+        )
+        run, worker = map, functools.partial(kernel.run, stages=stages)
 
-        def finish_shard(ordinal: int, start: int, stop: int, shard: IndexShard) -> None:
-            nonlocal done
+    shards: List[IndexShard] = []
+    with pool:
+        parts = run(worker, [part for _, part in tasks])
+        for ordinal, (start, stop) in enumerate(ranges):
+            # Waiting on the pool is propagation; in-process the kernel
+            # splits its own time into ``bca`` and ``materialize``.
+            with stages.time("bca"):
+                collected = list(itertools.islice(parts, per_range[ordinal]))
+            with stages.time("materialize"):
+                store = assemble_store(
+                    start, stop, params.capacity, collected, hub_mask, hub_top_k
+                )
+                shard = IndexShard.from_store(
+                    start, stop, params.capacity, store,
+                    store.column_masses(hubs, hub_deficit),
+                )
             if target is not None:
-                shard.write(target, ordinal)
+                with stages.time("persist"):
+                    shard.write(target, ordinal)
                 if budgeted:
-                    # Stream out-of-core: keep only the lazy view; whether
-                    # the finished index fits the budget is decided from the
-                    # sealed layout's recorded total below.
+                    # Out of core: keep only the lazy view of what was written.
                     shard = IndexShard.from_layout(
-                        target, ordinal, int(start), int(stop), params.capacity
+                        target, ordinal, start, stop, params.capacity
                     )
             shards.append(shard)
-            done += stop - start
-            if progress is not None:
-                progress(done, n)
 
-        def make_shard(start: int, stop: int, part) -> IndexShard:
-            """A shard from one range's collected segments."""
-            start, stop = int(start), int(stop)
-            store = assemble_store(
-                start, stop, params.capacity, [part], hub_mask, hub_top_k
-            )
-            return IndexShard.from_store(
-                start, stop, params.capacity, store,
-                store.column_masses(hubs, hub_deficit),
-            )
-
-        source_lists = [
-            [node for node in range(start, stop) if not hub_mask[node]]
-            for start, stop in ranges
-        ]
-        if n_workers is not None and n_workers > 1:
-            pool = ProcessPoolExecutor(
-                max_workers=n_workers,
-                initializer=_init_shard_worker,
-                initargs=(matrix, hub_mask, params, hubs, hub_matrix),
-            )
-            run, worker = pool.map, _collect_shard
-        else:
-            pool = contextlib.nullcontext()
-            # In-process twin of the pool's shard workers.
-            run, worker = map, PropagationKernel(
-                matrix, hub_mask, params, hubs=hubs, hub_matrix=hub_matrix
-            ).run
-        with pool:
-            for (start, stop), part in zip(ranges, run(worker, source_lists)):
-                finish_shard(len(shards), start, stop, make_shard(start, stop, part))
-
-    sharded = ShardedReverseTopKIndex(
+    report = BuildReport(n_nodes=n, n_targets=n, stage_seconds=stages.as_dict())
+    _emit_build_metrics(report)
+    index = ReverseTopKIndex(
         params,
         hubs,
         hub_matrix,
         hub_deficit,
         shards,
-        build_seconds=timer.elapsed,
+        build_seconds=report.build_seconds,
         directory=target,
     )
+    index.build_report = report
     if target is not None:
-        # Seal the layout: the per-shard files streamed out above become
-        # loadable only once the meta archive lands (written last, atomically).
-        sharded._write_meta(target)
-        if budgeted and _resolve_backing(sharded.total_bytes(), memory_budget) == "ram":
+        # Seal the layout: the shard files become loadable only once the
+        # meta archive lands (written last, atomically).
+        index._write_meta(target)
+        if budgeted and _resolve_backing(index.total_bytes(), memory_budget) == "ram":
             # The finished index fits the budget after all: serve it from
             # RAM (the layout stays on disk for the next warm start).
-            sharded._materialize_all()
-    return sharded
-
-
-# ----------------------------------------------------------------------- #
-# the query router
-# ----------------------------------------------------------------------- #
-class ShardedReverseTopKEngine(ReverseTopKEngine):
-    """Algorithm 4 over a :class:`ShardedReverseTopKIndex`.
-
-    PMPN (the exact proximities to the query) runs once, globally; the
-    vectorized scan then visits each shard's columnar slice — sequentially,
-    or fanned across a thread pool when ``scan_workers > 1`` (the scan phase
-    is pure reads over disjoint slices, and the NumPy kernels release the
-    GIL).  Undecided candidates refine through the inherited per-node
-    pipeline, whose index accesses route to the owning shard.
-
-    Answers, statistics counters and refinement write-backs are bit-identical
-    to the monolithic :class:`~repro.core.query.ReverseTopKEngine` over the
-    equivalent unpartitioned index (property-tested).
-    """
-
-    def __init__(
-        self,
-        transition: sp.spmatrix,
-        index: ShardedReverseTopKIndex,
-        *,
-        scan_workers: int = 0,
-        scan_precision: str = "float64",
-    ) -> None:
-        self.scan_workers = check_non_negative_int(scan_workers, "scan_workers")
-        self._scan_pool: Optional[ThreadPoolExecutor] = None
-        self._scan_pool_lock = threading.Lock()
-        super().__init__(transition, index, scan_precision=scan_precision)
-
-    @classmethod
-    def build(
-        cls,
-        graph: Union[DiGraph, sp.spmatrix],
-        params: Optional[IndexParams] = None,
-        *,
-        transition: Optional[sp.spmatrix] = None,
-        hubs: Optional[HubSet] = None,
-        n_shards: int = 4,
-        directory: Optional[PathLike] = None,
-        memory_budget: Optional[int] = None,
-        n_workers: Optional[int] = None,
-        scan_workers: int = 0,
-        scan_precision: str = "float64",
-    ) -> "ShardedReverseTopKEngine":
-        """Build a sharded index for ``graph`` and wrap it in a router."""
-        if isinstance(graph, DiGraph):
-            from ..graph.transition import transition_matrix
-
-            matrix = transition if transition is not None else transition_matrix(graph)
-        else:
-            matrix = graph if transition is None else transition
-        index = build_sharded_index(
-            graph,
-            params,
-            hubs=hubs,
-            transition=matrix,
-            n_shards=n_shards,
-            directory=directory,
-            memory_budget=memory_budget,
-            n_workers=n_workers,
-        )
-        return cls(
-            matrix, index, scan_workers=scan_workers, scan_precision=scan_precision
-        )
-
-    # ------------------------------------------------------------------ #
-    # lifecycle
-    # ------------------------------------------------------------------ #
-    def rebind(
-        self,
-        transition: sp.spmatrix,
-        index: Optional[ShardedReverseTopKIndex] = None,
-    ) -> None:
-        """Re-derive transition caches, preserving the scan-pool setting."""
-        workers = self.scan_workers
-        precision = self.scan_precision
-        self.close()
-        self.__init__(
-            transition,
-            index if index is not None else self.index,
-            scan_workers=workers,
-            scan_precision=precision,
-        )
-
-    def close(self) -> None:
-        """Shut down the per-shard scan pool (idempotent)."""
-        with self._scan_pool_lock:
-            if self._scan_pool is not None:
-                self._scan_pool.shutdown(wait=True)
-                self._scan_pool = None
-
-    def __enter__(self) -> "ShardedReverseTopKEngine":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def _ensure_scan_pool(self) -> ThreadPoolExecutor:
-        with self._scan_pool_lock:
-            if self._scan_pool is None:
-                self._scan_pool = ThreadPoolExecutor(max_workers=self.scan_workers)
-            return self._scan_pool
-
-    # ------------------------------------------------------------------ #
-    # pickling (process-pool workers)
-    # ------------------------------------------------------------------ #
-    def __getstate__(self) -> dict:
-        """Ship the transition, the sharded index, and the pool setting."""
-        return {
-            "transition": self.transition,
-            "index": self.index,
-            "scan_workers": self.scan_workers,
-            "scan_precision": self.scan_precision,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__(
-            state["transition"],
-            state["index"],
-            scan_workers=state["scan_workers"],
-            scan_precision=state.get("scan_precision", "float64"),
-        )
-
-    # ------------------------------------------------------------------ #
-    # the per-shard scan
-    # ------------------------------------------------------------------ #
-    def _columnar_decisions(self, proximity_to_q, k, tally):
-        """The columnar stages routed across shards; refinement stays global.
-
-        Per-shard stages are column-local, so evaluating them slice by slice
-        yields the monolithic scan's floats; shard outcomes concatenate in
-        range order, reproducing the monolithic ascending candidate order —
-        and therefore identical refinement trajectories, write-back order,
-        version bumps and statistics counters.  Under float32 screening each
-        shard scans its own float32 plane (the memmapped ``.lower32.npy``
-        when the layout carries one) through the same shared stage pipeline
-        the monolithic engine uses.
-        """
-        shards = self.index.shards
-
-        def scan(shard: IndexShard):
-            return _scan_shard(
-                shard,
-                proximity_to_q,
-                k,
-                screened=self.scan_precision == "float32",
-                workspace=self._bounds_workspace,
-            )
-
-        if self.scan_workers > 1 and len(shards) > 1:
-            outcomes = list(self._ensure_scan_pool().map(scan, shards))
-        else:
-            outcomes = [scan(shard) for shard in shards]
-        exact_parts: List[np.ndarray] = []
-        candidate_parts: List[np.ndarray] = []
-        hit_parts: List[np.ndarray] = []
-        traced = current_span() is not None
-        for shard, outcome in zip(shards, outcomes):
-            start, exact_local, cand_local, hits, n_pruned, seconds = outcome
-            tally.n_pruned += n_pruned
-            if traced:
-                tally.shard_records.append(
-                    (start, shard.stop - shard.start, seconds, int(n_pruned))
-                )
-            exact_parts.append(exact_local + start)
-            candidate_parts.append(cand_local + start)
-            hit_parts.append(hits)
-        return (
-            np.concatenate(exact_parts),
-            np.concatenate(candidate_parts),
-            np.concatenate(hit_parts),
-        )
-
-
-def _scan_shard(
-    shard: IndexShard,
-    proximity_to_q: np.ndarray,
-    k: int,
-    *,
-    screened: bool = False,
-    workspace=None,
-) -> Tuple[int, np.ndarray, np.ndarray, np.ndarray, int, float]:
-    """Prune / exact-shortcut / batched-bound stages over one shard's slice.
-
-    Returns ``(start, exact_local, candidates_local, hits, n_pruned,
-    seconds)`` with local (shard-relative) node offsets; pure reads, safe to
-    fan across threads (the bounds workspace is thread-local).  Delegates to
-    the shared :func:`~repro.core.query.columnar_stage_decisions` pipeline,
-    so decisions are bit-identical to the monolithic scan in every
-    configuration.
-    """
-    scan_start = time.perf_counter()
-    local = proximity_to_q[shard.start : shard.stop]
-    exact_local, candidates_local, hits, n_pruned = columnar_stage_decisions(
-        local,
-        shard.columns,
-        k,
-        lower32=shard.lower32() if screened else None,
-        screen=shard.screen_bounds(k) if screened else None,
-        workspace=workspace,
-    )
-    seconds = time.perf_counter() - scan_start
-    return shard.start, exact_local, candidates_local, hits, n_pruned, seconds
+            index._materialize_all()
+    return index

@@ -3,11 +3,10 @@
 The paper's index *is* four column-per-node sparse matrices (``R``, ``W``,
 ``S``, ``P̂``; Algorithm 1), and this module stores them exactly so — the
 flattened layout :data:`STATE_ARRAY_NAMES`, which is also, byte for byte,
-what the monolithic ``.npz`` archive and the sharded per-shard ``.npy`` files
-persist.  Nothing else holds node state: the monolithic index owns one store
-over all nodes, every shard owns one over its range (opened lazily over the
-layout's memmaps), and builds, maintenance and query write-backs all hand
-over flat segments.
+what the on-disk per-shard ``.npy`` files persist.  Nothing else holds node
+state: every shard of the index owns one store over its range (opened
+lazily over the layout's memmaps), and builds, maintenance and query
+write-backs all hand over flat segments.
 
 ``ColumnarStateStore``
     Struct-of-arrays state for a contiguous node range.  The arrays are
@@ -24,8 +23,8 @@ over flat segments.
     flat ``(counts, keys, values)`` segments (plus bounds / iteration rows).
 
 ``assemble_store``
-    Merges collected segments with vectorised hub and untargeted rows into a
-    finished store, ordered by node id.
+    Merges collected segments with vectorised hub rows into a finished
+    store, ordered by node id.
 
 Storage order is part of the state: the effective residual mass is a
 sequential sum over a row's entries *in storage order*, so every path that
@@ -496,13 +495,12 @@ def assemble_store(
     hub_mask: np.ndarray,
     hub_top_k: Dict[int, np.ndarray],
 ) -> ColumnarStateStore:
-    """Merge collected BCA segments plus hub / untargeted rows into a store.
+    """Merge collected BCA segments plus hub rows into a store.
 
-    ``collected`` may come from several sinks (parallel shard workers) in any
-    order; rows are placed by global source id.  Nodes in ``[start, stop)``
-    that are neither collected nor hubs get the untargeted initial state
-    (one unit of residue at themselves, all-zero bounds) — the state the
-    seed loop starts every node from, before any iteration.
+    ``collected`` may come from several sinks (pool tasks) in any order; rows
+    are placed by global source id.  Every node in ``[start, stop)`` is
+    either collected or a hub; a hub row holds its exact top-K and one unit
+    of ink parked at itself.
     """
     start, stop, capacity = int(start), int(stop), int(capacity)
     m = stop - start
@@ -530,9 +528,11 @@ def assemble_store(
     built[local] = True
     if np.any(built & hub_local):
         raise InvalidParameterError("collected sources include hub nodes")
-    untargeted = ~built & ~hub_local
+    if not np.all(built | hub_local):
+        raise InvalidParameterError(
+            f"non-hub nodes of [{start}, {stop}) are missing from the collected states"
+        )
     hub_rows = np.flatnonzero(hub_local)
-    untargeted_rows = np.flatnonzero(untargeted)
 
     arrays: Dict[str, np.ndarray] = {}
     for plane in _PLANES:
@@ -551,12 +551,9 @@ def assemble_store(
 
         counts = np.zeros(m, dtype=np.int64)
         counts[local] = sel_counts
-        # Singleton rows: hubs carry {node: 1.0} hub ink, untargeted nodes
-        # carry {node: 1.0} residue; both have empty other planes.
+        # Hub rows carry one {node: 1.0} hub-ink entry and empty other planes.
         if plane == "hub_ink":
             counts[hub_rows] = 1
-        elif plane == "residual":
-            counts[untargeted_rows] = 1
         indptr = np.concatenate([[0], np.cumsum(counts)])
         keys = np.empty(int(indptr[-1]), dtype=np.int64)
         values = np.empty(int(indptr[-1]), dtype=np.float64)
@@ -564,12 +561,9 @@ def assemble_store(
             indptr, local, sel_starts, sel_counts, plane_keys, plane_values,
             keys, values,
         )
-        singleton = hub_rows if plane == "hub_ink" else (
-            untargeted_rows if plane == "residual" else None
-        )
-        if singleton is not None and singleton.size:
-            slots = indptr[:-1][singleton]
-            keys[slots] = singleton + start
+        if plane == "hub_ink" and hub_rows.size:
+            slots = indptr[:-1][hub_rows]
+            keys[slots] = hub_rows + start
             values[slots] = 1.0
         arrays[f"{plane}_indptr"] = indptr
         arrays[f"{plane}_keys"] = keys

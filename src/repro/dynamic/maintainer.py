@@ -42,12 +42,11 @@ trajectory and lands in the bit-identical state.
    ``P_H`` expansion moved);
 6. writes the result into the index *in place*, as flat segments: the
    rewritten rows through ``apply_updates`` (``O(rewritten)`` overlay
-   writes, every other row untouched), a full rebuild's fresh store through
-   :meth:`~repro.core.index.ReverseTopKIndex.replace_contents` (sharded:
-   ``adopt``) — one version bump either way, so the serving layer's result
-   cache drops exactly one generation, and an index is array-backed after
-   maintenance however the batch was applied — and rebinds the engine's
-   transition caches.
+   writes routed to their shards, every other row untouched), a full
+   rebuild's fresh shards through
+   :meth:`~repro.core.sharding.ReverseTopKIndex.adopt` — one version bump
+   either way, so the serving layer's result cache drops exactly one
+   generation — and rebinds the engine's transition caches.
 
 The invariant all of this preserves: after ``apply()``, the maintained index
 is **bit-identical** to ``build_index`` run from scratch on the new graph
@@ -89,14 +88,10 @@ from .._validation import check_positive_float
 from ..core.config import IndexParams
 from ..core.hubs import HubSet
 from ..core.index import StateArrays
-from ..core.lbi import (
-    _compute_hub_matrix,
-    build_index,
-    default_hub_selection,
-)
+from ..core.lbi import _compute_hub_matrix, default_hub_selection
 from ..core.propagation import KernelWorkspace, PropagationKernel
 from ..core.query import ReverseTopKEngine
-from ..core.sharding import ShardedReverseTopKIndex, build_sharded_index
+from ..core.sharding import build_index
 from ..core.statestore import ColumnarStateStore
 from ..graph.digraph import DiGraph
 from ..graph.transition import column_slice, rebuild_transition_columns
@@ -313,32 +308,19 @@ class IndexMaintainer:
     def _full_rebuild(self, graph, transition, hubs):
         """Escape hatch: rebuild everything, splice into the live index.
 
-        A sharded index is rebuilt shard by shard on its own partitioning
-        (:func:`~repro.core.sharding.build_sharded_index` — the same states
-        a monolithic build would produce, without materialising a monolithic
-        ``(K, n)`` columnar matrix first) and adopted in place; the version
-        bumps exactly once either way.
+        The fresh index is built on the live index's own partitioning and
+        adopted in place; the version bumps exactly once.
         """
         index = self.engine.index
-        if isinstance(index, ShardedReverseTopKIndex):
-            fresh = build_sharded_index(
+        index.adopt(
+            build_index(
                 graph,
                 index.params,
                 hubs=hubs,
                 transition=transition,
                 n_shards=index.n_shards,
             )
-            index.adopt(fresh)
-        else:
-            fresh = build_index(
-                graph, index.params, hubs=hubs, transition=transition
-            )
-            index.replace_contents(
-                hubs=fresh.hubs,
-                hub_matrix=fresh.hub_matrix,
-                hub_deficit=fresh.hub_deficit,
-                states=fresh.store,
-            )
+        )
         self.engine.rebind(transition)
         n_non_hub = index.n_nodes - len(hubs)
         return n_non_hub, 0, len(hubs), 1.0, True
@@ -481,22 +463,19 @@ def _nodes_reaching(
 
 
 def _array_segments(index) -> List[Tuple[int, ColumnarStateStore, np.ndarray]]:
-    """``(start, store, is_hub rows)`` per contiguous node range of ``index``.
+    """``(start, store, is_hub rows)`` per shard of ``index``.
 
     Memmap shards open their stores lazily here — a sequential read over
     the flat key arrays, not a per-node materialisation.  The hub rows are
     the store's ``is_hub`` column with its overlay's rows swapped in.
     """
-    if isinstance(index, ShardedReverseTopKIndex):
-        stores = [(shard.start, shard.store) for shard in index.shards]
-    else:
-        stores = [(0, index.store)]
     segments = []
-    for start, store in stores:
+    for shard in index.shards:
+        store = shard.store
         is_hub = np.array(store.arrays["is_hub"], dtype=bool)
         for local, state in store.overlay.items():
             is_hub[local] = state.is_hub
-        segments.append((start, store, is_hub))
+        segments.append((shard.start, store, is_hub))
     return segments
 
 

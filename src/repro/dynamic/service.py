@@ -259,7 +259,7 @@ class DynamicReverseTopKService(ReverseTopKService):
         weighted: bool = False,
         rebuild_ratio: float = DEFAULT_REBUILD_RATIO,
         hub_policy: str = "pinned",
-        n_shards: Optional[int] = None,
+        n_shards: int = 1,
         memory_budget: Optional[int] = None,
         scan_workers: int = 0,
         scan_precision: str = "float64",
@@ -277,15 +277,14 @@ class DynamicReverseTopKService(ReverseTopKService):
         ``hub_policy`` configure the :class:`IndexMaintainer` (see its
         docstring for the trade-offs).
 
-        ``n_shards`` / ``memory_budget`` / ``scan_workers`` select the
-        partitioned index exactly as on the static service: maintenance
-        writes route to the owning shards' stores through the sharded
-        index's ``apply_updates`` (a full rebuild through ``adopt``), the
-        version bump stays global (one retired cache generation per batch),
-        and the re-archive after each batch persists the sharded layout
-        under the new graph's key.  Note that a full rebuild builds its
-        shards in RAM; memmap backing returns at the next warm start from
-        the re-archived layout.
+        ``n_shards`` / ``memory_budget`` / ``scan_workers`` shape the index
+        exactly as on the static service: maintenance writes route to the
+        owning shards' stores through the index's ``apply_updates`` (a full
+        rebuild through ``adopt``), the version bump stays global (one
+        retired cache generation per batch), and the re-archive after each
+        batch persists the layout under the new graph's key.  Note that a
+        full rebuild builds its shards in RAM; memmap backing returns at the
+        next warm start from the re-archived layout.
         """
         from ..graph.transition import transition_matrix, weighted_transition_matrix
 
@@ -382,8 +381,8 @@ class DynamicReverseTopKService(ReverseTopKService):
                 self._cache.purge_versions_below(version_after)
         if report.changed and self._snapshots is not None:
             # Re-archive outside the write lock so serving resumes while the
-            # compressed .npz is written; the read lock keeps writers (and
-            # therefore index mutation) out while the states are serialized.
+            # layout is written; the read lock keeps writers (and therefore
+            # index mutation) out while the states are serialized.
             # Content-keyed on the new CSR: the pre-update archive misses
             # naturally on the next start, this one hits.
             with self._index_lock.read():

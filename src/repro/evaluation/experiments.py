@@ -33,7 +33,7 @@ from ..core.baseline import FeasibleBruteForce, InfeasibleBruteForce
 from ..core.config import IndexParams
 from ..core.estimates import DEFAULT_BETA, predicted_index_bytes
 from ..core.hubs import select_hubs_by_degree
-from ..core.lbi import build_index
+from ..core.sharding import build_index
 from ..core.query import ReverseTopKEngine
 from ..graph.digraph import DiGraph
 from ..graph.transition import transition_matrix

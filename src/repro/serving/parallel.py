@@ -11,15 +11,15 @@ entry point (:meth:`ReverseTopKEngine.query_many_readonly`):
 * ``backend="process"`` pickles the engine once per worker (via the pool
   initializer) and evaluates chunks against each worker's private snapshot.
   Graph, index, and engine all define slim ``__getstate__`` hooks that drop
-  derived caches, so the hand-off ships only canonical state.  A sharded
-  engine over clean memmap-backed shards ships *path references* instead of
+  derived caches, so the hand-off ships only canonical state.  An engine
+  over clean memmap-backed shards ships *path references* instead of
   arrays: each worker reopens the content-addressed layout locally, so all
   workers share the page cache rather than receiving private copies — the
   per-worker snapshot cost stays O(hub matrix), not O(index).
 
-When the engine is a :class:`~repro.core.sharding.ShardedReverseTopKEngine`
-with ``scan_workers > 1``, thread-backend fan-out multiplies: each of the
-``n_workers`` batch tasks fans its scan across the engine's shard pool.
+When the engine has ``scan_workers > 1`` over several shards, thread-backend
+fan-out multiplies: each of the ``n_workers`` batch tasks fans its scan
+across the engine's shard pool.
 Keep ``n_workers * scan_workers`` within the machine's core budget.
 
 Every chunk reports its wall-clock time back as a :class:`WorkerReport`;

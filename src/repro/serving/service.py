@@ -36,7 +36,8 @@ from .._validation import (
 )
 from ..core.config import IndexParams
 from ..core.query import QueryResult, ReverseTopKEngine
-from ..exceptions import InvalidParameterError, ServiceClosedError
+from ..core.sharding import build_index
+from ..exceptions import ServiceClosedError
 from ..graph.digraph import DiGraph
 from ..obs.registry import MetricsRegistry, get_registry
 from ..obs.tracing import trace_span
@@ -299,7 +300,7 @@ class ReverseTopKService:
         config: Optional[ServiceConfig] = None,
         snapshot_dir: Optional[PathLikeOrManager] = None,
         transition: Optional[sp.spmatrix] = None,
-        n_shards: Optional[int] = None,
+        n_shards: int = 1,
         memory_budget: Optional[int] = None,
         scan_workers: int = 0,
         scan_precision: str = "float64",
@@ -311,18 +312,17 @@ class ReverseTopKService:
         single archive read — and otherwise built once and archived for the
         next start.  ``service.warm_started`` records which path ran.
 
-        ``n_shards`` switches the service to the partitioned index: ``P``
-        contiguous node-range shards behind a
-        :class:`~repro.core.sharding.ShardedReverseTopKEngine` router.
-        ``memory_budget`` (bytes) selects the shard backing — when the index
-        does not fit, shards are served as ``np.memmap`` views over the
-        snapshot layout (``snapshot_dir`` required) instead of resident
-        arrays — and ``scan_workers > 1`` fans the per-shard scan across a
-        thread pool.  Answers are bit-identical to the monolithic engine.
+        ``n_shards`` splits the index into ``P`` contiguous node-range
+        shards (one by default).  ``memory_budget`` (bytes) selects the shard
+        backing — when the index does not fit, shards are served as
+        ``np.memmap`` views over the snapshot layout (``snapshot_dir``
+        required) instead of resident arrays — and ``scan_workers > 1`` fans
+        the per-shard scan across a thread pool.  Answers do not depend on
+        any of the three.
 
         ``scan_precision="float32"`` screens the columnar scan stages
-        against the float32 lower-bound mirror (for a sharded memmap layout,
-        the half-size ``.lower32.npy`` shard files), re-checking borderline
+        against the float32 lower-bound mirror (for a memmap layout, the
+        half-size ``.lower32.npy`` shard files), re-checking borderline
         nodes at float64 — served answers stay bit-identical.
         """
         engine, _, warm_started = cls._prepare_engine(
@@ -344,7 +344,7 @@ class ReverseTopKService:
         snapshot_dir: Optional[PathLikeOrManager],
         transition: Optional[sp.spmatrix],
         *,
-        n_shards: Optional[int] = None,
+        n_shards: int = 1,
         memory_budget: Optional[int] = None,
         scan_workers: int = 0,
         scan_precision: str = "float64",
@@ -355,61 +355,37 @@ class ReverseTopKService:
         ``None`` when no snapshot directory was configured.  Kept in one
         place so the static and dynamic service façades can never drift in
         how they derive the transition, coerce the snapshot manager, or
-        decide between archive load and fresh build — monolithic or sharded.
+        decide between snapshot load and fresh build.
         """
-        from ..core.sharding import ShardedReverseTopKEngine, build_sharded_index
         from ..graph.transition import transition_matrix
 
-        if n_shards is None and (memory_budget is not None or scan_workers):
-            # Silently serving a full-RAM monolithic engine to a caller who
-            # asked for a budget (or a shard-scan pool) would defeat the one
-            # thing they asked for — fail loudly instead.
-            raise InvalidParameterError(
-                "memory_budget and scan_workers only apply to the partitioned "
-                "index; pass n_shards=... to enable it"
-            )
         matrix = transition if transition is not None else transition_matrix(graph)
         manager = (
             snapshot_dir
             if snapshot_dir is None or isinstance(snapshot_dir, SnapshotManager)
             else SnapshotManager(snapshot_dir)
         )
-        if n_shards is not None:
-            if manager is None:
-                index = build_sharded_index(
-                    graph,
-                    params,
-                    transition=matrix,
-                    n_shards=n_shards,
-                    memory_budget=memory_budget,
-                )
-                from_snapshot = False
-            else:
-                index, from_snapshot = manager.build_or_load_sharded(
-                    graph,
-                    params,
-                    transition=matrix,
-                    n_shards=n_shards,
-                    memory_budget=memory_budget,
-                )
-            engine = ShardedReverseTopKEngine(
-                matrix,
-                index,
-                scan_workers=scan_workers,
-                scan_precision=scan_precision,
-            )
-            return engine, manager, from_snapshot
         if manager is None:
-            engine = ReverseTopKEngine.build(
-                graph, params, transition=matrix, scan_precision=scan_precision
+            index = build_index(
+                graph,
+                params,
+                transition=matrix,
+                n_shards=n_shards,
+                memory_budget=memory_budget,
             )
-            return engine, None, False
-        index, from_snapshot = manager.load_or_build(graph, params, transition=matrix)
-        return (
-            ReverseTopKEngine(matrix, index, scan_precision=scan_precision),
-            manager,
-            from_snapshot,
+            from_snapshot = False
+        else:
+            index, from_snapshot = manager.build_or_load(
+                graph,
+                params,
+                transition=matrix,
+                n_shards=n_shards,
+                memory_budget=memory_budget,
+            )
+        engine = ReverseTopKEngine(
+            matrix, index, scan_workers=scan_workers, scan_precision=scan_precision
         )
+        return engine, manager, from_snapshot
 
     # ------------------------------------------------------------------ #
     # serving
@@ -615,8 +591,8 @@ class ReverseTopKService:
         * concurrent ``close`` calls serialize on an internal lock — the
           second caller returns only after the teardown completed.
 
-        A sharded engine may hold its own per-shard scan pool; the service
-        owns the engine it serves, so that pool is released here too.
+        The engine may hold its own per-shard scan pool; the service owns
+        the engine it serves, so that pool is released here too.
         """
         with self._close_lock:
             if self._closed:
@@ -628,9 +604,7 @@ class ReverseTopKService:
             with self._index_lock.write():
                 pass
             self._executor.close()
-            engine_close = getattr(self.engine, "close", None)
-            if callable(engine_close):
-                engine_close()
+            self.engine.close()
 
     def __enter__(self) -> "ReverseTopKService":
         return self

@@ -1,4 +1,4 @@
-"""Warm-start snapshots: content-addressed on-disk index archives.
+"""Warm-start snapshots: content-addressed on-disk index layouts.
 
 Cold start is the dominant serving cost — building the LBI index runs
 batched BCA over every node.  The :class:`SnapshotManager` removes it from
@@ -6,14 +6,16 @@ the steady state: an index built for ``(graph, params, transition)`` is
 stored under a name derived from a SHA-256 over the graph's canonical CSR
 arrays, every :class:`IndexParams` field, and the transition matrix the
 index was built against, so a service restart with the *same* inputs loads
-the archive instead of rebuilding, while any change to any of them produces
+the layout instead of rebuilding, while any change to any of them produces
 a different key and triggers a clean rebuild (never a silently mismatched
 index).
 
-Archives are written through :meth:`ReverseTopKIndex.save`, which is atomic
-(temp file + ``os.replace``): a crash mid-store can never corrupt an
-existing snapshot, and a corrupted or unreadable archive is treated as a
-miss, not an error.
+A snapshot is the index's on-disk layout
+(:meth:`~repro.core.sharding.ReverseTopKIndex.persist`): one directory per
+content key and shard count, per-shard files written atomically (temp file
+plus ``os.replace``) and the meta archive last.  A crash mid-store can never
+corrupt an existing snapshot, and a missing, torn or unreadable layout is
+treated as a miss, not an error.
 """
 
 from __future__ import annotations
@@ -27,9 +29,7 @@ from typing import Optional, Tuple, Union
 import scipy.sparse as sp
 
 from ..core.config import IndexParams
-from ..core.index import ReverseTopKIndex
-from ..core.lbi import build_index, build_index_parallel
-from ..core.sharding import ShardedReverseTopKIndex, build_sharded_index
+from ..core.sharding import ReverseTopKIndex, build_index
 from ..exceptions import SerializationError
 from ..graph.digraph import DiGraph
 
@@ -119,129 +119,6 @@ class SnapshotManager:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
 
-    def path_for(
-        self,
-        graph: DiGraph,
-        params: IndexParams,
-        transition: Optional[sp.spmatrix] = None,
-    ) -> Path:
-        """The archive path a ``(graph, params, transition)`` snapshot lives at."""
-        return self.directory / f"lbi-{snapshot_key(graph, params, transition)}.npz"
-
-    def load(
-        self,
-        graph: DiGraph,
-        params: IndexParams,
-        transition: Optional[sp.spmatrix] = None,
-    ) -> Optional[ReverseTopKIndex]:
-        """Load the snapshot for ``(graph, params, transition)``; ``None`` on any miss.
-
-        A missing, truncated, or otherwise unreadable archive is a miss —
-        the caller rebuilds and overwrites it.
-        """
-        return self._read_archive(self.path_for(graph, params, transition))
-
-    def _read_archive(self, path: Path) -> Optional[ReverseTopKIndex]:
-        if not path.exists():
-            return None
-        try:
-            return ReverseTopKIndex.load(path)
-        except SerializationError:
-            return None
-
-    def store(
-        self,
-        index: Union[ReverseTopKIndex, ShardedReverseTopKIndex],
-        graph: DiGraph,
-        params: Optional[IndexParams] = None,
-        *,
-        transition: Optional[sp.spmatrix] = None,
-    ) -> Path:
-        """Persist ``index`` under its content key (atomic write).
-
-        A :class:`ShardedReverseTopKIndex` is persisted as its on-disk
-        sharded layout (one directory per content key and shard count); a
-        monolithic index as the usual single ``.npz`` archive.  The dynamic
-        service calls this after every maintenance batch, so a sharded
-        deployment re-archives shard by shard instead of materialising one
-        monolithic archive.
-        """
-        effective = params if params is not None else index.params
-        if isinstance(index, ShardedReverseTopKIndex):
-            return index.persist(
-                self.sharded_path_for(
-                    graph, effective, transition, n_shards=index.n_shards
-                )
-            )
-        path = self.path_for(graph, effective, transition)
-        index.save(path)
-        return path
-
-    def load_or_build(
-        self,
-        graph: DiGraph,
-        params: Optional[IndexParams] = None,
-        *,
-        transition: Optional[sp.spmatrix] = None,
-        store_on_miss: bool = True,
-    ) -> Tuple[ReverseTopKIndex, bool]:
-        """Warm-start: return ``(index, from_snapshot)`` for ``(graph, params)``.
-
-        On a hit the archived index is loaded; on a miss the index is built
-        (and, with ``store_on_miss``, archived for the next start).  The key
-        is computed from the *effective* parameters — ``params.for_graph``
-        clamps capacity and hub budget to the graph, exactly as
-        :func:`build_index` does — so the snapshot matches what a fresh
-        build would produce.  One shared implementation with
-        :meth:`build_or_load` (the serial case), so the two contracts can
-        never drift.
-        """
-        return self.build_or_load(
-            graph, params, transition=transition, store_on_miss=store_on_miss
-        )
-
-    def build_or_load(
-        self,
-        graph: DiGraph,
-        params: Optional[IndexParams] = None,
-        *,
-        transition: Optional[sp.spmatrix] = None,
-        parallel: Optional[int] = None,
-        store_on_miss: bool = True,
-    ) -> Tuple[ReverseTopKIndex, bool]:
-        """Warm-start with an optionally parallel cold path.
-
-        Identical contract to :meth:`load_or_build` — ``(index,
-        from_snapshot)`` under the content key of the *effective* parameters
-        — but on a miss the index is built with the non-hub node range
-        sharded across ``parallel`` worker processes
-        (:func:`~repro.core.lbi.build_index_parallel`); the per-shard states
-        are merged into one :class:`ReverseTopKIndex` that is bit-identical
-        to a serial build, so hits and misses, parallel or not, all produce
-        the same archive.  ``parallel=None`` (or ``<= 1``) builds serially.
-        """
-        effective = (params if params is not None else IndexParams()).for_graph(
-            graph.n_nodes
-        )
-        # Hash the content key once; a cold start would otherwise pay the
-        # graph/transition fingerprinting twice (load, then store).
-        path = self.path_for(graph, effective, transition)
-        cached = self._read_archive(path)
-        if cached is not None:
-            return cached, True
-        if parallel is not None and parallel > 1:
-            index = build_index_parallel(
-                graph, effective, transition=transition, n_workers=parallel
-            )
-        else:
-            index = build_index(graph, effective, transition=transition)
-        if store_on_miss:
-            index.save(path)
-        return index, False
-
-    # ------------------------------------------------------------------ #
-    # sharded layouts
-    # ------------------------------------------------------------------ #
     def sharded_path_for(
         self,
         graph: DiGraph,
@@ -250,7 +127,7 @@ class SnapshotManager:
         *,
         n_shards: int,
     ) -> Path:
-        """The layout directory a sharded snapshot lives at.
+        """The layout directory a ``(graph, params, transition)`` snapshot lives at.
 
         The shard count participates in the name (not the content key): two
         partitionings of the same index hold identical values in different
@@ -260,27 +137,50 @@ class SnapshotManager:
         key = snapshot_key(graph, params, transition)
         return self.directory / f"lbi-{key}-s{int(n_shards)}"
 
-    def build_or_load_sharded(
+    def store(
+        self,
+        index: ReverseTopKIndex,
+        graph: DiGraph,
+        params: Optional[IndexParams] = None,
+        *,
+        transition: Optional[sp.spmatrix] = None,
+    ) -> Path:
+        """Persist ``index`` under its content key, shard by shard.
+
+        The dynamic service calls this after every maintenance batch, so the
+        maintained index is re-archived under the mutated graph's key.
+        """
+        effective = params if params is not None else index.params
+        return index.persist(
+            self.sharded_path_for(
+                graph, effective, transition, n_shards=index.n_shards
+            )
+        )
+
+    def build_or_load(
         self,
         graph: DiGraph,
         params: Optional[IndexParams] = None,
         *,
         transition: Optional[sp.spmatrix] = None,
-        n_shards: int = 4,
+        n_shards: int = 1,
         memory_budget: Optional[int] = None,
         parallel: Optional[int] = None,
         store_on_miss: bool = True,
-    ) -> Tuple[ShardedReverseTopKIndex, bool]:
-        """Warm-start a sharded index: ``(index, from_snapshot)``.
+    ) -> Tuple[ReverseTopKIndex, bool]:
+        """Warm-start: return ``(index, from_snapshot)`` for ``(graph, params)``.
 
-        Same content-key contract as :meth:`build_or_load`, but the archive
-        is the partitioned on-disk layout.  On a miss the index is built
-        shard by shard (:func:`~repro.core.sharding.build_sharded_index`,
-        optionally across ``parallel`` worker processes) with **no
-        monolithic merge step**; under a tight ``memory_budget`` each shard
-        streams straight to the layout and is served memmap-backed, so peak
-        build memory is one shard plus the hub matrix.  On a hit the layout
-        is opened lazily (or materialised into RAM when the budget allows).
+        The key is computed from the *effective* parameters —
+        ``params.for_graph`` clamps capacity and hub budget to the graph,
+        exactly as :func:`~repro.core.sharding.build_index` does — so the
+        snapshot matches what a fresh build would produce.  On a hit the
+        layout is opened lazily (or materialised into RAM when
+        ``memory_budget`` allows).  On a miss the index is built shard by
+        shard, optionally across ``parallel`` worker processes, and, with
+        ``store_on_miss``, archived for the next start; under a tight
+        ``memory_budget`` each shard streams straight to the layout and is
+        served memmap-backed, so peak build memory is one shard plus the hub
+        matrix.  Hits and misses, parallel or not, yield the same index.
         """
         effective = (params if params is not None else IndexParams()).for_graph(
             graph.n_nodes
@@ -291,14 +191,10 @@ class SnapshotManager:
         )
         if path.exists():
             try:
-                cached = ShardedReverseTopKIndex.load(
-                    path, memory_budget=memory_budget
-                )
+                return ReverseTopKIndex.load(path, memory_budget=memory_budget), True
             except SerializationError:
-                cached = None  # torn or stale layout: rebuild below
-            if cached is not None:
-                return cached, True
-        index = build_sharded_index(
+                pass  # torn or stale layout: rebuild below
+        index = build_index(
             graph,
             effective,
             transition=transition,
@@ -307,9 +203,6 @@ class SnapshotManager:
             memory_budget=memory_budget,
             n_workers=parallel,
         )
-        if store_on_miss and index.directory is None:
-            # RAM-backed build: archive the layout for the next start.
-            index.persist(path)
         return index, False
 
     def __repr__(self) -> str:

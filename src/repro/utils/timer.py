@@ -159,8 +159,8 @@ class LatencyStats:
     def merge(self, other: "LatencyStats") -> "LatencyStats":
         """Fold another accumulator's samples into this one (returns self).
 
-        Edge cases (pinned by tests — the sharded query router merges
-        per-shard timing accumulators constantly):
+        Edge cases (pinned by tests — the serving layer merges one
+        accumulator per served burst):
 
         * merging an **empty** accumulator is a no-op and keeps the sorted
           cache warm (percentile queries between merges stay O(1));

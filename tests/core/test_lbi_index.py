@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.core import IndexParams, build_index
+from repro.core import IndexParams, ReverseTopKIndex, build_index
 from repro.core.hubs import HubSet, select_hubs_by_degree
-from repro.core.index import NodeState, ReverseTopKIndex
+from repro.core.index import NodeState
 from repro.core.lbi import refine_node_state
 from repro.graph import transition_matrix
 from repro.utils.sparsetools import top_k_descending
 
-from tests.reference import bca_iteration, initial_node_state
+from tests.reference import bca_iteration, index_from_states, initial_node_state
 
 
 class TestNodeState:
@@ -159,7 +159,7 @@ class TestBuildIndex:
         # matrix stores K slots per node regardless of the graph size.
         params = IndexParams(capacity=5, hub_budget=0)
         states = [NodeState(lower_bounds=np.array([0.4, 0.2])) for _ in range(3)]
-        index = ReverseTopKIndex(
+        index = index_from_states(
             params, HubSet(()), sp.csc_matrix((3, 0)), np.zeros(0), states
         )
         np.testing.assert_array_equal(index.kth_lower_bounds(2), np.full(3, 0.2))
@@ -250,50 +250,42 @@ class TestRefinement:
 
 
 class TestIndexPersistence:
-    def test_save_load_round_trip(self, small_index, tmp_path):
-        path = tmp_path / "index.npz"
-        small_index.save(path)
-        loaded = ReverseTopKIndex.load(path)
+    def test_persist_load_round_trip(self, small_index, tmp_path):
+        small_index.persist(tmp_path / "layout")
+        loaded = ReverseTopKIndex.load(tmp_path / "layout")
         assert loaded.n_nodes == small_index.n_nodes
         assert loaded.capacity == small_index.capacity
         assert loaded.hubs.nodes == small_index.hubs.nodes
         for node, state in small_index.states():
             restored = loaded.state(node)
-            assert restored.residual == pytest.approx(state.residual)
-            assert restored.retained == pytest.approx(state.retained)
-            assert restored.hub_ink == pytest.approx(state.hub_ink)
-            np.testing.assert_allclose(restored.lower_bounds, state.lower_bounds)
+            assert restored.residual == state.residual
+            assert restored.retained == state.retained
+            assert restored.hub_ink == state.hub_ink
+            np.testing.assert_array_equal(restored.lower_bounds, state.lower_bounds)
             assert restored.is_hub == state.is_hub
 
-    def test_save_load_preserves_columnar_views(self, small_index, tmp_path):
-        path = tmp_path / "index.npz"
-        small_index.save(path)
-        loaded = ReverseTopKIndex.load(path)
-        np.testing.assert_allclose(
-            loaded.columns.lower, small_index.columns.lower
-        )
-        np.testing.assert_allclose(
-            loaded.columns.residual_mass, small_index.columns.residual_mass
-        )
-        np.testing.assert_array_equal(
-            loaded.columns.is_exact, small_index.columns.is_exact
-        )
+    def test_persist_load_preserves_columnar_views(self, small_index, tmp_path):
+        small_index.persist(tmp_path / "layout")
+        loaded = ReverseTopKIndex.load(tmp_path / "layout")
+        for name in ("lower", "residual_mass", "is_exact"):
+            np.testing.assert_array_equal(
+                getattr(loaded.columns, name), getattr(small_index.columns, name)
+            )
 
     def test_loaded_index_answers_queries(self, small_index, small_transition, tmp_path):
         from repro.core import ReverseTopKEngine
 
-        path = tmp_path / "index.npz"
-        small_index.save(path)
-        loaded = ReverseTopKIndex.load(path)
+        small_index.persist(tmp_path / "layout")
+        loaded = ReverseTopKIndex.load(tmp_path / "layout")
         original = ReverseTopKEngine(small_transition, copy.deepcopy(small_index)).query(3, 5)
         restored = ReverseTopKEngine(small_transition, loaded).query(3, 5)
         assert set(original.nodes.tolist()) == set(restored.nodes.tolist())
 
-    def test_load_missing_file_raises(self, tmp_path):
+    def test_load_missing_layout_raises(self, tmp_path):
         from repro.exceptions import SerializationError
 
         with pytest.raises(SerializationError):
-            ReverseTopKIndex.load(tmp_path / "nope.npz")
+            ReverseTopKIndex.load(tmp_path / "nope")
 
 
 class TestColumnarViews:
@@ -336,7 +328,7 @@ class TestColumnarViews:
         np.testing.assert_array_equal(index.columns.lower[:, node], before)
         assert index.columns.residual_mass[node] == mass_before
         assert index.version == version
-        assert not index.store.overlay
+        assert not index.shards[0].store.overlay
         again = index.state(node)
         assert again is not state
         assert again.residual != state.residual
@@ -364,14 +356,13 @@ def _exact_hub_vector(matrix, hub, params):
 class TestBuildsEqualTheScalarReferenceLoop:
     """Every build lands in the store; the seed's scalar loop is the oracle.
 
-    Hub rows and untargeted rows are exactly what the seed produces; BCA rows
+    Hub rows are exactly what the seed produces; BCA rows
     agree with the seed loop to accumulation order (the kernel stores keys
     ascending, the seed in dict order).
     """
 
-    @pytest.mark.parametrize("nodes", [None, [5, 17, 3, 40]])
     def test_scalar_store_equals_flattened_reference(
-        self, small_web_graph, small_transition, small_params, nodes
+        self, small_web_graph, small_transition, small_params
     ):
         from repro.core.index import StateArrays
         from repro.core.lbi import _HubExpansion
@@ -383,15 +374,12 @@ class TestBuildsEqualTheScalarReferenceLoop:
         from tests.reference import materialize_lower_bounds, run_node_bca
 
         reset_materialization_count()
-        index = build_index(
-            small_web_graph, small_params, transition=small_transition, nodes=nodes,
-        )
-        assert materialization_count() == 0 and not index.store.overlay
+        index = build_index(small_web_graph, small_params, transition=small_transition)
+        assert materialization_count() == 0 and not index.shards[0].store.overlay
         n = small_web_graph.n_nodes
         matrix = sp.csc_matrix(small_transition)
         hub_mask = index.hubs.mask(n)
         expansion = _HubExpansion(n, index.hubs, index.hub_matrix)
-        targets = set(range(n) if nodes is None else nodes)
         for node in range(n):
             state = initial_node_state(node, bool(hub_mask[node]))
             if hub_mask[node]:
@@ -400,11 +388,10 @@ class TestBuildsEqualTheScalarReferenceLoop:
                     index.capacity,
                 )
             else:
-                if node in targets:
-                    run_node_bca(state, matrix, hub_mask, index.params)
+                run_node_bca(state, matrix, hub_mask, index.params)
                 materialize_lower_bounds(state, expansion, index.capacity)
             stored = index.state_arrays(node)
-            if hub_mask[node] or node not in targets:
+            if hub_mask[node]:
                 flat = StateArrays.from_state(state)
                 for plane in ("residual", "retained", "hub_ink"):
                     for got, want in zip(getattr(stored, plane), getattr(flat, plane)):
@@ -424,7 +411,7 @@ class TestBuildsEqualTheScalarReferenceLoop:
             assert stored.iterations == state.iterations
 
 
-class TestReplaceContentsValidation:
+class TestHubMatrixValidation:
     def test_wrong_row_count_hub_matrix_rejected(self, small_web_graph):
         import pytest
         import scipy.sparse as sp
@@ -441,4 +428,4 @@ class TestReplaceContentsValidation:
         n_hubs = len(index.hubs)
         truncated = sp.csc_matrix((index.n_nodes - 1, n_hubs))
         with pytest.raises(ValueError, match="rows"):
-            index.replace_contents(hub_matrix=truncated)
+            index.apply_updates({}, hub_matrix=truncated)

@@ -1,4 +1,4 @@
-"""Atomic snapshot writes and pickling of the index and the engine."""
+"""Atomic layout writes and pickling of the index and the engine."""
 
 import copy
 import pickle
@@ -7,22 +7,30 @@ import numpy as np
 import pytest
 
 from repro.core import ReverseTopKEngine, ReverseTopKIndex
-from repro.core import index as index_module
+from repro.core import index as index_module, sharding as sharding_module
 from repro.core.statestore import STATE_ARRAY_NAMES, ColumnarStateStore
 from repro.exceptions import SerializationError
 
 
-class TestAtomicSave:
-    def test_save_appends_npz_suffix(self, small_index, tmp_path):
-        small_index.save(tmp_path / "index")
-        assert (tmp_path / "index.npz").exists()
+def _layout_files(directory):
+    return sorted(path.name for path in directory.iterdir())
+
+
+class TestAtomicPersist:
+    def test_layout_file_set_is_pinned(self, small_index, tmp_path):
+        small_index.persist(tmp_path / "layout")
+        stem = "shard-00000"
+        expected = {f"{stem}.{suffix}.npy" for suffix in ("lower", "lower32", "mass", "exact")}
+        expected |= {f"{stem}.states.{name}.npy" for name in STATE_ARRAY_NAMES}
+        expected.add(sharding_module._META_NAME)
+        assert set(_layout_files(tmp_path / "layout")) == expected
 
     def test_failed_write_preserves_existing_snapshot(
         self, small_index, tmp_path, monkeypatch
     ):
-        path = tmp_path / "index.npz"
-        small_index.save(path)
-        good_bytes = path.read_bytes()
+        directory = tmp_path / "layout"
+        small_index.persist(directory)
+        good = {name: (directory / name).read_bytes() for name in _layout_files(directory)}
 
         def torn_write(handle, **arrays):
             handle.write(b"torn partial garbage")
@@ -30,10 +38,13 @@ class TestAtomicSave:
 
         monkeypatch.setattr(np, "savez_compressed", torn_write)
         with pytest.raises(SerializationError):
-            small_index.save(path)
-        # The existing archive is untouched and still loads.
-        assert path.read_bytes() == good_bytes
-        loaded = ReverseTopKIndex.load(path)
+            small_index.persist(directory)
+        # Every file is whole: the shard files were rewritten atomically with
+        # the same bytes and the torn meta never replaced the sealed one.
+        assert {
+            name: (directory / name).read_bytes() for name in _layout_files(directory)
+        } == good
+        loaded = ReverseTopKIndex.load(directory)
         assert loaded.n_nodes == small_index.n_nodes
 
     def test_failed_write_leaves_no_temp_files(
@@ -44,79 +55,86 @@ class TestAtomicSave:
 
         monkeypatch.setattr(np, "savez_compressed", failing_write)
         with pytest.raises(SerializationError):
-            small_index.save(tmp_path / "index.npz")
-        assert list(tmp_path.iterdir()) == []
+            small_index.persist(tmp_path / "layout")
+        assert not [name for name in _layout_files(tmp_path / "layout") if ".tmp-" in name]
+        assert not (tmp_path / "layout" / sharding_module._META_NAME).exists()
 
-    def test_successful_save_leaves_no_temp_files(self, small_index, tmp_path):
-        small_index.save(tmp_path / "index.npz")
-        assert [p.name for p in tmp_path.iterdir()] == ["index.npz"]
+    def test_successful_persist_leaves_no_temp_files(self, small_index, tmp_path):
+        small_index.persist(tmp_path / "layout")
+        assert not [name for name in _layout_files(tmp_path / "layout") if ".tmp-" in name]
 
-    def test_saved_file_has_umask_default_mode(self, small_index, tmp_path):
+    def test_persisted_files_have_umask_default_mode(self, small_index, tmp_path):
         import os
 
-        path = tmp_path / "index.npz"
-        small_index.save(path)
+        small_index.persist(tmp_path / "layout")
         umask = os.umask(0)
         os.umask(umask)
         # Not mkstemp's private 0600: other readers of a shared snapshot
         # directory must keep working, as with a plain open()-based write.
-        assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+        for path in (tmp_path / "layout").iterdir():
+            assert path.stat().st_mode & 0o777 == 0o666 & ~umask, path.name
 
-    def test_concurrent_saves_of_same_path_are_safe(self, small_index, tmp_path):
+    def test_concurrent_persists_of_same_directory_are_safe(
+        self, small_index, tmp_path
+    ):
         import threading
 
-        path = tmp_path / "index.npz"
+        directory = tmp_path / "layout"
         errors = []
 
-        def save():
+        def persist():
             try:
-                small_index.save(path)
+                small_index.persist(directory)
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
-        threads = [threading.Thread(target=save) for _ in range(4)]
+        threads = [threading.Thread(target=persist) for _ in range(4)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
         assert not errors
-        loaded = ReverseTopKIndex.load(path)  # whoever won, the archive is whole
+        loaded = ReverseTopKIndex.load(directory)  # whoever won, the layout is whole
         assert loaded.n_nodes == small_index.n_nodes
-        assert [p.name for p in tmp_path.iterdir()] == ["index.npz"]
+        assert not [name for name in _layout_files(directory) if ".tmp-" in name]
 
-    def test_load_truncated_archive_raises_serialization_error(
+    def test_load_truncated_meta_raises_serialization_error(
         self, small_index, tmp_path
     ):
         # A torn write can leave a file that still starts with the zip magic;
         # np.load raises BadZipFile for it, which must surface as our error.
-        path = tmp_path / "index.npz"
-        small_index.save(path)
-        payload = path.read_bytes()
-        path.write_bytes(payload[: len(payload) // 2])
+        small_index.persist(tmp_path / "layout")
+        meta = tmp_path / "layout" / sharding_module._META_NAME
+        payload = meta.read_bytes()
+        meta.write_bytes(payload[: len(payload) // 2])
         with pytest.raises(SerializationError):
-            ReverseTopKIndex.load(path)
+            ReverseTopKIndex.load(tmp_path / "layout")
 
 
-#: Every array of a monolithic archive: the flattened state layout, one
-#: length-1 array per persisted IndexParams field, and the hub data.  The
-#: archive *is* the store's layout — renaming any of these breaks every
-#: snapshot on disk.
-ARCHIVE_ARRAYS = set(STATE_ARRAY_NAMES) | {
+#: Every array of the layout's meta archive: the layout version, the shard
+#: boundaries, one length-1 array per persisted IndexParams field, the hub
+#: data and the recorded sizes.  Renaming any of these breaks every snapshot
+#: on disk.
+META_ARRAYS = {
+    "layout_version", "boundaries",
     "alpha", "capacity", "propagation_threshold", "residue_threshold",
     "rounding_threshold", "hub_budget", "tolerance",
     "hubs", "hub_deficit", "hub_rows", "hub_cols", "hub_vals", "hub_shape",
-    "build_seconds",
+    "build_seconds", "total_bytes",
 }
 
 
-class TestLoadedIndexIsTheSavedIndex:
-    def test_archive_array_set_is_pinned(self, small_index, tmp_path):
-        small_index.save(tmp_path / "index.npz")
-        with np.load(tmp_path / "index.npz") as data:
-            assert set(data.files) == ARCHIVE_ARRAYS
+class TestLoadedIndexIsThePersistedIndex:
+    def test_meta_array_set_is_pinned(self, small_index, tmp_path):
+        small_index.persist(tmp_path / "layout")
+        with np.load(tmp_path / "layout" / sharding_module._META_NAME) as data:
+            assert set(data.files) == META_ARRAYS
 
-    def test_load_constructs_no_node_states(self, small_index, tmp_path, monkeypatch):
-        small_index.save(tmp_path / "index.npz")
+    @pytest.mark.parametrize("memory_budget", [None, 0])
+    def test_load_constructs_no_node_states(
+        self, small_index, tmp_path, monkeypatch, memory_budget
+    ):
+        small_index.persist(tmp_path / "layout")
         constructed = []
         init = index_module.NodeState.__init__
 
@@ -125,24 +143,25 @@ class TestLoadedIndexIsTheSavedIndex:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(index_module.NodeState, "__init__", counting_init)
-        loaded = ReverseTopKIndex.load(tmp_path / "index.npz")
+        loaded = ReverseTopKIndex.load(tmp_path / "layout", memory_budget=memory_budget)
         _ = loaded.columns, loaded.total_bytes()
         assert not constructed
-        assert isinstance(loaded.store, ColumnarStateStore) and not loaded.store.overlay
+        for shard in loaded.shards:
+            assert isinstance(shard.store, ColumnarStateStore) and not shard.store.overlay
         loaded.state(0)
         assert len(constructed) == 1  # the counter is live
 
-    def test_write_back_survives_and_resave_is_byte_identical(
+    def test_write_back_survives_and_repersist_is_byte_identical(
         self, small_index, small_transition, tmp_path
     ):
         engine = ReverseTopKEngine(small_transition, copy.deepcopy(small_index))
         for query in range(engine.n_nodes):
             engine.query(query, engine.index.capacity, update_index=True)
         index = engine.index
-        written = sorted(index.store.overlay)
+        written = sorted(index.shards[0].store.overlay)
         assert written, "the queries must have written refinements back"
-        index.save(tmp_path / "first.npz")
-        loaded = ReverseTopKIndex.load(tmp_path / "first.npz")
+        first = index.persist(tmp_path / "first")
+        loaded = ReverseTopKIndex.load(first)
         for node in written:
             assert loaded.state(node).residual == index.state(node).residual
             assert loaded.state(node).retained == index.state(node).retained
@@ -154,14 +173,16 @@ class TestLoadedIndexIsTheSavedIndex:
             np.testing.assert_array_equal(
                 getattr(loaded.columns, column), getattr(index.columns, column)
             )
-        loaded.save(tmp_path / "second.npz")
-        with np.load(tmp_path / "first.npz") as first, np.load(
-            tmp_path / "second.npz"
-        ) as second:
-            assert set(first.files) == set(second.files) == ARCHIVE_ARRAYS
-            for name in ARCHIVE_ARRAYS:
-                assert first[name].dtype == second[name].dtype, name
-                assert first[name].tobytes() == second[name].tobytes(), name
+        second = loaded.persist(tmp_path / "second")
+        assert _layout_files(first) == _layout_files(second)
+        for name in _layout_files(first):
+            if name.endswith(".npy"):
+                assert (first / name).read_bytes() == (second / name).read_bytes(), name
+        meta = sharding_module._META_NAME
+        with np.load(first / meta) as a, np.load(second / meta) as b:
+            for name in META_ARRAYS:
+                assert a[name].dtype == b[name].dtype, name
+                assert a[name].tobytes() == b[name].tobytes(), name
 
 
 class TestIndexPickling:
@@ -188,9 +209,12 @@ class TestIndexPickling:
         )
 
     def test_pickle_payload_carries_the_columnar_view(self, small_index):
-        small_index.lower_bounds_f32()  # materialise the mirror: it must not ship
-        state = small_index.__getstate__()
-        assert state["_columns"] is small_index.columns
+        (shard,) = small_index.shards
+        shard.lower32()  # materialise the mirror: it must not ship
+        state = shard.__getstate__()
+        assert state["_lower"] is shard.columns.lower
+        assert state["_mass"] is shard.columns.residual_mass
+        assert state["_exact"] is shard.columns.is_exact
         assert state["_lower32"] is None
         view_bytes = sum(
             getattr(small_index.columns, name).nbytes
@@ -205,29 +229,37 @@ class TestIndexPickling:
         """clone -> apply_updates -> query write-back -> pickle, four times over.
 
         Every generation after the first inherits its view through the
-        pickle: ``_build_columns`` (one Python-level mass per node) runs for
-        generation 0 only, and at each step the travelling view equals one
-        rebuilt from that generation's store, bit for bit.
+        pickle: the per-node mass pass (``column_masses``, one Python-level
+        sum per node) runs for generation 0's build only, and at each step
+        the travelling view equals one rebuilt from that generation's store,
+        bit for bit.
         """
         from repro.core import IndexParams
         from repro.dynamic import DynamicReverseTopKService, GraphUpdate
         from repro.net.rollover import clone_for_rollover
 
-        rebuild = ReverseTopKIndex._build_columns
+        masses = ColumnarStateStore.column_masses
         calls = []
 
-        def counted(index):
-            calls.append(index)
-            return rebuild(index)
+        def counted(store, *args):
+            calls.append(store)
+            return masses(store, *args)
 
-        monkeypatch.setattr(ReverseTopKIndex, "_build_columns", counted)
+        monkeypatch.setattr(ColumnarStateStore, "column_masses", counted)
 
         def assert_view_matches_store(index):
-            fresh = rebuild(index)
-            for name in ("lower", "residual_mass", "is_exact"):
-                np.testing.assert_array_equal(
-                    getattr(index.columns, name), getattr(fresh, name), err_msg=name
+            for shard in index.shards:
+                store = shard.store
+                fresh = (
+                    store.lower_matrix(),
+                    masses(store, index.hubs, index.hub_deficit),
+                    store.is_exact_mask(),
                 )
+                view = shard.columns
+                for name, rebuilt in zip(("lower", "residual_mass", "is_exact"), fresh):
+                    np.testing.assert_array_equal(
+                        getattr(view, name), rebuilt, err_msg=name
+                    )
 
         graph = medium_web_graph
         n = graph.n_nodes
@@ -264,11 +296,11 @@ class TestIndexPickling:
         engine = ReverseTopKEngine.build(medium_web_graph)
         requests = [(int(q), 5) for q in np.linspace(0, engine.n_nodes - 1, 50)]
 
-        def must_not_rebuild(index):
+        def must_not_rebuild(store, *args):
             raise AssertionError("a pickled index rebuilt its columnar view")
 
         # Forked pool workers inherit the patch; spawned ones simply skip it.
-        monkeypatch.setattr(ReverseTopKIndex, "_build_columns", must_not_rebuild)
+        monkeypatch.setattr(ColumnarStateStore, "column_masses", must_not_rebuild)
         answers = {}
         for backend in ("thread", "process"):
             service = ReverseTopKService(

@@ -14,18 +14,16 @@ from repro.core import (
     IndexParams,
     PropagationKernel,
     ReverseTopKEngine,
+    ReverseTopKIndex,
     build_index,
-    build_index_parallel,
-    build_sharded_index,
     rebuild_node_state,
     refine_node_state,
 )
 from repro.core import propagation
-from repro.core.index import NodeState, ReverseTopKIndex, StateArrays
+from repro.core.index import NodeState, StateArrays
 from repro.core.lbi import _compute_hub_matrix
 from repro.core.propagation import _HubExpansion, _batched_top_k, _flat_columns
 from repro.utils.sparsetools import top_k_descending
-from repro.core.sharding import ShardedReverseTopKIndex
 
 from tests.conftest import run_states
 from tests.reference import (
@@ -294,49 +292,22 @@ class TestBuildBackends:
             assert state.is_exact
             assert np.all(state.lower_bounds >= before - 1e-12)
 
-    def test_params_backend_round_trips_through_save(self, small_web_graph, small_transition, tmp_path):
-        # Parameters round-trip through an archive, which records no
-        # implementation choice.
+    def test_params_round_trip_through_the_layout(
+        self, small_web_graph, small_transition, tmp_path
+    ):
+        # Parameters round-trip through the layout's meta archive, which
+        # records no implementation choice.
         params = IndexParams(capacity=10, hub_budget=3).for_graph(small_web_graph.n_nodes)
         index = build_index(small_web_graph, params, transition=small_transition)
-        path = tmp_path / "index.npz"
-        index.save(path)
-        with np.load(path, allow_pickle=False) as data:
+        index.persist(tmp_path / "layout")
+        with np.load(tmp_path / "layout" / "sharded-meta.npz", allow_pickle=False) as data:
             assert not {"backend", "block_size"} & set(data.files)
-        loaded = ReverseTopKIndex.load(path)
+        loaded = ReverseTopKIndex.load(tmp_path / "layout")
         assert loaded.params == params
         assert loaded.build_report is None
 
 
-class TestBuildProgressAndReport:
-    def test_progress_called_once_per_target_node(
-        self, small_web_graph, small_transition, small_params
-    ):
-        calls = []
-        build_index(
-            small_web_graph,
-            small_params,
-            transition=small_transition,
-            progress=lambda done, total: calls.append((done, total)),
-        )
-        n = small_web_graph.n_nodes
-        assert len(calls) == n
-        assert [done for done, _ in calls] == list(range(1, n + 1))
-        assert all(total == n for _, total in calls)
-
-    def test_progress_with_node_subset(self, small_web_graph, small_transition, small_params):
-        calls = []
-        targets = [3, 9, 27, 41]
-        build_index(
-            small_web_graph,
-            small_params,
-            transition=small_transition,
-            nodes=targets,
-            progress=lambda done, total: calls.append((done, total)),
-        )
-        assert len(calls) == len(targets)
-        assert calls[-1] == (len(targets), len(targets))
-
+class TestBuildReport:
     def test_report_phases_sum_to_build_seconds(
         self, small_web_graph, small_transition, small_params
     ):
@@ -362,41 +333,81 @@ class TestBuildProgressAndReport:
         assert clone.build_report.build_seconds == small_index.build_report.build_seconds
 
 
-class TestParallelBuild:
-    def test_parallel_build_bit_identical_to_serial(
-        self, small_web_graph, small_transition, small_params
+    def test_out_of_core_build_reports_and_counts(
+        self, small_web_graph, small_transition, small_params, tmp_path
     ):
-        serial = build_index(small_web_graph, small_params, transition=small_transition)
-        parallel = build_index_parallel(
-            small_web_graph, small_params, transition=small_transition, n_workers=2
+        # Every build reports — a partitioned, streamed-to-disk one too: its
+        # report carries the write-out as ``persist`` and the process-wide
+        # build counters move with it.
+        from repro.obs import get_registry
+
+        registry = get_registry()
+        stage_family = registry.counter(
+            "repro_index_build_seconds_total", labels=("stage",)
         )
+        builds = registry.counter("repro_index_builds_total").value
+        nodes = registry.counter("repro_index_build_nodes_total").value
+        persisted = stage_family.labels(stage="persist").value
+        index = build_index(
+            small_web_graph, small_params, transition=small_transition,
+            n_shards=3, directory=tmp_path / "layout", memory_budget=0,
+        )
+        assert all(shard.backing == "memmap" for shard in index.shards)
+        report = index.build_report
+        assert set(report.stage_seconds) == {
+            "hub_matrix", "bca", "materialize", "persist"
+        }
+        assert report.stage_seconds["persist"] > 0.0
+        assert index.build_seconds == report.build_seconds
+        assert report.n_nodes == report.n_targets == small_web_graph.n_nodes
+        assert registry.counter("repro_index_builds_total").value == builds + 1
+        assert registry.counter("repro_index_build_nodes_total").value == (
+            nodes + small_web_graph.n_nodes
+        )
+        assert stage_family.labels(stage="persist").value == pytest.approx(
+            persisted + report.stage_seconds["persist"]
+        )
+
+
+def _weighted_case(weighted_coauthor_graph):
+    from repro.graph import weighted_transition_matrix
+
+    graph, _ = weighted_coauthor_graph
+    return graph, weighted_transition_matrix(graph)
+
+
+class TestParallelBuild:
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    @pytest.mark.parametrize("n_shards", [1, 3])
+    def test_parallel_build_bit_identical_to_serial(
+        self, small_web_graph, small_transition, small_params,
+        weighted_coauthor_graph, weighted, n_shards,
+    ):
+        graph, matrix = (
+            _weighted_case(weighted_coauthor_graph)
+            if weighted
+            else (small_web_graph, small_transition)
+        )
+        serial = build_index(graph, small_params, transition=matrix)
+        parallel = build_index(
+            graph, small_params, transition=matrix, n_shards=n_shards, n_workers=2
+        )
+        assert parallel.n_shards == n_shards
         assert parallel.hubs.nodes == serial.hubs.nodes
         np.testing.assert_array_equal(
             parallel.hub_matrix.toarray(), serial.hub_matrix.toarray()
         )
         for (node, a), (_, b) in zip(parallel.states(), serial.states()):
             _states_bit_identical(a, b)
-        np.testing.assert_array_equal(
-            parallel.columns.lower, serial.columns.lower
-        )
+        for name in ("lower", "residual_mass", "is_exact"):
+            np.testing.assert_array_equal(
+                getattr(parallel.columns, name), getattr(serial.columns, name)
+            )
 
-    def test_parallel_progress_reports_shards(self, small_web_graph, small_transition, small_params):
-        calls = []
-        build_index_parallel(
-            small_web_graph,
-            small_params,
-            transition=small_transition,
-            n_workers=2,
-            progress=lambda done, total: calls.append((done, total)),
-        )
-        assert calls
-        done, total = calls[-1]
-        assert done == total
-
-    def test_single_worker_falls_back_to_serial(
+    def test_single_worker_runs_in_process(
         self, small_web_graph, small_transition, small_params
     ):
-        index = build_index_parallel(
+        index = build_index(
             small_web_graph, small_params, transition=small_transition, n_workers=1
         )
         reference = build_index(
@@ -407,7 +418,7 @@ class TestParallelBuild:
 
 
 class TestLegacyArchiveCompat:
-    """Archives written while ``IndexParams`` still carried ``backend`` and
+    """Layouts written while ``IndexParams`` still carried ``backend`` and
     ``block_size`` load with those fields ignored, with or without them."""
 
     @staticmethod
@@ -419,28 +430,11 @@ class TestLegacyArchiveCompat:
         return patched
 
     @pytest.mark.parametrize("backend", [None, "scalar", "vectorized", "sparse"])
-    def test_monolithic_archive_loads_with_or_without_backend_fields(
-        self, small_web_graph, small_transition, small_params, tmp_path, backend
-    ):
-        index = build_index(small_web_graph, small_params, transition=small_transition)
-        path = tmp_path / "modern.npz"
-        index.save(path)
-        with np.load(path, allow_pickle=False) as data:
-            payload = self._with_legacy_fields(
-                {name: data[name] for name in data.files}, backend
-            )
-        legacy = tmp_path / "legacy.npz"
-        np.savez_compressed(legacy, **payload)
-        loaded = ReverseTopKIndex.load(legacy)
-        assert loaded.params == index.params
-        np.testing.assert_array_equal(loaded.columns.lower, index.columns.lower)
-
-    @pytest.mark.parametrize("backend", [None, "scalar", "vectorized", "sparse"])
     def test_sharded_archive_loads_with_or_without_backend_fields(
         self, small_web_graph, small_transition, small_params, tmp_path, backend
     ):
         layout = tmp_path / "layout"
-        index = build_sharded_index(
+        index = build_index(
             small_web_graph, small_params, transition=small_transition,
             n_shards=3, directory=layout,
         )
@@ -451,7 +445,7 @@ class TestLegacyArchiveCompat:
             )
         with open(meta, "wb") as handle:
             np.savez(handle, **payload)
-        loaded = ShardedReverseTopKIndex.load(layout)
+        loaded = ReverseTopKIndex.load(layout)
         assert loaded.params == index.params
         k = index.params.capacity
         np.testing.assert_array_equal(

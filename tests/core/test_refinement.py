@@ -21,9 +21,7 @@ from repro.core import (
     PropagationKernel,
     QueryParams,
     ReverseTopKEngine,
-    ShardedReverseTopKEngine,
     build_index,
-    build_sharded_index,
     refine_node_state,
 )
 from repro.core.hubs import HubSet
@@ -55,23 +53,20 @@ def web():
 
 
 def _overlays(index):
-    shards = getattr(index, "shards", None)
-    if shards is None:
-        return [index.store.overlay]
-    return [shard.store.overlay for shard in shards]
+    return [shard.store.overlay for shard in index.shards]
 
 
 def _engines(web, tmp_path):
     graph, matrix = web
-    yield "monolithic", ReverseTopKEngine(
+    yield "one-shard", ReverseTopKEngine(
         matrix, build_index(graph, WEAK, transition=matrix)
     )
-    yield "ram-sharded", ShardedReverseTopKEngine(
-        matrix, build_sharded_index(graph, WEAK, transition=matrix, n_shards=3)
+    yield "ram-sharded", ReverseTopKEngine(
+        matrix, build_index(graph, WEAK, transition=matrix, n_shards=3)
     )
-    yield "memmap-sharded", ShardedReverseTopKEngine(
+    yield "memmap-sharded", ReverseTopKEngine(
         matrix,
-        build_sharded_index(
+        build_index(
             graph, WEAK, transition=matrix, n_shards=3,
             directory=tmp_path / "layout", memory_budget=0,
         ),
@@ -96,12 +91,12 @@ class TestReadOnlyQueriesLeaveTheStoreUntouched:
             assert all(not overlay for overlay in _overlays(engine.index)), name
             assert engine.index.version == version
             answers[name] = [r.nodes.tolist() for r in results]
-        assert answers["ram-sharded"] == answers["monolithic"]
-        assert answers["memmap-sharded"] == answers["monolithic"]
+        assert answers["ram-sharded"] == answers["one-shard"]
+        assert answers["memmap-sharded"] == answers["one-shard"]
 
     def test_memmap_segments_are_never_written(self, web, tmp_path):
         graph, matrix = web
-        index = build_sharded_index(
+        index = build_index(
             graph, WEAK, transition=matrix, n_shards=2,
             directory=tmp_path / "ro", memory_budget=0,
         )
@@ -110,7 +105,7 @@ class TestReadOnlyQueriesLeaveTheStoreUntouched:
         keys, values = arrays.residual
         assert not values.flags.writeable and not keys.flags.writeable
         before = np.array(values)
-        engine = ShardedReverseTopKEngine(matrix, index)
+        engine = ReverseTopKEngine(matrix, index)
         working = engine._kernel.load(arrays)
         try:
             for _ in range(5):
@@ -132,16 +127,17 @@ class TestWriteBack:
         for query in range(30, 50):
             engine.query(query, k=4, update_index=True)
         index = engine.index
-        assert index.store.overlay, "update queries must write refinements back"
-        for node, state in index.store.overlay.items():
+        overlay = index.shards[0].store.overlay
+        assert overlay, "update queries must write refinements back"
+        for node, state in overlay.items():
             np.testing.assert_array_equal(
                 index.columns.lower[:, node], state.lower_bounds
             )
             assert index.columns.residual_mass[node] == index.state_residual_mass(state)
             assert state.residual[0].tolist() == sorted(state.residual[0])
             assert state.retained[0].tolist() == sorted(state.retained[0])
-        index.save(tmp_path / "refined.npz")
-        loaded = type(index).load(tmp_path / "refined.npz")
+        index.persist(tmp_path / "refined")
+        loaded = type(index).load(tmp_path / "refined")
         np.testing.assert_array_equal(loaded.columns.lower, index.columns.lower)
         np.testing.assert_array_equal(
             loaded.columns.residual_mass, index.columns.residual_mass
@@ -159,7 +155,7 @@ class TestWriteBack:
                 )
                 fallbacks += result.statistics.n_exact_fallbacks
             assert fallbacks > 0
-            overlay = engine.index.store.overlay
+            overlay = engine.index.shards[0].store.overlay
             if not update:
                 assert not overlay
                 continue

@@ -4,7 +4,7 @@ The screened path prunes and staircase-checks against a float32 mirror of the
 lower-bound plane, escalating only borderline nodes (within the conservative
 rounding envelope) to the float64 truth.  These tests attack the envelope from
 both sides: randomized sweeps, hand-built near-threshold columns placed within
-one ULP of the query proximity, and full engine/sharded-engine comparisons
+one ULP of the query proximity, and full engine comparisons over one and several shards
 where the statistics — not just the answers — must match.
 """
 
@@ -15,8 +15,7 @@ from repro.core import (
     IndexParams,
     QueryParams,
     ReverseTopKEngine,
-    ShardedReverseTopKEngine,
-    build_sharded_index,
+    build_index,
     columnar_stage_decisions,
 )
 from repro.core.bounds import (
@@ -218,9 +217,9 @@ class TestEngineEquivalence:
             np.testing.assert_array_equal(res_a.nodes, res_b.nodes)
             assert _counters(res_a.statistics) == _counters(res_b.statistics)
         # The float32 mirror must track every write-back bit-for-bit.
+        (shard,) = screened.index.shards
         np.testing.assert_array_equal(
-            screened.index.lower_bounds_f32(),
-            screened.index.columns.lower.astype(np.float32),
+            shard.lower32(), shard.columns.lower.astype(np.float32)
         )
 
     def test_pickle_preserves_scan_precision(self, matrices):
@@ -238,13 +237,13 @@ class TestEngineEquivalence:
         np.testing.assert_array_equal(res_a.nodes, res_b.nodes)
 
 
-class TestShardedEquivalence:
-    def test_memmap_float32_layout_matches_monolithic(self, small_web_graph, tmp_path):
+class TestOutOfCoreScreening:
+    def test_memmap_float32_layout_matches_one_shard(self, small_web_graph, tmp_path):
         graph = small_web_graph
         matrix = transition_matrix(graph)
         params = IndexParams(capacity=8, hub_budget=3)
         baseline = ReverseTopKEngine.build(graph, params, transition=matrix)
-        sharded_index = build_sharded_index(
+        sharded_index = build_index(
             graph,
             params,
             transition=matrix,
@@ -252,7 +251,7 @@ class TestShardedEquivalence:
             directory=tmp_path,
             memory_budget=0,
         )
-        screened = ShardedReverseTopKEngine(
+        screened = ReverseTopKEngine(
             matrix, sharded_index, scan_precision="float32"
         )
         # The shards must actually be serving the float32 plane off disk.
@@ -272,7 +271,7 @@ class TestShardedEquivalence:
         params = IndexParams(capacity=6, hub_budget=2)
         query_params = QueryParams(k=4, update_index=True)
         baseline = ReverseTopKEngine.build(graph, params, transition=matrix)
-        sharded_index = build_sharded_index(
+        sharded_index = build_index(
             graph,
             params,
             transition=matrix,
@@ -280,7 +279,7 @@ class TestShardedEquivalence:
             directory=tmp_path,
             memory_budget=0,
         )
-        screened = ShardedReverseTopKEngine(
+        screened = ReverseTopKEngine(
             matrix, sharded_index, scan_precision="float32"
         )
         for node in range(0, graph.n_nodes, 5):

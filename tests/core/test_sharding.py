@@ -1,4 +1,4 @@
-"""Unit tests for the partitioned index shards and the query router."""
+"""Unit tests for the index's node-range shards and the per-shard scan."""
 
 import pickle
 
@@ -8,10 +8,8 @@ import pytest
 from repro.core import (
     IndexParams,
     ReverseTopKEngine,
-    ShardedReverseTopKEngine,
-    ShardedReverseTopKIndex,
+    ReverseTopKIndex,
     build_index,
-    build_sharded_index,
     shard_boundaries,
 )
 from repro.core.sharding import _META_NAME
@@ -26,6 +24,12 @@ def medium_setup():
     params = IndexParams(capacity=10, hub_budget=4)
     index = build_index(graph, params, transition=matrix)
     return graph, matrix, params, index
+
+
+def partitioned(setup, n_shards, **options):
+    """The setup's index built again over ``n_shards`` shards."""
+    graph, matrix, params, _ = setup
+    return build_index(graph, params, transition=matrix, n_shards=n_shards, **options)
 
 
 class TestShardBoundaries:
@@ -49,9 +53,9 @@ class TestShardBoundaries:
 
 
 class TestShardedIndexRam:
-    def test_from_index_columns_match_monolithic_slices(self, medium_setup):
-        _, _, _, index = medium_setup
-        sharded = ShardedReverseTopKIndex.from_index(index, 5)
+    def test_shard_columns_are_slices_of_the_one_shard_view(self, medium_setup):
+        index = medium_setup[3]
+        sharded = partitioned(medium_setup, 5)
         assert sharded.n_shards == 5
         columns = index.columns
         for shard in sharded.shards:
@@ -67,20 +71,30 @@ class TestShardedIndexRam:
                 np.asarray(view.is_exact), columns.is_exact[shard.start : shard.stop]
             )
 
-    def test_state_routing_matches_monolithic(self, medium_setup):
-        _, _, _, index = medium_setup
-        sharded = ShardedReverseTopKIndex.from_index(index, 4)
+    def test_columns_is_live_at_one_shard_and_a_copy_at_several(self, medium_setup):
+        index = medium_setup[3]
+        (shard,) = index.shards
+        assert index.columns.lower is shard.columns.lower
+        sharded = partitioned(medium_setup, 3)
+        for name in ("lower", "residual_mass", "is_exact"):
+            np.testing.assert_array_equal(
+                getattr(sharded.columns, name), getattr(index.columns, name)
+            )
+
+    def test_state_routing_matches_one_shard(self, medium_setup):
+        index = medium_setup[3]
+        sharded = partitioned(medium_setup, 4)
         for node in (0, 30, 61, 62, 122):
-            mono = index.state(node)
+            expected = index.state(node)
             routed = sharded.state(node)
-            assert routed.residual == mono.residual
-            assert routed.retained == mono.retained
-            assert routed.hub_ink == mono.hub_ink
-            assert routed.is_hub == mono.is_hub
+            assert routed.residual == expected.residual
+            assert routed.retained == expected.retained
+            assert routed.hub_ink == expected.hub_ink
+            assert routed.is_hub == expected.is_hub
 
     def test_kth_lower_bounds_concatenate_across_shards(self, medium_setup):
-        _, _, _, index = medium_setup
-        sharded = ShardedReverseTopKIndex.from_index(index, 7)
+        index = medium_setup[3]
+        sharded = partitioned(medium_setup, 7)
         for k in (1, 5, index.capacity):
             np.testing.assert_array_equal(
                 sharded.kth_lower_bounds(k), index.kth_lower_bounds(k)
@@ -89,8 +103,7 @@ class TestShardedIndexRam:
             sharded.kth_lower_bounds(index.capacity + 1)
 
     def test_set_state_bumps_global_version_once(self, medium_setup):
-        _, _, _, index = medium_setup
-        sharded = ShardedReverseTopKIndex.from_index(index, 3)
+        sharded = partitioned(medium_setup, 3)
         assert sharded.version == 0
         state = sharded.state(50)
         sharded.set_state(50, state)
@@ -99,34 +112,24 @@ class TestShardedIndexRam:
         assert sharded.version == 2
 
     def test_adopt_swaps_in_place_with_one_bump(self, medium_setup):
-        graph, matrix, params, index = medium_setup
-        sharded = ShardedReverseTopKIndex.from_index(index, 3)
-        fresh = build_sharded_index(graph, params, transition=matrix, n_shards=3)
+        sharded = partitioned(medium_setup, 3)
+        fresh = partitioned(medium_setup, 3)
         sharded.set_state(0, sharded.state(0))  # version -> 1
         sharded.adopt(fresh)
         assert sharded.version == 2
         assert sharded.shards is not fresh.shards
 
-    def test_storage_accounting_matches_monolithic(self, medium_setup):
-        _, _, _, index = medium_setup
-        sharded = ShardedReverseTopKIndex.from_index(index, 4)
-        assert sharded.storage_bytes() == index.storage_bytes()
-
-    def test_to_index_round_trips_answers(self, medium_setup):
-        _, matrix, _, index = medium_setup
-        sharded = ShardedReverseTopKIndex.from_index(index, 4)
-        back = sharded.to_index()
-        a = ReverseTopKEngine(matrix, index).query(9, 5, update_index=False)
-        b = ReverseTopKEngine(matrix, back).query(9, 5, update_index=False)
-        np.testing.assert_array_equal(a.nodes, b.nodes)
+    def test_storage_accounting_does_not_depend_on_shards(self, medium_setup):
+        index = medium_setup[3]
+        assert partitioned(medium_setup, 4).storage_bytes() == index.storage_bytes()
 
 
 class TestShardedLayoutOnDisk:
     def test_memmap_round_trip_is_bitwise(self, medium_setup, tmp_path):
         _, _, _, index = medium_setup
-        sharded = ShardedReverseTopKIndex.from_index(index, 4)
+        sharded = partitioned(medium_setup, 4)
         sharded.persist(tmp_path / "layout")
-        loaded = ShardedReverseTopKIndex.load(tmp_path / "layout", memory_budget=0)
+        loaded = ReverseTopKIndex.load(tmp_path / "layout", memory_budget=0)
         assert all(shard.backing == "memmap" for shard in loaded.shards)
         columns = index.columns
         for shard in loaded.shards:
@@ -139,14 +142,14 @@ class TestShardedLayoutOnDisk:
 
     def test_load_without_budget_materialises_to_ram(self, medium_setup, tmp_path):
         _, _, _, index = medium_setup
-        ShardedReverseTopKIndex.from_index(index, 3).persist(tmp_path / "ram")
-        loaded = ShardedReverseTopKIndex.load(tmp_path / "ram")
+        partitioned(medium_setup, 3).persist(tmp_path / "ram")
+        loaded = ReverseTopKIndex.load(tmp_path / "ram")
         assert all(shard.backing == "ram" for shard in loaded.shards)
 
     def test_lazy_load_keeps_resident_bytes_below_total(self, medium_setup, tmp_path):
         _, _, _, index = medium_setup
-        ShardedReverseTopKIndex.from_index(index, 4).persist(tmp_path / "lazy")
-        loaded = ShardedReverseTopKIndex.load(tmp_path / "lazy", memory_budget=0)
+        partitioned(medium_setup, 4).persist(tmp_path / "lazy")
+        loaded = ReverseTopKIndex.load(tmp_path / "lazy", memory_budget=0)
         assert loaded.resident_bytes() < loaded.total_bytes()
 
     def test_write_back_promotes_shard_but_disk_layout_is_immutable(
@@ -154,11 +157,11 @@ class TestShardedLayoutOnDisk:
     ):
         _, _, _, index = medium_setup
         directory = tmp_path / "immutable"
-        ShardedReverseTopKIndex.from_index(index, 4).persist(directory)
+        partitioned(medium_setup, 4).persist(directory)
         snapshot = {
             path.name: path.read_bytes() for path in sorted(directory.iterdir())
         }
-        loaded = ShardedReverseTopKIndex.load(directory, memory_budget=0)
+        loaded = ReverseTopKIndex.load(directory, memory_budget=0)
         node = 5
         state = loaded.state(node)
         state.lower_bounds = np.full(loaded.capacity, 0.5)
@@ -176,8 +179,8 @@ class TestShardedLayoutOnDisk:
         # A lazy shard hands out detached views: mutating one changes nothing
         # (no pin, no version bump) until it is handed back via set_state.
         _, _, _, index = medium_setup
-        ShardedReverseTopKIndex.from_index(index, 3).persist(tmp_path / "sync")
-        loaded = ShardedReverseTopKIndex.load(tmp_path / "sync", memory_budget=0)
+        partitioned(medium_setup, 3).persist(tmp_path / "sync")
+        loaded = ReverseTopKIndex.load(tmp_path / "sync", memory_budget=0)
         node = next(v for v, s in index.states() if s.residual)
         state = loaded.state(node)
         assert loaded.state(node) is not state
@@ -194,8 +197,8 @@ class TestShardedLayoutOnDisk:
         # shard's states into RAM; now the arrays stay memory-mapped and a
         # single candidate materialises by slicing one node's rows.
         _, _, _, index = medium_setup
-        ShardedReverseTopKIndex.from_index(index, 3).persist(tmp_path / "pernode")
-        loaded = ShardedReverseTopKIndex.load(tmp_path / "pernode", memory_budget=0)
+        partitioned(medium_setup, 3).persist(tmp_path / "pernode")
+        loaded = ReverseTopKIndex.load(tmp_path / "pernode", memory_budget=0)
         shard, _ = loaded.shard_of(0)
         loaded.state(0)
         assert all(
@@ -207,10 +210,10 @@ class TestShardedLayoutOnDisk:
     def test_directory_without_budget_archives_ram_build(
         self, medium_setup, tmp_path
     ):
-        # Regression: build_sharded_index used to silently drop directory=
+        # Regression: the partitioned build used to silently drop directory=
         # when no memory_budget was given.
         graph, matrix, params, _ = medium_setup
-        built = build_sharded_index(
+        built = build_index(
             graph,
             params,
             transition=matrix,
@@ -219,7 +222,7 @@ class TestShardedLayoutOnDisk:
         )
         assert built.directory is not None
         assert all(shard.backing == "ram" for shard in built.shards)
-        reloaded = ShardedReverseTopKIndex.load(
+        reloaded = ReverseTopKIndex.load(
             tmp_path / "archived", memory_budget=0
         )
         np.testing.assert_array_equal(
@@ -229,32 +232,32 @@ class TestShardedLayoutOnDisk:
     def test_missing_meta_is_a_serialization_error(self, medium_setup, tmp_path):
         _, _, _, index = medium_setup
         directory = tmp_path / "torn"
-        ShardedReverseTopKIndex.from_index(index, 2).persist(directory)
+        partitioned(medium_setup, 2).persist(directory)
         (directory / _META_NAME).unlink()
         with pytest.raises(SerializationError):
-            ShardedReverseTopKIndex.load(directory)
+            ReverseTopKIndex.load(directory)
 
     def test_missing_shard_file_is_a_serialization_error(
         self, medium_setup, tmp_path
     ):
         _, _, _, index = medium_setup
         directory = tmp_path / "hole"
-        ShardedReverseTopKIndex.from_index(index, 2).persist(directory)
+        partitioned(medium_setup, 2).persist(directory)
         (directory / "shard-00001.lower.npy").unlink()
         with pytest.raises(SerializationError):
-            ShardedReverseTopKIndex.load(directory, memory_budget=0)
+            ReverseTopKIndex.load(directory, memory_budget=0)
 
     def test_memmap_requires_directory(self, medium_setup):
         _, _, _, index = medium_setup
         with pytest.raises(InvalidParameterError):
-            ShardedReverseTopKIndex.from_index(index, 2, memory_budget=0)
+            partitioned(medium_setup, 2, memory_budget=0)
 
     def test_clean_memmap_shards_pickle_by_reference(self, medium_setup, tmp_path):
         _, matrix, _, index = medium_setup
         directory = tmp_path / "pickle"
-        ShardedReverseTopKIndex.from_index(index, 4).persist(directory)
-        loaded = ShardedReverseTopKIndex.load(directory, memory_budget=0)
-        engine = ShardedReverseTopKEngine(matrix, loaded, scan_workers=2)
+        partitioned(medium_setup, 4).persist(directory)
+        loaded = ReverseTopKIndex.load(directory, memory_budget=0)
+        engine = ReverseTopKEngine(matrix, loaded, scan_workers=2)
         blob = pickle.dumps(engine)
         clone = pickle.loads(blob)
         assert clone.scan_workers == 2
@@ -262,7 +265,7 @@ class TestShardedLayoutOnDisk:
         b = clone.query_many_readonly([3], 5)[0]
         np.testing.assert_array_equal(a.nodes, b.nodes)
         # A clean memmap engine ships paths, not arrays: far smaller than
-        # the monolithic engine's payload.
+        # the in-RAM engine's payload.
         assert len(blob) < len(pickle.dumps(ReverseTopKEngine(matrix, index)))
         engine.close()
         clone.close()
@@ -274,8 +277,8 @@ class TestShardedLayoutOnDisk:
         # its clean neighbours still ship a path reference only.
         _, _, _, index = medium_setup
         directory = tmp_path / "written"
-        ShardedReverseTopKIndex.from_index(index, 3).persist(directory)
-        loaded = ShardedReverseTopKIndex.load(directory, memory_budget=0)
+        partitioned(medium_setup, 3).persist(directory)
+        loaded = ReverseTopKIndex.load(directory, memory_budget=0)
         node = 5
         state = loaded.state(node)
         state.retained[0] = 0.25
@@ -304,45 +307,23 @@ class TestShardedLayoutOnDisk:
                     )
 
 
-class TestBuildShardedIndex:
-    def test_direct_build_matches_split_monolith(self, medium_setup):
-        graph, matrix, params, index = medium_setup
-        split = ShardedReverseTopKIndex.from_index(index, 5)
-        direct = build_sharded_index(graph, params, transition=matrix, n_shards=5)
-        for a, b in zip(split.shards, direct.shards):
-            np.testing.assert_array_equal(
-                np.asarray(a.columns.lower), np.asarray(b.columns.lower)
-            )
-            np.testing.assert_array_equal(
-                np.asarray(a.columns.residual_mass),
-                np.asarray(b.columns.residual_mass),
-            )
-            np.testing.assert_array_equal(
-                np.asarray(a.columns.is_exact), np.asarray(b.columns.is_exact)
-            )
-
-    def test_parallel_build_matches_serial(self, medium_setup):
-        graph, matrix, params, _ = medium_setup
-        serial = build_sharded_index(graph, params, transition=matrix, n_shards=3)
-        parallel = build_sharded_index(
-            graph, params, transition=matrix, n_shards=3, n_workers=2
-        )
-        for a, b in zip(serial.shards, parallel.shards):
-            np.testing.assert_array_equal(
-                np.asarray(a.columns.lower), np.asarray(b.columns.lower)
-            )
-
-    def test_streamed_build_goes_straight_to_layout(self, medium_setup, tmp_path):
+class TestBuildIndexOutOfCore:
+    @pytest.mark.parametrize("n_shards", [1, 3])
+    def test_streamed_build_goes_straight_to_layout(
+        self, medium_setup, tmp_path, n_shards
+    ):
+        # The budget needs no shard count: one shard streams out too.
         graph, matrix, params, index = medium_setup
         directory = tmp_path / "streamed"
-        built = build_sharded_index(
+        built = build_index(
             graph,
             params,
             transition=matrix,
-            n_shards=3,
+            n_shards=n_shards,
             directory=directory,
             memory_budget=0,
         )
+        assert built.n_shards == n_shards
         assert all(shard.backing == "memmap" for shard in built.shards)
         assert (directory / _META_NAME).exists()
         columns = index.columns
@@ -361,7 +342,7 @@ class TestBuildShardedIndex:
         sizes = index.storage_bytes()
         assert sizes["total"] > sizes["lower_bounds"] + sizes["hub_matrix"]
         budget = sizes["lower_bounds"] + sizes["hub_matrix"] + 1
-        built = build_sharded_index(
+        built = build_index(
             graph,
             params,
             transition=matrix,
@@ -370,12 +351,12 @@ class TestBuildShardedIndex:
             memory_budget=budget,
         )
         assert all(shard.backing == "memmap" for shard in built.shards)
-        reloaded = ShardedReverseTopKIndex.load(
+        reloaded = ReverseTopKIndex.load(
             tmp_path / "tight", memory_budget=budget
         )
         assert all(shard.backing == "memmap" for shard in reloaded.shards)
         # A budget the whole index fits in resolves to RAM on both paths.
-        roomy = build_sharded_index(
+        roomy = build_index(
             graph,
             params,
             transition=matrix,
@@ -394,8 +375,8 @@ class TestBuildShardedIndex:
         import numpy as np
 
         _, _, _, index = medium_setup
-        ShardedReverseTopKIndex.from_index(index, 3).persist(tmp_path / "acct")
-        loaded = ShardedReverseTopKIndex.load(tmp_path / "acct", memory_budget=0)
+        partitioned(medium_setup, 3).persist(tmp_path / "acct")
+        loaded = ReverseTopKIndex.load(tmp_path / "acct", memory_budget=0)
         node = 5
         before = loaded.storage_bytes()["bca_state"]
         replaced_entries = index.state(node).stored_entries()
@@ -409,25 +390,11 @@ class TestBuildShardedIndex:
         shard, _ = loaded.shard_of(node)
         assert shard.resident_bytes() > 0  # overlay + promoted columns count
 
-    def test_progress_fires_per_shard(self, medium_setup):
-        graph, matrix, params, _ = medium_setup
-        seen = []
-        build_sharded_index(
-            graph,
-            params,
-            transition=matrix,
-            n_shards=4,
-            progress=lambda done, total: seen.append((done, total)),
-        )
-        assert len(seen) == 4
-        assert seen[-1] == (graph.n_nodes, graph.n_nodes)
-
-
 class TestShardedEngine:
-    def test_build_classmethod_round_trips(self, medium_setup):
-        graph, matrix, params, index = medium_setup
-        with ShardedReverseTopKEngine.build(
-            graph, params, transition=matrix, n_shards=4, scan_workers=2
+    def test_scan_pool_engine_matches_one_shard(self, medium_setup):
+        _, matrix, _, index = medium_setup
+        with ReverseTopKEngine(
+            matrix, partitioned(medium_setup, 4), scan_workers=2
         ) as router:
             reference = ReverseTopKEngine(matrix, index)
             for query in (0, 17, 64, 122):
@@ -435,11 +402,9 @@ class TestShardedEngine:
                 b = router.query(query, 5, update_index=False)
                 np.testing.assert_array_equal(a.nodes, b.nodes)
 
-    def test_scalar_scan_mode_matches_vectorized(self, medium_setup):
-        _, matrix, _, index = medium_setup
-        router = ShardedReverseTopKEngine(
-            matrix, ShardedReverseTopKIndex.from_index(index, 3)
-        )
+    def test_routed_scan_matches_reference_scan(self, medium_setup):
+        _, matrix, _, _ = medium_setup
+        router = ReverseTopKEngine(matrix, partitioned(medium_setup, 3))
         # The routed columnar scan against the per-node reference scan.
         from tests.reference import SCAN_COUNTERS, reference_scan
 
@@ -450,10 +415,8 @@ class TestShardedEngine:
             assert getattr(a.statistics, counter) == counters[counter], counter
 
     def test_rebind_preserves_scan_workers(self, medium_setup):
-        _, matrix, _, index = medium_setup
-        router = ShardedReverseTopKEngine(
-            matrix, ShardedReverseTopKIndex.from_index(index, 3), scan_workers=3
-        )
+        _, matrix, _, _ = medium_setup
+        router = ReverseTopKEngine(matrix, partitioned(medium_setup, 3), scan_workers=3)
         router.rebind(matrix)
         assert router.scan_workers == 3
         router.close()

@@ -83,9 +83,10 @@ def assert_engines_bit_identical(maintained, fresh):
     np.testing.assert_array_equal(
         maintained.index.columns.is_exact, fresh.index.columns.is_exact
     )
-    kept, rebuilt = maintained.index.store.to_arrays(), fresh.index.store.to_arrays()
-    for name in STATE_ARRAY_NAMES:
-        np.testing.assert_array_equal(kept[name], rebuilt[name], name)
+    for shard, twin in zip(maintained.index.shards, fresh.index.shards):
+        kept, rebuilt = shard.store.to_arrays(), twin.store.to_arrays()
+        for name in STATE_ARRAY_NAMES:
+            np.testing.assert_array_equal(kept[name], rebuilt[name], name)
 
 
 def assert_answers_identical(maintained, fresh, k):
@@ -193,10 +194,10 @@ class TestEscapeHatches:
         assert_engines_bit_identical(engine, build_engine(new_graph))
 
     def test_full_rebuild_does_not_demote_the_index(self):
-        # Regression: the monolithic full rebuild handed replace_contents a
-        # NodeState list, which silently switched the live index to object
-        # storage — every later batch then walked n objects instead of
-        # taking the targeted path — for the rest of the service's life.
+        # Regression: a full rebuild once handed the live index a NodeState
+        # list, which silently switched it to object storage — every later
+        # batch then walked n objects instead of taking the targeted path —
+        # for the rest of the service's life.
         graph = copying_web_graph(60, out_degree=4, seed=10)
         engine = build_engine(graph)
         maintainer = IndexMaintainer(engine, rebuild_ratio=1e-9)
@@ -205,7 +206,8 @@ class TestEscapeHatches:
         rebuilt_graph, touched = dynamic.drain()
         reset_materialization_count()
         assert maintainer.apply(rebuilt_graph, touched).full_rebuild
-        store = engine.index.store
+        (shard,) = engine.index.shards
+        store = shard.store
         assert isinstance(store, ColumnarStateStore) and not store.overlay
 
         targeted = []
@@ -220,7 +222,7 @@ class TestEscapeHatches:
         new_graph, touched = dynamic.drain()
         report = maintainer.apply(new_graph, touched)
         assert report.changed and not report.full_rebuild and targeted
-        assert engine.index.store is store and store.overlay
+        assert engine.index.shards[0].store is store and store.overlay
         assert materialization_count() == 0
         assert_engines_bit_identical(
             engine, build_engine(new_graph, hubs=engine.index.hubs)

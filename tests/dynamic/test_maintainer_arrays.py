@@ -1,21 +1,20 @@
 """Maintainer targeted path over columnar stores.
 
-The index keeps its node state in struct-of-arrays form (monolithic store or
-per-shard stores); the maintainer detects invalidation and hub-proximity hits
-with vectorised segment scans and applies the delta via ``apply_updates`` —
-no per-node materialisation.  The contract, against one oracle: the
-maintained index is **bit-identical** (columns and every state array) to a
-from-scratch build on the post-churn graph under the pinned hubs, and the
-sharded index to the monolithic one.
+The index keeps its node state in struct-of-arrays form (one store per
+shard); the maintainer detects invalidation and hub-proximity hits with
+vectorised segment scans and applies the delta via ``apply_updates`` — no
+per-node materialisation.  The contract, against one oracle: the maintained
+index is **bit-identical** (columns and every state array) to a from-scratch
+build at the same shard count on the post-churn graph under the pinned hubs,
+and a three-shard index to a one-shard one.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import IndexParams
-from repro.core.lbi import build_index
 from repro.core.query import ReverseTopKEngine
-from repro.core.sharding import ShardedReverseTopKEngine, build_sharded_index
+from repro.core.sharding import build_index
 from repro.core.statestore import (
     STATE_ARRAY_NAMES,
     materialization_count,
@@ -58,35 +57,37 @@ def mutate(graph, seed, *, from_hub=None):
 
 
 def engines_for(graph):
-    """(monolithic engine, sharded engine) over the same graph and backend."""
+    """(one-shard engine, three-shard engine) over the same graph."""
     matrix = transition_matrix(graph)
     params = PARAMS.for_graph(graph.n_nodes)
-    sharded = build_sharded_index(
-        graph, params, transition=matrix, n_shards=3
-    )
-    return (
-        ReverseTopKEngine(matrix, build_index(graph, params, transition=matrix)),
-        ShardedReverseTopKEngine(transition_matrix(graph), sharded),
+    return tuple(
+        ReverseTopKEngine(
+            matrix, build_index(graph, params, transition=matrix, n_shards=n_shards)
+        )
+        for n_shards in (1, 3)
     )
 
 
 def assert_equals_fresh_build(maintained, graph):
     """Maintained == build_index from scratch under the maintained hub set."""
-    fresh = build_index(graph, maintained.params, hubs=maintained.hubs)
+    fresh = build_index(
+        graph, maintained.params, hubs=maintained.hubs, n_shards=maintained.n_shards
+    )
     for column in ("lower", "residual_mass", "is_exact"):
         np.testing.assert_array_equal(
             getattr(maintained.columns, column), getattr(fresh.columns, column)
         )
-    kept, rebuilt = maintained.store.to_arrays(), fresh.store.to_arrays()
-    for name in STATE_ARRAY_NAMES:
-        np.testing.assert_array_equal(kept[name], rebuilt[name], name)
+    for shard, twin in zip(maintained.shards, fresh.shards):
+        kept, rebuilt = shard.store.to_arrays(), twin.store.to_arrays()
+        for name in STATE_ARRAY_NAMES:
+            np.testing.assert_array_equal(kept[name], rebuilt[name], name)
 
 
-def assert_sharded_matches(sharded_index, mono_index):
+def assert_sharded_matches(sharded_index, one_shard_index):
     for shard in sharded_index.shards:
         np.testing.assert_array_equal(
             np.asarray(shard.columns.lower),
-            mono_index.columns.lower[:, shard.start : shard.stop],
+            one_shard_index.columns.lower[:, shard.start : shard.stop],
         )
 
 
@@ -108,6 +109,7 @@ class TestTargetedPath:
         assert report_sharded.n_invalidated == report.n_invalidated
         assert report_sharded.n_rematerialized == report.n_rematerialized
         assert_equals_fresh_build(eng_mono.index, new_graph)
+        assert_equals_fresh_build(eng_sharded.index, new_graph)
         assert_sharded_matches(eng_sharded.index, eng_mono.index)
 
     def test_query_parity_after_maintenance(self, base_graph):
@@ -145,7 +147,7 @@ class TestTargetedPath:
         engines = engines_for(base_graph)
         for engine in engines:
             IndexMaintainer(engine, rebuild_ratio=1.0).apply(graph_one, touched_one)
-        assert engines[0].index.store.overlay
+        assert engines[0].index.shards[0].store.overlay
         graph_two, touched_two = mutate(graph_one, seed=99)
         reports = [
             IndexMaintainer(engine, rebuild_ratio=1.0).apply(graph_two, touched_two)

@@ -36,8 +36,7 @@ class TestFullPipeline:
         params = IndexParams(capacity=10, hub_budget=4)
         engine = ReverseTopKEngine.build(graph, params, transition=matrix)
         engine.query(0, 5)  # refine a little
-        path = tmp_path / "index.npz"
-        engine.index.save(path)
+        path = engine.index.persist(tmp_path / "index")
 
         reloaded = ReverseTopKEngine(matrix, ReverseTopKIndex.load(path))
         for query in (1, 3, 7):

@@ -229,8 +229,7 @@ class TestRolloverFootprint:
 
     @staticmethod
     def overlays(index):
-        shards = getattr(index, "shards", None)
-        return [shard.store.overlay for shard in shards] if shards else [index.store.overlay]
+        return [shard.store.overlay for shard in index.shards]
 
     @staticmethod
     def roll(graph, on_generation, mirror=None, **deployment):
@@ -322,7 +321,7 @@ class TestRolloverFootprint:
         # Most one-edge batches here touch a source no hub reaches.
         assert sum(reused) > self.N_BATCHES // 2
 
-    @pytest.mark.parametrize("n_shards", [None, 3])
+    @pytest.mark.parametrize("n_shards", [1, 3])
     def test_object_count_is_flat_across_rollovers(self, graph, n_shards):
         baselines = []
 

@@ -44,7 +44,6 @@ def _run_queries(engine) -> float:
 
 def test_tracing_off_overhead_under_two_percent(engine, monkeypatch):
     import repro.core.query as query_module
-    import repro.core.sharding as sharding_module
 
     # Warm up caches/allocator so neither side pays first-touch costs.
     _run_queries(engine)
@@ -57,14 +56,12 @@ def test_tracing_off_overhead_under_two_percent(engine, monkeypatch):
         with monkeypatch.context() as patch:
             # The entire tracing-off footprint of the scan path.
             patch.setattr(query_module, "current_span", lambda: None)
-            patch.setattr(sharding_module, "current_span", lambda: None)
             if repeat % 2:  # alternate order so drift cancels
                 pair["baseline"] = _run_queries(engine)
         pair["instrumented"] = _run_queries(engine)
         if "baseline" not in pair:
             with monkeypatch.context() as patch:
                 patch.setattr(query_module, "current_span", lambda: None)
-                patch.setattr(sharding_module, "current_span", lambda: None)
                 pair["baseline"] = _run_queries(engine)
         instrumented.append(pair["instrumented"])
         baseline.append(pair["baseline"])

@@ -1,10 +1,12 @@
 """Property test: delta maintenance never diverges from a from-scratch build.
 
-For random small graphs and random sequences of update batches (insertions,
-deletions, weight changes — applied through the full
-``DynamicGraph.drain()`` → ``IndexMaintainer.apply()`` pipeline), the
+For random small graphs — weighted (under the weighted walk) and unweighted
+— at every shard count ``P`` in ``{1, 2, 3, n}``, and random sequences of
+update batches (insertions, deletions, weight changes — applied through the
+full ``DynamicGraph.drain()`` → ``IndexMaintainer.apply()`` pipeline), the
 maintained engine must stay **bit-identical** to an engine rebuilt from
-scratch on the final graph under the maintained hub set: per-node BCA
+scratch at the same ``P`` on the final graph under the maintained hub set:
+per-node BCA
 states, the columnar views, and every reverse top-k answer including its
 statistics counters.  Under the ``"reselect"`` hub policy that hub set is
 exactly what a default build selects, so the equivalence is unconditional.
@@ -25,7 +27,7 @@ import scipy.sparse as sp
 
 from repro.core import IndexParams, ReverseTopKEngine, build_index
 from repro.dynamic import DynamicGraph, DynamicReverseTopKService, IndexMaintainer
-from repro.graph import DiGraph, transition_matrix
+from repro.graph import DiGraph, transition_matrix, weighted_transition_matrix
 from repro.serving import ServiceConfig
 
 #: Counter fields of QueryStatistics that must match bit-for-bit (timings
@@ -54,7 +56,10 @@ def dynamic_cases(draw):
     np.fill_diagonal(mask, False)
     if not mask.any():
         mask[0, 1] = True
-    graph = DiGraph(sp.csr_matrix(mask.astype(float)))
+    weighted = draw(st.booleans())
+    weights = rng.integers(1, 5, size=(n, n)).astype(float) if weighted else 1.0
+    graph = DiGraph(sp.csr_matrix(np.where(mask, weights, 0.0)))
+    n_shards = draw(st.sampled_from([1, 2, 3, n]))
     capacity = min(5, n)
     hub_budget = draw(st.integers(min_value=0, max_value=2))
     hub_policy = draw(st.sampled_from(["pinned", "reselect"]))
@@ -68,7 +73,15 @@ def dynamic_cases(draw):
         )
     )
     op_seed = draw(st.integers(min_value=0, max_value=10_000))
-    return graph, capacity, hub_budget, hub_policy, rebuild_ratio, batch_sizes, op_seed
+    return (
+        graph, weighted, n_shards, capacity, hub_budget, hub_policy,
+        rebuild_ratio, batch_sizes, op_seed,
+    )
+
+
+def walk(weighted: bool):
+    """The transition builder of the walk variant (§5.4's weighted one or not)."""
+    return weighted_transition_matrix if weighted else transition_matrix
 
 
 def random_batch(dynamic: DynamicGraph, rng, size: int):
@@ -104,16 +117,20 @@ class TestDynamicEquivalence:
     @given(dynamic_cases())
     @settings(max_examples=30, deadline=None)
     def test_maintained_index_bit_identical_to_scratch_build(self, case):
-        graph, capacity, hub_budget, hub_policy, rebuild_ratio, batch_sizes, op_seed = case
+        (
+            graph, weighted, n_shards, capacity, hub_budget, hub_policy,
+            rebuild_ratio, batch_sizes, op_seed,
+        ) = case
         params = IndexParams(capacity=capacity, hub_budget=hub_budget).for_graph(
             graph.n_nodes
         )
-        matrix = transition_matrix(graph)
+        matrix = walk(weighted)(graph)
         engine = ReverseTopKEngine(
-            matrix, build_index(graph, params, transition=matrix)
+            matrix, build_index(graph, params, transition=matrix, n_shards=n_shards)
         )
         maintainer = IndexMaintainer(
-            engine, rebuild_ratio=rebuild_ratio, hub_policy=hub_policy
+            engine, rebuild_ratio=rebuild_ratio, weighted=weighted,
+            hub_policy=hub_policy,
         )
         dynamic = DynamicGraph(graph)
         rng = np.random.default_rng(op_seed)
@@ -122,10 +139,11 @@ class TestDynamicEquivalence:
             new_graph, touched = dynamic.drain()
             maintainer.apply(new_graph, touched)
 
-        # The equivalence target: a from-scratch build under the maintained
-        # hub set.  Under "reselect" that set *is* the default selection, so
-        # the comparison is against a plain default build.
-        final_matrix = transition_matrix(dynamic.base)
+        # The equivalence target: a from-scratch build at the same shard
+        # count under the maintained hub set.  Under "reselect" that set *is*
+        # the default selection, so the comparison is against a plain default
+        # build.
+        final_matrix = walk(weighted)(dynamic.base)
         fresh = ReverseTopKEngine(
             final_matrix,
             build_index(
@@ -133,8 +151,10 @@ class TestDynamicEquivalence:
                 params,
                 hubs=engine.index.hubs,
                 transition=final_matrix,
+                n_shards=n_shards,
             ),
         )
+        assert engine.index.n_shards == fresh.index.n_shards
         if hub_policy == "reselect":
             default = ReverseTopKEngine.build(dynamic.base, params)
             assert engine.index.hubs.nodes == default.index.hubs.nodes
@@ -179,16 +199,20 @@ class TestDynamicEquivalence:
     @given(dynamic_cases())
     @settings(max_examples=15, deadline=None)
     def test_served_answers_track_updates(self, case):
-        graph, capacity, hub_budget, hub_policy, rebuild_ratio, batch_sizes, op_seed = case
+        (
+            graph, weighted, n_shards, capacity, hub_budget, hub_policy,
+            rebuild_ratio, batch_sizes, op_seed,
+        ) = case
         params = IndexParams(capacity=capacity, hub_budget=hub_budget).for_graph(
             graph.n_nodes
         )
-        matrix = transition_matrix(graph)
+        matrix = walk(weighted)(graph)
         engine = ReverseTopKEngine(
-            matrix, build_index(graph, params, transition=matrix)
+            matrix, build_index(graph, params, transition=matrix, n_shards=n_shards)
         )
         maintainer = IndexMaintainer(
-            engine, rebuild_ratio=rebuild_ratio, hub_policy=hub_policy
+            engine, rebuild_ratio=rebuild_ratio, weighted=weighted,
+            hub_policy=hub_policy,
         )
         config = ServiceConfig(cache_capacity=64, max_batch_size=4, n_workers=0)
         rng = np.random.default_rng(op_seed)
@@ -211,7 +235,7 @@ class TestDynamicEquivalence:
                 if updates:
                     service.apply_updates(updates)
             served = service.serve(requests)
-            final_matrix = transition_matrix(service.graph.base)
+            final_matrix = walk(weighted)(service.graph.base)
             reference = ReverseTopKEngine(
                 final_matrix,
                 build_index(

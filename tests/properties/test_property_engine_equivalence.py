@@ -82,12 +82,13 @@ class TestEngineEquivalence:
                 vectorized.index.columns.is_exact, scalar.index.columns.is_exact
             )
             assert vectorized.index.version == scalar.index.version
-            for name in STATE_ARRAY_NAMES:
-                np.testing.assert_array_equal(
-                    vectorized.index.store.to_arrays()[name],
-                    scalar.index.store.to_arrays()[name],
-                    name,
-                )
+            for shard, twin in zip(vectorized.index.shards, scalar.index.shards):
+                for name in STATE_ARRAY_NAMES:
+                    np.testing.assert_array_equal(
+                        shard.store.to_arrays()[name],
+                        twin.store.to_arrays()[name],
+                        name,
+                    )
 
     @given(engine_cases())
     @settings(max_examples=15, deadline=None)

@@ -14,7 +14,7 @@ Under random graphs and parameters:
 4. float32-screened scanning decides exactly as the float64 scan.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import numpy as np
 import pytest
@@ -147,16 +147,71 @@ class TestBackendEquivalence:
             assert_reverse_topk_consistent(b.nodes, exact_matrix, query, k)
 
 
+@st.composite
+def chunk_cases(draw):
+    """A graph, its params, one source and the chunk batch it shares.
+
+    Returns ``(graph, params, source, batch, chunk_width, spill_columns)``:
+    chunk widths 1..3 and dense spill sub-chunks of 1..3 columns put chunk
+    and sub-chunk boundaries anywhere in the batch.
+    """
+    graph = draw(random_digraphs())
+    params = draw(index_params(graph.n_nodes)).for_graph(graph.n_nodes)
+    hub_mask = default_hub_selection(graph, params).mask(graph.n_nodes)
+    sources = [node for node in range(graph.n_nodes) if not hub_mask[node]]
+    if not sources:
+        return graph, params, None, [], propagation.CHUNK_WIDTH, 1
+    source = draw(st.sampled_from(sources))
+    others = [node for node in sources if node != source]
+    mates = draw(
+        st.lists(
+            st.sampled_from(others) if others else st.nothing(),
+            min_size=min(1, len(others)),
+            max_size=min(6, len(others)),
+            unique=True,
+        )
+    )
+    batch = draw(st.permutations([source, *mates]))
+    chunk_width = draw(st.sampled_from([1, 2, 3, propagation.CHUNK_WIDTH]))
+    spill_columns = draw(st.integers(min_value=1, max_value=3))
+    return graph, params, source, batch, chunk_width, spill_columns
+
+
+#: The first counterexample once the property was drawn at 3 000 examples:
+#: a weighted 4-node graph without hubs where source 3's residual values
+#: moved by 2.8e-17 when source 0 shared its chunk — SciPy's sparse sum left
+#: the residual columns unsorted whenever a mate's arrivals were.
+_CHUNK_MATE_COUNTEREXAMPLE = (
+    DiGraph(
+        sp.csr_matrix(
+            (
+                [4.0, 4.0, 3.0, 1.0, 2.0, 2.0, 1.0],
+                ([0, 0, 0, 1, 2, 3, 3], [1, 2, 3, 2, 0, 1, 2]),
+            ),
+            shape=(4, 4),
+        )
+    ),
+    IndexParams(
+        capacity=1, hub_budget=0, propagation_threshold=1e-2, residue_threshold=0.3
+    ).for_graph(4),
+    3,
+    [3, 0],
+    propagation.CHUNK_WIDTH,
+    1,
+)
+
+
 class TestChunkComposition:
     """A source's result is a function of the source alone."""
 
-    @given(random_digraphs(), st.data())
+    @given(case=chunk_cases())
+    @example(case=_CHUNK_MATE_COUNTEREXAMPLE)
     @settings(max_examples=40, deadline=None)
-    def test_source_is_bitwise_independent_of_its_chunk(self, graph, data):
-        params = data.draw(index_params(graph.n_nodes)).for_graph(graph.n_nodes)
-        matrix, hubs, hub_matrix, hub_mask, sources = _kernel_inputs(graph, params)
-        if not sources:
+    def test_source_is_bitwise_independent_of_its_chunk(self, case):
+        graph, params, source, batch, chunk_width, spill_columns = case
+        if source is None:
             return
+        matrix, hubs, hub_matrix, hub_mask, sources = _kernel_inputs(graph, params)
         kernel = PropagationKernel(
             matrix, hub_mask, params, hubs=hubs, hub_matrix=hub_matrix
         )
@@ -165,21 +220,6 @@ class TestChunkComposition:
             for source in sources
             for _, arrays in kernel.run([source]).state_arrays()
         }
-        source = data.draw(st.sampled_from(sources))
-        others = [node for node in sources if node != source]
-        mates = data.draw(
-            st.lists(
-                st.sampled_from(others) if others else st.nothing(),
-                min_size=min(1, len(others)),
-                max_size=min(6, len(others)),
-                unique=True,
-            )
-        )
-        batch = data.draw(st.permutations([source, *mates]))
-        # Chunk width 1..3 and dense spill sub-chunks of 1..3 columns put
-        # chunk and sub-chunk boundaries anywhere in the batch.
-        chunk_width = data.draw(st.sampled_from([1, 2, 3, propagation.CHUNK_WIDTH]))
-        spill_columns = data.draw(st.integers(min_value=1, max_value=3))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(propagation, "CHUNK_WIDTH", chunk_width)
             patch.setattr(

@@ -9,7 +9,7 @@ transcriptions of the paper kept here:
   :func:`materialize_lower_bounds` — Algorithm 1's batched BCA on ``{node:
   value}`` dicts, one source at a time (Eq. 6-9), verbatim from the seed;
 * :func:`seed_states` / :func:`seed_index` — every node's state built by that
-  loop, and an index assembled from them;
+  loop, and an index assembled from them (:func:`index_from_states`);
 * :func:`reference_scan` — Algorithm 4's while loop visiting all ``n`` nodes
   one at a time: prune on the k-th lower bound, exact shortcut, the staircase
   bound, then the engine's own refinement of each remaining candidate.
@@ -22,12 +22,13 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core import IndexParams, QueryParams, ReverseTopKIndex
+from repro.core import IndexParams, IndexShard, QueryParams, ReverseTopKIndex
 from repro.core.bounds import kth_upper_bound
 from repro.core.index import NodeState
 from repro.core.lbi import _compute_hub_matrix, default_hub_selection
 from repro.core.pmpn import proximity_to_node
 from repro.core.propagation import _HubExpansion
+from repro.core.statestore import ColumnarStateStore
 from repro.utils.sparsetools import top_k_descending
 
 #: ``QueryStatistics`` counters :func:`reference_scan` reproduces.
@@ -170,7 +171,20 @@ def seed_index(graph, params: IndexParams, transition: sp.spmatrix) -> ReverseTo
         else:
             (state,) = seed_states(matrix, hub_mask, params, expansion, [node])
         states.append(state)
-    return ReverseTopKIndex(params, hubs, hub_matrix, hub_deficit, states)
+    return index_from_states(params, hubs, hub_matrix, hub_deficit, states)
+
+
+def index_from_states(params, hubs, hub_matrix, hub_deficit, states) -> ReverseTopKIndex:
+    """A one-shard in-RAM index over hand-made ``NodeState`` s."""
+    store = ColumnarStateStore.from_states(states, params.capacity)
+    shard = IndexShard.from_store(
+        0,
+        store.n_states,
+        params.capacity,
+        store,
+        store.column_masses(hubs, np.asarray(hub_deficit, dtype=np.float64)),
+    )
+    return ReverseTopKIndex(params, hubs, hub_matrix, hub_deficit, [shard])
 
 
 # ----------------------------------------------------------------------- #

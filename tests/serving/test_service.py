@@ -257,7 +257,7 @@ class TestScalarScanServing:
         version = engine.index.version
         reset_materialization_count()
         results = service.serve([(q, 5) for q in range(0, engine.n_nodes, 7)])
-        assert len(engine.index.store.overlay) == 0
+        assert not any(shard.store.overlay for shard in engine.index.shards)
         assert materialization_count() == 0
         assert engine.index.version == version
         for result in results:

@@ -1,10 +1,9 @@
-"""Serving-layer integration tests for the partitioned (sharded) index.
+"""Serving-layer integration tests for partitioned, out-of-core indexes.
 
-Covers the wiring the tentpole adds around :mod:`repro.core.sharding`:
-warm-start through the snapshot layout, the static and dynamic service
-façades over a sharded engine, both executor backends, and a fresh-process
-smoke test that loads a memmap-backed layout the way a cold serving replica
-would.
+Covers the wiring around :mod:`repro.core.sharding`: warm-start through the
+snapshot layout, the static and dynamic service façades over a several-shard
+engine, both executor backends, and a fresh-process smoke test that loads a
+memmap-backed layout the way a cold serving replica would.
 """
 
 from pathlib import Path
@@ -17,7 +16,7 @@ import pytest
 from repro.core import (
     IndexParams,
     ReverseTopKEngine,
-    ShardedReverseTopKIndex,
+    ReverseTopKIndex,
     build_index,
 )
 from repro.dynamic import DynamicReverseTopKService, GraphUpdate
@@ -39,15 +38,15 @@ REQUESTS = [(5, 6), (88, 6), (5, 6), (139, 3), (42, 6)]
 
 
 class TestShardedSnapshots:
-    def test_build_or_load_sharded_round_trip(self, sharded_setup, tmp_path):
+    def test_build_or_load_memmap_round_trip(self, sharded_setup, tmp_path):
         graph, matrix, params, reference = sharded_setup
         manager = SnapshotManager(tmp_path)
-        index, hit = manager.build_or_load_sharded(
+        index, hit = manager.build_or_load(
             graph, params, transition=matrix, n_shards=4, memory_budget=0
         )
         assert not hit
         assert all(shard.backing == "memmap" for shard in index.shards)
-        again, hit = manager.build_or_load_sharded(
+        again, hit = manager.build_or_load(
             graph, params, transition=matrix, n_shards=4, memory_budget=0
         )
         assert hit
@@ -59,11 +58,11 @@ class TestShardedSnapshots:
     def test_ram_build_archives_layout_for_next_start(self, sharded_setup, tmp_path):
         graph, matrix, params, _ = sharded_setup
         manager = SnapshotManager(tmp_path)
-        _, hit = manager.build_or_load_sharded(
+        _, hit = manager.build_or_load(
             graph, params, transition=matrix, n_shards=3
         )
         assert not hit
-        _, hit = manager.build_or_load_sharded(
+        _, hit = manager.build_or_load(
             graph, params, transition=matrix, n_shards=3
         )
         assert hit
@@ -71,21 +70,21 @@ class TestShardedSnapshots:
     def test_different_shard_counts_coexist(self, sharded_setup, tmp_path):
         graph, matrix, params, _ = sharded_setup
         manager = SnapshotManager(tmp_path)
-        manager.build_or_load_sharded(graph, params, transition=matrix, n_shards=2)
-        _, hit = manager.build_or_load_sharded(
+        manager.build_or_load(graph, params, transition=matrix, n_shards=2)
+        _, hit = manager.build_or_load(
             graph, params, transition=matrix, n_shards=5
         )
         assert not hit  # a different partitioning is a different layout
 
-    def test_store_dispatches_sharded_layout(self, sharded_setup, tmp_path):
+    def test_store_writes_the_layout(self, sharded_setup, tmp_path):
         graph, matrix, params, _ = sharded_setup
         manager = SnapshotManager(tmp_path)
-        index, _ = manager.build_or_load_sharded(
+        index, _ = manager.build_or_load(
             graph, params, transition=matrix, n_shards=3
         )
         path = manager.store(index, graph, transition=matrix)
         assert path.is_dir()
-        loaded = ShardedReverseTopKIndex.load(path, memory_budget=0)
+        loaded = ReverseTopKIndex.load(path, memory_budget=0)
         assert loaded.n_shards == 3
 
 
@@ -112,6 +111,16 @@ class TestShardedStaticService:
                 np.testing.assert_array_equal(result.nodes, direct.nodes)
             service.engine.close()
 
+    def test_close_releases_the_engine_scan_pool(self, sharded_setup):
+        graph, matrix, params, _ = sharded_setup
+        service = ReverseTopKService.from_graph(
+            graph, params, transition=matrix, n_shards=3, scan_workers=2
+        )
+        service.serve(REQUESTS)
+        assert service.engine._scan_pool is not None
+        service.close()
+        assert service.engine._scan_pool is None
+
     def test_memory_budget_without_snapshot_dir_raises(self, sharded_setup):
         graph, matrix, params, _ = sharded_setup
         with pytest.raises(ValueError):
@@ -123,23 +132,27 @@ class TestShardedStaticService:
                 memory_budget=0,  # memmap needed but nowhere to put the layout
             )
 
-    def test_sharding_knobs_without_n_shards_raise(self, sharded_setup, tmp_path):
-        # Regression: memory_budget/scan_workers used to be silently dropped
-        # when n_shards was omitted, handing the caller a full-RAM monolithic
-        # engine instead of the out-of-core serving they asked for.
+    def test_default_is_one_in_ram_shard(self, sharded_setup, tmp_path):
         graph, matrix, params, _ = sharded_setup
-        with pytest.raises(ValueError):
-            ReverseTopKService.from_graph(
-                graph,
-                params,
-                transition=matrix,
-                snapshot_dir=tmp_path,
-                memory_budget=0,
-            )
-        with pytest.raises(ValueError):
-            ReverseTopKService.from_graph(
-                graph, params, transition=matrix, scan_workers=4
-            )
+        with ReverseTopKService.from_graph(
+            graph, params, transition=matrix, snapshot_dir=tmp_path
+        ) as service:
+            (shard,) = service.engine.index.shards
+            assert shard.backing == "ram"
+        assert [path.name for path in tmp_path.iterdir()][0].endswith("-s1")
+
+    def test_memory_budget_applies_at_one_shard(self, sharded_setup, tmp_path):
+        # The budget needs no shard count: the default single shard goes out
+        # of core like any other, and answers like the in-RAM engine.
+        graph, matrix, params, reference = sharded_setup
+        with ReverseTopKService.from_graph(
+            graph, params, transition=matrix, snapshot_dir=tmp_path, memory_budget=0
+        ) as service:
+            (shard,) = service.engine.index.shards
+            assert shard.backing == "memmap"
+            for (query, k), result in zip(REQUESTS, service.serve(REQUESTS)):
+                direct = reference.query(query, k, update_index=False)
+                np.testing.assert_array_equal(result.nodes, direct.nodes)
 
     def test_warm_start_from_sharded_layout(self, sharded_setup, tmp_path):
         graph, matrix, params, _ = sharded_setup
@@ -182,11 +195,9 @@ class TestConcurrentLazyOpen:
         # columnar view.
         import threading
 
-        from repro.core import ShardedReverseTopKEngine
-
         graph, matrix, params, reference = sharded_setup
         manager = SnapshotManager(tmp_path)
-        manager.build_or_load_sharded(
+        manager.build_or_load(
             graph, params, transition=matrix, n_shards=6, memory_budget=0
         )
         expected = {
@@ -194,10 +205,10 @@ class TestConcurrentLazyOpen:
             for query in range(0, 140, 17)
         }
         for _ in range(3):
-            cold, _ = manager.build_or_load_sharded(
+            cold, _ = manager.build_or_load(
                 graph, params, transition=matrix, n_shards=6, memory_budget=0
             )
-            engine = ShardedReverseTopKEngine(matrix, cold, scan_workers=4)
+            engine = ReverseTopKEngine(matrix, cold, scan_workers=4)
             errors = []
 
             def worker(query):
@@ -263,7 +274,7 @@ class TestFreshProcessSmoke:
         """A cold replica must be able to serve from the layout alone."""
         graph, matrix, params, reference = sharded_setup
         manager = SnapshotManager(tmp_path)
-        index, _ = manager.build_or_load_sharded(
+        index, _ = manager.build_or_load(
             graph, params, transition=matrix, n_shards=4, memory_budget=0
         )
         layout = index.directory
@@ -271,14 +282,14 @@ class TestFreshProcessSmoke:
         expected = reference.query(11, 5, update_index=False)
         script = f"""
 import numpy as np
-from repro.core import ShardedReverseTopKIndex, ShardedReverseTopKEngine
+from repro.core import ReverseTopKEngine, ReverseTopKIndex
 from repro.graph import copying_web_graph, transition_matrix
 
 graph = copying_web_graph(140, out_degree=4, seed=23)
 matrix = transition_matrix(graph)
-index = ShardedReverseTopKIndex.load({str(layout)!r}, memory_budget=0)
+index = ReverseTopKIndex.load({str(layout)!r}, memory_budget=0)
 assert all(shard.backing == "memmap" for shard in index.shards)
-engine = ShardedReverseTopKEngine(matrix, index)
+engine = ReverseTopKEngine(matrix, index)
 result = engine.query(11, 5, update_index=False)
 print("NODES:" + ",".join(str(int(n)) for n in result.nodes))
 """

@@ -82,22 +82,52 @@ class TestFingerprints:
         # An index built for one transition must never warm-start an engine
         # paired with a different one.
         manager = SnapshotManager(tmp_path)
-        manager.load_or_build(
+        manager.build_or_load(
             small_web_graph, small_params, transition=small_transition
         )
         other = (small_transition * 0.5).tocsc()
-        _, hit = manager.load_or_build(small_web_graph, small_params, transition=other)
+        _, hit = manager.build_or_load(small_web_graph, small_params, transition=other)
         assert not hit
 
 
+def _meta_path(manager, graph, params, transition):
+    directory = manager.sharded_path_for(
+        graph, params.for_graph(graph.n_nodes), transition, n_shards=1
+    )
+    return directory / "sharded-meta.npz"
+
+
 class TestSnapshotManager:
+    def test_old_npz_snapshot_is_a_miss_once(
+        self, tmp_path, small_web_graph, small_transition, small_params
+    ):
+        # Snapshots from before the layout became the only format were
+        # single ``lbi-<key>.npz`` archives: they are never read, the first
+        # start rebuilds once and archives the layout next to them.
+        key = snapshot_key(
+            small_web_graph,
+            small_params.for_graph(small_web_graph.n_nodes),
+            small_transition,
+        )
+        (tmp_path / f"lbi-{key}.npz").write_bytes(b"an archive of the old format")
+        manager = SnapshotManager(tmp_path)
+        _, hit = manager.build_or_load(
+            small_web_graph, small_params, transition=small_transition
+        )
+        assert not hit
+        _, hit = manager.build_or_load(
+            small_web_graph, small_params, transition=small_transition
+        )
+        assert hit
+
+
     def test_miss_then_hit(self, tmp_path, small_web_graph, small_transition, small_params):
         manager = SnapshotManager(tmp_path / "snaps")
-        index, from_snapshot = manager.load_or_build(
+        index, from_snapshot = manager.build_or_load(
             small_web_graph, small_params, transition=small_transition
         )
         assert not from_snapshot
-        reloaded, second = manager.load_or_build(
+        reloaded, second = manager.build_or_load(
             small_web_graph, small_params, transition=small_transition
         )
         assert second
@@ -111,7 +141,7 @@ class TestSnapshotManager:
         manager = SnapshotManager(tmp_path)
         fresh = build_index(small_web_graph, small_params, transition=small_transition)
         manager.store(fresh, small_web_graph, transition=small_transition)
-        loaded, hit = manager.load_or_build(
+        loaded, hit = manager.build_or_load(
             small_web_graph, small_params, transition=small_transition
         )
         assert hit
@@ -129,74 +159,85 @@ class TestSnapshotManager:
         manager = SnapshotManager(tmp_path)
         a = IndexParams(capacity=8, hub_budget=2)
         b = IndexParams(capacity=12, hub_budget=2)
-        manager.load_or_build(small_web_graph, a, transition=small_transition)
-        _, hit = manager.load_or_build(small_web_graph, b, transition=small_transition)
+        manager.build_or_load(small_web_graph, a, transition=small_transition)
+        _, hit = manager.build_or_load(small_web_graph, b, transition=small_transition)
         assert not hit
-        assert len(list(manager.directory.glob("lbi-*.npz"))) == 2
+        assert len(list(manager.directory.glob("lbi-*"))) == 2
 
-    def test_corrupted_archive_is_a_miss(
+    def test_corrupted_meta_is_a_miss(
         self, tmp_path, small_web_graph, small_transition, small_params
     ):
         manager = SnapshotManager(tmp_path)
-        index, _ = manager.load_or_build(
+        index, _ = manager.build_or_load(
             small_web_graph, small_params, transition=small_transition
         )
-        path = manager.path_for(
-            small_web_graph,
-            small_params.for_graph(small_web_graph.n_nodes),
-            small_transition,
-        )
+        path = _meta_path(manager, small_web_graph, small_params, small_transition)
         path.write_bytes(b"not an npz archive")
-        rebuilt, hit = manager.load_or_build(
+        rebuilt, hit = manager.build_or_load(
             small_web_graph, small_params, transition=small_transition
         )
         assert not hit
         assert rebuilt.n_nodes == index.n_nodes
-        # The rebuild re-archived a valid snapshot over the corrupted file.
-        _, hit_again = manager.load_or_build(
+        # The rebuild re-archived a valid layout over the corrupted one.
+        _, hit_again = manager.build_or_load(
             small_web_graph, small_params, transition=small_transition
         )
         assert hit_again
 
-    def test_truncated_archive_is_a_miss(
+    def test_layout_missing_a_shard_file_is_a_miss(
         self, tmp_path, small_web_graph, small_transition, small_params
     ):
         manager = SnapshotManager(tmp_path)
-        index, _ = manager.load_or_build(
+        index, _ = manager.build_or_load(
             small_web_graph, small_params, transition=small_transition
         )
-        path = manager.path_for(
-            small_web_graph,
-            small_params.for_graph(small_web_graph.n_nodes),
-            small_transition,
+        layout = _meta_path(manager, small_web_graph, small_params, small_transition).parent
+        (layout / "shard-00000.states.retained_keys.npy").unlink()
+        rebuilt, hit = manager.build_or_load(
+            small_web_graph, small_params, transition=small_transition
         )
+        assert not hit
+        assert rebuilt.n_nodes == index.n_nodes
+        _, hit = manager.build_or_load(
+            small_web_graph, small_params, transition=small_transition
+        )
+        assert hit  # the rebuild re-archived a whole layout
+
+    def test_truncated_meta_is_a_miss(
+        self, tmp_path, small_web_graph, small_transition, small_params
+    ):
+        manager = SnapshotManager(tmp_path)
+        index, _ = manager.build_or_load(
+            small_web_graph, small_params, transition=small_transition
+        )
+        path = _meta_path(manager, small_web_graph, small_params, small_transition)
         payload = path.read_bytes()
         path.write_bytes(payload[: len(payload) // 2])  # torn but zip-magic-led
-        rebuilt, hit = manager.load_or_build(
+        rebuilt, hit = manager.build_or_load(
             small_web_graph, small_params, transition=small_transition
         )
         assert not hit
         assert rebuilt.n_nodes == index.n_nodes
 
-    def test_store_on_miss_false_leaves_no_archive(
+    def test_store_on_miss_false_leaves_no_layout(
         self, tmp_path, small_web_graph, small_transition, small_params
     ):
         manager = SnapshotManager(tmp_path)
-        manager.load_or_build(
+        manager.build_or_load(
             small_web_graph,
             small_params,
             transition=small_transition,
             store_on_miss=False,
         )
-        assert not list(manager.directory.glob("*.npz"))
+        assert not list(manager.directory.iterdir())
 
     def test_key_uses_effective_params(self, tmp_path, small_transition, small_web_graph):
         # Defaults get clamped by for_graph; the snapshot must be found again
         # whether the caller passes the raw or the clamped parameters.
         manager = SnapshotManager(tmp_path)
         raw = IndexParams()  # capacity 200 clamps to n_nodes
-        manager.load_or_build(small_web_graph, raw, transition=small_transition)
-        _, hit = manager.load_or_build(
+        manager.build_or_load(small_web_graph, raw, transition=small_transition)
+        _, hit = manager.build_or_load(
             small_web_graph,
             raw.for_graph(small_web_graph.n_nodes),
             transition=small_transition,
@@ -216,7 +257,7 @@ class TestParallelBuildOrLoad:
         assert index.n_nodes == small_web_graph.n_nodes
         # The parallel cold path archives under the same content key a
         # serial build would use, so the next start is a warm hit either way.
-        _, hit_serial = manager.load_or_build(
+        _, hit_serial = manager.build_or_load(
             small_web_graph, small_params, transition=small_transition
         )
         assert hit_serial
@@ -242,7 +283,7 @@ class TestParallelBuildOrLoad:
             parallel.columns.lower, serial.columns.lower
         )
 
-    def test_parallel_none_matches_load_or_build(
+    def test_parallel_none_builds_in_process(
         self, tmp_path, small_web_graph, small_transition, small_params
     ):
         manager = SnapshotManager(tmp_path)
@@ -250,7 +291,7 @@ class TestParallelBuildOrLoad:
             small_web_graph, small_params, transition=small_transition
         )
         assert not hit
-        reference, hit = manager.load_or_build(
+        reference, hit = manager.build_or_load(
             small_web_graph, small_params, transition=small_transition
         )
         assert hit
