@@ -6,8 +6,8 @@ of a default 500k-node synthetic web crawl, with every stage built for
 bounded memory:
 
 1. **ingest** — a deterministic power-law edge list is generated on disk
-   (or a cached real SNAP dataset is used) and streamed into CSR in chunks,
-   never materialising per-edge Python objects.
+   and streamed into CSR in chunks, never materialising per-edge Python
+   objects.
 2. **build** — a parallel sharded index build writes residual/retained/hub
    state straight into columnar arrays (zero per-node ``NodeState``
    materialisations, asserted) and spills each shard to a memmap layout.
@@ -57,7 +57,6 @@ from repro.core.statestore import (  # noqa: E402
 from repro.dynamic.maintainer import IndexMaintainer  # noqa: E402
 from repro.graph import DiGraph, transition_matrix  # noqa: E402
 from repro.graph.datasets import write_synthetic_edge_list  # noqa: E402
-from repro.graph.download import REMOTE_DATASETS, dataset_cached, fetch_dataset  # noqa: E402
 from repro.graph.io import stream_edge_list  # noqa: E402
 
 RESULTS_JSON = Path(__file__).resolve().parent / "results" / "large_graph.json"
@@ -92,24 +91,17 @@ def _phase(record: dict, name: str, seconds: float, **extra) -> None:
 
 def _ingest(args, workdir: Path, record: dict) -> DiGraph:
     started = time.perf_counter()
-    if args.dataset:
-        path = fetch_dataset(args.dataset)
-        spec = REMOTE_DATASETS[args.dataset.strip().lower()]
-        graph = stream_edge_list(path, weighted=spec.weighted)
-        source = f"real:{args.dataset}"
-    else:
-        n_nodes = max(1_000, int(args.nodes * args.scale))
-        path = workdir / f"synthetic-{n_nodes}.txt"
-        write_synthetic_edge_list(
-            path, n_nodes=n_nodes, avg_out_degree=args.avg_degree, seed=args.seed
-        )
-        graph = stream_edge_list(path, n_nodes=n_nodes)
-        source = "synthetic"
+    n_nodes = max(1_000, int(args.nodes * args.scale))
+    path = workdir / f"synthetic-{n_nodes}.txt"
+    write_synthetic_edge_list(
+        path, n_nodes=n_nodes, avg_out_degree=args.avg_degree, seed=args.seed
+    )
+    graph = stream_edge_list(path, n_nodes=n_nodes)
     _phase(
         record,
         "ingest",
         time.perf_counter() - started,
-        source=source,
+        source="synthetic",
         n_nodes=graph.n_nodes,
         n_edges=graph.n_edges,
         file_mb=round(path.stat().st_size / 2**20, 1),
@@ -211,10 +203,6 @@ def main(argv=None) -> dict:
     parser.add_argument("--scale", type=float, default=1.0,
                         help="fraction of --nodes to actually run")
     parser.add_argument("--avg-degree", type=float, default=6.0)
-    parser.add_argument("--dataset", type=str, default=None,
-                        help="use a real cached/downloadable dataset "
-                             f"({', '.join(sorted(REMOTE_DATASETS))}) instead "
-                             "of the synthetic edge list")
     parser.add_argument("--shards", type=int, default=8)
     parser.add_argument("--workers", type=int,
                         default=max(1, min(4, os.cpu_count() or 1)))
@@ -230,7 +218,6 @@ def main(argv=None) -> dict:
             "nodes": args.nodes,
             "scale": args.scale,
             "avg_degree": args.avg_degree,
-            "dataset": args.dataset,
             "capacity": CAPACITY,
             "hub_budget": HUB_BUDGET,
             "propagation_threshold": ETA,

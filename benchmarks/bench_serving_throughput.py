@@ -38,7 +38,6 @@ CONFIG = ServiceConfig(
     cache_capacity=512,
     max_batch_size=64,
     n_workers=2,
-    backend="thread",
 )
 
 RESULTS_JSON = Path(__file__).resolve().parent / "results" / "serving_throughput.json"
@@ -93,7 +92,6 @@ def test_serving_throughput():
             "cache_capacity": CONFIG.cache_capacity,
             "max_batch_size": CONFIG.max_batch_size,
             "n_workers": CONFIG.n_workers,
-            "backend": CONFIG.backend,
         },
         "naive_seconds": naive_timer.elapsed,
         "naive_qps": naive_qps,

@@ -2,14 +2,26 @@
 
 import copy
 
+import numpy as np
 import pytest
 
 from repro.core import ReverseTopKEngine, build_index
-from repro.evaluation import figure5_query_time
+from repro.workloads import uniform_query_workload
 
 BENCH_DATASETS = ("web-stanford-cs", "epinions", "web-stanford", "web-google")
 K_VALUES = (5, 10, 20, 50)
 N_QUERIES = 15
+
+
+def figure5_query_time(matrix, index, workload):
+    """Mean query seconds per ``k``, on a fresh index copy per (k, mode)."""
+    update_seconds, no_update_seconds = [], []
+    for k in K_VALUES:
+        for update, bucket in ((True, update_seconds), (False, no_update_seconds)):
+            engine = ReverseTopKEngine(matrix, copy.deepcopy(index))
+            results = engine.query_many(list(workload), k, update_index=update)
+            bucket.append(float(np.mean([r.statistics.seconds for r in results])))
+    return update_seconds, no_update_seconds
 
 
 @pytest.mark.parametrize("dataset", BENCH_DATASETS)
@@ -28,17 +40,17 @@ def test_fig5_query_time(benchmark, bench_graphs, bench_transitions, bench_param
     vec = fresh.query(1, 10, update_index=False)
     assert {"pmpn", "scan", "refine"} <= set(vec.statistics.stage_seconds)
 
-    result = figure5_query_time(
+    workload = uniform_query_workload(graph, N_QUERIES, seed=0)
+    update_seconds, no_update_seconds = figure5_query_time(matrix, index, workload)
+    write_result_file(
+        f"figure5_{dataset}",
         graph,
-        k_values=K_VALUES,
-        n_queries=N_QUERIES,
-        params=bench_params,
-        graph_name=dataset,
+        ["k", "update (s)", "no-update (s)"],
+        list(zip(K_VALUES, update_seconds, no_update_seconds)),
+        title=f"Figure 5 — average query time, {dataset}",
     )
-    write_result_file(f"figure5_{dataset}", result.text)
-    print("\n" + result.text)
 
     # Shape check: queries stay usable across the whole k range (the paper's
     # figures stay within the same order of magnitude from k=5 to k=100).
-    series = result.data["update_seconds"] + result.data["no_update_seconds"]
+    series = update_seconds + no_update_seconds
     assert max(series) < 100 * min(series) + 1.0

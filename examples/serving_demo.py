@@ -32,9 +32,7 @@ from repro.workloads import replay, zipfian_query_workload
 def main() -> None:
     graph = copying_web_graph(600, out_degree=6, seed=42)
     params = IndexParams(capacity=50, hub_budget=10)
-    config = ServiceConfig(
-        cache_capacity=256, max_batch_size=32, n_workers=2, backend="thread"
-    )
+    config = ServiceConfig(cache_capacity=256, max_batch_size=32, n_workers=2)
     print(f"graph: {graph.n_nodes} nodes, {graph.n_edges} edges")
 
     with tempfile.TemporaryDirectory() as tmp:

@@ -7,21 +7,20 @@ The package is organised in layers:
 
 * :mod:`repro.graph` — graph substrate (directed graphs, transition matrices,
   generators, dataset stand-ins, I/O);
-* :mod:`repro.rwr` — RWR proximity primitives (power method, direct solvers,
-  classic BCA, Monte Carlo, PageRank);
+* :mod:`repro.rwr` — exact RWR proximity (power method, direct solvers);
 * :mod:`repro.core` — the paper's contribution (lower-bound index, PMPN,
   staircase upper bounds, online query engine, brute-force baselines);
-* :mod:`repro.topk` — top-k RWR search baselines from related work;
-* :mod:`repro.apps` — applications: spam detection, author popularity,
-  product influence;
-* :mod:`repro.workloads`, :mod:`repro.evaluation` — workload generators and
-  the experiment harness that regenerates the paper's tables and figures;
+* :mod:`repro.workloads` — query and churn workload generators;
 * :mod:`repro.serving` — the serving runtime: result caching, request
-  batching/dedup, thread/process parallel execution, and warm-start index
+  batching/dedup, thread-parallel execution, and warm-start index
   snapshots behind the :class:`ReverseTopKService` façade;
 * :mod:`repro.dynamic` — the dynamic-graph subsystem: a delta overlay over
   the immutable CSR, incremental index maintenance with conservative state
-  invalidation, and the :class:`DynamicReverseTopKService` update path.
+  invalidation, and the :class:`DynamicReverseTopKService` update path;
+* :mod:`repro.net` — the asyncio HTTP front door over the services.
+
+The paper's tables and figures are regenerated by the scripts in
+``benchmarks/figures/``, clients of this package like any other.
 
 Quickstart
 ----------

@@ -6,8 +6,7 @@ Modules
     Parameter dataclasses (``IndexParams``, ``QueryParams``) with the paper's
     defaults (α=0.15, K=200, η=1e-4, δ=0.1, ω=1e-6, ε=1e-10).
 ``hubs``
-    Hub selection: the paper's degree-based heuristic (§4.1.1) and Berkhin's
-    greedy BCA-driven scheme for comparison.
+    Hub selection: the paper's degree-based heuristic (§4.1.1).
 ``lbi``
     Algorithm 1 — Lower Bound Indexing via batched BCA with hubs: the hub
     matrix, the kernel's pool worker, single-node rebuild and refinement.
@@ -28,8 +27,6 @@ Modules
     shard.
 ``baseline``
     Brute-force comparators: BF, IBF and FBF (§3, §5.3).
-``estimates``
-    Theorem 1 storage estimate and Proposition 3 rounding-error bound.
 """
 
 from .baseline import (
@@ -44,8 +41,7 @@ from .bounds import (
     staircase_levels,
 )
 from .config import IndexParams, QueryParams, SCAN_PRECISIONS
-from .estimates import predicted_index_bytes, rounding_error_bound
-from .hubs import degree_union_hubs, select_hubs_by_degree, select_hubs_greedy, HubSet
+from .hubs import degree_union_hubs, select_hubs_by_degree, HubSet
 from .index import NodeState, ColumnarView
 from .lbi import rebuild_node_state, refine_node_state
 from .pmpn import proximity_to_node, PMPNPlan, PMPNResult
@@ -68,7 +64,6 @@ __all__ = [
     "columnar_stage_decisions",
     "degree_union_hubs",
     "select_hubs_by_degree",
-    "select_hubs_greedy",
     "HubSet",
     "BuildReport",
     "PropagationKernel",
@@ -92,6 +87,4 @@ __all__ = [
     "brute_force_reverse_topk",
     "InfeasibleBruteForce",
     "FeasibleBruteForce",
-    "predicted_index_bytes",
-    "rounding_error_bound",
 ]

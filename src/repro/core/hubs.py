@@ -1,23 +1,19 @@
-"""Hub selection strategies (Section 4.1.1).
+"""Hub selection (Section 4.1.1).
 
 The paper replaces Berkhin's expensive greedy hub discovery with a simple
 degree heuristic: take the union of the ``B`` highest in-degree nodes and the
-``B`` highest out-degree nodes.  Both strategies are implemented so the
-ablation benchmark can compare them.
+``B`` highest out-degree nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
-from .._validation import check_non_negative_int, check_positive_int
+from .._validation import check_non_negative_int
 from ..graph.digraph import DiGraph
-from ..rwr.bca import push_proximity_vector
-from ..utils.rng import SeedLike, ensure_rng
 
 
 @dataclass(frozen=True)
@@ -107,64 +103,3 @@ def select_hubs_by_degree(graph: DiGraph, budget: int) -> HubSet:
     """
     return degree_union_hubs(graph.in_degree, graph.out_degree, budget)
 
-
-def select_hubs_greedy(
-    graph: DiGraph,
-    transition: sp.spmatrix,
-    n_hubs: int,
-    *,
-    alpha: float = 0.15,
-    propagation_threshold: float = 1e-4,
-    n_probes: Optional[int] = None,
-    seed: SeedLike = 0,
-) -> HubSet:
-    """Berkhin's greedy hub selection (reviewed in §2.2), for the ablation.
-
-    Repeatedly run (partial) BCA from a random start node and promote the
-    node holding the largest retained ink that is not yet a hub.  The paper
-    argues this is too expensive on large graphs; the ablation benchmark
-    quantifies how close the cheap degree heuristic gets.
-
-    Parameters
-    ----------
-    n_hubs:
-        Number of hubs to select.
-    n_probes:
-        Number of BCA probe runs (defaults to ``2 * n_hubs``).
-    """
-    n_hubs = check_positive_int(n_hubs, "n_hubs")
-    n_hubs = min(n_hubs, graph.n_nodes)
-    if n_probes is None:
-        n_probes = 2 * n_hubs
-    rng = ensure_rng(seed)
-    hubs: list[int] = []
-    chosen = set()
-    probes = 0
-    while len(hubs) < n_hubs and probes < n_probes:
-        probes += 1
-        start = int(rng.integers(0, graph.n_nodes))
-        result = push_proximity_vector(
-            transition,
-            start,
-            alpha=alpha,
-            propagation_threshold=propagation_threshold,
-        )
-        order = np.argsort(-result.retained)
-        for node in order:
-            node = int(node)
-            if result.retained[node] <= 0:
-                break
-            if node not in chosen:
-                hubs.append(node)
-                chosen.add(node)
-                break
-    # Top up with high-degree nodes if probing did not find enough hubs.
-    if len(hubs) < n_hubs:
-        fallback = select_hubs_by_degree(graph, n_hubs)
-        for node in fallback:
-            if node not in chosen:
-                hubs.append(node)
-                chosen.add(node)
-            if len(hubs) >= n_hubs:
-                break
-    return HubSet.from_iterable(hubs)

@@ -15,9 +15,7 @@ half-maintained index:
    invalidation; full rebuild past the staleness threshold), bumping the
    index version exactly once — which retires every cached answer of the
    previous graph generation from the LRU :class:`ResultCache`;
-3. stale process-pool workers are discarded before the lock is released
-   (thread workers share the live engine and follow automatically);
-4. when a :class:`SnapshotManager` is configured, the maintained index is
+3. when a :class:`SnapshotManager` is configured, the maintained index is
    re-archived under the *new* graph's content key, so a restart against the
    mutated graph warm-starts — the old archive misses naturally, since the
    key hashes the CSR arrays.
@@ -372,7 +370,6 @@ class DynamicReverseTopKService(ReverseTopKService):
                 # stale bounds forever.
                 self.graph.mark_touched(touched)
                 raise
-            self._discard_stale_workers(version_before)
             version_after = self.engine.index.version
             if version_after != version_before:
                 # The bump just retired one whole cache generation; drop its
@@ -446,5 +443,5 @@ class DynamicReverseTopKService(ReverseTopKService):
             f"DynamicReverseTopKService(n_nodes={self.engine.n_nodes}, "
             f"n_edges={self.graph.n_edges}, "
             f"cache={self.config.cache_capacity}, "
-            f"workers={self.config.n_workers}/{self.config.backend})"
+            f"workers={self.config.n_workers})"
         )

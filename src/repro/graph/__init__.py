@@ -8,7 +8,6 @@ I/O.
 """
 
 from . import datasets
-from . import download
 from .builder import GraphBuilder, from_edges
 from .digraph import DiGraph
 from .generators import (
@@ -57,7 +56,6 @@ __all__ = [
     "star_graph",
     "complete_graph",
     "datasets",
-    "download",
     "read_edge_list",
     "stream_edge_list",
     "write_edge_list",

@@ -31,29 +31,14 @@ import numpy as np
 from ..exceptions import SerializationError
 from ..utils.rng import SeedLike
 from .digraph import DiGraph
-from .download import (
-    REMOTE_DATASETS,
-    DatasetUnavailableError,
-    dataset_cached,
-    fetch_dataset,
-    is_offline,
-)
 from .generators import (
     coauthorship_graph,
     copying_web_graph,
-    copurchase_graph,
     spam_host_graph,
     trust_graph,
 )
-from .io import stream_edge_list
 
 PathLike = Union[str, os.PathLike]
-
-#: Environment variable selecting the default ``source`` for ``load_dataset``.
-SOURCE_ENV = "REPRO_DATA_SOURCE"
-
-#: Accepted values for the ``source`` parameter of :func:`load_dataset`.
-DATASET_SOURCES = ("synthetic", "real", "auto")
 
 
 @dataclass(frozen=True)
@@ -139,75 +124,19 @@ def dblp(*, scale: float = 1.0, seed: SeedLike = 5) -> Tuple[DiGraph, np.ndarray
     return coauthorship_graph(n, n_prolific=max(3, n // 400), seed=seed)
 
 
-def amazon_copurchase(*, scale: float = 1.0, seed: SeedLike = 6) -> Tuple[DiGraph, np.ndarray]:
-    """Product co-purchase graph for the §1 recommendation example."""
-    n = max(100, int(1_500 * scale))
-    return copurchase_graph(n, seed=seed)
-
-
-def load_real_dataset(name: str, *, cache: Optional[PathLike] = None) -> DiGraph:
-    """Load the *real* edge list behind a paper dataset name.
-
-    Downloads (or serves from the ``REPRO_DATA_DIR`` cache) the SNAP snapshot
-    registered in :data:`repro.graph.download.REMOTE_DATASETS` and streams it
-    straight into CSR — no per-edge Python objects.  Raises
-    :class:`DatasetUnavailableError` when the file is absent and the
-    environment is offline or the download fails.
-    """
-    key = name.strip().lower()
-    if key not in REMOTE_DATASETS:
-        available = ", ".join(sorted(REMOTE_DATASETS))
-        raise KeyError(f"no real download registered for {name!r}; available: {available}")
-    spec = REMOTE_DATASETS[key]
-    path = fetch_dataset(spec, cache=cache)
-    return stream_edge_list(path, comment=spec.comment, weighted=spec.weighted)
-
-
-def default_source() -> str:
-    """Default ``source`` for :func:`load_dataset` (``REPRO_DATA_SOURCE`` env)."""
-    value = os.environ.get(SOURCE_ENV, "synthetic").strip().lower()
-    return value if value in DATASET_SOURCES else "synthetic"
-
-
 def load_dataset(
     name: str,
     *,
     scale: float = 1.0,
     seed: Optional[SeedLike] = None,
-    source: Optional[str] = None,
 ) -> DiGraph:
-    """Load an unlabeled benchmark graph by paper dataset name.
-
-    ``source`` selects where the graph comes from:
-
-    * ``"synthetic"`` (default) — the seeded stand-in generators; fully
-      deterministic and offline.
-    * ``"real"`` — the actual SNAP edge list via the download/cache layer
-      (raises when unavailable; ``scale``/``seed`` are ignored).
-    * ``"auto"`` — the real dataset when it is already cached or can be
-      fetched, silently falling back to the synthetic stand-in otherwise
-      (e.g. under ``REPRO_OFFLINE=1``).
-
-    When ``source`` is omitted, the ``REPRO_DATA_SOURCE`` environment
-    variable chooses (defaulting to ``"synthetic"``).
+    """Load the seeded synthetic stand-in of a paper dataset by name.
 
     ``webspam`` and ``dblp`` carry side information (labels / paper counts);
     use their dedicated loaders when you need it — this function returns only
     the graph.
     """
     key = name.strip().lower()
-    if source is None:
-        source = default_source()
-    if source not in DATASET_SOURCES:
-        raise ValueError(f"source must be one of {DATASET_SOURCES}, got {source!r}")
-    if source == "real":
-        return load_real_dataset(key)
-    if source == "auto" and key in REMOTE_DATASETS:
-        if dataset_cached(key) or not is_offline():
-            try:
-                return load_real_dataset(key)
-            except DatasetUnavailableError:
-                pass  # fall back to the synthetic stand-in below
     loaders = {
         "web-stanford-cs": web_stanford_cs,
         "epinions": epinions,
@@ -247,9 +176,9 @@ def write_synthetic_edge_list(
 
     Produces a ``source target`` text file (SNAP format, ``#`` header) with
     heavy-tailed in-degrees, generated and written in vectorised blocks so
-    million-edge files take seconds and bounded memory.  This is the offline
-    stand-in used by the large-graph benchmark when no real dataset is
-    cached.  Returns the number of edges written (before duplicate merging).
+    million-edge files take seconds and bounded memory: the input of the
+    large-graph benchmark and of the perf harness's memmap workloads.
+    Returns the number of edges written (before duplicate merging).
     """
     if n_nodes <= 0:
         raise SerializationError(f"n_nodes must be positive, got {n_nodes}")

@@ -177,7 +177,7 @@ def copying_web_graph(
     prototype page, otherwise it points to a uniformly random page.  The model
     produces the power-law in-degree and tight-knit communities typical of web
     crawls, making it our stand-in for the paper's Web-stanford/Web-google
-    datasets (see DESIGN.md substitution table).
+    datasets (see the substitution table in :mod:`repro.graph.datasets`).
     """
     n = check_positive_int(n_nodes, "n_nodes")
     d = check_positive_int(out_degree, "out_degree")
@@ -392,40 +392,3 @@ def coauthorship_graph(
     graph = builder.build(node_names=[f"author-{i}" for i in range(n)])
     return graph, paper_counts
 
-
-def copurchase_graph(
-    n_products: int,
-    *,
-    n_categories: int = 12,
-    out_degree_mean: float = 5.0,
-    seed: SeedLike = None,
-) -> Tuple[DiGraph, np.ndarray]:
-    """Product co-purchase graph (the §1 recommendation motivation).
-
-    Directed edge ``i -> j`` means "customers who bought *i* also bought *j*";
-    edges stay mostly within a product category with a popularity-skewed
-    target choice.  Returns the graph and the category assignment.
-    """
-    n = check_positive_int(n_products, "n_products")
-    n_categories = check_positive_int(n_categories, "n_categories")
-    rng = ensure_rng(seed)
-    category = rng.integers(0, n_categories, size=n)
-    popularity = rng.pareto(1.6, size=n) + 1.0
-
-    sources: list[int] = []
-    targets: list[int] = []
-    for product in range(n):
-        degree = max(1, int(rng.poisson(out_degree_mean)))
-        same = np.flatnonzero(category == category[product])
-        for _ in range(degree):
-            pool = same if (rng.random() < 0.8 and same.size > 1) else np.arange(n)
-            weights = popularity[pool]
-            target = int(rng.choice(pool, p=weights / weights.sum()))
-            if target != product:
-                sources.append(product)
-                targets.append(target)
-    matrix = sp.csr_matrix(
-        (np.ones(len(sources)), (np.asarray(sources), np.asarray(targets))),
-        shape=(n, n),
-    )
-    return DiGraph(matrix), category

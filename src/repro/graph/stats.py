@@ -1,4 +1,4 @@
-"""Graph summary statistics used by the evaluation harness and DESIGN docs."""
+"""Graph summary statistics, printed beside each paper figure's table."""
 
 from __future__ import annotations
 

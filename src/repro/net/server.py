@@ -68,6 +68,7 @@ import argparse
 import asyncio
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+import re
 import sys
 import threading
 import time
@@ -76,7 +77,7 @@ from typing import Dict, Optional, Tuple
 from .._validation import check_positive_int
 from ..dynamic.graph import GraphUpdate
 from ..dynamic.service import DynamicReverseTopKService
-from ..exceptions import ServiceClosedError
+from ..exceptions import GraphError, ServiceClosedError
 from ..obs.registry import MetricsRegistry
 from ..obs.slowlog import SlowQueryLog
 from ..obs.tracing import Trace, current_span, trace_span
@@ -98,6 +99,9 @@ from .http import (
     render_response,
 )
 from .rollover import RolloverManager
+
+#: A GET parameter's integer: ASCII decimal digits, optionally signed.
+_DECIMAL_INT = re.compile(r"[+-]?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -477,20 +481,27 @@ class ReverseTopKServer:
 
     @staticmethod
     def _query_args(request: HttpRequest) -> Tuple[int, int]:
+        """``(query, k)``: JSON ints in a POST body, decimal digits in GET params.
+
+        Nothing is coerced: a JSON ``true``, ``3.9`` or ``1e400`` is a client
+        error, not node 1, node 3 or an overflow.
+        """
         if request.method == "POST":
             body = request.json()
             if not isinstance(body, dict):
                 raise HttpError(400, "body must be a JSON object")
-            raw_query, raw_k = body.get("query"), body.get("k")
+            raw = (body.get("query"), body.get("k"))
+            valid = all(type(value) is int for value in raw)
         else:
-            raw_query, raw_k = request.params.get("query"), request.params.get("k")
-        if raw_query is None or raw_k is None:
+            raw = (request.params.get("query"), request.params.get("k"))
+            valid = all(
+                value is None or _DECIMAL_INT.fullmatch(value) for value in raw
+            )
+        if None in raw:
             raise HttpError(400, "both 'query' and 'k' are required")
-        try:
-            query, k = int(raw_query), int(raw_k)
-        except (TypeError, ValueError) as exc:
-            raise HttpError(400, "'query' and 'k' must be integers") from exc
-        return query, k
+        if not valid:
+            raise HttpError(400, "'query' and 'k' must be integers")
+        return int(raw[0]), int(raw[1])
 
     @staticmethod
     def _wants_prometheus(request: HttpRequest) -> bool:
@@ -654,9 +665,14 @@ class ReverseTopKServer:
             raise HttpError(400, "'updates' must be a list")
         try:
             batch = [GraphUpdate.coerce(tuple(item)) for item in raw_updates]
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, GraphError) as exc:
             raise HttpError(400, f"bad update batch: {exc}") from exc
-        report = await self.rollover.apply_updates(batch)
+        try:
+            report = await self.rollover.apply_updates(batch)
+        except GraphError as exc:
+            # The batch is rejected whole (a duplicate add, a missing edge):
+            # the serving generation is untouched.
+            raise HttpError(400, f"rejected update batch: {exc}") from exc
         generation = self.rollover.current
         return 200, {
             "applied": len(batch),

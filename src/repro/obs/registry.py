@@ -195,17 +195,17 @@ class Histogram:
         with self._lock:
             backing = self._backing
             if backing is None:
-                cumulative = []
-                running = 0
-                for edge, count in zip(self.buckets, self._counts):
-                    running += count
-                    cumulative.append((edge, running))
-                return {
-                    "buckets": cumulative,
-                    "count": self._count,
-                    "sum": self._sum,
-                }
+                return self._own_snapshot()
         return backing.summary(self.buckets)
+
+    def _own_snapshot(self) -> Dict[str, object]:
+        """The self-contained snapshot; the caller holds the lock."""
+        cumulative = []
+        running = 0
+        for edge, count in zip(self.buckets, self._counts):
+            running += count
+            cumulative.append((edge, running))
+        return {"buckets": cumulative, "count": self._count, "sum": self._sum}
 
 
 _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
@@ -386,25 +386,52 @@ class MetricsRegistry:
     # ------------------------------------------------------------------ #
     # export
     # ------------------------------------------------------------------ #
+    def _cut(self) -> List[Tuple[MetricFamily, List[Tuple[tuple, object]]]]:
+        """Every family's ``(label key, value or snapshot)`` pairs, read in
+        one hold of the registry lock.
+
+        Reading child by child would let a writer advance between two reads
+        of the same pass.  Backed histograms are the exception: their
+        observations land in the backing accumulator outside the registry
+        lock, so they are summarised after the cut.
+        """
+        cut = []
+        with self._lock:
+            for name in sorted(self._families):
+                family = self._families[name]
+                samples = []
+                for key, child in sorted(family._children.items()):
+                    if family.kind != "histogram":
+                        samples.append((key, child._value))
+                    elif child._backing is None:
+                        samples.append((key, child._own_snapshot()))
+                    else:
+                        samples.append((key, child))
+                cut.append((family, samples))
+        for _, samples in cut:
+            for position, (key, value) in enumerate(samples):
+                if isinstance(value, Histogram):
+                    samples[position] = (key, value.snapshot())
+        return cut
+
     def as_dict(self) -> Dict[str, object]:
         """JSON-ready snapshot of every family (one consistent cut)."""
         payload: Dict[str, object] = {}
-        for family in self.families():
+        for family, cut in self._cut():
             samples = []
-            for key, child in family.children():
+            for key, value in cut:
                 labels = dict(zip(family.label_names, key))
                 if family.kind == "histogram":
-                    snap = child.snapshot()
                     samples.append(
                         {
                             "labels": labels,
-                            "buckets": [list(pair) for pair in snap["buckets"]],
-                            "count": snap["count"],
-                            "sum": snap["sum"],
+                            "buckets": [list(pair) for pair in value["buckets"]],
+                            "count": value["count"],
+                            "sum": value["sum"],
                         }
                     )
                 else:
-                    samples.append({"labels": labels, "value": child.value})
+                    samples.append({"labels": labels, "value": value})
             payload[family.name] = {
                 "type": family.kind,
                 "help": family.help,
@@ -416,18 +443,17 @@ class MetricsRegistry:
     def render_prometheus(self) -> str:
         """Prometheus text exposition (format 0.0.4) of the whole registry."""
         lines: List[str] = []
-        for family in self.families():
+        for family, cut in self._cut():
             if family.help:
                 lines.append(f"# HELP {family.name} {family.help}")
             lines.append(f"# TYPE {family.name} {family.kind}")
-            for key, child in family.children():
+            for key, value in cut:
                 pairs = [
-                    f'{name}="{_escape_label_value(value)}"'
-                    for name, value in zip(family.label_names, key)
+                    f'{name}="{_escape_label_value(label)}"'
+                    for name, label in zip(family.label_names, key)
                 ]
                 if family.kind == "histogram":
-                    snap = child.snapshot()
-                    for edge, count in snap["buckets"]:
+                    for edge, count in value["buckets"]:
                         bucket_pairs = pairs + [f'le="{_format_value(edge)}"']
                         lines.append(
                             f"{family.name}_bucket"
@@ -436,18 +462,18 @@ class MetricsRegistry:
                     inf_pairs = pairs + ['le="+Inf"']
                     lines.append(
                         f"{family.name}_bucket"
-                        f"{{{','.join(inf_pairs)}}} {snap['count']}"
+                        f"{{{','.join(inf_pairs)}}} {value['count']}"
                     )
                     suffix = f"{{{','.join(pairs)}}}" if pairs else ""
                     lines.append(
                         f"{family.name}_sum{suffix} "
-                        f"{_format_value(snap['sum'])}"
+                        f"{_format_value(value['sum'])}"
                     )
-                    lines.append(f"{family.name}_count{suffix} {snap['count']}")
+                    lines.append(f"{family.name}_count{suffix} {value['count']}")
                 else:
                     suffix = f"{{{','.join(pairs)}}}" if pairs else ""
                     lines.append(
-                        f"{family.name}{suffix} {_format_value(child.value)}"
+                        f"{family.name}{suffix} {_format_value(value)}"
                     )
         return "\n".join(lines) + "\n"
 

@@ -1,26 +1,22 @@
-"""RWR proximity substrate: exact and approximate proximity computation.
+"""RWR proximity substrate: exact proximity computation.
 
-This package implements every proximity-computation primitive the paper
-builds on or compares against:
+The exact primitives the engine and its tests rest on (the engine's own
+propagation kernel lives in :mod:`repro.core.propagation`):
 
 * :mod:`power_method` — the iterative Power Method for a single proximity
-  vector (a column of ``P``) and for the full proximity matrix;
-* :mod:`linear_solver` — direct sparse solves and the LU factorisation used by
-  K-dash-style exact methods;
-* :mod:`bca` — Berkhin's classic Bookmark Coloring Algorithm and the
-  Andersen-style push variant (single-node propagation);
-* :mod:`monte_carlo` — MC End Point / MC Complete Path estimators;
-* :mod:`pagerank` — PageRank and personalised PageRank via the same machinery.
+  vector (a column of ``P``) and for the full proximity matrix; the engine's
+  exact fallback;
+* :mod:`linear_solver` — direct sparse solves and the LU factorisation the
+  tests use as an exactness oracle;
+* :mod:`proximity` — the fully materialised ``P`` behind the brute-force
+  baselines of :mod:`repro.core.baseline`.
 """
 
-from .bca import BCAResult, bca_proximity_vector, push_proximity_vector
 from .linear_solver import (
     proximity_vector_direct,
     proximity_matrix_direct,
     ProximityLU,
 )
-from .monte_carlo import mc_end_point, mc_complete_path
-from .pagerank import pagerank, personalized_pagerank
 from .power_method import (
     proximity_vector,
     proximity_matrix,
@@ -37,13 +33,6 @@ __all__ = [
     "proximity_vector_direct",
     "proximity_matrix_direct",
     "ProximityLU",
-    "BCAResult",
-    "bca_proximity_vector",
-    "push_proximity_vector",
-    "mc_end_point",
-    "mc_complete_path",
-    "pagerank",
-    "personalized_pagerank",
     "ProximityMatrix",
     "top_k_of_column",
 ]

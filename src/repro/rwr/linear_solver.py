@@ -5,8 +5,7 @@ The proximity matrix has the closed form ``P = alpha * (I - (1-alpha) A)^{-1}``
 strategy behind the K-dash top-k algorithm the paper compares against
 (Fujiwara et al., PVLDB 2012): factor once offline, then obtain any column of
 ``P`` with two triangular solves.  We expose the factorisation as
-:class:`ProximityLU` and use it both as a top-k baseline substrate
-(:mod:`repro.topk.kdash`) and as an exactness oracle in tests.
+:class:`ProximityLU`, the exactness oracle of the tests.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ a serving system that amortizes work across requests:
     In-flight request dedup and same-``k`` batch planning
     (:class:`BatchScheduler`).
 ``parallel``
-    Thread/process fan-out of read-only batches over an engine snapshot
+    Thread-pool fan-out of read-only batches over the shared engine
     (:class:`ParallelExecutor`).
 ``snapshot``
     Content-addressed on-disk index archives for warm-start
@@ -26,7 +26,7 @@ changes when and how often the engine runs.
 
 from .batching import BatchPlan, BatchScheduler, Request
 from .cache import CacheKey, CacheStats, ResultCache
-from .parallel import BACKENDS, ParallelExecutor, WorkerReport
+from .parallel import ParallelExecutor, WorkerReport
 from .service import ReverseTopKService, ServiceConfig, ServiceMetrics
 from .snapshot import (
     SnapshotManager,
@@ -36,7 +36,6 @@ from .snapshot import (
 )
 
 __all__ = [
-    "BACKENDS",
     "BatchPlan",
     "BatchScheduler",
     "CacheKey",

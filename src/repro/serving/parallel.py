@@ -2,24 +2,14 @@
 
 The executor takes a same-``k`` batch of queries, splits it into contiguous
 chunks, and evaluates the chunks concurrently through the engine's read-only
-entry point (:meth:`ReverseTopKEngine.query_many_readonly`):
+entry point (:meth:`ReverseTopKEngine.query_many_readonly`) on a thread pool
+that shares the one engine.  Read-only queries never mutate the index, the
+columnar views, or the cached CSR transpose, so no locking is needed;
+NumPy/SciPy kernels release the GIL for the heavy array work.
 
-* ``backend="thread"`` shares one engine across a thread pool.  Read-only
-  queries never mutate the index, the columnar views, or the cached CSR
-  transpose, so no locking is needed; NumPy/SciPy kernels release the GIL
-  for the heavy array work.
-* ``backend="process"`` pickles the engine once per worker (via the pool
-  initializer) and evaluates chunks against each worker's private snapshot.
-  Graph, index, and engine all define slim ``__getstate__`` hooks that drop
-  derived caches, so the hand-off ships only canonical state.  An engine
-  over clean memmap-backed shards ships *path references* instead of
-  arrays: each worker reopens the content-addressed layout locally, so all
-  workers share the page cache rather than receiving private copies — the
-  per-worker snapshot cost stays O(hub matrix), not O(index).
-
-When the engine has ``scan_workers > 1`` over several shards, thread-backend
-fan-out multiplies: each of the ``n_workers`` batch tasks fans its scan
-across the engine's shard pool.
+When the engine has ``scan_workers > 1`` over several shards, fan-out
+multiplies: each of the ``n_workers`` batch tasks fans its scan across the
+engine's shard pool.
 Keep ``n_workers * scan_workers`` within the machine's core budget.
 
 Every chunk reports its wall-clock time back as a :class:`WorkerReport`;
@@ -28,36 +18,14 @@ the service merges those into its latency/throughput metrics.
 
 from __future__ import annotations
 
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 import threading
 from typing import List, Optional, Sequence, Tuple
 
-from .._validation import check_membership, check_non_negative_int
+from .._validation import check_non_negative_int
 from ..core.query import QueryResult, ReverseTopKEngine
 from ..utils.timer import Timer
-
-#: Supported executor backends.
-BACKENDS = ("thread", "process")
-
-#: Per-process engine snapshot, installed by the pool initializer.
-_WORKER_ENGINE: Optional[ReverseTopKEngine] = None
-
-
-def _initialize_worker(engine: ReverseTopKEngine) -> None:
-    """Process-pool initializer: install the engine snapshot in this worker."""
-    global _WORKER_ENGINE
-    _WORKER_ENGINE = engine
-
-
-def _process_chunk(queries: List[int], k: int) -> Tuple[List[QueryResult], float]:
-    """Evaluate one chunk in a pool worker against its engine snapshot."""
-    if _WORKER_ENGINE is None:  # pragma: no cover - initializer always runs
-        raise RuntimeError("worker process has no engine snapshot installed")
-    with Timer() as timer:
-        results = _WORKER_ENGINE.query_many_readonly(queries, k)
-    return results, timer.elapsed
-
 
 @dataclass(frozen=True)
 class WorkerReport:
@@ -69,7 +37,7 @@ class WorkerReport:
 
 
 class ParallelExecutor:
-    """Evaluates same-``k`` query batches across a worker pool.
+    """Evaluates same-``k`` query batches across a thread pool.
 
     ``n_workers <= 1`` degrades to sequential in-process execution (no pool
     is ever created), so the service has a single dispatch path.
@@ -80,12 +48,10 @@ class ParallelExecutor:
         engine: ReverseTopKEngine,
         *,
         n_workers: int = 0,
-        backend: str = "thread",
     ) -> None:
         self.engine = engine
         self.n_workers = check_non_negative_int(n_workers, "n_workers")
-        self.backend = check_membership(backend, BACKENDS, "backend")
-        self._pool: Optional[Executor] = None
+        self._pool: Optional[ThreadPoolExecutor] = None
         self._pool_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
@@ -96,36 +62,18 @@ class ParallelExecutor:
         """Whether batches actually fan out across workers."""
         return self.n_workers > 1
 
-    def _ensure_pool(self) -> Executor:
+    def _ensure_pool(self) -> ThreadPoolExecutor:
         with self._pool_lock:
             if self._pool is None:
-                if self.backend == "thread":
-                    self._pool = ThreadPoolExecutor(max_workers=self.n_workers)
-                else:
-                    # Each worker unpickles its own snapshot once, up front.
-                    self._pool = ProcessPoolExecutor(
-                        max_workers=self.n_workers,
-                        initializer=_initialize_worker,
-                        initargs=(self.engine,),
-                    )
+                self._pool = ThreadPoolExecutor(max_workers=self.n_workers)
             return self._pool
 
-    def invalidate(self) -> None:
-        """Discard the pool (process snapshots go stale when the index mutates).
-
-        Thread workers share the live engine and never go stale, but process
-        workers hold private copies pickled at pool creation; after an
-        ``update_index=True`` refinement the service calls this so the next
-        batch respawns workers against the current index.
-        """
+    def close(self) -> None:
+        """Shut down the worker pool (idempotent)."""
         with self._pool_lock:
             if self._pool is not None:
                 self._pool.shutdown(wait=True)
                 self._pool = None
-
-    def close(self) -> None:
-        """Shut down the worker pool (idempotent)."""
-        self.invalidate()
 
     # ------------------------------------------------------------------ #
     # execution
@@ -177,9 +125,8 @@ class ParallelExecutor:
     ) -> Tuple[List[List[QueryResult]], List[WorkerReport]]:
         """Execute ``(k, queries)`` work units, one result group per unit.
 
-        The single shared backend switch: in-process when sequential (or for
-        a lone unit, where a pool buys nothing), otherwise one pool task per
-        unit on the thread or process backend.
+        In-process when sequential (or for a lone unit, where a pool buys
+        nothing), otherwise one pool task per unit.
         """
         groups: List[List[QueryResult]] = []
         reports: List[WorkerReport] = []
@@ -192,19 +139,14 @@ class ParallelExecutor:
             return groups, reports
 
         pool = self._ensure_pool()
-        if self.backend == "thread":
-            engine = self.engine
+        engine = self.engine
 
-            def task(queries: List[int], k: int) -> Tuple[List[QueryResult], float]:
-                with Timer() as timer:
-                    group = engine.query_many_readonly(queries, k)
-                return group, timer.elapsed
+        def task(queries: List[int], k: int) -> Tuple[List[QueryResult], float]:
+            with Timer() as timer:
+                group = engine.query_many_readonly(queries, k)
+            return group, timer.elapsed
 
-            futures = [pool.submit(task, queries, k) for k, queries in tasks]
-        else:
-            futures = [
-                pool.submit(_process_chunk, queries, k) for k, queries in tasks
-            ]
+        futures = [pool.submit(task, queries, k) for k, queries in tasks]
         for worker, ((k, queries), future) in enumerate(zip(tasks, futures)):
             group, seconds = future.result()
             groups.append(group)
@@ -218,9 +160,7 @@ class ParallelExecutor:
         self.close()
 
     def __repr__(self) -> str:
-        return (
-            f"ParallelExecutor(backend={self.backend!r}, n_workers={self.n_workers})"
-        )
+        return f"ParallelExecutor(n_workers={self.n_workers})"
 
 
 def _split_evenly(items: List[int], n_chunks: int) -> List[List[int]]:

@@ -8,7 +8,7 @@ through a fixed pipeline:
 2. **dedup + batch** — cache misses are deduplicated in-flight and grouped
    into same-``k`` batches (:class:`BatchScheduler`);
 3. **execute** — batches run through the read-only engine entry point,
-   optionally fanned across a thread or process pool
+   optionally fanned across a thread pool
    (:class:`ParallelExecutor`);
 4. **measure** — per-query latencies, cache counters, dedup savings and
    worker timings accumulate into the :meth:`ReverseTopKService.metrics`
@@ -29,7 +29,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 import scipy.sparse as sp
 
 from .._validation import (
-    check_membership,
     check_node_index,
     check_non_negative_int,
     check_positive_int,
@@ -45,7 +44,7 @@ from ..utils.timer import LatencyStats, Timer
 from ..workloads.queries import QueryWorkload
 from .batching import BATCH_SIZE_BUCKETS, BatchScheduler, Request
 from .cache import CacheStats, ResultCache
-from .parallel import BACKENDS, ParallelExecutor
+from .parallel import ParallelExecutor
 from .snapshot import SnapshotManager
 
 PathLikeOrManager = Union[str, "SnapshotManager"]
@@ -62,22 +61,18 @@ class ServiceConfig:
     max_batch_size:
         Largest same-``k`` batch handed to the executor in one task.
     n_workers:
-        Worker count for parallel batch execution; ``0`` or ``1`` runs
+        Thread count for parallel batch execution; ``0`` or ``1`` runs
         batches sequentially in-process.
-    backend:
-        ``"thread"`` (shared engine) or ``"process"`` (snapshot per worker).
     """
 
     cache_capacity: int = 1024
     max_batch_size: int = 64
     n_workers: int = 0
-    backend: str = "thread"
 
     def __post_init__(self) -> None:
         check_non_negative_int(self.cache_capacity, "cache_capacity")
         check_positive_int(self.max_batch_size, "max_batch_size")
         check_non_negative_int(self.n_workers, "n_workers")
-        check_membership(self.backend, BACKENDS, "backend")
 
 
 @dataclass(frozen=True)
@@ -222,9 +217,7 @@ class ReverseTopKService:
         self.warm_started = bool(warm_started)
         self._cache = ResultCache(self.config.cache_capacity)
         self._scheduler = BatchScheduler(self.config.max_batch_size)
-        self._executor = ParallelExecutor(
-            engine, n_workers=self.config.n_workers, backend=self.config.backend
-        )
+        self._executor = ParallelExecutor(engine, n_workers=self.config.n_workers)
         self._lock = threading.Lock()
         self._index_lock = _ReadWriteLock()
         self._closed = False
@@ -489,9 +482,7 @@ class ReverseTopKService:
 
         Any refinement written back bumps the index version: cached answers
         computed against the older state stop matching and are purged from
-        the cache eagerly.  Process pool workers hold pickled snapshots, so
-        their pool is discarded and respawned lazily against the updated
-        index.
+        the cache eagerly.
 
         Refinement takes the write side of the index lock, so it never
         rewrites the columnar views while an in-flight ``serve`` batch is
@@ -500,9 +491,7 @@ class ReverseTopKService:
         self._ensure_open()
         with self._index_lock.write():
             self._ensure_open()
-            version = self.engine.index.version
             result = self.engine.query(query, k, update_index=True)
-            self._discard_stale_workers(version)
             # Eagerly drop the stranded cache generation: its keys can never
             # match the bumped version again, and LRU aging would leave them
             # pinning heavyweight results until insertion pressure arrives.
@@ -516,22 +505,6 @@ class ReverseTopKService:
         self._obs["refinements"].inc()
         self._obs["index_version"].set(version_after)
         return result
-
-    def _discard_stale_workers(self, version_before: int) -> None:
-        """Respawn process-pool snapshots after an index mutation.
-
-        Must run *before* the write side of the index lock is released: once
-        a ``serve()`` burst can enter, it must find either the old version
-        with the old pool or the new version with a fresh pool — never
-        new-version results computed on stale workers.  Thread workers share
-        the live engine and never go stale.  Shared by :meth:`refine` and
-        the dynamic subsystem's graph-update path.
-        """
-        if (
-            self.engine.index.version != version_before
-            and self.config.backend == "process"
-        ):
-            self._executor.invalidate()
 
     # ------------------------------------------------------------------ #
     # metrics / lifecycle
@@ -617,5 +590,5 @@ class ReverseTopKService:
             f"ReverseTopKService(n_nodes={self.engine.n_nodes}, "
             f"cache={self.config.cache_capacity}, "
             f"batch={self.config.max_batch_size}, "
-            f"workers={self.config.n_workers}/{self.config.backend})"
+            f"workers={self.config.n_workers})"
         )

@@ -15,19 +15,10 @@ from repro.graph import (
     DiGraph,
     coauthorship_graph,
     copying_web_graph,
-    erdos_renyi_graph,
-    spam_host_graph,
     transition_matrix,
     trust_graph,
 )
-from repro.graph.generators import paper_toy_graph
 from repro.rwr import ProximityLU
-
-
-@pytest.fixture(scope="session")
-def toy_graph() -> DiGraph:
-    """The 6-node running example of the paper (Figures 1-2)."""
-    return paper_toy_graph()
 
 
 @pytest.fixture(scope="session")
@@ -46,18 +37,6 @@ def medium_web_graph() -> DiGraph:
 def small_trust_graph() -> DiGraph:
     """A 70-node trust network (denser, reciprocated edges)."""
     return trust_graph(70, seed=3)
-
-
-@pytest.fixture(scope="session")
-def random_graph() -> DiGraph:
-    """A directed Erdős–Rényi graph with no hub structure."""
-    return erdos_renyi_graph(50, 0.08, seed=9)
-
-
-@pytest.fixture(scope="session")
-def labelled_spam_graph():
-    """A labelled spam-host graph ``(graph, labels)``."""
-    return spam_host_graph(70, 20, seed=13)
 
 
 @pytest.fixture(scope="session")

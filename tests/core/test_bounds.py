@@ -84,15 +84,16 @@ class TestKthUpperBound:
 class TestUpperBoundSoundnessAgainstTruth:
     def test_bound_dominates_true_kth_value(self, small_transition, small_exact_matrix):
         """Pouring the residue of a truncated BCA run never undercuts the truth."""
-        from repro.rwr import push_proximity_vector
+        from repro.core import IndexParams, PropagationKernel
 
         k = 5
+        params = IndexParams(capacity=k + 2, hub_budget=0, propagation_threshold=1e-2)
+        no_hubs = np.zeros(small_transition.shape[0], dtype=bool)
+        kernel = PropagationKernel(small_transition, no_hubs, params)
         for node in (0, 4, 17, 33):
-            partial = push_proximity_vector(
-                small_transition, node, propagation_threshold=1e-2
-            )
-            lower = np.sort(partial.retained)[::-1][: k + 2]
-            bound = kth_upper_bound(lower, partial.residual_mass, k)
+            ((_, partial),) = kernel.run([node]).state_arrays()
+            lower = np.sort(partial.retained[1])[::-1][: k + 2]
+            bound = kth_upper_bound(lower, partial.residual[1].sum(), k)
             exact_kth = np.sort(small_exact_matrix[:, node])[-k]
             assert bound >= exact_kth - 1e-9
 

@@ -1,17 +1,10 @@
-"""Tests for IndexParams/QueryParams, hub selection and the analytical estimates."""
+"""Tests for IndexParams/QueryParams and hub selection."""
 
 import numpy as np
 import pytest
 
 from repro.core import IndexParams, QueryParams
-from repro.core.estimates import (
-    DEFAULT_BETA,
-    hub_entries_above_threshold,
-    predicted_index_bytes,
-    predicted_index_entries,
-    rounding_error_bound,
-)
-from repro.core.hubs import HubSet, select_hubs_by_degree, select_hubs_greedy
+from repro.core.hubs import HubSet, select_hubs_by_degree
 from repro.exceptions import InvalidParameterError
 from repro.graph import star_graph, transition_matrix
 
@@ -169,54 +162,3 @@ class TestSelectorParityOnDegreeTies:
                     == self._matrix_selection(graph, budget).nodes
                 )
 
-
-class TestGreedyHubSelection:
-    def test_returns_requested_count(self, small_web_graph, small_transition):
-        hubs = select_hubs_greedy(small_web_graph, small_transition, 5, seed=1)
-        assert len(hubs) == 5
-
-    def test_reproducible(self, small_web_graph, small_transition):
-        first = select_hubs_greedy(small_web_graph, small_transition, 4, seed=2)
-        second = select_hubs_greedy(small_web_graph, small_transition, 4, seed=2)
-        assert first.nodes == second.nodes
-
-    def test_greedy_hubs_have_aboveaverage_degree(self, small_web_graph, small_transition):
-        hubs = select_hubs_greedy(small_web_graph, small_transition, 5, seed=0)
-        total_degree = small_web_graph.in_degree + small_web_graph.out_degree
-        assert total_degree[list(hubs.nodes)].mean() >= total_degree.mean() * 0.8
-
-
-class TestEstimates:
-    def test_entries_decrease_with_larger_threshold(self):
-        few = hub_entries_above_threshold(10_000, 1e-4)
-        many = hub_entries_above_threshold(10_000, 1e-6)
-        assert few < many
-
-    def test_entries_capped_at_n(self):
-        assert hub_entries_above_threshold(100, 1e-12) == 100
-
-    def test_predicted_entries_structure(self):
-        total = predicted_index_entries(1000, 50, 10, 1e-6)
-        assert total >= 50 * 1000  # at least the K*n lower bound matrix
-
-    def test_predicted_bytes_grow_with_hubs(self):
-        small = predicted_index_bytes(1000, 50, 5, 1e-6)
-        large = predicted_index_bytes(1000, 50, 50, 1e-6)
-        assert large > small
-
-    def test_rounding_error_bound_in_unit_interval(self):
-        for omega in (1e-4, 1e-6, 1e-8):
-            bound = rounding_error_bound(10_000, omega)
-            assert 0.0 <= bound <= 1.0
-
-    def test_rounding_error_bound_monotone_in_omega(self):
-        coarse = rounding_error_bound(10_000, 1e-3)
-        fine = rounding_error_bound(10_000, 1e-7)
-        assert fine <= coarse
-
-    def test_invalid_beta_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            rounding_error_bound(100, 1e-6, beta=1.5)
-
-    def test_default_beta_matches_paper(self):
-        assert DEFAULT_BETA == pytest.approx(0.76)

@@ -288,7 +288,7 @@ class TestIndexPickling:
             service.close()
         assert len(calls) == 1
 
-    def test_process_workers_answer_from_the_shipped_view(
+    def test_pickled_engine_answers_from_the_shipped_view(
         self, medium_web_graph, monkeypatch
     ):
         from repro.serving import ReverseTopKService, ServiceConfig
@@ -299,21 +299,23 @@ class TestIndexPickling:
         def must_not_rebuild(store, *args):
             raise AssertionError("a pickled index rebuilt its columnar view")
 
-        # Forked pool workers inherit the patch; spawned ones simply skip it.
+        # The rollover's pickle boundary ships the columns with the shards.
         monkeypatch.setattr(ColumnarStateStore, "column_masses", must_not_rebuild)
-        answers = {}
-        for backend in ("thread", "process"):
+        clone = pickle.loads(pickle.dumps(engine))
+        answers = []
+        for served_engine in (engine, clone):
             service = ReverseTopKService(
-                engine, ServiceConfig(n_workers=2, backend=backend, cache_capacity=0)
+                served_engine, ServiceConfig(n_workers=2, cache_capacity=0)
             )
             try:
-                answers[backend] = service.serve(requests)
+                answers.append(service.serve(requests))
             finally:
                 service.close()
-        for threaded, forked in zip(answers["thread"], answers["process"]):
-            np.testing.assert_array_equal(forked.nodes, threaded.nodes)
-            np.testing.assert_array_equal(
-                forked.proximities_to_query, threaded.proximities_to_query
+        for live, cloned in zip(*answers):
+            np.testing.assert_array_equal(cloned.nodes, live.nodes)
+            assert (
+                cloned.proximities_to_query.tobytes()
+                == live.proximities_to_query.tobytes()
             )
 
     def test_unpickled_index_still_refines(self, small_index, small_transition):

@@ -325,27 +325,27 @@ class TestPlanAcrossRebinds:
             reference = ReverseTopKEngine.build(service.graph.base, PARAMS)
         assert_same_answers(served, reference, self.QUERIES, 4)
 
-    def test_process_workers_rebuild_the_plan(self, medium_web_graph, monkeypatch):
+    def test_pickled_engine_rebuilds_the_plan(self, medium_web_graph, monkeypatch):
         engine = ReverseTopKEngine.build(medium_web_graph)
         queries = [int(q) for q in np.linspace(0, engine.n_nodes - 1, 50)]
 
         def never_pickled(plan, protocol):
             raise AssertionError("a PMPN plan was pickled")
 
-        # Forked pool workers inherit the patch; spawned ones unpickle an
-        # engine that carries none and build their own.
+        # The rollover's pickle boundary: the clone carries no plan and
+        # builds its own, answering bit for bit like the live engine.
         monkeypatch.setattr(PMPNPlan, "__reduce_ex__", never_pickled)
         clone = pickle.loads(pickle.dumps(engine))
         assert clone._pmpn_plan is not engine._pmpn_plan
-        answers = {}
-        for backend in ("thread", "process"):
+        answers = []
+        for served_engine in (engine, clone):
             service = ReverseTopKService(
-                engine, ServiceConfig(n_workers=2, backend=backend, cache_capacity=0)
+                served_engine, ServiceConfig(n_workers=2, cache_capacity=0)
             )
             try:
-                answers[backend] = service.serve([(q, 5) for q in queries])
+                answers.append(service.serve([(q, 5) for q in queries]))
             finally:
                 service.close()
-        for threaded, forked in zip(answers["thread"], answers["process"]):
-            np.testing.assert_array_equal(forked.nodes, threaded.nodes)
-            assert forked.proximities_to_query.tobytes() == threaded.proximities_to_query.tobytes()
+        for live, cloned in zip(*answers):
+            np.testing.assert_array_equal(cloned.nodes, live.nodes)
+            assert cloned.proximities_to_query.tobytes() == live.proximities_to_query.tobytes()

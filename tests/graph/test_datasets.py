@@ -45,10 +45,6 @@ class TestLoaders:
         assert graph.is_weighted
         assert counts.shape[0] == graph.n_nodes
 
-    def test_copurchase_loader(self):
-        graph, categories = datasets.amazon_copurchase(scale=0.1)
-        assert categories.shape[0] == graph.n_nodes
-
     def test_scale_parameter_grows_graph(self):
         small = datasets.web_stanford_cs(scale=0.05)
         large = datasets.web_stanford_cs(scale=0.1)
@@ -58,3 +54,45 @@ class TestLoaders:
         first = datasets.load_dataset("epinions", scale=0.03, seed=1)
         second = datasets.load_dataset("epinions", scale=0.03, seed=2)
         assert first != second
+
+
+class TestSyntheticEdgeListWriter:
+    def test_deterministic_and_streamable(self, tmp_path):
+        from repro.graph.io import stream_edge_list
+
+        path_a = tmp_path / "a.txt"
+        path_b = tmp_path / "b.txt"
+        path_c = tmp_path / "c.txt"
+        n_a = datasets.write_synthetic_edge_list(
+            path_a, n_nodes=500, avg_out_degree=4.0, seed=9
+        )
+        n_b = datasets.write_synthetic_edge_list(
+            path_b, n_nodes=500, avg_out_degree=4.0, seed=9
+        )
+        datasets.write_synthetic_edge_list(
+            path_c, n_nodes=500, avg_out_degree=4.0, seed=10
+        )
+        assert n_a == n_b == 2000
+        assert path_a.read_bytes() == path_b.read_bytes()
+        assert path_a.read_bytes() != path_c.read_bytes()
+        graph = stream_edge_list(path_a, n_nodes=500)
+        assert graph.n_nodes == 500
+        # duplicates collapse, so n_edges <= lines written
+        assert 0 < graph.n_edges <= 2000
+
+    def test_rejects_non_positive_node_count(self, tmp_path):
+        from repro.exceptions import SerializationError
+
+        with pytest.raises(SerializationError):
+            datasets.write_synthetic_edge_list(tmp_path / "e.txt", n_nodes=0)
+
+    def test_ids_in_range_behind_a_header(self, tmp_path):
+        path = tmp_path / "e.txt"
+        n_edges = datasets.write_synthetic_edge_list(
+            path, n_nodes=300, avg_out_degree=3.0, seed=2
+        )
+        header, *lines = path.read_text(encoding="utf-8").splitlines()
+        assert header.startswith("#")
+        assert len(lines) == n_edges == 900
+        pairs = [tuple(map(int, line.split())) for line in lines]
+        assert all(0 <= u < 300 and 0 <= v < 300 for u, v in pairs)

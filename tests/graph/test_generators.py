@@ -15,7 +15,7 @@ from repro.graph import (
     star_graph,
     trust_graph,
 )
-from repro.graph.generators import copurchase_graph, paper_toy_graph
+from repro.graph.generators import paper_toy_graph
 from repro.graph.stats import summarize
 
 
@@ -139,12 +139,6 @@ class TestLabelledGenerators:
         degrees = graph.out_degree
         prolific = np.argsort(-counts)[:2]
         assert degrees[prolific].mean() > degrees.mean()
-
-    def test_copurchase_graph_categories(self):
-        graph, categories = copurchase_graph(70, n_categories=5, seed=5)
-        assert graph.n_nodes == 70
-        assert categories.shape == (70,)
-        assert categories.max() < 5
 
     def test_generators_reject_invalid_probability(self):
         with pytest.raises(InvalidParameterError):

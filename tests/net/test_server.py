@@ -299,8 +299,73 @@ class TestRolloverOverHttp:
             return excinfo.value.status, follow_up
 
         status, follow_up = drive(server_handle, scenario)
-        assert status == 500  # GraphError surfaces as a server-side failure
+        assert status == 400  # the batch is the client's error, not the server's
         assert follow_up["generation"] == 0  # old generation still serving
+
+    @pytest.mark.parametrize(
+        "method, target, body",
+        [
+            ("POST", "/query", b'{"query": true, "k": 5}'),
+            ("POST", "/query", b'{"query": 3.9, "k": 5.7}'),
+            ("POST", "/query", b'{"query": 1e400, "k": 5}'),
+            ("POST", "/query", b'{"query": Infinity, "k": 5}'),
+            ("POST", "/query", b'{"query": "3", "k": 5}'),
+            ("GET", "/query?query=3_0&k=5", b""),
+            ("GET", "/query?query=%203&k=5", b""),
+            ("POST", "/update", b'{"updates": [["bogus", 1, 2]]}'),
+            ("POST", "/update", b'{"updates": [["add", 1, 2, -1]]}'),
+            ("POST", "/update", None),  # adds an edge that already exists
+            ("POST", "/query", b'{"query": 2, "k": true}'),
+            ("POST", "/query", b'{"query": 2, "k": 0}'),
+            ("POST", "/query", b'{"query": 2, "k": 61}'),
+            ("POST", "/query", b'{"query": -1, "k": 5}'),
+            ("POST", "/query", b'{"query": 60, "k": 5}'),
+            ("POST", "/query", b'{"k": 5}'),
+            ("POST", "/query", b'{"query": null, "k": 5}'),
+            ("POST", "/query", b'{"query": [2], "k": 5}'),
+            ("POST", "/query", b"[2, 5]"),
+            ("POST", "/query", b'{"query": 2'),
+            ("GET", "/query?query=abc&k=5", b""),
+            ("GET", "/query?query=1.5&k=5", b""),
+            ("GET", "/query?query=2&k=1e3", b""),
+            ("GET", "/query?query=&k=5", b""),
+            ("GET", "/query?query=2", b""),
+            ("GET", "/query?query=-1&k=5", b""),
+            ("POST", "/update", b'{"updates": "add"}'),
+            ("POST", "/update", b'{"edges": []}'),
+            ("POST", "/update", b"[5]"),
+            ("POST", "/update", b'{"updates": [5]}'),
+            ("POST", "/update", b'{"updates": [["add", 1]]}'),
+            ("POST", "/update", b'{"updates": [["add", 1.5, 2]]}'),
+            ("POST", "/update", b'{"updates": [["add", true, 2]]}'),
+            ("POST", "/update", b'{"updates": [["add", "1", 2]]}'),
+            ("POST", "/update", b'{"updates": [["add", -1, 2]]}'),
+            ("POST", "/update", b'{"updates": [["add", 1, 99999]]}'),
+            ("POST", "/update", b'{"updates": [["add", 1, 2, "x"]]}'),
+            ("POST", "/update", b'{"updates": [["add", 1, 2, Infinity]]}'),
+            ("POST", "/update", b'{"updates": [["remove", 0, 0]]}'),
+            ("POST", "/update", b'{"updates": [["set_weight", 0, 59, 2.0]]}'),
+        ],
+    )
+    def test_malformed_input_is_a_client_error(
+        self, server_handle, small_web_graph, method, target, body
+    ):
+        """No coercion, no 500: each input answers 4xx and changes nothing."""
+        if body is None:
+            u, v, _ = next(iter(small_web_graph.edges()))
+            body = json_payload({"updates": [["add", u, v]]})
+
+        async def scenario(client):
+            before = await client.query(2, 5)
+            with pytest.raises(ServerRejected) as excinfo:
+                await client._request(method, target, body=body)
+            after = await client.query(2, 5)
+            return excinfo.value.status, before, after
+
+        status, before, after = drive(server_handle, scenario)
+        assert 400 <= status < 500
+        assert after["index_version"] == before["index_version"]
+        assert after["generation"] == before["generation"]
 
 
 class TestMetricsAndShutdown:

@@ -150,6 +150,33 @@ class TestThreadSafety:
             stop.set()
             thread.join()
 
+    def test_exposition_during_contention_is_consistent(self):
+        registry = MetricsRegistry()
+        counter = registry.counter("repro_pair_a_total")
+        mirror = registry.counter("repro_pair_b_total")
+        stop = threading.Event()
+
+        def writer() -> None:
+            while not stop.is_set():
+                counter.inc()
+                mirror.inc()
+
+        thread = threading.Thread(target=writer)
+        thread.start()
+        try:
+            for _ in range(200):
+                values = dict(
+                    line.split(" ")
+                    for line in registry.render_prometheus().splitlines()
+                    if not line.startswith("#")
+                )
+                a = float(values["repro_pair_a_total"])
+                b = float(values["repro_pair_b_total"])
+                assert a - b in (0.0, 1.0)
+        finally:
+            stop.set()
+            thread.join()
+
 
 class TestLatencyStatsBacking:
     def test_backed_histogram_shares_one_sample_list(self):
@@ -166,6 +193,26 @@ class TestLatencyStatsBacking:
         assert snap["count"] == 2
         assert snap["buckets"] == [(0.01, 1), (0.1, 2), (1.0, 2)]
         assert snap["sum"] == pytest.approx(0.055)
+
+    def test_both_exports_read_the_backing(self):
+        registry = MetricsRegistry()
+        stats = LatencyStats()
+        family = registry.histogram(
+            "repro_backed_seconds", labels=("tenant",), buckets=(0.01, 0.1)
+        )
+        family.labels(tenant="a").bind(stats)
+        family.labels(tenant="b").observe(0.5)  # self-contained sibling
+        stats.record(0.005)
+        stats.record(0.05)
+        samples = registry.as_dict()["repro_backed_seconds"]["samples"]
+        by_tenant = {sample["labels"]["tenant"]: sample for sample in samples}
+        assert by_tenant["a"]["count"] == 2
+        assert by_tenant["a"]["buckets"] == [[0.01, 1], [0.1, 2]]
+        assert by_tenant["b"]["count"] == 1
+        text = registry.render_prometheus()
+        assert 'repro_backed_seconds_count{tenant="a"} 2' in text
+        assert 'repro_backed_seconds_bucket{tenant="a",le="0.01"} 1' in text
+        assert 'repro_backed_seconds_count{tenant="b"} 1' in text
 
 
 class TestExposition:

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.config import IndexParams
+from repro.core import IndexParams, PropagationKernel
 from repro.graph import DiGraph, is_column_stochastic, transition_matrix, weighted_transition_matrix
-from repro.rwr import proximity_column, push_proximity_vector
+from repro.rwr import proximity_column
 from repro.utils.sparsetools import dense_top_k
 
 from tests.reference import bca_iteration, initial_node_state
@@ -51,12 +51,18 @@ class TestTransitionProperties:
 class TestBCALowerBoundProperties:
     @given(random_digraphs(), st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=40, deadline=None)
-    def test_push_retained_is_lower_bound(self, graph, seed):
+    def test_kernel_retained_is_lower_bound(self, graph, seed):
         matrix = transition_matrix(graph)
         source = seed % graph.n_nodes
         exact = proximity_column(matrix, source, tolerance=1e-9)
-        partial = push_proximity_vector(matrix, source, propagation_threshold=1e-3)
-        assert np.all(partial.retained <= exact + 1e-8)
+        params = IndexParams(
+            capacity=5, hub_budget=0, propagation_threshold=1e-3
+        ).for_graph(graph.n_nodes)
+        no_hubs = np.zeros(graph.n_nodes, dtype=bool)
+        kernel = PropagationKernel(matrix, no_hubs, params)
+        ((_, partial),) = kernel.run([source]).state_arrays()
+        keys, retained = partial.retained
+        assert np.all(retained <= exact[keys] + 1e-8)
 
     @given(random_digraphs())
     @settings(max_examples=40, deadline=None)

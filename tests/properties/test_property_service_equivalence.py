@@ -65,7 +65,6 @@ class TestServiceEquivalence:
             cache_capacity=cache_capacity,
             max_batch_size=3,
             n_workers=n_workers,
-            backend="thread",
         )
         with ReverseTopKService(engine, config) as service:
             served = service.serve(requests)

@@ -150,12 +150,11 @@ class TestServiceAnswers:
             np.testing.assert_array_equal(result.nodes, expected.nodes)
 
 
-class TestParallelBackends:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_parallel_matches_sequential(self, serving_engine, backend):
+class TestParallelExecutor:
+    def test_parallel_matches_sequential(self, serving_engine):
         queries = list(range(0, 20))
         sequential = serving_engine.query_many_readonly(queries, 5)
-        with ParallelExecutor(serving_engine, n_workers=3, backend=backend) as executor:
+        with ParallelExecutor(serving_engine, n_workers=3) as executor:
             parallel, reports = executor.run(queries, 5)
         assert len(parallel) == len(sequential)
         for seq, par in zip(sequential, parallel):
@@ -163,10 +162,9 @@ class TestParallelBackends:
         assert sum(report.n_queries for report in reports) == len(queries)
         assert len(reports) == 3
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_run_many_matches_direct_queries(self, serving_engine, backend):
+    def test_run_many_matches_direct_queries(self, serving_engine):
         batches = [(5, list(range(0, 8))), (3, list(range(8, 12))), (5, [1])]
-        with ParallelExecutor(serving_engine, n_workers=3, backend=backend) as executor:
+        with ParallelExecutor(serving_engine, n_workers=3) as executor:
             groups, reports = executor.run_many(batches)
         assert [len(group) for group in groups] == [8, 4, 1]
         for (k, queries), group in zip(batches, groups):
@@ -194,10 +192,6 @@ class TestParallelBackends:
         executor = ParallelExecutor(serving_engine, n_workers=2)
         results, reports = executor.run([], 5)
         assert results == [] and reports == []
-
-    def test_invalid_backend_rejected(self, serving_engine):
-        with pytest.raises(Exception):
-            ParallelExecutor(serving_engine, backend="fiber")
 
     @pytest.mark.parametrize("bad", [3.7, True])
     def test_executor_and_service_reject_what_query_rejects(self, serving_engine, bad):

@@ -2,7 +2,7 @@
 
 Covers the wiring around :mod:`repro.core.sharding`: warm-start through the
 snapshot layout, the static and dynamic service façades over a several-shard
-engine, both executor backends, and a fresh-process smoke test that loads a
+engine, the thread-parallel executor, and a fresh-process smoke test that loads a
 memmap-backed layout the way a cold serving replica would.
 """
 
@@ -89,12 +89,9 @@ class TestShardedSnapshots:
 
 
 class TestShardedStaticService:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_answers_match_direct_engine(self, sharded_setup, tmp_path, backend):
+    def test_answers_match_direct_engine(self, sharded_setup, tmp_path):
         graph, matrix, params, reference = sharded_setup
-        config = ServiceConfig(
-            cache_capacity=32, max_batch_size=2, n_workers=2, backend=backend
-        )
+        config = ServiceConfig(cache_capacity=32, max_batch_size=2, n_workers=2)
         with ReverseTopKService.from_graph(
             graph,
             params,
