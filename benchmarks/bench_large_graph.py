@@ -12,12 +12,12 @@ bounded memory:
    state straight into columnar arrays (zero per-node ``NodeState``
    materialisations, asserted) and spills each shard to a memmap layout.
 3. **query** — the sharded engine serves a random reverse nearest-neighbor
-   workload (``k=1``) through the float32-screened memmap scan.  At this
-   index strength (coarse ``eta``/``delta``, no hubs — chosen so the build
-   itself stays tractable at 500k nodes on one core) ``k=1`` is the depth
-   the screen decides almost entirely on its own; deeper ``k`` would push
-   hundreds of candidates per query into exact refinement, which costs a
-   full power-method run each at this scale.  Growing ``k`` at bounded RSS
+   workload (``k=1``) through the float64 columnar scan over the memmap
+   shards.  At this index strength (coarse ``eta``/``delta``, no hubs —
+   chosen so the build itself stays tractable at 500k nodes on one core)
+   ``k=1`` is the depth the scan decides almost entirely on its own; deeper
+   ``k`` would push hundreds of candidates per query into exact refinement,
+   which costs a full power-method run each at this scale.  Growing ``k`` at bounded RSS
    by tightening ``eta`` is the documented next step of the trajectory.
 4. **churn** — a batch of edge insertions flows through the dynamic
    maintainer's targeted (array-native) invalidation path.
@@ -234,7 +234,7 @@ def main(argv=None) -> dict:
         graph = _ingest(args, workdir, record)
         matrix = transition_matrix(graph)
         index = _build(args, graph, matrix, workdir, record)
-        engine = ReverseTopKEngine(matrix, index, scan_precision="float32")
+        engine = ReverseTopKEngine(matrix, index)
         _query(args, engine, graph.n_nodes, record)
         _churn(args, graph, engine, record)
     record["peak_rss_mb"] = round(peak_rss_mb(), 1)

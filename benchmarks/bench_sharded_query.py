@@ -36,9 +36,6 @@ K = 10
 N_QUERIES = 120
 N_SHARDS = 8
 MAX_SLOWDOWN = 2.0
-#: With the float32 ``.lower32.npy`` screening plane the scan touches half
-#: the bytes, so memmap-backed serving must land much closer to monolithic.
-MAX_SLOWDOWN_F32 = 1.15
 
 RESULTS_JSON = Path(__file__).resolve().parent / "results" / "sharded_query.json"
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -54,11 +51,9 @@ graph = copying_web_graph({n_nodes}, out_degree={out_degree}, seed={graph_seed})
 matrix = transition_matrix(graph)
 if mode == "monolithic":
     index = ReverseTopKIndex.load({archive!r})
-    engine = ReverseTopKEngine(matrix, index)
 else:
-    precision = "float32" if mode == "sharded_f32" else "float64"
     index = ReverseTopKIndex.load({archive!r}, memory_budget=0)
-    engine = ReverseTopKEngine(matrix, index, scan_precision=precision)
+engine = ReverseTopKEngine(matrix, index)
 
 queries = list(np.random.default_rng(11).integers(0, {n_nodes}, size={n_queries}))
 results = engine.query_many_readonly(queries, {k})
@@ -104,9 +99,6 @@ shard_index = ReverseTopKIndex.load({shard_archive!r}, memory_budget=0)
 engines = {{
     "monolithic": ReverseTopKEngine(matrix, mono_index),
     "sharded": ReverseTopKEngine(matrix, shard_index),
-    "sharded_f32": ReverseTopKEngine(
-        matrix, shard_index, scan_precision="float32"
-    ),
 }}
 queries = list(np.random.default_rng(11).integers(0, {n_nodes}, size={n_queries}))
 for engine in engines.values():  # warmup: fault pages in, warm the allocator
@@ -192,23 +184,18 @@ def test_sharded_query_throughput_and_rss(tmp_path):
 
     mono = _run_rss_child("monolithic", mono_archive)
     shard = _run_rss_child("sharded", layout)
-    shard_f32 = _run_rss_child("sharded_f32", layout)
     report = _run_throughput_child(mono_archive, layout)
 
-    # Bit-identical answers, query by query — including the screened scan.
+    # Bit-identical answers, query by query.
     assert mono["answers"] == shard["answers"]
-    assert mono["answers"] == shard_f32["answers"]
 
-    # Slowdowns are within-round ratios; keep the round least inflated by
+    # The slowdown is a within-round ratio; keep the round least inflated by
     # machine-speed drift (the modes inside one round run back-to-back).
-    def round_slowdowns(seconds):
-        return (
-            seconds["sharded"] / seconds["monolithic"],
-            seconds["sharded_f32"] / seconds["monolithic"],
-        )
+    def round_slowdown(seconds):
+        return seconds["sharded"] / seconds["monolithic"]
 
-    best_round = min(report["rounds"], key=lambda s: sum(round_slowdowns(s)))
-    slowdown, slowdown_f32 = round_slowdowns(best_round)
+    best_round = min(report["rounds"], key=round_slowdown)
+    slowdown = round_slowdown(best_round)
     timings = {
         mode: {"seconds": seconds, "qps": report["n_queries"] / seconds}
         for mode, seconds in best_round.items()
@@ -231,11 +218,7 @@ def test_sharded_query_throughput_and_rss(tmp_path):
         "sharded_memmap": dict(
             timings["sharded"], peak_rss_mb=shard["peak_rss_mb"]
         ),
-        "sharded_memmap_float32": dict(
-            timings["sharded_f32"], peak_rss_mb=shard_f32["peak_rss_mb"]
-        ),
         "slowdown": slowdown,
-        "slowdown_float32": slowdown_f32,
         "rss_saved_mb": rss_saved_mb,
     }
     RESULTS_JSON.parent.mkdir(parents=True, exist_ok=True)
@@ -245,17 +228,12 @@ def test_sharded_query_throughput_and_rss(tmp_path):
         f"{graph.n_nodes}-node graph: {timings['sharded']['qps']:.0f} vs "
         f"{timings['monolithic']['qps']:.0f} qps ({slowdown:.2f}x slowdown), "
         f"peak RSS {shard['peak_rss_mb']:.1f} vs {mono['peak_rss_mb']:.1f} MB "
-        f"({rss_saved_mb:.1f} MB saved); float32 layout "
-        f"{timings['sharded_f32']['qps']:.0f} qps ({slowdown_f32:.2f}x)"
+        f"({rss_saved_mb:.1f} MB saved)"
     )
 
     assert slowdown <= MAX_SLOWDOWN, (
         f"memmap-backed sharded serving is {slowdown:.2f}x slower than the "
         f"monolithic engine (allowed: {MAX_SLOWDOWN:.1f}x)"
-    )
-    assert slowdown_f32 <= MAX_SLOWDOWN_F32, (
-        f"float32-screened memmap serving is {slowdown_f32:.2f}x slower than "
-        f"the monolithic engine (allowed: {MAX_SLOWDOWN_F32:.2f}x)"
     )
     assert rss_saved_mb > 0, (
         f"sharded serving must hold measurably less memory; saved "

@@ -7,7 +7,7 @@ bad input the same way.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -93,14 +93,6 @@ def check_k(k: int, n_nodes: int, *, maximum: int | None = None) -> int:
     if maximum is not None and k > maximum:
         raise InvalidParameterError(f"k={k} exceeds the index capacity K={maximum}")
     return k
-
-
-def check_membership(value: str, allowed: Sequence[str], name: str) -> str:
-    """Validate that a string option is one of the allowed choices."""
-    if value not in allowed:
-        choices = ", ".join(repr(a) for a in allowed)
-        raise InvalidParameterError(f"{name} must be one of {choices}, got {value!r}")
-    return value
 
 
 def as_node_array(nodes: Iterable[int], n_nodes: int, name: str = "nodes") -> np.ndarray:

@@ -18,7 +18,7 @@ body:
   or ``vars(self)`` — handles everything (it rebuilds state from scratch,
   so the resource is dropped by construction);
 * a dict-copying getstate handles attributes whose names appear in its
-  body (as string constants or attribute references): ``state["_lower32"]
+  body (as string constants or attribute references): ``state["_pool"]
   = None`` or ``del state["_lock"]``.
 """
 

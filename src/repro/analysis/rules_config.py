@@ -144,7 +144,7 @@ MEMMAP_COW_ALLOWED: FrozenSet[str] = frozenset(
 #: them) that local dataflow cannot see — e.g. dicts whose *values* are
 #: memmaps.  (class name, attribute name) pairs.
 MEMMAP_TAINTED_ATTRS: FrozenSet[Tuple[str, str]] = frozenset(
-    {("ColumnarStateStore", "arrays")}
+    {("ColumnarStateStore", "arrays"), ("ColumnarStateStore", "lower")}
 )
 
 # --------------------------------------------------------------------- #

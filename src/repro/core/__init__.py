@@ -40,7 +40,7 @@ from .bounds import (
     kth_upper_bounds_batch,
     staircase_levels,
 )
-from .config import IndexParams, QueryParams, SCAN_PRECISIONS
+from .config import IndexParams, QueryParams
 from .hubs import degree_union_hubs, select_hubs_by_degree, HubSet
 from .index import NodeState, ColumnarView
 from .lbi import rebuild_node_state, refine_node_state
@@ -58,7 +58,6 @@ from .sharding import (
 __all__ = [
     "IndexParams",
     "QueryParams",
-    "SCAN_PRECISIONS",
     "KernelWorkspace",
     "BoundsWorkspace",
     "columnar_stage_decisions",

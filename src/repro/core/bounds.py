@@ -38,49 +38,6 @@ class BoundsWorkspace(ArrayWorkspace):
     """
 
 
-# --------------------------------------------------------------------- #
-# float32 screening envelopes
-# --------------------------------------------------------------------- #
-#: Relative error envelope for values round-tripped through float32.  IEEE
-#: round-to-nearest guarantees ``|float32(x) - x| <= eps/2 * |x|`` for
-#: normal values with ``eps = 2**-23``; using the full ``eps`` leaves a 2x
-#: safety margin that also absorbs the float64 arithmetic error of the
-#: staircase evaluation on the rounded inputs.
-FLOAT32_RELATIVE_ENVELOPE = float(np.finfo(np.float32).eps)
-
-#: Absolute error envelope covering the float32 subnormal range: values
-#: below the smallest normal (``~1.18e-38``) round with absolute error at
-#: most ``2**-150 (~7e-46)``, so any constant above that is conservative.
-FLOAT32_ABSOLUTE_ENVELOPE = 1e-38
-
-
-def float32_prune_envelope(thresholds: np.ndarray) -> np.ndarray:
-    """Bound on ``|t32 - t64|`` given the float32 k-th lower bounds ``t32``.
-
-    ``thresholds`` is the float32 prune row upcast to float64 (non-negative
-    by construction — lower bounds are proximities).  A comparison against
-    ``t32`` whose margin exceeds this envelope decides identically to the
-    float64 comparison; anything closer must be re-checked at float64.
-    """
-    return FLOAT32_RELATIVE_ENVELOPE * thresholds + FLOAT32_ABSOLUTE_ENVELOPE
-
-
-def float32_staircase_envelope(top: np.ndarray, masses: np.ndarray) -> np.ndarray:
-    """Bound on the staircase upper-bound shift under float32 rounding.
-
-    The poured-ink water level of Eq. 18 is 1-Lipschitz in the staircase
-    step heights: perturbing every entry by at most ``d`` moves the level
-    by at most ``d``.  Entries are bounded by the top step ``top`` and
-    rounded with relative error ``<= eps/2``, so ``eps * top`` bounds the
-    level shift with margin; the ``masses`` term generously absorbs the
-    float64 evaluation error of the level recurrence itself (``~ k * eps64
-    * mass``, orders of magnitude below ``eps32 * mass``).
-    """
-    return (
-        FLOAT32_RELATIVE_ENVELOPE * (top + masses) + FLOAT32_ABSOLUTE_ENVELOPE
-    )
-
-
 def staircase_levels(lower: np.ndarray, k: int) -> np.ndarray:
     """Return the cumulative ink amounts ``z_j`` of Eq. (17).
 

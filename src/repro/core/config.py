@@ -11,8 +11,7 @@ The defaults mirror the experimental setup of the paper:
 
 Parameters say *what* is computed, never *how*: there is one propagation
 kernel (:mod:`repro.core.propagation`) and one scan (:mod:`repro.core.query`),
-so no field picks an implementation or sizes its working memory.  The one
-remaining implementation choice is the engine's ``scan_precision``.
+so no field picks an implementation or sizes its working memory.
 """
 
 from __future__ import annotations
@@ -25,13 +24,6 @@ from .._validation import (
     check_positive_int,
     check_probability,
 )
-
-#: Precisions accepted for the scan phase's lower-bound reads: ``"float64"``
-#: scans the authoritative matrix directly; ``"float32"`` screens with a
-#: half-width copy plus a conservative error envelope and re-checks only
-#: near-threshold nodes against the float64 truth (bit-identical answers).
-SCAN_PRECISIONS = ("float64", "float32")
-
 
 @dataclass(frozen=True)
 class IndexParams:

@@ -18,10 +18,12 @@ file write.
 
 One representation
 ------------------
-``R``, ``W``, ``S`` and ``P̂`` are column-per-node sparse matrices, and that
-is how they are stored: flat ``(indptr, keys, values)`` arrays in a
+``R``, ``W`` and ``S`` are column-per-node sparse matrices, and that is how
+they are stored: flat ``(indptr, keys, values)`` arrays in a
 :class:`~repro.core.statestore.ColumnarStateStore` per shard — the layout
-the on-disk per-shard ``.npy`` files persist byte for byte.  One node's
+the on-disk per-shard ``.npy`` files persist byte for byte.  ``P̂`` is kept
+once per shard, as the dense ``(K, n)`` ``lower`` plane below, which the
+store shares rather than copies.  One node's
 column travels as a :class:`StateArrays` (flat segments): what the
 refinement working set loads, what a write-back spills, and what the store's
 overlay holds.  :class:`NodeState` — three ``{node: value}`` dicts —
@@ -319,7 +321,8 @@ STATE_PLANES = ("residual", "retained", "hub_ink")
 
 #: The canonical flattened state layout (one array per name): what a
 #: :class:`~repro.core.statestore.ColumnarStateStore` holds and the on-disk
-#: layout persists as per-shard ``.npy`` files.
+#: layout persists as per-shard ``.npy`` files.  ``P̂`` is not among them:
+#: its one copy is the shard's ``(K, n)`` columnar ``lower`` plane.
 STATE_ARRAY_NAMES = (
     "residual_indptr",
     "residual_keys",
@@ -330,7 +333,6 @@ STATE_ARRAY_NAMES = (
     "hub_ink_indptr",
     "hub_ink_keys",
     "hub_ink_values",
-    "lower_bounds",
     "iterations",
     "is_hub",
 )
@@ -376,8 +378,12 @@ class StateArrays:
         return cls(*planes, state.lower_bounds, state.iterations, state.is_hub)
 
     @classmethod
-    def from_flat(cls, arrays, node: int) -> "StateArrays":
-        """Slice ``node``'s row out of the flattened state-array layout."""
+    def from_flat(cls, arrays, lower: np.ndarray, node: int) -> "StateArrays":
+        """Slice ``node``'s row out of the flattened state-array layout.
+
+        ``lower_bounds`` is a view of ``node``'s column of the ``(K, n)``
+        plane ``lower`` — lazy when the plane is memory-mapped.
+        """
         planes = []
         for name in STATE_PLANES:
             indptr = arrays[f"{name}_indptr"]
@@ -390,7 +396,7 @@ class StateArrays:
             )
         return cls(
             *planes,
-            np.asarray(arrays["lower_bounds"][node]),
+            np.asarray(lower[:, node]),
             int(arrays["iterations"][node]),
             bool(arrays["is_hub"][node]),
         )
@@ -428,18 +434,20 @@ def _dicts_to_arrays(dicts: List[Dict[int, float]]) -> Tuple[np.ndarray, np.ndar
     return indptr, keys, values
 
 
-def _states_to_arrays(states: List[NodeState], capacity: int) -> Dict[str, np.ndarray]:
+def _states_to_arrays(
+    states: List[NodeState], capacity: int
+) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
+    """The flattened state arrays and the ``(K, n)`` lower-bound plane."""
     arrays: Dict[str, np.ndarray] = {}
     for name in STATE_PLANES:
         indptr, keys, values = _dicts_to_arrays([getattr(s, name) for s in states])
         arrays[f"{name}_indptr"] = indptr
         arrays[f"{name}_keys"] = keys
         arrays[f"{name}_values"] = values
-    lower = np.zeros((len(states), capacity), dtype=np.float64)
-    for row, state in enumerate(states):
+    lower = np.zeros((capacity, len(states)), dtype=np.float64)
+    for column, state in enumerate(states):
         count = min(capacity, state.lower_bounds.size)
-        lower[row, :count] = state.lower_bounds[:count]
-    arrays["lower_bounds"] = lower
+        lower[:count, column] = state.lower_bounds[:count]
     arrays["iterations"] = np.array([s.iterations for s in states], dtype=np.int64)
     arrays["is_hub"] = np.array([s.is_hub for s in states], dtype=bool)
-    return arrays
+    return arrays, lower

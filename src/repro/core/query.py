@@ -15,9 +15,8 @@ Query evaluation proceeds in two phases:
 The scan
 --------
 Instead of looping over all ``n`` nodes, the scan phase runs as whole-array
-stages over each shard's columnar slice
-(:func:`~repro.core.sharding.columnar_stage_decisions`), shard after shard or
-fanned across a thread pool (``scan_workers``):
+float64 stages over each shard's columnar slice
+(:func:`~repro.core.sharding.columnar_stage_decisions`), shard after shard:
 
 * **prune** — one NumPy comparison ``p_*(q) < P̂[k-1, *]`` rejects almost
   every node in a single pass (the paper's headline pruning result,
@@ -36,9 +35,9 @@ changes nothing a caller can observe: its results, its
 :class:`QueryStatistics` counters and the index it writes back are
 bit-identical to the paper's per-node while-loop, which lives under
 ``tests/`` as the reference oracle.  With one shard (the default) the slice
-is the whole array and nothing is copied or re-offset.  The one remaining
-knob is the engine's ``scan_precision``: float32 screening reads half the
-bytes and decides exactly as float64 does.
+is the whole array and nothing is copied or re-offset.  No knob picks how
+the scan runs: parallelism lives across queries (the serving layer's
+``n_workers``, the server's ``scan_threads``), not inside one.
 
 The engine also collects the per-query statistics reported in Figures 5–8:
 candidate count, immediate hits, refinement iterations, and stage timings
@@ -47,28 +46,21 @@ candidate count, immediate hits, refinement iterations, and stage timings
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from .._validation import (
-    check_k,
-    check_membership,
-    check_node_index,
-    check_non_negative_int,
-)
+from .._validation import check_k, check_node_index
 from ..exceptions import QueryError
 from ..graph.digraph import DiGraph
 from ..graph.transition import transition_matrix
 from ..obs.tracing import current_span
 from ..utils.timer import StageTimer, Timer
 from .bounds import BoundsWorkspace, kth_other_upper_bound
-from .config import SCAN_PRECISIONS, IndexParams, QueryParams
+from .config import IndexParams, QueryParams
 from .index import StateArrays
 from .lbi import refine_node_state
 from .pmpn import PMPNPlan, proximity_to_node
@@ -219,33 +211,9 @@ class ReverseTopKEngine:
     index:
         A pre-built :class:`~repro.core.sharding.ReverseTopKIndex` over the
         same graph.
-    scan_workers:
-        With ``> 1`` and several shards, the per-shard scan fans across a
-        thread pool of this size (the scan is pure reads over disjoint
-        slices, and the NumPy kernels release the GIL); release it with
-        :meth:`close`.
-    scan_precision:
-        ``"float64"`` (default) scans the full-precision columns;
-        ``"float32"`` screens the prune and staircase stages against the
-        index's float32 lower-bound mirror, re-checking only borderline
-        nodes at float64 — answers and statistics are bit-identical, at
-        half the bytes read per columnar pass.
     """
 
-    def __init__(
-        self,
-        transition: sp.spmatrix,
-        index: ReverseTopKIndex,
-        *,
-        scan_workers: int = 0,
-        scan_precision: str = "float64",
-    ) -> None:
-        self.scan_precision = check_membership(
-            scan_precision, SCAN_PRECISIONS, "scan_precision"
-        )
-        self.scan_workers = check_non_negative_int(scan_workers, "scan_workers")
-        self._scan_pool: Optional[ThreadPoolExecutor] = None
-        self._scan_pool_lock = threading.Lock()
+    def __init__(self, transition: sp.spmatrix, index: ReverseTopKIndex) -> None:
         self.transition = sp.csc_matrix(transition)
         if self.transition.shape[0] != index.n_nodes and index.n_nodes:
             raise QueryError(
@@ -282,7 +250,6 @@ class ReverseTopKEngine:
         *,
         transition: Optional[sp.spmatrix] = None,
         hubs=None,
-        scan_precision: str = "float64",
     ) -> "ReverseTopKEngine":
         """Construct the index for ``graph`` and wrap it in an engine."""
         if isinstance(graph, DiGraph):
@@ -290,7 +257,7 @@ class ReverseTopKEngine:
         else:
             matrix = graph if transition is None else transition
         index = build_index(graph, params, transition=matrix, hubs=hubs)
-        return cls(matrix, index, scan_precision=scan_precision)
+        return cls(matrix, index)
 
     @property
     def n_nodes(self) -> int:
@@ -305,36 +272,11 @@ class ReverseTopKEngine:
         """Point the engine at a new transition matrix (dynamic maintenance).
 
         Re-derives every transition-dependent cache — the hub mask and the
-        PMPN plan — exactly as construction does, keeping the scan settings.
-        The index defaults to the engine's current one, which the maintainer
-        mutates in place so version-keyed caches stay monotonic.
+        PMPN plan — exactly as construction does.  The index defaults to the
+        engine's current one, which the maintainer mutates in place so
+        version-keyed caches stay monotonic.
         """
-        self.close()
-        self.__init__(
-            transition,
-            index if index is not None else self.index,
-            scan_workers=self.scan_workers,
-            scan_precision=self.scan_precision,
-        )
-
-    def close(self) -> None:
-        """Shut down the per-shard scan pool, if one was started (idempotent)."""
-        with self._scan_pool_lock:
-            if self._scan_pool is not None:
-                self._scan_pool.shutdown(wait=True)
-                self._scan_pool = None
-
-    def __enter__(self) -> "ReverseTopKEngine":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def _ensure_scan_pool(self) -> ThreadPoolExecutor:
-        with self._scan_pool_lock:
-            if self._scan_pool is None:
-                self._scan_pool = ThreadPoolExecutor(max_workers=self.scan_workers)
-            return self._scan_pool
+        self.__init__(transition, index if index is not None else self.index)
 
     # ------------------------------------------------------------------ #
     # query evaluation
@@ -426,23 +368,13 @@ class ReverseTopKEngine:
     # pickling (process-pool workers)
     # ------------------------------------------------------------------ #
     def __getstate__(self) -> dict:
-        """Ship the transition, the index and the scan settings; derived
-        caches (and the scan pool) rebuild on the receiving side."""
-        return {
-            "transition": self.transition,
-            "index": self.index,
-            "scan_workers": self.scan_workers,
-            "scan_precision": self.scan_precision,
-        }
+        """Ship the transition and the index; derived caches rebuild on the
+        receiving side."""
+        return {"transition": self.transition, "index": self.index}
 
     def __setstate__(self, state: dict) -> None:
         # __init__ re-derives the hub mask and the PMPN plan.
-        self.__init__(
-            state["transition"],
-            state["index"],
-            scan_workers=state["scan_workers"],
-            scan_precision=state["scan_precision"],
-        )
+        self.__init__(state["transition"], state["index"])
 
     # ------------------------------------------------------------------ #
     # internals — query pipeline
@@ -578,14 +510,7 @@ class ReverseTopKEngine:
         prune count (and, under a trace, one record per shard) on ``tally``.
         """
         shards = self.index.shards
-
-        def scan(shard: IndexShard):
-            return self._scan_shard(shard, proximity_to_q, k)
-
-        if self.scan_workers > 1 and len(shards) > 1:
-            outcomes = list(self._ensure_scan_pool().map(scan, shards))
-        else:
-            outcomes = [scan(shard) for shard in shards]
+        outcomes = [self._scan_shard(shard, proximity_to_q, k) for shard in shards]
         if current_span() is not None:
             tally.shard_records.extend(
                 (shard.start, shard.n_nodes, outcome[4], outcome[3])
@@ -610,19 +535,15 @@ class ReverseTopKEngine:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, float]:
         """The columnar stages over one shard's slice, with local node ids.
 
-        Returns ``(exact, candidates, hits, n_pruned, seconds)``; pure reads,
-        safe to fan across threads (the bounds workspace is thread-local).
-        Under float32 screening the shard scans its own float32 plane (the
-        memmapped ``.lower32.npy`` when the layout carries one).
+        Returns ``(exact, candidates, hits, n_pruned, seconds)``; pure reads
+        (the bounds workspace is thread-local, so concurrent read-only
+        queries may share the engine).
         """
         started = time.perf_counter()
-        screened = self.scan_precision == "float32"
         exact_idx, candidates, hits, n_pruned = columnar_stage_decisions(
             proximity_to_q[shard.start : shard.stop],
             shard.columns,
             k,
-            lower32=shard.lower32() if screened else None,
-            screen=shard.screen_bounds(k) if screened else None,
             workspace=self._bounds_workspace,
         )
         return exact_idx, candidates, hits, n_pruned, time.perf_counter() - started

@@ -10,7 +10,8 @@ nodes; larger ``P`` and a ``memory_budget`` put the index out of core.
     One contiguous node range ``[start, stop)`` holding that range's slice
     of the columnar views (lower-bound matrix columns, effective-residual-mass
     vector, exactness mask) and a
-    :class:`~repro.core.statestore.ColumnarStateStore` over its node states.
+    :class:`~repro.core.statestore.ColumnarStateStore` over its node states,
+    which borrows the lower-bound columns — ``P̂`` is held once per shard.
     A shard is backed either
 
     * **in RAM** — writable column arrays and a store over heap arrays, or
@@ -36,8 +37,9 @@ nodes; larger ``P`` and a ``memory_budget`` put the index out of core.
 
 ``columnar_stage_decisions``
     Algorithm 4's columnar stages — whole-array prune, exact shortcut,
-    batched staircase bound — over one shard's slice; the engine
-    (:class:`~repro.core.query.ReverseTopKEngine`) runs it shard by shard.
+    batched staircase bound — over one shard's float64 slice; the engine
+    (:class:`~repro.core.query.ReverseTopKEngine`) runs it shard by shard,
+    serially.
 
 ``build_index``
     Algorithm 1 end to end: the exact hub proximity matrix once, then each
@@ -81,12 +83,7 @@ from .._validation import (
 from ..exceptions import InvalidParameterError, SerializationError
 from ..graph.digraph import DiGraph
 from ..utils.timer import StageTimer
-from .bounds import (
-    BoundsWorkspace,
-    float32_prune_envelope,
-    float32_staircase_envelope,
-    kth_upper_bounds_batch,
-)
+from .bounds import BoundsWorkspace, kth_upper_bounds_batch
 from .config import IndexParams
 from .hubs import HubSet
 from .index import (
@@ -117,7 +114,9 @@ from .statestore import STATE_ARRAY_NAMES, ColumnarStateStore, assemble_store
 PathLike = Union[str, os.PathLike]
 
 #: On-disk layout format version (bumped on incompatible layout changes).
-_LAYOUT_VERSION = 1
+#: Version 2 keeps ``P̂`` once per shard (``lower.npy``); a version-1 layout
+#: does not load, which the snapshot layer treats as a miss and rebuilds.
+_LAYOUT_VERSION = 2
 
 #: Name of the layout's global metadata archive.  It is written *last*:
 #: a directory without a readable meta archive is a torn layout and is
@@ -153,8 +152,6 @@ def columnar_stage_decisions(
     columns: ColumnarView,
     k: int,
     *,
-    lower32: Optional[np.ndarray] = None,
-    screen: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     workspace: Optional[BoundsWorkspace] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Prune / exact-shortcut / staircase decisions over one columnar slice.
@@ -164,30 +161,7 @@ def columnar_stage_decisions(
     hits, n_pruned)`` with ascending slice-local node indices: nodes accepted
     by the exact shortcut, undecided-or-hit candidates, the boolean hit mask
     aligned with ``candidate_idx``, and the immediate-prune count.
-
-    ``lower32`` switches on float32 screening: the comparisons run against
-    the float32 mirror of the lower-bound plane, and only nodes inside the
-    conservative rounding envelope (see :mod:`repro.core.bounds`) are
-    re-checked against the float64 columns — so decisions (and therefore the
-    derived statistics) stay bit-identical while the screening passes read
-    half the bytes.  ``screen`` optionally supplies precomputed ``(hi, lo)``
-    prune rows (``threshold ± envelope`` at rank ``k``) so a caller serving
-    many queries against the same plane pays the float64 conversion once.
     """
-    if lower32 is not None:
-        return _stage_decisions_screened(
-            proximity, columns, k, lower32, screen, workspace
-        )
-    return _stage_decisions_float64(proximity, columns, k, workspace)
-
-
-def _stage_decisions_float64(
-    proximity: np.ndarray,
-    columns: ColumnarView,
-    k: int,
-    workspace: Optional[BoundsWorkspace],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """The reference whole-array pipeline over the float64 columns."""
     survivors = proximity >= columns.lower[k - 1]
     n_pruned = proximity.size - int(np.count_nonzero(survivors))
     is_exact = np.asarray(columns.is_exact)
@@ -206,66 +180,6 @@ def _stage_decisions_float64(
     else:
         hits = np.zeros(0, dtype=bool)
     return exact_idx, candidates, hits, n_pruned
-
-
-def _stage_decisions_screened(
-    proximity: np.ndarray,
-    columns: ColumnarView,
-    k: int,
-    lower32: np.ndarray,
-    screen: Optional[Tuple[np.ndarray, np.ndarray]],
-    workspace: Optional[BoundsWorkspace],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """float32-screened pipeline: screen wide, re-check the envelope at f64.
-
-    Comparisons whose margin exceeds the rounding envelope provably decide
-    the same way as the float64 comparison, so only the (rare) borderline
-    nodes ever touch the float64 plane — and those are resolved against it,
-    making every returned decision bit-identical to the float64 pipeline.
-    """
-    lower = columns.lower
-    if screen is not None:
-        hi, lo = screen
-    else:
-        thresholds = np.asarray(lower32[k - 1], dtype=np.float64)
-        envelope = float32_prune_envelope(thresholds)
-        hi = thresholds + envelope
-        lo = thresholds - envelope
-    survivors = proximity >= hi
-    near = proximity >= lo
-    # hi >= lo, so survivors is a subset of near: xor leaves exactly the
-    # envelope sliver that needs the float64 row.
-    np.logical_xor(near, survivors, out=near)
-    unsure = np.flatnonzero(near)
-    if unsure.size:
-        survivors[unsure] = proximity[unsure] >= lower[k - 1][unsure]
-    n_pruned = proximity.size - int(np.count_nonzero(survivors))
-    is_exact = np.asarray(columns.is_exact)
-    exact_idx = np.flatnonzero(survivors & is_exact)
-    candidates = np.flatnonzero(survivors & ~is_exact)
-    if not candidates.size:
-        return exact_idx, candidates, np.zeros(0, dtype=bool), n_pruned
-    masses = columns.residual_mass[candidates]
-    upper32 = kth_upper_bounds_batch(
-        lower32[:k, candidates], masses, k, workspace=workspace
-    )
-    stair_envelope = float32_staircase_envelope(
-        np.asarray(lower32[0, candidates], dtype=np.float64), masses
-    )
-    prox = proximity[candidates]
-    hits = prox >= upper32 + stair_envelope
-    unsure = np.flatnonzero(~hits & (prox >= upper32 - stair_envelope))
-    if unsure.size:
-        borderline = candidates[unsure]
-        upper = kth_upper_bounds_batch(
-            lower[:k, borderline],
-            columns.residual_mass[borderline],
-            k,
-            workspace=workspace,
-        )
-        hits[unsure] = prox[unsure] >= upper
-    return exact_idx, candidates, hits, n_pruned
-
 
 
 class IndexShard:
@@ -295,12 +209,6 @@ class IndexShard:
         # The three arrays as one view, built on first use (every scan reads
         # it) and dropped whenever the arrays are replaced.
         self._view: Optional[ColumnarView] = None
-        # float32 mirror of the lower slice (lazy; memmapped when the layout
-        # carries a ``.lower32.npy`` file, derived from ``_lower`` otherwise).
-        self._lower32: Optional[np.ndarray] = None
-        # Per-k float64 screening rows derived from the mirror, cached so a
-        # query workload converts each threshold row once, not per query.
-        self._screen_bounds: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         # The range's states (None = a memmap shard's store, not yet opened).
         self._store: Optional[ColumnarStateStore] = None
 
@@ -319,8 +227,10 @@ class IndexShard:
         """In-RAM shard adopting a columnar state store.
 
         The store holds exactly the representation :meth:`write` persists
-        and :meth:`from_layout` memmaps back.  ``mass`` is the per-node
-        effective residual mass (:meth:`ColumnarStateStore.column_masses`).
+        and :meth:`from_layout` memmaps back, and its lower-bound plane
+        becomes the shard's columns (adopted, not copied).  ``mass`` is the
+        per-node effective residual mass
+        (:meth:`ColumnarStateStore.column_masses`).
         """
         shard = cls(start, stop, capacity)
         if store.n_states != shard.n_nodes:
@@ -340,7 +250,7 @@ class IndexShard:
                 f"got shape {mass.shape}"
             )
         shard._store = store
-        shard._lower = store.lower_matrix()
+        shard._lower = store.lower
         shard._mass = mass
         shard._exact = store.is_exact_mask()
         return shard
@@ -417,61 +327,6 @@ class IndexShard:
         self._exact = exact
         self._lower = lower
 
-    def lower32(self) -> np.ndarray:
-        """The float32 mirror of this shard's lower-bound slice (read-only).
-
-        Memmap shards open the layout's ``.lower32.npy`` companion when it
-        exists (written by current layouts; absent from older ones), so the
-        screening pass streams half the bytes off disk; otherwise — and for
-        RAM or promoted shards, whose live float64 columns are the only
-        authoritative values — the mirror is derived from ``_lower`` and
-        cached.  Write-backs keep a derived mirror in sync and drop a
-        memmapped one (promotion makes the on-disk file stale).
-        """
-        self._ensure_columns()
-        if self._lower32 is None:
-            path = (
-                self.directory / f"{_shard_stem(self.ordinal)}.lower32.npy"
-                if self.backing == "memmap" and not self.is_promoted
-                else None
-            )
-            if path is not None and path.exists():
-                try:
-                    mirror = np.load(path, mmap_mode="r")
-                except (OSError, ValueError) as exc:
-                    raise SerializationError(
-                        f"cannot open shard {self.ordinal} float32 plane "
-                        f"under {self.directory}: {exc}"
-                    ) from exc
-                if mirror.shape != self._lower.shape or mirror.dtype != np.float32:
-                    raise SerializationError(
-                        f"shard {self.ordinal} float32 plane has shape "
-                        f"{mirror.shape} dtype {mirror.dtype}, expected "
-                        f"{self._lower.shape} float32"
-                    )
-                self._lower32 = mirror
-            else:
-                self._lower32 = np.asarray(self._lower, dtype=np.float32)
-        return self._lower32
-
-    def screen_bounds(self, k: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Cached ``(hi, lo)`` float64 prune screens for rank ``k``.
-
-        ``hi``/``lo`` bracket the float32 threshold row by the conservative
-        rounding envelope: a proximity at or above ``hi`` provably survives
-        the float64 prune, one below ``lo`` provably does not, and only the
-        sliver in between needs the float64 row.  The rows depend solely on
-        the (immutable until write-back) float32 mirror, so they are computed
-        once per ``k`` instead of once per query.
-        """
-        cached = self._screen_bounds.get(k)
-        if cached is None:
-            thresholds = np.asarray(self.lower32()[k - 1], dtype=np.float64)
-            envelope = float32_prune_envelope(thresholds)
-            cached = (thresholds + envelope, thresholds - envelope)
-            self._screen_bounds[k] = cached
-        return cached
-
     @property
     def store(self) -> ColumnarStateStore:
         """The range's state store (local ids), opened lazily on memmap shards.
@@ -479,9 +334,11 @@ class IndexShard:
         The arrays stay memory-mapped (O(1) resident memory): a state read
         slices one node's rows out of them, so only the pages a refinement
         candidate actually touches ever become resident — states are lazy
-        *per node*, not per shard.
+        *per node*, not per shard.  The store's lower-bound plane is this
+        shard's column array.
         """
         if self._store is None:
+            self._ensure_columns()
             stem = _shard_stem(self.ordinal)
             try:
                 self._store = ColumnarStateStore(
@@ -491,7 +348,7 @@ class IndexShard:
                         )
                         for name in STATE_ARRAY_NAMES
                     },
-                    self.capacity,
+                    self._lower,
                 )
             except (OSError, ValueError) as exc:
                 raise SerializationError(
@@ -502,12 +359,13 @@ class IndexShard:
     def set_state(self, local: int, state: StateArrays, mass: float) -> None:
         """Store a state write-back and refresh its column.
 
-        The state lands in the store's overlay; memmap shards promote their
-        columnar arrays to RAM first (the disk layout is immutable).
+        Memmap shards promote their columnar arrays to RAM first (the disk
+        layout is immutable); the bounds land in the column, the rest of the
+        state in the store's overlay.
         """
-        arrays = self.store.set_state(local, state)
         self._promote_columns()
-        self._write_column(local, arrays, mass)
+        self._write_column(local, state, mass)
+        self.store.set_state(local, state)
 
     def _promote_columns(self) -> None:
         """Copy-on-write: make the columnar arrays private and writable."""
@@ -517,20 +375,16 @@ class IndexShard:
             self._mass = np.array(self._mass, dtype=np.float64, copy=True)
             self._exact = np.array(self._exact, dtype=bool, copy=True)
             self._view = None
-            # The on-disk float32 plane mirrors the *unpromoted* columns;
-            # drop it so the next screened scan re-derives from the promoted
-            # float64 truth instead of reading a stale file.
-            self._lower32 = None
-            self._screen_bounds.clear()
+            if self._store is not None:
+                self._store.lower = self._lower
 
     def _write_column(self, local: int, state: StateArrays, mass: float) -> None:
-        self._lower[:, local] = state.lower_bounds
+        # Exactly K values, zero-padded or truncated.
+        count = min(self.capacity, state.lower_bounds.size)
+        self._lower[:count, local] = state.lower_bounds[:count]
+        self._lower[count:, local] = 0.0
         self._mass[local] = mass
         self._exact[local] = state.is_exact
-        if self._lower32 is not None:
-            self._lower32[:, local] = self._lower[:, local]
-        if self._screen_bounds:
-            self._screen_bounds.clear()
 
     # ------------------------------------------------------------------ #
     # accounting / persistence
@@ -551,8 +405,6 @@ class IndexShard:
             self.backing == "ram" or self._lower.flags.writeable
         ):
             total += self._lower.nbytes + self._mass.nbytes + self._exact.nbytes
-        if self._lower32 is not None and not isinstance(self._lower32, np.memmap):
-            total += self._lower32.nbytes
         if self._store is not None:
             # Memmapped state arrays are backed by the page cache, not the
             # process heap; only heap arrays and overlay rows count.
@@ -572,13 +424,6 @@ class IndexShard:
         arrays = self.store.to_arrays()
         atomic_write(
             directory / f"{stem}.lower.npy", lambda handle: np.save(handle, lower)
-        )
-        # The float32 screening plane: written alongside the float64 truth so
-        # memmap-backed scans stream half the bytes; derived data, so layouts
-        # without it (older writers) simply fall back to the float64 slice.
-        lower32 = lower.astype(np.float32)
-        atomic_write(
-            directory / f"{stem}.lower32.npy", lambda handle: np.save(handle, lower32)
         )
         atomic_write(
             directory / f"{stem}.mass.npy", lambda handle: np.save(handle, mass)
@@ -604,10 +449,7 @@ class IndexShard:
         cache instead of receiving a full copy of the arrays.
         """
         state = self.__dict__.copy()
-        # The float32 mirror, its screening rows and the view are derived
-        # (and possibly memmap-backed); receivers rebuild or reopen them lazily.
-        state["_lower32"] = None
-        state["_screen_bounds"] = {}
+        # The view is derived; receivers rebuild it lazily.
         state["_view"] = None
         if self.backing == "memmap":
             # A clean store still over the layout's memmaps never ships
@@ -862,12 +704,6 @@ class ReverseTopKIndex:
             )
         return np.concatenate(
             [np.asarray(shard.columns.lower[k - 1]) for shard in self.shards]
-        )
-
-    def lower_bound_matrix(self) -> np.ndarray:
-        """Dense ``K x n`` matrix ``P̂`` (column ``u`` = top-K lower bounds of ``u``)."""
-        return np.concatenate(
-            [np.asarray(shard.columns.lower) for shard in self.shards], axis=1
         )
 
     # ------------------------------------------------------------------ #

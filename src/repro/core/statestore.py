@@ -1,12 +1,15 @@
 """The one container of per-node BCA state: flat struct-of-arrays storage.
 
-The paper's index *is* four column-per-node sparse matrices (``R``, ``W``,
-``S``, ``P̂``; Algorithm 1), and this module stores them exactly so — the
-flattened layout :data:`STATE_ARRAY_NAMES`, which is also, byte for byte,
-what the on-disk per-shard ``.npy`` files persist.  Nothing else holds node
-state: every shard of the index owns one store over its range (opened
-lazily over the layout's memmaps), and builds, maintenance and query
-write-backs all hand over flat segments.
+The paper's index keeps three column-per-node sparse matrices (``R``, ``W``,
+``S``; Algorithm 1) beside the dense top-``K`` plane ``P̂``, and this module
+stores the sparse three exactly so — the flattened layout
+:data:`STATE_ARRAY_NAMES`, which is also, byte for byte, what the on-disk
+per-shard ``.npy`` files persist.  ``P̂`` has one copy per shard, the
+shard's ``(K, n)`` columnar ``lower`` plane, which the store borrows to hand
+out each node's bounds.  Nothing else holds node state: every shard of the
+index owns one store over its range (opened lazily over the layout's
+memmaps), and builds, maintenance and query write-backs all hand over flat
+segments.
 
 ``ColumnarStateStore``
     Struct-of-arrays state for a contiguous node range.  The arrays are
@@ -74,19 +77,21 @@ class ColumnarStateStore:
     """Struct-of-arrays storage for the per-node states of a node range.
 
     The store owns one array per :data:`STATE_ARRAY_NAMES` entry covering
-    ``n`` nodes (local ids ``0 .. n-1``).  Writes land in an overlay of flat
-    :class:`StateArrays` consulted before the arrays, so the arrays
+    ``n`` nodes (local ids ``0 .. n-1``) and borrows ``lower``, the range's
+    ``(K, n)`` lower-bound plane: the owning shard's columnar
+    ``lower`` array, never a copy of it (the shard re-points it when a
+    write-back promotes a memmapped plane).  Writes land in an overlay of
+    flat :class:`StateArrays` consulted before the arrays, so the arrays
     themselves (possibly read-only memmaps) stay immutable until
     :meth:`to_arrays` merges the overlay back.
     """
 
-    def __init__(self, arrays: Dict[str, np.ndarray], capacity: int) -> None:
+    def __init__(self, arrays: Dict[str, np.ndarray], lower: np.ndarray) -> None:
         missing = [name for name in STATE_ARRAY_NAMES if name not in arrays]
         if missing:
             raise InvalidParameterError(
                 f"columnar state store is missing arrays: {missing}"
             )
-        self.capacity = int(capacity)
         self.arrays: Dict[str, np.ndarray] = {
             name: arrays[name] for name in STATE_ARRAY_NAMES
         }
@@ -96,11 +101,12 @@ class ColumnarStateStore:
                 raise InvalidParameterError(
                     f"{plane}_indptr must have {n + 1} entries"
                 )
-        if self.arrays["lower_bounds"].shape != (n, self.capacity):
+        if lower.ndim != 2 or lower.shape[1] != n:
             raise InvalidParameterError(
-                f"lower_bounds must have shape {(n, self.capacity)}, got "
-                f"{self.arrays['lower_bounds'].shape}"
+                f"the lower-bound plane must have shape (K, {n}), got {lower.shape}"
             )
+        self.lower = lower
+        self.capacity = int(lower.shape[0])
         self._n = n
         self._overlay: Dict[int, StateArrays] = {}
 
@@ -112,31 +118,14 @@ class ColumnarStateStore:
         cls, states: Sequence[NodeState], capacity: int
     ) -> "ColumnarStateStore":
         """Flatten a list of states into a store (object → columnar bridge)."""
-        return cls(_states_to_arrays(list(states), int(capacity)), capacity)
-
-    @classmethod
-    def concatenate(
-        cls, stores: Sequence["ColumnarStateStore"]
-    ) -> "ColumnarStateStore":
-        """One store over the stores' ranges back to back (overlays merged)."""
-        parts = [store.to_arrays() for store in stores]
-        arrays: Dict[str, np.ndarray] = {}
-        for plane in _PLANES:
-            counts = np.concatenate(
-                [np.diff(part[f"{plane}_indptr"]) for part in parts]
-            )
-            arrays[f"{plane}_indptr"] = np.concatenate([[0], np.cumsum(counts)])
-        for name in STATE_ARRAY_NAMES:
-            if name not in arrays:
-                arrays[name] = np.concatenate([part[name] for part in parts])
-        return cls(arrays, stores[0].capacity)
+        return cls(*_states_to_arrays(list(states), int(capacity)))
 
     def rows(self, start: int, stop: int) -> "ColumnarStateStore":
         """A store over the rows ``[start, stop)``: heap copies, overlay merged."""
         merged = self.to_arrays()
         arrays: Dict[str, np.ndarray] = {
             name: np.array(merged[name][start:stop])
-            for name in ("lower_bounds", "iterations", "is_hub")
+            for name in ("iterations", "is_hub")
         }
         for plane in _PLANES:
             indptr = np.asarray(merged[f"{plane}_indptr"][start : stop + 1])
@@ -144,7 +133,7 @@ class ColumnarStateStore:
             arrays[f"{plane}_indptr"] = indptr - lo
             arrays[f"{plane}_keys"] = np.array(merged[f"{plane}_keys"][lo:hi])
             arrays[f"{plane}_values"] = np.array(merged[f"{plane}_values"][lo:hi])
-        return ColumnarStateStore(arrays, self.capacity)
+        return ColumnarStateStore(arrays, np.array(self.lower[:, start:stop]))
 
     # ------------------------------------------------------------------ #
     # per-node access
@@ -167,7 +156,7 @@ class ColumnarStateStore:
         written = self._overlay.get(node)
         if written is not None:
             return written
-        return StateArrays.from_flat(self.arrays, node)
+        return StateArrays.from_flat(self.arrays, self.lower, node)
 
     def state(self, node: int) -> NodeState:
         """``node``'s state as a detached, dict-backed view (counted)."""
@@ -180,18 +169,14 @@ class ColumnarStateStore:
         for node in range(self._n):
             yield self.state(node)
 
-    def set_state(self, node: int, state: StateArrays) -> StateArrays:
-        """Write ``node``'s state into the overlay; returns what was stored.
+    def set_state(self, node: int, state: StateArrays) -> None:
+        """Write ``node``'s state into the overlay.
 
-        The lower bounds are stored as exactly ``capacity`` values
-        (zero-padded or truncated), the shape of a ``lower_bounds`` row.
+        Its bounds are not copied: the owning shard has already written them
+        into ``node``'s column of the plane, and the overlay row views that
+        column.
         """
-        bounds = np.zeros(self.capacity, dtype=np.float64)
-        count = min(self.capacity, state.lower_bounds.size)
-        bounds[:count] = state.lower_bounds[:count]
-        arrays = replace(state, lower_bounds=bounds)
-        self._overlay[node] = arrays
-        return arrays
+        self._overlay[node] = replace(state, lower_bounds=self.lower[:, node])
 
     # ------------------------------------------------------------------ #
     # bulk columnar reads (the build / persist hot paths)
@@ -207,14 +192,11 @@ class ColumnarStateStore:
         merged: Dict[str, np.ndarray] = {}
         for plane in _PLANES:
             merged.update(self._merge_plane(plane))
-        lower = np.array(self.arrays["lower_bounds"], dtype=np.float64, copy=True)
         iterations = np.array(self.arrays["iterations"], dtype=np.int64, copy=True)
         is_hub = np.array(self.arrays["is_hub"], dtype=bool, copy=True)
         for node, state in self._overlay.items():
-            lower[node] = state.lower_bounds
             iterations[node] = state.iterations
             is_hub[node] = state.is_hub
-        merged["lower_bounds"] = lower
         merged["iterations"] = iterations
         merged["is_hub"] = is_hub
         return merged
@@ -254,13 +236,6 @@ class ColumnarStateStore:
             f"{plane}_keys": new_keys,
             f"{plane}_values": new_values,
         }
-
-    def lower_matrix(self) -> np.ndarray:
-        """Fresh dense ``(K, n)`` lower-bound matrix (overlay-aware copy)."""
-        lower = np.ascontiguousarray(self.arrays["lower_bounds"].T, dtype=np.float64)
-        for node, state in self._overlay.items():
-            lower[:, node] = state.lower_bounds
-        return lower
 
     def column_masses(self, hubs: HubSet, hub_deficit: np.ndarray) -> np.ndarray:
         """Per-node effective residual masses (overlay-aware), bitwise the
@@ -310,7 +285,10 @@ class ColumnarStateStore:
         return total
 
     def resident_bytes(self) -> int:
-        """Heap bytes held: non-memmap backing arrays plus the overlay's rows."""
+        """Heap bytes held: non-memmap backing arrays plus the overlay's rows.
+
+        The borrowed lower-bound plane is the shard's, and counted there.
+        """
         total = sum(
             array.nbytes
             for array in self.arrays.values()
@@ -318,7 +296,6 @@ class ColumnarStateStore:
         )
         for state in self._overlay.values():
             total += state.stored_entries() * (_VALUE_BYTES + _INDEX_BYTES)
-            total += self.capacity * _VALUE_BYTES
         return int(total)
 
     def __getstate__(self) -> dict:
@@ -326,7 +303,8 @@ class ColumnarStateStore:
 
         A rollover clone (or a process-pool transfer) gets :meth:`to_arrays`
         and an empty overlay — one generation's writes never ride along into
-        the next; this store is left exactly as it was.
+        the next; this store is left exactly as it was.  The written bounds
+        already sit in the borrowed plane, which pickles once with its shard.
         """
         state = self.__dict__.copy()
         state["arrays"] = self.to_arrays()
@@ -569,17 +547,16 @@ def assemble_store(
         arrays[f"{plane}_keys"] = keys
         arrays[f"{plane}_values"] = values
 
-    lower = np.zeros((m, capacity), dtype=np.float64)
+    lower = np.zeros((capacity, m), dtype=np.float64)
     if local.size:
-        lower[local] = bounds_in[:, :capacity]
+        lower[:, local] = bounds_in[:, :capacity].T
     for row in hub_rows.tolist():
         hub_bounds = hub_top_k[int(row + start)]
         count = min(capacity, hub_bounds.shape[0])
-        lower[row, :count] = hub_bounds[:count]
-    arrays["lower_bounds"] = lower
+        lower[:count, row] = hub_bounds[:count]
 
     iterations = np.zeros(m, dtype=np.int64)
     iterations[local] = iterations_in
     arrays["iterations"] = iterations
     arrays["is_hub"] = hub_local.copy()
-    return ColumnarStateStore(arrays, capacity)
+    return ColumnarStateStore(arrays, lower)

@@ -259,8 +259,6 @@ class DynamicReverseTopKService(ReverseTopKService):
         hub_policy: str = "pinned",
         n_shards: int = 1,
         memory_budget: Optional[int] = None,
-        scan_workers: int = 0,
-        scan_precision: str = "float64",
     ) -> "DynamicReverseTopKService":
         """Build (or warm-start) a dynamic service for ``graph``.
 
@@ -275,7 +273,7 @@ class DynamicReverseTopKService(ReverseTopKService):
         ``hub_policy`` configure the :class:`IndexMaintainer` (see its
         docstring for the trade-offs).
 
-        ``n_shards`` / ``memory_budget`` / ``scan_workers`` shape the index
+        ``n_shards`` / ``memory_budget`` shape the index
         exactly as on the static service: maintenance writes route to the
         owning shards' stores through the index's ``apply_updates`` (a full
         rebuild through ``adopt``), the version bump stays global (one
@@ -303,8 +301,6 @@ class DynamicReverseTopKService(ReverseTopKService):
             matrix,
             n_shards=n_shards,
             memory_budget=memory_budget,
-            scan_workers=scan_workers,
-            scan_precision=scan_precision,
         )
         maintainer = IndexMaintainer(
             engine,

@@ -59,7 +59,7 @@ class ServiceClosedError(ReproError, RuntimeError):
     :meth:`ReverseTopKService.close` is idempotent and safe to call while
     requests are in flight: in-flight calls drain first, and every call that
     arrives afterwards fails fast with this error instead of touching a
-    shut-down executor or a released shard pool.
+    shut-down executor.
     """
 
 

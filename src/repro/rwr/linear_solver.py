@@ -59,17 +59,3 @@ class ProximityLU:
         """Dense exact proximity matrix ``P`` (small graphs only)."""
         identity = np.eye(self.n_nodes) * self.alpha
         return self._lu.solve(identity)
-
-
-def proximity_vector_direct(
-    transition: sp.spmatrix, source: int, *, alpha: float = DEFAULT_ALPHA
-) -> np.ndarray:
-    """One-off exact proximity vector using a sparse direct solve."""
-    return ProximityLU(transition, alpha=alpha).column(source)
-
-
-def proximity_matrix_direct(
-    transition: sp.spmatrix, *, alpha: float = DEFAULT_ALPHA
-) -> np.ndarray:
-    """One-off exact dense proximity matrix (small graphs only)."""
-    return ProximityLU(transition, alpha=alpha).matrix()

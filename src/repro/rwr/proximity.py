@@ -93,8 +93,3 @@ class ProximityMatrix:
     def nbytes(self) -> int:
         """Memory footprint of the dense matrix in bytes."""
         return int(self._matrix.nbytes)
-
-
-def top_k_of_column(vector: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Top-k indices and values of a dense proximity vector (descending)."""
-    return dense_top_k(np.asarray(vector), k)

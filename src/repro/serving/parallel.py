@@ -5,12 +5,9 @@ chunks, and evaluates the chunks concurrently through the engine's read-only
 entry point (:meth:`ReverseTopKEngine.query_many_readonly`) on a thread pool
 that shares the one engine.  Read-only queries never mutate the index, the
 columnar views, or the cached CSR transpose, so no locking is needed;
-NumPy/SciPy kernels release the GIL for the heavy array work.
-
-When the engine has ``scan_workers > 1`` over several shards, fan-out
-multiplies: each of the ``n_workers`` batch tasks fans its scan across the
-engine's shard pool.
-Keep ``n_workers * scan_workers`` within the machine's core budget.
+NumPy/SciPy kernels release the GIL for the heavy array work.  This pool is
+the one place a service parallelises queries: each engine scans its shards
+serially, so ``n_workers`` threads use at most ``n_workers`` cores.
 
 Every chunk reports its wall-clock time back as a :class:`WorkerReport`;
 the service merges those into its latency/throughput metrics.

@@ -295,8 +295,6 @@ class ReverseTopKService:
         transition: Optional[sp.spmatrix] = None,
         n_shards: int = 1,
         memory_budget: Optional[int] = None,
-        scan_workers: int = 0,
-        scan_precision: str = "float64",
     ) -> "ReverseTopKService":
         """Build (or warm-start) a service for ``graph``.
 
@@ -309,14 +307,7 @@ class ReverseTopKService:
         shards (one by default).  ``memory_budget`` (bytes) selects the shard
         backing — when the index does not fit, shards are served as
         ``np.memmap`` views over the snapshot layout (``snapshot_dir``
-        required) instead of resident arrays — and ``scan_workers > 1`` fans
-        the per-shard scan across a thread pool.  Answers do not depend on
-        any of the three.
-
-        ``scan_precision="float32"`` screens the columnar scan stages
-        against the float32 lower-bound mirror (for a memmap layout, the
-        half-size ``.lower32.npy`` shard files), re-checking borderline
-        nodes at float64 — served answers stay bit-identical.
+        required) instead of resident arrays.  Answers depend on neither.
         """
         engine, _, warm_started = cls._prepare_engine(
             graph,
@@ -325,8 +316,6 @@ class ReverseTopKService:
             transition,
             n_shards=n_shards,
             memory_budget=memory_budget,
-            scan_workers=scan_workers,
-            scan_precision=scan_precision,
         )
         return cls(engine, config, warm_started=warm_started)
 
@@ -339,8 +328,6 @@ class ReverseTopKService:
         *,
         n_shards: int = 1,
         memory_budget: Optional[int] = None,
-        scan_workers: int = 0,
-        scan_precision: str = "float64",
     ) -> Tuple[ReverseTopKEngine, Optional["SnapshotManager"], bool]:
         """Shared warm-start wiring behind every ``from_graph`` classmethod.
 
@@ -375,10 +362,7 @@ class ReverseTopKService:
                 n_shards=n_shards,
                 memory_budget=memory_budget,
             )
-        engine = ReverseTopKEngine(
-            matrix, index, scan_workers=scan_workers, scan_precision=scan_precision
-        )
-        return engine, manager, from_snapshot
+        return ReverseTopKEngine(matrix, index), manager, from_snapshot
 
     # ------------------------------------------------------------------ #
     # serving
@@ -563,9 +547,6 @@ class ReverseTopKService:
           that slipped past the flag re-checks it under the read lock);
         * concurrent ``close`` calls serialize on an internal lock — the
           second caller returns only after the teardown completed.
-
-        The engine may hold its own per-shard scan pool; the service owns
-        the engine it serves, so that pool is released here too.
         """
         with self._close_lock:
             if self._closed:
@@ -577,7 +558,6 @@ class ReverseTopKService:
             with self._index_lock.write():
                 pass
             self._executor.close()
-            self.engine.close()
 
     def __enter__(self) -> "ReverseTopKService":
         return self

@@ -1,4 +1,4 @@
-"""Query workload generation and parameter sweeps for the evaluation harness."""
+"""Query workload generation for the evaluation harness."""
 
 from .async_replay import AsyncReplayReport, async_replay, replay_over_network
 from .churn import (
@@ -11,11 +11,9 @@ from .queries import (
     uniform_query_workload,
     degree_weighted_query_workload,
     zipfian_query_workload,
-    all_nodes_workload,
     QueryWorkload,
 )
 from .replay import ReplayReport, replay
-from .sweep import ParameterSweep, SweepPoint
 
 __all__ = [
     "AsyncReplayReport",
@@ -28,10 +26,7 @@ __all__ = [
     "uniform_query_workload",
     "degree_weighted_query_workload",
     "zipfian_query_workload",
-    "all_nodes_workload",
     "QueryWorkload",
     "ReplayReport",
     "replay",
-    "ParameterSweep",
-    "SweepPoint",
 ]

@@ -123,9 +123,3 @@ def zipfian_query_workload(
     return QueryWorkload(
         queries.astype(np.int64), k, f"zipfian (s={exponent}, hot={hot_fraction})"
     )
-
-
-def all_nodes_workload(graph: DiGraph | int, *, k: int = 10) -> QueryWorkload:
-    """Every node exactly once, in id order (the Figure 8 cumulative workload)."""
-    n_nodes = graph if isinstance(graph, int) else graph.n_nodes
-    return QueryWorkload(np.arange(n_nodes, dtype=np.int64), k, "all-nodes")

@@ -127,9 +127,9 @@ class TestBatchWorkspace:
         workspace = BoundsWorkspace()
         for _ in range(50):
             lower, masses, k = self._random_case(rng)
-            lower32 = lower.astype(np.float32)
-            plain = kth_upper_bounds_batch(lower32, masses, k)
-            pooled = kth_upper_bounds_batch(lower32, masses, k, workspace=workspace)
+            narrow = lower.astype(np.float32)
+            plain = kth_upper_bounds_batch(narrow, masses, k)
+            pooled = kth_upper_bounds_batch(narrow, masses, k, workspace=workspace)
             np.testing.assert_array_equal(plain, pooled)
 
     def test_workspace_shrinks_and_grows_across_calls(self):

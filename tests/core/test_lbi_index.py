@@ -165,8 +165,8 @@ class TestBuildIndex:
         np.testing.assert_array_equal(index.kth_lower_bounds(2), np.full(3, 0.2))
         np.testing.assert_array_equal(index.kth_lower_bounds(4), np.zeros(3))
 
-    def test_lower_bound_matrix_shape(self, small_index):
-        matrix = small_index.lower_bound_matrix()
+    def test_columnar_lower_plane_shape(self, small_index):
+        matrix = small_index.columns.lower
         assert matrix.shape == (small_index.capacity, small_index.n_nodes)
 
     def test_zero_hub_budget(self, small_web_graph, small_transition):

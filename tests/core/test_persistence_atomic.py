@@ -16,14 +16,81 @@ def _layout_files(directory):
     return sorted(path.name for path in directory.iterdir())
 
 
+def _assert_bounds_are_columns(index, nodes):
+    """Each node's stored bounds are its column of the one ``P̂`` plane."""
+    lower = index.columns.lower
+    for node in nodes:
+        np.testing.assert_array_equal(
+            index.state_arrays(node).lower_bounds, lower[:, node], err_msg=node
+        )
+
+
 class TestAtomicPersist:
     def test_layout_file_set_is_pinned(self, small_index, tmp_path):
+        # P̂ is persisted once, as lower.npy: 3 columnar files and 11 state
+        # arrays per shard, plus the meta archive, at layout version 2.
         small_index.persist(tmp_path / "layout")
         stem = "shard-00000"
-        expected = {f"{stem}.{suffix}.npy" for suffix in ("lower", "lower32", "mass", "exact")}
+        expected = {f"{stem}.{suffix}.npy" for suffix in ("lower", "mass", "exact")}
         expected |= {f"{stem}.states.{name}.npy" for name in STATE_ARRAY_NAMES}
+        assert len(expected) == 14
         expected.add(sharding_module._META_NAME)
         assert set(_layout_files(tmp_path / "layout")) == expected
+        with np.load(tmp_path / "layout" / sharding_module._META_NAME) as data:
+            assert int(data["layout_version"][0]) == 2
+
+    def test_version_one_layout_is_a_snapshot_miss(
+        self, small_web_graph, small_transition, small_params, tmp_path
+    ):
+        from repro.serving import SnapshotManager
+
+        manager = SnapshotManager(tmp_path)
+        manager.build_or_load(small_web_graph, small_params, transition=small_transition)
+        path = manager.sharded_path_for(
+            small_web_graph,
+            small_params.for_graph(small_web_graph.n_nodes),
+            small_transition,
+            n_shards=1,
+        )
+        meta = path / sharding_module._META_NAME
+        with np.load(meta) as data:
+            arrays = dict(data)
+        arrays["layout_version"] = np.array([1], dtype=np.int64)
+        np.savez_compressed(meta, **arrays)
+        with pytest.raises(SerializationError, match="layout version 1"):
+            ReverseTopKIndex.load(path)
+        _, from_snapshot = manager.build_or_load(
+            small_web_graph, small_params, transition=small_transition
+        )
+        assert not from_snapshot
+        with np.load(meta) as data:
+            assert int(data["layout_version"][0]) == 2
+        _, from_snapshot = manager.build_or_load(
+            small_web_graph, small_params, transition=small_transition
+        )
+        assert from_snapshot
+
+    @pytest.mark.parametrize("version", [0, 1, 3])
+    def test_other_layout_versions_do_not_load(self, small_index, tmp_path, version):
+        directory = small_index.persist(tmp_path / "layout")
+        meta = directory / sharding_module._META_NAME
+        with np.load(meta) as data:
+            arrays = dict(data)
+        arrays["layout_version"] = np.array([version], dtype=np.int64)
+        np.savez_compressed(meta, **arrays)
+        for memory_budget in (None, 0):
+            with pytest.raises(SerializationError, match=f"layout version {version}"):
+                ReverseTopKIndex.load(directory, memory_budget=memory_budget)
+
+    def test_layout_without_a_version_does_not_load(self, small_index, tmp_path):
+        directory = small_index.persist(tmp_path / "layout")
+        meta = directory / sharding_module._META_NAME
+        with np.load(meta) as data:
+            arrays = dict(data)
+        del arrays["layout_version"]
+        np.savez_compressed(meta, **arrays)
+        with pytest.raises(SerializationError):
+            ReverseTopKIndex.load(directory)
 
     def test_failed_write_preserves_existing_snapshot(
         self, small_index, tmp_path, monkeypatch
@@ -185,6 +252,60 @@ class TestLoadedIndexIsThePersistedIndex:
                 assert a[name].tobytes() == b[name].tobytes(), name
 
 
+class TestStoredBoundsAreTheColumn:
+    """``state_arrays(u).lower_bounds == columns.lower[:, u]`` wherever the
+    index travels: a state carries no second copy of ``P̂``."""
+
+    @pytest.fixture(scope="class")
+    def refined(self, small_index, small_transition):
+        engine = ReverseTopKEngine(small_transition, copy.deepcopy(small_index))
+        for query in range(engine.n_nodes):
+            engine.query(query, engine.index.capacity, update_index=True)
+        index = engine.index
+        assert index.shards[0].store.overlay, "no refinement was written back"
+        return index
+
+    def test_after_a_ram_write_back(self, refined):
+        _assert_bounds_are_columns(refined, range(refined.n_nodes))
+        for node in refined.shards[0].store.overlay:
+            assert np.shares_memory(
+                refined.state_arrays(node).lower_bounds, refined.columns.lower
+            )
+
+    def test_after_persist_and_load(self, refined, tmp_path):
+        loaded = ReverseTopKIndex.load(refined.persist(tmp_path / "layout"))
+        _assert_bounds_are_columns(loaded, range(loaded.n_nodes))
+        np.testing.assert_array_equal(loaded.columns.lower, refined.columns.lower)
+
+    def test_after_a_pickle_round_trip(self, refined):
+        clone = pickle.loads(pickle.dumps(refined))
+        _assert_bounds_are_columns(clone, range(clone.n_nodes))
+        (shard,) = clone.shards
+        assert shard.store.lower is shard.columns.lower  # still one plane
+
+    def test_over_a_clean_memmap_store(self, refined, tmp_path):
+        mapped = ReverseTopKIndex.load(
+            refined.persist(tmp_path / "layout"), memory_budget=0
+        )
+        _assert_bounds_are_columns(mapped, range(mapped.n_nodes))
+        (shard,) = mapped.shards
+        assert not shard.is_promoted and shard.resident_bytes() == 0
+
+    def test_after_a_memmap_promote(self, refined, small_index, tmp_path):
+        mapped = ReverseTopKIndex.load(
+            refined.persist(tmp_path / "layout"), memory_budget=0
+        )
+        node = min(refined.shards[0].store.overlay)
+        # The pristine bounds differ from the refined ones on disk.
+        mapped.set_state(node, small_index.state_arrays(node))
+        assert mapped.shards[0].is_promoted
+        _assert_bounds_are_columns(mapped, range(mapped.n_nodes))
+        np.testing.assert_array_equal(
+            mapped.state_arrays(node).lower_bounds,
+            small_index.state_arrays(node).lower_bounds,
+        )
+
+
 class TestIndexPickling:
     def test_round_trip_preserves_states_and_columns(self, small_index):
         clone = pickle.loads(pickle.dumps(small_index))
@@ -210,12 +331,12 @@ class TestIndexPickling:
 
     def test_pickle_payload_carries_the_columnar_view(self, small_index):
         (shard,) = small_index.shards
-        shard.lower32()  # materialise the mirror: it must not ship
         state = shard.__getstate__()
         assert state["_lower"] is shard.columns.lower
         assert state["_mass"] is shard.columns.residual_mass
         assert state["_exact"] is shard.columns.is_exact
-        assert state["_lower32"] is None
+        # The store borrows the one P̂ plane: the payload carries it once.
+        assert state["_store"].lower is shard.columns.lower
         view_bytes = sum(
             getattr(small_index.columns, name).nbytes
             for name in ("lower", "residual_mass", "is_exact")
@@ -250,13 +371,13 @@ class TestIndexPickling:
         def assert_view_matches_store(index):
             for shard in index.shards:
                 store = shard.store
+                view = shard.columns
+                assert store.lower is view.lower  # one copy of P̂ per shard
                 fresh = (
-                    store.lower_matrix(),
                     masses(store, index.hubs, index.hub_deficit),
                     store.is_exact_mask(),
                 )
-                view = shard.columns
-                for name, rebuilt in zip(("lower", "residual_mass", "is_exact"), fresh):
+                for name, rebuilt in zip(("residual_mass", "is_exact"), fresh):
                     np.testing.assert_array_equal(
                         getattr(view, name), rebuilt, err_msg=name
                     )

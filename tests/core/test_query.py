@@ -132,10 +132,10 @@ class TestIndexUpdatePolicy:
     def test_no_update_leaves_index_untouched(self, small_transition, small_index):
         index = copy.deepcopy(small_index)
         engine = ReverseTopKEngine(small_transition, index)
-        before_bounds = index.lower_bound_matrix().copy()
+        before_bounds = index.columns.lower.copy()
         before_iterations = [state.iterations for _, state in index.states()]
         engine.query(0, 10, update_index=False)
-        np.testing.assert_array_equal(index.lower_bound_matrix(), before_bounds)
+        np.testing.assert_array_equal(index.columns.lower, before_bounds)
         assert [state.iterations for _, state in index.states()] == before_iterations
 
     def test_updated_index_reduces_later_refinement(self, small_transition, small_index):

@@ -1,6 +1,7 @@
 """Unit tests for the index's node-range shards and the per-shard scan."""
 
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,11 +11,16 @@ from repro.core import (
     ReverseTopKEngine,
     ReverseTopKIndex,
     build_index,
+    columnar_stage_decisions,
     shard_boundaries,
 )
+from repro.core.bounds import kth_upper_bound, kth_upper_bounds_batch
+from repro.core.index import ColumnarView
 from repro.core.sharding import _META_NAME
+from repro.core.statestore import STATE_ARRAY_NAMES
 from repro.exceptions import InvalidParameterError, SerializationError
 from repro.graph import copying_web_graph, transition_matrix
+from tests.reference import SCAN_COUNTERS, reference_scan
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +129,33 @@ class TestShardedIndexRam:
         index = medium_setup[3]
         assert partitioned(medium_setup, 4).storage_bytes() == index.storage_bytes()
 
+    @pytest.mark.parametrize("n_shards", [1, 3])
+    def test_each_shard_holds_one_lower_plane(self, medium_setup, n_shards):
+        # P̂ lives once per shard: the store borrows the columnar plane, keeps
+        # no bounds array of its own, and each stored node's bounds view it.
+        index = partitioned(medium_setup, n_shards)
+        for shard in index.shards:
+            plane = shard.columns.lower
+            assert plane.shape == (index.capacity, shard.n_nodes)
+            assert plane.dtype == np.float64
+            assert shard.store.lower is plane
+            assert set(shard.store.arrays) == set(STATE_ARRAY_NAMES)
+            for local in range(shard.n_nodes):
+                bounds = shard.store.state_arrays(local).lower_bounds
+                assert np.shares_memory(bounds, plane), (shard.start, local)
+
+    def test_resident_bytes_count_the_plane_once(self, medium_setup):
+        index = partitioned(medium_setup, 3)
+        for shard in index.shards:
+            columns = shard.columns
+            expected = (
+                columns.lower.nbytes
+                + columns.residual_mass.nbytes
+                + columns.is_exact.nbytes
+                + sum(array.nbytes for array in shard.store.arrays.values())
+            )
+            assert shard.resident_bytes() == expected
+
 
 class TestShardedLayoutOnDisk:
     def test_memmap_round_trip_is_bitwise(self, medium_setup, tmp_path):
@@ -172,6 +205,37 @@ class TestShardedLayoutOnDisk:
         # Every byte on disk is untouched: the layout is content-addressed.
         for path in sorted(directory.iterdir()):
             assert path.read_bytes() == snapshot[path.name], path.name
+
+    def test_memmap_shard_maps_the_one_lower_file(self, medium_setup, tmp_path):
+        directory = tmp_path / "mapped"
+        partitioned(medium_setup, 3).persist(directory)
+        loaded = ReverseTopKIndex.load(directory, memory_budget=0)
+        for ordinal, shard in enumerate(loaded.shards):
+            plane = shard.columns.lower
+            assert isinstance(plane, np.memmap) and not plane.flags.writeable
+            assert Path(plane.filename).name == f"shard-{ordinal:05d}.lower.npy"
+            assert shard.store.lower is plane
+            bounds = shard.store.state_arrays(0).lower_bounds
+            assert np.shares_memory(bounds, plane)
+
+    def test_promote_repoints_the_store_at_the_private_plane(
+        self, medium_setup, tmp_path
+    ):
+        directory = tmp_path / "promote"
+        partitioned(medium_setup, 3).persist(directory)
+        loaded = ReverseTopKIndex.load(directory, memory_budget=0)
+        node = 70
+        shard, local = loaded.shard_of(node)
+        mapped = shard.store.lower
+        state = loaded.state_arrays(node)
+        loaded.set_state(node, state)
+        plane = shard.columns.lower
+        assert shard.is_promoted and plane is not mapped
+        assert not isinstance(plane, np.memmap) and plane.flags.writeable
+        assert shard.store.lower is plane
+        for other in range(shard.n_nodes):
+            assert np.shares_memory(shard.store.state_arrays(other).lower_bounds, plane)
+        np.testing.assert_array_equal(plane, mapped)
 
     def test_state_is_by_value_and_set_state_writes_on_memmap(
         self, medium_setup, tmp_path
@@ -257,18 +321,15 @@ class TestShardedLayoutOnDisk:
         directory = tmp_path / "pickle"
         partitioned(medium_setup, 4).persist(directory)
         loaded = ReverseTopKIndex.load(directory, memory_budget=0)
-        engine = ReverseTopKEngine(matrix, loaded, scan_workers=2)
+        engine = ReverseTopKEngine(matrix, loaded)
         blob = pickle.dumps(engine)
         clone = pickle.loads(blob)
-        assert clone.scan_workers == 2
         a = ReverseTopKEngine(matrix, index).query(3, 5, update_index=False)
         b = clone.query_many_readonly([3], 5)[0]
         np.testing.assert_array_equal(a.nodes, b.nodes)
         # A clean memmap engine ships paths, not arrays: far smaller than
         # the in-RAM engine's payload.
         assert len(blob) < len(pickle.dumps(ReverseTopKEngine(matrix, index)))
-        engine.close()
-        clone.close()
 
 
     def test_written_memmap_shard_pickles_a_merged_store(self, medium_setup, tmp_path):
@@ -391,22 +452,46 @@ class TestBuildIndexOutOfCore:
         assert shard.resident_bytes() > 0  # overlay + promoted columns count
 
 class TestShardedEngine:
-    def test_scan_pool_engine_matches_one_shard(self, medium_setup):
+    @pytest.mark.parametrize("memory_budget", [None, 0])
+    @pytest.mark.parametrize("n_shards", [2, 4])
+    def test_serial_scan_matches_one_shard(
+        self, medium_setup, tmp_path, n_shards, memory_budget
+    ):
+        # The scan visits the shards one after another; its answers and every
+        # counter equal the one-shard scan's, in RAM and over memmap shards.
         _, matrix, _, index = medium_setup
-        with ReverseTopKEngine(
-            matrix, partitioned(medium_setup, 4), scan_workers=2
-        ) as router:
-            reference = ReverseTopKEngine(matrix, index)
-            for query in (0, 17, 64, 122):
-                a = reference.query(query, 5, update_index=False)
-                b = router.query(query, 5, update_index=False)
-                np.testing.assert_array_equal(a.nodes, b.nodes)
+        options = {} if memory_budget is None else {"directory": tmp_path}
+        sharded = partitioned(
+            medium_setup, n_shards, memory_budget=memory_budget, **options
+        )
+        router = ReverseTopKEngine(matrix, sharded)
+        reference = ReverseTopKEngine(matrix, index)
+        for query in (0, 17, 64, 122):
+            a = reference.query(query, 5, update_index=False)
+            b = router.query(query, 5, update_index=False)
+            np.testing.assert_array_equal(b.nodes, a.nodes)
+            np.testing.assert_array_equal(
+                b.proximities_to_query, a.proximities_to_query
+            )
+            for counter in SCAN_COUNTERS:
+                assert getattr(b.statistics, counter) == getattr(
+                    a.statistics, counter
+                ), counter
+
+    def test_rebind_keeps_the_index_and_its_answers(self, medium_setup):
+        _, matrix, _, _ = medium_setup
+        router = ReverseTopKEngine(matrix, partitioned(medium_setup, 3))
+        index = router.index
+        before = router.query(40, 5, update_index=False)
+        router.rebind(matrix)
+        assert router.index is index
+        after = router.query(40, 5, update_index=False)
+        np.testing.assert_array_equal(after.nodes, before.nodes)
 
     def test_routed_scan_matches_reference_scan(self, medium_setup):
         _, matrix, _, _ = medium_setup
         router = ReverseTopKEngine(matrix, partitioned(medium_setup, 3))
         # The routed columnar scan against the per-node reference scan.
-        from tests.reference import SCAN_COUNTERS, reference_scan
 
         a = router.query(11, 5, update_index=False)
         nodes, counters = reference_scan(router, 11, 5, update_index=False)
@@ -414,9 +499,123 @@ class TestShardedEngine:
         for counter in SCAN_COUNTERS:
             assert getattr(a.statistics, counter) == counters[counter], counter
 
-    def test_rebind_preserves_scan_workers(self, medium_setup):
-        _, matrix, _, _ = medium_setup
-        router = ReverseTopKEngine(matrix, partitioned(medium_setup, 3), scan_workers=3)
-        router.rebind(matrix)
-        assert router.scan_workers == 3
-        router.close()
+
+def _view(lower, masses, is_exact=None):
+    lower = np.asarray(lower, dtype=np.float64)
+    n = lower.shape[1]
+    if is_exact is None:
+        is_exact = np.zeros(n, dtype=bool)
+    return ColumnarView(
+        lower=lower,
+        residual_mass=np.asarray(masses, dtype=np.float64),
+        is_exact=np.asarray(is_exact, dtype=bool),
+    )
+
+
+def _per_column_decisions(proximity, columns, k):
+    """Algorithm 4's three stages, one column at a time (the oracle)."""
+    exact, candidates, hits, n_pruned = [], [], [], 0
+    for node in range(proximity.size):
+        lower = columns.lower[:, node]
+        if proximity[node] < lower[k - 1]:
+            n_pruned += 1
+        elif columns.is_exact[node]:
+            exact.append(node)
+        else:
+            candidates.append(node)
+            upper = kth_upper_bound(lower, columns.residual_mass[node], k)
+            hits.append(proximity[node] >= upper)
+    return exact, candidates, hits, n_pruned
+
+
+def _assert_matches_per_column(proximity, columns, k):
+    exact, candidates, hits, n_pruned = columnar_stage_decisions(
+        proximity, columns, k
+    )
+    expected = _per_column_decisions(proximity, columns, k)
+    np.testing.assert_array_equal(exact, np.asarray(expected[0], dtype=np.int64))
+    np.testing.assert_array_equal(
+        candidates, np.asarray(expected[1], dtype=np.int64)
+    )
+    np.testing.assert_array_equal(hits, np.asarray(expected[2], dtype=bool))
+    assert n_pruned == expected[3]
+
+
+class TestColumnarStageDecisions:
+    """Hand-built columns pinned within one ULP of each decision boundary."""
+
+    def test_threshold_one_ulp_each_side_of_proximity(self):
+        p = 0.123456789012345
+        thresholds = np.array(
+            [
+                np.nextafter(p, np.inf),  # prune: p < threshold
+                p,  # survive: p >= threshold (tie)
+                np.nextafter(p, -np.inf),  # survive
+            ]
+        )
+        n = thresholds.size
+        lower = np.vstack([np.full(n, 0.9), thresholds])
+        _, candidates, _, n_pruned = columnar_stage_decisions(
+            np.full(n, p), _view(lower, np.zeros(n)), 2
+        )
+        assert n_pruned == 1
+        np.testing.assert_array_equal(candidates, [1, 2])
+
+    def test_staircase_tie_at_the_upper_bound(self):
+        # One non-exact column whose staircase upper bound we hit exactly,
+        # one we miss by one ULP in each direction.
+        lower = np.array([[0.5, 0.5, 0.5], [0.3, 0.3, 0.3]])
+        masses = np.array([0.1, 0.1, 0.1])
+        upper = kth_upper_bounds_batch(lower, masses, 2)
+        proximity = np.array(
+            [upper[0], np.nextafter(upper[1], np.inf), np.nextafter(upper[2], -np.inf)]
+        )
+        _, candidates, hits, _ = columnar_stage_decisions(
+            proximity, _view(lower, masses), 2
+        )
+        np.testing.assert_array_equal(candidates, [0, 1, 2])
+        # The tie and the +1 ULP columns are hits; the -1 ULP column is not.
+        assert hits.tolist() == [True, True, False]
+
+    def test_exact_columns_shortcut(self):
+        lower = np.array([[0.4, 0.4, 0.4], [0.2, 0.2, 0.2]])
+        is_exact = np.array([True, False, True])
+        columns = _view(lower, np.array([0.0, 0.3, 0.0]), is_exact)
+        proximity = np.array([0.2, 0.2, np.nextafter(0.2, -np.inf)])
+        exact, candidates, _, n_pruned = columnar_stage_decisions(
+            proximity, columns, 2
+        )
+        np.testing.assert_array_equal(exact, [0])
+        np.testing.assert_array_equal(candidates, [1])
+        assert n_pruned == 1
+
+    def test_subnormal_and_zero_thresholds(self):
+        thresholds = np.array([0.0, 5e-324, 1e-300, 1e-45, 1e-38])
+        n = thresholds.size
+        lower = np.vstack([np.full(n, 1e-200), thresholds])
+        lower = np.sort(np.maximum(lower, thresholds), axis=0)[::-1]
+        columns = _view(lower, np.zeros(n))
+        for p in (0.0, 5e-324, 1e-300, 1e-40):
+            _assert_matches_per_column(np.full(n, p), columns, 2)
+        # A zero proximity survives only the zero threshold.
+        _, candidates, _, n_pruned = columnar_stage_decisions(
+            np.zeros(n), columns, 2
+        )
+        np.testing.assert_array_equal(candidates, [0])
+        assert n_pruned == n - 1
+
+    def test_randomized_sweep_matches_per_column_oracle(self):
+        rng = np.random.default_rng(42)
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            capacity = int(rng.integers(1, 6))
+            k = int(rng.integers(1, capacity + 1))
+            lower = np.sort(rng.uniform(0.0, 0.5, size=(capacity, n)), axis=0)[::-1]
+            # Sprinkle exact ties with the k-th lower bound to stress the
+            # boundary comparisons.
+            proximity = rng.uniform(0.0, 0.6, size=n)
+            tie = rng.random(n) < 0.2
+            proximity[tie] = lower[k - 1, tie]
+            masses = rng.uniform(0.0, 0.4, size=n) * (rng.random(n) < 0.7)
+            is_exact = rng.random(n) < 0.3
+            _assert_matches_per_column(proximity, _view(lower, masses, is_exact), k)

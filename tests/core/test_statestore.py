@@ -220,11 +220,11 @@ class TestRoundTrips:
         assert cloned.stored_entries() == store.stored_entries()
 
     def test_state_array_layout_is_stable(self):
-        # The 12-plane layout is a persistence format; renaming/reordering
-        # breaks memmap layouts on disk.
+        # The 11-array layout is a persistence format; renaming/reordering
+        # breaks memmap layouts on disk.  P̂ is the shard's lower.npy.
         assert STATE_ARRAY_NAMES == (
             "residual_indptr", "residual_keys", "residual_values",
             "retained_indptr", "retained_keys", "retained_values",
             "hub_ink_indptr", "hub_ink_keys", "hub_ink_values",
-            "lower_bounds", "iterations", "is_hub",
+            "iterations", "is_hub",
         )

@@ -76,10 +76,10 @@ class TestFullPipeline:
         engine = ReverseTopKEngine.build(
             small_web_graph, params, transition=small_transition
         )
-        before = engine.index.lower_bound_matrix().copy()
+        before = engine.index.columns.lower.copy()
         for query in uniform_query_workload(small_web_graph, 10, seed=4):
             engine.query(query, 8, update_index=True)
-        after = engine.index.lower_bound_matrix()
+        after = engine.index.columns.lower
         assert np.all(after >= before - 1e-12)
 
     def test_weighted_graph_pipeline(self, weighted_coauthor_graph, reverse_topk_checker):

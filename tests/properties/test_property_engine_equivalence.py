@@ -71,8 +71,8 @@ class TestEngineEquivalence:
                 ), counter
             # Update-mode refinements must leave bit-identical index state.
             np.testing.assert_array_equal(
-                vectorized.index.lower_bound_matrix(),
-                scalar.index.lower_bound_matrix(),
+                vectorized.index.columns.lower,
+                scalar.index.columns.lower,
             )
             np.testing.assert_array_equal(
                 vectorized.index.columns.residual_mass,

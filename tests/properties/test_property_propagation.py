@@ -10,8 +10,7 @@ Under random graphs and parameters:
    its chunk mates, their order, the chunk width and the spill's dense
    sub-chunk width — on both spill branches (with and without hub ink);
 3. the stored bounds are exactly ``top_k_descending(expand_state(state))``,
-   which the dynamic maintainer's hub re-expansion relies on;
-4. float32-screened scanning decides exactly as the float64 scan.
+   which the dynamic maintainer's hub re-expansion relies on.
 """
 
 from hypothesis import example, given, settings
@@ -251,29 +250,3 @@ class TestChunkComposition:
             )
             assert again.tobytes() == arrays.lower_bounds.tobytes()
 
-
-class TestFloat32ScreenedScan:
-    """Property check: float32-screened scanning is bit-identical to the
-    float64 scan — answers and decision counters — under random graphs."""
-
-    @given(random_digraphs(), st.data())
-    @settings(max_examples=20, deadline=None)
-    def test_screened_engine_bit_identical(self, graph, data):
-        params = data.draw(index_params(graph.n_nodes)).for_graph(graph.n_nodes)
-        matrix = transition_matrix(graph)
-        k = data.draw(st.integers(min_value=1, max_value=params.capacity))
-        index = build_index(graph, params, transition=matrix)
-        baseline = ReverseTopKEngine(matrix, index)
-        screened = ReverseTopKEngine(matrix, index, scan_precision="float32")
-        for query in range(graph.n_nodes):
-            a = baseline.query(query, k, update_index=False)
-            b = screened.query(query, k, update_index=False)
-            np.testing.assert_array_equal(a.nodes, b.nodes)
-            assert a.statistics.n_candidates == b.statistics.n_candidates
-            assert a.statistics.n_hits == b.statistics.n_hits
-            assert a.statistics.n_exact_shortcut == b.statistics.n_exact_shortcut
-            assert (
-                a.statistics.n_pruned_immediately
-                == b.statistics.n_pruned_immediately
-            )
-            assert a.statistics.n_refined_nodes == b.statistics.n_refined_nodes

@@ -11,7 +11,6 @@ one-shard in-RAM index:
 * every answer of a query stream, its proximities and every
   :class:`QueryStatistics` counter — with or without write-back — and,
   after the stream, the written-back states, the planes and the version;
-* with a scan pool, the same again;
 
 and the answers still agree with :func:`brute_force_reverse_topk` wherever
 membership is not a numerical tie.  A maintained index at each ``P`` equals
@@ -152,16 +151,3 @@ class TestShardingInvariance:
                 assert abs(column[query] - np.sort(column)[-k]) <= 1e-8, (node, k)
         # Write-backs landed identically: states, planes and the version.
         assert_same_index(many, one)
-
-    @given(case=invariance_cases())
-    @settings(max_examples=10, deadline=None)
-    def test_scan_pool_equals_sequential_scan(self, case, tmp_path_factory):
-        _, _, n_shards, _, _, _, queries, _ = case
-        matrix, index = _build(case, tmp_path_factory.mktemp("pool"), n_shards=n_shards)
-        sequential = ReverseTopKEngine(matrix, index)
-        with ReverseTopKEngine(matrix, index, scan_workers=3) as pooled:
-            for query, k in queries:
-                assert_same_result(
-                    pooled.query(query, k, update_index=False),
-                    sequential.query(query, k, update_index=False),
-                )

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.pmpn import proximity_to_node
-from repro.rwr import (
-    ProximityLU,
-    proximity_column,
-    proximity_matrix_direct,
-    proximity_vector_direct,
-)
+from repro.rwr import ProximityLU, proximity_column
 
 
 class TestProximityLU:
@@ -40,15 +35,6 @@ class TestProximityLU:
 
         with pytest.raises(ValueError):
             ProximityLU(sp.csc_matrix(np.ones((2, 3))))
-
-    def test_one_off_helpers(self, small_transition):
-        lu = ProximityLU(small_transition)
-        np.testing.assert_allclose(
-            proximity_vector_direct(small_transition, 2), lu.column(2), atol=1e-12
-        )
-        np.testing.assert_allclose(
-            proximity_matrix_direct(small_transition), lu.matrix(), atol=1e-12
-        )
 
     def test_alpha_parameter_respected(self, small_transition):
         default = ProximityLU(small_transition).column(0)

@@ -10,7 +10,7 @@ import pytest
 
 from repro.exceptions import InvalidParameterError
 from repro.graph import ring_graph, transition_matrix
-from repro.rwr import ProximityLU, ProximityMatrix, top_k_of_column
+from repro.rwr import ProximityLU, ProximityMatrix
 from repro.utils.sparsetools import dense_top_k
 
 
@@ -48,10 +48,6 @@ class TestProximityMatrixWrapper:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             ProximityMatrix(np.ones((2, 3)))
-
-    def test_top_k_of_column_helper(self):
-        indices, values = top_k_of_column(np.array([0.1, 0.4, 0.2]), 2)
-        assert indices.tolist() == [1, 2]
 
 
 class TestForwardTopK:

@@ -220,11 +220,11 @@ class TestParallelExecutor:
 class TestReadonlyEntryPoint:
     def test_does_not_mutate_index_or_version(self, serving_engine):
         before = serving_engine.index.version
-        lower_before = serving_engine.index.lower_bound_matrix()
+        lower_before = serving_engine.index.columns.lower.copy()
         serving_engine.query_many_readonly(list(range(10)), 5)
         assert serving_engine.index.version == before
         np.testing.assert_array_equal(
-            serving_engine.index.lower_bound_matrix(), lower_before
+            serving_engine.index.columns.lower, lower_before
         )
 
     def test_rejects_update_params(self, serving_engine):

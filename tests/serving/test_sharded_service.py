@@ -99,24 +99,32 @@ class TestShardedStaticService:
             transition=matrix,
             n_shards=4,
             memory_budget=0,
-            scan_workers=2,
             config=config,
         ) as service:
             served = service.serve(REQUESTS)
             for (query, k), result in zip(REQUESTS, served):
                 direct = reference.query(query, k, update_index=False)
                 np.testing.assert_array_equal(result.nodes, direct.nodes)
-            service.engine.close()
 
-    def test_close_releases_the_engine_scan_pool(self, sharded_setup):
-        graph, matrix, params, _ = sharded_setup
+    def test_engine_outlives_the_service(self, sharded_setup):
+        # The engine holds no pool or handle of its own: closing the service
+        # stops its workers and leaves the engine answering directly.
+        graph, matrix, params, reference = sharded_setup
         service = ReverseTopKService.from_graph(
-            graph, params, transition=matrix, n_shards=3, scan_workers=2
+            graph,
+            params,
+            transition=matrix,
+            n_shards=3,
+            config=ServiceConfig(n_workers=2, cache_capacity=0),
         )
-        service.serve(REQUESTS)
-        assert service.engine._scan_pool is not None
+        served = service.serve(REQUESTS)
+        engine = service.engine
         service.close()
-        assert service.engine._scan_pool is None
+        for (query, k), result in zip(REQUESTS, served):
+            direct = engine.query(query, k, update_index=False)
+            np.testing.assert_array_equal(direct.nodes, result.nodes)
+            expected = reference.query(query, k, update_index=False)
+            np.testing.assert_array_equal(direct.nodes, expected.nodes)
 
     def test_memory_budget_without_snapshot_dir_raises(self, sharded_setup):
         graph, matrix, params, _ = sharded_setup
@@ -205,7 +213,7 @@ class TestConcurrentLazyOpen:
             cold, _ = manager.build_or_load(
                 graph, params, transition=matrix, n_shards=6, memory_budget=0
             )
-            engine = ReverseTopKEngine(matrix, cold, scan_workers=4)
+            engine = ReverseTopKEngine(matrix, cold)
             errors = []
 
             def worker(query):
@@ -222,7 +230,6 @@ class TestConcurrentLazyOpen:
                 thread.start()
             for thread in threads:
                 thread.join()
-            engine.close()
             assert not errors, errors
 
 

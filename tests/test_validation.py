@@ -6,7 +6,6 @@ import pytest
 from repro._validation import (
     as_node_array,
     check_k,
-    check_membership,
     check_node_index,
     check_non_negative_float,
     check_non_negative_int,
@@ -40,6 +39,12 @@ class TestCheckProbability:
     def test_rejects_nan(self):
         with pytest.raises(InvalidParameterError):
             check_probability(float("nan"), "p")
+
+    @pytest.mark.parametrize("inclusive", [False, True])
+    def test_rejects_values_outside_the_unit_interval(self, inclusive):
+        for value in (-0.1, 1.5, float("inf")):
+            with pytest.raises(InvalidParameterError):
+                check_probability(value, "p", inclusive=inclusive)
 
 
 class TestIntegerChecks:
@@ -84,6 +89,16 @@ class TestFloatChecks:
         with pytest.raises(InvalidParameterError):
             check_non_negative_float(float("inf"), "omega")
 
+    def test_non_negative_float_rejects_negative_and_nan(self):
+        for value in (-1e-300, float("nan")):
+            with pytest.raises(InvalidParameterError):
+                check_non_negative_float(value, "omega")
+
+    def test_positive_float_rejects_negative_and_non_finite(self):
+        for value in (-0.5, float("inf"), float("nan")):
+            with pytest.raises(InvalidParameterError):
+                check_positive_float(value, "eta")
+
 
 class TestNodeChecks:
     def test_valid_node(self):
@@ -98,6 +113,16 @@ class TestNodeChecks:
     def test_non_integer(self):
         with pytest.raises(InvalidParameterError):
             check_node_index("a", 10)
+
+    def test_node_index_rejects_bool_and_accepts_numpy_integer(self):
+        with pytest.raises(InvalidParameterError):
+            check_node_index(True, 10)
+        assert check_node_index(np.int32(7), 10) == 7
+
+    def test_check_k_rejects_non_positive(self):
+        for k in (0, -3):
+            with pytest.raises(InvalidParameterError):
+                check_k(k, 10)
 
     def test_check_k_within_capacity(self):
         assert check_k(5, 100, maximum=10) == 5
@@ -118,14 +143,11 @@ class TestNodeChecks:
         with pytest.raises(InvalidParameterError):
             as_node_array([1, 9], 5)
 
-
-class TestMembership:
-    def test_accepts_member(self):
-        assert check_membership("a", ("a", "b"), "mode") == "a"
-
-    def test_rejects_non_member(self):
+    def test_as_node_array_accepts_empty_and_rejects_negative(self):
+        empty = as_node_array([], 5)
+        assert empty.dtype == np.int64 and empty.size == 0
         with pytest.raises(InvalidParameterError):
-            check_membership("c", ("a", "b"), "mode")
+            as_node_array([0, -1], 5)
 
 
 class TestExceptionHierarchy:

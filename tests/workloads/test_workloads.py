@@ -1,14 +1,9 @@
-"""Tests for query workload generators and the parameter sweep runner."""
+"""Tests for query workload generators."""
 
 import numpy as np
 import pytest
 
-from repro.workloads import (
-    ParameterSweep,
-    all_nodes_workload,
-    degree_weighted_query_workload,
-    uniform_query_workload,
-)
+from repro.workloads import degree_weighted_query_workload, uniform_query_workload
 
 
 class TestQueryWorkloads:
@@ -38,11 +33,6 @@ class TestQueryWorkloads:
         bottom_nodes = np.argsort(degrees)[:5]
         assert counts[top_nodes].mean() > counts[bottom_nodes].mean()
 
-    def test_all_nodes_covers_everything(self, small_web_graph):
-        workload = all_nodes_workload(small_web_graph, k=3)
-        assert len(workload) == small_web_graph.n_nodes
-        assert set(workload) == set(range(small_web_graph.n_nodes))
-
     def test_with_k_changes_only_depth(self, small_web_graph):
         workload = uniform_query_workload(small_web_graph, 10, k=5, seed=1)
         deeper = workload.with_k(20)
@@ -53,34 +43,28 @@ class TestQueryWorkloads:
         workload = uniform_query_workload(small_web_graph, 5, seed=0)
         assert all(isinstance(query, int) for query in workload)
 
+    def test_without_replacement_caps_at_the_node_count(self):
+        workload = uniform_query_workload(12, 40, seed=5, replace=False)
+        assert sorted(workload.queries.tolist()) == list(range(12))
 
-class TestParameterSweep:
-    def test_cartesian_product(self):
-        sweep = ParameterSweep({"a": [1, 2], "b": ["x", "y", "z"]})
-        assert len(sweep.points()) == 6
+    def test_degree_weighted_out_direction_uses_out_degree(self, small_web_graph):
+        workload = degree_weighted_query_workload(
+            small_web_graph, 400, seed=4, direction="out"
+        )
+        assert workload.description == "degree-weighted (out)"
+        counts = np.bincount(workload.queries, minlength=small_web_graph.n_nodes)
+        degrees = small_web_graph.out_degree
+        top_nodes = np.argsort(-degrees, kind="stable")[:5]
+        bottom_nodes = np.argsort(degrees, kind="stable")[:5]
+        assert counts[top_nodes].mean() > counts[bottom_nodes].mean()
 
-    def test_run_collects_metrics(self):
-        sweep = ParameterSweep({"k": [1, 2, 3]})
-        points = sweep.run(lambda k: {"square": float(k * k)})
-        assert [p.metrics["square"] for p in points] == [1.0, 4.0, 9.0]
-
-    def test_point_item_access(self):
-        sweep = ParameterSweep({"k": [4]})
-        point = sweep.run(lambda k: {"value": 1.0})[0]
-        assert point["k"] == 4
-        assert point["value"] == 1.0
-
-    def test_on_point_callback(self):
-        seen = []
-        sweep = ParameterSweep({"k": [1, 2]})
-        sweep.run(lambda k: {"v": float(k)}, on_point=seen.append)
-        assert len(seen) == 2
-
-    def test_empty_axes_rejected(self):
+    def test_invalid_sizes_rejected(self, small_web_graph):
         with pytest.raises(ValueError):
-            ParameterSweep({})
+            uniform_query_workload(small_web_graph, 0)
         with pytest.raises(ValueError):
-            ParameterSweep({"k": []})
+            degree_weighted_query_workload(small_web_graph, -1)
+        with pytest.raises(ValueError):
+            uniform_query_workload(small_web_graph, 5).with_k(0)
 
 
 class TestZipfianWorkload:
