@@ -44,7 +44,7 @@ from .config import IndexParams, QueryParams
 from .hubs import degree_union_hubs, select_hubs_by_degree, HubSet
 from .index import NodeState, ColumnarView
 from .lbi import rebuild_node_state, refine_node_state
-from .pmpn import proximity_to_node, PMPNPlan, PMPNResult
+from .pmpn import proximity_to_node, PMPNPlan, PMPNState
 from .propagation import BuildReport, KernelWorkspace, PropagationKernel
 from .query import ReverseTopKEngine, QueryResult, QueryStatistics
 from .sharding import (
@@ -74,7 +74,7 @@ __all__ = [
     "ColumnarView",
     "proximity_to_node",
     "PMPNPlan",
-    "PMPNResult",
+    "PMPNState",
     "kth_upper_bound",
     "kth_upper_bounds_batch",
     "staircase_levels",

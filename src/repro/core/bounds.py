@@ -112,8 +112,8 @@ def kth_other_upper_bound(
 ) -> float:
     """Upper bound of the k-th largest proximity of ``u`` among nodes *other than* ``q``.
 
-    PMPN hands Algorithm 4 the exact ``p_u(q)``, so the gap
-    ``eps = p_u(q) - v̂_u[q] >= 0`` is residue *known* to end on ``q``:
+    For the exact ``p_u(q)``, the gap ``eps = p_u(q) - v̂_u[q] >= 0`` is
+    residue *known* to end on ``q``:
 
     1. every node's gap is non-negative and all gaps sum to at most the mass
        ``m`` (hub rounding deficit included), so
@@ -126,6 +126,14 @@ def kth_other_upper_bound(
 
     Never looser than :func:`kth_upper_bound` (less mass, and ``q``'s own step
     leaves the staircase), and the only test that can decide ``u = q``.
+
+    PMPN hands Algorithm 4 only an interval ``[lo, lo + w]`` of ``p_u(q)``
+    (:class:`~repro.core.pmpn.PMPNState`).  The bound falls as ``known_gap``
+    grows, by at most the growth (the level moves by at most the mass
+    removed), so the engine passes the *lower* end: ``B = B(lo - v̂_u[q])``
+    is valid for every ``p_u(q)`` in the interval.  Its accept test uses the
+    lower end too (``lo >= B``), and it refines only when the *upper* end
+    fails with room for the bound's own slack, ``lo + 2 w < B``.
 
     ``lower`` is the descending top-``K`` of ``v̂_u``, ``top`` the nodes holding
     those values.  Removing ``q``'s step pulls the ``(k+1)``-th value in; at

@@ -1,52 +1,70 @@
-"""Algorithm 2 — Power Method for Proximity to Node (PMPN).
+"""Algorithm 2 — Power Method for Proximity to Node (PMPN), in residual form.
 
-Given the query node ``q``, the online algorithm needs the **exact**
-proximities from *every* node to ``q``, i.e. the row ``p_{q,*}`` of the
-proximity matrix.  Theorem 2 of the paper proves that the iteration
+Given the query node ``q``, the online algorithm compares the proximity
+``p_u(q)`` from *every* node ``u`` to ``q`` — the row ``p_{q,*}`` of the
+proximity matrix — against bounds.  Theorem 2 of the paper proves that the
+iteration
 
-    x_{i+1} = (1 - alpha) * A^T @ x_i + alpha * e_q
+    x_{i+1} = (1 - alpha) * A^T @ x_i + alpha * e_q,    x_0 = e_q
 
-converges (from any start vector) to that row, with convergence rate
-``1 - alpha`` and therefore at most ``log(eps/alpha) / log(1-alpha)``
-iterations for tolerance ``eps`` — the same cost as computing a single
-*column* of ``P``.
+converges to that row with rate ``1 - alpha``, at the cost of computing a
+single *column* of ``P``.
+
+Residual form
+-------------
+:class:`PMPNState` runs the same iteration split into an estimate and a
+residual, starting from ``est = 0, r = e_q``; one round is
+
+    est += alpha * r;    r <- (1 - alpha) * A^T @ r
+
+— one product per round, as before, and ``est + r`` *is* the iterate
+``x_i``.  What the split buys is a certificate.  The row left to come is
+``p_u(q) - est_u = sum_v r_v * p_u(v)``, every term non-negative; ``A`` is
+column-stochastic, so ``sum_v p_u(v) = 1`` and
+
+    est_u <= p_u(q) <= est_u + max_v r_v
+
+for **every** node at **every** round: one scalar *width* for all ``n``
+nodes.  A column of ``A`` sums to one, so no entry of ``A^T @ r`` exceeds
+``max r``: the width shrinks by at least ``1 - alpha`` per round, and the
+intervals are nested (``alpha * r_u + max r' <= max r``).  In floats the
+state widens the interval on both sides by a running bound on the rounds'
+own rounding (``~1e-14`` at 4 000 nodes), so it holds as computed, not just
+as derived; a threshold that ties ``p_u(q)`` to within that bound is left
+open for the caller to decide on the point value.  A caller that only
+*compares* ``p_u(q)`` against thresholds advances the state only while some
+comparison is still open — the query engine does — and
+:func:`proximity_to_node` called on its own advances until the width is at
+most the tolerance: exact values on demand.
 
 Only the rows that can reach ``q``
 ----------------------------------
-Row ``u`` of ``A^T`` holds ``u``'s out-edges, so ``x_{i+1}[u]`` reads ``x_i``
-at ``u``'s out-neighbours only.  **Lemma.** Starting from ``x_0 = e_q``,
-(a) the supports are nested, ``supp(x_i) ⊆ supp(x_{i+1})`` — the restart
-term keeps ``q``, and an entry fed by a positive entry stays fed, every
-term being non-negative; (b) every ``x_i`` is exactly zero outside
-``Anc(q)``, the nodes with a path to ``q`` — a node outside has all its
-out-neighbours outside, so by induction it sums only zero terms; and
-(c) with the nodes laid out in a topological order of the strongly
-connected components (every edge points to an earlier position or stays
-inside its component), ``Anc(q)`` lies in ``q``'s *suffix*
-``[first[q], n)``, where ``first[q]`` is the first position of ``q``'s
-component — positions never decrease backwards along a path into ``q``.
+Row ``u`` of ``A^T`` holds ``u``'s out-edges, so a round reads ``r`` at
+``u``'s out-neighbours only.  **Lemma.** From ``r_0 = e_q``, every ``r_i``
+and ``est_i`` is exactly zero outside ``Anc(q)``, the nodes with a path to
+``q`` — a node outside has all its out-neighbours outside, so by induction
+it sums only zero terms; and with the nodes laid out in a topological order
+of the strongly connected components (every edge points to an earlier
+position or stays inside its component), ``Anc(q)`` lies in ``q``'s
+*suffix* ``[first[q], n)``, where ``first[q]`` is the first position of
+``q``'s component — positions never decrease backwards along a path into
+``q``.  A node outside the row set therefore has ``est = r = 0`` exactly,
+and its interval ``[0, width]`` is certified like any other.
 
 :class:`PMPNPlan` holds that layout, built once per transition matrix, and
-:func:`proximity_to_node` iterates only one *row set* per query:
+each state iterates only one *row set*:
 
 * if the suffix holds at most :data:`SEARCH_SUFFIX_SHARE` of the edges, one
   compiled breadth-first search over the in-edges returns ``Anc(q)``, and if
   those rows hold at most :data:`GATHER_ANCESTORS_SHARE` of the edges, the
-  iteration runs on the ancestors' rows gathered into a small CSR;
-* otherwise it runs on the suffix rows, a zero-copy slice of the CSR
-  arrays.  At ``first[q] = 0`` that is the whole matrix — the dense
-  iteration — and an arbitrary start vector (``initial=``) always takes it.
+  rounds run on the ancestors' rows gathered into a small CSR;
+* otherwise they run on the suffix rows, a zero-copy slice of the CSR
+  arrays.  At ``first[q] = 0`` that is the whole matrix.
 
-**Bit-identity.** Every row keeps its stored entries in the order of
-``transition.T.tocsr()`` and is summed by the same compiled CSR product from
-``0.0``; the columns a row set leaves out hold an exact ``+0.0`` (lemma),
-whose product term adds nothing to any partial sum.  So every iterate, and
-with it every answer, is bit-identical to the dense iteration.  *Caveat:*
-the stopping residual ``‖x_{i+1} − x_i‖₁`` is summed over the row set in
-layout order rather than over all ``n`` entries in node order; the summands
-are the same but their pairwise association differs, so the residual may
-differ in the last ulp and the stop could move only if ``‖Δ‖`` sat within
-ulps of the tolerance.  Iteration counts were equal on every query sized.
+Every row keeps its stored entries in the order of ``transition.T.tocsr()``
+and is summed by the same compiled CSR product from ``0.0``; the columns a
+row set leaves out hold an exact ``+0.0``, so the row set changes no bit of
+any round.
 
 **The two cut constants** were sized on the ``tail_k10`` stream (4 000-node
 copying-web graph, 40k edges) on a shared 2-core x86-64 VM, PMPN alone over
@@ -68,7 +86,6 @@ SpamRank-style analyses, as the paper suggests).
 from __future__ import annotations
 
 from dataclasses import dataclass
-import math
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -96,34 +113,7 @@ SEARCH_SUFFIX_SHARE = 0.5
 #: share of the edges; otherwise on the suffix.
 GATHER_ANCESTORS_SHARE = 0.1
 
-
-@dataclass(frozen=True)
-class PMPNResult:
-    """Result of a PMPN run.
-
-    Attributes
-    ----------
-    proximities:
-        ``proximities[u]`` is the exact proximity from node ``u`` to the query
-        (entry ``P[q, u]`` of the proximity matrix).
-    iterations:
-        Iterations performed until the L1 change dropped below tolerance.
-    residual:
-        Final L1 change between successive iterates.
-    converged:
-        Whether the tolerance was reached within the iteration budget.
-    rows:
-        Rows of ``A^T`` iterated per step (``n`` for the dense iteration).
-    edges:
-        Stored entries of those rows, i.e. edges touched per step.
-    """
-
-    proximities: np.ndarray
-    iterations: int
-    residual: float
-    converged: bool
-    rows: int
-    edges: int
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -204,6 +194,9 @@ class PMPNPlan:
         component.  The layout is checked at build time (every edge must
         point to a component no later than its own); if the check fails,
         ``first`` is all zeros — the full iteration, still exact.
+    max_row_entries:
+        The most stored entries in one row: the longest sum a round makes,
+        which bounds its rounding.
     """
 
     def __init__(self, transition: sp.spmatrix) -> None:
@@ -235,6 +228,7 @@ class PMPNPlan:
         self.order = order
         self.position = position
         self.first = first
+        self.max_row_entries = int(np.diff(indptr).max()) if n else 0
 
     @property
     def n_nodes(self) -> int:
@@ -281,6 +275,111 @@ class PMPNPlan:
         return self.suffix(start, int(self.position[query]))
 
 
+class PMPNState:
+    """PMPN in residual form for one query: certified intervals, one round at a time.
+
+    After :attr:`iterations` rounds every node ``u`` has
+    ``lower[u] <= p_u(q) <= lower[u] + width`` (module docstring), up to the
+    rounding of the rounds' own float arithmetic — a few ulps.
+    :meth:`advance` runs one more round.
+
+    Attributes
+    ----------
+    query, alpha, tolerance:
+        The query node, the restart probability and the width at which
+        :attr:`converged` holds.
+    iterations:
+        Rounds run so far.
+    width:
+        ``max_v r_v`` plus twice a bound on the rounding of the rounds so
+        far, which also comes off the lower ends (about ``1e-14`` on a
+        4 000-node graph) — ``1.0`` before the first round.
+    rows, edges:
+        Rows of ``A^T`` iterated per round (``n`` for the whole matrix) and
+        their stored entries, i.e. edges touched per round.
+    """
+
+    def __init__(
+        self, plan: PMPNPlan, query: int, alpha: float, tolerance: float
+    ) -> None:
+        self.query = query
+        self.alpha = alpha
+        self.tolerance = tolerance
+        self.iterations = 0
+        self.width = 1.0
+        self._plan = plan
+        self._row_set = plan.row_set(query)
+        self._nodes = plan.order[self._row_set.index]
+        n_rows = self._row_set.n_rows
+        self._estimate = np.zeros(n_rows, dtype=np.float64)
+        self._residual = np.zeros(n_rows, dtype=np.float64)
+        self._residual[self._row_set.query_row] = 1.0
+        self._row_max = 1.0
+        self._consumed = 0.0
+        self._rounding = 0.0
+        # The product's input by layout position; zero outside the row set.
+        self._x = np.zeros(plan.n_nodes, dtype=np.float64)
+        self._lower: Optional[np.ndarray] = None
+
+    @property
+    def rows(self) -> int:
+        return self._row_set.n_rows
+
+    @property
+    def edges(self) -> int:
+        return self._row_set.n_edges
+
+    @property
+    def converged(self) -> bool:
+        """Whether the width is down to the tolerance."""
+        return self.width <= self.tolerance
+
+    def advance(self) -> None:
+        """One round: ``est += alpha * r``, then ``r <- (1 - alpha) * A^T[rows] @ r``."""
+        residual = self._residual
+        self._estimate += self.alpha * residual
+        self._x[self._row_set.index] = residual
+        residual = self._row_set.product(self._x)
+        residual *= 1.0 - self.alpha
+        self._residual = residual
+        self.iterations += 1
+        # Rounding: a round moves every estimate (all <= 1) by at most
+        # 2 eps and every residual by a relative (entries + 2) eps of the
+        # spent max r; the remainder operator (rows of P summing to <= 1)
+        # carries both to every node undamped.  Widening the interval by
+        # that bound on each side keeps it sound in floats.
+        self._consumed += float(self._row_max)
+        self._row_max = residual.max() if residual.size else 0.0
+        self._rounding = _EPS * (
+            2 * self.iterations
+            + (self._plan.max_row_entries + 2) * self._consumed
+        )
+        self.width = float(self._row_max) + 2.0 * self._rounding
+        self._lower = None
+
+    def _dense(self, values: np.ndarray) -> np.ndarray:
+        out = np.zeros(self._plan.n_nodes, dtype=np.float64)
+        out[self._nodes] = values
+        return out
+
+    @property
+    def lower(self) -> np.ndarray:
+        """The certified lower ends, one per node (a fresh array per round).
+
+        ``est`` less the rounding bound, and never below ``0``.
+        """
+        if self._lower is None:
+            self._lower = self._dense(
+                np.maximum(self._estimate - self._rounding, 0.0)
+            )
+        return self._lower
+
+    @property
+    def proximities(self) -> np.ndarray:
+        """The point values ``est + r`` — PMPN's own iterate — one per node."""
+        return self._dense(self._estimate + self._residual)
+
+
 def proximity_to_node(
     transition: sp.spmatrix,
     query: int,
@@ -288,11 +387,14 @@ def proximity_to_node(
     alpha: float = 0.15,
     tolerance: float = 1e-10,
     max_iterations: Optional[int] = None,
-    initial: Optional[np.ndarray] = None,
     raise_on_failure: bool = True,
     plan: Optional[PMPNPlan] = None,
-) -> PMPNResult:
-    """Compute the exact proximities from all nodes to ``query`` (Algorithm 2).
+) -> PMPNState:
+    """Proximities from all nodes to ``query`` (Algorithm 2), to within ``tolerance``.
+
+    Returns the :class:`PMPNState` after the first round whose width is at
+    most ``tolerance``: ``state.lower`` and ``state.proximities`` are then
+    both within ``tolerance`` of the exact row.
 
     Parameters
     ----------
@@ -303,16 +405,15 @@ def proximity_to_node(
     alpha:
         Restart probability.
     tolerance:
-        Convergence threshold ``eps`` on the L1 difference of iterates.
+        Width ``max r`` to reach.
     max_iterations:
-        Hard cap; defaults to twice the Theorem 2(c) bound.
-    initial:
-        Optional start vector ``x_0`` (Theorem 2 guarantees convergence from
-        any start; the default is ``e_q``).  An arbitrary start has no zero
-        pattern to exploit, so it iterates every row.
+        Hard cap on the rounds; defaults to twice the Theorem 2(c) bound.
+        ``0`` (with ``raise_on_failure=False``) returns the state before its
+        first round, for a caller that advances it only while one of its
+        decisions is still open — the query engine does.
     raise_on_failure:
         Raise :class:`ConvergenceError` if the cap is reached (default), or
-        return the non-converged result when ``False``.
+        return the unconverged state when ``False``.
     plan:
         The :class:`PMPNPlan` of ``transition``.  Building one costs about a
         millisecond at 4 000 nodes; workloads evaluating many queries against
@@ -329,50 +430,19 @@ def proximity_to_node(
     elif plan.n_nodes != n:
         raise ValueError(f"plan covers {plan.n_nodes} nodes, expected {n}")
 
-    if initial is None:
-        rows = plan.row_set(query)
-        x = np.zeros(n, dtype=np.float64)
-        x[plan.position[query]] = 1.0
-    else:
-        start = np.asarray(initial, dtype=np.float64).ravel()
-        if start.size != n:
-            raise ValueError(f"initial vector has length {start.size}, expected {n}")
-        rows = plan.suffix(0, int(plan.position[query]))
-        x = start[plan.order]
-    restart = np.zeros(rows.n_rows, dtype=np.float64)
-    restart[rows.query_row] = alpha
-    scale = 1.0 - alpha
-
-    # ``x`` is the full iterate by position; outside the row set it stays
-    # exactly zero (or, from an arbitrary start, the row set is everything).
-    current = x[rows.index]
-    residual = math.inf
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iterations + 1):
-        nxt = rows.product(x)
-        nxt *= scale
-        nxt += restart
-        residual = float(np.abs(nxt - current).sum())
-        x[rows.index] = nxt
-        current = nxt
-        if residual < tolerance:
-            converged = True
-            break
-    if not converged and raise_on_failure:
+    state = PMPNState(plan, query, alpha, tolerance)
+    while not state.converged and state.iterations < max_iterations:
+        state.advance()
+    if not state.converged and raise_on_failure:
         raise ConvergenceError(
             f"PMPN did not converge in {max_iterations} iterations "
-            f"(residual {residual:.3e} > tolerance {tolerance:.3e})",
-            iterations,
-            residual,
+            f"(width {state.width:.3e} > tolerance {tolerance:.3e})",
+            state.iterations,
+            state.width,
         )
-    proximities = np.zeros(n, dtype=np.float64)
-    proximities[plan.order[rows.index]] = current
-    return PMPNResult(
-        proximities, iterations, residual, converged, rows.n_rows, rows.n_edges
-    )
+    return state
 
 
 def pmpn_iteration_bound(alpha: float, tolerance: float) -> int:
-    """Theorem 2(c): iterations needed so that the L1 change is below tolerance."""
+    """Theorem 2(c): rounds after which the change is below tolerance."""
     return expected_iterations(alpha, tolerance)

@@ -1,10 +1,12 @@
 """Algorithm 4 — the online reverse top-k query engine (§4.2).
 
-Query evaluation proceeds in two phases:
+Query evaluation interleaves two computations:
 
-1. **Exact proximities to the query** — PMPN (Algorithm 2) computes
-   ``p_{q,*}`` so that for every node ``u`` the exact value ``p_u(q)`` is
-   known.
+1. **Proximities to the query** — PMPN (Algorithm 2) in residual form
+   (:class:`~repro.core.pmpn.PMPNState`): after every round each node ``u``
+   holds a certified interval ``p_u(q) in [lower_u, lower_u + width]`` with
+   one width for all ``n`` nodes, and a round shrinks it by at least
+   ``1 - alpha``.
 2. **Candidate-centric scan** — nodes are pruned with their indexed k-th
    lower bound, confirmed with the staircase upper bound (Algorithm 3), or
    progressively refined with additional batched BCA iterations until one of
@@ -12,43 +14,59 @@ Query evaluation proceeds in two phases:
    decides.  Refinements can be written back into the index ("update" mode),
    tightening bounds for future queries.
 
+Every test of the scan only *compares* ``p_u(q)`` with a bound, so each is
+decided on the interval: ``p_u(q) >= t`` holds once ``lower >= t`` and fails
+once ``lower + width < t``.  PMPN advances only while some test is open —
+work in proportion to what decides the answer, not to the 1e-10 convergence
+of the whole row.  A test still open once the width is down to
+:attr:`~repro.core.config.QueryParams.tolerance` (an exact or near-exact tie)
+is decided on the point value ``est + r`` — PMPN's own iterate — and counted
+in :attr:`QueryStatistics.n_floor_decisions`.  The answer is the one the
+converged row gives; :attr:`QueryResult.proximities_to_query` holds the
+lower ends the decisions needed, with :attr:`QueryResult.proximity_width`.
+
 The scan
 --------
 Instead of looping over all ``n`` nodes, the scan phase runs as whole-array
 float64 stages over each shard's columnar slice
-(:func:`~repro.core.sharding.columnar_stage_decisions`), shard after shard:
+(:func:`~repro.core.sharding.columnar_stage_decisions`), shard after shard,
+round after round over only the nodes still open:
 
-* **prune** — one NumPy comparison ``p_*(q) < P̂[k-1, *]`` rejects almost
-  every node in a single pass (the paper's headline pruning result,
-  Figures 5-6);
-* **exact shortcut** — survivors whose ``is_exact`` mask bit is set are
-  accepted outright: their lower bound is the true k-th value, so surviving
-  the prune is a final decision;
-* **batched upper bound** — the staircase bound of Algorithm 3 is evaluated
-  for *all* remaining candidates at once (:func:`kth_upper_bounds_batch`),
-  turning first-check hits into results without touching per-node state;
-* **refine** — only the few candidates that all three vectorized stages left
-  undecided enter the per-node refinement loop of Algorithm 4, line 13.
+* **prune** — one NumPy comparison ``lower + width < P̂[k-1, *]`` rejects
+  almost every node (the paper's headline pruning result, Figures 5-6);
+* **exact shortcut** — nodes with ``lower >= P̂[k-1, *]`` whose ``is_exact``
+  mask bit is set are accepted outright: their lower bound is the true k-th
+  value, so surviving the prune is a final decision;
+* **batched upper bound** — the staircase bound ``U`` of Algorithm 3 is
+  evaluated for *all* other survivors at once
+  (:func:`kth_upper_bounds_batch`): ``lower >= U`` is a hit, ``lower + width
+  < U`` a miss;
+* **refine** — only the misses enter the per-node refinement loop of
+  Algorithm 4, line 13, whose tests read the same interval: it accepts on
+  ``lower >= B(lower - v̂[q])`` (the bound on the k-th *other* entry) and
+  refines on ``lower + 2 width < B`` — ``B`` falls by at most the gap it
+  gains, so that is ``p_u(q) < B(p_u(q) - v̂[q])``.
 
 This is the only scan.  The stages are column-local, so the shard count
 changes nothing a caller can observe: its results, its
-:class:`QueryStatistics` counters and the index it writes back are
-bit-identical to the paper's per-node while-loop, which lives under
+:class:`QueryStatistics` counters and the index it writes back equal those
+of the paper's per-node while-loop on the converged row, which lives under
 ``tests/`` as the reference oracle.  With one shard (the default) the slice
 is the whole array and nothing is copied or re-offset.  No knob picks how
 the scan runs: parallelism lives across queries (the serving layer's
 ``n_workers``, the server's ``scan_threads``), not inside one.
 
 The engine also collects the per-query statistics reported in Figures 5–8:
-candidate count, immediate hits, refinement iterations, and stage timings
-(``pmpn``, ``scan`` and ``refine``).
+candidate count, immediate hits, refinement iterations, PMPN rounds, and
+stage timings (``pmpn``, ``scan`` and ``refine``; PMPN rounds run inside the
+other two stages count as ``pmpn``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -63,7 +81,7 @@ from .bounds import BoundsWorkspace, kth_other_upper_bound
 from .config import IndexParams, QueryParams
 from .index import StateArrays
 from .lbi import refine_node_state
-from .pmpn import PMPNPlan, proximity_to_node
+from .pmpn import PMPNPlan, PMPNState, proximity_to_node
 from .propagation import PropagationKernel
 from .sharding import (
     IndexShard,
@@ -99,11 +117,16 @@ class QueryStatistics:
         Candidates whose refinement budget ran out and that were resolved
         exactly with one power-method run instead (near-exact ties only).
     pmpn_iterations:
-        Iterations used by the exact proximity-to-query computation.
+        PMPN rounds run: the query advances its intervals only while some
+        test is open.
     seconds:
         Total wall-clock time of the query.
     stage_seconds:
         Breakdown of the time per stage (``pmpn``, ``scan``, ``refine``).
+    n_floor_decisions:
+        Tests still open when the PMPN width reached
+        :attr:`QueryParams.tolerance`, and so decided on the point value
+        (near-exact ties of ``p_u(q)`` with a bound).
     """
 
     n_results: int
@@ -117,6 +140,7 @@ class QueryStatistics:
     seconds: float
     stage_seconds: Dict[str, float] = field(default_factory=dict)
     n_exact_fallbacks: int = 0
+    n_floor_decisions: int = 0
 
 
 @dataclass(frozen=True)
@@ -138,10 +162,16 @@ class QueryResult:
     nodes:
         Sorted array of nodes whose top-k proximity set contains ``q``.
     proximities_to_query:
-        The exact proximities ``p_u(q)`` for every node ``u`` (a by-product
-        of PMPN, useful to rank the result set).
+        Certified lower ends of the proximities ``p_u(q)`` for every node
+        ``u`` (a by-product of PMPN, useful to rank the result set):
+        ``proximities_to_query[u] <= p_u(q) <=
+        proximities_to_query[u] + proximity_width``.  Exact values on demand
+        come from :func:`~repro.core.pmpn.proximity_to_node`.
     statistics:
         The :class:`QueryStatistics` of this evaluation.
+    proximity_width:
+        The one interval width of every entry of ``proximities_to_query``:
+        as wide as deciding the answer allowed.
     """
 
     query: int
@@ -149,6 +179,7 @@ class QueryResult:
     nodes: np.ndarray
     proximities_to_query: np.ndarray
     statistics: QueryStatistics
+    proximity_width: float = 0.0
 
     def __post_init__(self) -> None:
         self._freeze()
@@ -385,18 +416,24 @@ class ReverseTopKEngine:
         """Run one pre-validated query through PMPN plus the scan."""
         stages = StageTimer()
         total_timer = Timer()
+        tally = _ScanTally()
         with total_timer:
             with stages.time("pmpn"):
+                # No rounds yet: the scan advances the state only while one
+                # of its tests is open.  Round 0's interval [0, 1] decides
+                # only zero thresholds, which any later round decides alike,
+                # so the scan starts at round 1.
                 pmpn = proximity_to_node(
                     self.transition,
                     query,
                     alpha=self.index.params.alpha,
                     tolerance=params.tolerance,
+                    max_iterations=0,
+                    raise_on_failure=False,
                     plan=self._pmpn_plan,
                 )
-            proximity_to_q = pmpn.proximities
-
-            nodes, tally = self._scan(query, proximity_to_q, k, params, stages)
+                pmpn.advance()
+            nodes = self._scan(query, pmpn, k, params, stages, tally)
 
         statistics = QueryStatistics(
             n_results=int(nodes.size),
@@ -410,6 +447,7 @@ class ReverseTopKEngine:
             seconds=total_timer.elapsed,
             stage_seconds=stages.as_dict(),
             n_exact_fallbacks=tally.n_fallbacks,
+            n_floor_decisions=tally.n_floor_decisions,
         )
         parent = current_span()
         if parent is not None:
@@ -425,9 +463,11 @@ class ReverseTopKEngine:
                 n_refined_nodes=tally.n_refined_nodes,
                 n_query_aware_hits=tally.n_query_aware_hits,
                 n_exact_fallbacks=tally.n_fallbacks,
+                n_floor_decisions=tally.n_floor_decisions,
                 pmpn_iterations=pmpn.iterations,
                 pmpn_rows=pmpn.rows,
                 pmpn_edges=pmpn.edges,
+                proximity_width=pmpn.width,
             )
             # Stage timings come straight from the StageTimer (already
             # exclusive per stage) — synthetic children, no double timing.
@@ -451,27 +491,28 @@ class ReverseTopKEngine:
             query=query,
             k=k,
             nodes=nodes,
-            proximities_to_query=proximity_to_q,
+            proximities_to_query=pmpn.lower,
             statistics=statistics,
+            proximity_width=pmpn.width,
         )
 
     def _scan(
         self,
         query: int,
-        proximity_to_q: np.ndarray,
+        pmpn: PMPNState,
         k: int,
         params: QueryParams,
         stages: StageTimer,
-    ) -> Tuple[np.ndarray, "_ScanTally"]:
+        tally: "_ScanTally",
+    ) -> np.ndarray:
         """Columnar scan: whole-array prune, exact shortcut, batched bound.
 
         Only candidates left undecided by all three columnar stages enter
         the per-node refinement loop (timed as the separate ``refine`` stage).
         """
-        tally = _ScanTally()
         with stages.time("scan"):
             exact_idx, candidates, hits = self._columnar_decisions(
-                proximity_to_q, k, tally
+                pmpn, k, params, stages, tally
             )
             tally.n_exact = int(exact_idx.size)
             tally.n_candidates = int(candidates.size)
@@ -481,13 +522,13 @@ class ReverseTopKEngine:
         with stages.time("refine"):
             for node in candidates[~hits]:
                 outcome = self._refine_candidate(
-                    int(node), query, float(proximity_to_q[node]), k, params
+                    int(node), query, pmpn, k, params, stages
                 )
                 tally.absorb_refinement(outcome)
                 if outcome.is_result:
                     refined_results.append(int(node))
 
-        nodes = np.sort(
+        return np.sort(
             np.concatenate(
                 [
                     exact_idx,
@@ -496,57 +537,86 @@ class ReverseTopKEngine:
                 ]
             )
         ).astype(np.int64)
-        return nodes, tally
 
     def _columnar_decisions(
-        self, proximity_to_q: np.ndarray, k: int, tally: "_ScanTally"
+        self,
+        pmpn: PMPNState,
+        k: int,
+        params: QueryParams,
+        stages: StageTimer,
+        tally: "_ScanTally",
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(exact, candidates, hit mask)`` of the columnar stages, shard by shard.
+        """``(exact, candidates, hit mask)`` of the columnar stages, round by round.
 
-        Shard outcomes concatenate in range order — the ascending candidate
-        order, so refinement trajectories, write-back order, version bumps
-        and counters do not depend on the shard count.  One shard's local
-        ids are the global ones: its outcome is returned as is.  Records the
-        prune count (and, under a trace, one record per shard) on ``tally``.
+        Each round tests, shard by shard, only the nodes the previous rounds
+        left open, and ``pmpn`` advances only while some node is open.  A node
+        still open once the width is down to the tolerance is decided on its
+        point value (a floor decision).  Candidates come back in ascending
+        order — the order refinement trajectories, write-backs, version bumps
+        and counters are taken in, whatever the shard count or the round that
+        decided them.  Records the prune count (and, under a trace, one
+        record per shard) on ``tally``.
         """
         shards = self.index.shards
-        outcomes = [self._scan_shard(shard, proximity_to_q, k) for shard in shards]
+        open_nodes: List[Optional[np.ndarray]] = [None] * len(shards)
+        seconds = [0.0] * len(shards)
+        pruned = [0] * len(shards)
+        decided: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+
+        def run(lower: np.ndarray, width: float) -> int:
+            n_open = 0
+            for i, shard in enumerate(shards):
+                nodes = open_nodes[i]
+                if nodes is not None and not nodes.size:
+                    continue
+                started = time.perf_counter()
+                exact_idx, candidates, hits, n_pruned, still_open = (
+                    columnar_stage_decisions(
+                        lower[shard.start : shard.stop],
+                        shard.columns,
+                        k,
+                        width=width,
+                        nodes=nodes,
+                        workspace=self._bounds_workspace,
+                    )
+                )
+                seconds[i] += time.perf_counter() - started
+                pruned[i] += n_pruned
+                decided.append(
+                    (exact_idx + shard.start, candidates + shard.start, hits)
+                )
+                open_nodes[i] = still_open
+                n_open += still_open.size
+            return n_open
+
+        n_open = run(pmpn.lower, pmpn.width)
+        while n_open:
+            if pmpn.converged:
+                tally.n_floor_decisions += n_open
+                run(pmpn.proximities, 0.0)
+                break
+            self._tighten(pmpn, stages)
+            n_open = run(pmpn.lower, pmpn.width)
+
         if current_span() is not None:
             tally.shard_records.extend(
-                (shard.start, shard.n_nodes, outcome[4], outcome[3])
-                for shard, outcome in zip(shards, outcomes)
+                (shard.start, shard.n_nodes, seconds[i], pruned[i])
+                for i, shard in enumerate(shards)
             )
-        tally.n_pruned = sum(outcome[3] for outcome in outcomes)
-        if len(outcomes) == 1:
-            exact_idx, candidates, hits = outcomes[0][:3]
-            return exact_idx, candidates, hits
-        return (
-            np.concatenate(
-                [outcome[0] + shard.start for shard, outcome in zip(shards, outcomes)]
-            ),
-            np.concatenate(
-                [outcome[1] + shard.start for shard, outcome in zip(shards, outcomes)]
-            ),
-            np.concatenate([outcome[2] for outcome in outcomes]),
+        tally.n_pruned = sum(pruned)
+        if len(decided) == 1:
+            return decided[0]
+        exact_idx, candidates, hits = (
+            np.concatenate(parts) for parts in zip(*decided)
         )
+        order = np.argsort(candidates, kind="stable")
+        return exact_idx, candidates[order], hits[order]
 
-    def _scan_shard(
-        self, shard: IndexShard, proximity_to_q: np.ndarray, k: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, float]:
-        """The columnar stages over one shard's slice, with local node ids.
-
-        Returns ``(exact, candidates, hits, n_pruned, seconds)``; pure reads
-        (the bounds workspace is thread-local, so concurrent read-only
-        queries may share the engine).
-        """
-        started = time.perf_counter()
-        exact_idx, candidates, hits, n_pruned = columnar_stage_decisions(
-            proximity_to_q[shard.start : shard.stop],
-            shard.columns,
-            k,
-            workspace=self._bounds_workspace,
-        )
-        return exact_idx, candidates, hits, n_pruned, time.perf_counter() - started
+    @staticmethod
+    def _tighten(pmpn: PMPNState, stages: StageTimer) -> None:
+        """One more PMPN round, timed as the ``pmpn`` stage."""
+        with stages.time("pmpn"):
+            pmpn.advance()
 
     # ------------------------------------------------------------------ #
     # internals — refinement
@@ -555,9 +625,10 @@ class ReverseTopKEngine:
         self,
         node: int,
         query: int,
-        proximity_to_query: float,
+        pmpn: PMPNState,
         k: int,
         params: QueryParams,
+        stages: StageTimer,
     ) -> "_NodeOutcome":
         """Continue Algorithm 4 for a candidate whose first bound check failed.
 
@@ -568,7 +639,8 @@ class ReverseTopKEngine:
         (budget check, refinement, re-check).  From
         here on the accept test is the bound on the k-th *other* entry: never
         looser than the paper's, and the only one that can admit
-        ``node == query`` at ``k = 1``.
+        ``node == query`` at ``k = 1``.  Every test reads ``p_u(q)`` as
+        ``pmpn``'s interval (:meth:`_decide`).
 
         The candidate's state is loaded once, as flat segments, into a
         refinement working set (no :class:`NodeState` is materialised, so
@@ -581,22 +653,35 @@ class ReverseTopKEngine:
         refinements = 0
         refined: Optional[StateArrays] = None
         working = self._kernel.load(self.index.state_arrays(node))
+
+        def accepts(lower: float, width: float) -> Optional[bool]:
+            # B(gap) falls as the known gap grows, by at most the gap's own
+            # growth (the staircase level moves by at most the mass removed):
+            # with p in [lower, lower + width], B(lower - v̂[q]) - width <=
+            # B(p - v̂[q]) <= B(lower - v̂[q]).
+            bound = kth_other_upper_bound(
+                working.lower_bounds, working.top, query,
+                working.residual_mass(self.index.hub_deficit),
+                lower - working.vector[query], k,
+            )
+            if lower >= bound:
+                return True
+            if lower + 2.0 * width < bound:
+                return False
+            return None
+
         try:
             while True:
                 # The paper's test failed on the stored state and is never
                 # tighter than this one, so each round tests only this bound.
-                if proximity_to_query >= kth_other_upper_bound(
-                    working.lower_bounds, working.top, query,
-                    working.residual_mass(self.index.hub_deficit),
-                    proximity_to_query - working.vector[query], k,
-                ):
+                if self._decide(pmpn, node, accepts, stages, outcome):
                     outcome.is_result = outcome.used_query_aware_bound = True
                     break
                 if refinements >= params.max_refinements:
                     # Refinement budget exhausted (a tie at the bounds'
                     # resolution): decide exactly with one power method run.
                     outcome.is_result, refined = self._exact_decision(
-                        node, proximity_to_query, k, working.iterations,
+                        node, pmpn, k, working.iterations, stages, outcome,
                         write_back=params.update_index,
                     )
                     outcome.used_exact_fallback = True
@@ -606,13 +691,15 @@ class ReverseTopKEngine:
                     kernel=self._kernel,
                 )
                 refinements += 1
+                survives = self._decide(
+                    pmpn, node, _at_least(working.lower_bounds[k - 1]),
+                    stages, outcome,
+                )
                 if not progressed:
                     # No residue remains: the lower bounds are exact values now.
-                    outcome.is_result = bool(
-                        proximity_to_query >= working.lower_bounds[k - 1]
-                    )
+                    outcome.is_result = survives
                     break
-                if proximity_to_query < working.lower_bounds[k - 1]:
+                if not survives:
                     break
                 if working.is_exact:
                     outcome.is_result = True
@@ -629,12 +716,39 @@ class ReverseTopKEngine:
             self.index.set_state(node, refined)
         return outcome
 
+    def _decide(
+        self,
+        pmpn: PMPNState,
+        node: int,
+        test,
+        stages: StageTimer,
+        outcome: "_NodeOutcome",
+    ) -> bool:
+        """Decide ``test(lower, width)`` on ``node``'s interval, tightening while open.
+
+        ``test`` returns ``True`` / ``False`` once the interval decides it and
+        ``None`` while it is open; at width ``0`` it must decide.  An open
+        test advances ``pmpn`` one round at a time; once the width is down to
+        the tolerance it is decided on the point value — PMPN's own iterate —
+        and counted as a floor decision.
+        """
+        while True:
+            decision = test(float(pmpn.lower[node]), pmpn.width)
+            if decision is not None:
+                return decision
+            if pmpn.converged:
+                outcome.n_floor_decisions += 1
+                return test(float(pmpn.proximities[node]), 0.0)
+            self._tighten(pmpn, stages)
+
     def _exact_decision(
         self,
         node: int,
-        proximity_to_query: float,
+        pmpn: PMPNState,
         k: int,
         iterations: int,
+        stages: StageTimer,
+        outcome: "_NodeOutcome",
         *,
         write_back: bool,
     ) -> Tuple[bool, Optional[StateArrays]]:
@@ -665,7 +779,21 @@ class ReverseTopKEngine:
             state = StateArrays(
                 empty, (support, exact[support]), empty, top, iterations
             )
-        return bool(proximity_to_query >= top[k - 1]), state
+        is_result = self._decide(pmpn, node, _at_least(top[k - 1]), stages, outcome)
+        return is_result, state
+
+
+def _at_least(threshold: float) -> Callable[[float, float], Optional[bool]]:
+    """The test ``p_u(q) >= threshold`` on the interval ``[lower, lower + width]``."""
+
+    def test(lower: float, width: float) -> Optional[bool]:
+        if lower >= threshold:
+            return True
+        if lower + width < threshold:
+            return False
+        return None
+
+    return test
 
 
 @dataclass
@@ -676,6 +804,7 @@ class _NodeOutcome:
     used_query_aware_bound: bool = False
     used_exact_fallback: bool = False
     refinement_iterations: int = 0
+    n_floor_decisions: int = 0
 
 
 @dataclass
@@ -690,6 +819,7 @@ class _ScanTally:
     n_refined_nodes: int = 0
     n_query_aware_hits: int = 0
     n_fallbacks: int = 0
+    n_floor_decisions: int = 0
     #: Per-shard ``(start, n_nodes, seconds, n_pruned)`` records, collected
     #: only while a trace is active.
     shard_records: List[Tuple[int, int, float, int]] = field(default_factory=list)
@@ -700,3 +830,4 @@ class _ScanTally:
         self.n_refined_nodes += outcome.refinement_iterations > 0
         self.n_query_aware_hits += outcome.used_query_aware_bound
         self.n_fallbacks += outcome.used_exact_fallback
+        self.n_floor_decisions += outcome.n_floor_decisions

@@ -37,9 +37,10 @@ nodes; larger ``P`` and a ``memory_budget`` put the index out of core.
 
 ``columnar_stage_decisions``
     Algorithm 4's columnar stages — whole-array prune, exact shortcut,
-    batched staircase bound — over one shard's float64 slice; the engine
+    batched staircase bound — over one shard's float64 slice, on certified
+    intervals of ``p_u(q)``; the engine
     (:class:`~repro.core.query.ReverseTopKEngine`) runs it shard by shard,
-    serially.
+    serially, over the nodes each round leaves open.
 
 ``build_index``
     Algorithm 1 end to end: the exact hub proximity matrix once, then each
@@ -148,25 +149,47 @@ def _shard_stem(ordinal: int) -> str:
 # the columnar stage pipeline (one shard's slice)
 # --------------------------------------------------------------------- #
 def columnar_stage_decisions(
-    proximity: np.ndarray,
+    lower: np.ndarray,
     columns: ColumnarView,
     k: int,
     *,
+    width: float = 0.0,
+    nodes: Optional[np.ndarray] = None,
     workspace: Optional[BoundsWorkspace] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
     """Prune / exact-shortcut / staircase decisions over one columnar slice.
 
     The one decision pipeline of Algorithm 4's scan, run over each shard's
-    slice in turn.  Returns ``(exact_idx, candidate_idx,
-    hits, n_pruned)`` with ascending slice-local node indices: nodes accepted
-    by the exact shortcut, undecided-or-hit candidates, the boolean hit mask
-    aligned with ``candidate_idx``, and the immediate-prune count.
+    slice in turn, on intervals: node ``u`` has ``p_u(q)`` in
+    ``[lower[u], lower[u] + width]``.  With ``L`` the k-th lower bound and
+    ``U`` the staircase upper bound, a node is pruned when ``lower + width <
+    L``, survives when ``lower >= L``, hits when ``lower >= U`` and misses
+    when ``lower + width < U``; ``width = 0`` decides every node on the point
+    value ``lower``.  ``nodes`` (ascending, slice-local) restricts the tests
+    to the nodes still open; ``None`` tests the whole slice.
+
+    Returns ``(exact_idx, candidate_idx, hits, n_pruned, open_idx)`` with
+    ascending slice-local node indices: nodes accepted by the exact
+    shortcut, candidates whose staircase test is decided, the boolean hit
+    mask aligned with ``candidate_idx``, the prune count, and the nodes
+    left open (survival or staircase test undecided at this width).
     """
-    survivors = proximity >= columns.lower[k - 1]
-    n_pruned = proximity.size - int(np.count_nonzero(survivors))
     is_exact = np.asarray(columns.is_exact)
-    exact_idx = np.flatnonzero(survivors & is_exact)
-    candidates = np.flatnonzero(survivors & ~is_exact)
+    if nodes is None:
+        nodes = np.arange(lower.size)
+        values = lower
+        kth = columns.lower[k - 1]
+    else:
+        values = lower[nodes]
+        kth = columns.lower[k - 1, nodes]
+        is_exact = is_exact[nodes]
+    pruned = values + width < kth
+    n_pruned = int(np.count_nonzero(pruned))
+    survivors = values >= kth
+    exact_idx = nodes[survivors & is_exact]
+    open_mask = ~(pruned | survivors)
+    chosen = survivors & ~is_exact
+    candidates = nodes[chosen]
     if candidates.size:
         # Gather only the k rows the staircase needs: the plane holds K >= k
         # rows and a full-column gather would touch (and copy) all of them.
@@ -176,10 +199,15 @@ def columnar_stage_decisions(
             k,
             workspace=workspace,
         )
-        hits = proximity[candidates] >= upper
+        candidate_values = values[chosen]
+        hits = candidate_values >= upper
+        decided = hits | (candidate_values + width < upper)
+        if not decided.all():
+            open_mask[np.flatnonzero(chosen)[~decided]] = True
+            candidates, hits = candidates[decided], hits[decided]
     else:
         hits = np.zeros(0, dtype=bool)
-    return exact_idx, candidates, hits, n_pruned
+    return exact_idx, candidates, hits, n_pruned, nodes[open_mask]
 
 
 class IndexShard:

@@ -43,11 +43,13 @@ Endpoints
     ``X-Deadline-Ms`` (remaining client budget, propagated end to end) and
     ``X-Trace`` (any value but ``0``/``false`` returns the span tree).
     ``GET /query?query=..&k=..`` is accepted too.  Answers
-    ``{"query", "k", "nodes", "proximities", "generation",
-    "index_version", "coalesced"[, "trace"]}`` — ``nodes`` is the reverse
-    top-k set and ``proximities[i]`` is ``p_{nodes[i]}(query)``, a bit-exact
-    float64 round-trip.  The response is the size of the answer: the dense
-    length-``n`` vector PMPN computes on the way never crosses the wire.
+    ``{"query", "k", "nodes", "proximities", "proximity_width",
+    "generation", "index_version", "coalesced"[, "trace"]}`` — ``nodes`` is
+    the reverse top-k set and ``proximities[i]`` the certified lower end of
+    ``p_{nodes[i]}(query)``, which lies in ``[proximities[i], proximities[i]
+    + proximity_width]``; both are bit-exact float64 round-trips.  The
+    response is the size of the answer: the dense length-``n`` vector PMPN
+    computes on the way never crosses the wire.
 ``POST /update``
     Body ``{"updates": [[op, u, v] | [op, u, v, w], ...]}``; applies one
     batch through the rollover manager and reports the maintenance outcome.
@@ -647,6 +649,7 @@ class ReverseTopKServer:
                 "k": result.k,
                 "nodes": result.nodes.tolist(),
                 "proximities": result.proximities_to_query[result.nodes].tolist(),
+                "proximity_width": result.proximity_width,
                 "generation": generation.generation_id,
                 "index_version": generation.index_version,
                 "coalesced": coalesced,

@@ -1,4 +1,4 @@
-"""Tests for Algorithm 2 (PMPN) — exact proximities to a node."""
+"""Tests for Algorithm 2 (PMPN) — certified intervals of the proximities to a node."""
 
 import pickle
 
@@ -8,9 +8,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.core import IndexParams, ReverseTopKEngine, build_index
+from repro.core import IndexParams, QueryParams, ReverseTopKEngine, build_index
 from repro.core import pmpn as pmpn_module
-from repro.core.pmpn import PMPNPlan, PMPNResult, pmpn_iteration_bound, proximity_to_node
+from repro.core.baseline import brute_force_reverse_topk
+from repro.core.hubs import HubSet
+from repro.core.index import NodeState
+from repro.core.pmpn import PMPNPlan, PMPNState, pmpn_iteration_bound, proximity_to_node
 from repro.dynamic import DynamicReverseTopKService, GraphUpdate
 from repro.exceptions import ConvergenceError, InvalidParameterError
 from repro.graph import (
@@ -24,6 +27,7 @@ from repro.graph.datasets import write_synthetic_edge_list
 from repro.graph.io import read_edge_list
 from repro.rwr import ProximityLU, proximity_column
 from repro.serving import ReverseTopKService, ServiceConfig
+from tests.reference import index_from_states
 
 
 class TestPMPNCorrectness:
@@ -31,6 +35,7 @@ class TestPMPNCorrectness:
         for query in (0, 5, 23):
             result = proximity_to_node(small_transition, query)
             np.testing.assert_allclose(result.proximities, small_exact_matrix[query, :], atol=1e-7)
+            np.testing.assert_allclose(result.lower, small_exact_matrix[query, :], atol=1e-7)
 
     def test_matches_column_entries(self, small_transition):
         # p_{q,*}(u) must equal p_u(q) computed column-wise (Theorem 2).
@@ -44,13 +49,6 @@ class TestPMPNCorrectness:
         # Same iteration count magnitude as a single forward power-method run.
         result = proximity_to_node(small_transition, 0, tolerance=1e-10)
         assert result.iterations <= 2 * pmpn_iteration_bound(0.15, 1e-10) + 10
-
-    def test_converges_from_arbitrary_start(self, small_transition, small_exact_matrix):
-        n = small_transition.shape[0]
-        rng = np.random.default_rng(0)
-        start = rng.random(n) * 5.0
-        result = proximity_to_node(small_transition, 9, initial=start)
-        np.testing.assert_allclose(result.proximities, small_exact_matrix[9, :], atol=1e-7)
 
     def test_ring_graph_row(self):
         matrix = transition_matrix(ring_graph(5))
@@ -68,18 +66,14 @@ class TestPMPNCorrectness:
 class TestPMPNBehaviour:
     def test_result_fields(self, small_transition):
         result = proximity_to_node(small_transition, 1)
-        assert isinstance(result, PMPNResult)
+        assert isinstance(result, PMPNState)
         assert result.converged
-        assert result.residual < 1e-10
+        assert result.width <= 1e-10
         assert result.iterations > 0
 
     def test_rejects_bad_query(self, small_transition):
         with pytest.raises(InvalidParameterError):
             proximity_to_node(small_transition, -1)
-
-    def test_rejects_bad_initial_length(self, small_transition):
-        with pytest.raises(ValueError):
-            proximity_to_node(small_transition, 0, initial=np.ones(3))
 
     def test_raises_on_failure_by_default(self, small_transition):
         with pytest.raises(ConvergenceError):
@@ -91,12 +85,23 @@ class TestPMPNBehaviour:
         )
         assert not result.converged
 
+    def test_zero_rounds_is_the_certified_start(self, small_transition):
+        # The engine's entry: no round yet, every interval is [0, 1].
+        state = proximity_to_node(
+            small_transition, 4, max_iterations=0, raise_on_failure=False
+        )
+        assert (state.iterations, state.width) == (0, 1.0)
+        assert not state.lower.any()
+        state.advance()
+        assert state.iterations == 1 and state.width < 1.0
+        assert state.lower[4] == pytest.approx(0.15)
+
     def test_iteration_bound_formula(self):
         assert pmpn_iteration_bound(0.15, 1e-10) == pytest.approx(131, abs=2)
 
     def test_convergence_rate_bounded_by_one_minus_alpha(self, small_transition):
         # Theorem 2(b) gives 1 - alpha as the *worst-case* rate: the extra
-        # iterations for a 1e4-times tighter tolerance never exceed the bound
+        # rounds for a 1e4-times tighter tolerance never exceed the bound
         # (real graphs often converge faster).
         loose = proximity_to_node(small_transition, 0, tolerance=1e-4).iterations
         tight = proximity_to_node(small_transition, 0, tolerance=1e-8).iterations
@@ -106,24 +111,10 @@ class TestPMPNBehaviour:
 
 
 # --------------------------------------------------------------------- #
-# row sets: bit-identical to the dense iteration
+# the certified interval, against the LU oracle
 # --------------------------------------------------------------------- #
-def dense_pmpn(transition, query, *, alpha=0.15, tolerance=1e-10, initial=None):
-    """The dense loop PMPN ran before row sets: every row, every step."""
-    n = transition.shape[0]
-    transposed = transition.T.tocsr()
-    restart = np.zeros(n)
-    restart[query] = alpha
-    current = np.zeros(n) if initial is None else np.asarray(initial, dtype=float).copy()
-    if initial is None:
-        current[query] = 1.0
-    for iterations in range(1, 2 * pmpn_iteration_bound(alpha, tolerance) + 11):
-        nxt = (1.0 - alpha) * (transposed @ current) + restart
-        residual = float(np.abs(nxt - current).sum())
-        current = nxt
-        if residual < tolerance:
-            return current, iterations
-    raise AssertionError("the dense oracle did not converge")
+#: The oracle's own rounding: a few ulps of a proximity (all are <= 1).
+SLACK = 8 * np.finfo(np.float64).eps
 
 
 @st.composite
@@ -132,19 +123,20 @@ def shaped_digraphs(draw):
 
     ``dag``: edges only to higher ids (sources without in-edges, sinks that
     dangle); ``blocks``: several strongly connected rings with forward edges
-    between them; ``giant``: one ring over most nodes plus random edges;
-    ``random``: unrestricted, cycles everywhere.
+    between them; ``islands``: the same rings with no edge between them
+    (disconnected components); ``giant``: one ring over most nodes plus
+    random edges; ``random``: unrestricted, cycles everywhere.
     """
-    shape = draw(st.sampled_from(["dag", "blocks", "giant", "random"]))
+    shape = draw(st.sampled_from(["dag", "blocks", "islands", "giant", "random"]))
     n = draw(st.integers(min_value=2, max_value=40))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     mask = rng.random((n, n)) < rng.uniform(0.02, 0.3)
     np.fill_diagonal(mask, False)
     if shape == "dag":
         mask = np.triu(mask, 1)
-    elif shape == "blocks":
+    elif shape in ("blocks", "islands"):
         labels = np.sort(rng.integers(0, max(n // 4, 1), n))
-        mask &= labels[:, None] < labels[None, :]
+        mask &= (labels[:, None] < labels[None, :]) & (shape == "blocks")
         for label in np.unique(labels):
             members = np.flatnonzero(labels == label)
             if members.size > 1:
@@ -158,34 +150,106 @@ def shaped_digraphs(draw):
     return weighted_transition_matrix(graph) if weighted else transition_matrix(graph)
 
 
-def assert_matches_dense_oracle(transition, plan, query, initial=None):
-    result = proximity_to_node(transition, query, plan=plan, initial=initial)
-    expected, iterations = dense_pmpn(transition, query, initial=initial)
-    assert result.proximities.tobytes() == expected.tobytes()
-    assert result.iterations == iterations
-    return result
+def assert_interval_holds(transition, plan, query, exact, *, shrink=1.0):
+    """``lower <= exact <= lower + shrink * width`` at every round, to convergence."""
+    state = proximity_to_node(
+        transition, query, plan=plan, max_iterations=0, raise_on_failure=False
+    )
+    rows = plan.row_set(query)
+    assert (state.rows, state.edges) == (rows.n_rows, rows.n_edges)
+    while True:
+        lower = state.lower
+        assert np.all(lower <= exact + SLACK), state.iterations
+        assert np.all(exact <= lower + shrink * state.width + SLACK), state.iterations
+        if state.converged:
+            return state
+        width = state.width
+        state.advance()
+        # Geometric, up to the width's own rounding allowance.
+        assert state.width <= (1 - state.alpha) * width + 1e-12
+
+
+@given(shaped_digraphs())
+@settings(max_examples=80, deadline=None)
+def test_interval_holds_at_every_round(transition):
+    """Every query of the graph, every round: the interval holds the LU row."""
+    plan = PMPNPlan(transition)
+    lu = ProximityLU(transition)
+    for query in range(transition.shape[0]):
+        state = assert_interval_holds(transition, plan, query, lu.row(query))
+        np.testing.assert_allclose(state.proximities, lu.row(query), atol=1e-10)
+        event(f"row set: {row_set_side(plan, query)}")
 
 
 def row_set_side(plan, query):
     return "suffix" if isinstance(plan.row_set(query).index, slice) else "ancestors"
 
 
-@given(shaped_digraphs(), st.integers(min_value=0, max_value=2**32 - 1))
-@settings(max_examples=80, deadline=None)
-def test_row_sets_match_the_dense_oracle(transition, seed):
-    """Every query of the graph, and one arbitrary start, bit for bit."""
-    plan = PMPNPlan(transition)
-    n = transition.shape[0]
-    edges = transition.nnz
-    for query in range(n):
-        result = assert_matches_dense_oracle(transition, plan, query)
-        rows = plan.row_set(query)
-        assert (result.rows, result.edges) == (rows.n_rows, rows.n_edges)
-        assert result.rows <= n and result.edges <= edges
-        event(f"row set: {row_set_side(plan, query)}")
-    start = np.random.default_rng(seed).random(n) * 3.0
-    result = assert_matches_dense_oracle(transition, plan, seed % n, initial=start)
-    assert (result.rows, result.edges) == (n, edges)
+def dangling_query():
+    """A dangling query ``q = 0`` fed by a small chain: the bound is tight at ``q``.
+
+    ``q``'s self-loop keeps the largest residual at ``q`` itself, and
+    ``p_q(q) = 1``, so ``p_q(q) - est_q = max r`` exactly at every round.
+    """
+    adjacency = sp.csr_matrix(
+        ([1.0, 1.0, 1.0, 1.0], ([1, 2, 2, 3], [0, 1, 0, 2])), shape=(4, 4)
+    )
+    return transition_matrix(DiGraph(adjacency))
+
+
+class TestIntervalNegativeControls:
+    def test_shrinking_the_width_fails_the_property(self):
+        transition = dangling_query()
+        plan = PMPNPlan(transition)
+        exact = ProximityLU(transition).row(0)
+        assert exact[0] == pytest.approx(1.0)
+        assert_interval_holds(transition, plan, 0, exact)
+        with pytest.raises(AssertionError):
+            assert_interval_holds(transition, plan, 0, exact, shrink=0.99)
+
+    def test_dropping_an_ancestor_row_fails_the_property(self, monkeypatch):
+        """The property sees a row set one ancestor short."""
+        ancestors = PMPNPlan.ancestors
+
+        def one_short(plan, query):
+            found = ancestors(plan, query)
+            return found[:-1] if found.size > 1 else found
+
+        monkeypatch.setattr(PMPNPlan, "ancestors", one_short)
+        with pytest.raises(AssertionError):
+            test_interval_holds_at_every_round()
+
+
+def test_exact_tie_is_decided_like_the_brute_force():
+    """``p_u(q) == P̂[k-1, u]`` in floats: no width decides it, the floor does.
+
+    ``u = 2`` links to ``q = 0`` and ``w = 1``, both dangling; at
+    ``alpha = 1/2`` every round is dyadic and exact, ``p_u = (1/4, 1/4, 1/2)``
+    and ``u``'s hand-made exact top-2 ends on ``1/4 = p_u(q)``.
+    """
+    adjacency = sp.csr_matrix(([1.0, 1.0], ([2, 2], [0, 1])), shape=(3, 3))
+    transition = transition_matrix(DiGraph(adjacency))
+    params = IndexParams(alpha=0.5, capacity=3, hub_budget=0)
+    exact = ProximityLU(transition, alpha=0.5).matrix()
+    states = [
+        NodeState(retained={0: 1.0}, lower_bounds=np.array([1.0, 0.0, 0.0])),
+        NodeState(retained={1: 1.0}, lower_bounds=np.array([1.0, 0.0, 0.0])),
+        NodeState(
+            retained={0: 0.25, 1: 0.25, 2: 0.5},
+            lower_bounds=np.array([0.5, 0.25, 0.25]),
+        ),
+    ]
+    index = index_from_states(
+        params, HubSet(()), sp.csc_matrix((3, 0)), np.zeros(0), states
+    )
+    engine = ReverseTopKEngine(transition, index)
+    result = engine.query(0, 2, update_index=False)
+    expected = brute_force_reverse_topk(transition, 0, 2, alpha=0.5)
+    np.testing.assert_array_equal(result.nodes, expected)
+    assert 2 in result.nodes
+    assert exact[0, 2] == 0.25 == index.state_arrays(2).lower_bounds[1]
+    assert result.statistics.n_floor_decisions >= 1
+    assert result.proximity_width <= QueryParams().tolerance
 
 
 class TestRowSets:
@@ -197,8 +261,9 @@ class TestRowSets:
         plan = PMPNPlan(transition)
         assert row_set_side(plan, 0) == "ancestors"
         assert row_set_side(plan, 59) == "suffix"
+        lu = ProximityLU(transition)
         for query in (0, 30, 59):
-            assert_matches_dense_oracle(transition, plan, query)
+            assert_interval_holds(transition, plan, query, lu.row(query))
         # One ring: every node shares one component, first = 0, every row.
         ring = transition_matrix(ring_graph(12))
         ring_plan = PMPNPlan(ring)
@@ -219,26 +284,19 @@ class TestRowSets:
         )
         plan = PMPNPlan(transition)
         assert not plan.first.any()
+        lu = ProximityLU(transition)
         for query in range(8):
-            assert assert_matches_dense_oracle(transition, plan, query).rows == 8
-
-    def test_dropping_an_ancestor_row_fails_the_property(self, monkeypatch):
-        """Negative control: the property sees a row set one ancestor short."""
-        ancestors = PMPNPlan.ancestors
-
-        def one_short(plan, query):
-            found = ancestors(plan, query)
-            return found[:-1] if found.size > 1 else found
-
-        monkeypatch.setattr(PMPNPlan, "ancestors", one_short)
-        with pytest.raises(AssertionError):
-            test_row_sets_match_the_dense_oracle()
+            state = assert_interval_holds(transition, plan, query, lu.row(query))
+            assert state.rows == 8
 
     def test_product_without_the_compiled_kernel(self, small_transition, monkeypatch):
         plan = PMPNPlan(small_transition)
+        compiled = [proximity_to_node(small_transition, q, plan=plan) for q in (0, 5, 23)]
         monkeypatch.setattr(pmpn_module, "_csr_matvec", None)
-        for query in (0, 5, 23):
-            assert_matches_dense_oracle(small_transition, plan, query)
+        for query, expected in zip((0, 5, 23), compiled):
+            state = proximity_to_node(small_transition, query, plan=plan)
+            assert state.iterations == expected.iterations
+            np.testing.assert_allclose(state.lower, expected.lower, rtol=1e-12, atol=0)
 
     def test_plan_of_another_graph_is_rejected(self, small_transition):
         with pytest.raises(ValueError):
@@ -248,7 +306,7 @@ class TestRowSets:
 
 
 class TestRowSetsOnBenchmarkGraphs:
-    """Rows and edges per step on the perf workloads' graphs (seed 0)."""
+    """Rows and edges per round on the perf workloads' graphs (seed 0)."""
 
     def test_copying_web_queries_take_the_ancestor_path(self):
         # tail_k10's graph: half the queries iterate a handful of rows.

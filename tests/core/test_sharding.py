@@ -529,9 +529,10 @@ def _per_column_decisions(proximity, columns, k):
 
 
 def _assert_matches_per_column(proximity, columns, k):
-    exact, candidates, hits, n_pruned = columnar_stage_decisions(
+    exact, candidates, hits, n_pruned, undecided = columnar_stage_decisions(
         proximity, columns, k
     )
+    assert undecided.size == 0  # width 0 decides every node
     expected = _per_column_decisions(proximity, columns, k)
     np.testing.assert_array_equal(exact, np.asarray(expected[0], dtype=np.int64))
     np.testing.assert_array_equal(
@@ -555,7 +556,7 @@ class TestColumnarStageDecisions:
         )
         n = thresholds.size
         lower = np.vstack([np.full(n, 0.9), thresholds])
-        _, candidates, _, n_pruned = columnar_stage_decisions(
+        _, candidates, _, n_pruned, _ = columnar_stage_decisions(
             np.full(n, p), _view(lower, np.zeros(n)), 2
         )
         assert n_pruned == 1
@@ -570,7 +571,7 @@ class TestColumnarStageDecisions:
         proximity = np.array(
             [upper[0], np.nextafter(upper[1], np.inf), np.nextafter(upper[2], -np.inf)]
         )
-        _, candidates, hits, _ = columnar_stage_decisions(
+        _, candidates, hits, _, _ = columnar_stage_decisions(
             proximity, _view(lower, masses), 2
         )
         np.testing.assert_array_equal(candidates, [0, 1, 2])
@@ -582,7 +583,7 @@ class TestColumnarStageDecisions:
         is_exact = np.array([True, False, True])
         columns = _view(lower, np.array([0.0, 0.3, 0.0]), is_exact)
         proximity = np.array([0.2, 0.2, np.nextafter(0.2, -np.inf)])
-        exact, candidates, _, n_pruned = columnar_stage_decisions(
+        exact, candidates, _, n_pruned, _ = columnar_stage_decisions(
             proximity, columns, 2
         )
         np.testing.assert_array_equal(exact, [0])
@@ -598,7 +599,7 @@ class TestColumnarStageDecisions:
         for p in (0.0, 5e-324, 1e-300, 1e-40):
             _assert_matches_per_column(np.full(n, p), columns, 2)
         # A zero proximity survives only the zero threshold.
-        _, candidates, _, n_pruned = columnar_stage_decisions(
+        _, candidates, _, n_pruned, _ = columnar_stage_decisions(
             np.zeros(n), columns, 2
         )
         np.testing.assert_array_equal(candidates, [0])
@@ -619,3 +620,42 @@ class TestColumnarStageDecisions:
             masses = rng.uniform(0.0, 0.4, size=n) * (rng.random(n) < 0.7)
             is_exact = rng.random(n) < 0.3
             _assert_matches_per_column(proximity, _view(lower, masses, is_exact), k)
+
+    def test_interval_sweep_decides_what_both_ends_agree_on(self):
+        """On ``[lower, lower + width]`` a node is decided iff both ends decide alike."""
+
+        def outcome(p, columns, node, k):
+            lower = columns.lower[:, node]
+            if p < lower[k - 1]:
+                return "pruned"
+            if columns.is_exact[node]:
+                return "exact"
+            upper = kth_upper_bound(lower, columns.residual_mass[node], k)
+            return "hit" if p >= upper else "miss"
+
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            capacity = int(rng.integers(1, 6))
+            k = int(rng.integers(1, capacity + 1))
+            lower = np.sort(rng.uniform(0.0, 0.5, size=(capacity, n)), axis=0)[::-1]
+            masses = rng.uniform(0.0, 0.4, size=n) * (rng.random(n) < 0.7)
+            columns = _view(lower, masses, rng.random(n) < 0.3)
+            values = rng.uniform(0.0, 0.6, size=n)
+            width = float(rng.choice([0.0, 1e-3, 0.05, 0.3]))
+            nodes = np.flatnonzero(rng.random(n) < 0.7)
+            exact, candidates, hits, n_pruned, undecided = columnar_stage_decisions(
+                values, columns, k, width=width, nodes=nodes
+            )
+            expected = {"pruned": [], "exact": [], "hit": [], "miss": [], "open": []}
+            for node in nodes:
+                ends = {
+                    outcome(p, columns, node, k)
+                    for p in (values[node], values[node] + width)
+                }
+                expected[ends.pop() if len(ends) == 1 else "open"].append(node)
+            assert n_pruned == len(expected["pruned"])
+            np.testing.assert_array_equal(exact, expected["exact"])
+            np.testing.assert_array_equal(candidates[hits], expected["hit"])
+            np.testing.assert_array_equal(candidates[~hits], expected["miss"])
+            np.testing.assert_array_equal(undecided, expected["open"])

@@ -59,6 +59,7 @@ class TestQueryPath:
                 np.asarray(response["proximities"], dtype=np.float64),
                 direct.proximities_to_query[direct.nodes],
             )
+            assert response["proximity_width"] == direct.proximity_width
             assert response["index_version"] == 0
 
     @pytest.mark.parametrize("method", ["POST", "GET"])
@@ -67,7 +68,8 @@ class TestQueryPath:
     ):
         """``nodes`` and ``proximities`` are aligned and answer-sized.
 
-        ``proximities[i]`` is ``p_{nodes[i]}(q)`` bit for bit; the dense
+        ``proximities[i]`` is the lower end of ``p_{nodes[i]}(q)`` bit for
+        bit, ``proximity_width`` its interval's width; the dense
         length-n vector PMPN computes on the way stays in process, so the
         body is bounded by the answer — an O(n) payload fails the bound.
         """
@@ -92,6 +94,7 @@ class TestQueryPath:
                 np.asarray(response["proximities"], dtype=np.float64),
                 direct.proximities_to_query[direct.nodes],
             )
+            assert response["proximity_width"] == direct.proximity_width
             # json_payload is the server's own serialiser: same bytes.
             assert len(json_payload(response)) <= 256 + 48 * len(response["nodes"])
             if direct.nodes.size == 0:

@@ -11,8 +11,9 @@ transcriptions of the paper kept here:
 * :func:`seed_states` / :func:`seed_index` — every node's state built by that
   loop, and an index assembled from them (:func:`index_from_states`);
 * :func:`reference_scan` — Algorithm 4's while loop visiting all ``n`` nodes
-  one at a time: prune on the k-th lower bound, exact shortcut, the staircase
-  bound, then the engine's own refinement of each remaining candidate.
+  one at a time on PMPN's converged values: prune on the k-th lower bound,
+  exact shortcut, the staircase bound, then the engine's own refinement of
+  each remaining candidate.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from repro.core.pmpn import proximity_to_node
 from repro.core.propagation import _HubExpansion
 from repro.core.statestore import ColumnarStateStore
 from repro.utils.sparsetools import top_k_descending
+from repro.utils.timer import StageTimer
 
 #: ``QueryStatistics`` counters :func:`reference_scan` reproduces.
 SCAN_COUNTERS = (
@@ -41,7 +43,6 @@ SCAN_COUNTERS = (
     "n_refinement_iterations",
     "n_refined_nodes",
     "n_exact_fallbacks",
-    "pmpn_iterations",
 )
 
 
@@ -194,10 +195,13 @@ def reference_scan(engine, query: int, k: int, *, update_index: bool = True):
     """Algorithm 4's per-node while loop over all ``n`` nodes.
 
     Returns ``(nodes, counters)``: the ascending answer and a dict of the
-    :data:`SCAN_COUNTERS`.  Each node is pruned on its k-th lower bound,
-    accepted when its bounds are exact or its staircase upper bound is
-    reached, and otherwise handed to the engine's refinement loop, in
-    ascending node order (so write-backs happen in the engine's order).
+    :data:`SCAN_COUNTERS`, plus ``pmpn_iterations``, the rounds PMPN took to
+    converge — an upper bound of the engine's, which stops once every test
+    is decided.  Each node is compared at its converged value: pruned on its
+    k-th lower bound, accepted when its bounds are exact or its staircase
+    upper bound is reached, and otherwise handed to the engine's refinement
+    loop, in ascending node order (so write-backs happen in the engine's
+    order).
     """
     params = QueryParams(k=k, update_index=update_index)
     index = engine.index
@@ -210,10 +214,11 @@ def reference_scan(engine, query: int, k: int, *, update_index: bool = True):
     )
     counters: Dict[str, int] = dict.fromkeys(SCAN_COUNTERS, 0)
     counters["pmpn_iterations"] = pmpn.iterations
+    values = pmpn.proximities
     results = []
     for node in range(engine.n_nodes):
         state = index.state_arrays(node)
-        value = float(pmpn.proximities[node])
+        value = float(values[node])
         if value < float(state.lower_bounds[k - 1]):
             counters["n_pruned_immediately"] += 1
             continue
@@ -229,7 +234,7 @@ def reference_scan(engine, query: int, k: int, *, update_index: bool = True):
             counters["n_hits"] += 1
             results.append(node)
             continue
-        outcome = engine._refine_candidate(node, query, value, k, params)
+        outcome = engine._refine_candidate(node, query, pmpn, k, params, StageTimer())
         counters["n_refinement_iterations"] += outcome.refinement_iterations
         counters["n_refined_nodes"] += outcome.refinement_iterations > 0
         counters["n_exact_fallbacks"] += outcome.used_exact_fallback
