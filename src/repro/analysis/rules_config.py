@@ -86,6 +86,11 @@ GUARDED_BY: Dict[str, Dict[str, Guard]] = {
     },
     "LatencyStats": {
         "_samples": Guard("_lock"),
+        "_buckets": Guard("_lock"),
+        "_count": Guard("_lock"),
+        "_total": Guard("_lock"),
+        "_min": Guard("_lock"),
+        "_max": Guard("_lock"),
         "_sorted": Guard("_lock"),
     },
     "ResultCache": {

@@ -8,10 +8,15 @@ deadlock.
 
 from __future__ import annotations
 
+import math
 import pickle
 import threading
 
-from repro.utils.timer import LatencyStats
+import numpy as np
+import pytest
+
+from repro.utils import timer
+from repro.utils.timer import EXACT_SAMPLES, RELATIVE_ERROR, LatencyStats
 
 
 class TestConcurrentRecord:
@@ -73,11 +78,15 @@ class TestCrossMerge:
             b.record(0.002 * (i + 1))
         barrier = threading.Barrier(2)
         done = threading.Event()
+        errors = []
 
         def merge(dst, src):
             barrier.wait()
-            for _ in range(2000):
-                dst.merge(src)
+            try:
+                for _ in range(2000):
+                    dst.merge(src)
+            except BaseException as exc:  # a dying merge must fail the test
+                errors.append(exc)
 
         t1 = threading.Thread(target=merge, args=(a, b))
         t2 = threading.Thread(target=merge, args=(b, a))
@@ -89,6 +98,21 @@ class TestCrossMerge:
         t2.join(timeout=60)
         watchdog.cancel()
         assert not t1.is_alive() and not t2.is_alive(), "merge deadlocked"
+        assert not errors, errors
+        # Counts grow with the interleaving; memory does not.
+        assert a.count >= 100 and b.count >= 100
+        assert len(a._samples) <= EXACT_SAMPLES and len(b._samples) <= EXACT_SAMPLES
+
+    def test_a_raising_merge_fails_the_storm(self, monkeypatch):
+        """Negative control: the storm sees a merge thread that dies."""
+
+        def broken(samples):
+            raise MemoryError("simulated")
+
+        # Raised once the storm's counts outgrow the exact samples.
+        monkeypatch.setattr(timer, "_bucketize", broken)
+        with pytest.raises(AssertionError, match="MemoryError"):
+            self.test_symmetric_merge_storm_does_not_deadlock()
 
     def test_concurrent_merges_lose_no_samples(self):
         total = LatencyStats()
@@ -121,3 +145,59 @@ class TestPickle:
         clone.record(1.0)  # the rebuilt lock must work
         assert clone.count == 11
         assert stats.count == 10  # deep copy, not shared
+
+
+def nearest_rank(values, p):
+    ordered = np.sort(values)
+    return ordered[min(len(ordered), max(1, math.ceil(p / 100.0 * len(ordered)))) - 1]
+
+
+class TestBoundedFootprint:
+    def test_a_million_records_stay_bounded(self):
+        rng = np.random.default_rng(0)
+        # Latencies over six decades, 1 µs to 1 s.
+        values = 10.0 ** rng.uniform(-6.0, 0.0, size=1_000_000)
+        stats = LatencyStats()
+        for value in values.tolist():
+            stats.record(value)
+        assert stats.count == 1_000_000
+        assert stats._samples == []
+        # (ln 1e6 / ln gamma) + 1 buckets span six decades.
+        assert len(stats._buckets) <= math.log(1e6) / math.log(1.0202) + 2
+        assert (stats.min, stats.max) == (values.min(), values.max())
+        for p in (1, 50, 95, 99, 99.9):
+            exact = nearest_rank(values, p)
+            assert abs(stats.percentile(p) - exact) <= RELATIVE_ERROR * exact
+        assert stats.mean == pytest.approx(values.mean(), rel=1e-9)
+
+    def test_percentiles_and_buckets_within_the_stated_error(self):
+        rng = np.random.default_rng(1)
+        values = rng.lognormal(mean=-7.0, sigma=1.0, size=3 * EXACT_SAMPLES)
+        stats = LatencyStats(values[:EXACT_SAMPLES])
+        exact_mode = stats.as_dict()
+        assert exact_mode["p95_seconds"] == nearest_rank(values[:EXACT_SAMPLES], 95)
+        stats.merge(LatencyStats(values[EXACT_SAMPLES:]))
+        assert stats.count == values.size and stats._buckets is not None
+        for p in (50, 95, 99):
+            exact = nearest_rank(values, p)
+            assert abs(stats.percentile(p) - exact) <= RELATIVE_ERROR * exact
+        # A sample lands in a wrong Prometheus bucket only within eps of the edge.
+        edges = [1e-4, 5e-4, 1e-3, 5e-3]
+        for edge, count in stats.summary(edges)["buckets"]:
+            low = np.count_nonzero(values <= edge * (1 - RELATIVE_ERROR))
+            high = np.count_nonzero(values <= edge * (1 + RELATIVE_ERROR))
+            assert low <= count <= high, edge
+
+    def test_merging_histograms_matches_recording_in_one(self):
+        rng = np.random.default_rng(2)
+        values = rng.uniform(1e-4, 1e-1, size=4 * EXACT_SAMPLES)
+        whole = LatencyStats(values)
+        parts = [LatencyStats(chunk) for chunk in np.array_split(values, 4)]
+        merged = parts[0]
+        for part in parts[1:]:
+            merged.merge(part)
+        assert merged._buckets == whole._buckets
+        assert merged.count == whole.count
+        assert merged.percentile(99) == whole.percentile(99)
+        clone = pickle.loads(pickle.dumps(merged))
+        assert clone.as_dict() == merged.as_dict()
