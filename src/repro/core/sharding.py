@@ -145,6 +145,34 @@ def _shard_stem(ordinal: int) -> str:
     return f"shard-{ordinal:05d}"
 
 
+#: The files of one shard in the layout, after its stem.
+_SHARD_SUFFIXES = ("lower.npy", "mass.npy", "exact.npy") + tuple(
+    f"states.{name}.npy" for name in STATE_ARRAY_NAMES
+)
+
+
+def remove_stale_layout_files(directory: PathLike, n_shards: int) -> List[Path]:
+    """Delete the files in ``directory`` that a ``n_shards`` layout does not write.
+
+    A layout rebuilt in place over an older or torn one (a changed layout
+    version, a different shard count) would otherwise keep the old files
+    beside the new ones for good.  Another writer's in-flight temp files
+    (``*.tmp-*``) are left alone.  Returns the removed paths.
+    """
+    directory = Path(directory)
+    current = {_META_NAME} | {
+        f"{_shard_stem(ordinal)}.{suffix}"
+        for ordinal in range(n_shards)
+        for suffix in _SHARD_SUFFIXES
+    }
+    removed = []
+    for path in sorted(directory.iterdir()):
+        if path.is_file() and path.name not in current and ".tmp-" not in path.name:
+            path.unlink()
+            removed.append(path)
+    return removed
+
+
 # --------------------------------------------------------------------- #
 # the columnar stage pipeline (one shard's slice)
 # --------------------------------------------------------------------- #
@@ -297,9 +325,7 @@ class IndexShard:
         shard.backing = "memmap"
         shard.directory = Path(directory)
         shard.ordinal = int(ordinal)
-        suffixes = ["lower.npy", "mass.npy", "exact.npy"]
-        suffixes += [f"states.{name}.npy" for name in STATE_ARRAY_NAMES]
-        for suffix in suffixes:
+        for suffix in _SHARD_SUFFIXES:
             path = shard.directory / f"{_shard_stem(ordinal)}.{suffix}"
             if not path.exists():
                 raise SerializationError(f"index layout is missing {path}")

@@ -15,7 +15,9 @@ A snapshot is the index's on-disk layout
 content key and shard count, per-shard files written atomically (temp file
 plus ``os.replace``) and the meta archive last.  A crash mid-store can never
 corrupt an existing snapshot, and a missing, torn or unreadable layout is
-treated as a miss, not an error.
+treated as a miss, not an error: the rebuild writes the current layout in
+its place and removes every file the current layout does not write (an older
+layout version's, say).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Optional, Tuple, Union
 import scipy.sparse as sp
 
 from ..core.config import IndexParams
-from ..core.sharding import ReverseTopKIndex, build_index
+from ..core.sharding import ReverseTopKIndex, build_index, remove_stale_layout_files
 from ..exceptions import SerializationError
 from ..graph.digraph import DiGraph
 
@@ -189,20 +191,26 @@ class SnapshotManager:
         path = self.sharded_path_for(
             graph, effective, transition, n_shards=n_shards
         )
-        if path.exists():
+        stale = path.exists()
+        if stale:
             try:
                 return ReverseTopKIndex.load(path, memory_budget=memory_budget), True
             except SerializationError:
                 pass  # torn or stale layout: rebuild below
+        writes = store_on_miss or memory_budget is not None
         index = build_index(
             graph,
             effective,
             transition=transition,
             n_shards=n_shards,
-            directory=path if (store_on_miss or memory_budget is not None) else None,
+            directory=path if writes else None,
             memory_budget=memory_budget,
             n_workers=parallel,
         )
+        if stale and writes:
+            # The rebuilt layout replaced the files it writes; an older
+            # layout's other files would otherwise stay beside it for good.
+            remove_stale_layout_files(path, index.n_shards)
         return index, False
 
     def __repr__(self) -> str:

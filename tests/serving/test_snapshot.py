@@ -203,6 +203,39 @@ class TestSnapshotManager:
         )
         assert hit  # the rebuild re-archived a whole layout
 
+    def test_rebuild_over_an_old_layout_removes_its_files(
+        self, tmp_path, small_web_graph, small_transition, small_params
+    ):
+        # Layout version 1 kept a float32 screening plane and a second copy
+        # of P̂ per shard; version 2 writes neither.
+        manager = SnapshotManager(tmp_path)
+        manager.build_or_load(small_web_graph, small_params, transition=small_transition)
+        meta = _meta_path(manager, small_web_graph, small_params, small_transition)
+        layout = meta.parent
+        current = sorted(path.name for path in layout.iterdir())
+        with np.load(meta) as data:
+            old = {name: data[name] for name in data.files}
+        old["layout_version"] = np.array([1], dtype=np.int64)
+        with open(meta, "wb") as handle:
+            np.savez_compressed(handle, **old)
+        stale = ["shard-00000.lower32.npy", "shard-00000.states.lower_bounds.npy"]
+        for name in stale:
+            np.save(layout / name, np.zeros(3))
+        in_flight = layout / "shard-00000.mass.npy.tmp-abc123"
+        in_flight.write_bytes(b"another writer's temp file")
+        rebuilt, hit = manager.build_or_load(
+            small_web_graph, small_params, transition=small_transition
+        )
+        assert not hit
+        assert sorted(path.name for path in layout.iterdir()) == sorted(
+            current + [in_flight.name]
+        )
+        loaded, hit = manager.build_or_load(
+            small_web_graph, small_params, transition=small_transition
+        )
+        assert hit
+        np.testing.assert_array_equal(loaded.columns.lower, rebuilt.columns.lower)
+
     def test_truncated_meta_is_a_miss(
         self, tmp_path, small_web_graph, small_transition, small_params
     ):
