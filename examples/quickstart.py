@@ -52,7 +52,7 @@ def main() -> None:
     print(f"  candidates after lower-bound pruning : {stats.n_candidates}")
     print(f"  immediate hits via upper bound       : {stats.n_hits}")
     print(f"  refinement iterations                : {stats.n_refinement_iterations}")
-    print(f"  PMPN iterations                      : {stats.pmpn_iterations}")
+    print(f"  PMPN rounds                          : {stats.pmpn_iterations}")
     print(f"  total time                           : {stats.seconds * 1000:.1f} ms")
 
     # Sanity check against the brute-force definition (only viable on small

@@ -1,4 +1,4 @@
-"""Algorithm 2 — Power Method for Proximity to Node (PMPN), in residual form.
+"""Algorithm 2 — Power Method for Proximity to Node (PMPN), with its residual.
 
 Given the query node ``q``, the online algorithm compares the proximity
 ``p_u(q)`` from *every* node ``u`` to ``q`` — the row ``p_{q,*}`` of the
@@ -12,13 +12,12 @@ single *column* of ``P``.
 
 Residual form
 -------------
-:class:`PMPNState` runs the same iteration split into an estimate and a
-residual, starting from ``est = 0, r = e_q``; one round is
-
-    est += alpha * r;    r <- (1 - alpha) * A^T @ r
-
-— one product per round, as before, and ``est + r`` *is* the iterate
-``x_i``.  What the split buys is a certificate.  The row left to come is
+The iterate splits into an estimate and a residual, ``x_i = est_i + r_i``
+with ``est_0 = 0, r_0 = e_q``, ``est_{i+1} = est_i + alpha * r_i`` and
+``r_{i+1} = (1 - alpha) * A^T @ r_i``.  :class:`PMPNState` runs the paper's
+iteration itself, bit for bit, and carries the residual alongside it
+without a second product: ``r_{i+1} = (x_{i+1} - x_i) + (1 - alpha) *
+r_i``.  What the split buys is a certificate.  The row left to come is
 ``p_u(q) - est_u = sum_v r_v * p_u(v)``, every term non-negative; ``A`` is
 column-stochastic, so ``sum_v p_u(v) = 1`` and
 
@@ -27,15 +26,19 @@ column-stochastic, so ``sum_v p_u(v) = 1`` and
 for **every** node at **every** round: one scalar *width* for all ``n``
 nodes.  A column of ``A`` sums to one, so no entry of ``A^T @ r`` exceeds
 ``max r``: the width shrinks by at least ``1 - alpha`` per round, and the
-intervals are nested (``alpha * r_u + max r' <= max r``).  In floats the
-state widens the interval on both sides by a running bound on the rounds'
-own rounding (``~1e-14`` at 4 000 nodes), so it holds as computed, not just
-as derived; a threshold that ties ``p_u(q)`` to within that bound is left
-open for the caller to decide on the point value.  A caller that only
-*compares* ``p_u(q)`` against thresholds advances the state only while some
-comparison is still open — the query engine does — and
-:func:`proximity_to_node` called on its own advances until the width is at
-most the tolerance: exact values on demand.
+intervals are nested (``alpha * r_u + max r' <= max r``), each holding the
+iterate ``x_i``.  In floats the interval is widened on both sides by a bound
+on the rounds' own rounding (``(entries + 8) * eps / alpha``, ``~1e-13`` on
+the benchmark graphs), so it holds as computed, not just as derived.
+
+A caller that only *compares* ``p_u(q)`` against thresholds advances the
+state only while some comparison is still open — the query engine does.
+Where the interval never decides (a threshold that ties ``p_u(q)``), the
+comparison is made on PMPN's result: the iterate of the round where the L1
+change first drops below the tolerance, Theorem 2's stop — the very value
+the paper's Algorithm 4 compares.  :func:`proximity_to_node` called on its
+own advances until that stop and until the width is at most the tolerance:
+exact values on demand.
 
 Only the rows that can reach ``q``
 ----------------------------------
@@ -64,7 +67,8 @@ each state iterates only one *row set*:
 Every row keeps its stored entries in the order of ``transition.T.tocsr()``
 and is summed by the same compiled CSR product from ``0.0``; the columns a
 row set leaves out hold an exact ``+0.0``, so the row set changes no bit of
-any round.
+any round.  A node outside the row set has ``p_u(q) = 0`` exactly: its
+interval is the point ``0``.
 
 **The two cut constants** were sized on the ``tail_k10`` stream (4 000-node
 copying-web graph, 40k edges) on a shared 2-core x86-64 VM, PMPN alone over
@@ -276,11 +280,12 @@ class PMPNPlan:
 
 
 class PMPNState:
-    """PMPN in residual form for one query: certified intervals, one round at a time.
+    """PMPN for one query, one round at a time, with certified intervals.
 
-    After :attr:`iterations` rounds every node ``u`` has
-    ``lower[u] <= p_u(q) <= lower[u] + width`` (module docstring), up to the
-    rounding of the rounds' own float arithmetic — a few ulps.
+    A round is Algorithm 2's own iteration over the row set, bit for bit,
+    and carries the residual alongside it (module docstring).  After
+    :attr:`iterations` rounds every node ``u`` has
+    ``lower[u] <= p_u(q) <= lower[u] + width``, rounding included.
     :meth:`advance` runs one more round.
 
     Attributes
@@ -291,9 +296,11 @@ class PMPNState:
     iterations:
         Rounds run so far.
     width:
-        ``max_v r_v`` plus twice a bound on the rounding of the rounds so
-        far, which also comes off the lower ends (about ``1e-14`` on a
-        4 000-node graph) — ``1.0`` before the first round.
+        ``max_v r_v`` plus twice the rounding bound — ``1.0`` before the
+        first round.
+    settled:
+        Whether a round's L1 change has dropped below the tolerance —
+        Theorem 2's stop, where PMPN returns :attr:`proximities`.
     rows, edges:
         Rows of ``A^T`` iterated per round (``n`` for the whole matrix) and
         their stored entries, i.e. edges touched per round.
@@ -307,19 +314,26 @@ class PMPNState:
         self.tolerance = tolerance
         self.iterations = 0
         self.width = 1.0
+        self.settled = False
         self._plan = plan
         self._row_set = plan.row_set(query)
         self._nodes = plan.order[self._row_set.index]
-        n_rows = self._row_set.n_rows
-        self._estimate = np.zeros(n_rows, dtype=np.float64)
-        self._residual = np.zeros(n_rows, dtype=np.float64)
-        self._residual[self._row_set.query_row] = 1.0
-        self._row_max = 1.0
-        self._consumed = 0.0
-        self._rounding = 0.0
-        # The product's input by layout position; zero outside the row set.
+        # The iterate by layout position (the product's input), zero outside
+        # the row set, and over the rows: x_0 = e_q, r_0 = e_q.
         self._x = np.zeros(plan.n_nodes, dtype=np.float64)
-        self._lower: Optional[np.ndarray] = None
+        self._x[plan.position[query]] = 1.0
+        self._current = self._x[self._row_set.index].copy()
+        self._residual = self._current.copy()
+        # A round's rounding is at most (entries + 3) eps (every entry of the
+        # iterate is <= 1), carrying the residual adds a few eps more, and
+        # the remainder operator damps each round's error by 1 - alpha per
+        # later round: the total stays below this bound at every round.
+        self._rounding = (plan.max_row_entries + 8) * _EPS / alpha
+        self._settled_values: Optional[np.ndarray] = None
+        # Each node's row, -1 outside the row set (where p_u(q) = 0 exactly).
+        self._row_of = np.full(plan.n_nodes, -1, dtype=np.int64)
+        self._row_of[self._nodes] = np.arange(self._nodes.size)
+        self._ends: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @property
     def rows(self) -> int:
@@ -334,50 +348,134 @@ class PMPNState:
         """Whether the width is down to the tolerance."""
         return self.width <= self.tolerance
 
+    @property
+    def at_floor(self) -> bool:
+        """Whether a comparison the interval leaves open is decided on :attr:`proximities`.
+
+        From PMPN's own stop on — where Algorithm 2 returns its iterate and
+        a comparison is made on it — or once the width is down to the
+        tolerance; the iterate lies in every round's interval, so a
+        comparison the interval decided earlier comes out the same on it.
+        """
+        return self.settled or self.converged
+
     def advance(self) -> None:
-        """One round: ``est += alpha * r``, then ``r <- (1 - alpha) * A^T[rows] @ r``."""
+        """One round: ``x <- (1 - alpha) A^T[rows] x + alpha e_q``, ``r <- (x' - x) + (1 - alpha) r``."""
+        rows = self._row_set
+        scale = 1.0 - self.alpha
+        nxt = rows.product(self._x)
+        nxt *= scale
+        nxt[rows.query_row] += self.alpha
+        change = nxt - self._current
         residual = self._residual
-        self._estimate += self.alpha * residual
-        self._x[self._row_set.index] = residual
-        residual = self._row_set.product(self._x)
-        residual *= 1.0 - self.alpha
+        residual *= scale
+        residual += change
+        self._x[rows.index] = nxt
+        self._current = nxt
         self._residual = residual
         self.iterations += 1
-        # Rounding: a round moves every estimate (all <= 1) by at most
-        # 2 eps and every residual by a relative (entries + 2) eps of the
-        # spent max r; the remainder operator (rows of P summing to <= 1)
-        # carries both to every node undamped.  Widening the interval by
-        # that bound on each side keeps it sound in floats.
-        self._consumed += float(self._row_max)
-        self._row_max = residual.max() if residual.size else 0.0
-        self._rounding = _EPS * (
-            2 * self.iterations
-            + (self._plan.max_row_entries + 2) * self._consumed
-        )
-        self.width = float(self._row_max) + 2.0 * self._rounding
-        self._lower = None
+        if not self.settled and float(np.abs(change).sum()) < self.tolerance:
+            self.settled = True
+            self._settled_values = self._dense(nxt)
+        top = float(residual.max()) if residual.size else 0.0
+        self.width = top + 2.0 * self._rounding
+        self._ends = None
 
     def _dense(self, values: np.ndarray) -> np.ndarray:
         out = np.zeros(self._plan.n_nodes, dtype=np.float64)
         out[self._nodes] = values
         return out
 
+    def _estimate(self, rows) -> np.ndarray:
+        """``est = x - r`` at ``rows``, less the rounding bound, never below 0."""
+        estimate = self._current[rows] - self._residual[rows]
+        estimate -= self._rounding
+        return np.maximum(estimate, 0.0, out=estimate)
+
+    def interval(
+        self, nodes: Union[slice, np.ndarray]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The certified ``(lower, upper)`` ends of ``p_u(q)`` at ``nodes``.
+
+        ``lower`` is ``est = x - r`` less the rounding bound, never below
+        ``0``, and ``upper = lower + width``; a node outside the row set
+        cannot reach ``q``, so both ends are ``0`` there.  A slice builds
+        dense ends, which serve every read until the next round; before
+        that, an index array gathers its rows.
+        """
+        if isinstance(nodes, slice) and self._ends is None:
+            estimate = self._estimate(slice(None))
+            lower = np.zeros(self._plan.n_nodes, dtype=np.float64)
+            upper = np.zeros(self._plan.n_nodes, dtype=np.float64)
+            lower[self._nodes] = estimate
+            estimate += self.width
+            upper[self._nodes] = estimate
+            self._ends = (lower, upper)
+        if self._ends is not None:
+            return self._ends[0][nodes], self._ends[1][nodes]
+        rows = self._row_of[nodes]
+        inside = rows >= 0
+        lower = np.zeros(inside.shape, dtype=np.float64)
+        upper = np.zeros(inside.shape, dtype=np.float64)
+        estimate = self._estimate(rows[inside])
+        lower[inside] = estimate
+        estimate += self.width
+        upper[inside] = estimate
+        return lower, upper
+
+    def interval_at(self, node: int) -> Tuple[float, float]:
+        """:meth:`interval` at one node, as floats."""
+        row = self._row_of[node]
+        if row < 0:
+            return 0.0, 0.0
+        estimate = max(
+            float(self._current[row] - self._residual[row]) - self._rounding, 0.0
+        )
+        return estimate, estimate + self.width
+
     @property
     def lower(self) -> np.ndarray:
-        """The certified lower ends, one per node (a fresh array per round).
-
-        ``est`` less the rounding bound, and never below ``0``.
-        """
-        if self._lower is None:
-            self._lower = self._dense(
-                np.maximum(self._estimate - self._rounding, 0.0)
-            )
-        return self._lower
+        """The certified lower ends of every node."""
+        return self.interval(slice(None))[0]
 
     @property
     def proximities(self) -> np.ndarray:
-        """The point values ``est + r`` — PMPN's own iterate — one per node."""
-        return self._dense(self._estimate + self._residual)
+        """PMPN's result: the iterate of the round that :attr:`settled`, per node.
+
+        Bit for bit what Algorithm 2 run to its own stop returns; a test the
+        interval cannot decide is decided on it.
+        """
+        if self._settled_values is None:
+            raise ValueError("PMPN has not settled: advance until state.settled")
+        return self._settled_values
+
+
+class PointProximities:
+    """Known values of ``p_*(q)`` read as intervals ``[p, p]``: every comparison decides at once.
+
+    The interface of :class:`PMPNState` that Algorithm 4's tests read, for
+    a caller that already holds the values (tests, the per-node reference
+    scan); it never needs another round.
+    """
+
+    at_floor = True
+    settled = True
+
+    def __init__(self, values: np.ndarray) -> None:
+        self.proximities = values
+
+    def interval(
+        self, nodes: Union[slice, np.ndarray]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        values = self.proximities[nodes]
+        return values, values
+
+    def interval_at(self, node: int) -> Tuple[float, float]:
+        value = float(self.proximities[node])
+        return value, value
+
+    def advance(self) -> None:
+        raise ValueError("known values are never tightened")
 
 
 def proximity_to_node(
@@ -392,9 +490,10 @@ def proximity_to_node(
 ) -> PMPNState:
     """Proximities from all nodes to ``query`` (Algorithm 2), to within ``tolerance``.
 
-    Returns the :class:`PMPNState` after the first round whose width is at
-    most ``tolerance``: ``state.lower`` and ``state.proximities`` are then
-    both within ``tolerance`` of the exact row.
+    Returns the :class:`PMPNState` after the first round at which it has
+    both :attr:`~PMPNState.settled` and :attr:`~PMPNState.converged`:
+    ``state.proximities`` is PMPN's result and ``state.lower`` is within
+    ``tolerance`` of the exact row.
 
     Parameters
     ----------
@@ -405,7 +504,7 @@ def proximity_to_node(
     alpha:
         Restart probability.
     tolerance:
-        Width ``max r`` to reach.
+        Bound on the L1 change of a round and on the width.
     max_iterations:
         Hard cap on the rounds; defaults to twice the Theorem 2(c) bound.
         ``0`` (with ``raise_on_failure=False``) returns the state before its
@@ -431,9 +530,9 @@ def proximity_to_node(
         raise ValueError(f"plan covers {plan.n_nodes} nodes, expected {n}")
 
     state = PMPNState(plan, query, alpha, tolerance)
-    while not state.converged and state.iterations < max_iterations:
+    while not (state.settled and state.converged) and state.iterations < max_iterations:
         state.advance()
-    if not state.converged and raise_on_failure:
+    if not (state.settled and state.converged) and raise_on_failure:
         raise ConvergenceError(
             f"PMPN did not converge in {max_iterations} iterations "
             f"(width {state.width:.3e} > tolerance {tolerance:.3e})",

@@ -2,11 +2,11 @@
 
 Query evaluation interleaves two computations:
 
-1. **Proximities to the query** — PMPN (Algorithm 2) in residual form
+1. **Proximities to the query** — PMPN (Algorithm 2) carrying its residual
    (:class:`~repro.core.pmpn.PMPNState`): after every round each node ``u``
-   holds a certified interval ``p_u(q) in [lower_u, lower_u + width]`` with
-   one width for all ``n`` nodes, and a round shrinks it by at least
-   ``1 - alpha``.
+   holds a certified interval ``p_u(q) in [lower_u, upper_u]``, one width
+   for all nodes (a node that cannot reach ``q`` is the point ``0``), and a
+   round shrinks it by at least ``1 - alpha``.
 2. **Candidate-centric scan** — nodes are pruned with their indexed k-th
    lower bound, confirmed with the staircase upper bound (Algorithm 3), or
    progressively refined with additional batched BCA iterations until one of
@@ -16,14 +16,16 @@ Query evaluation interleaves two computations:
 
 Every test of the scan only *compares* ``p_u(q)`` with a bound, so each is
 decided on the interval: ``p_u(q) >= t`` holds once ``lower >= t`` and fails
-once ``lower + width < t``.  PMPN advances only while some test is open —
-work in proportion to what decides the answer, not to the 1e-10 convergence
-of the whole row.  A test still open once the width is down to
-:attr:`~repro.core.config.QueryParams.tolerance` (an exact or near-exact tie)
-is decided on the point value ``est + r`` — PMPN's own iterate — and counted
-in :attr:`QueryStatistics.n_floor_decisions`.  The answer is the one the
-converged row gives; :attr:`QueryResult.proximities_to_query` holds the
-lower ends the decisions needed, with :attr:`QueryResult.proximity_width`.
+once ``upper < t``.  PMPN advances only while some test is open — work in
+proportion to what decides the answer, not to the 1e-10 convergence of the
+whole row.  A test still open at PMPN's own stop (Theorem 2's L1 change
+below :attr:`~repro.core.config.QueryParams.tolerance`), or once the width
+is down to that tolerance (an exact or near-exact tie), is decided on PMPN's
+result — the iterate the paper's Algorithm 4 compares — and counted in
+:attr:`QueryStatistics.n_floor_decisions`.  Each round's interval holds that
+iterate, so every decision, and with it the answer, is the one the paper's
+algorithm makes; :attr:`QueryResult.proximities_to_query` holds the lower
+ends the decisions needed, with :attr:`QueryResult.proximity_width`.
 
 The scan
 --------
@@ -32,25 +34,25 @@ float64 stages over each shard's columnar slice
 (:func:`~repro.core.sharding.columnar_stage_decisions`), shard after shard,
 round after round over only the nodes still open:
 
-* **prune** — one NumPy comparison ``lower + width < P̂[k-1, *]`` rejects
-  almost every node (the paper's headline pruning result, Figures 5-6);
+* **prune** — one NumPy comparison ``upper < P̂[k-1, *]`` rejects almost
+  every node (the paper's headline pruning result, Figures 5-6);
 * **exact shortcut** — nodes with ``lower >= P̂[k-1, *]`` whose ``is_exact``
   mask bit is set are accepted outright: their lower bound is the true k-th
   value, so surviving the prune is a final decision;
-* **batched upper bound** — the staircase bound ``U`` of Algorithm 3 is
-  evaluated for *all* other survivors at once
-  (:func:`kth_upper_bounds_batch`): ``lower >= U`` is a hit, ``lower + width
-  < U`` a miss;
+* **batched upper bound** — once survival is decided, the staircase bound
+  ``U`` of Algorithm 3 is evaluated for *all* other survivors at once
+  (:func:`kth_upper_bounds_batch`): ``lower >= U`` is a hit, ``upper < U`` a
+  miss;
 * **refine** — only the misses enter the per-node refinement loop of
   Algorithm 4, line 13, whose tests read the same interval: it accepts on
   ``lower >= B(lower - v̂[q])`` (the bound on the k-th *other* entry) and
-  refines on ``lower + 2 width < B`` — ``B`` falls by at most the gap it
-  gains, so that is ``p_u(q) < B(p_u(q) - v̂[q])``.
+  refines on ``upper + (upper - lower) < B`` — ``B`` falls by at most the
+  gap it gains, so that is ``p_u(q) < B(p_u(q) - v̂[q])``.
 
 This is the only scan.  The stages are column-local, so the shard count
 changes nothing a caller can observe: its results, its
 :class:`QueryStatistics` counters and the index it writes back equal those
-of the paper's per-node while-loop on the converged row, which lives under
+of the paper's per-node while-loop on PMPN's result, which lives under
 ``tests/`` as the reference oracle.  With one shard (the default) the slice
 is the whole array and nothing is copied or re-offset.  No knob picks how
 the scan runs: parallelism lives across queries (the serving layer's
@@ -84,7 +86,6 @@ from .lbi import refine_node_state
 from .pmpn import PMPNPlan, PMPNState, proximity_to_node
 from .propagation import PropagationKernel
 from .sharding import (
-    IndexShard,
     ReverseTopKIndex,
     build_index,
     columnar_stage_decisions,
@@ -124,9 +125,9 @@ class QueryStatistics:
     stage_seconds:
         Breakdown of the time per stage (``pmpn``, ``scan``, ``refine``).
     n_floor_decisions:
-        Tests still open when the PMPN width reached
-        :attr:`QueryParams.tolerance`, and so decided on the point value
-        (near-exact ties of ``p_u(q)`` with a bound).
+        Tests the interval left open until PMPN's own stop or a width of
+        :attr:`QueryParams.tolerance`, and so decided on PMPN's result
+        (ties of ``p_u(q)`` with a bound, mostly).
     """
 
     n_results: int
@@ -512,7 +513,7 @@ class ReverseTopKEngine:
         """
         with stages.time("scan"):
             exact_idx, candidates, hits = self._columnar_decisions(
-                pmpn, k, params, stages, tally
+                pmpn, k, stages, tally
             )
             tally.n_exact = int(exact_idx.size)
             tally.n_candidates = int(candidates.size)
@@ -542,81 +543,63 @@ class ReverseTopKEngine:
         self,
         pmpn: PMPNState,
         k: int,
-        params: QueryParams,
         stages: StageTimer,
         tally: "_ScanTally",
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(exact, candidates, hit mask)`` of the columnar stages, round by round.
+        """``(exact, candidates, hit mask)`` of the columnar stages, shard by shard.
 
-        Each round tests, shard by shard, only the nodes the previous rounds
-        left open, and ``pmpn`` advances only while some node is open.  A node
-        still open once the width is down to the tolerance is decided on its
-        point value (a floor decision).  Candidates come back in ascending
-        order — the order refinement trajectories, write-backs, version bumps
-        and counters are taken in, whatever the shard count or the round that
-        decided them.  Records the prune count (and, under a trace, one
-        record per shard) on ``tally``.
+        Each shard's tests advance ``pmpn`` while one is open; the rounds
+        are shared, so a later shard starts from the intervals an earlier one
+        left.  Shard outcomes concatenate in range order — the ascending
+        candidate order, so refinement trajectories, write-back order,
+        version bumps and counters do not depend on the shard count.  One
+        shard's local ids are the global ones: its outcome is returned as is.
+        Records the prune and floor counts (and, under a trace, one record
+        per shard) on ``tally``.
         """
         shards = self.index.shards
-        open_nodes: List[Optional[np.ndarray]] = [None] * len(shards)
-        seconds = [0.0] * len(shards)
-        pruned = [0] * len(shards)
-        decided: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-
-        def run(lower: np.ndarray, width: float) -> int:
-            n_open = 0
-            for i, shard in enumerate(shards):
-                nodes = open_nodes[i]
-                if nodes is not None and not nodes.size:
-                    continue
-                started = time.perf_counter()
-                exact_idx, candidates, hits, n_pruned, still_open = (
-                    columnar_stage_decisions(
-                        lower[shard.start : shard.stop],
-                        shard.columns,
-                        k,
-                        width=width,
-                        nodes=nodes,
-                        workspace=self._bounds_workspace,
-                    )
-                )
-                seconds[i] += time.perf_counter() - started
-                pruned[i] += n_pruned
-                decided.append(
-                    (exact_idx + shard.start, candidates + shard.start, hits)
-                )
-                open_nodes[i] = still_open
-                n_open += still_open.size
-            return n_open
-
-        n_open = run(pmpn.lower, pmpn.width)
-        while n_open:
-            if pmpn.converged:
-                tally.n_floor_decisions += n_open
-                run(pmpn.proximities, 0.0)
-                break
-            self._tighten(pmpn, stages)
-            n_open = run(pmpn.lower, pmpn.width)
-
-        if current_span() is not None:
-            tally.shard_records.extend(
-                (shard.start, shard.n_nodes, seconds[i], pruned[i])
-                for i, shard in enumerate(shards)
+        outcomes = []
+        for shard in shards:
+            started = time.perf_counter()
+            exact_idx, candidates, hits, n_pruned, n_floor = columnar_stage_decisions(
+                pmpn,
+                shard.columns,
+                k,
+                start=shard.start,
+                tighten=lambda: self._tighten(pmpn, stages),
+                workspace=self._bounds_workspace,
             )
-        tally.n_pruned = sum(pruned)
-        if len(decided) == 1:
-            return decided[0]
-        exact_idx, candidates, hits = (
-            np.concatenate(parts) for parts in zip(*decided)
+            outcomes.append((exact_idx, candidates, hits))
+            tally.n_pruned += n_pruned
+            tally.n_floor_decisions += n_floor
+            if current_span() is not None:
+                tally.shard_records.append(
+                    (shard.start, shard.n_nodes, time.perf_counter() - started, n_pruned)
+                )
+        if len(outcomes) == 1:
+            return outcomes[0]
+        return (
+            np.concatenate(
+                [outcome[0] + shard.start for shard, outcome in zip(shards, outcomes)]
+            ),
+            np.concatenate(
+                [outcome[1] + shard.start for shard, outcome in zip(shards, outcomes)]
+            ),
+            np.concatenate([outcome[2] for outcome in outcomes]),
         )
-        order = np.argsort(candidates, kind="stable")
-        return exact_idx, candidates[order], hits[order]
 
     @staticmethod
     def _tighten(pmpn: PMPNState, stages: StageTimer) -> None:
         """One more PMPN round, timed as the ``pmpn`` stage."""
         with stages.time("pmpn"):
             pmpn.advance()
+
+    @staticmethod
+    def _settle(pmpn: PMPNState, stages: StageTimer) -> None:
+        """Rounds until PMPN's own stop, whose iterate decides a floor test."""
+        with stages.time("pmpn"):
+            while not pmpn.settled:
+                pmpn.advance()
 
     # ------------------------------------------------------------------ #
     # internals — refinement
@@ -654,10 +637,10 @@ class ReverseTopKEngine:
         refined: Optional[StateArrays] = None
         working = self._kernel.load(self.index.state_arrays(node))
 
-        def accepts(lower: float, width: float) -> Optional[bool]:
+        def accepts(lower: float, upper: float) -> Optional[bool]:
             # B(gap) falls as the known gap grows, by at most the gap's own
             # growth (the staircase level moves by at most the mass removed):
-            # with p in [lower, lower + width], B(lower - v̂[q]) - width <=
+            # with p in [lower, upper], B(lower - v̂[q]) - (upper - lower) <=
             # B(p - v̂[q]) <= B(lower - v̂[q]).
             bound = kth_other_upper_bound(
                 working.lower_bounds, working.top, query,
@@ -666,7 +649,7 @@ class ReverseTopKEngine:
             )
             if lower >= bound:
                 return True
-            if lower + 2.0 * width < bound:
+            if upper + (upper - lower) < bound:
                 return False
             return None
 
@@ -724,21 +707,23 @@ class ReverseTopKEngine:
         stages: StageTimer,
         outcome: "_NodeOutcome",
     ) -> bool:
-        """Decide ``test(lower, width)`` on ``node``'s interval, tightening while open.
+        """Decide ``test(lower, upper)`` on ``node``'s interval, tightening while open.
 
         ``test`` returns ``True`` / ``False`` once the interval decides it and
-        ``None`` while it is open; at width ``0`` it must decide.  An open
-        test advances ``pmpn`` one round at a time; once the width is down to
-        the tolerance it is decided on the point value — PMPN's own iterate —
-        and counted as a floor decision.
+        ``None`` while it is open; on a point (``lower == upper``) it must
+        decide.  An open test advances ``pmpn`` one round at a time; once the
+        width is down to the tolerance it is decided on PMPN's result — the
+        iterate of its own stop — and counted as a floor decision.
         """
         while True:
-            decision = test(float(pmpn.lower[node]), pmpn.width)
+            decision = test(*pmpn.interval_at(node))
             if decision is not None:
                 return decision
-            if pmpn.converged:
+            if pmpn.at_floor:
                 outcome.n_floor_decisions += 1
-                return test(float(pmpn.proximities[node]), 0.0)
+                self._settle(pmpn, stages)
+                value = float(pmpn.proximities[node])
+                return test(value, value)
             self._tighten(pmpn, stages)
 
     def _exact_decision(
@@ -784,12 +769,12 @@ class ReverseTopKEngine:
 
 
 def _at_least(threshold: float) -> Callable[[float, float], Optional[bool]]:
-    """The test ``p_u(q) >= threshold`` on the interval ``[lower, lower + width]``."""
+    """The test ``p_u(q) >= threshold`` on the interval ``[lower, upper]``."""
 
-    def test(lower: float, width: float) -> Optional[bool]:
+    def test(lower: float, upper: float) -> Optional[bool]:
         if lower >= threshold:
             return True
-        if lower + width < threshold:
+        if upper < threshold:
             return False
         return None
 

@@ -70,7 +70,7 @@ import functools
 import itertools
 import os
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import zipfile
 
 import numpy as np
@@ -109,6 +109,7 @@ from .lbi import (
     _init_shard_worker,
     _resolve_build_inputs,
 )
+from .pmpn import PMPNState, PointProximities
 from .propagation import BuildReport, PropagationKernel
 from .statestore import STATE_ARRAY_NAMES, ColumnarStateStore, assemble_store
 
@@ -177,65 +178,84 @@ def remove_stale_layout_files(directory: PathLike, n_shards: int) -> List[Path]:
 # the columnar stage pipeline (one shard's slice)
 # --------------------------------------------------------------------- #
 def columnar_stage_decisions(
-    lower: np.ndarray,
+    proximity: Union[np.ndarray, PMPNState],
     columns: ColumnarView,
     k: int,
     *,
-    width: float = 0.0,
-    nodes: Optional[np.ndarray] = None,
+    start: int = 0,
+    tighten: Optional[Callable[[], None]] = None,
     workspace: Optional[BoundsWorkspace] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
     """Prune / exact-shortcut / staircase decisions over one columnar slice.
 
     The one decision pipeline of Algorithm 4's scan, run over each shard's
-    slice in turn, on intervals: node ``u`` has ``p_u(q)`` in
-    ``[lower[u], lower[u] + width]``.  With ``L`` the k-th lower bound and
-    ``U`` the staircase upper bound, a node is pruned when ``lower + width <
-    L``, survives when ``lower >= L``, hits when ``lower >= U`` and misses
-    when ``lower + width < U``; ``width = 0`` decides every node on the point
-    value ``lower``.  ``nodes`` (ascending, slice-local) restricts the tests
-    to the nodes still open; ``None`` tests the whole slice.
+    slice ``[start, start + n)`` of the nodes in turn.  ``proximity`` is
+    either the values ``p_*(q)`` of all nodes as an array, every test made on
+    them, or a :class:`~repro.core.pmpn.PMPNState`, every test made on its
+    certified interval ``[lower, upper]``: with ``L`` the k-th lower bound and
+    ``U`` the staircase upper bound, a node is pruned when ``upper < L``,
+    survives when ``lower >= L``, hits when ``lower >= U`` and misses when
+    ``upper < U``.  While a test is open, ``tighten()`` (default: the
+    state's own ``advance``) runs one more PMPN round, and only the open
+    nodes are tested again; once the state is ``at_floor``, an open test is
+    decided on PMPN's result and counted.  Survival is settled for the whole
+    slice first, so the staircase runs once, over all candidates.
 
-    Returns ``(exact_idx, candidate_idx, hits, n_pruned, open_idx)`` with
+    Returns ``(exact_idx, candidate_idx, hits, n_pruned, n_floor)`` with
     ascending slice-local node indices: nodes accepted by the exact
-    shortcut, candidates whose staircase test is decided, the boolean hit
-    mask aligned with ``candidate_idx``, the prune count, and the nodes
-    left open (survival or staircase test undecided at this width).
+    shortcut, undecided-or-hit candidates, the boolean hit mask aligned with
+    ``candidate_idx``, the prune count and the floor decisions.
     """
+    if isinstance(proximity, np.ndarray):
+        proximity = PointProximities(proximity)
+    if tighten is None:
+        tighten = proximity.advance
+    n_floor = 0
+
+    def at_least(thresholds: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+        """Whether ``p_u(q) >= thresholds`` at slice-local ``nodes``, tightening while any is open."""
+        nonlocal n_floor
+        if nodes.size == columns.residual_mass.shape[0]:  # the whole slice
+            lower, upper = proximity.interval(slice(start, start + nodes.size))
+        else:
+            lower, upper = proximity.interval(nodes + start)
+        holds = lower >= thresholds
+        pending = np.flatnonzero(~holds & (upper >= thresholds))
+        while pending.size:
+            at = nodes[pending] + start
+            if proximity.at_floor:
+                n_floor += pending.size
+                while not proximity.settled:
+                    tighten()
+                holds[pending] = proximity.proximities[at] >= thresholds[pending]
+                break
+            tighten()
+            lower, upper = proximity.interval(at)
+            now_holds = lower >= thresholds[pending]
+            holds[pending[now_holds]] = True
+            pending = pending[~now_holds & (upper >= thresholds[pending])]
+        return holds
+
+    survives = at_least(
+        np.asarray(columns.lower[k - 1]), np.arange(columns.residual_mass.shape[0])
+    )
+    n_pruned = int(survives.size - np.count_nonzero(survives))
     is_exact = np.asarray(columns.is_exact)
-    if nodes is None:
-        nodes = np.arange(lower.size)
-        values = lower
-        kth = columns.lower[k - 1]
-    else:
-        values = lower[nodes]
-        kth = columns.lower[k - 1, nodes]
-        is_exact = is_exact[nodes]
-    pruned = values + width < kth
-    n_pruned = int(np.count_nonzero(pruned))
-    survivors = values >= kth
-    exact_idx = nodes[survivors & is_exact]
-    open_mask = ~(pruned | survivors)
-    chosen = survivors & ~is_exact
-    candidates = nodes[chosen]
+    exact_idx = np.flatnonzero(survives & is_exact)
+    candidates = np.flatnonzero(survives & ~is_exact)
     if candidates.size:
         # Gather only the k rows the staircase needs: the plane holds K >= k
         # rows and a full-column gather would touch (and copy) all of them.
-        upper = kth_upper_bounds_batch(
+        bounds = kth_upper_bounds_batch(
             columns.lower[:k, candidates],
             columns.residual_mass[candidates],
             k,
             workspace=workspace,
         )
-        candidate_values = values[chosen]
-        hits = candidate_values >= upper
-        decided = hits | (candidate_values + width < upper)
-        if not decided.all():
-            open_mask[np.flatnonzero(chosen)[~decided]] = True
-            candidates, hits = candidates[decided], hits[decided]
+        hits = at_least(bounds, candidates)
     else:
         hits = np.zeros(0, dtype=bool)
-    return exact_idx, candidates, hits, n_pruned, nodes[open_mask]
+    return exact_idx, candidates, hits, n_pruned, n_floor
 
 
 class IndexShard:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.core import IndexParams, QueryParams, ReverseTopKEngine, build_index
+from repro.core import IndexParams, ReverseTopKEngine, build_index
 from repro.core import pmpn as pmpn_module
 from repro.core.baseline import brute_force_reverse_topk
 from repro.core.hubs import HubSet
@@ -27,6 +27,7 @@ from repro.graph.datasets import write_synthetic_edge_list
 from repro.graph.io import read_edge_list
 from repro.rwr import ProximityLU, proximity_column
 from repro.serving import ReverseTopKService, ServiceConfig
+
 from tests.reference import index_from_states
 
 
@@ -158,10 +159,13 @@ def assert_interval_holds(transition, plan, query, exact, *, shrink=1.0):
     rows = plan.row_set(query)
     assert (state.rows, state.edges) == (rows.n_rows, rows.n_edges)
     while True:
-        lower = state.lower
+        lower, upper = state.interval(np.arange(exact.size))
+        np.testing.assert_array_equal(lower, state.lower)
+        assert state.interval_at(query) == (lower[query], upper[query])
         assert np.all(lower <= exact + SLACK), state.iterations
-        assert np.all(exact <= lower + shrink * state.width + SLACK), state.iterations
-        if state.converged:
+        assert np.all(exact <= lower + shrink * (upper - lower) + SLACK), state.iterations
+        assert np.all(upper - lower <= state.width + SLACK)
+        if state.converged and state.settled:
             return state
         width = state.width
         state.advance()
@@ -169,15 +173,36 @@ def assert_interval_holds(transition, plan, query, exact, *, shrink=1.0):
         assert state.width <= (1 - state.alpha) * width + 1e-12
 
 
+def dense_pmpn(transition, query, *, alpha=0.15, tolerance=1e-10):
+    """Algorithm 2 as the paper runs it: every row, to an L1 change below tolerance."""
+    n = transition.shape[0]
+    transposed = transition.T.tocsr()
+    restart = np.zeros(n)
+    restart[query] = alpha
+    current = np.zeros(n)
+    current[query] = 1.0
+    for _ in range(2 * pmpn_iteration_bound(alpha, tolerance) + 10):
+        nxt = (1.0 - alpha) * (transposed @ current) + restart
+        change = float(np.abs(nxt - current).sum())
+        current = nxt
+        if change < tolerance:
+            return current
+    raise AssertionError("the dense loop did not converge")
+
+
 @given(shaped_digraphs())
 @settings(max_examples=80, deadline=None)
 def test_interval_holds_at_every_round(transition):
-    """Every query of the graph, every round: the interval holds the LU row."""
+    """Every query of the graph, every round: the interval holds the LU row.
+
+    The rounds are PMPN's own iterations, so its result is the dense loop's
+    bit for bit — the value every test the interval leaves open is made on.
+    """
     plan = PMPNPlan(transition)
     lu = ProximityLU(transition)
     for query in range(transition.shape[0]):
         state = assert_interval_holds(transition, plan, query, lu.row(query))
-        np.testing.assert_allclose(state.proximities, lu.row(query), atol=1e-10)
+        assert state.proximities.tobytes() == dense_pmpn(transition, query).tobytes()
         event(f"row set: {row_set_side(plan, query)}")
 
 
@@ -221,7 +246,7 @@ class TestIntervalNegativeControls:
 
 
 def test_exact_tie_is_decided_like_the_brute_force():
-    """``p_u(q) == P̂[k-1, u]`` in floats: no width decides it, the floor does.
+    """``p_u(q) == P̂[k-1, u]`` in floats: no interval decides it, PMPN's result does.
 
     ``u = 2`` links to ``q = 0`` and ``w = 1``, both dangling; at
     ``alpha = 1/2`` every round is dyadic and exact, ``p_u = (1/4, 1/4, 1/2)``
@@ -249,7 +274,8 @@ def test_exact_tie_is_decided_like_the_brute_force():
     assert 2 in result.nodes
     assert exact[0, 2] == 0.25 == index.state_arrays(2).lower_bounds[1]
     assert result.statistics.n_floor_decisions >= 1
-    assert result.proximity_width <= QueryParams().tolerance
+    lower = result.proximities_to_query[2]
+    assert lower <= 0.25 <= lower + result.proximity_width
 
 
 class TestRowSets:

@@ -529,10 +529,10 @@ def _per_column_decisions(proximity, columns, k):
 
 
 def _assert_matches_per_column(proximity, columns, k):
-    exact, candidates, hits, n_pruned, undecided = columnar_stage_decisions(
+    exact, candidates, hits, n_pruned, n_floor = columnar_stage_decisions(
         proximity, columns, k
     )
-    assert undecided.size == 0  # width 0 decides every node
+    assert n_floor == 0  # known values decide every test
     expected = _per_column_decisions(proximity, columns, k)
     np.testing.assert_array_equal(exact, np.asarray(expected[0], dtype=np.int64))
     np.testing.assert_array_equal(
@@ -622,16 +622,23 @@ class TestColumnarStageDecisions:
             _assert_matches_per_column(proximity, _view(lower, masses, is_exact), k)
 
     def test_interval_sweep_decides_what_both_ends_agree_on(self):
-        """On ``[lower, lower + width]`` a node is decided iff both ends decide alike."""
+        """On ``[lower, upper]`` a test is decided by its ends when they agree.
 
-        def outcome(p, columns, node, k):
-            lower = columns.lower[:, node]
-            if p < lower[k - 1]:
-                return "pruned"
-            if columns.is_exact[node]:
-                return "exact"
-            upper = kth_upper_bound(lower, columns.residual_mass[node], k)
-            return "hit" if p >= upper else "miss"
+        The others are decided on the point PMPN settles on, one floor
+        decision each.
+        """
+
+        class Interval:
+            at_floor = settled = True
+
+            def __init__(self, lower, upper, point):
+                self.ends, self.proximities = (lower, upper), point
+
+            def interval(self, nodes):
+                return self.ends[0][nodes], self.ends[1][nodes]
+
+            def advance(self):
+                raise AssertionError("at the floor: no more rounds")
 
         rng = np.random.default_rng(7)
         for _ in range(200):
@@ -641,21 +648,23 @@ class TestColumnarStageDecisions:
             lower = np.sort(rng.uniform(0.0, 0.5, size=(capacity, n)), axis=0)[::-1]
             masses = rng.uniform(0.0, 0.4, size=n) * (rng.random(n) < 0.7)
             columns = _view(lower, masses, rng.random(n) < 0.3)
-            values = rng.uniform(0.0, 0.6, size=n)
-            width = float(rng.choice([0.0, 1e-3, 0.05, 0.3]))
-            nodes = np.flatnonzero(rng.random(n) < 0.7)
-            exact, candidates, hits, n_pruned, undecided = columnar_stage_decisions(
-                values, columns, k, width=width, nodes=nodes
+            low = rng.uniform(0.0, 0.6, size=n)
+            # Some points, as outside the row set, among intervals.
+            high = low + rng.choice([0.0, 1e-3, 0.05, 0.3], size=n)
+            point = low + rng.random(n) * (high - low)
+            exact, candidates, hits, n_pruned, n_floor = columnar_stage_decisions(
+                Interval(low, high, point), columns, k
             )
-            expected = {"pruned": [], "exact": [], "hit": [], "miss": [], "open": []}
-            for node in nodes:
-                ends = {
-                    outcome(p, columns, node, k)
-                    for p in (values[node], values[node] + width)
-                }
-                expected[ends.pop() if len(ends) == 1 else "open"].append(node)
-            assert n_pruned == len(expected["pruned"])
-            np.testing.assert_array_equal(exact, expected["exact"])
-            np.testing.assert_array_equal(candidates[hits], expected["hit"])
-            np.testing.assert_array_equal(candidates[~hits], expected["miss"])
-            np.testing.assert_array_equal(undecided, expected["open"])
+            expected = _per_column_decisions(point, columns, k)
+            np.testing.assert_array_equal(exact, expected[0])
+            np.testing.assert_array_equal(candidates, expected[1])
+            np.testing.assert_array_equal(hits, expected[2])
+            assert n_pruned == expected[3]
+            floors = 0
+            for node in range(n):
+                kth = lower[k - 1, node]
+                floors += low[node] < kth <= high[node]
+                if point[node] >= kth and not columns.is_exact[node]:
+                    upper = kth_upper_bound(lower[:, node], masses[node], k)
+                    floors += low[node] < upper <= high[node]
+            assert n_floor == floors

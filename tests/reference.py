@@ -27,7 +27,7 @@ from repro.core import IndexParams, IndexShard, QueryParams, ReverseTopKIndex
 from repro.core.bounds import kth_upper_bound
 from repro.core.index import NodeState
 from repro.core.lbi import _compute_hub_matrix, default_hub_selection
-from repro.core.pmpn import proximity_to_node
+from repro.core.pmpn import PointProximities, proximity_to_node
 from repro.core.propagation import _HubExpansion
 from repro.core.statestore import ColumnarStateStore
 from repro.utils.sparsetools import top_k_descending
@@ -197,11 +197,12 @@ def reference_scan(engine, query: int, k: int, *, update_index: bool = True):
     Returns ``(nodes, counters)``: the ascending answer and a dict of the
     :data:`SCAN_COUNTERS`, plus ``pmpn_iterations``, the rounds PMPN took to
     converge — an upper bound of the engine's, which stops once every test
-    is decided.  Each node is compared at its converged value: pruned on its
-    k-th lower bound, accepted when its bounds are exact or its staircase
-    upper bound is reached, and otherwise handed to the engine's refinement
-    loop, in ascending node order (so write-backs happen in the engine's
-    order).
+    is decided.  Every test is made on PMPN's result, as the paper's
+    Algorithm 4 makes it: a node is pruned on its k-th lower bound, accepted
+    when its bounds are exact or its staircase upper bound is reached, and
+    otherwise handed to the engine's refinement loop with the same values as
+    points (:class:`~repro.core.pmpn.PointProximities`), in ascending node
+    order (so write-backs happen in the engine's order).
     """
     params = QueryParams(k=k, update_index=update_index)
     index = engine.index
@@ -234,7 +235,9 @@ def reference_scan(engine, query: int, k: int, *, update_index: bool = True):
             counters["n_hits"] += 1
             results.append(node)
             continue
-        outcome = engine._refine_candidate(node, query, pmpn, k, params, StageTimer())
+        outcome = engine._refine_candidate(
+            node, query, PointProximities(values), k, params, StageTimer()
+        )
         counters["n_refinement_iterations"] += outcome.refinement_iterations
         counters["n_refined_nodes"] += outcome.refinement_iterations > 0
         counters["n_exact_fallbacks"] += outcome.used_exact_fallback

@@ -85,7 +85,7 @@ class TestCrossMerge:
             try:
                 for _ in range(2000):
                     dst.merge(src)
-            except BaseException as exc:  # a dying merge must fail the test
+            except Exception as exc:  # a dying merge must fail the test
                 errors.append(exc)
 
         t1 = threading.Thread(target=merge, args=(a, b))
