@@ -405,22 +405,16 @@ class PMPNState:
         """
         if isinstance(nodes, slice) and self._ends is None:
             estimate = self._estimate(slice(None))
-            lower = np.zeros(self._plan.n_nodes, dtype=np.float64)
-            upper = np.zeros(self._plan.n_nodes, dtype=np.float64)
-            lower[self._nodes] = estimate
-            estimate += self.width
-            upper[self._nodes] = estimate
-            self._ends = (lower, upper)
+            self._ends = (self._dense(estimate), self._dense(estimate + self.width))
         if self._ends is not None:
             return self._ends[0][nodes], self._ends[1][nodes]
         rows = self._row_of[nodes]
-        inside = rows >= 0
-        lower = np.zeros(inside.shape, dtype=np.float64)
-        upper = np.zeros(inside.shape, dtype=np.float64)
-        estimate = self._estimate(rows[inside])
-        lower[inside] = estimate
-        estimate += self.width
-        upper[inside] = estimate
+        # Row -1 reads the last row; outside nodes are zeroed below.
+        lower = self._estimate(rows)
+        outside = rows < 0
+        lower[outside] = 0.0
+        upper = lower + self.width
+        upper[outside] = 0.0
         return lower, upper
 
     def interval_at(self, node: int) -> Tuple[float, float]:

@@ -231,9 +231,10 @@ def columnar_stage_decisions(
                 break
             tighten()
             lower, upper = proximity.interval(at)
-            now_holds = lower >= thresholds[pending]
+            bound = thresholds[pending]
+            now_holds = lower >= bound
             holds[pending[now_holds]] = True
-            pending = pending[~now_holds & (upper >= thresholds[pending])]
+            pending = pending[~now_holds & (upper >= bound)]
         return holds
 
     survives = at_least(
