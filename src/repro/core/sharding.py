@@ -40,7 +40,8 @@ nodes; larger ``P`` and a ``memory_budget`` put the index out of core.
     batched staircase bound — over one shard's float64 slice, on certified
     intervals of ``p_u(q)``; the engine
     (:class:`~repro.core.query.ReverseTopKEngine`) runs it shard by shard,
-    serially, over the nodes each round leaves open.
+    serially, each call advancing the query's shared PMPN state while one of
+    its tests is open.
 
 ``build_index``
     Algorithm 1 end to end: the exact hub proximity matrix once, then each
