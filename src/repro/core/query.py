@@ -712,8 +712,9 @@ class ReverseTopKEngine:
         ``test`` returns ``True`` / ``False`` once the interval decides it and
         ``None`` while it is open; on a point (``lower == upper``) it must
         decide.  An open test advances ``pmpn`` one round at a time; once the
-        width is down to the tolerance it is decided on PMPN's result — the
-        iterate of its own stop — and counted as a floor decision.
+        state is at its floor (PMPN's own stop, or the width down to the
+        tolerance) it is decided on PMPN's result — the iterate of its own
+        stop — and counted as a floor decision.
         """
         while True:
             decision = test(*pmpn.interval_at(node))
