@@ -93,9 +93,7 @@ def test_dynamic_update_speedup():
     # Measured on this graph, incremental cost stays below a full rebuild
     # well past the conservative default staleness ratio; 0.5 keeps heavy
     # batches on the incremental path.
-    maintainer = IndexMaintainer(
-        maintained_engine, hub_policy="pinned", rebuild_ratio=0.5
-    )
+    maintainer = IndexMaintainer(maintained_engine, rebuild_ratio=0.5)
     maintained_results = []
     reports = []
     with DynamicReverseTopKService(

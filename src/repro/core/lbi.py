@@ -102,9 +102,8 @@ def default_hub_selection(graph: DiGraph, params: IndexParams) -> HubSet:
     """The hub set :func:`~repro.core.sharding.build_index` selects by default.
 
     One shared definition of the default policy (the degree heuristic of
-    §4.1.1, or no hubs when the budget is zero): the dynamic maintainer's
-    ``"reselect"`` mode must make exactly the same choice as a from-scratch
-    build, or its bit-identity guarantee silently breaks.
+    §4.1.1, or no hubs when the budget is zero), so the test oracles pick
+    the hubs a from-scratch build picks.
     """
     if params.hub_budget > 0:
         return select_hubs_by_degree(graph, params.hub_budget)

@@ -40,8 +40,8 @@ the paper's Algorithm 4 compares.  :func:`proximity_to_node` called on its
 own advances until that stop and until the width is at most the tolerance:
 exact values on demand.
 
-Only the rows that can reach ``q``
-----------------------------------
+Only ``q``'s suffix of rows
+---------------------------
 Row ``u`` of ``A^T`` holds ``u``'s out-edges, so a round reads ``r`` at
 ``u``'s out-neighbours only.  **Lemma.** From ``r_0 = e_q``, every ``r_i``
 and ``est_i`` is exactly zero outside ``Anc(q)``, the nodes with a path to
@@ -51,36 +51,18 @@ of the strongly connected components (every edge points to an earlier
 position or stays inside its component), ``Anc(q)`` lies in ``q``'s
 *suffix* ``[first[q], n)``, where ``first[q]`` is the first position of
 ``q``'s component — positions never decrease backwards along a path into
-``q``.  A node outside the row set therefore has ``est = r = 0`` exactly,
-and its interval ``[0, width]`` is certified like any other.
+``q``.  A node before the suffix therefore has ``est = r = 0`` exactly.
 
-:class:`PMPNPlan` holds that layout, built once per transition matrix, and
-each state iterates only one *row set*:
-
-* if the suffix holds at most :data:`SEARCH_SUFFIX_SHARE` of the edges, one
-  compiled breadth-first search over the in-edges returns ``Anc(q)``, and if
-  those rows hold at most :data:`GATHER_ANCESTORS_SHARE` of the edges, the
-  rounds run on the ancestors' rows gathered into a small CSR;
-* otherwise they run on the suffix rows, a zero-copy slice of the CSR
-  arrays.  At ``first[q] = 0`` that is the whole matrix.
-
-Every row keeps its stored entries in the order of ``transition.T.tocsr()``
-and is summed by the same compiled CSR product from ``0.0``; the columns a
-row set leaves out hold an exact ``+0.0``, so the row set changes no bit of
-any round.  A node outside the row set has ``p_u(q) = 0`` exactly: its
-interval is the point ``0``.
-
-**The two cut constants** were sized on the ``tail_k10`` stream (4 000-node
-copying-web graph, 40k edges) on a shared 2-core x86-64 VM, PMPN alone over
-3 000 queries × 2 reps, with row sets wrapped in ``csr_matrix`` slices and
-gathered rows summed by ``np.bincount``: dense 294 µs p50 / 682 µs p95; suffix only 207 / 663; this rule 146 / 651;
-searching the ancestors of *every* query 96 / 795 — rejected, because the
-search is wasted on the 12 % of queries with more than 2 000 ancestors
-(p95 +17 %).  Half the edges is where a suffix is short enough that a
-search is likely to pay; a tenth is where gathering the ancestors' rows
-beats slicing the suffix.  The ancestor path takes 50 % of ``tail_k10``
-queries, 35 % of ``wire_churn``'s, 6 % of ``memmap_k1``'s (one component of
-3 760 of 4 000 nodes) and none of ``mid_k50_update``'s.
+Each state iterates exactly that suffix, a zero-copy slice of the CSR
+arrays of :class:`PMPNPlan`'s layout, built once per transition matrix; at
+``first[q] = 0`` it is the whole matrix.  Every row keeps its stored
+entries in the order of ``transition.T.tocsr()`` and is summed by the same
+compiled CSR product from ``0.0``; the columns the suffix leaves out, and
+the rows inside it that cannot reach ``q``, hold an exact ``+0.0``, so the
+suffix changes no bit of any round.  A node before the suffix has
+``p_u(q) = 0`` exactly: its interval is the point ``0``.  Searching
+``Anc(q)`` per query to iterate only its rows does not pay once the engine
+stops PMPN after about two rounds (README, "PMPN iterates one suffix").
 
 This module is deliberately self-contained so it can be reused outside the
 reverse top-k engine (e.g. to compute exact PageRank contributions for
@@ -89,12 +71,11 @@ SpamRank-style analyses, as the paper suggests).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import breadth_first_order, connected_components
+from scipy.sparse.csgraph import connected_components
 
 from .._validation import check_node_index, check_positive_float, check_probability
 from ..exceptions import ConvergenceError
@@ -109,55 +90,7 @@ try:  # pragma: no cover - exercised implicitly by every PMPN run
 except ImportError:  # pragma: no cover
     _csr_matvec = None
 
-#: Search for the ancestors of ``q`` only when ``q``'s topological suffix
-#: holds at most this share of the edges (see the module docstring).
-SEARCH_SUFFIX_SHARE = 0.5
-
-#: Iterate on the gathered ancestor rows only when they hold at most this
-#: share of the edges; otherwise on the suffix.
-GATHER_ANCESTORS_SHARE = 0.1
-
 _EPS = float(np.finfo(np.float64).eps)
-
-
-@dataclass(frozen=True)
-class RowSet:
-    """The rows one PMPN run iterates, as CSR arrays over layout positions.
-
-    ``indptr`` holds absolute offsets into ``indices`` / ``data`` (a suffix
-    is a view of the plan's arrays), ``index`` the rows' positions — a slice
-    for a suffix, an array for gathered ancestors — and ``query_row`` the
-    place of ``q`` among them.
-    """
-
-    index: Union[slice, np.ndarray]
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-    query_row: int
-
-    @property
-    def n_rows(self) -> int:
-        return self.indptr.size - 1
-
-    @property
-    def n_edges(self) -> int:
-        return int(self.indptr[-1] - self.indptr[0])
-
-    def product(self, x: np.ndarray) -> np.ndarray:
-        """``A^T[rows] @ x``: each row's entries summed in stored order from 0.0."""
-        if _csr_matvec is None:  # see the import guard
-            lo, hi = self.indptr[0], self.indptr[-1]
-            rows = sp.csr_matrix(
-                (self.data[lo:hi], self.indices[lo:hi], self.indptr - lo),
-                shape=(self.n_rows, x.size),
-            )
-            return rows @ x
-        out = np.zeros(self.n_rows)
-        _csr_matvec(
-            self.n_rows, x.size, self.indptr, self.indices, self.data, x, out
-        )
-        return out
 
 
 def _gather_rows(indptr: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -188,16 +121,14 @@ class PMPNPlan:
         ``A^T`` in CSR with rows *and* columns permuted to layout positions;
         each row keeps its entries in the stored order of
         ``transition.T.tocsr()``, data as float64.
-    in_edges:
-        The same matrix transposed (``A`` in CSR, by position): row ``p``
-        lists the positions with an edge into ``p`` — the ancestor search.
     order, position:
         ``order[p]`` is the node at position ``p``; ``position[v]`` inverts it.
     first:
         ``first[v]``, the first position of ``v``'s strongly connected
-        component.  The layout is checked at build time (every edge must
-        point to a component no later than its own); if the check fails,
-        ``first`` is all zeros — the full iteration, still exact.
+        component: the start of the suffix PMPN iterates for ``v``.  The
+        layout is checked at build time (every edge must point to a
+        component no later than its own); if the check fails, ``first`` is
+        all zeros — the full iteration, still exact.
     max_row_entries:
         The most stored entries in one row: the longest sum a round makes,
         which bounds its rounding.
@@ -228,7 +159,6 @@ class PMPNPlan:
             ),
             shape=transposed.shape,
         )
-        self.in_edges = self.transposed.T.tocsr()
         self.order = order
         self.position = position
         self.first = first
@@ -238,54 +168,14 @@ class PMPNPlan:
     def n_nodes(self) -> int:
         return self.transposed.shape[0]
 
-    def suffix(self, start: int, query_row: int) -> RowSet:
-        """Rows ``[start, n)``: views of the plan's arrays, nothing copied."""
-        matrix = self.transposed
-        return RowSet(
-            slice(start, self.n_nodes),
-            matrix.indptr[start:],
-            matrix.indices,
-            matrix.data,
-            query_row - start,
-        )
-
-    def ancestors(self, query: int) -> np.ndarray:
-        """Positions of ``Anc(q)`` in breadth-first order, ``q``'s own first."""
-        return breadth_first_order(
-            self.in_edges,
-            self.position[query],
-            directed=True,
-            return_predecessors=False,
-        )
-
-    def gathered(self, ancestors: np.ndarray) -> RowSet:
-        """The rows of :meth:`ancestors`' output (``q`` first) copied into a small CSR."""
-        matrix = self.transposed
-        indptr, offsets = _gather_rows(matrix.indptr, ancestors)
-        return RowSet(
-            ancestors, indptr, matrix.indices[offsets], matrix.data[offsets], 0
-        )
-
-    def row_set(self, query: int) -> RowSet:
-        """The rows PMPN iterates for ``query`` (the rule of the module docstring)."""
-        start = int(self.first[query])
-        indptr = self.transposed.indptr
-        edges = self.transposed.nnz
-        if edges - indptr[start] <= SEARCH_SUFFIX_SHARE * edges:
-            ancestors = self.ancestors(query)
-            ancestor_edges = (indptr[ancestors + 1] - indptr[ancestors]).sum()
-            if ancestor_edges <= GATHER_ANCESTORS_SHARE * edges:
-                return self.gathered(ancestors)
-        return self.suffix(start, int(self.position[query]))
-
 
 class PMPNState:
     """PMPN for one query, one round at a time, with certified intervals.
 
-    A round is Algorithm 2's own iteration over the row set, bit for bit,
-    and carries the residual alongside it (module docstring).  After
-    :attr:`iterations` rounds every node ``u`` has
-    ``lower[u] <= p_u(q) <= lower[u] + width``, rounding included.
+    A round is Algorithm 2's own iteration over ``q``'s suffix of the
+    plan's layout, bit for bit, and carries the residual alongside it
+    (module docstring).  After :attr:`iterations` rounds every node ``u``
+    has ``lower[u] <= p_u(q) <= lower[u] + width``, rounding included.
     :meth:`advance` runs one more round.
 
     Attributes
@@ -302,8 +192,8 @@ class PMPNState:
         Whether a round's L1 change has dropped below the tolerance —
         Theorem 2's stop, where PMPN returns :attr:`proximities`.
     rows, edges:
-        Rows of ``A^T`` iterated per round (``n`` for the whole matrix) and
-        their stored entries, i.e. edges touched per round.
+        Rows of ``A^T`` iterated per round, ``n - first[q]`` (``n`` for the
+        whole matrix), and their stored entries, i.e. edges touched per round.
     """
 
     def __init__(
@@ -316,13 +206,15 @@ class PMPNState:
         self.width = 1.0
         self.settled = False
         self._plan = plan
-        self._row_set = plan.row_set(query)
-        self._nodes = plan.order[self._row_set.index]
-        # The iterate by layout position (the product's input), zero outside
-        # the row set, and over the rows: x_0 = e_q, r_0 = e_q.
+        # The suffix [start, n): row i of a round is layout position start + i.
+        self._start = start = int(plan.first[query])
+        self._indptr = plan.transposed.indptr[start:]
+        # The iterate by layout position (the product's input), zero before
+        # the suffix, and over the rows: x_0 = e_q, r_0 = e_q.
         self._x = np.zeros(plan.n_nodes, dtype=np.float64)
         self._x[plan.position[query]] = 1.0
-        self._current = self._x[self._row_set.index].copy()
+        self._query_row = int(plan.position[query]) - start
+        self._current = self._x[start:].copy()
         self._residual = self._current.copy()
         # A round's rounding is at most (entries + 3) eps (every entry of the
         # iterate is <= 1), carrying the residual adds a few eps more, and
@@ -330,18 +222,15 @@ class PMPNState:
         # later round: the total stays below this bound at every round.
         self._rounding = (plan.max_row_entries + 8) * _EPS / alpha
         self._settled_values: Optional[np.ndarray] = None
-        # Each node's row, -1 outside the row set (where p_u(q) = 0 exactly).
-        self._row_of = np.full(plan.n_nodes, -1, dtype=np.int64)
-        self._row_of[self._nodes] = np.arange(self._nodes.size)
         self._ends: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @property
     def rows(self) -> int:
-        return self._row_set.n_rows
+        return self._indptr.size - 1
 
     @property
     def edges(self) -> int:
-        return self._row_set.n_edges
+        return int(self._indptr[-1] - self._indptr[0])
 
     @property
     def converged(self) -> bool:
@@ -359,18 +248,31 @@ class PMPNState:
         """
         return self.settled or self.converged
 
+    def _product(self) -> np.ndarray:
+        """``A^T[suffix] @ x``: each row's entries summed in stored order from 0.0."""
+        matrix, indptr, x = self._plan.transposed, self._indptr, self._x
+        if _csr_matvec is None:  # see the import guard
+            lo, hi = indptr[0], indptr[-1]
+            rows = sp.csr_matrix(
+                (matrix.data[lo:hi], matrix.indices[lo:hi], indptr - lo),
+                shape=(self.rows, x.size),
+            )
+            return rows @ x
+        out = np.zeros(self.rows)
+        _csr_matvec(self.rows, x.size, indptr, matrix.indices, matrix.data, x, out)
+        return out
+
     def advance(self) -> None:
-        """One round: ``x <- (1 - alpha) A^T[rows] x + alpha e_q``, ``r <- (x' - x) + (1 - alpha) r``."""
-        rows = self._row_set
+        """One round: ``x <- (1 - alpha) A^T[suffix] x + alpha e_q``, ``r <- (x' - x) + (1 - alpha) r``."""
         scale = 1.0 - self.alpha
-        nxt = rows.product(self._x)
+        nxt = self._product()
         nxt *= scale
-        nxt[rows.query_row] += self.alpha
+        nxt[self._query_row] += self.alpha
         change = nxt - self._current
         residual = self._residual
         residual *= scale
         residual += change
-        self._x[rows.index] = nxt
+        self._x[self._start:] = nxt
         self._current = nxt
         self._residual = residual
         self.iterations += 1
@@ -383,7 +285,7 @@ class PMPNState:
 
     def _dense(self, values: np.ndarray) -> np.ndarray:
         out = np.zeros(self._plan.n_nodes, dtype=np.float64)
-        out[self._nodes] = values
+        out[self._plan.order[self._start:]] = values
         return out
 
     def _estimate(self, rows) -> np.ndarray:
@@ -398,7 +300,7 @@ class PMPNState:
         """The certified ``(lower, upper)`` ends of ``p_u(q)`` at ``nodes``.
 
         ``lower`` is ``est = x - r`` less the rounding bound, never below
-        ``0``, and ``upper = lower + width``; a node outside the row set
+        ``0``, and ``upper = lower + width``; a node before the suffix
         cannot reach ``q``, so both ends are ``0`` there.  A slice builds
         dense ends, which serve every read until the next round; before
         that, an index array gathers its rows.
@@ -408,10 +310,10 @@ class PMPNState:
             self._ends = (self._dense(estimate), self._dense(estimate + self.width))
         if self._ends is not None:
             return self._ends[0][nodes], self._ends[1][nodes]
-        rows = self._row_of[nodes]
-        # Row -1 reads the last row; outside nodes are zeroed below.
-        lower = self._estimate(rows)
+        rows = self._plan.position[nodes] - self._start
         outside = rows < 0
+        rows[outside] = 0  # read any row; outside nodes are zeroed below
+        lower = self._estimate(rows)
         lower[outside] = 0.0
         upper = lower + self.width
         upper[outside] = 0.0
@@ -419,7 +321,7 @@ class PMPNState:
 
     def interval_at(self, node: int) -> Tuple[float, float]:
         """:meth:`interval` at one node, as floats."""
-        row = self._row_of[node]
+        row = int(self._plan.position[node]) - self._start
         if row < 0:
             return 0.0, 0.0
         estimate = max(
@@ -535,7 +437,3 @@ def proximity_to_node(
         )
     return state
 
-
-def pmpn_iteration_bound(alpha: float, tolerance: float) -> int:
-    """Theorem 2(c): rounds after which the change is below tolerance."""
-    return expected_iterations(alpha, tolerance)

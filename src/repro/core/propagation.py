@@ -87,11 +87,10 @@ class KernelWorkspace(ArrayWorkspace):
 
     :class:`RefinementWorkingSet` borrows its ``n``-vectors from here and
     hands them back all-zero, so refining candidate after candidate allocates
-    nothing.  Buffers only grow, and each thread sees its own set, so a
-    workspace may be shared by an engine serving concurrent read-only
-    queries.  Kernels create a private workspace by default; pass one to
-    share buffers across kernels with compatible lifetimes (the dynamic
-    maintainer's incremental rebuilds).
+    nothing.  Buffers only grow, and each thread sees its own set, so the
+    kernel's one workspace serves an engine answering concurrent read-only
+    queries.  Only refinement borrows from it: :meth:`PropagationKernel.run`
+    works on sparse planes.
     """
 
 
@@ -201,9 +200,6 @@ class PropagationKernel:
         The hub set and its proximity columns ``P_H``.  When given, states
         produced by :meth:`run` have their top-K lower bounds materialized;
         without them the kernel only propagates (callers materialize later).
-    workspace:
-        Optional :class:`KernelWorkspace` for refinement working sets; by
-        default the kernel owns a private one.
     profiler:
         Optional profiling sink (:class:`~repro.obs.profiler.KernelProfiler`
         or compatible).  Defaults to the shared no-op sink; hot paths check
@@ -218,13 +214,12 @@ class PropagationKernel:
         *,
         hubs: Optional[HubSet] = None,
         hub_matrix: Optional[sp.csc_matrix] = None,
-        workspace: Optional[KernelWorkspace] = None,
         profiler=None,
     ) -> None:
         self.transition = sp.csc_matrix(transition)
         self.hub_mask = np.asarray(hub_mask, dtype=bool)
         self.params = params
-        self.workspace = workspace if workspace is not None else KernelWorkspace()
+        self.workspace = KernelWorkspace()
         self.profiler = profiler if profiler is not None else NULL_PROFILER
         self.hubs = hubs
         self.hub_matrix = hub_matrix.tocsc() if hub_matrix is not None else None
@@ -232,6 +227,12 @@ class PropagationKernel:
         if self.hubs is not None and self.hub_matrix is not None:
             self.expansion = _HubExpansion(self.n_nodes, self.hubs, self.hub_matrix)
         self._hub_nodes = np.flatnonzero(self.hub_mask)
+
+    def __getstate__(self) -> dict:
+        # Refinement scratch is per-process: a copy borrows from its own.
+        state = self.__dict__.copy()
+        state["workspace"] = KernelWorkspace()
+        return state
 
     @property
     def n_nodes(self) -> int:

@@ -149,10 +149,9 @@ class QueryResult:
     """Answer of a reverse top-k query.
 
     The engine marks both arrays read-only before handing the result out:
-    one result object may be shared by a cache, several deduplicated
-    requesters and pickled process-pool transfers, so accidental in-place
-    mutation by any one holder must fail loudly instead of corrupting every
-    other holder's answer.
+    one result object may be shared by a cache and several deduplicated
+    requesters, so accidental in-place mutation by any one holder must fail
+    loudly instead of corrupting every other holder's answer.
 
     Attributes
     ----------
@@ -192,10 +191,9 @@ class QueryResult:
             self.proximities_to_query.setflags(write=False)
 
     def __setstate__(self, state: dict) -> None:
-        # NumPy drops the read-only flag on unpickle, so results shipped
-        # back from process-pool workers would arrive writable — re-freeze
-        # on receipt, or one caller's in-place edit would corrupt the
-        # cache's pristine entry and every dedup sibling.
+        # NumPy drops the read-only flag on unpickle, so a pickled copy of a
+        # result would arrive writable — re-freeze on receipt, or a holder's
+        # in-place edit could corrupt an answer it shares.
         self.__dict__.update(state)
         self._freeze()
 
@@ -382,8 +380,7 @@ class ReverseTopKEngine:
         working copies) and never bumps the index version.  Because every
         touched structure — the columnar views, the CSC transition, the PMPN
         plan — is only read, any number of threads may call this concurrently
-        on one shared engine, and process-pool workers may call it on a
-        pickled snapshot of the engine.
+        on one shared engine.
 
         Results are identical to :meth:`query_many` with
         ``update_index=False``.
@@ -397,7 +394,7 @@ class ReverseTopKEngine:
         return self.query_many(queries, params=params)
 
     # ------------------------------------------------------------------ #
-    # pickling (process-pool workers)
+    # pickling (the rollover clone)
     # ------------------------------------------------------------------ #
     def __getstate__(self) -> dict:
         """Ship the transition and the index; derived caches rebuild on the

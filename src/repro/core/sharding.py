@@ -515,13 +515,13 @@ class IndexShard:
             )
 
     # ------------------------------------------------------------------ #
-    # pickling (process-pool workers)
+    # pickling (the rollover clone)
     # ------------------------------------------------------------------ #
     def __getstate__(self) -> dict:
         """Ship paths for clean memmap shards, arrays for everything else.
 
         A clean disk-backed shard pickles to its directory reference only —
-        process-pool workers reopen the memmaps locally and share the page
+        the rollover clone reopens the memmaps lazily and shares the page
         cache instead of receiving a full copy of the arrays.
         """
         state = self.__dict__.copy()

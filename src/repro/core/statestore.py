@@ -301,7 +301,7 @@ class ColumnarStateStore:
     def __getstate__(self) -> dict:
         """Pickle as flat arrays only: the overlay is merged, never shipped.
 
-        A rollover clone (or a process-pool transfer) gets :meth:`to_arrays`
+        A rollover clone gets :meth:`to_arrays`
         and an empty overlay — one generation's writes never ride along into
         the next; this store is left exactly as it was.  The written bounds
         already sit in the borrowed plane, which pickles once with its shard.

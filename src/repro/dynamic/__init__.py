@@ -26,7 +26,6 @@ mutations at a fraction of rebuild cost:
 from .graph import DynamicGraph, GraphUpdate, UPDATE_OPS
 from .maintainer import (
     DEFAULT_REBUILD_RATIO,
-    HUB_POLICIES,
     IndexMaintainer,
     MaintenanceReport,
 )
@@ -34,7 +33,6 @@ from .service import DynamicReverseTopKService, UpdateMetrics
 
 __all__ = [
     "DEFAULT_REBUILD_RATIO",
-    "HUB_POLICIES",
     "DynamicGraph",
     "DynamicReverseTopKService",
     "GraphUpdate",

@@ -16,11 +16,9 @@ trajectory and lands in the bit-identical state.
 1. recomputes only the transition columns of the touched sources
    (:func:`~repro.graph.transition.rebuild_transition_columns`, bit-identical
    to a full rebuild) and diffs them against the old matrix;
-2. resolves the hub set under the configured policy — ``"pinned"`` (default)
-   keeps the current hubs, since a changed hub *set* poisons every state
-   (the hub mask steers every trajectory) and the tie-heavy degree
-   heuristic flips on single-edge changes; ``"reselect"`` follows the
-   heuristic and degenerates to a full rebuild whenever it moves;
+2. keeps the index's hub set: a changed hub *set* would poison every state
+   (the hub mask steers every trajectory), and the tie-heavy degree
+   heuristic flips on single-edge changes;
 3. re-solves the exact hub proximity columns ``P_H`` of the hubs that can
    *reach* a changed column, and of no other: one backward sweep from the
    changed columns ``C`` over the *old* transition yields ``R``, the nodes
@@ -52,10 +50,9 @@ The invariant all of this preserves: after ``apply()``, the maintained index
 is **bit-identical** to ``build_index`` run from scratch on the new graph
 *under the maintained hub set* (states, hub matrix, columnar views, and
 therefore every query answer and statistics counter), as long as no
-query-time refinement was persisted in between — under ``"reselect"`` that
-hub set is exactly the default build's, so the equivalence is unconditional.
-With persisted refinements the kept states remain *valid* BCA states on the
-new graph, so answers still match a fresh engine (same hub set) exactly.
+query-time refinement was persisted in between.  With persisted
+refinements the kept states remain *valid* BCA states on the new graph, so
+answers still match a fresh engine (same hub set) exactly.
 Across *different* hub sets answers agree except on floating-point knife-edge
 ties, where the kth value and the query proximity coincide to the last ulp
 and the decision legitimately depends on the rounding path.
@@ -80,16 +77,15 @@ solves, not ``|H|`` — which on sources nobody links to is none at all.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 import numpy as np
 
 from .._validation import check_positive_float
-from ..core.config import IndexParams
 from ..core.hubs import HubSet
 from ..core.index import StateArrays
-from ..core.lbi import _compute_hub_matrix, default_hub_selection
-from ..core.propagation import KernelWorkspace, PropagationKernel
+from ..core.lbi import _compute_hub_matrix
+from ..core.propagation import PropagationKernel
 from ..core.query import ReverseTopKEngine
 from ..core.sharding import build_index
 from ..core.statestore import ColumnarStateStore
@@ -100,16 +96,6 @@ from ..utils.timer import Timer
 
 #: Default stale-state fraction past which a full rebuild wins.
 DEFAULT_REBUILD_RATIO = 0.25
-
-#: Hub policies: keep the built hub set across applies, or re-select each time.
-HUB_POLICIES = ("pinned", "reselect")
-
-HubSelector = Callable[[DiGraph, IndexParams], HubSet]
-
-
-# The default selector IS build_index's default (one shared definition, so
-# the "reselect" policy can never drift from what a from-scratch build does).
-_degree_hub_selector = default_hub_selection
 
 
 @dataclass(frozen=True)
@@ -134,10 +120,9 @@ class MaintenanceReport:
     staleness:
         Invalidated fraction of the non-hub population (what the rebuild
         threshold is compared against).
-    hub_set_changed / full_rebuild:
-        Whether the applied hub set differs from the previous one, and
-        whether the escape hatch to a from-scratch :func:`build_index` ran
-        (hub re-selection under the ``"reselect"`` policy, or staleness).
+    full_rebuild:
+        Whether the escape hatch to a from-scratch :func:`build_index` (under
+        the same hub set) ran because the staleness reached the threshold.
     changed:
         ``False`` for a pure no-op (every recomputed column bit-identical):
         the index, its version, and every cached answer stay valid.
@@ -153,7 +138,6 @@ class MaintenanceReport:
     n_rematerialized: int
     n_hub_columns: int
     staleness: float
-    hub_set_changed: bool
     full_rebuild: bool
     changed: bool
     index_version: int
@@ -168,7 +152,6 @@ class MaintenanceReport:
             "n_rematerialized": self.n_rematerialized,
             "n_hub_columns": self.n_hub_columns,
             "staleness": self.staleness,
-            "hub_set_changed": self.hub_set_changed,
             "full_rebuild": self.full_rebuild,
             "changed": self.changed,
             "index_version": self.index_version,
@@ -187,29 +170,18 @@ class IndexMaintainer:
     rebuild_ratio:
         Stale-state fraction (of the non-hub population) at which the
         incremental path gives up and rebuilds from scratch.  ``1.0``
-        disables the escape hatch (except for hub-set changes, which always
-        rebuild); small values make the maintainer eager to rebuild.
+        disables the escape hatch; small values make the maintainer eager to
+        rebuild.
     weighted:
         Whether the engine's transition is the weighted variant (§5.4); the
         column recomputation must replay the same arithmetic.
-    hub_policy:
-        ``"pinned"`` (the default) keeps the index's hub set fixed for the
-        maintainer's lifetime — even full rebuilds reuse it.  The degree
-        heuristic is tie-heavy: a single edge near the budget boundary flips
-        the selected set, and since a changed hub *set* poisons every
-        trajectory, re-selecting per batch degenerates to rebuild-per-batch
-        under steady churn.  Hubs are a performance choice, not a
-        correctness one — any hub set yields exact answers up to
-        floating-point knife-edge ties — so pinning trades slowly-drifting
-        hub quality for stable incremental cost (refresh by rebuilding the
-        service when drift accumulates).  ``"reselect"`` follows the degree
-        heuristic every apply, which keeps the maintained index bit-identical
-        to a *default* from-scratch build (the strictest equivalence mode,
-        used by the property tests) at the price of frequent rebuilds.
-    hub_selector:
-        Override for the selection heuristic itself.  The default mirrors
-        :func:`build_index`'s degree-based choice; a custom selector must be
-        deterministic.
+
+    The index's hub set stays fixed for the maintainer's lifetime — even
+    full rebuilds reuse it.  Hubs are a performance choice, not a
+    correctness one — any hub set yields exact answers up to floating-point
+    knife-edge ties — so pinning trades slowly drifting hub quality for
+    stable incremental cost (refresh by rebuilding the service when drift
+    accumulates).
     """
 
     def __init__(
@@ -218,8 +190,6 @@ class IndexMaintainer:
         *,
         rebuild_ratio: float = DEFAULT_REBUILD_RATIO,
         weighted: bool = False,
-        hub_policy: str = "pinned",
-        hub_selector: Optional[HubSelector] = None,
     ) -> None:
         self.engine = engine
         self.rebuild_ratio = check_positive_float(rebuild_ratio, "rebuild_ratio")
@@ -227,19 +197,7 @@ class IndexMaintainer:
             raise ValueError(
                 f"rebuild_ratio must be in (0, 1], got {self.rebuild_ratio}"
             )
-        if hub_policy not in HUB_POLICIES:
-            raise ValueError(
-                f"hub_policy must be one of {HUB_POLICIES}, got {hub_policy!r}"
-            )
         self.weighted = bool(weighted)
-        self.hub_policy = hub_policy
-        self.hub_selector = (
-            hub_selector if hub_selector is not None else _degree_hub_selector
-        )
-        # One scratch pool shared by every incremental rebuild this
-        # maintainer performs: the per-apply kernels are short-lived, but
-        # their dense (n, B) planes are not re-allocated between applies.
-        self._workspace = KernelWorkspace()
 
     # ------------------------------------------------------------------ #
     # application
@@ -261,41 +219,28 @@ class IndexMaintainer:
                 f"graph has {graph.n_nodes} nodes but the index covers "
                 f"{index.n_nodes} (dynamic updates are edge-level)"
             )
-        params = index.params
-        old_hubs = index.hubs
         with Timer() as timer:
             touched = np.unique(np.asarray(list(touched_sources), dtype=np.int64))
             new_transition, changed = rebuild_transition_columns(
                 self.engine.transition, graph, touched, weighted=self.weighted
             )
-            if self.hub_policy == "reselect":
-                new_hubs = self.hub_selector(graph, params)
+            effective = changed.size > 0
+            if effective:
+                outcome = self._incremental(graph, new_transition, changed)
             else:
-                new_hubs = index.hubs
-            reselected = new_hubs.nodes != index.hubs.nodes
-            if changed.size == 0 and not reselected:
-                # Bit-identical transition, same hubs: a fresh build (under
-                # this hub set) would reproduce the current index exactly.
-                # Nothing to do — and critically no version bump, so cached
-                # answers stay live.
+                # Bit-identical transition: a fresh build (under this hub
+                # set) would reproduce the current index exactly.  Nothing
+                # to do — and critically no version bump, so cached answers
+                # stay live.
                 outcome = (0, 0, 0, 0.0, False)
-                effective = False
-            elif reselected:
-                outcome = self._full_rebuild(graph, new_transition, new_hubs)
-                effective = True
-            else:
-                outcome = self._incremental(graph, new_transition, changed, new_hubs)
-                effective = True
         invalidated, rematerialized, hub_columns, staleness, rebuilt = outcome
-        hub_set_changed = index.hubs.nodes != old_hubs.nodes
         return MaintenanceReport(
             n_touched_sources=int(touched.size),
-            n_changed_columns=int(changed.size) if effective else 0,
+            n_changed_columns=int(changed.size),
             n_invalidated=invalidated,
             n_rematerialized=rematerialized,
             n_hub_columns=hub_columns,
             staleness=staleness,
-            hub_set_changed=hub_set_changed,
             full_rebuild=rebuilt,
             changed=effective,
             index_version=index.version,
@@ -305,13 +250,14 @@ class IndexMaintainer:
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    def _full_rebuild(self, graph, transition, hubs):
+    def _full_rebuild(self, graph, transition):
         """Escape hatch: rebuild everything, splice into the live index.
 
         The fresh index is built on the live index's own partitioning and
-        adopted in place; the version bumps exactly once.
+        hub set and adopted in place; the version bumps exactly once.
         """
         index = self.engine.index
+        hubs = index.hubs
         index.adopt(
             build_index(
                 graph,
@@ -325,9 +271,10 @@ class IndexMaintainer:
         n_non_hub = index.n_nodes - len(hubs)
         return n_non_hub, 0, len(hubs), 1.0, True
 
-    def _incremental(self, graph, transition, changed, hubs):
+    def _incremental(self, graph, transition, changed):
         """The delta path: targeted invalidation plus hub re-expansion."""
         index = self.engine.index
+        hubs = index.hubs
         params = index.params
         n = index.n_nodes
         changed_mask = np.zeros(n, dtype=bool)
@@ -338,15 +285,11 @@ class IndexMaintainer:
         n_non_hub = max(1, n - len(hubs))
         staleness = len(invalid) / n_non_hub
         if staleness >= self.rebuild_ratio:
-            # The rebuild keeps the same hub set: "pinned" means pinned
-            # (reselect refreshed it above), so the maintained index is
-            # always bit-identical to a from-scratch build under the
-            # maintainer's hub configuration — including every answer on
-            # floating-point knife-edge ties, which genuinely depend on the
-            # hub set's rounding path.
-            count, _, hub_columns, _, rebuilt = self._full_rebuild(
-                graph, transition, hubs
-            )
+            # The rebuild keeps the index's hub set, so the maintained index
+            # is always bit-identical to a from-scratch build under it —
+            # including every answer on floating-point knife-edge ties,
+            # which genuinely depend on the hub set's rounding path.
+            count, _, hub_columns, _, rebuilt = self._full_rebuild(graph, transition)
             return count, 0, hub_columns, staleness, rebuilt
 
         # Only hubs with a path into a changed column can have moved (module
@@ -375,8 +318,7 @@ class IndexMaintainer:
                 index, hubs, hub_matrix, hub_deficit, stale
             )
         kernel = PropagationKernel(
-            transition, hubs.mask(n), params, hubs=hubs, hub_matrix=hub_matrix,
-            workspace=self._workspace,
+            transition, hubs.mask(n), params, hubs=hubs, hub_matrix=hub_matrix
         )
         return self._apply_targeted(
             index, kernel, segments, invalid, changed_hubs,

@@ -256,7 +256,6 @@ class DynamicReverseTopKService(ReverseTopKService):
         transition: Optional[sp.spmatrix] = None,
         weighted: bool = False,
         rebuild_ratio: float = DEFAULT_REBUILD_RATIO,
-        hub_policy: str = "pinned",
         n_shards: int = 1,
         memory_budget: Optional[int] = None,
     ) -> "DynamicReverseTopKService":
@@ -269,9 +268,8 @@ class DynamicReverseTopKService(ReverseTopKService):
         the same column arithmetic the transition was built with, so a
         ``transition`` passed explicitly is validated to be exactly the
         declared variant's matrix (delta maintenance cannot rebuild columns
-        of an arbitrary custom transition).  ``rebuild_ratio`` and
-        ``hub_policy`` configure the :class:`IndexMaintainer` (see its
-        docstring for the trade-offs).
+        of an arbitrary custom transition).  ``rebuild_ratio`` configures
+        the :class:`IndexMaintainer` (see its docstring for the trade-offs).
 
         ``n_shards`` / ``memory_budget`` shape the index
         exactly as on the static service: maintenance writes route to the
@@ -306,7 +304,6 @@ class DynamicReverseTopKService(ReverseTopKService):
             engine,
             rebuild_ratio=rebuild_ratio,
             weighted=weighted,
-            hub_policy=hub_policy,
         )
         return cls(
             engine,

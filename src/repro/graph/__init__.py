@@ -22,7 +22,6 @@ from .generators import (
     complete_graph,
 )
 from .io import (
-    read_edge_list,
     stream_edge_list,
     write_edge_list,
     read_node_labels,
@@ -56,7 +55,6 @@ __all__ = [
     "star_graph",
     "complete_graph",
     "datasets",
-    "read_edge_list",
     "stream_edge_list",
     "write_edge_list",
     "read_node_labels",

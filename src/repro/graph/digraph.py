@@ -377,15 +377,15 @@ class DiGraph:
         return self.subgraph(keep)
 
     # ------------------------------------------------------------------ #
-    # pickling (process-pool workers)
+    # pickling
     # ------------------------------------------------------------------ #
     def __getstate__(self) -> dict:
         """Pickle only the canonical adjacency and the node labels.
 
         Derived caches (CSC transpose, degree vectors, name→id map, the
         ``is_weighted`` flag) are dropped: they can be large, and every one
-        of them is rebuilt lazily on first use after unpickling.  This keeps
-        worker hand-off in the serving layer's process pool cheap.
+        of them is rebuilt lazily on first use after unpickling, so a
+        pickled graph costs its adjacency and nothing more.
         """
         return {"adjacency": self._adjacency, "node_names": self._node_names}
 

@@ -17,57 +17,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..exceptions import GraphError, SerializationError
-from .builder import from_edges
 from .digraph import DiGraph
 
 PathLike = Union[str, os.PathLike]
 
 #: Default number of edges parsed per chunk by :func:`stream_edge_list`.
 STREAM_CHUNK_EDGES = 1 << 20
-
-
-def read_edge_list(
-    path: PathLike,
-    *,
-    comment: str = "#",
-    delimiter: str | None = None,
-    weighted: bool = False,
-) -> DiGraph:
-    """Read a directed graph from a plain-text edge list.
-
-    Parameters
-    ----------
-    path:
-        File containing one edge per line: ``source target`` or
-        ``source target weight`` when ``weighted`` is true.
-    comment:
-        Lines starting with this prefix are skipped.
-    delimiter:
-        Column separator (default: any whitespace).
-    weighted:
-        Parse a third column as the edge weight.
-    """
-    path = Path(path)
-    edges: list[Tuple[int, int, float]] = []
-    try:
-        with path.open("r", encoding="utf-8") as handle:
-            for line_number, raw in enumerate(handle, start=1):
-                line = raw.strip()
-                if not line or line.startswith(comment):
-                    continue
-                parts = line.split(delimiter)
-                if len(parts) < 2:
-                    raise SerializationError(
-                        f"{path}:{line_number}: expected at least 2 columns, got {len(parts)}"
-                    )
-                source, target = int(parts[0]), int(parts[1])
-                weight = float(parts[2]) if weighted and len(parts) > 2 else 1.0
-                edges.append((source, target, weight))
-    except OSError as exc:
-        raise SerializationError(f"cannot read edge list {path}: {exc}") from exc
-    if not edges:
-        raise SerializationError(f"edge list {path} contains no edges")
-    return from_edges(edges)
 
 
 def stream_edge_list(
@@ -82,17 +37,16 @@ def stream_edge_list(
 ) -> DiGraph:
     """Stream a plain-text (optionally gzipped) edge list straight into CSR.
 
-    Unlike :func:`read_edge_list`, which accumulates a Python list of edge
-    tuples, this parses the file in chunks of ``chunk_edges`` rows directly
-    into typed numpy arrays and hands them to one CSR construction — no
-    per-edge Python objects are materialised, so million-edge files ingest
-    in a few times the size of the final matrix.
+    The file is parsed in chunks of ``chunk_edges`` rows directly into typed
+    numpy arrays and handed to one CSR construction — no per-edge Python
+    objects are materialised, so million-edge files ingest in a few times
+    the size of the final matrix.
 
-    The result is bit-identical to ``from_edges`` over the same edges: node
-    ids are used verbatim, duplicate edges are summed by CSR construction,
-    and ``n_nodes`` / ``allow_self_loops`` behave the same way.  Files ending
-    in ``.gz`` are decompressed on the fly.  When ``weighted`` is true every
-    data row must carry three columns.
+    The result is bit-identical to :func:`~repro.graph.builder.from_edges`
+    over the same edges: node ids are used verbatim, duplicate edges are
+    summed by CSR construction, and ``n_nodes`` / ``allow_self_loops``
+    behave the same way.  Files ending in ``.gz`` are decompressed on the
+    fly.  When ``weighted`` is true every data row must carry three columns.
     """
     path = Path(path)
     if chunk_edges <= 0:

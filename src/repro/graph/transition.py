@@ -11,8 +11,7 @@ footnote offers two remedies which are both implemented here:
 * ``DanglingPolicy.SELF_LOOP`` — give each dangling node a self-loop;
 * ``DanglingPolicy.SINK`` — add one extra sink node that every dangling node
   points to and that loops onto itself;
-* ``DanglingPolicy.REMOVE`` is handled at the graph level (delete the nodes)
-  and ``DanglingPolicy.ERROR`` refuses to proceed.
+* ``DanglingPolicy.ERROR`` refuses to proceed.
 """
 
 from __future__ import annotations

@@ -73,8 +73,6 @@ def clone_for_rollover(
         engine,
         rebuild_ratio=source.rebuild_ratio,
         weighted=source.weighted,
-        hub_policy=source.hub_policy,
-        hub_selector=source.hub_selector,
     )
     clone = DynamicReverseTopKService(
         engine,

@@ -4,7 +4,7 @@ The executor takes a same-``k`` batch of queries, splits it into contiguous
 chunks, and evaluates the chunks concurrently through the engine's read-only
 entry point (:meth:`ReverseTopKEngine.query_many_readonly`) on a thread pool
 that shares the one engine.  Read-only queries never mutate the index, the
-columnar views, or the cached CSR transpose, so no locking is needed;
+columnar views, or the PMPN plan, so no locking is needed;
 NumPy/SciPy kernels release the GIL for the heavy array work.  This pool is
 the one place a service parallelises queries: each engine scans its shards
 serially, so ``n_workers`` threads use at most ``n_workers`` cores.

@@ -13,7 +13,7 @@ from repro.core import pmpn as pmpn_module
 from repro.core.baseline import brute_force_reverse_topk
 from repro.core.hubs import HubSet
 from repro.core.index import NodeState
-from repro.core.pmpn import PMPNPlan, PMPNState, pmpn_iteration_bound, proximity_to_node
+from repro.core.pmpn import PMPNPlan, PMPNState, proximity_to_node
 from repro.dynamic import DynamicReverseTopKService, GraphUpdate
 from repro.exceptions import ConvergenceError, InvalidParameterError
 from repro.graph import (
@@ -24,8 +24,9 @@ from repro.graph import (
     weighted_transition_matrix,
 )
 from repro.graph.datasets import write_synthetic_edge_list
-from repro.graph.io import read_edge_list
+from repro.graph.io import stream_edge_list
 from repro.rwr import ProximityLU, proximity_column
+from repro.rwr.power_method import expected_iterations
 from repro.serving import ReverseTopKService, ServiceConfig
 
 from tests.reference import index_from_states
@@ -49,7 +50,7 @@ class TestPMPNCorrectness:
     def test_cost_independent_of_result_size(self, small_transition):
         # Same iteration count magnitude as a single forward power-method run.
         result = proximity_to_node(small_transition, 0, tolerance=1e-10)
-        assert result.iterations <= 2 * pmpn_iteration_bound(0.15, 1e-10) + 10
+        assert result.iterations <= 2 * expected_iterations(0.15, 1e-10) + 10
 
     def test_ring_graph_row(self):
         matrix = transition_matrix(ring_graph(5))
@@ -98,7 +99,7 @@ class TestPMPNBehaviour:
         assert state.lower[4] == pytest.approx(0.15)
 
     def test_iteration_bound_formula(self):
-        assert pmpn_iteration_bound(0.15, 1e-10) == pytest.approx(131, abs=2)
+        assert expected_iterations(0.15, 1e-10) == pytest.approx(131, abs=2)
 
     def test_convergence_rate_bounded_by_one_minus_alpha(self, small_transition):
         # Theorem 2(b) gives 1 - alpha as the *worst-case* rate: the extra
@@ -156,8 +157,7 @@ def assert_interval_holds(transition, plan, query, exact, *, shrink=1.0):
     state = proximity_to_node(
         transition, query, plan=plan, max_iterations=0, raise_on_failure=False
     )
-    rows = plan.row_set(query)
-    assert (state.rows, state.edges) == (rows.n_rows, rows.n_edges)
+    assert (state.rows, state.edges) == suffix_span(plan, query)
     while True:
         lower, upper = state.interval(np.arange(exact.size))
         np.testing.assert_array_equal(lower, state.lower)
@@ -181,7 +181,7 @@ def dense_pmpn(transition, query, *, alpha=0.15, tolerance=1e-10):
     restart[query] = alpha
     current = np.zeros(n)
     current[query] = 1.0
-    for _ in range(2 * pmpn_iteration_bound(alpha, tolerance) + 10):
+    for _ in range(2 * expected_iterations(alpha, tolerance) + 10):
         nxt = (1.0 - alpha) * (transposed @ current) + restart
         change = float(np.abs(nxt - current).sum())
         current = nxt
@@ -203,11 +203,14 @@ def test_interval_holds_at_every_round(transition):
     for query in range(transition.shape[0]):
         state = assert_interval_holds(transition, plan, query, lu.row(query))
         assert state.proximities.tobytes() == dense_pmpn(transition, query).tobytes()
-        event(f"row set: {row_set_side(plan, query)}")
+        event("whole matrix" if plan.first[query] == 0 else "proper suffix")
 
 
-def row_set_side(plan, query):
-    return "suffix" if isinstance(plan.row_set(query).index, slice) else "ancestors"
+def suffix_span(plan, query):
+    """``(rows, edges)`` of ``query``'s suffix ``[first[q], n)`` of the layout."""
+    start = int(plan.first[query])
+    indptr = plan.transposed.indptr
+    return plan.n_nodes - start, int(indptr[-1] - indptr[start])
 
 
 def dangling_query():
@@ -232,17 +235,23 @@ class TestIntervalNegativeControls:
         with pytest.raises(AssertionError):
             assert_interval_holds(transition, plan, 0, exact, shrink=0.99)
 
-    def test_dropping_an_ancestor_row_fails_the_property(self, monkeypatch):
-        """The property sees a row set one ancestor short."""
-        ancestors = PMPNPlan.ancestors
+    def test_a_suffix_one_row_late_fails_the_property(self):
+        """The property sees a suffix that starts one row past ``first[q]``.
 
-        def one_short(plan, query):
-            found = ancestors(plan, query)
-            return found[:-1] if found.size > 1 else found
-
-        monkeypatch.setattr(PMPNPlan, "ancestors", one_short)
+        On a ring every node shares one component, so ``first[q] = 0`` and
+        the row there is an ancestor of ``q``; starting the suffix at ``1``
+        drops it while ``q``'s own row stays in.
+        """
+        transition = transition_matrix(ring_graph(6))
+        plan = PMPNPlan(transition)
+        query = 3
+        ancestor = int(plan.order[plan.first[query]])
+        exact = ProximityLU(transition).row(query)
+        assert ancestor != query and exact[ancestor] > 0.0
+        assert_interval_holds(transition, plan, query, exact)
+        plan.first = plan.first + (np.arange(plan.n_nodes) == query)
         with pytest.raises(AssertionError):
-            test_interval_holds_at_every_round()
+            assert_interval_holds(transition, plan, query, exact)
 
 
 def test_exact_tie_is_decided_like_the_brute_force():
@@ -278,23 +287,36 @@ def test_exact_tie_is_decided_like_the_brute_force():
     assert lower <= 0.25 <= lower + result.proximity_width
 
 
-class TestRowSets:
-    def test_both_row_sets_are_reached(self):
-        # A chain 0 -> 1 -> ... -> 59 with a long tail: the head's suffix is
-        # tiny (ancestors), while node 59 sits below every other node.
-        chain = sp.diags(np.ones(59), 1, shape=(60, 60), format="csr")
-        transition = transition_matrix(DiGraph(chain))
-        plan = PMPNPlan(transition)
-        assert row_set_side(plan, 0) == "ancestors"
-        assert row_set_side(plan, 59) == "suffix"
-        lu = ProximityLU(transition)
-        for query in (0, 30, 59):
-            assert_interval_holds(transition, plan, query, lu.row(query))
+class TestSuffix:
+    def test_every_query_iterates_its_suffix(self):
+        """Rows ``n - first[q]`` and the edges of their ``indptr`` span, on every shape."""
+        # A chain 0 -> 1 -> ... -> 59: each node its own component, 59 laid
+        # out first, so the head iterates one row and the tail every row (59
+        # dangles: its restart self-loop is the 60th edge).
+        chain = transition_matrix(
+            DiGraph(sp.diags(np.ones(59), 1, shape=(60, 60), format="csr"))
+        )
         # One ring: every node shares one component, first = 0, every row.
         ring = transition_matrix(ring_graph(12))
-        ring_plan = PMPNPlan(ring)
-        assert not ring_plan.first.any()
-        assert proximity_to_node(ring, 3, plan=ring_plan).rows == 12
+        # tail_k10's graph (seed 0).
+        web = transition_matrix(copying_web_graph(4000, out_degree=10, seed=0))
+        spans = {}
+        for name, transition in (("chain", chain), ("ring", ring), ("web", web)):
+            plan = PMPNPlan(transition)
+            n = transition.shape[0]
+            indptr = plan.transposed.indptr
+            for query in range(0, n, max(1, n // 60)):
+                state = proximity_to_node(
+                    transition, query, plan=plan, max_iterations=0, raise_on_failure=False
+                )
+                start = int(plan.first[query])
+                assert state.rows == n - start
+                assert state.edges == indptr[n] - indptr[start]
+                spans[name, query] = (state.rows, state.edges)
+        assert spans["chain", 0] == (1, 1) and spans["chain", 59] == (60, 60)
+        assert spans["ring", 3] == (12, 12)
+        web_rows = [rows for (name, _), (rows, _) in spans.items() if name == "web"]
+        assert np.median(web_rows) < 0.6 * 4000  # a copying web is mostly a DAG
 
     def test_non_topological_labels_trip_the_check(self, monkeypatch):
         """Negative control: a layout whose edges point forward is refused."""
@@ -331,23 +353,13 @@ class TestRowSets:
             )
 
 
-class TestRowSetsOnBenchmarkGraphs:
+class TestSuffixOnBenchmarkGraphs:
     """Rows and edges per round on the perf workloads' graphs (seed 0)."""
-
-    def test_copying_web_queries_take_the_ancestor_path(self):
-        # tail_k10's graph: half the queries iterate a handful of rows.
-        transition = transition_matrix(copying_web_graph(4000, out_degree=10, seed=0))
-        plan = PMPNPlan(transition)
-        results = [proximity_to_node(transition, q, plan=plan) for q in range(0, 4000, 80)]
-        small = [r for r in results if r.edges <= 0.1 * transition.nnz]
-        assert len(small) >= 0.4 * len(results)
-        assert np.median([r.edges for r in small]) < 0.01 * transition.nnz
-        assert np.median([r.rows for r in small]) < 40
 
     def test_synthetic_crawl_queries_take_a_near_full_suffix(self, tmp_path):
         # memmap_k1's graph: one component holds almost every node.
         write_synthetic_edge_list(tmp_path / "edges.txt", n_nodes=4000, seed=0)
-        transition = transition_matrix(read_edge_list(tmp_path / "edges.txt"))
+        transition = transition_matrix(stream_edge_list(tmp_path / "edges.txt"))
         plan = PMPNPlan(transition)
         results = [proximity_to_node(transition, q, plan=plan) for q in range(0, 4000, 200)]
         near_full = [r for r in results if r.edges >= 0.9 * transition.nnz]

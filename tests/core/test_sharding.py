@@ -649,7 +649,7 @@ class TestColumnarStageDecisions:
             masses = rng.uniform(0.0, 0.4, size=n) * (rng.random(n) < 0.7)
             columns = _view(lower, masses, rng.random(n) < 0.3)
             low = rng.uniform(0.0, 0.6, size=n)
-            # Some points, as outside the row set, among intervals.
+            # Some points, as before the suffix, among intervals.
             high = low + rng.choice([0.0, 1e-3, 0.05, 0.3], size=n)
             point = low + rng.random(n) * (high - low)
             exact, candidates, hits, n_pruned, n_floor = columnar_stage_decisions(

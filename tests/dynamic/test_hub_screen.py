@@ -159,7 +159,7 @@ def solved_log(monkeypatch):
     return log
 
 
-def run_case(seed, deployment, hub_policy, rebuild_ratio, solved_log=None):
+def run_case(seed, deployment, rebuild_ratio, solved_log=None):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(6, 15))
     graph = sparse_digraph(n, rng)
@@ -173,8 +173,7 @@ def run_case(seed, deployment, hub_policy, rebuild_ratio, solved_log=None):
             },
         }[deployment]
         service = DynamicReverseTopKService.from_graph(
-            graph, params, hub_policy=hub_policy, rebuild_ratio=rebuild_ratio,
-            **options,
+            graph, params, rebuild_ratio=rebuild_ratio, **options
         )
         try:
             dynamic = DynamicGraph(graph)
@@ -195,7 +194,6 @@ class TestHubScreenProperty:
     @given(
         seed=st.integers(min_value=0, max_value=100_000),
         deployment=st.sampled_from(DEPLOYMENTS),
-        hub_policy=st.sampled_from(["pinned", "reselect"]),
         rebuild_ratio=st.sampled_from([0.5, 1.0]),
     )
     # The recorder is emptied before every apply, so sharing it is safe.
@@ -205,16 +203,16 @@ class TestHubScreenProperty:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     def test_unsolved_hubs_equal_a_fresh_solve(
-        self, solved_log, seed, deployment, hub_policy, rebuild_ratio
+        self, solved_log, seed, deployment, rebuild_ratio
     ):
-        run_case(seed, deployment, hub_policy, rebuild_ratio, solved_log)
+        run_case(seed, deployment, rebuild_ratio, solved_log)
 
     def test_the_sweep_of_seeds_exercises_both_outcomes(self, solved_log):
         """The generator is not vacuous: batches that reuse every hub, batches
         that re-solve some and reuse others, and the full-rebuild hatch."""
         reused_all = mixed = rebuilt = 0
         for seed in range(40):
-            for report in run_case(seed, "monolithic", "pinned", 0.5, solved_log):
+            for report in run_case(seed, "monolithic", 0.5, solved_log):
                 rebuilt += report.full_rebuild
                 if report.changed and not report.full_rebuild:
                     reused_all += report.n_hub_columns == 0
@@ -236,7 +234,7 @@ class TestHubScreenProperty:
         caught = 0
         for seed in range(40):
             try:
-                run_case(seed, "monolithic", "pinned", 1.0)
+                run_case(seed, "monolithic", 1.0)
             except AssertionError:
                 caught += 1
         assert caught >= 20  # 38 of these 40 seeds when written

@@ -228,35 +228,15 @@ class TestEscapeHatches:
             engine, build_engine(new_graph, hubs=engine.index.hubs)
         )
 
-    def test_reselect_policy_rebuilds_on_hub_churn(self):
+    def test_hubs_stay_pinned_and_incremental_under_hub_churn(self):
         # Adding many out-edges to one tail node shifts the degree-based hub
-        # selection; the reselect policy must rebuild and land bit-identical
-        # to a default from-scratch build.
-        graph = erdos_renyi_graph(30, 0.1, seed=3)
-        engine = build_engine(graph)
-        maintainer = IndexMaintainer(engine, rebuild_ratio=1.0, hub_policy="reselect")
-        dynamic = DynamicGraph(graph)
-        target = 7
-        added = 0
-        for v in range(30):
-            if v != target and not dynamic.has_edge(target, v):
-                dynamic.add_edge(target, v)
-                added += 1
-        assert added > 10
-        new_graph, touched = dynamic.drain()
-        report = maintainer.apply(new_graph, touched)
-        if report.hub_set_changed:  # overwhelmingly likely with these seeds
-            assert report.full_rebuild
-        assert_engines_bit_identical(engine, build_engine(new_graph))
-
-    def test_pinned_policy_stays_incremental_under_hub_churn(self):
-        # The same hub-churning mutation under the default pinned policy:
-        # no rebuild, hubs kept, and answers still exactly match a default
-        # from-scratch build (hubs never affect answers, only bounds).
+        # selection: no rebuild, hubs kept, and answers still exactly match
+        # a default from-scratch build (hubs never affect answers, only
+        # bounds).
         graph = erdos_renyi_graph(30, 0.1, seed=3)
         engine = build_engine(graph)
         hubs_before = engine.index.hubs.nodes
-        maintainer = IndexMaintainer(engine, rebuild_ratio=1.0, hub_policy="pinned")
+        maintainer = IndexMaintainer(engine, rebuild_ratio=1.0)
         dynamic = DynamicGraph(graph)
         target = 7
         for v in range(30):
@@ -265,7 +245,6 @@ class TestEscapeHatches:
         new_graph, touched = dynamic.drain()
         report = maintainer.apply(new_graph, touched)
         assert not report.full_rebuild
-        assert not report.hub_set_changed
         assert engine.index.hubs.nodes == hubs_before
         fresh = build_engine(new_graph, hubs=engine.index.hubs)
         assert_engines_bit_identical(engine, fresh)
@@ -275,7 +254,7 @@ class TestEscapeHatches:
         graph = erdos_renyi_graph(30, 0.1, seed=3)
         engine = build_engine(graph)
         hubs_before = engine.index.hubs.nodes
-        maintainer = IndexMaintainer(engine, rebuild_ratio=1e-9, hub_policy="pinned")
+        maintainer = IndexMaintainer(engine, rebuild_ratio=1e-9)
         dynamic = DynamicGraph(graph)
         target = 7
         for v in range(30):
@@ -284,15 +263,10 @@ class TestEscapeHatches:
         new_graph, touched = dynamic.drain()
         report = maintainer.apply(new_graph, touched)
         assert report.full_rebuild
-        # pinned means pinned: even the escape-hatch rebuild reuses the hubs
+        # Pinned: even the escape-hatch rebuild reuses the hubs
         assert engine.index.hubs.nodes == hubs_before
         fresh = build_engine(new_graph, hubs=engine.index.hubs)
         assert_engines_bit_identical(engine, fresh)
-
-    def test_unknown_hub_policy_rejected(self):
-        graph = copying_web_graph(20, out_degree=2, seed=14)
-        with pytest.raises(ValueError):
-            IndexMaintainer(build_engine(graph), hub_policy="sticky")
 
     def test_node_count_mismatch_rejected(self):
         graph = copying_web_graph(30, out_degree=3, seed=11)

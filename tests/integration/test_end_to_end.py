@@ -10,7 +10,7 @@ from repro import (
 )
 from repro.core import ReverseTopKIndex, build_index
 from repro.core.baseline import FeasibleBruteForce
-from repro.graph import datasets, read_edge_list, write_edge_list
+from repro.graph import datasets, stream_edge_list, write_edge_list
 from repro.rwr import ProximityLU
 from repro.workloads import uniform_query_workload
 
@@ -47,7 +47,7 @@ class TestFullPipeline:
         """Export the graph, re-import it, and check queries are unchanged."""
         path = tmp_path / "graph.txt"
         write_edge_list(small_web_graph, path)
-        reloaded = read_edge_list(path)
+        reloaded = stream_edge_list(path)
         params = IndexParams(capacity=10, hub_budget=3)
         original_engine = ReverseTopKEngine.build(small_web_graph, params)
         reloaded_engine = ReverseTopKEngine.build(reloaded, params)

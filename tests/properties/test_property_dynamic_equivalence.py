@@ -8,9 +8,7 @@ maintained engine must stay **bit-identical** to an engine rebuilt from
 scratch at the same ``P`` on the final graph under the maintained hub set:
 per-node BCA
 states, the columnar views, and every reverse top-k answer including its
-statistics counters.  Under the ``"reselect"`` hub policy that hub set is
-exactly what a default build selects, so the equivalence is unconditional.
-Whether any given sequence rides the incremental path, re-materializes hub
+statistics counters.  Whether any given sequence rides the incremental path, re-materializes hub
 expansions, or trips the full-rebuild escape hatch is irrelevant — the
 invariant holds across all of them, which is exactly why the escape
 hatches are safe.
@@ -62,7 +60,6 @@ def dynamic_cases(draw):
     n_shards = draw(st.sampled_from([1, 2, 3, n]))
     capacity = min(5, n)
     hub_budget = draw(st.integers(min_value=0, max_value=2))
-    hub_policy = draw(st.sampled_from(["pinned", "reselect"]))
     rebuild_ratio = draw(st.sampled_from([0.05, 0.5, 1.0]))
     n_batches = draw(st.integers(min_value=1, max_value=3))
     batch_sizes = draw(
@@ -74,7 +71,7 @@ def dynamic_cases(draw):
     )
     op_seed = draw(st.integers(min_value=0, max_value=10_000))
     return (
-        graph, weighted, n_shards, capacity, hub_budget, hub_policy,
+        graph, weighted, n_shards, capacity, hub_budget,
         rebuild_ratio, batch_sizes, op_seed,
     )
 
@@ -118,7 +115,7 @@ class TestDynamicEquivalence:
     @settings(max_examples=30, deadline=None)
     def test_maintained_index_bit_identical_to_scratch_build(self, case):
         (
-            graph, weighted, n_shards, capacity, hub_budget, hub_policy,
+            graph, weighted, n_shards, capacity, hub_budget,
             rebuild_ratio, batch_sizes, op_seed,
         ) = case
         params = IndexParams(capacity=capacity, hub_budget=hub_budget).for_graph(
@@ -129,8 +126,7 @@ class TestDynamicEquivalence:
             matrix, build_index(graph, params, transition=matrix, n_shards=n_shards)
         )
         maintainer = IndexMaintainer(
-            engine, rebuild_ratio=rebuild_ratio, weighted=weighted,
-            hub_policy=hub_policy,
+            engine, rebuild_ratio=rebuild_ratio, weighted=weighted
         )
         dynamic = DynamicGraph(graph)
         rng = np.random.default_rng(op_seed)
@@ -140,9 +136,7 @@ class TestDynamicEquivalence:
             maintainer.apply(new_graph, touched)
 
         # The equivalence target: a from-scratch build at the same shard
-        # count under the maintained hub set.  Under "reselect" that set *is*
-        # the default selection, so the comparison is against a plain default
-        # build.
+        # count under the maintained hub set.
         final_matrix = walk(weighted)(dynamic.base)
         fresh = ReverseTopKEngine(
             final_matrix,
@@ -155,9 +149,6 @@ class TestDynamicEquivalence:
             ),
         )
         assert engine.index.n_shards == fresh.index.n_shards
-        if hub_policy == "reselect":
-            default = ReverseTopKEngine.build(dynamic.base, params)
-            assert engine.index.hubs.nodes == default.index.hubs.nodes
 
         # 1. state-level bit identity
         assert engine.index.hubs.nodes == fresh.index.hubs.nodes
@@ -200,7 +191,7 @@ class TestDynamicEquivalence:
     @settings(max_examples=15, deadline=None)
     def test_served_answers_track_updates(self, case):
         (
-            graph, weighted, n_shards, capacity, hub_budget, hub_policy,
+            graph, weighted, n_shards, capacity, hub_budget,
             rebuild_ratio, batch_sizes, op_seed,
         ) = case
         params = IndexParams(capacity=capacity, hub_budget=hub_budget).for_graph(
@@ -211,8 +202,7 @@ class TestDynamicEquivalence:
             matrix, build_index(graph, params, transition=matrix, n_shards=n_shards)
         )
         maintainer = IndexMaintainer(
-            engine, rebuild_ratio=rebuild_ratio, weighted=weighted,
-            hub_policy=hub_policy,
+            engine, rebuild_ratio=rebuild_ratio, weighted=weighted
         )
         config = ServiceConfig(cache_capacity=64, max_batch_size=4, n_workers=0)
         rng = np.random.default_rng(op_seed)
