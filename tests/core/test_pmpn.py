@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import breadth_first_order
 
 from repro.core import IndexParams, ReverseTopKEngine, build_index
 from repro.core import pmpn as pmpn_module
@@ -318,6 +319,34 @@ class TestSuffix:
         web_rows = [rows for (name, _), (rows, _) in spans.items() if name == "web"]
         assert np.median(web_rows) < 0.6 * 4000  # a copying web is mostly a DAG
 
+    def test_the_three_reads_agree_and_zero_nodes_before_the_suffix(self):
+        """Gather, dense slice and single-node reads give the same ends each round.
+
+        A node laid out before ``first[q]`` cannot reach ``q``: all three
+        reads give it the exact point ``0``.
+        """
+        transition = transition_matrix(copying_web_graph(300, out_degree=4, seed=2))
+        plan = PMPNPlan(transition)
+        nodes = np.arange(plan.n_nodes)
+        queries = [q for q in range(0, plan.n_nodes, 7) if plan.first[q] > 0]
+        assert queries
+        for query in queries:
+            before = plan.position < plan.first[query]
+            state = proximity_to_node(
+                transition, query, plan=plan, max_iterations=0, raise_on_failure=False
+            )
+            for _ in range(4):
+                state.advance()
+                gathered = state.interval(nodes.copy())  # before any dense read
+                dense = state.interval(slice(None))
+                for got in (gathered, tuple(np.array(p) for p in zip(
+                    *(state.interval_at(int(v)) for v in nodes)
+                ))):
+                    np.testing.assert_array_equal(got[0], dense[0])
+                    np.testing.assert_array_equal(got[1], dense[1])
+                assert not dense[0][before].any() and not dense[1][before].any()
+                assert (dense[1][~before] > 0).all()
+
     def test_non_topological_labels_trip_the_check(self, monkeypatch):
         """Negative control: a layout whose edges point forward is refused."""
         dag = sp.csr_matrix(np.triu(np.ones((8, 8)), 1))
@@ -355,6 +384,25 @@ class TestSuffix:
 
 class TestSuffixOnBenchmarkGraphs:
     """Rows and edges per round on the perf workloads' graphs (seed 0)."""
+
+    def test_copying_web_suffix_holds_every_ancestor(self):
+        # tail_k10's graph: the nodes that reach q (breadth-first over A,
+        # whose row q lists q's in-neighbours) all lie in q's suffix, and
+        # PMPN's result is exactly 0 before it.
+        transition = transition_matrix(copying_web_graph(4000, out_degree=10, seed=0))
+        plan = PMPNPlan(transition)
+        adjacency = sp.csr_matrix(transition)
+        for query in range(0, 4000, 97):
+            ancestors = breadth_first_order(
+                adjacency, query, directed=True, return_predecessors=False
+            )
+            start = plan.first[query]
+            assert (plan.position[ancestors] >= start).all()
+            result = proximity_to_node(transition, query, plan=plan)
+            assert result.rows == plan.n_nodes - start
+            assert not result.proximities[plan.position < start].any()
+            reached = np.flatnonzero(result.proximities)
+            assert np.isin(reached, ancestors).all()
 
     def test_synthetic_crawl_queries_take_a_near_full_suffix(self, tmp_path):
         # memmap_k1's graph: one component holds almost every node.

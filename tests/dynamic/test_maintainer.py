@@ -250,6 +250,40 @@ class TestEscapeHatches:
         assert_engines_bit_identical(engine, fresh)
         assert_answers_identical(engine, fresh, k=4)
 
+    def test_hubs_stay_pinned_across_batches_of_hub_churn(self):
+        # Three batches, each wiring a different tail node to every other
+        # node: the degree ranking drifts away from the build's hubs, yet
+        # every batch stays incremental on the pinned hubs and equals a
+        # from-scratch build on them.
+        from repro.core.hubs import select_hubs_by_degree
+
+        graph = erdos_renyi_graph(30, 0.1, seed=3)
+        engine = build_engine(graph)
+        hubs_before = engine.index.hubs.nodes
+        budget = PARAMS.for_graph(graph.n_nodes).hub_budget
+        maintainer = IndexMaintainer(engine, rebuild_ratio=1.0)
+        dynamic = DynamicGraph(graph)
+        for target in (7, 19, 26):
+            for v in range(30):
+                if v != target and not dynamic.has_edge(target, v):
+                    dynamic.add_edge(target, v)
+            new_graph, touched = dynamic.drain()
+            report = maintainer.apply(new_graph, touched)
+            assert report.changed and not report.full_rebuild
+            assert engine.index.hubs.nodes == hubs_before
+            assert_engines_bit_identical(
+                engine, build_engine(new_graph, hubs=engine.index.hubs)
+            )
+        assert select_hubs_by_degree(new_graph, budget).nodes != hubs_before
+        # Hubs move bounds, not answers: the result sets equal a build on
+        # the drifted hubs (the lower ends differ, as wide as each needed).
+        default = build_engine(new_graph)
+        for query in range(graph.n_nodes):
+            np.testing.assert_array_equal(
+                engine.query(query, 4, update_index=False).nodes,
+                default.query(query, 4, update_index=False).nodes,
+            )
+
     def test_pinned_staleness_rebuild_keeps_hubs(self):
         graph = erdos_renyi_graph(30, 0.1, seed=3)
         engine = build_engine(graph)

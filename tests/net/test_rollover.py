@@ -59,6 +59,31 @@ class TestClone:
         finally:
             clone.close()
 
+    def test_clone_keeps_the_pinned_hubs_under_hub_churn(self, dynamic_service):
+        # Wiring one node to many others moves the degree ranking; the
+        # clone's maintainer keeps the original's hubs and the original
+        # keeps its graph.
+        hubs = dynamic_service.engine.index.hubs.nodes
+        clone = clone_for_rollover(dynamic_service)
+        try:
+            assert clone.engine.index.hubs.nodes == hubs
+            graph = dynamic_service.graph.materialize()
+            present = {(u, v) for u, v, _ in graph.edges()}
+            target = graph.n_nodes - 1
+            added = [
+                GraphUpdate.add(target, v)
+                for v in range(graph.n_nodes)
+                if v != target and (target, v) not in present
+            ]
+            assert len(added) > 10
+            clone.apply_updates(added)
+            assert clone.engine.index.hubs.nodes == hubs
+            assert clone.engine.index.version == 1
+            assert dynamic_service.engine.index.hubs.nodes == hubs
+            assert dynamic_service.graph.materialize().n_edges == graph.n_edges
+        finally:
+            clone.close()
+
     def test_clone_of_closed_service_fails(self, dynamic_service):
         dynamic_service.close()
         with pytest.raises(ServiceClosedError):
