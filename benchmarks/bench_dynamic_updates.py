@@ -22,7 +22,7 @@ is bit-identical between the two sides — the maintained index plus the
 serving cache path must be indistinguishable from a from-scratch engine on
 the current graph — and that the maintained side is at least
 ``MIN_SPEEDUP`` faster end-to-end.  Raw numbers go to
-``benchmarks/results/dynamic_updates.json`` for the perf trajectory.
+``benchmarks/results/runs/dynamic_updates.json`` for the perf trajectory.
 """
 
 import json
@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core import IndexParams, ReverseTopKEngine, build_index
-from repro.dynamic import DynamicGraph, DynamicReverseTopKService, IndexMaintainer
+from repro.dynamic import DynamicReverseTopKService, IndexMaintainer, apply_batch
 from repro.graph import copying_web_graph, transition_matrix
 from repro.serving import ServiceConfig
 from repro.utils.timer import Timer
@@ -48,7 +48,7 @@ MIN_SPEEDUP = 3.0
 PARAMS = IndexParams(capacity=50, hub_budget=8)
 CONFIG = ServiceConfig(cache_capacity=512, max_batch_size=64, n_workers=0)
 
-RESULTS_JSON = Path(__file__).resolve().parent / "results" / "dynamic_updates.json"
+RESULTS_JSON = Path(__file__).resolve().parent / "results" / "runs" / "dynamic_updates.json"
 
 
 def test_dynamic_update_speedup():
@@ -70,7 +70,7 @@ def test_dynamic_update_speedup():
     baseline_results = []
     rebuild_seconds = []
     with Timer() as baseline_timer:
-        shadow = DynamicGraph(graph)
+        current = graph
         engine = ReverseTopKEngine.build(graph, PARAMS, hubs=hubs)
         for event in workload:
             if isinstance(event, QueryEvent):
@@ -78,8 +78,7 @@ def test_dynamic_update_speedup():
                     engine.query(event.query, event.k, update_index=False)
                 )
             else:
-                shadow.apply_updates(event.updates)
-                current, _ = shadow.drain()
+                current, _ = apply_batch(current, event.updates)
                 with Timer() as rebuild_timer:
                     engine = ReverseTopKEngine.build(current, PARAMS, hubs=hubs)
                 rebuild_seconds.append(rebuild_timer.elapsed)

@@ -5,7 +5,7 @@ tight-index configuration (denser graph, ``eta = 1e-5``, ``delta = 0.05`` —
 the regime where offline construction cost actually bites), checks that a
 two-worker parallel build is bit-identical to the serial one, and writes the
 raw numbers (including the per-phase build reports) to
-``benchmarks/results/index_build.json``.
+``benchmarks/results/runs/index_build.json``.
 """
 
 import json
@@ -27,7 +27,7 @@ PARAMS = IndexParams(
     residue_threshold=0.05,
 )
 
-RESULTS_JSON = Path(__file__).resolve().parent / "results" / "index_build.json"
+RESULTS_JSON = Path(__file__).resolve().parent / "results" / "runs" / "index_build.json"
 
 
 def _timed(build):

@@ -9,8 +9,8 @@ bounded memory:
    and streamed into CSR in chunks, never materialising per-edge Python
    objects.
 2. **build** — a parallel sharded index build writes residual/retained/hub
-   state straight into columnar arrays (zero per-node ``NodeState``
-   materialisations, asserted) and spills each shard to a memmap layout.
+   state straight into columnar arrays and spills each shard to a memmap
+   layout.
 3. **query** — the sharded engine serves a random reverse nearest-neighbor
    workload (``k=1``) through the float64 columnar scan over the memmap
    shards.  At this index strength (coarse ``eta``/``delta``, no hubs —
@@ -24,7 +24,7 @@ bounded memory:
 
 Each phase records wall-clock seconds and the process peak RSS (``VmHWM``
 from ``/proc/self/status``); results land in
-``benchmarks/results/large_graph.json``.
+``benchmarks/results/runs/large_graph.json``.
 
 Run directly (CI's ``scale-smoke`` lane uses a reduced ``--scale``)::
 
@@ -50,16 +50,12 @@ if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 from repro.core import IndexParams, ReverseTopKEngine, build_index  # noqa: E402
-from repro.core.statestore import (  # noqa: E402
-    materialization_count,
-    reset_materialization_count,
-)
 from repro.dynamic.maintainer import IndexMaintainer  # noqa: E402
 from repro.graph import DiGraph, transition_matrix  # noqa: E402
 from repro.graph.datasets import write_synthetic_edge_list  # noqa: E402
 from repro.graph.io import stream_edge_list  # noqa: E402
 
-RESULTS_JSON = Path(__file__).resolve().parent / "results" / "large_graph.json"
+RESULTS_JSON = Path(__file__).resolve().parent / "results" / "runs" / "large_graph.json"
 
 #: Coarse, hub-free parameters: at web scale the bench exercises the *system*
 #: (streaming, columnar state, memmap shards, maintainer), not rank quality.
@@ -116,7 +112,6 @@ def _build(args, graph: DiGraph, matrix, workdir: Path, record: dict):
         propagation_threshold=ETA,
         residue_threshold=DELTA,
     ).for_graph(graph.n_nodes)
-    reset_materialization_count()
     started = time.perf_counter()
     index = build_index(
         graph,
@@ -128,12 +123,6 @@ def _build(args, graph: DiGraph, matrix, workdir: Path, record: dict):
         n_workers=args.workers if args.workers > 1 else None,
     )
     seconds = time.perf_counter() - started
-    materialized = materialization_count()
-    if materialized != 0:
-        raise AssertionError(
-            f"columnar build materialised {materialized} NodeState objects; "
-            "the hot path must stay array-native"
-        )
     _phase(
         record,
         "build",
@@ -142,7 +131,6 @@ def _build(args, graph: DiGraph, matrix, workdir: Path, record: dict):
         n_workers=args.workers,
         index_mb=round(index.total_bytes() / 2**20, 1),
         resident_mb=round(index.resident_bytes() / 2**20, 1),
-        nodestate_materializations=materialized,
     )
     return index
 

@@ -21,7 +21,7 @@ Assertions (the PR's acceptance criteria):
 3. at least 1,000 connections were actually opened against the server.
 
 Latency percentiles and every layer's counters are recorded to
-``benchmarks/results/network_serving.json``.
+``benchmarks/results/runs/network_serving.json``.
 """
 
 import asyncio
@@ -52,7 +52,7 @@ N_SHARDS = 4
 
 PARAMS = IndexParams(capacity=20, hub_budget=8)
 
-RESULTS_JSON = Path(__file__).resolve().parent / "results" / "network_serving.json"
+RESULTS_JSON = Path(__file__).resolve().parent / "results" / "runs" / "network_serving.json"
 
 
 def _verify_bit_identity(graph, events, responses, update_acks):

@@ -13,7 +13,7 @@ Three A/B comparisons on one copying-web graph, timed interleaved
 3. **kernel profiling on** (:class:`KernelProfiler` sink) versus the
    default :data:`NULL_PROFILER` on a propagation build.
 
-Raw numbers land in ``benchmarks/results/observability_overhead.json``.
+Raw numbers land in ``benchmarks/results/runs/observability_overhead.json``.
 """
 
 from contextlib import contextmanager
@@ -43,7 +43,7 @@ N_REPEATS = 7
 MAX_TRACING_OFF_OVERHEAD = 1.02
 
 RESULTS_JSON = (
-    Path(__file__).resolve().parent / "results" / "observability_overhead.json"
+    Path(__file__).resolve().parent / "results" / "runs" / "observability_overhead.json"
 )
 
 

@@ -12,7 +12,7 @@ the same engine over a 2,000-node copying-web graph:
 
 The benchmark asserts the service answers are identical to the naive loop's
 (request by request), that throughput improves by at least ``MIN_SPEEDUP``,
-and records the raw numbers to ``benchmarks/results/serving_throughput.json``
+and records the raw numbers to ``benchmarks/results/runs/serving_throughput.json``
 so future scaling PRs have a trajectory to compare against.
 """
 
@@ -40,7 +40,7 @@ CONFIG = ServiceConfig(
     n_workers=2,
 )
 
-RESULTS_JSON = Path(__file__).resolve().parent / "results" / "serving_throughput.json"
+RESULTS_JSON = Path(__file__).resolve().parent / "results" / "runs" / "serving_throughput.json"
 
 
 def test_serving_throughput():

@@ -12,7 +12,7 @@ Peak RSS is a high-water mark, so the two scenarios cannot share a process:
 the benchmark builds both layouts once (parent), then runs each scenario in
 a **fresh subprocess** that only *loads* its layout, serves the identical
 query workload through its engine, and reports throughput plus
-``ru_maxrss``.  Results land in ``benchmarks/results/sharded_query.json``.
+``ru_maxrss``.  Results land in ``benchmarks/results/runs/sharded_query.json``.
 """
 
 import json
@@ -37,7 +37,7 @@ N_QUERIES = 120
 N_SHARDS = 8
 MAX_SLOWDOWN = 2.0
 
-RESULTS_JSON = Path(__file__).resolve().parent / "results" / "sharded_query.json"
+RESULTS_JSON = Path(__file__).resolve().parent / "results" / "runs" / "sharded_query.json"
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 _RSS_CHILD_TEMPLATE = """

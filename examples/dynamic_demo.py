@@ -58,7 +58,7 @@ def main() -> None:
     )
 
     # 3. The graph churns: a link appears, one vanishes, one drifts.
-    u, v, _ = next(service.graph.base.edges())
+    u, v, _ = next(service.graph.edges())
     batch = [
         GraphUpdate.add(7, 550),
         GraphUpdate.remove(u, v),
@@ -88,7 +88,7 @@ def main() -> None:
     fresh = ReverseTopKEngine(
         service.engine.transition,
         build_index(
-            service.graph.base,
+            service.graph,
             params.for_graph(graph.n_nodes),
             hubs=service.engine.index.hubs,
             transition=service.engine.transition,
@@ -105,7 +105,7 @@ def main() -> None:
     # 5. Weight changes don't move the unweighted random walk: the service
     #    detects the no-op and keeps every cached answer alive.
     engine_queries = service.metrics().n_engine_queries
-    edges = [(s, t) for s, t, _ in service.graph.base.edges()]
+    edges = [(s, t) for s, t, _ in service.graph.edges()]
     noop = service.apply_updates(
         [GraphUpdate.set_weight(s, t, 3.0) for s, t in edges[:3]]
     )

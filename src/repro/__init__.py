@@ -14,7 +14,7 @@ The package is organised in layers:
 * :mod:`repro.serving` — the serving runtime: result caching, request
   batching/dedup, thread-parallel execution, and warm-start index
   snapshots behind the :class:`ReverseTopKService` façade;
-* :mod:`repro.dynamic` — the dynamic-graph subsystem: a delta overlay over
+* :mod:`repro.dynamic` — the dynamic-graph subsystem: batched edge edits of
   the immutable CSR, incremental index maintenance with conservative state
   invalidation, and the :class:`DynamicReverseTopKService` update path;
 * :mod:`repro.net` — the asyncio HTTP front door over the services.
@@ -49,7 +49,6 @@ from .core import (
     brute_force_reverse_topk,
 )
 from .dynamic import (
-    DynamicGraph,
     DynamicReverseTopKService,
     GraphUpdate,
     IndexMaintainer,
@@ -93,7 +92,6 @@ __all__ = [
     "ServiceConfig",
     "ServiceMetrics",
     "SnapshotManager",
-    "DynamicGraph",
     "DynamicReverseTopKService",
     "GraphUpdate",
     "IndexMaintainer",

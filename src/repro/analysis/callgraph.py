@@ -55,8 +55,10 @@ class ClassInfo:
     methods: Dict[str, FunctionInfo] = field(default_factory=dict)
     #: attribute name -> simple class name (from ``self.X = SomeClass(...)``)
     attr_types: Dict[str, str] = field(default_factory=dict)
-    #: attribute name -> factory symbol (from ``self.X = <factory>()``),
-    #: e.g. ``_lock -> threading.Lock``.  Factories recorded from any method.
+    #: attribute name -> factory symbol (from ``self.X = <factory>()``, also
+    #: behind a conditional default: ``x if x is not None else <factory>()``
+    #: or ``x or <factory>()``), e.g. ``_lock -> threading.Lock``.
+    #: Factories recorded from any method.
     attr_factories: Dict[str, str] = field(default_factory=dict)
 
 
@@ -143,24 +145,26 @@ class ProjectIndex:
             for method in cls.methods.values():
                 scope = self.scope_for(method)
                 for stmt in ast.walk(method.node):
-                    if not isinstance(stmt, ast.Assign) or len(stmt.targets) != 1:
+                    if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+                        target = stmt.targets[0]
+                    elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+                        target = stmt.target
+                    else:
                         continue
-                    target = stmt.targets[0]
                     if not (
                         isinstance(target, ast.Attribute)
                         and isinstance(target.value, ast.Name)
                         and target.value.id == "self"
                     ):
                         continue
-                    if not isinstance(stmt.value, ast.Call):
-                        continue
-                    symbol = render(stmt.value.func, scope)
-                    if symbol is None:
-                        continue
-                    cls.attr_factories.setdefault(target.attr, symbol)
-                    simple = symbol.rsplit(".", 1)[-1]
-                    if simple in self.classes:
-                        cls.attr_types.setdefault(target.attr, simple)
+                    for call in _value_calls(stmt.value):
+                        symbol = render(call.func, scope)
+                        if symbol is None:
+                            continue
+                        cls.attr_factories.setdefault(target.attr, symbol)
+                        simple = symbol.rsplit(".", 1)[-1]
+                        if simple in self.classes:
+                            cls.attr_types.setdefault(target.attr, simple)
 
     # ------------------------------------------------------------------ #
     # scopes
@@ -295,3 +299,16 @@ class ProjectIndex:
 
     def iter_functions(self) -> Iterator[FunctionInfo]:
         return iter(self.functions.values())
+
+
+def _value_calls(value: ast.expr) -> Iterator[ast.Call]:
+    """The calls an assigned value may evaluate to, looking through the
+    operands of conditional expressions and ``and`` / ``or`` chains."""
+    if isinstance(value, ast.Call):
+        yield value
+    elif isinstance(value, ast.IfExp):
+        yield from _value_calls(value.body)
+        yield from _value_calls(value.orelse)
+    elif isinstance(value, ast.BoolOp):
+        for operand in value.values:
+            yield from _value_calls(operand)

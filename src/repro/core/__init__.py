@@ -11,7 +11,7 @@ Modules
     Algorithm 1 — Lower Bound Indexing via batched BCA with hubs: the hub
     matrix, the kernel's pool worker, single-node rebuild and refinement.
 ``index``
-    Per-node index pieces: :class:`NodeState` / ``StateArrays``, the
+    Per-node index pieces: the flat ``StateArrays`` of one node, the
     :class:`ColumnarView` the scan reads, residual-mass and size accounting
     (§4.1.3), the atomic file write.
 ``sharding``
@@ -42,7 +42,7 @@ from .bounds import (
 )
 from .config import IndexParams, QueryParams
 from .hubs import degree_union_hubs, select_hubs_by_degree, HubSet
-from .index import NodeState, ColumnarView
+from .index import ColumnarView
 from .lbi import rebuild_node_state, refine_node_state
 from .pmpn import proximity_to_node, PMPNPlan, PMPNState
 from .propagation import BuildReport, KernelWorkspace, PropagationKernel
@@ -70,7 +70,6 @@ __all__ = [
     "rebuild_node_state",
     "refine_node_state",
     "ReverseTopKIndex",
-    "NodeState",
     "ColumnarView",
     "proximity_to_node",
     "PMPNPlan",

@@ -8,7 +8,7 @@ degree heuristic: take the union of the ``B`` highest in-degree nodes and the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Tuple
+from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
@@ -51,10 +51,6 @@ class HubSet:
     def position(self, node: int) -> int:
         """Column index of ``node`` inside the hub proximity matrix ``P_H``."""
         return self._positions[int(node)]
-
-    def as_set(self) -> FrozenSet[int]:
-        """Return the hubs as a frozen set."""
-        return frozenset(self.nodes)
 
     def mask(self, n_nodes: int) -> np.ndarray:
         """Boolean mask of length ``n_nodes`` marking hub positions."""

@@ -12,7 +12,7 @@ The index ``I = (P̂, R, W, S, P_H)`` holds, for every node ``u``:
 The index itself, :class:`~repro.core.sharding.ReverseTopKIndex`, stores
 them as global hub data plus ``P ≥ 1`` contiguous node-range shards.  This
 module holds what that class, the state store, the kernel and the
-maintainer share: the per-node value types, the columnar view, the
+maintainer share: the per-node value type, the columnar view, the
 residual-mass definition, the persisted parameter fields and the atomic
 file write.
 
@@ -23,14 +23,12 @@ they are stored: flat ``(indptr, keys, values)`` arrays in a
 :class:`~repro.core.statestore.ColumnarStateStore` per shard — the layout
 the on-disk per-shard ``.npy`` files persist byte for byte.  ``P̂`` is kept
 once per shard, as the dense ``(K, n)`` ``lower`` plane below, which the
-store shares rather than copies.  One node's
-column travels as a :class:`StateArrays` (flat segments): what the
-refinement working set loads, what a write-back spills, and what the store's
-overlay holds.  :class:`NodeState` — three ``{node: value}`` dicts —
-survives only as the *by-value* view ``index.state(node)`` returns and as
-the working representation of the seed reference loop under ``tests/``;
-mutating one changes nothing until it is handed back through
-``index.set_state``.  ``P_H`` is a CSC matrix with one column per hub.
+store shares rather than copies.  One node's column travels as a
+:class:`StateArrays` (flat segments): what ``index.state_arrays(node)``
+reads, what the refinement working set loads, what a write-back spills
+through ``index.set_state`` and what the store's overlay holds.  There is
+no other per-node state object.  ``P_H`` is a CSC matrix with one column
+per hub.
 
 Columnar views (the scan)
 -------------------------
@@ -59,11 +57,11 @@ is negligible, but it makes Proposition 4 hold exactly in all configurations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import os
 from pathlib import Path
 import tempfile
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -173,68 +171,6 @@ def _row_mass(residual_values, hub_keys, hub_values, hubs, hub_deficit) -> float
     return mass
 
 
-@dataclass
-class NodeState:
-    """Per-node BCA state: the column of ``R``, ``W``, ``S`` and ``P̂`` for one node.
-
-    Attributes
-    ----------
-    residual:
-        ``{node: residue ink}`` — ink waiting to be propagated (non-hub nodes only).
-    retained:
-        ``{node: retained ink}`` — ink permanently retained at non-hub nodes.
-    hub_ink:
-        ``{hub node: accumulated ink}`` — ink parked at hubs, to be expanded
-        through ``P_H`` when the approximate vector is materialised.
-    lower_bounds:
-        Descending top-``K`` values of the approximate proximity vector.
-    iterations:
-        Number of batched BCA iterations applied so far (``t_u``).
-    is_hub:
-        Hub nodes carry their exact top-``K`` proximities and no residue.
-    """
-
-    residual: Dict[int, float] = field(default_factory=dict)
-    retained: Dict[int, float] = field(default_factory=dict)
-    hub_ink: Dict[int, float] = field(default_factory=dict)
-    lower_bounds: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    iterations: int = 0
-    is_hub: bool = False
-
-    @property
-    def residual_mass(self) -> float:
-        """Total undistributed ink ``||r^t_u||_1``."""
-        return float(sum(self.residual.values()))
-
-    @property
-    def is_exact(self) -> bool:
-        """True when no residue remains, i.e. the lower bounds are exact values."""
-        return self.is_hub or not self.residual
-
-    def kth_lower_bound(self, k: int) -> float:
-        """The k-th largest lower bound (``p̂^t_u(k)``); zero when unknown."""
-        if k <= 0:
-            raise ValueError("k must be positive")
-        if k > self.lower_bounds.size:
-            return 0.0
-        return float(self.lower_bounds[k - 1])
-
-    def copy(self) -> "NodeState":
-        """Deep copy (a detached working copy for tests and ablations)."""
-        return NodeState(
-            residual=dict(self.residual),
-            retained=dict(self.retained),
-            hub_ink=dict(self.hub_ink),
-            lower_bounds=self.lower_bounds.copy(),
-            iterations=self.iterations,
-            is_hub=self.is_hub,
-        )
-
-    def stored_entries(self) -> int:
-        """Number of sparse entries stored for this node (for size accounting)."""
-        return len(self.residual) + len(self.retained) + len(self.hub_ink)
-
-
 _PARAM_FIELDS = (
     "alpha",
     "capacity",
@@ -299,17 +235,16 @@ def resolve_hub_components(
 
 
 def expand_state(
-    state: "StateArrays | NodeState",
+    state: "StateArrays",
     hubs: HubSet,
     hub_matrix: sp.csc_matrix,
     n_nodes: int,
 ) -> np.ndarray:
     """Dense ``p^t = w + P_H s`` of a state (Eq. 7), one hub column at a time."""
-    arrays = _as_arrays(state)
     vector = np.zeros(n_nodes, dtype=np.float64)
-    keys, values = arrays.retained
+    keys, values = state.retained
     vector[keys] = values
-    for hub, ink in zip(*(segment.tolist() for segment in arrays.hub_ink)):
+    for hub, ink in zip(*(segment.tolist() for segment in state.hub_ink)):
         position = hubs.position(hub)
         start, stop = hub_matrix.indptr[position], hub_matrix.indptr[position + 1]
         vector[hub_matrix.indices[start:stop]] += ink * hub_matrix.data[start:stop]
@@ -366,18 +301,6 @@ class StateArrays:
         return sum(len(keys) for keys, _ in planes)
 
     @classmethod
-    def from_state(cls, state: NodeState) -> "StateArrays":
-        """Flatten a dict-backed state (entries keep their dict order)."""
-        planes = [
-            (
-                np.fromiter(entries.keys(), dtype=np.int64, count=len(entries)),
-                np.fromiter(entries.values(), dtype=np.float64, count=len(entries)),
-            )
-            for entries in (state.residual, state.retained, state.hub_ink)
-        ]
-        return cls(*planes, state.lower_bounds, state.iterations, state.is_hub)
-
-    @classmethod
     def from_flat(cls, arrays, lower: np.ndarray, node: int) -> "StateArrays":
         """Slice ``node``'s row out of the flattened state-array layout.
 
@@ -400,54 +323,3 @@ class StateArrays:
             int(arrays["iterations"][node]),
             bool(arrays["is_hub"][node]),
         )
-
-    def to_state(self) -> NodeState:
-        """Materialise the dict-backed :class:`NodeState` (fresh containers)."""
-        # tolist() detaches each (possibly memmapped) segment in one read.
-        planes = [
-            dict(zip(keys.tolist(), values.tolist()))
-            for keys, values in (self.residual, self.retained, self.hub_ink)
-        ]
-        lower_bounds = np.array(self.lower_bounds, dtype=np.float64)
-        return NodeState(*planes, lower_bounds, self.iterations, self.is_hub)
-
-
-def _as_arrays(state: "StateArrays | NodeState") -> StateArrays:
-    return state if isinstance(state, StateArrays) else StateArrays.from_state(state)
-
-
-# ----------------------------------------------------------------------- #
-# (de)serialisation helpers
-# ----------------------------------------------------------------------- #
-def _dicts_to_arrays(dicts: List[Dict[int, float]]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten a list of ``{index: value}`` dicts into (indptr, keys, values)."""
-    counts = np.array([len(d) for d in dicts], dtype=np.int64)
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    keys = np.empty(int(indptr[-1]), dtype=np.int64)
-    values = np.empty(int(indptr[-1]), dtype=np.float64)
-    position = 0
-    for entry in dicts:
-        for key, value in entry.items():
-            keys[position] = key
-            values[position] = value
-            position += 1
-    return indptr, keys, values
-
-
-def _states_to_arrays(
-    states: List[NodeState], capacity: int
-) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
-    """The flattened state arrays and the ``(K, n)`` lower-bound plane."""
-    arrays: Dict[str, np.ndarray] = {}
-    for name in STATE_PLANES:
-        indptr, keys, values = _dicts_to_arrays([getattr(s, name) for s in states])
-        arrays[f"{name}_indptr"] = indptr
-        arrays[f"{name}_keys"] = keys
-        arrays[f"{name}_values"] = values
-    lower = np.zeros((capacity, len(states)), dtype=np.float64)
-    for column, state in enumerate(states):
-        count = min(capacity, state.lower_bounds.size)
-        lower[:count, column] = state.lower_bounds[:count]
-    arrays["iterations"] = np.array([s.iterations for s in states], dtype=np.int64)
-    arrays["is_hub"] = np.array([s.is_hub for s in states], dtype=bool)
-    return arrays, lower

@@ -28,7 +28,7 @@ under ``tests/`` as the reference oracle the kernel is tested against.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,7 +40,7 @@ from ..rwr.power_method import proximity_vector
 from ..utils.sparsetools import top_k_descending
 from .config import IndexParams
 from .hubs import HubSet, degree_union_hubs, select_hubs_by_degree
-from .index import NodeState, StateArrays
+from .index import StateArrays
 from .propagation import (
     BuildReport,
     PropagationKernel,
@@ -225,7 +225,7 @@ def rebuild_node_state(
 
 
 def refine_node_state(
-    state: Union[RefinementWorkingSet, NodeState],
+    working: RefinementWorkingSet,
     index: ReverseTopKIndex,
     transition: sp.csc_matrix,
     hub_mask: np.ndarray,
@@ -241,35 +241,20 @@ def refine_node_state(
     itself per step whatever ``eta`` the index was built with (``eta`` governs
     construction only).  The step refreshes the top-K lower bounds itself.
 
-    The query engine loads one working set per candidate and calls this once
-    per iteration.  Given a plain :class:`NodeState` instead (tests, ablation
-    benchmarks), the same step runs on a working set loaded from it and the
-    result is spilled back into ``state`` in place.
+    The query engine loads one working set per candidate
+    (``kernel.load(index.state_arrays(node))``) and calls this once per
+    iteration.
 
     ``kernel`` lets hot callers (the query engine) reuse one prepared kernel
     across refinements instead of re-deriving it per call.  Returns ``False``
-    (leaving the state untouched) only when no residue remains at all.
+    (leaving the working set untouched) only when no residue remains at all.
     """
     if kernel is None:
         kernel = PropagationKernel(
             transition, hub_mask, index.params,
             hubs=index.hubs, hub_matrix=index.hub_matrix,
         )
-    if isinstance(state, NodeState):
-        working = kernel.load(StateArrays.from_state(state))
-        try:
-            progressed = kernel.step(working)
-            if progressed:
-                refined = working.spill().to_state()
-                state.residual = refined.residual
-                state.retained = refined.retained
-                state.hub_ink = refined.hub_ink
-                state.lower_bounds = refined.lower_bounds
-                state.iterations = refined.iterations
-        finally:
-            working.release()
-        return progressed
-    return kernel.step(state)
+    return kernel.step(working)
 
 
 def _select_hubs_from_matrix(matrix: sp.csc_matrix, budget: int) -> HubSet:

@@ -35,8 +35,8 @@ Spill
 A converged chunk spills as flat ``(counts, keys, values)`` segments into a
 :class:`~repro.core.statestore.StateArraysSink` (the sorted CSC columns *are*
 those segments) and ``run`` returns the sink's
-:class:`~repro.core.statestore.CollectedStates`; no
-:class:`~repro.core.index.NodeState` is constructed.  With a hub matrix the
+:class:`~repro.core.statestore.CollectedStates`, plain arrays with no
+per-source object.  With a hub matrix the
 spill also materializes each source's top-K lower bounds from
 ``p^t = w + P_H s`` (Eq. 7).  A chunk carrying hub ink is expanded on dense
 sub-chunks of at most :data:`SPILL_BYTES` — retained entries first, then hub

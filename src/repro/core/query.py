@@ -623,8 +623,8 @@ class ReverseTopKEngine:
         ``pmpn``'s interval (:meth:`_decide`).
 
         The candidate's state is loaded once, as flat segments, into a
-        refinement working set (no :class:`NodeState` is materialised, so
-        read-only queries leave the index untouched), advanced in place, and
+        refinement working set (so read-only queries leave the index
+        untouched), advanced in place, and
         spilled back once — flat segments straight into the store's overlay
         through the final ``set_state`` — only under ``update_index`` and
         only if a step changed it.

@@ -71,7 +71,7 @@ import functools
 import itertools
 import os
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import zipfile
 
 import numpy as np
@@ -92,12 +92,9 @@ from .index import (
     _INDEX_BYTES,
     _VALUE_BYTES,
     ColumnarView,
-    NodeState,
     StateArrays,
-    _as_arrays,
     atomic_write,
     effective_state_residual_mass,
-    expand_state,
     params_from_arrays,
     params_to_arrays,
     resolve_hub_components,
@@ -674,49 +671,20 @@ class ReverseTopKIndex:
         shard = self.shards[ordinal]
         return shard, node - shard.start
 
-    def state(self, node: int) -> NodeState:
-        """``node``'s state as a detached :class:`NodeState`, by value.
-
-        Mutating the returned view changes nothing in the index; hand it
-        back through :meth:`set_state` to store it.
-        """
-        shard, local = self.shard_of(node)
-        return shard.store.state(local)
-
     def state_arrays(self, node: int) -> StateArrays:
-        """``node``'s state as flat segments — no ``NodeState`` is built."""
+        """``node``'s state as flat segments (views of the store's rows)."""
         shard, local = self.shard_of(node)
         return shard.store.state_arrays(local)
 
-    def set_state(self, node: int, state: "StateArrays | NodeState") -> None:
+    def set_state(self, node: int, state: StateArrays) -> None:
         """Persist a state write-back into the owning shard (version bump)."""
         shard, local = self.shard_of(node)
-        state = _as_arrays(state)
         shard.set_state(local, state, self.state_residual_mass(state))
         self._version += 1
-
-    def states(self) -> Iterable[Tuple[int, NodeState]]:
-        """Iterate ``(node, state)`` pairs (by-value views) across shards."""
-        for shard in self.shards:
-            for local, state in enumerate(shard.store.iter_states()):
-                yield shard.start + local, state
 
     def state_residual_mass(self, state: StateArrays) -> float:
         """Effective residual mass of a (possibly detached) state."""
         return effective_state_residual_mass(state, self.hubs, self.hub_deficit)
-
-    def effective_residual_mass(self, node: int) -> float:
-        """Residue mass of ``node``'s state, including the rounding deficit."""
-        return self.state_residual_mass(self.state_arrays(node))
-
-    def approximate_vector(self, node: int) -> np.ndarray:
-        """Materialise the lower-bound proximity vector ``p^t_node`` (Eq. 7).
-
-        ``p^t = w + P_H @ s`` — retained ink at non-hubs plus hub ink expanded
-        through the (rounded) hub proximity columns.
-        """
-        n = self.hub_matrix.shape[0] if self.hub_matrix.shape[0] else self.n_nodes
-        return expand_state(self.state_arrays(node), self.hubs, self.hub_matrix, n)
 
     def apply_updates(
         self,
@@ -913,8 +881,7 @@ class ReverseTopKIndex:
         """Promote every shard to an in-RAM shard (no disk-lazy storage).
 
         Each shard's flattened state arrays (overlay writes merged) and
-        columns are copied into RAM wholesale — states stay lazy *per node*
-        and no ``NodeState`` objects are created.
+        columns are copied into RAM wholesale, as flat arrays.
         """
         self.shards = [
             IndexShard.from_store(

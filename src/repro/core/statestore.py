@@ -16,10 +16,7 @@ segments.
     immutable; writes land in an overlay of per-node :class:`StateArrays`
     (flat segments — a write-back is ``working.spill()`` → overlay, no dicts)
     consulted before the arrays and merged back by :meth:`to_arrays`.
-    ``NodeState`` is only the *by-value* view :meth:`state` materialises on
-    request; every materialisation increments a module-level counter, which
-    the large-graph benchmark and the tests assert stays at **zero** across
-    builds, loads, maintenance and read-only serving.
+    :meth:`~ColumnarStateStore.state_arrays` is the one per-node read.
 
 ``StateArraysSink``
     The kernel-side collector: converged block columns spill straight into
@@ -48,30 +45,10 @@ from .index import (
     STATE_PLANES as _PLANES,
     _INDEX_BYTES,
     _VALUE_BYTES,
-    NodeState,
     StateArrays,
     _row_mass,
-    _states_to_arrays,
     effective_state_residual_mass,
 )
-
-#: Module-level count of NodeState materialisations from columnar storage.
-#: The large-graph bench (and the statestore tests) reset this and assert it
-#: stayed at zero — the acceptance check that builds, loads, maintenance and
-#: read-only queries allocate no per-node Python state objects.
-_MATERIALIZATIONS = 0
-
-
-def materialization_count() -> int:
-    """Number of ``NodeState`` views materialised from columnar storage."""
-    return _MATERIALIZATIONS
-
-
-def reset_materialization_count() -> None:
-    """Reset the materialisation counter (benchmarks / tests)."""
-    global _MATERIALIZATIONS
-    _MATERIALIZATIONS = 0
-
 
 class ColumnarStateStore:
     """Struct-of-arrays storage for the per-node states of a node range.
@@ -113,13 +90,6 @@ class ColumnarStateStore:
     # ------------------------------------------------------------------ #
     # construction
     # ------------------------------------------------------------------ #
-    @classmethod
-    def from_states(
-        cls, states: Sequence[NodeState], capacity: int
-    ) -> "ColumnarStateStore":
-        """Flatten a list of states into a store (object → columnar bridge)."""
-        return cls(*_states_to_arrays(list(states), int(capacity)))
-
     def rows(self, start: int, stop: int) -> "ColumnarStateStore":
         """A store over the rows ``[start, stop)``: heap copies, overlay merged."""
         merged = self.to_arrays()
@@ -157,17 +127,6 @@ class ColumnarStateStore:
         if written is not None:
             return written
         return StateArrays.from_flat(self.arrays, self.lower, node)
-
-    def state(self, node: int) -> NodeState:
-        """``node``'s state as a detached, dict-backed view (counted)."""
-        global _MATERIALIZATIONS
-        _MATERIALIZATIONS += 1
-        return self.state_arrays(node).to_state()
-
-    def iter_states(self) -> Iterator[NodeState]:
-        """By-value views of all states, in node order."""
-        for node in range(self._n):
-            yield self.state(node)
 
     def set_state(self, node: int, state: StateArrays) -> None:
         """Write ``node``'s state into the overlay.
@@ -370,7 +329,7 @@ def _empty_collected(capacity: int) -> CollectedStates:
 
 
 class StateArraysSink:
-    """Collects converged kernel columns as flat arrays — no NodeState objects.
+    """Collects converged kernel columns as flat arrays.
 
     The propagation kernel's spill path hands each finished batch over as
     per-plane ``(counts, keys, values)`` triples plus bounds and iteration

@@ -7,9 +7,9 @@ live serving façade on top of it — consistent with a stream of edge
 mutations at a fraction of rebuild cost:
 
 ``graph``
-    :class:`DynamicGraph` — a delta overlay buffering insertions, deletions
-    and weight changes over the immutable CSR, with periodic compaction;
-    :class:`GraphUpdate` describes one mutation.
+    :class:`GraphUpdate` describes one mutation (insertion, deletion or
+    weight change); :func:`apply_batch` validates a batch and edits the
+    immutable CSR once, returning the next graph and the touched sources.
 ``maintainer``
     :class:`IndexMaintainer` — recomputes only the affected transition
     columns, conservatively invalidates the BCA states whose trajectories
@@ -23,7 +23,7 @@ mutations at a fraction of rebuild cost:
     content key.
 """
 
-from .graph import DynamicGraph, GraphUpdate, UPDATE_OPS
+from .graph import UPDATE_OPS, GraphUpdate, apply_batch
 from .maintainer import (
     DEFAULT_REBUILD_RATIO,
     IndexMaintainer,
@@ -33,11 +33,11 @@ from .service import DynamicReverseTopKService, UpdateMetrics
 
 __all__ = [
     "DEFAULT_REBUILD_RATIO",
-    "DynamicGraph",
     "DynamicReverseTopKService",
     "GraphUpdate",
     "IndexMaintainer",
     "MaintenanceReport",
     "UPDATE_OPS",
     "UpdateMetrics",
+    "apply_batch",
 ]

@@ -1,41 +1,30 @@
-"""Mutable edge-level view over an immutable :class:`DiGraph`.
+"""Edge-level updates to an immutable :class:`DiGraph`, one batch at a time.
 
 :class:`DiGraph` is deliberately immutable — every algorithm in the package
 assumes a frozen CSR.  Real proximity graphs churn, though, so the dynamic
-subsystem wraps the frozen graph in a :class:`DynamicGraph`: a **delta
-overlay** that buffers edge insertions, deletions and weight changes as a
-sparse ``{(source, target): weight}`` dictionary on top of the base CSR,
-with periodic **compaction** folding the overlay into a fresh canonical CSR
-(:meth:`DiGraph.with_edges`).
-
-Reads (:meth:`DynamicGraph.has_edge`, :meth:`DynamicGraph.edge_weight`,
-effective edge count) resolve through the overlay first, so the wrapper is
-always consistent with the buffered mutations; :meth:`materialize` produces
-the effective immutable graph on demand (cached until the next mutation).
+subsystem describes each mutation as a :class:`GraphUpdate` and applies a
+whole batch with :func:`apply_batch`: one validated pass over the updates,
+then one :meth:`DiGraph.with_edges` call that yields the next graph.
 
 Two properties matter for the index maintainer downstream:
 
-* **touched sources** — the set of source nodes with buffered mutations
-  since the last :meth:`drain` is tracked separately from the overlay, so
-  auto-compaction never loses the information which transition columns may
-  have changed;
-* **no-op elision** — an overlay entry that restores an edge to its exact
-  base weight (add-then-remove, or a weight change back to the original) is
-  dropped, keeping both the overlay and the eventual invalidation minimal.
-
-The wrapper is *not* thread-safe; the dynamic serving layer serializes all
-mutations behind its writer-preferring index lock.
+* **touched sources** — every source a batch names is reported, so the
+  maintainer learns which transition columns may have changed (a
+  conservative superset: the column-level diff filters the rest);
+* **no-op elision** — an edit that restores an edge to its exact weight in
+  the input graph (add-then-remove, or a weight change back to the
+  original) is dropped before the CSR is edited.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 import math
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Iterable, Set, Tuple
 
 import numpy as np
 
-from .._validation import check_node_index, check_positive_int
+from .._validation import check_node_index
 from ..exceptions import GraphError
 from ..graph.digraph import DiGraph
 
@@ -45,7 +34,7 @@ UPDATE_OPS = ("add", "remove", "set_weight")
 
 @dataclass(frozen=True)
 class GraphUpdate:
-    """One buffered edge mutation.
+    """One edge mutation.
 
     Attributes
     ----------
@@ -106,209 +95,51 @@ class GraphUpdate:
         return (self.op, self.source, self.target, self.weight)
 
 
-class DynamicGraph:
-    """Buffered edge mutations over an immutable base :class:`DiGraph`.
+def apply_batch(
+    graph: DiGraph, updates: Iterable["GraphUpdate | Tuple"]
+) -> Tuple[DiGraph, np.ndarray]:
+    """Apply a batch of edge mutations; return ``(graph, touched_sources)``.
 
-    Parameters
-    ----------
-    base:
-        The initial frozen graph.  The node set is fixed for the lifetime of
-        the wrapper — dynamics are edge-level (matching the paper's §6
-        application graphs, whose node populations are stable across the
-        update horizon while edges churn).
-    compaction_threshold:
-        Once the overlay holds this many entries, the next mutation folds it
-        into a fresh base CSR automatically (overlay reads cost ``O(1)`` per
-        edge but materialization cost grows with the overlay, so unbounded
-        buffering would degrade).
+    Each update is validated in order against ``graph`` as edited by the
+    updates before it: an ``add`` needs a missing edge, a ``remove`` or
+    ``set_weight`` an existing one, and both endpoints must be nodes of
+    ``graph`` (the node set is fixed — dynamics are edge-level, matching the
+    paper's §6 application graphs).  The first invalid update raises before
+    anything is built, so a rejected batch leaves no trace.  The net edits
+    then go to one :meth:`DiGraph.with_edges` call, which returns ``graph``
+    itself when they cancel out.  ``touched_sources`` holds the sorted ids
+    of every source the batch names, elided no-ops included.
     """
-
-    def __init__(self, base: DiGraph, *, compaction_threshold: int = 4096) -> None:
-        self._base = base
-        self._threshold = check_positive_int(
-            compaction_threshold, "compaction_threshold"
-        )
-        self._overlay: Dict[Tuple[int, int], float] = {}
-        self._touched_since_drain: Set[int] = set()
-        self._materialized: Optional[DiGraph] = base
-
-    # ------------------------------------------------------------------ #
-    # basic properties
-    # ------------------------------------------------------------------ #
-    @property
-    def base(self) -> DiGraph:
-        """The frozen graph the overlay currently builds on (last compaction)."""
-        return self._base
-
-    @property
-    def n_nodes(self) -> int:
-        """Number of nodes (fixed at construction)."""
-        return self._base.n_nodes
-
-    @property
-    def n_edges(self) -> int:
-        """Effective number of edges (base plus buffered net insertions)."""
-        count = self._base.n_edges
-        for (source, target), weight in self._overlay.items():
-            in_base = self._base.has_edge(source, target)
-            if weight == 0.0 and in_base:
-                count -= 1
-            elif weight > 0.0 and not in_base:
-                count += 1
-        return count
-
-    @property
-    def pending_updates(self) -> int:
-        """Number of buffered (non-elided) overlay entries."""
-        return len(self._overlay)
-
-    @property
-    def touched_sources(self) -> np.ndarray:
-        """Sorted ids of sources mutated since the last :meth:`drain`."""
-        return np.asarray(sorted(self._touched_since_drain), dtype=np.int64)
-
-    # ------------------------------------------------------------------ #
-    # reads (overlay-first)
-    # ------------------------------------------------------------------ #
-    def edge_weight(self, source: int, target: int) -> float:
-        """Effective weight of ``source -> target`` (0 when absent)."""
-        source = check_node_index(source, self.n_nodes, "source")
-        target = check_node_index(target, self.n_nodes, "target")
-        buffered = self._overlay.get((source, target))
-        if buffered is not None:
-            return buffered
-        return self._base.edge_weight(source, target)
-
-    def has_edge(self, source: int, target: int) -> bool:
-        """Whether ``source -> target`` exists in the effective graph."""
-        return self.edge_weight(source, target) > 0.0
-
-    # ------------------------------------------------------------------ #
-    # mutations
-    # ------------------------------------------------------------------ #
-    def add_edge(self, source: int, target: int, weight: float = 1.0) -> None:
-        """Insert a new edge; raises :class:`GraphError` if it already exists."""
-        if not (weight > 0 and math.isfinite(weight)):
-            raise GraphError(
-                f"edge weight must be positive and finite, got {weight}"
-            )
-        if self.has_edge(source, target):
+    n_nodes = graph.n_nodes
+    edits: Dict[Tuple[int, int], float] = {}  # net weight; 0.0 = removed
+    touched: Set[int] = set()
+    for item in updates:
+        update = GraphUpdate.coerce(item)
+        source = check_node_index(update.source, n_nodes, "source")
+        target = check_node_index(update.target, n_nodes, "target")
+        original = graph.edge_weight(source, target)
+        present = edits.get((source, target), original) > 0.0
+        if update.op == "add" and present:
             raise GraphError(
                 f"edge {source} -> {target} already exists "
                 "(use set_weight to change it)"
             )
-        self._buffer(int(source), int(target), float(weight))
-
-    def remove_edge(self, source: int, target: int) -> None:
-        """Delete an existing edge; raises :class:`GraphError` when absent."""
-        if not self.has_edge(source, target):
+        if update.op == "remove" and not present:
             raise GraphError(f"cannot remove missing edge {source} -> {target}")
-        self._buffer(int(source), int(target), 0.0)
-
-    def set_weight(self, source: int, target: int, weight: float) -> None:
-        """Change the weight of an existing edge."""
-        if not (weight > 0 and math.isfinite(weight)):
-            raise GraphError(
-                f"edge weight must be positive and finite, got {weight} "
-                "(delete via remove_edge)"
-            )
-        if not self.has_edge(source, target):
+        if update.op == "set_weight" and not present:
             raise GraphError(
                 f"cannot set weight of missing edge {source} -> {target} "
-                "(use add_edge)"
+                "(use add)"
             )
-        self._buffer(int(source), int(target), float(weight))
-
-    def apply_update(self, update: "GraphUpdate | Tuple") -> None:
-        """Apply one :class:`GraphUpdate` (or an ``(op, u, v[, w])`` tuple)."""
-        update = GraphUpdate.coerce(update)
-        if update.op == "add":
-            self.add_edge(update.source, update.target, update.weight)
-        elif update.op == "remove":
-            self.remove_edge(update.source, update.target)
+        weight = 0.0 if update.op == "remove" else update.weight
+        touched.add(source)
+        if weight == original:
+            edits.pop((source, target), None)
         else:
-            self.set_weight(update.source, update.target, update.weight)
-
-    def apply_updates(self, updates: Iterable["GraphUpdate | Tuple"]) -> int:
-        """Apply a batch of updates; returns how many were applied."""
-        count = 0
-        for update in updates:
-            self.apply_update(update)
-            count += 1
-        return count
-
-    def _buffer(self, source: int, target: int, weight: float) -> None:
-        source = check_node_index(source, self.n_nodes, "source")
-        target = check_node_index(target, self.n_nodes, "target")
-        self._materialized = None
-        self._touched_since_drain.add(source)
-        base_weight = self._base.edge_weight(source, target)
-        if weight == base_weight:
-            # The overlay entry would restore the base exactly: elide it.
-            self._overlay.pop((source, target), None)
-        else:
-            self._overlay[(source, target)] = weight
-        if len(self._overlay) >= self._threshold:
-            self.compact()
-
-    # ------------------------------------------------------------------ #
-    # materialization / compaction
-    # ------------------------------------------------------------------ #
-    def materialize(self) -> DiGraph:
-        """The effective immutable graph (cached until the next mutation)."""
-        if self._materialized is None:
-            removed = [
-                edge for edge, weight in self._overlay.items() if weight == 0.0
-            ]
-            added = [
-                (source, target, weight)
-                for (source, target), weight in self._overlay.items()
-                if weight > 0.0
-            ]
-            self._materialized = self._base.with_edges(added, removed)
-        return self._materialized
-
-    def compact(self) -> DiGraph:
-        """Fold the overlay into a fresh canonical base CSR and return it.
-
-        Touched-source bookkeeping survives compaction: the maintainer still
-        learns about every column mutated since its last :meth:`drain`, even
-        when auto-compaction fired in between.
-        """
-        self._base = self.materialize()
-        self._overlay.clear()
-        return self._base
-
-    def mark_touched(self, sources: Iterable[int]) -> None:
-        """Re-register ``sources`` as mutated since the last :meth:`drain`.
-
-        Recovery hook: when index maintenance fails *after* a drain already
-        cleared the touched set, the caller puts the sources back so the
-        next maintenance pass re-examines those columns instead of serving
-        stale bounds forever.
-        """
-        for source in sources:
-            self._touched_since_drain.add(
-                check_node_index(int(source), self.n_nodes, "source")
-            )
-
-    def drain(self) -> Tuple[DiGraph, np.ndarray]:
-        """Compact and hand over ``(graph, touched_sources)`` for maintenance.
-
-        This is the index maintainer's entry point: the returned graph is
-        the new base CSR and the returned ids cover every source whose
-        transition column may differ from the previous drain (a conservative
-        superset — elided no-ops are already dropped, but e.g. a weight
-        change under an unweighted walk is only filtered later, by the
-        column-level diff).
-        """
-        graph = self.compact()
-        touched = self.touched_sources
-        self._touched_since_drain.clear()
-        return graph, touched
-
-    def __repr__(self) -> str:
-        return (
-            f"DynamicGraph(n_nodes={self.n_nodes}, n_edges={self.n_edges}, "
-            f"pending={self.pending_updates})"
-        )
+            edits[(source, target)] = weight
+    added = [(s, t, weight) for (s, t), weight in edits.items() if weight > 0.0]
+    removed = [edge for edge, weight in edits.items() if weight == 0.0]
+    return (
+        graph.with_edges(added, removed),
+        np.asarray(sorted(touched), dtype=np.int64),
+    )

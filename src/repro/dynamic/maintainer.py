@@ -211,7 +211,7 @@ class IndexMaintainer:
         ``touched_sources`` lists every node whose out-edges may have changed
         since the previous application — a conservative superset is fine,
         the column diff filters no-ops.  Typically both come straight from
-        :meth:`DynamicGraph.drain`.
+        :func:`~repro.dynamic.graph.apply_batch`.
         """
         index = self.engine.index
         if graph.n_nodes != index.n_nodes:

@@ -9,8 +9,8 @@ does not cover: **applying graph updates while serving**.
 writer-preferring index lock, so in-flight query bursts never observe a
 half-maintained index:
 
-1. the batch is buffered into the :class:`DynamicGraph` overlay and drained
-   into a fresh compacted CSR plus the touched-source set;
+1. :func:`~repro.dynamic.graph.apply_batch` validates the batch and edits
+   the CSR once, yielding the next graph plus the touched-source set;
 2. the :class:`IndexMaintainer` delta-maintains the index (conservative
    invalidation; full rebuild past the staleness threshold), bumping the
    index version exactly once — which retires every cached answer of the
@@ -38,7 +38,7 @@ from ..core.query import ReverseTopKEngine
 from ..graph.digraph import DiGraph
 from ..serving.service import ReverseTopKService, ServiceConfig
 from ..serving.snapshot import SnapshotManager
-from .graph import DynamicGraph, GraphUpdate
+from .graph import GraphUpdate, apply_batch
 from .maintainer import (
     DEFAULT_REBUILD_RATIO,
     IndexMaintainer,
@@ -125,7 +125,7 @@ class DynamicReverseTopKService(ReverseTopKService):
         engine: ReverseTopKEngine,
         config: Optional[ServiceConfig] = None,
         *,
-        graph: Union[DiGraph, DynamicGraph],
+        graph: DiGraph,
         maintainer: Optional[IndexMaintainer] = None,
         snapshot: Optional[PathLikeOrManager] = None,
         warm_started: bool = False,
@@ -133,9 +133,7 @@ class DynamicReverseTopKService(ReverseTopKService):
         _trusted_transition: bool = False,
     ) -> None:
         super().__init__(engine, config, warm_started=warm_started, registry=registry)
-        self.graph = (
-            graph if isinstance(graph, DynamicGraph) else DynamicGraph(graph)
-        )
+        self.graph = graph
         if self.graph.n_nodes != engine.n_nodes:
             raise ValueError(
                 f"graph has {self.graph.n_nodes} nodes but the engine covers "
@@ -169,7 +167,7 @@ class DynamicReverseTopKService(ReverseTopKService):
                 else transition_matrix
             )
             if not _same_matrix(
-                engine.transition, builder(self.graph.materialize())
+                engine.transition, builder(self.graph)
             ):
                 raise ValueError(
                     "the engine's transition does not match the "
@@ -184,6 +182,9 @@ class DynamicReverseTopKService(ReverseTopKService):
             else SnapshotManager(snapshot)
         )
         self._update_lock = threading.Lock()
+        # Sources of a batch whose maintenance raised: already in the graph,
+        # not yet in the index, so the next apply_updates re-maintains them.
+        self._pending_sources = np.zeros(0, dtype=np.int64)
         self._n_update_batches = 0
         self._n_updates = 0
         self._n_noop_batches = 0
@@ -327,7 +328,7 @@ class DynamicReverseTopKService(ReverseTopKService):
         see the pre-batch index (and cache generation) or the fully
         maintained post-batch one.  A batch that fails *validation*
         (duplicate add, missing remove, bad weight) is rejected wholesale —
-        no prefix of it is buffered for a later call to commit silently.
+        ``graph`` stays the very object it was, with no prefix of the batch.
 
         If *maintenance* itself raises after the (already validated) batch
         was committed to the graph, the exception propagates with the graph
@@ -345,15 +346,10 @@ class DynamicReverseTopKService(ReverseTopKService):
             # resources; a batch that acquired it afterwards must not mutate
             # a service whose pools are already shut down.
             self._ensure_open()
-            # Rehearse the whole batch against the current effective graph
-            # first: a mid-batch validation failure (duplicate add, missing
-            # remove) must reject the batch atomically instead of leaving
-            # its valid prefix in the live overlay.
-            rehearsal = DynamicGraph(self.graph.materialize())
-            rehearsal.apply_updates(batch)
-            self.graph.apply_updates(batch)  # identical state: cannot fail
+            new_graph, touched = apply_batch(self.graph, batch)
+            touched = np.union1d(self._pending_sources, touched)
+            self.graph = new_graph
             version_before = self.engine.index.version
-            new_graph, touched = self.graph.drain()
             try:
                 report = self.maintainer.apply(new_graph, touched)
             except Exception:
@@ -361,8 +357,9 @@ class DynamicReverseTopKService(ReverseTopKService):
                 # keep the columns marked dirty so the next apply (or an
                 # explicit retry) re-invalidates them instead of serving
                 # stale bounds forever.
-                self.graph.mark_touched(touched)
+                self._pending_sources = touched
                 raise
+            self._pending_sources = touched[:0]
             version_after = self.engine.index.version
             if version_after != version_before:
                 # The bump just retired one whole cache generation; drop its

@@ -172,15 +172,6 @@ class DiGraph:
         start, stop = csc.indptr[node], csc.indptr[node + 1]
         return csc.indices[start:stop].astype(np.int64)
 
-    def out_edges(self, node: int) -> Iterator[Tuple[int, float]]:
-        """Yield ``(target, weight)`` for each out-edge of ``node``."""
-        node = self._check_node(node)
-        start, stop = self._adjacency.indptr[node], self._adjacency.indptr[node + 1]
-        for target, weight in zip(
-            self._adjacency.indices[start:stop], self._adjacency.data[start:stop]
-        ):
-            yield int(target), float(weight)
-
     def has_edge(self, source: int, target: int) -> bool:
         """Return whether the directed edge ``source -> target`` exists.
 
@@ -286,9 +277,9 @@ class DiGraph:
             exist in this graph.
 
         The node set (and any node labels) is preserved; an edge may not
-        appear in both lists.  This is the compaction primitive of the
-        dynamic-graph overlay, but is independently useful for one-shot
-        edits of an otherwise immutable graph.
+        appear in both lists.  An update batch of the dynamic subsystem is
+        one such call (:func:`~repro.dynamic.graph.apply_batch`); it is
+        equally useful for one-shot edits of an otherwise immutable graph.
         """
         removed_edges: list = []
         for edge in removed:
@@ -353,28 +344,6 @@ class DiGraph:
             shape=adjacency.shape,
         )
         return DiGraph(matrix, self._node_names)
-
-    def with_self_loops_on_dangling(self) -> "DiGraph":
-        """Return a copy where every dangling node gets a self-loop.
-
-        This is one of the two dangling-node policies mentioned in the paper
-        (footnote 1 of Section 2.1).
-        """
-        dangling = self.dangling_nodes()
-        if dangling.size == 0:
-            return self
-        loops = sp.csr_matrix(
-            (np.ones(dangling.size), (dangling, dangling)),
-            shape=self._adjacency.shape,
-        )
-        return DiGraph(self._adjacency + loops, self._node_names)
-
-    def largest_out_component_heuristic(self) -> "DiGraph":
-        """Drop nodes with neither in- nor out-edges (isolated nodes)."""
-        keep = np.flatnonzero((self.out_degree > 0) | (self.in_degree > 0))
-        if keep.size == self.n_nodes:
-            return self
-        return self.subgraph(keep)
 
     # ------------------------------------------------------------------ #
     # pickling

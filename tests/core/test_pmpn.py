@@ -13,7 +13,6 @@ from repro.core import IndexParams, ReverseTopKEngine, build_index
 from repro.core import pmpn as pmpn_module
 from repro.core.baseline import brute_force_reverse_topk
 from repro.core.hubs import HubSet
-from repro.core.index import NodeState
 from repro.core.pmpn import PMPNPlan, PMPNState, proximity_to_node
 from repro.dynamic import DynamicReverseTopKService, GraphUpdate
 from repro.exceptions import ConvergenceError, InvalidParameterError
@@ -30,7 +29,7 @@ from repro.rwr import ProximityLU, proximity_column
 from repro.rwr.power_method import expected_iterations
 from repro.serving import ReverseTopKService, ServiceConfig
 
-from tests.reference import index_from_states
+from tests.reference import SeedState, index_from_states
 
 
 class TestPMPNCorrectness:
@@ -267,9 +266,9 @@ def test_exact_tie_is_decided_like_the_brute_force():
     params = IndexParams(alpha=0.5, capacity=3, hub_budget=0)
     exact = ProximityLU(transition, alpha=0.5).matrix()
     states = [
-        NodeState(retained={0: 1.0}, lower_bounds=np.array([1.0, 0.0, 0.0])),
-        NodeState(retained={1: 1.0}, lower_bounds=np.array([1.0, 0.0, 0.0])),
-        NodeState(
+        SeedState(retained={0: 1.0}, lower_bounds=np.array([1.0, 0.0, 0.0])),
+        SeedState(retained={1: 1.0}, lower_bounds=np.array([1.0, 0.0, 0.0])),
+        SeedState(
             retained={0: 0.25, 1: 0.25, 2: 0.5},
             lower_bounds=np.array([0.5, 0.25, 0.25]),
         ),
@@ -466,7 +465,7 @@ class TestPlanAcrossRebinds:
             plan = service.engine._pmpn_plan
             assert plan.first[query] == plan.first[ancestor]
             served = service.serve(requests)
-            reference = ReverseTopKEngine.build(service.graph.base, PARAMS)
+            reference = ReverseTopKEngine.build(service.graph, PARAMS)
         assert_same_answers(served, reference, self.QUERIES, 4)
 
     def test_pickled_engine_rebuilds_the_plan(self, medium_web_graph, monkeypatch):

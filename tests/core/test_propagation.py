@@ -20,27 +20,20 @@ from repro.core import (
     refine_node_state,
 )
 from repro.core import propagation
-from repro.core.index import NodeState, StateArrays
 from repro.core.lbi import _compute_hub_matrix
 from repro.core.propagation import _HubExpansion, _batched_top_k, _flat_columns
 from repro.utils.sparsetools import top_k_descending
 
 from tests.conftest import run_states
 from tests.reference import (
+    SeedState,
+    assert_same_state,
     bca_iteration,
+    index_states,
     initial_node_state,
     seed_index,
     seed_states,
 )
-
-
-def _states_bit_identical(a, b):
-    assert a.residual == b.residual
-    assert a.retained == b.retained
-    assert a.hub_ink == b.hub_ink
-    assert a.iterations == b.iterations
-    assert a.is_hub == b.is_hub
-    np.testing.assert_array_equal(a.lower_bounds, b.lower_bounds)
 
 
 @pytest.fixture(scope="module")
@@ -70,9 +63,9 @@ class TestKernelBackends:
         monkeypatch.setattr(propagation, "CHUNK_WIDTH", 2)
         narrow = run_states(kernel, sources)
         for a, b in zip(wide, narrow):
-            _states_bit_identical(a, b)
+            assert_same_state(a, b)
         for source, state in zip(sources[:5], wide[:5]):
-            _states_bit_identical(state, run_states(kernel, [source])[0])
+            assert_same_state(state, run_states(kernel, [source])[0])
 
     def test_vectorized_close_to_scalar(self, kernel_inputs):
         # Against the seed loop the kernel agrees to accumulation order.
@@ -88,7 +81,7 @@ class TestKernelBackends:
         scalar = seed_states(matrix, hub_mask, params, expansion, sources)
         for vec_state, sca_state in zip(kernel_states, scalar):
             np.testing.assert_allclose(
-                expansion.expand(vec_state), expansion.expand(sca_state),
+                expansion.expand(vec_state), expansion.expand(sca_state.flat()),
                 rtol=0, atol=1e-12,
             )
             np.testing.assert_allclose(
@@ -126,7 +119,7 @@ class TestKernelBackends:
         kernel = PropagationKernel(
             matrix, hub_mask, params, hubs=hubs, hub_matrix=hub_matrix
         )
-        working = kernel.load(StateArrays.from_state(reference))
+        working = kernel.load(reference.flat())
         try:
             for _ in range(4):
                 progressed = kernel.step(working)
@@ -136,7 +129,7 @@ class TestKernelBackends:
                 )
                 if not progressed:
                     break
-                state = working.spill().to_state()
+                state = SeedState.of(working.spill())
                 assert state.residual == pytest.approx(reference.residual, abs=1e-12)
                 assert state.retained == pytest.approx(reference.retained, abs=1e-12)
                 assert state.hub_ink == pytest.approx(reference.hub_ink, abs=1e-12)
@@ -155,7 +148,7 @@ class TestKernelBackends:
         kernel = PropagationKernel(
             matrix, hub_mask, params, hubs=hubs, hub_matrix=hub_matrix
         )
-        working = kernel.load(StateArrays.from_state(state))
+        working = kernel.load(state.flat())
         try:
             assert kernel.step(working)
             assert working.iterations == 1
@@ -165,7 +158,7 @@ class TestKernelBackends:
         finally:
             working.release()
         drained = kernel.load(
-            StateArrays.from_state(NodeState(retained={source: 1.0}))
+            SeedState(retained={source: 1.0}).flat()
         )
         try:
             assert not kernel.step(drained)
@@ -182,22 +175,22 @@ class TestKernelBackends:
             matrix, hub_mask, params, hubs=hubs, hub_matrix=hub_matrix
         )
         sources = np.flatnonzero(~hub_mask)[:2]
-        first = kernel.load(StateArrays.from_state(initial_node_state(int(sources[0]), False)))
+        first = kernel.load(initial_node_state(int(sources[0]), False).flat())
         for _ in range(5):
             kernel.step(first)
         first.release()
         for plane in (first.residual, first.retained, first.vector):
             assert not plane.any()
         abandoned = kernel.load(
-            StateArrays.from_state(initial_node_state(int(sources[0]), False))
+            initial_node_state(int(sources[0]), False).flat()
         )
         for _ in range(5):
             kernel.step(abandoned)
         fresh = kernel.load(
-            StateArrays.from_state(initial_node_state(int(sources[1]), False))
+            initial_node_state(int(sources[1]), False).flat()
         )
         try:
-            assert fresh.spill().to_state().residual == {int(sources[1]): 1.0}
+            assert SeedState.of(fresh.spill()).residual == {int(sources[1]): 1.0}
             assert not fresh.vector.any()
         finally:
             fresh.release()
@@ -206,7 +199,7 @@ class TestKernelBackends:
         matrix, hub_mask, params, _, _ = kernel_inputs
         kernel = PropagationKernel(matrix, hub_mask, params)
         with pytest.raises(ValueError, match="materialize"):
-            kernel.load(StateArrays.from_state(initial_node_state(0, False)))
+            kernel.load(initial_node_state(0, False).flat())
 
 
 class TestSpillHelpers:
@@ -272,7 +265,7 @@ class TestBuildBackends:
             rebuilt = rebuild_node_state(
                 int(node), matrix, hub_mask, index.params, expansion
             )
-            _states_bit_identical(rebuilt.to_state(), index.state(int(node)))
+            assert_same_state(rebuilt, index.state_arrays(int(node)))
 
     def test_refine_uses_index_backend(self, small_web_graph, small_transition, small_params):
         # Whether the kernel or the seed loop built the index, refinement
@@ -283,12 +276,22 @@ class TestBuildBackends:
         ):
             hub_mask = index.hubs.mask(small_web_graph.n_nodes)
             matrix = sp.csc_matrix(small_transition)
-            node = next(v for v, s in index.states() if not s.is_exact)
-            state = index.state(node)
-            before = state.lower_bounds.copy()
-            for _ in range(10_000):
-                if not refine_node_state(state, index, matrix, hub_mask):
-                    break
+            node = next(v for v, s in index_states(index) if not s.is_exact)
+            kernel = PropagationKernel(
+                matrix, hub_mask, index.params,
+                hubs=index.hubs, hub_matrix=index.hub_matrix,
+            )
+            working = kernel.load(index.state_arrays(node))
+            before = working.lower_bounds.copy()
+            try:
+                for _ in range(10_000):
+                    if not refine_node_state(
+                        working, index, matrix, hub_mask, kernel=kernel
+                    ):
+                        break
+                state = working.spill()
+            finally:
+                working.release()
             assert state.is_exact
             assert np.all(state.lower_bounds >= before - 1e-12)
 
@@ -397,8 +400,8 @@ class TestParallelBuild:
         np.testing.assert_array_equal(
             parallel.hub_matrix.toarray(), serial.hub_matrix.toarray()
         )
-        for (node, a), (_, b) in zip(parallel.states(), serial.states()):
-            _states_bit_identical(a, b)
+        for (node, a), (_, b) in zip(index_states(parallel), index_states(serial)):
+            assert_same_state(a, b)
         for name in ("lower", "residual_mass", "is_exact"):
             np.testing.assert_array_equal(
                 getattr(parallel.columns, name), getattr(serial.columns, name)
@@ -413,8 +416,8 @@ class TestParallelBuild:
         reference = build_index(
             small_web_graph, small_params, transition=small_transition
         )
-        for (_, a), (_, b) in zip(index.states(), reference.states()):
-            _states_bit_identical(a, b)
+        for (_, a), (_, b) in zip(index_states(index), index_states(reference)):
+            assert_same_state(a, b)
 
 
 class TestLegacyArchiveCompat:

@@ -9,7 +9,7 @@ from repro.core import IndexParams, QueryParams, ReverseTopKEngine
 from repro.exceptions import InvalidParameterError, QueryError
 from repro.graph import transition_matrix, trust_graph
 
-from tests.reference import SCAN_COUNTERS, reference_scan
+from tests.reference import SCAN_COUNTERS, index_states, reference_scan
 
 
 @pytest.fixture(scope="module")
@@ -124,19 +124,19 @@ class TestIndexUpdatePolicy:
     def test_update_persists_refinements(self, small_transition, small_index):
         index = copy.deepcopy(small_index)
         engine = ReverseTopKEngine(small_transition, index)
-        before = [state.iterations for _, state in index.states()]
+        before = [state.iterations for _, state in index_states(index)]
         engine.query(0, 10, update_index=True)
-        after = [state.iterations for _, state in index.states()]
+        after = [state.iterations for _, state in index_states(index)]
         assert sum(after) >= sum(before)
 
     def test_no_update_leaves_index_untouched(self, small_transition, small_index):
         index = copy.deepcopy(small_index)
         engine = ReverseTopKEngine(small_transition, index)
         before_bounds = index.columns.lower.copy()
-        before_iterations = [state.iterations for _, state in index.states()]
+        before_iterations = [state.iterations for _, state in index_states(index)]
         engine.query(0, 10, update_index=False)
         np.testing.assert_array_equal(index.columns.lower, before_bounds)
-        assert [state.iterations for _, state in index.states()] == before_iterations
+        assert [state.iterations for _, state in index_states(index)] == before_iterations
 
     def test_updated_index_reduces_later_refinement(self, small_transition, small_index):
         index = copy.deepcopy(small_index)

@@ -25,15 +25,19 @@ from repro.core import (
     refine_node_state,
 )
 from repro.core.hubs import HubSet
-from repro.core.index import StateArrays
-from repro.core.statestore import materialization_count, reset_materialization_count
 from repro.graph import copying_web_graph, erdos_renyi_graph, transition_matrix
 from repro.graph.generators import scale_free_graph
 from repro.obs import KernelProfiler
 from repro.obs.tracing import Trace
 from repro.rwr.linear_solver import ProximityLU
 
-from tests.reference import initial_node_state, reference_scan, run_node_bca
+from tests.reference import (
+    SeedState,
+    assert_same_state,
+    initial_node_state,
+    reference_scan,
+    run_node_bca,
+)
 
 #: A deliberately weak index: most candidates need refinement to decide.
 WEAK = IndexParams(
@@ -75,19 +79,17 @@ def _engines(web, tmp_path):
 
 class TestReadOnlyQueriesLeaveTheStoreUntouched:
     def test_no_overlay_growth_and_no_materialisation(self, web, tmp_path):
-        # Regression: _refine_candidate once read index.state(node), which
-        # pinned a dict-backed NodeState in the overlay per distinct refined
+        # Regression: _refine_candidate once read a dict-backed view of each
+        # candidate, which pinned it in the overlay per distinct refined
         # candidate — forever, on the read-only serving path.
         queries = list(range(30, 90))
         answers = {}
         for name, engine in _engines(web, tmp_path):
             assert all(not overlay for overlay in _overlays(engine.index))
             version = engine.index.version
-            reset_materialization_count()
             results = engine.query_many_readonly(queries, k=4)
             refined = sum(r.statistics.n_refined_nodes for r in results)
             assert refined > 20, "the workload must actually refine candidates"
-            assert materialization_count() == 0, name
             assert all(not overlay for overlay in _overlays(engine.index)), name
             assert engine.index.version == version
             answers[name] = [r.nodes.tolist() for r in results]
@@ -190,50 +192,25 @@ class TestWriteBack:
         assert engine.index.version == version
 
 
-class TestNodeStateEntryPoint:
-    def test_plain_state_and_working_set_share_one_step(self, web):
-        # refine_node_state on a NodeState is load -> the same step -> spill.
+class TestRefineNodeState:
+    def test_exact_state_is_left_untouched(self, web):
         graph, matrix = web
         index = build_index(graph, WEAK, transition=matrix)
         hub_mask = index.hubs.mask(graph.n_nodes)
         csc = sp.csc_matrix(matrix)
-        node = int(np.flatnonzero(~np.asarray(index.columns.is_exact))[0])
-        state = index.state(node)
+        hub = index.hubs.nodes[0]
+        before = index.state_arrays(hub)
         kernel = PropagationKernel(
             csc, hub_mask, index.params, hubs=index.hubs, hub_matrix=index.hub_matrix
         )
-        working = kernel.load(index.state_arrays(node))
+        working = kernel.load(before)
         try:
-            steps = 0
-            for _ in range(6):
-                progressed = refine_node_state(state, index, csc, hub_mask)
-                assert progressed == refine_node_state(
-                    working, index, csc, hub_mask, kernel=kernel
-                )
-                if not progressed:
-                    break
-                steps += 1
-                stepped = working.spill().to_state()
-                assert stepped.residual == state.residual
-                assert stepped.retained == state.retained
-                assert stepped.hub_ink == state.hub_ink
-                np.testing.assert_array_equal(stepped.lower_bounds, state.lower_bounds)
-                assert stepped.iterations == state.iterations
-            assert steps
+            assert not refine_node_state(
+                working, index, csc, hub_mask, kernel=kernel
+            )
+            assert_same_state(working.spill(), before)
         finally:
             working.release()
-
-    def test_exact_state_is_left_untouched(self, web):
-        graph, matrix = web
-        index = build_index(graph, WEAK, transition=matrix)
-        hub = index.hubs.nodes[0]
-        state = index.state(hub)
-        before = copy.deepcopy(state)
-        assert not refine_node_state(
-            state, index, sp.csc_matrix(matrix), index.hubs.mask(graph.n_nodes)
-        )
-        assert state.hub_ink == before.hub_ink and state.iterations == 0
-        np.testing.assert_array_equal(state.lower_bounds, before.lower_bounds)
 
 
 class TestProfilerStepCounts:
@@ -249,7 +226,7 @@ class TestProfilerStepCounts:
             hub_matrix=sp.csc_matrix((graph.n_nodes, 0)),
             profiler=profiler,
         )
-        working = kernel.load(StateArrays.from_state(initial_node_state(0, False)))
+        working = kernel.load(initial_node_state(0, False).flat())
         try:
             assert kernel.step(working)
         finally:
@@ -278,7 +255,7 @@ def _median_step_seconds(n_nodes: int, core: sp.csc_matrix, source: int) -> floa
     medians = []
     for _ in range(3):
         working = kernel.load(
-            StateArrays.from_state(initial_node_state(source, False))
+            initial_node_state(source, False).flat()
         )
         seconds = []
         try:
@@ -340,7 +317,7 @@ class TestRefinementConvergesByConstruction:
             reference = run_node_bca(
                 initial_node_state(node, False), csc, hub_mask, index.params
             )
-            built = index.state(node)
+            built = SeedState.of(index.state_arrays(node))
             assert built.iterations == reference.iterations
             assert built.residual == pytest.approx(reference.residual, abs=1e-12)
             assert built.retained == pytest.approx(reference.retained, abs=1e-12)

@@ -20,7 +20,13 @@ from repro.core.sharding import _META_NAME
 from repro.core.statestore import STATE_ARRAY_NAMES
 from repro.exceptions import InvalidParameterError, SerializationError
 from repro.graph import copying_web_graph, transition_matrix
-from tests.reference import SCAN_COUNTERS, reference_scan
+from tests.reference import (
+    SCAN_COUNTERS,
+    SeedState,
+    assert_same_state,
+    index_states,
+    reference_scan,
+)
 
 
 @pytest.fixture(scope="module")
@@ -91,12 +97,7 @@ class TestShardedIndexRam:
         index = medium_setup[3]
         sharded = partitioned(medium_setup, 4)
         for node in (0, 30, 61, 62, 122):
-            expected = index.state(node)
-            routed = sharded.state(node)
-            assert routed.residual == expected.residual
-            assert routed.retained == expected.retained
-            assert routed.hub_ink == expected.hub_ink
-            assert routed.is_hub == expected.is_hub
+            assert_same_state(sharded.state_arrays(node), index.state_arrays(node))
 
     def test_kth_lower_bounds_concatenate_across_shards(self, medium_setup):
         index = medium_setup[3]
@@ -111,7 +112,7 @@ class TestShardedIndexRam:
     def test_set_state_bumps_global_version_once(self, medium_setup):
         sharded = partitioned(medium_setup, 3)
         assert sharded.version == 0
-        state = sharded.state(50)
+        state = sharded.state_arrays(50)
         sharded.set_state(50, state)
         assert sharded.version == 1
         sharded.set_state(100, sharded.state_arrays(100))
@@ -120,7 +121,7 @@ class TestShardedIndexRam:
     def test_adopt_swaps_in_place_with_one_bump(self, medium_setup):
         sharded = partitioned(medium_setup, 3)
         fresh = partitioned(medium_setup, 3)
-        sharded.set_state(0, sharded.state(0))  # version -> 1
+        sharded.set_state(0, sharded.state_arrays(0))  # version -> 1
         sharded.adopt(fresh)
         assert sharded.version == 2
         assert sharded.shards is not fresh.shards
@@ -171,7 +172,7 @@ class TestShardedLayoutOnDisk:
                 columns.lower[:, shard.start : shard.stop],
             )
         for node in (0, 40, 122):
-            assert loaded.state(node).retained == index.state(node).retained
+            assert_same_state(loaded.state_arrays(node), index.state_arrays(node))
 
     def test_load_without_budget_materialises_to_ram(self, medium_setup, tmp_path):
         _, _, _, index = medium_setup
@@ -196,9 +197,9 @@ class TestShardedLayoutOnDisk:
         }
         loaded = ReverseTopKIndex.load(directory, memory_budget=0)
         node = 5
-        state = loaded.state(node)
+        state = SeedState.of(loaded.state_arrays(node))
         state.lower_bounds = np.full(loaded.capacity, 0.5)
-        loaded.set_state(node, state)
+        loaded.set_state(node, state.flat())
         shard, local = loaded.shard_of(node)
         assert shard.is_promoted
         assert float(np.asarray(shard.columns.lower)[0, local]) == 0.5
@@ -240,31 +241,31 @@ class TestShardedLayoutOnDisk:
     def test_state_is_by_value_and_set_state_writes_on_memmap(
         self, medium_setup, tmp_path
     ):
-        # A lazy shard hands out detached views: mutating one changes nothing
-        # (no pin, no version bump) until it is handed back via set_state.
+        # A lazy shard hands out read-only views of its rows: a changed
+        # state goes nowhere (no pin, no version bump) until it is handed
+        # back via set_state.
         _, _, _, index = medium_setup
         partitioned(medium_setup, 3).persist(tmp_path / "sync")
         loaded = ReverseTopKIndex.load(tmp_path / "sync", memory_budget=0)
-        node = next(v for v, s in index.states() if s.residual)
-        state = loaded.state(node)
-        assert loaded.state(node) is not state
+        node = next(v for v, s in index_states(index) if len(s.residual[0]))
+        state = SeedState.of(loaded.state_arrays(node))
         state.residual.clear()
         shard, local = loaded.shard_of(node)
-        assert loaded.state(node).residual and not shard.store.overlay
+        assert len(loaded.state_arrays(node).residual[0]) and not shard.store.overlay
         assert loaded.version == 0 and not shard.is_promoted
-        loaded.set_state(node, state)
-        assert loaded.state(node).residual == {} and loaded.version == 1
+        loaded.set_state(node, state.flat())
+        assert not len(loaded.state_arrays(node).residual[0]) and loaded.version == 1
         assert bool(np.asarray(shard.columns.is_exact)[local])
 
     def test_state_arrays_stay_memmapped_per_node(self, medium_setup, tmp_path):
-        # Regression: the first state() touch used to decompress the whole
+        # Regression: the first state read used to decompress the whole
         # shard's states into RAM; now the arrays stay memory-mapped and a
         # single candidate materialises by slicing one node's rows.
         _, _, _, index = medium_setup
         partitioned(medium_setup, 3).persist(tmp_path / "pernode")
         loaded = ReverseTopKIndex.load(tmp_path / "pernode", memory_budget=0)
         shard, _ = loaded.shard_of(0)
-        loaded.state(0)
+        SeedState.of(loaded.state_arrays(0))
         assert all(
             isinstance(array, np.memmap) for array in shard.store.arrays.values()
         )
@@ -341,9 +342,9 @@ class TestShardedLayoutOnDisk:
         partitioned(medium_setup, 3).persist(directory)
         loaded = ReverseTopKIndex.load(directory, memory_budget=0)
         node = 5
-        state = loaded.state(node)
+        state = SeedState.of(loaded.state_arrays(node))
         state.retained[0] = 0.25
-        loaded.set_state(node, state)
+        loaded.set_state(node, state.flat())
         clone = pickle.loads(pickle.dumps(loaded))
         # The second generation's store is clean but no longer disk-backed:
         # its merged heap arrays must keep shipping, or the third reopens the
@@ -351,16 +352,14 @@ class TestShardedLayoutOnDisk:
         for clone in (clone, pickle.loads(pickle.dumps(clone))):
             written, local = clone.shard_of(node)
             assert written.is_promoted and not written.store.overlay
-            assert clone.state(node).retained == loaded.state(node).retained
+            assert_same_state(clone.state_arrays(node), loaded.state_arrays(node))
             assert loaded.shard_of(node)[0].store.overlay.keys() == {local}
             for shard in clone.shards:
                 if shard is not written:
                     assert shard._store is None and shard._lower is None
             assert clone.total_bytes() == loaded.total_bytes()
-            for (_, a), (_, b) in zip(clone.states(), loaded.states()):
-                assert (a.residual, a.retained, a.hub_ink) == (
-                    b.residual, b.retained, b.hub_ink
-                )
+            for (_, a), (_, b) in zip(index_states(clone), index_states(loaded)):
+                assert_same_state(a, b)
             for a, b in zip(clone.shards, loaded.shards):
                 for column in ("lower", "residual_mass", "is_exact"):
                     np.testing.assert_array_equal(
@@ -440,12 +439,12 @@ class TestBuildIndexOutOfCore:
         loaded = ReverseTopKIndex.load(tmp_path / "acct", memory_budget=0)
         node = 5
         before = loaded.storage_bytes()["bca_state"]
-        replaced_entries = index.state(node).stored_entries()
-        state = loaded.state(node)
+        replaced_entries = index.state_arrays(node).stored_entries()
+        state = SeedState.of(loaded.state_arrays(node))
         state.retained = {0: 1.0}
         state.residual = {}
         state.hub_ink = {}
-        loaded.set_state(node, state)
+        loaded.set_state(node, state.flat())
         after = loaded.storage_bytes()["bca_state"]
         assert after == before - (replaced_entries - 1) * 16
         shard, _ = loaded.shard_of(node)

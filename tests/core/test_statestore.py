@@ -1,13 +1,12 @@
 """Columnar node-state store: the one container of per-node state.
 
 The build/shard hot paths write residual / retained / hub-ink entries
-straight into struct-of-arrays storage; ``NodeState`` survives only as a
-by-value per-node *view*.  These tests pin the contract:
+straight into struct-of-arrays storage, and one node's state is read back
+as flat segments (``index.state_arrays(node)``).  These tests pin the
+contract:
 
-* every shard owns a store — a ``List[NodeState]`` flattened into one holds
-  the byte-identical arrays;
-* building never materialises per-node ``NodeState`` objects (module
-  counter);
+* every shard owns a store — the per-node flat states concatenated into
+  one hold the byte-identical arrays;
 * the columnar store round-trips through memmap persist/load and pickling
   without changing a byte;
 * build observability counters keep flowing.
@@ -22,16 +21,16 @@ from repro.core import IndexParams
 from repro.core.sharding import ReverseTopKIndex, build_index
 from repro.exceptions import InvalidParameterError
 from repro.graph import transition_matrix
-from repro.core.statestore import (
-    STATE_ARRAY_NAMES,
-    ColumnarStateStore,
-    materialization_count,
-    reset_materialization_count,
-)
+from repro.core.statestore import STATE_ARRAY_NAMES, ColumnarStateStore
 from repro.graph.datasets import load_dataset
 from repro.obs.registry import get_registry
 
-from tests.reference import index_from_states
+from tests.reference import (
+    SeedState,
+    assert_same_state,
+    index_from_states,
+    index_states,
+)
 
 PARAMS = IndexParams(capacity=8, hub_budget=6)
 
@@ -47,13 +46,9 @@ def store_index(graph):
 
 
 def assert_states_equal(left, right):
-    for (node_a, state_a), (node_b, state_b) in zip(left.states(), right.states()):
-        assert node_a == node_b
-        assert state_a.residual == state_b.residual
-        assert state_a.retained == state_b.retained
-        assert state_a.hub_ink == state_b.hub_ink
-        assert state_a.is_hub == state_b.is_hub
-        np.testing.assert_array_equal(state_a.lower_bounds, state_b.lower_bounds)
+    assert left.n_nodes == right.n_nodes
+    for (_, state_a), (_, state_b) in zip(index_states(left), index_states(right)):
+        assert_same_state(state_a, state_b)
 
 
 class TestEveryIndexOwnsAStore:
@@ -65,13 +60,13 @@ class TestEveryIndexOwnsAStore:
             assert not shard.store.overlay
 
     def test_state_list_is_flattened_once_into_a_store(self, store_index):
-        # store -> by-value states -> store: the same bytes.
+        # store -> per-node flat states -> store: the same bytes.
         twin = index_from_states(
             store_index.params,
             store_index.hubs,
             store_index.hub_matrix,
             store_index.hub_deficit,
-            [state for _, state in store_index.states()],
+            [state for _, state in index_states(store_index)],
         )
         (store,), (original,) = (
             [shard.store for shard in twin.shards],
@@ -84,6 +79,18 @@ class TestEveryIndexOwnsAStore:
             np.testing.assert_array_equal(
                 getattr(twin.columns, column), getattr(store_index.columns, column)
             )
+
+    def test_seed_state_round_trips_flat_segments(self, store_index):
+        # The test-side dict state keeps storage order both ways, so a
+        # flat state survives the trip bit for bit, order included.
+        for _, state in index_states(store_index):
+            again = SeedState.of(state).flat()
+            for plane in ("residual", "retained", "hub_ink"):
+                for got, want in zip(getattr(again, plane), getattr(state, plane)):
+                    np.testing.assert_array_equal(got, want)
+                    assert got.dtype == want.dtype
+            np.testing.assert_array_equal(again.lower_bounds, state.lower_bounds)
+            assert (again.iterations, again.is_hub) == (state.iterations, state.is_hub)
 
     def test_build_emits_observability_counters(self, graph):
         registry = get_registry()
@@ -126,25 +133,6 @@ class TestAssembleStore:
             0, 3, params.capacity, [part, kernel.run([1])], hub_mask, {}
         )
         assert whole.n_states == 3
-
-
-class TestNoMaterializationOnBuild:
-    def test_sharded_build_materialises_zero_nodestates(self, graph):
-        reset_materialization_count()
-        index = build_index(
-            graph, PARAMS.for_graph(graph.n_nodes), n_shards=3
-        )
-        assert materialization_count() == 0
-        # Asking for a by-value view *does* count — the counter is live —
-        # while the flat-segment read the engine uses does not.
-        _ = index.state(0)
-        _ = index.state_arrays(0)
-        assert materialization_count() == 1
-
-    def test_one_shard_build_materialises_zero_nodestates(self, graph):
-        reset_materialization_count()
-        build_index(graph, PARAMS.for_graph(graph.n_nodes))
-        assert materialization_count() == 0
 
 
 class TestRoundTrips:
@@ -195,14 +183,17 @@ class TestRoundTrips:
         # Rewrite a few states the way refinement and the maintainer do:
         # grown, shrunk and emptied sparse rows.
         grown, shrunk, emptied = [
-            node for node, state in index.states() if state.residual
+            node for node, state in index_states(index) if len(state.residual[0])
         ][:3]
-        views = {node: index.state(node) for node in (grown, shrunk, emptied)}
+        views = {
+            node: SeedState.of(index.state_arrays(node))
+            for node in (grown, shrunk, emptied)
+        }
         views[grown].residual[graph.n_nodes - 1] = 0.125
         views[shrunk].residual.popitem()
         views[emptied].residual.clear()
         for node, view in views.items():
-            index.set_state(node, view)
+            index.set_state(node, view.flat())
         pinned = dict(store.overlay)
         expected = store.to_arrays()
 
@@ -216,7 +207,9 @@ class TestRoundTrips:
             np.testing.assert_array_equal(cloned.arrays[name], expected[name])
         assert_states_equal(index, clone)
         # Storage order feeds the sequential mass sums: it must survive too.
-        assert list(clone.state(grown).residual) == list(views[grown].residual)
+        assert clone.state_arrays(grown).residual[0].tolist() == list(
+            views[grown].residual
+        )
         assert cloned.stored_entries() == store.stored_entries()
 
     def test_state_array_layout_is_stable(self):

@@ -1,15 +1,16 @@
-"""Unit tests for the DynamicGraph delta overlay and GraphUpdate."""
+"""Unit tests for GraphUpdate and apply_batch, the one-edit batch function."""
 
+import numpy as np
 import pytest
 
-from repro.dynamic import DynamicGraph, GraphUpdate
-from repro.exceptions import GraphError
-from repro.graph import from_edges, ring_graph
+from repro.dynamic import GraphUpdate, apply_batch
+from repro.exceptions import GraphError, InvalidParameterError
+from repro.graph import from_edges
 
 
 @pytest.fixture()
-def dynamic() -> DynamicGraph:
-    return DynamicGraph(from_edges([(0, 1), (1, 2), (2, 0), (2, 3)], n_nodes=5))
+def graph():
+    return from_edges([(0, 1), (1, 2), (2, 0), (2, 3)], n_nodes=5)
 
 
 class TestGraphUpdate:
@@ -35,147 +36,113 @@ class TestGraphUpdate:
         assert GraphUpdate.coerce(update) is update
 
 
-class TestOverlayReads:
-    def test_reads_pass_through_before_mutations(self, dynamic):
-        assert dynamic.has_edge(0, 1)
-        assert not dynamic.has_edge(1, 0)
-        assert dynamic.edge_weight(2, 3) == 1.0
-        assert dynamic.n_nodes == 5
-        assert dynamic.n_edges == 4
+class TestApplyBatch:
+    def test_applies_every_kind_in_one_edit(self, graph):
+        new, touched = apply_batch(
+            graph,
+            [
+                GraphUpdate.add(3, 4, 2.0),
+                ("remove", 1, 2),
+                GraphUpdate.set_weight(2, 0, 4.0),
+            ],
+        )
+        assert new.edge_weight(3, 4) == 2.0
+        assert not new.has_edge(1, 2)
+        assert new.edge_weight(2, 0) == 4.0
+        assert new.n_nodes == 5 and new.n_edges == 4
+        assert touched.tolist() == [1, 2, 3]
+        # the input graph is immutable and untouched
+        assert graph.has_edge(1, 2) and not graph.has_edge(3, 4)
 
-    def test_overlay_shadows_base(self, dynamic):
-        dynamic.set_weight(0, 1, 5.0)
-        dynamic.remove_edge(1, 2)
-        dynamic.add_edge(3, 4)
-        assert dynamic.edge_weight(0, 1) == 5.0
-        assert not dynamic.has_edge(1, 2)
-        assert dynamic.has_edge(3, 4)
-        # the base stays frozen until compaction
-        assert dynamic.base.edge_weight(0, 1) == 1.0
-        assert dynamic.base.has_edge(1, 2)
+    def test_validates_against_the_batch_so_far(self, graph):
+        new, _ = apply_batch(
+            graph, [GraphUpdate.remove(0, 1), GraphUpdate.add(0, 1, 3.0)]
+        )
+        assert new.edge_weight(0, 1) == 3.0
+        new, _ = apply_batch(
+            graph, [GraphUpdate.add(3, 4), GraphUpdate.set_weight(3, 4, 2.0)]
+        )
+        assert new.edge_weight(3, 4) == 2.0
 
-    def test_effective_edge_count(self, dynamic):
-        dynamic.add_edge(3, 4)
-        assert dynamic.n_edges == 5
-        dynamic.remove_edge(0, 1)
-        assert dynamic.n_edges == 4
-        dynamic.set_weight(2, 0, 9.0)  # weight change: no count change
-        assert dynamic.n_edges == 4
+    def test_accepts_tuples_and_numpy_ids(self, graph):
+        new, touched = apply_batch(
+            graph, [("add", np.int64(4), np.int32(1), 2.0), ("remove", 2, 0)]
+        )
+        assert new.edge_weight(4, 1) == 2.0 and not new.has_edge(2, 0)
+        assert touched.dtype == np.int64 and touched.tolist() == [2, 4]
+
+    def test_empty_batch_returns_the_graph(self, graph):
+        new, touched = apply_batch(graph, [])
+        assert new is graph and touched.size == 0
 
 
-class TestMutationValidation:
-    def test_add_existing_edge_rejected(self, dynamic):
+class TestValidation:
+    def test_add_existing_edge_rejected(self, graph):
         with pytest.raises(GraphError, match="already exists"):
-            dynamic.add_edge(0, 1)
+            apply_batch(graph, [GraphUpdate.add(0, 1)])
 
-    def test_add_buffered_edge_rejected(self, dynamic):
-        dynamic.add_edge(3, 4)
+    def test_add_edge_added_earlier_in_the_batch_rejected(self, graph):
         with pytest.raises(GraphError, match="already exists"):
-            dynamic.add_edge(3, 4)
+            apply_batch(graph, [GraphUpdate.add(3, 4), GraphUpdate.add(3, 4)])
 
-    def test_remove_missing_edge_rejected(self, dynamic):
+    def test_remove_missing_edge_rejected(self, graph):
         with pytest.raises(GraphError, match="missing edge"):
-            dynamic.remove_edge(4, 0)
+            apply_batch(graph, [GraphUpdate.remove(4, 0)])
 
-    def test_remove_already_removed_edge_rejected(self, dynamic):
-        dynamic.remove_edge(0, 1)
+    def test_remove_edge_removed_earlier_in_the_batch_rejected(self, graph):
         with pytest.raises(GraphError, match="missing edge"):
-            dynamic.remove_edge(0, 1)
+            apply_batch(graph, [GraphUpdate.remove(0, 1), GraphUpdate.remove(0, 1)])
 
-    def test_set_weight_on_missing_edge_rejected(self, dynamic):
+    def test_set_weight_on_missing_edge_rejected(self, graph):
         with pytest.raises(GraphError, match="missing edge"):
-            dynamic.set_weight(4, 0, 2.0)
+            apply_batch(graph, [GraphUpdate.set_weight(4, 0, 2.0)])
 
-    def test_non_positive_weights_rejected(self, dynamic):
+    @pytest.mark.parametrize("weight", [0.0, -2.0, float("nan"), float("inf")])
+    def test_non_positive_or_non_finite_weights_rejected(self, graph, weight):
+        for update in (("add", 3, 4, weight), ("set_weight", 0, 1, weight)):
+            with pytest.raises(GraphError):
+                apply_batch(graph, [update])
+
+    @pytest.mark.parametrize("edge", [(0, 99), (99, 0), (-1, 2)])
+    def test_out_of_range_nodes_rejected(self, graph, edge):
+        with pytest.raises(InvalidParameterError):
+            apply_batch(graph, [GraphUpdate.add(*edge)])
+
+    def test_a_late_failure_rejects_the_whole_batch(self, graph):
         with pytest.raises(GraphError):
-            dynamic.add_edge(3, 4, 0.0)
-        with pytest.raises(GraphError):
-            dynamic.set_weight(0, 1, -2.0)
-
-    def test_out_of_range_nodes_rejected(self, dynamic):
-        with pytest.raises(Exception):
-            dynamic.add_edge(0, 99)
+            apply_batch(graph, [GraphUpdate.add(3, 4), GraphUpdate.remove(4, 0)])
+        assert not graph.has_edge(3, 4)
 
 
 class TestElision:
-    def test_add_then_remove_is_a_noop_entry(self, dynamic):
-        dynamic.add_edge(3, 4)
-        assert dynamic.pending_updates == 1
-        dynamic.remove_edge(3, 4)
-        assert dynamic.pending_updates == 0
-        # ...but the touched set still reports the source conservatively
-        assert 3 in dynamic.touched_sources
-
-    def test_weight_restored_to_base_elides(self, dynamic):
-        dynamic.set_weight(0, 1, 5.0)
-        dynamic.set_weight(0, 1, 1.0)
-        assert dynamic.pending_updates == 0
-        assert dynamic.materialize() == dynamic.base
-
-
-class TestMaterializationAndCompaction:
-    def test_materialize_reflects_overlay(self, dynamic):
-        dynamic.add_edge(3, 4, 2.0)
-        dynamic.remove_edge(1, 2)
-        graph = dynamic.materialize()
-        assert graph.has_edge(3, 4)
-        assert graph.edge_weight(3, 4) == 2.0
-        assert not graph.has_edge(1, 2)
-        assert graph.n_nodes == 5
-
-    def test_materialize_is_cached(self, dynamic):
-        dynamic.add_edge(3, 4)
-        assert dynamic.materialize() is dynamic.materialize()
-        dynamic.remove_edge(0, 1)
-        assert dynamic.materialize().n_edges == 4
-
-    def test_compact_folds_overlay_into_base(self, dynamic):
-        dynamic.add_edge(3, 4)
-        base = dynamic.compact()
-        assert dynamic.pending_updates == 0
-        assert dynamic.base is base
-        assert base.has_edge(3, 4)
-
-    def test_auto_compaction_at_threshold(self):
-        dynamic = DynamicGraph(ring_graph(20), compaction_threshold=3)
-        dynamic.add_edge(0, 5)
-        dynamic.add_edge(1, 6)
-        assert dynamic.pending_updates == 2
-        dynamic.add_edge(2, 7)  # hits the threshold
-        assert dynamic.pending_updates == 0
-        assert dynamic.base.has_edge(2, 7)
-        # touched sources survive auto-compaction
-        assert dynamic.touched_sources.tolist() == [0, 1, 2]
-
-    def test_drain_returns_graph_and_touched(self, dynamic):
-        dynamic.add_edge(3, 4)
-        dynamic.remove_edge(0, 1)
-        graph, touched = dynamic.drain()
-        assert graph.has_edge(3, 4) and not graph.has_edge(0, 1)
-        assert touched.tolist() == [0, 3]
-        assert dynamic.pending_updates == 0
-        # a second drain reports nothing new
-        graph_again, touched_again = dynamic.drain()
-        assert graph_again == graph
-        assert touched_again.size == 0
-
-    def test_apply_updates_batch(self, dynamic):
-        count = dynamic.apply_updates(
-            [
-                GraphUpdate.add(3, 4),
-                ("remove", 1, 2),
-                GraphUpdate.set_weight(2, 0, 4.0),
-            ]
+    def test_add_then_remove_is_a_noop(self, graph):
+        new, touched = apply_batch(
+            graph, [GraphUpdate.add(3, 4), GraphUpdate.remove(3, 4)]
         )
-        assert count == 3
-        graph = dynamic.materialize()
-        assert graph.has_edge(3, 4)
-        assert not graph.has_edge(1, 2)
-        assert graph.edge_weight(2, 0) == 4.0
+        assert new is graph
+        # ...but the source is still reported, conservatively
+        assert touched.tolist() == [3]
 
-    def test_repr(self, dynamic):
-        dynamic.add_edge(3, 4)
-        assert "pending=1" in repr(dynamic)
+    def test_weight_restored_to_the_original_is_a_noop(self, graph):
+        new, touched = apply_batch(
+            graph,
+            [GraphUpdate.set_weight(0, 1, 5.0), GraphUpdate.set_weight(0, 1, 1.0)],
+        )
+        assert new is graph
+        assert touched.tolist() == [0]
+
+    def test_noop_next_to_a_real_edit(self, graph):
+        new, touched = apply_batch(
+            graph,
+            [
+                GraphUpdate.remove(2, 3),
+                GraphUpdate.add(2, 3),
+                GraphUpdate.add(4, 0),
+            ],
+        )
+        assert new.has_edge(2, 3) and new.has_edge(4, 0)
+        assert new.n_edges == graph.n_edges + 1
+        assert touched.tolist() == [2, 4]
 
 
 class TestNonFiniteWeights:
@@ -184,10 +151,3 @@ class TestNonFiniteWeights:
             GraphUpdate.add(0, 1, float("nan"))
         with pytest.raises(GraphError, match="finite"):
             GraphUpdate.set_weight(0, 1, float("inf"))
-
-    def test_mutators_reject_nan(self, dynamic):
-        with pytest.raises(GraphError, match="finite"):
-            dynamic.add_edge(3, 4, float("nan"))
-        with pytest.raises(GraphError, match="finite"):
-            dynamic.set_weight(0, 1, float("inf"))
-        assert dynamic.pending_updates == 0

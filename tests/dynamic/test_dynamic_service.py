@@ -5,7 +5,6 @@ import pytest
 
 from repro.core import IndexParams, ReverseTopKEngine, build_index
 from repro.dynamic import (
-    DynamicGraph,
     DynamicReverseTopKService,
     GraphUpdate,
     IndexMaintainer,
@@ -36,7 +35,7 @@ class TestServeAcrossUpdates:
             service.serve(requests)
             service.apply_updates([GraphUpdate.add(17, 33)])
             served = service.serve(requests)
-            reference = fresh_engine(service.graph.base)
+            reference = fresh_engine(service.graph)
             for (query, k), result in zip(requests, served):
                 direct = reference.query(query, k, update_index=False)
                 np.testing.assert_array_equal(result.nodes, direct.nodes)
@@ -74,7 +73,7 @@ class TestServeAcrossUpdates:
         with make_service(graph) as service:
             report = service.apply_updates([("add", 2, 25)])
             assert report.changed
-            assert service.graph.base.has_edge(2, 25)
+            assert service.graph.has_edge(2, 25)
 
     def test_update_metrics_accumulate(self):
         graph = copying_web_graph(40, out_degree=3, seed=24)
@@ -133,15 +132,6 @@ class TestConstruction:
             direct = fresh_engine(graph).query(4, 5, update_index=False)
             np.testing.assert_array_equal(result.nodes, direct.nodes)
 
-    def test_accepts_prewrapped_dynamic_graph(self):
-        graph = copying_web_graph(30, out_degree=3, seed=27)
-        dynamic = DynamicGraph(graph, compaction_threshold=2)
-        matrix = transition_matrix(graph)
-        index = build_index(graph, PARAMS.for_graph(30), transition=matrix)
-        engine = ReverseTopKEngine(matrix, index)
-        with DynamicReverseTopKService(engine, CONFIG, graph=dynamic) as service:
-            assert service.graph is dynamic
-
     def test_graph_engine_size_mismatch_rejected(self):
         graph = copying_web_graph(30, out_degree=3, seed=28)
         other = copying_web_graph(31, out_degree=3, seed=28)
@@ -170,7 +160,7 @@ class TestSnapshots:
             graph, PARAMS, snapshot_dir=str(tmp_path)
         ) as service:
             service.apply_updates([GraphUpdate.add(2, 25)])
-            mutated = service.graph.base
+            mutated = service.graph
         # a restart against the mutated graph warm-starts from the re-archive
         with DynamicReverseTopKService.from_graph(
             mutated, PARAMS, snapshot_dir=str(tmp_path)
@@ -198,6 +188,7 @@ class TestBatchAtomicity:
 
         graph = copying_web_graph(30, out_degree=3, seed=32)
         with make_service(graph) as service:
+            before = service.graph
             # find an absent edge for the valid prefix
             absent = next(
                 (u, v)
@@ -209,13 +200,13 @@ class TestBatchAtomicity:
                 service.apply_updates(
                     [GraphUpdate.add(*absent), GraphUpdate.add(*absent)]
                 )
-            # the valid prefix must NOT be buffered...
-            assert service.graph.pending_updates == 0
+            # the valid prefix must NOT be committed...
+            assert service.graph is before
             assert not service.graph.has_edge(*absent)
             # ...and a later empty batch must not commit it
             report = service.apply_updates([])
             assert not report.changed
-            assert not service.graph.base.has_edge(*absent)
+            assert not service.graph.has_edge(*absent)
 
     def test_maintenance_failure_keeps_columns_dirty(self):
         graph = copying_web_graph(30, out_degree=3, seed=33)
@@ -235,17 +226,19 @@ class TestBatchAtomicity:
             service.maintainer.apply = failing_apply
             with pytest.raises(RuntimeError):
                 service.apply_updates([GraphUpdate.add(*absent)])
-            # the graph committed, and the touched source was re-registered
-            assert service.graph.base.has_edge(*absent)
-            assert absent[0] in service.graph.touched_sources
+            # the graph committed, and the touched source waits for the retry
+            assert service.graph.has_edge(*absent)
+            assert absent[0] in service._pending_sources
             # retry succeeds and maintains the previously-dirty column
             service.maintainer.apply = original_apply
             report = service.apply_updates([])
             assert report.changed
+            assert report.n_touched_sources == 1 and report.n_changed_columns == 1
+            assert not service._pending_sources.size
             reference = ReverseTopKEngine(
                 service.engine.transition,
                 build_index(
-                    service.graph.base,
+                    service.graph,
                     PARAMS.for_graph(30),
                     hubs=service.engine.index.hubs,
                     transition=service.engine.transition,
@@ -255,6 +248,135 @@ class TestBatchAtomicity:
                 a = service.query(query, 5)
                 b = reference.query(query, 5, update_index=False)
                 np.testing.assert_array_equal(a.nodes, b.nodes)
+
+
+class TestOneEditPerBatch:
+    def test_each_batch_edits_the_graph_once(self, monkeypatch):
+        # Validation and the edit happen in one pass: no rehearsal copy.
+        from repro.graph import DiGraph
+
+        graph = copying_web_graph(40, out_degree=3, seed=41)
+        calls = []
+        with_edges = DiGraph.with_edges
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return with_edges(self, *args, **kwargs)
+
+        with make_service(graph) as service:
+            monkeypatch.setattr(DiGraph, "with_edges", counted)
+            u, v, _ = next(graph.edges())
+            service.apply_updates([GraphUpdate.add(1, 30), GraphUpdate.remove(u, v)])
+            assert len(calls) == 1
+            assert service.graph.has_edge(1, 30) and not service.graph.has_edge(u, v)
+
+    def test_retry_merges_the_waiting_sources_with_the_next_batch(self):
+        graph = copying_web_graph(30, out_degree=3, seed=42)
+        with make_service(graph) as service:
+            absent = [
+                (u, v)
+                for u in (3, 11)
+                for v in range(30)
+                if u != v and not graph.has_edge(u, v)
+            ]
+            first = next(edge for edge in absent if edge[0] == 3)
+            second = next(edge for edge in absent if edge[0] == 11)
+            original_apply = service.maintainer.apply
+            seen = []
+
+            def failing_apply(new_graph, touched):
+                seen.append(np.asarray(touched).tolist())
+                raise RuntimeError("maintenance exploded")
+
+            service.maintainer.apply = failing_apply
+            with pytest.raises(RuntimeError):
+                service.apply_updates([GraphUpdate.add(*first)])
+            with pytest.raises(RuntimeError):
+                service.apply_updates([GraphUpdate.add(*second)])
+            assert seen == [[3], [3, 11]]
+            service.maintainer.apply = original_apply
+            report = service.apply_updates([])
+            assert report.n_touched_sources == 2 and report.changed
+            fresh = ReverseTopKEngine(
+                service.engine.transition,
+                build_index(
+                    service.graph,
+                    PARAMS.for_graph(30),
+                    hubs=service.engine.index.hubs,
+                    transition=service.engine.transition,
+                ),
+            )
+            np.testing.assert_array_equal(
+                service.engine.index.columns.lower, fresh.index.columns.lower
+            )
+
+
+class TestRejectedBatchAfterAFailure:
+    def test_rejected_batch_keeps_the_waiting_sources(self):
+        from repro.exceptions import GraphError
+
+        graph = copying_web_graph(30, out_degree=3, seed=43)
+        with make_service(graph) as service:
+            absent = next(
+                (u, v)
+                for u in range(30)
+                for v in range(30)
+                if u != v and not graph.has_edge(u, v)
+            )
+            original_apply = service.maintainer.apply
+
+            def failing_apply(new_graph, touched):
+                raise RuntimeError("maintenance exploded")
+
+            service.maintainer.apply = failing_apply
+            with pytest.raises(RuntimeError):
+                service.apply_updates([GraphUpdate.add(*absent)])
+            service.maintainer.apply = original_apply
+            committed = service.graph
+            with pytest.raises(GraphError):
+                service.apply_updates([GraphUpdate.add(*absent)])  # now a duplicate
+            assert service.graph is committed
+            assert service._pending_sources.tolist() == [absent[0]]
+            report = service.apply_updates([])
+            assert report.changed and report.n_changed_columns == 1
+
+
+class TestNetNoOpBatches:
+    # Under the weighted walk a weight change moves its column; one restored
+    # within the batch must still leave graph, version and cache alone.
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    @pytest.mark.parametrize("kind", ["add_then_remove", "weight_restored"])
+    def test_batch_with_no_net_effect_changes_nothing(self, kind, weighted):
+        graph = copying_web_graph(40, out_degree=3, seed=40)
+        with DynamicReverseTopKService.from_graph(
+            graph, PARAMS, config=CONFIG, weighted=weighted
+        ) as service:
+            requests = [(3, 5), (9, 5)]
+            service.serve(requests)
+            computed = service.metrics().n_engine_queries
+            version = service.engine.index.version
+            before = service.graph
+            if kind == "add_then_remove":
+                absent = next(
+                    (u, v)
+                    for u in range(40)
+                    for v in range(40)
+                    if u != v and not graph.has_edge(u, v)
+                )
+                batch = [GraphUpdate.add(*absent), GraphUpdate.remove(*absent)]
+            else:
+                u, v, weight = next(graph.edges())
+                batch = [
+                    GraphUpdate.set_weight(u, v, 5.0),
+                    GraphUpdate.set_weight(u, v, weight),
+                ]
+            report = service.apply_updates(batch)
+            assert not report.changed
+            assert report.n_touched_sources == 1
+            assert service.graph is before
+            assert service.engine.index.version == version
+            service.serve(requests)
+            assert service.metrics().n_engine_queries == computed  # cache hits
 
 
 class TestWeightedWalk:
@@ -275,7 +397,7 @@ class TestWeightedWalk:
             )
             # a weight change is NOT a no-op under the weighted walk
             assert report.changed
-            mutated = service.graph.base
+            mutated = service.graph
             expected = weighted_transition_matrix(mutated)
             np.testing.assert_array_equal(
                 service.engine.transition.toarray(), expected.toarray()

@@ -27,10 +27,10 @@ from repro.core import IndexParams, ReverseTopKEngine, build_index
 from repro.core.hubs import HubSet
 from repro.core.lbi import _compute_hub_matrix
 from repro.dynamic import (
-    DynamicGraph,
     DynamicReverseTopKService,
     GraphUpdate,
     IndexMaintainer,
+    apply_batch,
     maintainer as maintainer_module,
 )
 from repro.graph import DiGraph, from_edges, transition_matrix
@@ -50,9 +50,10 @@ def sparse_digraph(n: int, rng) -> DiGraph:
     return DiGraph(sp.csr_matrix(mask.astype(float)))
 
 
-def random_batch(graph: DynamicGraph, rng, size: int, favoured):
+def random_batch(graph: DiGraph, rng, size: int, favoured):
     """Up to ``size`` valid add/remove ops; sources lean towards ``favoured``."""
     n = graph.n_nodes
+    edges = {(u, v) for u, v, _ in graph.edges()}
     updates = []
     for _ in range(size * 8):
         if len(updates) >= size:
@@ -61,12 +62,12 @@ def random_batch(graph: DynamicGraph, rng, size: int, favoured):
         u = int(rng.choice(list(pool)))
         v = int(rng.integers(0, n))
         if rng.random() < 0.5:
-            if u != v and not graph.has_edge(u, v):
+            if u != v and (u, v) not in edges:
                 updates.append(GraphUpdate.add(u, v))
-                graph.apply_update(updates[-1])
-        elif graph.has_edge(u, v) and graph.n_edges > 1:
+                edges.add((u, v))
+        elif (u, v) in edges and len(edges) > 1:
             updates.append(GraphUpdate.remove(u, v))
-            graph.apply_update(updates[-1])
+            edges.discard((u, v))
     return updates
 
 
@@ -176,12 +177,12 @@ def run_case(seed, deployment, rebuild_ratio, solved_log=None):
             graph, params, rebuild_ratio=rebuild_ratio, **options
         )
         try:
-            dynamic = DynamicGraph(graph)
+            new_graph = graph
             reports = []
             for _ in range(int(rng.integers(1, 4))):
                 hubs = service.engine.index.hubs.nodes
-                random_batch(dynamic, rng, int(rng.integers(1, 4)), hubs)
-                new_graph, touched = dynamic.drain()
+                batch = random_batch(new_graph, rng, int(rng.integers(1, 4)), hubs)
+                new_graph, touched = apply_batch(new_graph, batch)
                 reports.append(
                     apply_and_check(service.maintainer, new_graph, touched, solved_log)
                 )
@@ -257,39 +258,38 @@ class TestHubScreenScenarios:
         engine = ReverseTopKEngine(
             matrix, build_index(graph, params, hubs=HubSet(hubs), transition=matrix)
         )
-        return IndexMaintainer(engine, rebuild_ratio=1.0), DynamicGraph(graph)
+        self.graph = graph
+        return IndexMaintainer(engine, rebuild_ratio=1.0)
 
-    def apply(self, maintainer, dynamic, updates, solved_log):
-        for update in updates:
-            dynamic.apply_update(update)
-        graph, touched = dynamic.drain()
-        return apply_and_check(maintainer, graph, touched, solved_log)
+    def apply(self, maintainer, updates, solved_log):
+        self.graph, touched = apply_batch(self.graph, updates)
+        return apply_and_check(maintainer, self.graph, touched, solved_log)
 
     def test_edit_nobody_reaches_reuses_every_hub(self, solved_log):
-        maintainer, dynamic = self.maintainer((0, 4, 9))
+        maintainer = self.maintainer((0, 4, 9))
         report = self.apply(
-            maintainer, dynamic, [GraphUpdate.add(7, 6), GraphUpdate.add(8, 5)],
+            maintainer, [GraphUpdate.add(7, 6), GraphUpdate.add(8, 5)],
             solved_log,
         )
         assert report.changed and report.n_hub_columns == 0
         assert solved_log == []
 
     def test_hub_that_is_itself_an_edited_source(self, solved_log):
-        maintainer, dynamic = self.maintainer((0, 4, 9))
-        report = self.apply(maintainer, dynamic, [GraphUpdate.add(4, 6)], solved_log)
+        maintainer = self.maintainer((0, 4, 9))
+        report = self.apply(maintainer, [GraphUpdate.add(4, 6)], solved_log)
         assert solved_log == [[4]] and report.n_hub_columns == 1
 
     def test_dangling_hub_gaining_its_first_edge(self, solved_log):
-        maintainer, dynamic = self.maintainer((0, 4, 9))
-        report = self.apply(maintainer, dynamic, [GraphUpdate.add(9, 0)], solved_log)
+        maintainer = self.maintainer((0, 4, 9))
+        report = self.apply(maintainer, [GraphUpdate.add(9, 0)], solved_log)
         assert solved_log == [[9]] and report.n_hub_columns == 1
 
     def test_edit_that_cuts_the_only_path_from_a_hub(self, solved_log):
         # 7 -> 4 -> 5 is hub 7's only way to 5; the batch removes 4 -> 5 and
         # edits 5.  Hub 7 no longer reaches 5 but still reaches the changed 4.
-        maintainer, dynamic = self.maintainer((0, 7, 9))
+        maintainer = self.maintainer((0, 7, 9))
         report = self.apply(
-            maintainer, dynamic,
+            maintainer,
             [GraphUpdate.remove(4, 5), GraphUpdate.add(4, 6), GraphUpdate.add(5, 9)],
             solved_log,
         )
@@ -300,18 +300,18 @@ class TestHubScreenScenarios:
     ):
         # Hub 8 reaches 3 only via 2 -> 3, which this very batch removes while
         # also editing 3: the sweep must run over the *old* transition.
-        maintainer, dynamic = self.maintainer((4, 8, 9))
+        maintainer = self.maintainer((4, 8, 9))
         report = self.apply(
-            maintainer, dynamic,
+            maintainer,
             [GraphUpdate.remove(2, 3), GraphUpdate.add(2, 9), GraphUpdate.add(3, 5)],
             solved_log,
         )
         assert solved_log == [[8]] and report.n_hub_columns == 1
 
     def test_sequence_of_batches_keeps_splicing(self, solved_log):
-        maintainer, dynamic = self.maintainer((0, 4, 9))
+        maintainer = self.maintainer((0, 4, 9))
         counts = [
-            self.apply(maintainer, dynamic, updates, solved_log).n_hub_columns
+            self.apply(maintainer, updates, solved_log).n_hub_columns
             for updates in (
                 [GraphUpdate.add(7, 6)],           # nobody reaches 7
                 [GraphUpdate.add(5, 0)],           # hub 4 reaches 5

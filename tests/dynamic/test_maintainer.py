@@ -11,14 +11,11 @@ import numpy as np
 import pytest
 
 from repro.core import IndexParams, ReverseTopKEngine, build_index
-from repro.core.statestore import (
-    STATE_ARRAY_NAMES,
-    ColumnarStateStore,
-    materialization_count,
-    reset_materialization_count,
-)
-from repro.dynamic import DynamicGraph, IndexMaintainer
+from repro.core.statestore import STATE_ARRAY_NAMES, ColumnarStateStore
+from repro.dynamic import GraphUpdate, IndexMaintainer, apply_batch
 from repro.graph import copying_web_graph, erdos_renyi_graph, transition_matrix
+
+from tests.reference import assert_same_state, index_states
 
 PARAMS = IndexParams(capacity=8, hub_budget=2)
 
@@ -65,15 +62,10 @@ def assert_engines_bit_identical(maintained, fresh):
     np.testing.assert_array_equal(
         maintained.index.hub_matrix.toarray(), fresh.index.hub_matrix.toarray()
     )
-    for (node, kept), (_, rebuilt) in zip(
-        maintained.index.states(), fresh.index.states()
+    for (_, kept), (_, rebuilt) in zip(
+        index_states(maintained.index), index_states(fresh.index)
     ):
-        assert kept.residual == rebuilt.residual, node
-        assert kept.retained == rebuilt.retained, node
-        assert kept.hub_ink == rebuilt.hub_ink, node
-        assert kept.iterations == rebuilt.iterations, node
-        assert kept.is_hub == rebuilt.is_hub, node
-        np.testing.assert_array_equal(kept.lower_bounds, rebuilt.lower_bounds)
+        assert_same_state(kept, rebuilt)
     np.testing.assert_array_equal(
         maintained.index.columns.lower, fresh.index.columns.lower
     )
@@ -87,6 +79,15 @@ def assert_engines_bit_identical(maintained, fresh):
         kept, rebuilt = shard.store.to_arrays(), twin.store.to_arrays()
         for name in STATE_ARRAY_NAMES:
             np.testing.assert_array_equal(kept[name], rebuilt[name], name)
+
+
+def _wire_to_all(graph, target):
+    """Edge insertions from ``target`` to every node it does not reach yet."""
+    return [
+        GraphUpdate.add(target, v)
+        for v in range(graph.n_nodes)
+        if v != target and not graph.has_edge(target, v)
+    ]
 
 
 def assert_answers_identical(maintained, fresh, k):
@@ -104,9 +105,9 @@ class TestIncrementalMaintenance:
         graph = copying_web_graph(60, out_degree=3, seed=4)
         engine = build_engine(graph)
         maintainer = IndexMaintainer(engine, rebuild_ratio=1.0)
-        dynamic = DynamicGraph(graph)
-        dynamic.add_edge(*pick_hub_stable_insertion(graph))
-        new_graph, touched = dynamic.drain()
+        new_graph, touched = apply_batch(
+            graph, [GraphUpdate.add(*pick_hub_stable_insertion(graph))]
+        )
         report = maintainer.apply(new_graph, touched)
         assert report.changed and not report.full_rebuild
         assert report.n_changed_columns == 1
@@ -117,10 +118,8 @@ class TestIncrementalMaintenance:
         graph = copying_web_graph(60, out_degree=3, seed=5)
         engine = build_engine(graph)
         maintainer = IndexMaintainer(engine, rebuild_ratio=1.0)
-        dynamic = DynamicGraph(graph)
         u, v, _ = next(graph.edges())
-        dynamic.remove_edge(u, v)
-        new_graph, touched = dynamic.drain()
+        new_graph, touched = apply_batch(graph, [GraphUpdate.remove(u, v)])
         maintainer.apply(new_graph, touched)
         # pinned policy: equivalence is against a build with the same hubs
         fresh = build_engine(new_graph, hubs=engine.index.hubs)
@@ -131,10 +130,9 @@ class TestIncrementalMaintenance:
         engine = build_engine(graph)
         maintainer = IndexMaintainer(engine, rebuild_ratio=1.0)
         before = engine.index.version
-        dynamic = DynamicGraph(graph)
-        dynamic.add_edge(1, 30)
-        dynamic.add_edge(2, 31)
-        new_graph, touched = dynamic.drain()
+        new_graph, touched = apply_batch(
+            graph, [GraphUpdate.add(1, 30), GraphUpdate.add(2, 31)]
+        )
         maintainer.apply(new_graph, touched)
         assert engine.index.version == before + 1
 
@@ -143,10 +141,8 @@ class TestIncrementalMaintenance:
         engine = build_engine(graph)
         maintainer = IndexMaintainer(engine, rebuild_ratio=1.0)
         version = engine.index.version
-        dynamic = DynamicGraph(graph)
         u, v, _ = next(graph.edges())
-        dynamic.set_weight(u, v, 7.0)
-        new_graph, touched = dynamic.drain()
+        new_graph, touched = apply_batch(graph, [GraphUpdate.set_weight(u, v, 7.0)])
         report = maintainer.apply(new_graph, touched)
         assert not report.changed
         assert report.n_changed_columns == 0
@@ -163,17 +159,22 @@ class TestIncrementalMaintenance:
         graph = copying_web_graph(50, out_degree=3, seed=9)
         engine = build_engine(graph)
         maintainer = IndexMaintainer(engine, rebuild_ratio=1.0)
-        dynamic = DynamicGraph(graph)
+        current = graph
         rng = np.random.default_rng(1)
         for _ in range(4):
+            batch = []
             for _ in range(2):
                 u = int(rng.integers(0, 50))
                 v = int(rng.integers(0, 50))
-                if u != v and not dynamic.has_edge(u, v):
-                    dynamic.add_edge(u, v)
-            new_graph, touched = dynamic.drain()
-            maintainer.apply(new_graph, touched)
-        fresh = build_engine(dynamic.base, hubs=engine.index.hubs)
+                if (
+                    u != v
+                    and not current.has_edge(u, v)
+                    and GraphUpdate.add(u, v) not in batch
+                ):
+                    batch.append(GraphUpdate.add(u, v))
+            current, touched = apply_batch(current, batch)
+            maintainer.apply(current, touched)
+        fresh = build_engine(current, hubs=engine.index.hubs)
         assert_engines_bit_identical(engine, fresh)
         assert_answers_identical(engine, fresh, k=5)
 
@@ -183,28 +184,25 @@ class TestEscapeHatches:
         graph = copying_web_graph(60, out_degree=4, seed=10)
         engine = build_engine(graph)
         maintainer = IndexMaintainer(engine, rebuild_ratio=1e-9)
-        dynamic = DynamicGraph(graph)
         # A non-hub source guarantees at least its own state is invalidated,
         # so any positive staleness trips the tiny rebuild threshold.
-        dynamic.add_edge(*pick_hub_stable_insertion(graph, require_non_hub=True))
-        new_graph, touched = dynamic.drain()
+        edge = pick_hub_stable_insertion(graph, require_non_hub=True)
+        new_graph, touched = apply_batch(graph, [GraphUpdate.add(*edge)])
         report = maintainer.apply(new_graph, touched)
         assert report.staleness > 0
         assert report.full_rebuild
         assert_engines_bit_identical(engine, build_engine(new_graph))
 
     def test_full_rebuild_does_not_demote_the_index(self):
-        # Regression: a full rebuild once handed the live index a NodeState
-        # list, which silently switched it to object storage — every later
-        # batch then walked n objects instead of taking the targeted path —
-        # for the rest of the service's life.
+        # Regression: a full rebuild once handed the live index a list of
+        # per-node state objects, which silently switched it to object
+        # storage — every later batch then walked n objects instead of
+        # taking the targeted path — for the rest of the service's life.
         graph = copying_web_graph(60, out_degree=4, seed=10)
         engine = build_engine(graph)
         maintainer = IndexMaintainer(engine, rebuild_ratio=1e-9)
-        dynamic = DynamicGraph(graph)
-        dynamic.add_edge(*pick_hub_stable_insertion(graph, require_non_hub=True))
-        rebuilt_graph, touched = dynamic.drain()
-        reset_materialization_count()
+        edge = pick_hub_stable_insertion(graph, require_non_hub=True)
+        rebuilt_graph, touched = apply_batch(graph, [GraphUpdate.add(*edge)])
         assert maintainer.apply(rebuilt_graph, touched).full_rebuild
         (shard,) = engine.index.shards
         store = shard.store
@@ -216,14 +214,11 @@ class TestEscapeHatches:
             targeted.append(1) or apply_targeted(*args)
         )
         maintainer.rebuild_ratio = 1.0
-        dynamic.add_edge(
-            *pick_hub_stable_insertion(rebuilt_graph, require_non_hub=True)
-        )
-        new_graph, touched = dynamic.drain()
+        edge = pick_hub_stable_insertion(rebuilt_graph, require_non_hub=True)
+        new_graph, touched = apply_batch(rebuilt_graph, [GraphUpdate.add(*edge)])
         report = maintainer.apply(new_graph, touched)
         assert report.changed and not report.full_rebuild and targeted
         assert engine.index.shards[0].store is store and store.overlay
-        assert materialization_count() == 0
         assert_engines_bit_identical(
             engine, build_engine(new_graph, hubs=engine.index.hubs)
         )
@@ -237,12 +232,7 @@ class TestEscapeHatches:
         engine = build_engine(graph)
         hubs_before = engine.index.hubs.nodes
         maintainer = IndexMaintainer(engine, rebuild_ratio=1.0)
-        dynamic = DynamicGraph(graph)
-        target = 7
-        for v in range(30):
-            if v != target and not dynamic.has_edge(target, v):
-                dynamic.add_edge(target, v)
-        new_graph, touched = dynamic.drain()
+        new_graph, touched = apply_batch(graph, _wire_to_all(graph, 7))
         report = maintainer.apply(new_graph, touched)
         assert not report.full_rebuild
         assert engine.index.hubs.nodes == hubs_before
@@ -262,12 +252,11 @@ class TestEscapeHatches:
         hubs_before = engine.index.hubs.nodes
         budget = PARAMS.for_graph(graph.n_nodes).hub_budget
         maintainer = IndexMaintainer(engine, rebuild_ratio=1.0)
-        dynamic = DynamicGraph(graph)
+        new_graph = graph
         for target in (7, 19, 26):
-            for v in range(30):
-                if v != target and not dynamic.has_edge(target, v):
-                    dynamic.add_edge(target, v)
-            new_graph, touched = dynamic.drain()
+            new_graph, touched = apply_batch(
+                new_graph, _wire_to_all(new_graph, target)
+            )
             report = maintainer.apply(new_graph, touched)
             assert report.changed and not report.full_rebuild
             assert engine.index.hubs.nodes == hubs_before
@@ -289,12 +278,7 @@ class TestEscapeHatches:
         engine = build_engine(graph)
         hubs_before = engine.index.hubs.nodes
         maintainer = IndexMaintainer(engine, rebuild_ratio=1e-9)
-        dynamic = DynamicGraph(graph)
-        target = 7
-        for v in range(30):
-            if v != target and not dynamic.has_edge(target, v):
-                dynamic.add_edge(target, v)
-        new_graph, touched = dynamic.drain()
+        new_graph, touched = apply_batch(graph, _wire_to_all(graph, 7))
         report = maintainer.apply(new_graph, touched)
         assert report.full_rebuild
         # Pinned: even the escape-hatch rebuild reuses the hubs
@@ -324,7 +308,7 @@ class TestWithPersistedRefinements:
         graph = copying_web_graph(50, out_degree=3, seed=13)
         engine = build_engine(graph)
         maintainer = IndexMaintainer(engine, rebuild_ratio=1.0)
-        dynamic = DynamicGraph(graph)
+        current = graph
         rng = np.random.default_rng(2)
         for round_ in range(3):
             # persist refinements into the maintained index
@@ -332,11 +316,12 @@ class TestWithPersistedRefinements:
                 engine.query(int(query), 5, update_index=True)
             u = int(rng.integers(0, 50))
             v = int(rng.integers(0, 50))
-            if u != v and not dynamic.has_edge(u, v):
-                dynamic.add_edge(u, v)
-            new_graph, touched = dynamic.drain()
-            maintainer.apply(new_graph, touched)
-            fresh = build_engine(dynamic.base, hubs=engine.index.hubs)
+            batch = []
+            if u != v and not current.has_edge(u, v):
+                batch.append(GraphUpdate.add(u, v))
+            current, touched = apply_batch(current, batch)
+            maintainer.apply(current, touched)
+            fresh = build_engine(current, hubs=engine.index.hubs)
             for query in range(50):
                 a = engine.query(query, 5, update_index=False)
                 b = fresh.query(query, 5, update_index=False)

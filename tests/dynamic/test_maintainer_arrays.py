@@ -15,11 +15,7 @@ import pytest
 from repro.core import IndexParams
 from repro.core.query import ReverseTopKEngine
 from repro.core.sharding import build_index
-from repro.core.statestore import (
-    STATE_ARRAY_NAMES,
-    materialization_count,
-    reset_materialization_count,
-)
+from repro.core.statestore import STATE_ARRAY_NAMES
 from repro.dynamic.maintainer import IndexMaintainer
 from repro.graph.builder import from_edges
 from repro.graph.datasets import load_dataset
@@ -96,14 +92,12 @@ class TestTargetedPath:
         new_graph, touched = mutate(base_graph, seed=42)
         eng_mono, eng_sharded = engines_for(base_graph)
 
-        reset_materialization_count()
         report = IndexMaintainer(eng_mono, rebuild_ratio=1.0).apply(
             new_graph, touched
         )
         report_sharded = IndexMaintainer(eng_sharded, rebuild_ratio=1.0).apply(
             new_graph, touched
         )
-        assert materialization_count() == 0
 
         assert not report.full_rebuild and report.n_invalidated > 0
         assert report_sharded.n_invalidated == report.n_invalidated
@@ -129,7 +123,6 @@ class TestTargetedPath:
         eng_mono, eng_sharded = engines_for(base_graph)
         hub = int(eng_mono.index.hubs.nodes[0])
         new_graph, touched = mutate(base_graph, seed=11, from_hub=hub)
-        reset_materialization_count()
         report = IndexMaintainer(eng_mono, rebuild_ratio=1.0).apply(
             new_graph, touched
         )
@@ -138,7 +131,6 @@ class TestTargetedPath:
         )
         assert report.n_rematerialized > 0
         assert report_sharded.n_rematerialized == report.n_rematerialized
-        assert materialization_count() == 0  # re-expanded as flat segments
         assert_equals_fresh_build(eng_mono.index, new_graph)
         assert_sharded_matches(eng_sharded.index, eng_mono.index)
 

@@ -103,9 +103,6 @@ class TestNeighbors:
     def test_in_neighbors(self, triangle):
         assert triangle.in_neighbors(0).tolist() == [2]
 
-    def test_out_edges_weights(self, triangle):
-        assert list(triangle.out_edges(1)) == [(2, 2.0)]
-
     def test_has_edge(self, triangle):
         assert triangle.has_edge(0, 1)
         assert not triangle.has_edge(1, 0)
@@ -166,26 +163,9 @@ class TestTransformations:
         with pytest.raises(GraphError):
             triangle.subgraph([0, 10])
 
-    def test_self_loop_on_dangling(self):
-        graph = DiGraph(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        fixed = graph.with_self_loops_on_dangling()
-        assert fixed.dangling_nodes().size == 0
-        assert fixed.has_edge(1, 1)
-
-    def test_self_loop_noop_when_no_dangling(self):
-        ring = ring_graph(4)
-        assert ring.with_self_loops_on_dangling() is ring
-
     def test_equality(self):
         assert ring_graph(4) == ring_graph(4)
         assert ring_graph(4) != ring_graph(5)
-
-    def test_drop_isolated_nodes(self):
-        matrix = np.zeros((3, 3))
-        matrix[0, 1] = 1.0
-        graph = DiGraph(matrix)
-        trimmed = graph.largest_out_component_heuristic()
-        assert trimmed.n_nodes == 2
 
 
 class TestPickling:
@@ -405,8 +385,6 @@ class TestEmptyGraphEdgeCases:
     def test_empty_graph_transformations(self, triangle):
         empty = triangle.subgraph([])
         assert empty.reverse().n_nodes == 0
-        assert empty.with_self_loops_on_dangling().n_nodes == 0
-        assert empty.largest_out_component_heuristic().n_nodes == 0
         assert empty.subgraph([]) == empty
 
     def test_empty_graph_rejects_node_access(self, triangle):

@@ -52,7 +52,7 @@ class TestClone:
                 cloned.proximities_to_query, original.proximities_to_query
             )
             # Mutating the clone must not leak into the original.
-            (edge,) = absent_edges(dynamic_service.graph.materialize(), 1)
+            (edge,) = absent_edges(dynamic_service.graph, 1)
             clone.apply_updates([GraphUpdate.add(*edge)])
             assert clone.engine.index.version == 1
             assert dynamic_service.engine.index.version == 0
@@ -67,7 +67,7 @@ class TestClone:
         clone = clone_for_rollover(dynamic_service)
         try:
             assert clone.engine.index.hubs.nodes == hubs
-            graph = dynamic_service.graph.materialize()
+            graph = dynamic_service.graph
             present = {(u, v) for u, v, _ in graph.edges()}
             target = graph.n_nodes - 1
             added = [
@@ -80,7 +80,21 @@ class TestClone:
             assert clone.engine.index.hubs.nodes == hubs
             assert clone.engine.index.version == 1
             assert dynamic_service.engine.index.hubs.nodes == hubs
-            assert dynamic_service.graph.materialize().n_edges == graph.n_edges
+            assert dynamic_service.graph.n_edges == graph.n_edges
+        finally:
+            clone.close()
+
+    def test_clone_shares_the_service_graph(self, dynamic_service):
+        # A DiGraph is immutable: the clone holds the very object, and its
+        # own batch replaces its graph without touching the original's.
+        graph = dynamic_service.graph
+        clone = clone_for_rollover(dynamic_service)
+        try:
+            assert clone.graph is graph
+            (edge,) = absent_edges(graph, 1)
+            clone.apply_updates([GraphUpdate.add(*edge)])
+            assert clone.graph.has_edge(*edge)
+            assert dynamic_service.graph is graph and not graph.has_edge(*edge)
         finally:
             clone.close()
 
@@ -108,7 +122,7 @@ class TestRolloverManager:
                 manager = make_manager(dynamic_service, executor)
                 first = manager.current
                 assert (first.generation_id, first.index_version) == (0, 0)
-                edges = absent_edges(dynamic_service.graph.materialize(), 2)
+                edges = absent_edges(dynamic_service.graph, 2)
                 report = await manager.apply_updates(
                     [GraphUpdate.add(*edges[0])]
                 )
@@ -127,7 +141,7 @@ class TestRolloverManager:
             with ThreadPoolExecutor(max_workers=2) as executor:
                 manager = make_manager(dynamic_service, executor)
                 before = manager.current
-                u, v, _ = next(iter(dynamic_service.graph.materialize().edges()))
+                u, v, _ = next(iter(dynamic_service.graph.edges()))
                 report = await manager.apply_updates(
                     [GraphUpdate.set_weight(u, v, 2.0)]
                 )
@@ -146,7 +160,7 @@ class TestRolloverManager:
                 manager = make_manager(dynamic_service, executor)
                 old = manager.current
                 old.pin()
-                edge = absent_edges(dynamic_service.graph.materialize(), 1)[0]
+                edge = absent_edges(dynamic_service.graph, 1)[0]
                 rollover = asyncio.ensure_future(
                     manager.apply_updates([GraphUpdate.add(*edge)])
                 )
@@ -169,7 +183,7 @@ class TestRolloverManager:
             with ThreadPoolExecutor(max_workers=2) as executor:
                 manager = make_manager(dynamic_service, executor)
                 before = manager.current
-                u, v, _ = next(iter(dynamic_service.graph.materialize().edges()))
+                u, v, _ = next(iter(dynamic_service.graph.edges()))
                 with pytest.raises(Exception):
                     # Adding an existing edge fails batch validation.
                     await manager.apply_updates([GraphUpdate.add(u, v)])

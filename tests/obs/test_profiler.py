@@ -10,11 +10,10 @@ import scipy.sparse as sp
 
 from repro.core import IndexParams, PropagationKernel, build_index
 from repro.core.hubs import HubSet
-from repro.core.index import StateArrays
 from repro.graph import transition_matrix
 from repro.obs import NULL_PROFILER, KernelProfiler, MetricsRegistry, NullProfiler
 
-from tests.reference import initial_node_state
+from tests.reference import assert_same_state, initial_node_state
 
 
 def _kernel(graph, profiler=None):
@@ -34,7 +33,7 @@ def _kernel(graph, profiler=None):
 
 def _refine(kernel, source, steps=3):
     """Load, step and release one refinement working set."""
-    working = kernel.load(StateArrays.from_state(initial_node_state(source, False)))
+    working = kernel.load(initial_node_state(source, False).flat())
     try:
         for _ in range(steps):
             kernel.step(working)
@@ -89,12 +88,7 @@ class TestKernelProfiler:
         profiled = run_states(profiled_kernel, sources)
         assert len(plain) == len(profiled)
         for expected, observed in zip(plain, profiled):
-            assert expected.residual == observed.residual
-            assert expected.retained == observed.retained
-            assert expected.hub_ink == observed.hub_ink
-            np.testing.assert_array_equal(
-                expected.lower_bounds, observed.lower_bounds
-            )
+            assert_same_state(expected, observed)
 
     def test_workspace_reuse_shows_up_across_runs(self, small_web_graph):
         # Refinement working sets borrow their scratch from the kernel's

@@ -3,7 +3,7 @@
 For random small graphs — weighted (under the weighted walk) and unweighted
 — at every shard count ``P`` in ``{1, 2, 3, n}``, and random sequences of
 update batches (insertions, deletions, weight changes — applied through the
-full ``DynamicGraph.drain()`` → ``IndexMaintainer.apply()`` pipeline), the
+full ``apply_batch()`` → ``IndexMaintainer.apply()`` pipeline), the
 maintained engine must stay **bit-identical** to an engine rebuilt from
 scratch at the same ``P`` on the final graph under the maintained hub set:
 per-node BCA
@@ -24,9 +24,16 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.core import IndexParams, ReverseTopKEngine, build_index
-from repro.dynamic import DynamicGraph, DynamicReverseTopKService, IndexMaintainer
+from repro.dynamic import (
+    DynamicReverseTopKService,
+    GraphUpdate,
+    IndexMaintainer,
+    apply_batch,
+)
 from repro.graph import DiGraph, transition_matrix, weighted_transition_matrix
 from repro.serving import ServiceConfig
+
+from tests.reference import assert_same_state, index_states
 
 #: Counter fields of QueryStatistics that must match bit-for-bit (timings
 #: excluded — they are wall-clock measurements, not answers).
@@ -81,11 +88,10 @@ def walk(weighted: bool):
     return weighted_transition_matrix if weighted else transition_matrix
 
 
-def random_batch(dynamic: DynamicGraph, rng, size: int):
-    """Apply up to ``size`` random valid mutations; return them as updates."""
-    from repro.dynamic import GraphUpdate
-
-    n = dynamic.n_nodes
+def random_batch(graph: DiGraph, rng, size: int):
+    """Up to ``size`` random mutations, valid in order on ``graph``."""
+    n = graph.n_nodes
+    edges = {(u, v) for u, v, _ in graph.edges()}
     updates = []
     for _ in range(size * 8):
         if len(updates) >= size:
@@ -94,19 +100,18 @@ def random_batch(dynamic: DynamicGraph, rng, size: int):
         u = int(rng.integers(0, n))
         v = int(rng.integers(0, n))
         if roll < 0.45:
-            if u != v and not dynamic.has_edge(u, v):
+            if u != v and (u, v) not in edges:
                 updates.append(GraphUpdate.add(u, v, float(rng.uniform(0.5, 2.0))))
-                dynamic.apply_update(updates[-1])
+                edges.add((u, v))
         elif roll < 0.8:
-            if dynamic.has_edge(u, v) and dynamic.n_edges > 1:
+            if (u, v) in edges and len(edges) > 1:
                 updates.append(GraphUpdate.remove(u, v))
-                dynamic.apply_update(updates[-1])
+                edges.discard((u, v))
         else:
-            if dynamic.has_edge(u, v):
+            if (u, v) in edges:
                 updates.append(
                     GraphUpdate.set_weight(u, v, float(rng.uniform(0.5, 2.0)))
                 )
-                dynamic.apply_update(updates[-1])
     return updates
 
 
@@ -128,20 +133,19 @@ class TestDynamicEquivalence:
         maintainer = IndexMaintainer(
             engine, rebuild_ratio=rebuild_ratio, weighted=weighted
         )
-        dynamic = DynamicGraph(graph)
+        current = graph
         rng = np.random.default_rng(op_seed)
         for size in batch_sizes:
-            random_batch(dynamic, rng, size)
-            new_graph, touched = dynamic.drain()
-            maintainer.apply(new_graph, touched)
+            current, touched = apply_batch(current, random_batch(current, rng, size))
+            maintainer.apply(current, touched)
 
         # The equivalence target: a from-scratch build at the same shard
         # count under the maintained hub set.
-        final_matrix = walk(weighted)(dynamic.base)
+        final_matrix = walk(weighted)(current)
         fresh = ReverseTopKEngine(
             final_matrix,
             build_index(
-                dynamic.base,
+                current,
                 params,
                 hubs=engine.index.hubs,
                 transition=final_matrix,
@@ -152,14 +156,10 @@ class TestDynamicEquivalence:
 
         # 1. state-level bit identity
         assert engine.index.hubs.nodes == fresh.index.hubs.nodes
-        for (node, kept), (_, rebuilt) in zip(
-            engine.index.states(), fresh.index.states()
+        for (_, kept), (_, rebuilt) in zip(
+            index_states(engine.index), index_states(fresh.index)
         ):
-            assert kept.residual == rebuilt.residual, node
-            assert kept.retained == rebuilt.retained, node
-            assert kept.hub_ink == rebuilt.hub_ink, node
-            assert kept.iterations == rebuilt.iterations, node
-            np.testing.assert_array_equal(kept.lower_bounds, rebuilt.lower_bounds)
+            assert_same_state(kept, rebuilt)
 
         # 2. columnar-view bit identity
         np.testing.assert_array_equal(
@@ -218,18 +218,17 @@ class TestDynamicEquivalence:
         ) as service:
             service.serve(requests)  # populate the cache pre-update
             for size in batch_sizes:
-                # Generate the batch against a scratch overlay of the same
-                # base state, then push it through the real update path.
-                scratch = DynamicGraph(service.graph.base)
-                updates = random_batch(scratch, rng, size)
+                # Generate the batch against the current graph, then push
+                # it through the real update path.
+                updates = random_batch(service.graph, rng, size)
                 if updates:
                     service.apply_updates(updates)
             served = service.serve(requests)
-            final_matrix = walk(weighted)(service.graph.base)
+            final_matrix = walk(weighted)(service.graph)
             reference = ReverseTopKEngine(
                 final_matrix,
                 build_index(
-                    service.graph.base,
+                    service.graph,
                     params,
                     hubs=service.engine.index.hubs,
                     transition=final_matrix,

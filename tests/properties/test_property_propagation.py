@@ -113,7 +113,7 @@ class TestBackendEquivalence:
 
         for vec_state, sca_state in zip(kernel_states, scalar):
             vec_vector = expansion.expand(vec_state)
-            sca_vector = expansion.expand(sca_state)
+            sca_vector = expansion.expand(sca_state.flat())
             np.testing.assert_allclose(vec_vector, sca_vector, rtol=0, atol=1e-12)
             np.testing.assert_allclose(
                 vec_state.lower_bounds, sca_state.lower_bounds, rtol=0, atol=1e-12

@@ -29,14 +29,18 @@ import scipy.sparse as sp
 from repro.core import IndexParams, ReverseTopKEngine, kth_upper_bound, refine_node_state
 from repro.core.bounds import kth_other_upper_bound
 from repro.core.hubs import HubSet
-from repro.core.index import NodeState, StateArrays
 from repro.core.lbi import _compute_hub_matrix
 from repro.core.propagation import PropagationKernel, _HubExpansion
 from repro.graph import DiGraph
 from repro.rwr.linear_solver import ProximityLU
 from repro.utils.sparsetools import top_k_descending
 
-from tests.reference import bca_iteration, initial_node_state, run_node_bca
+from tests.reference import (
+    SeedState,
+    bca_iteration,
+    initial_node_state,
+    run_node_bca,
+)
 
 #: Threshold that makes the scalar reference push every node holding residue,
 #: as ``PropagationKernel.step`` always does: the smallest positive float.
@@ -90,7 +94,7 @@ def refinement_cases(draw):
         run_node_bca(state, matrix, hub_mask, params)
     elif kind == "drained":
         # A zero-residue state: everything already retained at the source.
-        state = NodeState(retained={source: 1.0})
+        state = SeedState(retained={source: 1.0})
     steps = draw(st.integers(min_value=1, max_value=8))
     return matrix, hubs, params, source, state, steps
 
@@ -114,11 +118,11 @@ class TestWorkingSetAgainstScalarReference:
         kernel = PropagationKernel(
             matrix, hub_mask, params, hubs=hubs, hub_matrix=hub_matrix
         )
-        working = kernel.load(StateArrays.from_state(reference))
+        working = kernel.load(reference.flat())
         try:
             np.testing.assert_allclose(
                 working.lower_bounds,
-                top_k_descending(expansion.expand(reference), params.capacity),
+                top_k_descending(expansion.expand(reference.flat()), params.capacity),
                 rtol=0, atol=1e-12,
             )
             for _ in range(steps):
@@ -131,7 +135,7 @@ class TestWorkingSetAgainstScalarReference:
                     reference, matrix, hub_mask, params,
                     propagation_threshold=PUSH_ALL,
                 )
-                state = working.spill().to_state()
+                state = SeedState.of(working.spill())
                 for plane in ("residual", "retained", "hub_ink"):
                     np.testing.assert_allclose(
                         _dense(getattr(state, plane), n),
@@ -140,7 +144,7 @@ class TestWorkingSetAgainstScalarReference:
                     )
                 np.testing.assert_allclose(
                     state.lower_bounds,
-                    top_k_descending(expansion.expand(reference), params.capacity),
+                    top_k_descending(expansion.expand(reference.flat()), params.capacity),
                     rtol=0, atol=1e-12,
                 )
                 assert state.iterations == reference.iterations
@@ -179,7 +183,7 @@ class TestOthersBoundAgainstDirectSolver:
         exact = ProximityLU(matrix, alpha=params.alpha).column(source)
         # Hub columns come from the power method at the index tolerance.
         slack = 10 * params.tolerance
-        working = kernel.load(StateArrays.from_state(state))
+        working = kernel.load(state.flat())
         try:
             for _ in range(steps + 1):
                 mass = working.residual_mass(hub_deficit)

@@ -96,7 +96,7 @@ class TestServiceEquivalence:
             for query in range(graph.n_nodes):
                 service.refine(query, capacity)
             if engine.index.version == 0:
-                engine.index.set_state(0, engine.index.state(0))
+                engine.index.set_state(0, engine.index.state_arrays(0))
             service.serve(requests)
             metrics = service.metrics()
         # Every unique request was recomputed after the version bump: the

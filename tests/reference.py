@@ -5,9 +5,14 @@ is the one propagation path and :meth:`ReverseTopKEngine.query` runs the one
 (columnar) scan; the property tests compare both against the straightforward
 transcriptions of the paper kept here:
 
+* :class:`SeedState` — the seed loop's own per-node state, ``{node: value}``
+  dicts; :meth:`SeedState.of` / :meth:`SeedState.flat` convert from and to
+  the engine's flat :class:`~repro.core.index.StateArrays`, and
+  :func:`assert_same_state` compares two flat states entry by entry,
+  whatever their storage order;
 * :func:`bca_iteration` / :func:`run_node_bca` / :func:`initial_node_state` /
-  :func:`materialize_lower_bounds` — Algorithm 1's batched BCA on ``{node:
-  value}`` dicts, one source at a time (Eq. 6-9), verbatim from the seed;
+  :func:`materialize_lower_bounds` — Algorithm 1's batched BCA on those
+  dicts, one source at a time (Eq. 6-9), verbatim from the seed;
 * :func:`seed_states` / :func:`seed_index` — every node's state built by that
   loop, and an index assembled from them (:func:`index_from_states`);
 * :func:`reference_scan` — Algorithm 4's while loop visiting all ``n`` nodes
@@ -18,14 +23,15 @@ transcriptions of the paper kept here:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.core import IndexParams, IndexShard, QueryParams, ReverseTopKIndex
 from repro.core.bounds import kth_upper_bound
-from repro.core.index import NodeState
+from repro.core.index import STATE_PLANES, StateArrays
 from repro.core.lbi import _compute_hub_matrix, default_hub_selection
 from repro.core.pmpn import PointProximities, proximity_to_node
 from repro.core.propagation import _HubExpansion
@@ -47,10 +53,78 @@ SCAN_COUNTERS = (
 
 
 # ----------------------------------------------------------------------- #
+# the seed loop's per-node state
+# ----------------------------------------------------------------------- #
+@dataclass
+class SeedState:
+    """One node's BCA state as the seed loop keeps it: ``{node: value}`` dicts.
+
+    ``residual`` is the residue ink ``r``, ``retained`` the ink ``w`` kept at
+    non-hubs, ``hub_ink`` the ink ``s`` parked at hubs; dict order is storage
+    order, which :meth:`flat` keeps.
+    """
+
+    residual: Dict[int, float] = field(default_factory=dict)
+    retained: Dict[int, float] = field(default_factory=dict)
+    hub_ink: Dict[int, float] = field(default_factory=dict)
+    lower_bounds: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    iterations: int = 0
+    is_hub: bool = False
+
+    @property
+    def residual_mass(self) -> float:
+        """Total undistributed ink ``||r||_1`` (a sequential sum)."""
+        return float(sum(self.residual.values()))
+
+    @property
+    def is_exact(self) -> bool:
+        """True when no residue remains, i.e. the lower bounds are exact values."""
+        return self.is_hub or not self.residual
+
+    @classmethod
+    def of(cls, arrays: StateArrays) -> "SeedState":
+        """The dict view of flat segments (fresh containers, storage order)."""
+        planes = [
+            dict(zip(keys.tolist(), values.tolist()))
+            for keys, values in (arrays.residual, arrays.retained, arrays.hub_ink)
+        ]
+        lower_bounds = np.array(arrays.lower_bounds, dtype=np.float64)
+        return cls(*planes, lower_bounds, arrays.iterations, arrays.is_hub)
+
+    def flat(self) -> StateArrays:
+        """The engine's flat segments of this state (entries keep dict order)."""
+        planes = [
+            (
+                np.fromiter(entries.keys(), dtype=np.int64, count=len(entries)),
+                np.fromiter(entries.values(), dtype=np.float64, count=len(entries)),
+            )
+            for entries in (self.residual, self.retained, self.hub_ink)
+        ]
+        return StateArrays(*planes, self.lower_bounds, self.iterations, self.is_hub)
+
+
+def index_states(index) -> Iterator[Tuple[int, StateArrays]]:
+    """``(node, flat state)`` for every node of ``index``, in node order."""
+    for node in range(index.n_nodes):
+        yield node, index.state_arrays(node)
+
+
+def assert_same_state(a: StateArrays, b: StateArrays) -> None:
+    """Two flat states hold the same entries, bit for bit, in any order."""
+    for plane in STATE_PLANES:
+        (keys_a, values_a), (keys_b, values_b) = getattr(a, plane), getattr(b, plane)
+        assert dict(zip(keys_a.tolist(), values_a.tolist())) == dict(
+            zip(keys_b.tolist(), values_b.tolist())
+        ), plane
+    np.testing.assert_array_equal(a.lower_bounds, b.lower_bounds)
+    assert (a.iterations, a.is_hub) == (b.iterations, b.is_hub)
+
+
+# ----------------------------------------------------------------------- #
 # Algorithm 1: the seed's per-node dict loop
 # ----------------------------------------------------------------------- #
 def bca_iteration(
-    state: NodeState,
+    state: SeedState,
     transition: sp.csc_matrix,
     hub_mask: np.ndarray,
     params: IndexParams,
@@ -98,25 +172,25 @@ def bca_iteration(
     return True
 
 
-def initial_node_state(node: int, is_hub: bool) -> NodeState:
+def initial_node_state(node: int, is_hub: bool) -> SeedState:
     """Fresh BCA state for ``node``: one unit of residue ink at the node itself.
 
     Hub nodes do not run BCA; their state references their own exact hub
     column (``s = e_node``), so the reconstructed vector is ``P_H e_node``.
     """
     if is_hub:
-        return NodeState(hub_ink={int(node): 1.0}, is_hub=True)
-    return NodeState(residual={int(node): 1.0})
+        return SeedState(hub_ink={int(node): 1.0}, is_hub=True)
+    return SeedState(residual={int(node): 1.0})
 
 
 def run_node_bca(
-    state: NodeState,
+    state: SeedState,
     transition: sp.csc_matrix,
     hub_mask: np.ndarray,
     params: IndexParams,
     *,
     max_iterations: Optional[int] = None,
-) -> NodeState:
+) -> SeedState:
     """Run batched BCA on ``state`` until the residue drops below ``delta``.
 
     Also stops when no node reaches the propagation threshold or the
@@ -131,10 +205,10 @@ def run_node_bca(
 
 
 def materialize_lower_bounds(
-    state: NodeState, expansion: _HubExpansion, capacity: int
+    state: SeedState, expansion: _HubExpansion, capacity: int
 ) -> None:
     """Recompute ``state.lower_bounds`` from the current ``w`` and ``s`` (Eq. 7)."""
-    state.lower_bounds = top_k_descending(expansion.expand(state), capacity)
+    state.lower_bounds = top_k_descending(expansion.expand(state.flat()), capacity)
 
 
 def seed_states(
@@ -143,7 +217,7 @@ def seed_states(
     params: IndexParams,
     expansion: _HubExpansion,
     sources: Sequence[int],
-) -> List[NodeState]:
+) -> List[SeedState]:
     """Converged, materialized seed-loop states of ``sources`` (non-hubs)."""
     matrix = sp.csc_matrix(transition)
     states = []
@@ -176,8 +250,32 @@ def seed_index(graph, params: IndexParams, transition: sp.spmatrix) -> ReverseTo
 
 
 def index_from_states(params, hubs, hub_matrix, hub_deficit, states) -> ReverseTopKIndex:
-    """A one-shard in-RAM index over hand-made ``NodeState`` s."""
-    store = ColumnarStateStore.from_states(states, params.capacity)
+    """A one-shard in-RAM index over hand-made states, one per node.
+
+    ``states`` are :class:`SeedState` s or flat :class:`StateArrays`; their
+    segments are concatenated, in node order, into the store's flat arrays.
+    """
+    flat = [s.flat() if isinstance(s, SeedState) else s for s in states]
+    arrays: Dict[str, np.ndarray] = {}
+    for plane in STATE_PLANES:
+        segments = [getattr(state, plane) for state in flat]
+        counts = [len(keys) for keys, _ in segments]
+        arrays[f"{plane}_indptr"] = np.concatenate([[0], np.cumsum(counts)]).astype(
+            np.int64
+        )
+        arrays[f"{plane}_keys"] = np.concatenate(
+            [np.zeros(0, dtype=np.int64)] + [keys for keys, _ in segments]
+        ).astype(np.int64)
+        arrays[f"{plane}_values"] = np.concatenate(
+            [np.zeros(0)] + [values for _, values in segments]
+        ).astype(np.float64)
+    arrays["iterations"] = np.array([s.iterations for s in flat], dtype=np.int64)
+    arrays["is_hub"] = np.array([s.is_hub for s in flat], dtype=bool)
+    lower = np.zeros((params.capacity, len(flat)), dtype=np.float64)
+    for column, state in enumerate(flat):
+        count = min(params.capacity, state.lower_bounds.size)
+        lower[:count, column] = state.lower_bounds[:count]
+    store = ColumnarStateStore(arrays, lower)
     shard = IndexShard.from_store(
         0,
         store.n_states,

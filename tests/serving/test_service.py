@@ -238,21 +238,15 @@ class TestReadonlyEntryPoint:
 
 class TestScalarScanServing:
     def test_read_only_scalar_scan_writes_nothing(self, small_transition, small_index):
-        # Regression: the per-node scan read index.state(node), which pinned
-        # one dict-backed object per scanned node into shared state under the
-        # *read* lock.  The one (columnar) scan must write nothing either.
-        from repro.core.statestore import (
-            materialization_count,
-            reset_materialization_count,
-        )
-
+        # Regression: the per-node scan read a dict-backed view of each
+        # node, which pinned one object per scanned node into shared state
+        # under the *read* lock.  The one (columnar) scan must write nothing
+        # either.
         engine = ReverseTopKEngine(small_transition, copy.deepcopy(small_index))
         service = ReverseTopKService(engine, ServiceConfig())
         version = engine.index.version
-        reset_materialization_count()
         results = service.serve([(q, 5) for q in range(0, engine.n_nodes, 7)])
         assert not any(shard.store.overlay for shard in engine.index.shards)
-        assert materialization_count() == 0
         assert engine.index.version == version
         for result in results:
             expected = engine.query(result.query, 5, update_index=False)
@@ -272,7 +266,7 @@ class TestVersioningAndInvalidation:
     def test_set_state_bumps_version(self, small_transition, small_index):
         index = copy.deepcopy(small_index)
         before = index.version
-        index.set_state(0, index.state(0))
+        index.set_state(0, index.state_arrays(0))
         assert index.version == before + 1
 
     def test_version_bump_invalidates_cached_answers(
@@ -284,7 +278,7 @@ class TestVersioningAndInvalidation:
         assert service.metrics().n_engine_queries == 1
         # Persisting any refinement bumps the version ⇒ the old entry no
         # longer matches and the answer is recomputed.
-        engine.index.set_state(0, engine.index.state(0))
+        engine.index.set_state(0, engine.index.state_arrays(0))
         service.query(3, 5)
         metrics = service.metrics()
         assert metrics.n_engine_queries == 2

@@ -187,7 +187,7 @@ class TestShardedStaticService:
             assert cached_before > 0
             # Force a write-back so the version actually bumps, then refine
             # (which purges under the post-bump version).
-            service.engine.index.set_state(0, service.engine.index.state(0))
+            service.engine.index.set_state(0, service.engine.index.state_arrays(0))
             service.refine(5, 6)
             stats = service._cache.stats()
             assert stats.purged >= cached_before
@@ -252,7 +252,7 @@ class TestShardedDynamicService:
             assert report.changed
             stats = service._cache.stats()
             assert stats.purged == stranded  # whole dead generation dropped
-            new_graph = service.graph.materialize()
+            new_graph = service.graph
             fresh = ReverseTopKEngine.build(new_graph, params)
             for query, k in REQUESTS:
                 a = service.query(query, k)
@@ -265,7 +265,7 @@ class TestShardedDynamicService:
             graph, params, snapshot_dir=tmp_path, n_shards=3
         ) as service:
             service.apply_updates([GraphUpdate.add(7, 99)])
-            new_graph = service.graph.materialize()
+            new_graph = service.graph
         warm = DynamicReverseTopKService.from_graph(
             new_graph, params, snapshot_dir=tmp_path, n_shards=3
         )

@@ -11,6 +11,8 @@ from repro.serving import (
     snapshot_key,
 )
 
+from tests.reference import assert_same_state, index_states
+
 
 class TestFingerprints:
     def test_graph_fingerprint_deterministic(self, small_web_graph):
@@ -307,11 +309,8 @@ class TestParallelBuildOrLoad:
             small_web_graph, small_params, transition=small_transition, parallel=2
         )
         serial = build_index(small_web_graph, small_params, transition=small_transition)
-        for (node, a), (_, b) in zip(parallel.states(), serial.states()):
-            assert a.residual == b.residual, node
-            assert a.retained == b.retained, node
-            assert a.hub_ink == b.hub_ink, node
-            np.testing.assert_array_equal(a.lower_bounds, b.lower_bounds)
+        for (_, a), (_, b) in zip(index_states(parallel), index_states(serial)):
+            assert_same_state(a, b)
         np.testing.assert_array_equal(
             parallel.columns.lower, serial.columns.lower
         )

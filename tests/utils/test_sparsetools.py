@@ -6,7 +6,6 @@ import scipy.sparse as sp
 
 from repro.utils.sparsetools import (
     dense_top_k,
-    iter_sparse_entries,
     l1_norm,
     sparse_column_to_dense,
     sparse_top_k,
@@ -94,8 +93,3 @@ class TestConversions:
     def test_dense_passthrough_checks_size(self):
         with pytest.raises(ValueError):
             sparse_column_to_dense(np.array([1.0, 2.0]), size=3)
-
-    def test_iter_sparse_entries(self):
-        column = sp.csc_matrix(np.array([[0.0], [0.5], [0.0], [0.25]]))
-        entries = dict(iter_sparse_entries(column))
-        assert entries == {1: 0.5, 3: 0.25}

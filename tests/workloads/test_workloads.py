@@ -134,16 +134,15 @@ class TestChurnWorkload:
         assert len(a.queries()) == 30
 
     def test_updates_are_valid_in_stream_order(self):
-        from repro.dynamic import DynamicGraph
+        from repro.dynamic import apply_batch
         from repro.workloads import UpdateEvent, churn_workload
 
         graph = self._graph()
         workload = churn_workload(graph, 40, 8, batch_size=4, seed=9)
-        dynamic = DynamicGraph(graph)
         for event in workload:
             if isinstance(event, UpdateEvent):
-                dynamic.apply_updates(event.updates)  # raises if invalid
-        assert dynamic.n_edges > 0
+                graph, _ = apply_batch(graph, event.updates)  # raises if invalid
+        assert graph.n_edges > 0
 
     def test_update_batches_are_interleaved(self):
         from repro.workloads import UpdateEvent, churn_workload
