@@ -16,6 +16,10 @@ refines the vector.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import accumulate
+from math import isfinite
+from operator import mul, sub
 from typing import Optional, Sequence
 
 import numpy as np
@@ -139,14 +143,53 @@ def kth_other_upper_bound(
     those values.  Removing ``q``'s step pulls the ``(k+1)``-th value in; at
     ``k = K`` that value is unknown but at most ``lower[K-1]``, and the level
     is monotone in the step heights.
+
+    It runs once per refinement round of a candidate, on a ``K``-entry
+    array, so it works on short Python lists: numpy's per-call overhead would
+    be most of its cost.  Every float is the one :func:`kth_upper_bound`
+    computes on the same staircase.
     """
-    lower = np.asarray(lower, dtype=np.float64)
-    rank = np.flatnonzero(top[:k] == query)
-    if rank.size:
-        lower = np.append(np.delete(lower, rank[0]), lower[-1])
+    k = check_positive_int(k, "k")
+    values = np.asarray(lower, dtype=np.float64).tolist()
+    head = np.asarray(top[:k]).tolist()
+    if query in head:
+        rank = head.index(query)
+        # The unknown (K+1)-th value is at most the *original* last entry.
+        values = values[:rank] + values[rank + 1 :] + values[-1:]
     # Both operands carry PMPN / accumulation rounding; clamp, never go negative.
     others_mass = max(residual_mass - max(known_gap, 0.0), 0.0)
-    return kth_upper_bound(lower, others_mass, k)
+    if not isfinite(others_mass):
+        raise InvalidParameterError(
+            f"residual_mass must be a non-negative finite number, got {others_mass!r}"
+        )
+    return _poured_level(values[:k], float(others_mass), k)
+
+
+#: ``_below_tolerance(step)`` is ``step < -1e-12``, mapped in C over a list.
+_below_tolerance = (-1e-12).__gt__
+
+
+def _poured_level(top: list, residual_mass: float, k: int) -> float:
+    """:func:`kth_upper_bound`'s pour on a list of at most ``k`` floats, float for float.
+
+    The levels accumulate left to right as ``staircase_levels``' ``cumsum``
+    does (``j * step`` is the same product as numpy's int-times-float), and
+    ``bisect_left`` is the same binary search as
+    ``np.searchsorted(..., side="left")``.
+    """
+    if len(top) < k:
+        top = top + [0.0] * (k - len(top))
+    if residual_mass == 0.0:
+        return top[k - 1]
+    steps = list(map(sub, top[:-1], top[1:]))  # steps[i] = p̂(i+1) - p̂(i+2)
+    if any(map(_below_tolerance, steps)):
+        raise InvalidParameterError("lower bounds must be sorted in descending order")
+    # z_j = z_{j-1} + j * (p̂(k-j) - p̂(k-j+1)), j = 1 .. k-1.
+    levels = [0.0, *accumulate(map(mul, range(1, k), reversed(steps)))]
+    j = bisect_left(levels, residual_mass)
+    if j < k:
+        return top[k - j - 1] - (levels[j] - residual_mass) / j
+    return top[0] + (residual_mass - levels[k - 1]) / k
 
 
 def kth_upper_bounds_batch(

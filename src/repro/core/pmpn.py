@@ -80,31 +80,9 @@ from scipy.sparse.csgraph import connected_components
 from .._validation import check_node_index, check_positive_float, check_probability
 from ..exceptions import ConvergenceError
 from ..rwr.power_method import expected_iterations
-
-try:  # pragma: no cover - exercised implicitly by every PMPN run
-    # Accumulating CSR product y += A @ x over raw arrays: a suffix of rows is
-    # then a view of the pointer array, with no matrix object to build per
-    # query.  Private but stable (it backs scipy's own @); a reorganised SciPy
-    # degrades to wrapping the rows in a csr_matrix.
-    from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
-except ImportError:  # pragma: no cover
-    _csr_matvec = None
+from ..utils.sparsetools import csr_matvec, gather_rows
 
 _EPS = float(np.finfo(np.float64).eps)
-
-
-def _gather_rows(indptr: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``(pointers, offsets)`` of ``rows`` gathered, row after row, into a new CSR.
-
-    ``offsets`` indexes the stored entries of every row in stored order, so
-    ``indices[offsets]`` / ``data[offsets]`` under ``pointers`` is the gather.
-    """
-    starts = indptr[rows]
-    lengths = indptr[rows + 1] - starts
-    pointers = np.zeros(rows.size + 1, dtype=indptr.dtype)
-    np.cumsum(lengths, out=pointers[1:])
-    offsets = np.repeat(starts - pointers[:-1], lengths) + np.arange(pointers[-1])
-    return pointers, offsets
 
 
 class PMPNPlan:
@@ -150,11 +128,13 @@ class PMPNPlan:
         if not np.all(first[transposed.indices] <= first[tails]):
             first = np.zeros(n, dtype=np.int64)
 
-        indptr, offsets = _gather_rows(transposed.indptr, order)
+        indptr, indices, data = gather_rows(
+            transposed.indptr, transposed.indices, transposed.data, order
+        )
         self.transposed = sp.csr_matrix(
             (
-                transposed.data[offsets].astype(np.float64, copy=False),
-                position.astype(indptr.dtype)[transposed.indices[offsets]],
+                data.astype(np.float64, copy=False),
+                position.astype(indptr.dtype)[indices],
                 indptr,
             ),
             shape=transposed.shape,
@@ -251,15 +231,10 @@ class PMPNState:
     def _product(self) -> np.ndarray:
         """``A^T[suffix] @ x``: each row's entries summed in stored order from 0.0."""
         matrix, indptr, x = self._plan.transposed, self._indptr, self._x
-        if _csr_matvec is None:  # see the import guard
-            lo, hi = indptr[0], indptr[-1]
-            rows = sp.csr_matrix(
-                (matrix.data[lo:hi], matrix.indices[lo:hi], indptr - lo),
-                shape=(self.rows, x.size),
-            )
-            return rows @ x
         out = np.zeros(self.rows)
-        _csr_matvec(self.rows, x.size, indptr, matrix.indices, matrix.data, x, out)
+        # The suffix's rows are a view of the pointer array: no matrix object
+        # is built per round.
+        csr_matvec(self.rows, x.size, indptr, matrix.indices, matrix.data, x, out)
         return out
 
     def advance(self) -> None:

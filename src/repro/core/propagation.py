@@ -65,6 +65,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..obs.profiler import NULL_PROFILER
+from ..utils.sparsetools import csc_matvec, gather_rows
 from ..utils.timer import StageTimer
 from ..utils.workspace import ArrayWorkspace
 from .config import IndexParams
@@ -500,12 +501,19 @@ class PropagationKernel:
 
         A frontier push (Eq. 8-9) of **all** residue — one power-iteration
         step on ``r``: every node holding any retains an ``alpha`` share and
-        scatters the rest along its out-edges (a gather of the active CSC
-        columns plus one scatter-add); ink that landed on hubs moves to ``s``,
-        and ``v`` and its top-K are refreshed incrementally
-        (``v += alpha * amounts + P_H @ delta_s``).  Cost follows the residue
-        support and the entries pushed, never ``n`` or ``nnz(A)``.  Returns
-        ``False`` (changing nothing) when no residue remains.
+        scatters the rest along its out-edges; ink that landed on hubs moves
+        to ``s``, and ``v`` and its top-K are refreshed incrementally
+        (``v += alpha * amounts + P_H @ delta_s``).
+
+        The scatter is two compiled passes over the pushed edges
+        (:func:`_scatter_columns`): a gather of the active CSC columns in
+        support order, then one CSC product adding each edge's share in that
+        (column, entry) order.  The support's order is itself fixed by the
+        rows earlier gathers returned, so every float of the trajectory is
+        the one a per-edge ``np.add.at`` in support order gives.  Cost
+        follows the residue support and the entries pushed, never ``n`` or
+        ``nnz(A)``.  Returns ``False`` (changing nothing) when no residue
+        remains.
         """
         active = working.residue > 0.0
         nodes = working.support[active]
@@ -559,30 +567,27 @@ def _csc_segments(matrix: sp.csc_matrix) -> tuple:
     )
 
 
-def _column_entries(matrix: sp.csc_matrix, columns: np.ndarray):
-    """Storage positions of every entry of the listed CSC columns, and counts."""
-    indptr = matrix.indptr
-    starts = indptr[columns]
-    counts = indptr[columns + 1] - starts
-    ends = counts.cumsum()
-    total = int(ends[-1]) if ends.size else 0
-    entries = (starts - (ends - counts)).repeat(counts) + np.arange(total)
-    return entries, counts
-
-
 def _scatter_columns(
     matrix: sp.csc_matrix, columns: np.ndarray, scales: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
     """``out += matrix[:, columns] @ scales`` over the stored entries only.
 
-    Gathers the listed CSC columns and scatter-adds ``scale * weight`` into
-    the dense ``out`` in (column, entry) order — the association and order of
-    the seed loop's ``share * weight``.  Returns the row index of
-    every pushed entry (with repeats), so callers can track what changed.
+    Two compiled passes over the pushed entries: a gather of the listed
+    columns (:func:`~repro.utils.sparsetools.gather_rows`), then a CSC product
+    (:func:`~repro.utils.sparsetools.csc_matvec`) that adds
+    ``weight * scale`` into the dense ``out`` one entry at a time in
+    (column, entry) order.  That is ``np.add.at``'s order over the same
+    gather, and IEEE multiplication commutes, so ``out`` comes out bit for
+    bit as the seed loop's ``share * weight`` scatter — into a zero
+    residual and into a non-zero ``v`` alike.  Returns the row index of
+    every pushed entry (with repeats) in that same order: callers track
+    what changed from it, and the support's order, hence every later
+    step's accumulation order, comes from it.
     """
-    entries, counts = _column_entries(matrix, columns)
-    rows = matrix.indices[entries]
-    np.add.at(out, rows, scales.repeat(counts) * matrix.data[entries])
+    pointers, rows, values = gather_rows(
+        matrix.indptr, matrix.indices, matrix.data, columns
+    )
+    csc_matvec(out.size, columns.size, pointers, rows, values, scales, out)
     return rows
 
 
@@ -676,9 +681,9 @@ class RefinementWorkingSet:
     # -- updates (driven by PropagationKernel.step) -----------------------
     def absorb(self, targets: np.ndarray) -> None:
         """Extend the support by freshly reached nodes; re-read the residue."""
-        fresh = targets[~self._seen[targets]]
-        if fresh.size:
-            fresh = self._distinct(fresh)
+        reached = np.take(self._seen, targets)
+        if not reached.all():
+            fresh = self._distinct(targets[~reached])
             self._seen[fresh] = True
             self.support = np.concatenate([self.support, fresh])
         self.residue = self.residual[self.support]
@@ -726,6 +731,10 @@ class RefinementWorkingSet:
         self.vector[support] = 0.0
         self._seen[support] = False
         # v also holds the expansion of every hub column with ink in s.
-        entries, _ = _column_entries(self._hub_matrix, np.flatnonzero(self.hub_ink))
-        self.vector[self._hub_matrix.indices[entries]] = 0.0
+        hub_matrix = self._hub_matrix
+        _, rows, _ = gather_rows(
+            hub_matrix.indptr, hub_matrix.indices, hub_matrix.data,
+            np.flatnonzero(self.hub_ink),
+        )
+        self.vector[rows] = 0.0
         self._busy[0] = False

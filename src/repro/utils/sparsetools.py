@@ -5,6 +5,15 @@ hub-accumulated ink, top-K lower bounds) as *sparse* vectors because for
 realistic graphs only a tiny fraction of entries is non-zero.  These helpers
 centralise the conversions and top-k extraction so the core algorithms stay
 readable.
+
+Compiled kernels
+----------------
+:func:`csr_matvec`, :func:`gather_rows` and :func:`csc_matvec` run SciPy's
+compiled ``scipy.sparse._sparsetools`` routines (``csr_matvec``,
+``csr_row_index``, ``csc_matvec``) over raw index arrays, with no matrix
+object built per call.  That module is private but stable (it backs
+SciPy's own ``@`` and fancy indexing); if a reorganised SciPy lacks it, each
+function falls back to NumPy with the same arguments and the same floats.
 """
 
 from __future__ import annotations
@@ -13,6 +22,82 @@ from typing import Dict, Mapping, Tuple
 
 import numpy as np
 import scipy.sparse as sp
+
+try:  # pragma: no cover - exercised implicitly by every PMPN round and refinement step
+    from scipy.sparse import _sparsetools as _compiled
+except ImportError:  # pragma: no cover
+    _compiled = None
+
+
+def csr_matvec(
+    n_row: int,
+    n_col: int,
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    data: np.ndarray,
+    x: np.ndarray,
+    out: np.ndarray,
+) -> None:
+    """``out += A @ x`` for the CSR rows ``(indptr, indices, data)``, in place.
+
+    Each row's entries are summed in stored order, starting from ``out[i]``.
+    ``indptr`` may be a view into a larger pointer array (its first entry
+    need not be 0), so a suffix of rows is passed without copying.
+    """
+    if _compiled is not None:
+        _compiled.csr_matvec(n_row, n_col, indptr, indices, data, x, out)
+        return
+    lo, hi = indptr[0], indptr[-1]
+    rows = sp.csr_matrix(
+        (data[lo:hi], indices[lo:hi], indptr - lo), shape=(n_row, n_col)
+    )
+    out += rows @ x
+
+
+def gather_rows(
+    indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, rows: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The listed CSR rows (or CSC columns), in the listed order, as fresh arrays.
+
+    Returns ``(pointers, indices, data)`` of the gathered matrix: each row's
+    entries keep their stored order.  One compiled ``csr_row_index`` pass.
+    """
+    rows = rows.astype(indptr.dtype, copy=False)
+    starts = np.take(indptr, rows)
+    pointers = np.zeros(rows.size + 1, dtype=indptr.dtype)
+    np.cumsum(np.take(indptr, rows + 1) - starts, out=pointers[1:])
+    if _compiled is None:
+        lengths = np.diff(pointers)
+        entries = np.repeat(starts - pointers[:-1], lengths) + np.arange(pointers[-1])
+        return pointers, indices[entries], data[entries]
+    total = int(pointers[-1])
+    out_indices = np.empty(total, dtype=indices.dtype)
+    out_data = np.empty(total, dtype=data.dtype)
+    _compiled.csr_row_index(rows.size, rows, indptr, indices, data, out_indices, out_data)
+    return pointers, out_indices, out_data
+
+
+def csc_matvec(
+    n_row: int,
+    n_col: int,
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    data: np.ndarray,
+    x: np.ndarray,
+    out: np.ndarray,
+) -> None:
+    """``out += A @ x`` for the CSC columns ``(indptr, indices, data)``, in place.
+
+    Adds ``data[e] * x[j]`` into ``out[indices[e]]`` one entry at a time in
+    (column, entry) order — the order ``np.add.at`` takes, which the
+    fallback uses.
+    """
+    if _compiled is not None:
+        _compiled.csc_matvec(n_row, n_col, indptr, indices, data, x, out)
+        return
+    lo, hi = indptr[0], indptr[n_col]
+    scales = x[:n_col].repeat(np.diff(indptr[: n_col + 1]))
+    np.add.at(out, indices[lo:hi], scales * data[lo:hi])
 
 
 def l1_norm(vector: np.ndarray | sp.spmatrix) -> float:

@@ -1,10 +1,20 @@
 """Tests for Algorithm 3 — the staircase upper bound."""
 
+import statistics
+import time
+
 import numpy as np
 import pytest
 
-from repro.core.bounds import is_valid_upper_bound, kth_upper_bound, staircase_levels
+from repro.core.bounds import (
+    is_valid_upper_bound,
+    kth_other_upper_bound,
+    kth_upper_bound,
+    staircase_levels,
+)
 from repro.exceptions import InvalidParameterError
+
+from tests.reference import kth_other_upper_bound as reference_kth_other_upper_bound
 
 
 class TestStaircaseLevels:
@@ -154,3 +164,84 @@ class TestBatchWorkspace:
         kept = first.copy()
         kth_upper_bounds_batch(lower[:, ::-1].copy(), masses[::-1].copy(), 2, workspace=workspace)
         np.testing.assert_array_equal(first, kept)
+
+
+def _staircase(capacity: int, seed: int):
+    """A descending top-``capacity`` with a tie and a zero tail, and its nodes."""
+    rng = np.random.default_rng(seed)
+    lower = np.sort(rng.random(capacity) * 10.0 ** rng.integers(-6, 0, capacity))[::-1]
+    if capacity > 2:
+        lower[1] = lower[0]
+        lower[-1] = 0.0
+    return lower, rng.permutation(10 * capacity)[:capacity]
+
+
+class TestKthOtherUpperBound:
+    """The list-based bound equals the numpy formula of ``tests/reference.py`` bit for bit."""
+
+    MASSES = (0.0, 1e-9, 0.05, 0.3, 2.0)
+    GAPS = (-0.1, 0.0, 0.01, 0.3, 5.0)  # negative, zero, inside and above the mass
+
+    def _assert_equal(self, lower, top, query, k):
+        for mass in self.MASSES:
+            for gap in self.GAPS:
+                got = kth_other_upper_bound(lower, top, query, mass, gap, k)
+                expected = reference_kth_other_upper_bound(lower, top, query, mass, gap, k)
+                assert type(got) is float
+                assert got == expected, (k, query, mass, gap)
+
+    def test_capacity_one_with_q_at_rank_zero(self):
+        # q's step leaves; the original array's last entry (q's own) fills
+        # the vacated slot, so the pour starts from 0.4, not from zero.
+        lower, top = np.array([0.4]), np.array([7])
+        self._assert_equal(lower, top, 7, 1)
+        assert kth_other_upper_bound(lower, top, 7, 0.3, 0.1, 1) == 0.4 + (0.3 - 0.1)
+
+    @pytest.mark.parametrize("capacity", [1, 2, 5, 16, 50])
+    def test_every_depth_and_rank(self, capacity):
+        lower, top = _staircase(capacity, seed=capacity)
+        absent = int(top.max()) + 1
+        for k in range(1, capacity + 1):  # k = K included
+            ranks = {0, k - 1, min(k, capacity - 1)}  # ... and below k when k < K
+            for rank in sorted(ranks):
+                self._assert_equal(lower, top, int(top[rank]), k)
+            self._assert_equal(lower, top, absent, k)
+
+    def test_lower_shorter_than_k(self):
+        lower, top = np.array([0.5, 0.2]), np.array([3, 9])
+        for query in (3, 9, 4):
+            for k in (3, 4):
+                self._assert_equal(lower, top, query, k)
+
+    def test_zero_mass_is_the_kth_other_entry(self):
+        lower, top = np.array([0.5, 0.3, 0.2]), np.array([1, 2, 3])
+        assert kth_other_upper_bound(lower, top, 1, 0.0, 0.0, 2) == 0.2
+        assert kth_other_upper_bound(lower, top, 4, 0.0, 0.0, 2) == 0.3
+        # A known gap above the mass leaves no mass to pour.
+        assert kth_other_upper_bound(lower, top, 4, 0.1, 0.5, 2) == 0.3
+
+    def test_rejects_what_the_numpy_formula_rejects(self):
+        lower, top = np.array([0.2, 0.5]), np.array([1, 2])
+        for bound in (kth_other_upper_bound, reference_kth_other_upper_bound):
+            with pytest.raises(InvalidParameterError):
+                bound(lower, top, 9, 0.1, 0.0, 2)  # not descending
+            with pytest.raises(InvalidParameterError):
+                bound(lower[::-1], top, 9, float("nan"), 0.0, 2)
+            with pytest.raises(InvalidParameterError):
+                bound(lower[::-1], top, 9, float("inf"), 0.0, 2)
+            with pytest.raises(InvalidParameterError):
+                bound(lower[::-1], top, 9, 0.1, 0.0, 0)
+
+    @pytest.mark.parametrize("capacity", [16, 50])
+    def test_a_call_costs_microseconds(self, capacity):
+        # One call per refinement round of a candidate; k = K is the longest
+        # staircase.  Loose enough for a slow CI runner (about 5 and 10 us
+        # on a 2-core x86 box).
+        lower, top = _staircase(capacity, seed=1)
+        query, gap = int(top[0]), np.float64(1e-3)
+        seconds = []
+        for _ in range(2000):
+            started = time.perf_counter()
+            kth_other_upper_bound(lower, top, query, 0.3, gap, capacity)
+            seconds.append(time.perf_counter() - started)
+        assert statistics.median(seconds) <= 20e-6

@@ -28,6 +28,7 @@ from repro.graph.io import stream_edge_list
 from repro.rwr import ProximityLU, proximity_column
 from repro.rwr.power_method import expected_iterations
 from repro.serving import ReverseTopKService, ServiceConfig
+from repro.utils import sparsetools
 
 from tests.reference import SeedState, index_from_states
 
@@ -368,7 +369,7 @@ class TestSuffix:
     def test_product_without_the_compiled_kernel(self, small_transition, monkeypatch):
         plan = PMPNPlan(small_transition)
         compiled = [proximity_to_node(small_transition, q, plan=plan) for q in (0, 5, 23)]
-        monkeypatch.setattr(pmpn_module, "_csr_matvec", None)
+        monkeypatch.setattr(sparsetools, "_compiled", None)
         for query, expected in zip((0, 5, 23), compiled):
             state = proximity_to_node(small_transition, query, plan=plan)
             assert state.iterations == expected.iterations

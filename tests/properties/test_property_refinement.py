@@ -39,6 +39,7 @@ from tests.reference import (
     SeedState,
     bca_iteration,
     initial_node_state,
+    kth_other_upper_bound as reference_kth_other_upper_bound,
     run_node_bca,
 )
 
@@ -198,6 +199,11 @@ class TestOthersBoundAgainstDirectSolver:
                             exact[query] - working.vector[query], k,
                         )
                         assert bound >= kth_other - slack, (query, k)
+                        # ... float for float the numpy formula's ...
+                        assert bound == reference_kth_other_upper_bound(
+                            working.lower_bounds, working.top, query, mass,
+                            exact[query] - working.vector[query], k,
+                        )
                         # ... never looser than the paper's bound ...
                         assert bound <= slack + kth_upper_bound(
                             working.lower_bounds, mass, k

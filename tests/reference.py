@@ -18,7 +18,13 @@ transcriptions of the paper kept here:
 * :func:`reference_scan` — Algorithm 4's while loop visiting all ``n`` nodes
   one at a time on PMPN's converged values: prune on the k-th lower bound,
   exact shortcut, the staircase bound, then the engine's own refinement of
-  each remaining candidate.
+  each remaining candidate;
+* :func:`scatter_columns` — a refinement step's column push as a gather of
+  storage positions plus ``np.add.at``, the float order the compiled
+  ``_scatter_columns`` must keep;
+* :func:`kth_other_upper_bound` — the k-th *other* bound in numpy
+  (``delete`` / ``append`` and :func:`~repro.core.bounds.kth_upper_bound`),
+  which the engine's list-based bound must equal float for float.
 """
 
 from __future__ import annotations
@@ -284,6 +290,42 @@ def index_from_states(params, hubs, hub_matrix, hub_deficit, states) -> ReverseT
         store.column_masses(hubs, np.asarray(hub_deficit, dtype=np.float64)),
     )
     return ReverseTopKIndex(params, hubs, hub_matrix, hub_deficit, [shard])
+
+
+# ----------------------------------------------------------------------- #
+# a refinement round's two formulas
+# ----------------------------------------------------------------------- #
+def scatter_columns(
+    matrix: sp.csc_matrix, columns: np.ndarray, scales: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """``out += matrix[:, columns] @ scales`` entry by entry; returns the rows pushed.
+
+    The storage positions of the listed columns, column after column in the
+    listed order, then ``np.add.at`` of ``scale * weight`` in that order.
+    """
+    indptr = matrix.indptr
+    entries = np.concatenate(
+        [np.zeros(0, dtype=np.int64)]
+        + [np.arange(indptr[j], indptr[j + 1], dtype=np.int64) for j in columns]
+    )
+    counts = np.array([indptr[j + 1] - indptr[j] for j in columns], dtype=np.int64)
+    rows = matrix.indices[entries]
+    np.add.at(out, rows, np.asarray(scales).repeat(counts) * matrix.data[entries])
+    return rows
+
+
+def kth_other_upper_bound(lower, top, query, residual_mass, known_gap, k) -> float:
+    """The bound on the k-th largest proximity other than ``query``'s, in numpy.
+
+    ``query``'s step leaves the top-``k`` staircase and the original array's
+    last entry fills the vacated ``K``-th slot; ``known_gap`` leaves the mass.
+    """
+    lower = np.asarray(lower, dtype=np.float64)
+    rank = np.flatnonzero(np.asarray(top)[:k] == query)
+    if rank.size:
+        lower = np.append(np.delete(lower, rank[0]), lower[-1])
+    others_mass = max(residual_mass - max(known_gap, 0.0), 0.0)
+    return kth_upper_bound(lower, others_mass, k)
 
 
 # ----------------------------------------------------------------------- #
