@@ -32,6 +32,14 @@ from ..graph.digraph import DiGraph
 UPDATE_OPS = ("add", "remove", "set_weight")
 
 
+def _is_finite(weight: float) -> bool:
+    """``math.isfinite``, with an int too large for a float counted as infinite."""
+    try:
+        return math.isfinite(weight)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class GraphUpdate:
     """One edge mutation.
@@ -57,9 +65,7 @@ class GraphUpdate:
             raise GraphError(
                 f"update op must be one of {UPDATE_OPS}, got {self.op!r}"
             )
-        if self.op != "remove" and not (
-            self.weight > 0 and math.isfinite(self.weight)
-        ):
+        if self.op != "remove" and not (self.weight > 0 and _is_finite(self.weight)):
             raise GraphError(
                 f"{self.op} update weight must be positive and finite, "
                 f"got {self.weight}"

@@ -11,8 +11,9 @@ answer:
   bounded pending queue with 429 + ``Retry-After`` backpressure, and
   deadline propagation that sheds before work is done;
 * :mod:`repro.net.coalesce` — cross-connection request coalescing onto the
-  service's batch scheduler (in-flight dedup, load-adaptive batching,
-  executor offload);
+  service's batch scheduler (in-flight dedup, load-adaptive batching; cache
+  hits answered on the loop while nothing scans, only misses offloaded to
+  the executor);
 * :mod:`repro.net.rollover` — zero-downtime index rollover: updates are
   maintained on a clone and swapped in atomically, with generation pinning
   so no request ever observes a torn index version;

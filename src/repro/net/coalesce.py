@@ -17,10 +17,16 @@ duplicate.  :class:`QueryCoalescer` is that funnel:
   of a burst hands the buffer (up to ``max_batch`` keys) to ``service.serve``
   as the next one.  Batches grow because scans take time, never because a
   timer fired: an idle server adds no wait, a loaded one batches itself;
-* **executor offload** — at most ``scan_threads`` bursts run at once in the
-  thread-pool executor via ``loop.run_in_executor``, so the event loop
-  keeps accepting connections and parsing requests while NumPy scans the
-  index (the scans release the GIL for the heavy array work).
+* **only misses leave the loop** — while no burst is running, a key the
+  generation's result cache holds is answered on the event loop itself
+  (:meth:`~repro.serving.service.ReverseTopKService.cached_answer`, one
+  dictionary lookup): at ``submit``, and for every buffered key at the
+  boundary where a burst finishes.  Misses go to the thread-pool executor
+  via ``loop.run_in_executor``, at most ``scan_threads`` bursts at once, so
+  the loop keeps accepting connections and parsing requests while NumPy
+  scans the index.  No hit is answered on the loop while a scan is in
+  flight: the loop's extra work would compete with the scan thread for the
+  GIL, and misses slow down by more than hits gain.
 
 Cancellation safety (pinned by tests): waiters must wrap the shared future
 in ``asyncio.shield`` — a client disconnecting or timing out cancels only
@@ -28,7 +34,9 @@ its own wait, never the shared batch task, and the in-flight table entry is
 removed by the batch completion itself, so later identical requests can
 never join a dead future.
 
-Tracing crosses the funnel: a waiter submitting inside an active
+Tracing crosses the funnel: a hit answered on the loop records a
+``cache.hit`` span under each waiter's span.  For a miss, a waiter
+submitting inside an active
 :class:`~repro.obs.tracing.Trace` registers its current span as the key's
 trace parent.  ``run_in_executor`` does not carry contextvars into worker
 threads, so the batch runner activates a fresh ``Trace("coalesce.batch")``
@@ -48,6 +56,7 @@ from __future__ import annotations
 import asyncio
 from concurrent.futures import Executor
 from dataclasses import asdict, dataclass
+import time
 from typing import Dict, List, Optional, Tuple
 
 from ..core.query import QueryResult
@@ -67,6 +76,9 @@ class CoalesceStats:
     ----------
     n_submitted:
         Requests entering the funnel.
+    n_loop_hits:
+        Unique keys answered from the result cache on the event loop,
+        without a burst.
     n_coalesced:
         Requests that joined an already-in-flight identical computation.
     n_batches:
@@ -80,6 +92,7 @@ class CoalesceStats:
     """
 
     n_submitted: int = 0
+    n_loop_hits: int = 0
     n_coalesced: int = 0
     n_batches: int = 0
     n_executed: int = 0
@@ -106,9 +119,9 @@ class QueryCoalescer:
 
     Event-loop-confined: ``submit`` must be called from the loop thread
     (the server's connection handlers), which is what makes the in-flight
-    table and buffer race-free without locks.  Only the engine scan itself
-    leaves the loop, via ``executor``, at most ``scan_threads`` (its width)
-    bursts at a time.
+    table and buffer race-free without locks.  Only cache misses leave the
+    loop, via ``executor``, at most ``scan_threads`` (its width) bursts at a
+    time.
     """
 
     def __init__(
@@ -147,7 +160,8 @@ class QueryCoalescer:
         """Register one request; returns ``(shared_future, coalesced)``.
 
         ``coalesced`` is ``True`` when the request joined an identical
-        computation already in flight.  Await the future through
+        computation already in flight.  A cache hit while no burst runs
+        returns an already-settled future.  Await the future through
         ``asyncio.shield`` — cancelling the raw future would detach every
         sibling waiter from its result.
         """
@@ -156,14 +170,21 @@ class QueryCoalescer:
         self.stats.n_submitted += 1
         key = (int(query), int(k))
         parent = current_span()
-        if parent is not None:
-            self._trace_parents.setdefault(key, []).append(parent)
         future = self._inflight.get(key)
         if future is not None:
+            if parent is not None:
+                self._trace_parents.setdefault(key, []).append(parent)
             self.stats.n_coalesced += 1
             return future, True
         loop = asyncio.get_running_loop()
         future = loop.create_future()
+        if self.n_running == 0:
+            result = self._cache_hit(key, [parent] if parent is not None else [])
+            if result is not None:
+                future.set_result(result)
+                return future, False
+        if parent is not None:
+            self._trace_parents.setdefault(key, []).append(parent)
         future.add_done_callback(_retrieve_exception)
         self._inflight[key] = future
         self._buffer.append(key)
@@ -178,6 +199,41 @@ class QueryCoalescer:
     def n_inflight(self) -> int:
         """Unique keys currently being (or about to be) computed."""
         return len(self._inflight)
+
+    def _cache_hit(self, key: Key, parents: List[Span]) -> Optional[QueryResult]:
+        """Answer ``key`` from the cache on the loop; ``None`` sends it to a burst.
+
+        Only called while no burst runs.  Each traced waiter gets a
+        ``cache.hit`` span.  A closed service is a miss here: the burst's
+        ``serve`` raises the same error to every waiter.
+        """
+        started = time.perf_counter()
+        try:
+            result = self.service.cached_answer(*key)
+        except ServiceClosedError:
+            return None
+        if result is None:
+            return None
+        self.stats.n_loop_hits += 1
+        if parents:
+            seconds = time.perf_counter() - started
+            for parent in parents:
+                parent.record("cache.hit", seconds)
+        return result
+
+    def _answer_buffered_hits(self) -> None:
+        """At a burst boundary with no burst running: settle buffered hits."""
+        misses: List[Key] = []
+        for key in self._buffer:
+            result = self._cache_hit(key, self._trace_parents.get(key, []))
+            if result is None:
+                misses.append(key)
+                continue
+            self._trace_parents.pop(key, None)
+            future = self._inflight.pop(key)
+            if not future.done():
+                future.set_result(result)
+        self._buffer = misses
 
     def _flush(self) -> None:
         """Hand buffered keys to the service, one burst per free scan thread."""
@@ -229,8 +285,11 @@ class QueryCoalescer:
             self.stats.n_failed_batches += 1
             failure = exc
         # Start the next burst before fanning out: it scans while the loop
-        # renders this one's responses.
+        # renders this one's responses.  With nothing left scanning, the
+        # buffered hits are answered here first, so only misses leave.
         self.n_running -= 1
+        if self.n_running == 0:
+            self._answer_buffered_hits()
         self._flush()
         for position, key in enumerate(keys):
             future = self._inflight.pop(key, None)

@@ -85,6 +85,9 @@ class HttpRequest:
             return json.loads(self.body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise HttpError(400, f"invalid JSON body: {exc}") from exc
+        except RecursionError as exc:
+            # A few KB of '[' nest deeper than the decoder's stack allows.
+            raise HttpError(400, "JSON body nests too deeply") from exc
 
     @property
     def wants_close(self) -> bool:
@@ -158,7 +161,10 @@ async def read_request(
             except asyncio.IncompleteReadError as exc:
                 raise HttpError(400, "connection closed mid-body") from exc
 
-    split = urlsplit(target)
+    try:
+        split = urlsplit(target)
+    except ValueError as exc:  # e.g. an unclosed '[' in the authority
+        raise HttpError(400, f"malformed request target: {target!r}") from exc
     params = {name: value for name, value in parse_qsl(split.query)}
     return HttpRequest(
         method=method.upper(),

@@ -10,8 +10,9 @@ composing the rest of this package:
   shed with 504 before any work, the bounded pending queue sheds with
   429 + ``Retry-After``, per-tenant token buckets rate-limit;
 * admitted queries are **coalesced across connections**
-  (:class:`~repro.net.coalesce.QueryCoalescer`) onto the service's
-  ``serve`` path, where the existing cache/dedup/batch pipeline runs in a
+  (:class:`~repro.net.coalesce.QueryCoalescer`): while nothing scans, a
+  cache hit is answered on the event loop; misses go to the service's
+  ``serve`` path, where the cache/dedup/batch pipeline runs in a
   thread-pool executor off the event loop;
 * graph updates **roll the index over without downtime**
   (:class:`~repro.net.rollover.RolloverManager`): queries keep hitting the
@@ -70,6 +71,7 @@ import argparse
 import asyncio
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+import math
 import re
 import sys
 import threading
@@ -261,6 +263,10 @@ class ReverseTopKServer:
             ),
             "n_submitted": registry.counter(
                 "repro_coalesce_submitted_total", "Requests entering the funnel"
+            ),
+            "n_loop_hits": registry.counter(
+                "repro_coalesce_loop_hits_total",
+                "Cache hits answered on the event loop, without a burst",
             ),
             "n_coalesced": registry.counter(
                 "repro_coalesce_coalesced_total",
@@ -528,8 +534,10 @@ class ReverseTopKServer:
             deadline_ms = float(raw)
         except ValueError as exc:
             raise HttpError(400, f"bad X-Deadline-Ms: {raw!r}") from exc
-        if deadline_ms <= 0:
-            raise HttpError(400, f"X-Deadline-Ms must be positive, got {raw!r}")
+        if not (math.isfinite(deadline_ms) and deadline_ms > 0):
+            raise HttpError(
+                400, f"X-Deadline-Ms must be positive and finite, got {raw!r}"
+            )
         return deadline_ms
 
     async def _handle_query(

@@ -124,15 +124,20 @@ class ResultCache:
             ),
         }
 
-    def get(self, key: CacheKey) -> Optional[QueryResult]:
-        """Return the cached result for ``key`` (marking it most-recent), or None."""
+    def get(self, key: CacheKey, *, count_miss: bool = True) -> Optional[QueryResult]:
+        """Return the cached result for ``key`` (marking it most-recent), or None.
+
+        ``count_miss=False`` leaves a miss uncounted, for a caller whose miss
+        goes on to a lookup that counts it (a hit is always counted).
+        """
         obs = self._obs
         with self._lock:
             result = self._entries.get(key)
             if result is None:
-                self._misses += 1
-                if obs is not None:
-                    obs["miss"].inc()
+                if count_miss:
+                    self._misses += 1
+                    if obs is not None:
+                        obs["miss"].inc()
                 return None
             self._entries.move_to_end(key)
             self._hits += 1

@@ -156,21 +156,29 @@ class _ReadWriteLock:
         self._writers_waiting = 0
 
     @contextmanager
-    def read(self) -> Iterator[None]:
+    def read(self, *, wait: bool = True) -> Iterator[bool]:
+        """Hold the read side; yields whether it is held.
+
+        ``wait=False`` never waits on a writer: when one holds the lock or
+        is queued for it, the body runs with ``False`` and must not read.
+        """
         with self._cond:
             # Writer preference: new readers also yield to a *queued* writer,
             # otherwise overlapping serve bursts could keep the reader count
             # above zero forever and starve refine() indefinitely.
-            while self._writing or self._writers_waiting:
+            held = wait or not (self._writing or self._writers_waiting)
+            while held and (self._writing or self._writers_waiting):
                 self._cond.wait()
-            self._readers += 1
+            if held:
+                self._readers += 1
         try:
-            yield
+            yield held
         finally:
-            with self._cond:
-                self._readers -= 1
-                if not self._readers:
-                    self._cond.notify_all()
+            if held:
+                with self._cond:
+                    self._readers -= 1
+                    if not self._readers:
+                        self._cond.notify_all()
 
     @contextmanager
     def write(self) -> Iterator[None]:
@@ -453,6 +461,35 @@ class ReverseTopKService:
         obs["batches"].inc(len(plan.batches))
         obs["index_version"].set(version)
         return [answered[position] for position in range(len(requests))]
+
+    def cached_answer(self, query: int, k: int) -> Optional[QueryResult]:
+        """A cache hit for ``(query, k)`` without ever waiting; else ``None``.
+
+        The event loop's read.  It takes the read side of the index lock only
+        if no writer holds it or waits for it, and reads the version under
+        it as :meth:`serve` does.  ``None`` (a writer, a miss, caching off)
+        counts nothing: the caller sends the key to :meth:`serve`, which
+        counts it.  A hit counts one request, one cache hit and this call's
+        wall time, as ``serve`` would.
+        """
+        with Timer() as wall, self._index_lock.read(wait=False) as held:
+            if not held:
+                return None
+            self._ensure_open()
+            version = self.engine.index.version
+            result = self._cache.get((query, k, version), count_miss=False)
+            if result is None:
+                return None
+            result = result.copy()
+        with self._lock:
+            self._n_requests += 1
+            self._n_cache_hits += 1
+            self._serve_seconds += wall.elapsed
+        obs = self._obs
+        obs["requests"].inc()
+        obs["cache_hits"].inc()
+        obs["index_version"].set(version)
+        return result
 
     def serve_workload(self, workload: QueryWorkload) -> List[QueryResult]:
         """Serve every query of a :class:`QueryWorkload` at its depth ``k``."""

@@ -38,7 +38,8 @@ class GatedService:
     The coalescer's discipline is driven by scan *completions*, so its tests
     need to hold a burst in the executor for exactly as long as the scenario
     says — a gate, not a sleep.  ``entered`` counts bursts that reached the
-    worker thread, ``release(n)`` lets ``n`` of them finish.
+    worker thread, ``release(n)`` lets ``n`` of them finish.  Cache hits the
+    coalescer answers on the loop never reach the gate.
     """
 
     def __init__(self, service) -> None:
@@ -65,6 +66,10 @@ class GatedService:
         if position in self.fail_bursts:
             raise RuntimeError("engine exploded")
         return self.service.serve(keys)
+
+    def cached_answer(self, query, k):
+        """The event loop's cache read, forwarded ungated (it never waits)."""
+        return self.service.cached_answer(query, k)
 
     def release(self, n: int = 1) -> None:
         for _ in range(n):

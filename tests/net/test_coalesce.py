@@ -15,6 +15,7 @@ import pytest
 
 from repro.exceptions import ServiceClosedError
 from repro.net.coalesce import CoalesceStats, QueryCoalescer
+from repro.obs import Trace
 from repro.serving.service import ReverseTopKService
 
 
@@ -152,6 +153,9 @@ class TestCancellationIsolation:
 class TestFailureIsolation:
     def test_failed_batch_fails_waiters_and_clears_table(self, executor):
         class ExplodingService:
+            def cached_answer(self, query, k):
+                return None
+
             def serve(self, keys):
                 raise RuntimeError("engine exploded")
 
@@ -323,3 +327,120 @@ class TestLoadAdaptiveDispatch:
         stats, result = run(scenario())
         assert result.query == 2
         assert (stats.n_batches, stats.n_failed_batches, stats.n_executed) == (2, 1, 1)
+
+
+class TestLoopHits:
+    """Only misses leave the loop: hits are answered while nothing scans."""
+
+    def test_cached_key_never_enters_the_executor(self, gated_service, executor):
+        gated_service.service.serve([(3, 5)])
+
+        async def scenario():
+            stats = CoalesceStats()
+            coalescer = QueryCoalescer(gated_service, executor, stats=stats)
+            future, coalesced = coalescer.submit(3, 5)
+            assert future.done() and not coalesced
+            assert coalescer.n_inflight == 0
+            await asyncio.sleep(0)
+            await asyncio.sleep(0)
+            result = await asyncio.shield(future)
+            await coalescer.aclose()
+            return stats, result
+
+        stats, result = run(scenario())
+        assert gated_service.bursts == []
+        assert not gated_service.entered.acquire(blocking=False)
+        assert (stats.n_loop_hits, stats.n_batches, stats.n_executed) == (1, 0, 0)
+        direct = gated_service.service.engine.query(3, 5, update_index=False)
+        np.testing.assert_array_equal(result.nodes, direct.nodes)
+
+    def test_cached_key_behind_a_held_burst_waits_for_it(
+        self, gated_service, executor
+    ):
+        gated_service.service.serve([(3, 5)])
+
+        async def scenario():
+            stats = CoalesceStats()
+            coalescer = QueryCoalescer(gated_service, executor, stats=stats)
+            miss, _ = coalescer.submit(1, 5)
+            await gated_service.wait_entered()
+            # A scan is in flight: the hit waits at the burst boundary.
+            hit, _ = coalescer.submit(3, 5)
+            await asyncio.sleep(0)
+            assert not hit.done() and stats.n_loop_hits == 0
+            gated_service.release()
+            results = await asyncio.gather(asyncio.shield(miss), asyncio.shield(hit))
+            await coalescer.aclose()
+            return stats, results
+
+        stats, (miss, hit) = run(scenario())
+        assert gated_service.bursts == [[(1, 5)]]  # no second burst
+        assert (stats.n_loop_hits, stats.n_batches, stats.n_executed) == (1, 1, 1)
+        assert (miss.query, hit.query) == (1, 3)
+
+    def test_boundary_sends_only_the_misses(self, gated_service, executor):
+        gated_service.service.serve([(3, 5), (4, 5)])
+
+        async def scenario():
+            coalescer = QueryCoalescer(gated_service, executor)
+            futures = [coalescer.submit(0, 5)[0]]
+            await gated_service.wait_entered()
+            futures += [coalescer.submit(q, 5)[0] for q in (3, 1, 4, 2)]
+            gated_service.release(2)
+            results = await asyncio.gather(*map(asyncio.shield, futures))
+            await coalescer.aclose()
+            return results
+
+        results = run(scenario())
+        assert gated_service.bursts == [[(0, 5)], [(1, 5), (2, 5)]]
+        assert [r.query for r in results] == [0, 3, 1, 4, 2]
+
+    def test_traced_hit_records_cache_hit_not_a_batch(
+        self, gated_service, executor
+    ):
+        gated_service.service.serve([(3, 5)])
+
+        async def scenario():
+            coalescer = QueryCoalescer(gated_service, executor)
+            at_submit = Trace("at_submit")
+            with at_submit:
+                first, _ = coalescer.submit(3, 5)
+            running, _ = coalescer.submit(1, 5)
+            await gated_service.wait_entered()
+            at_boundary = Trace("at_boundary")
+            with at_boundary:
+                second, _ = coalescer.submit(3, 5)
+            gated_service.release()
+            await asyncio.gather(*map(asyncio.shield, (first, running, second)))
+            await coalescer.aclose()
+            return at_submit, at_boundary
+
+        for trace in run(scenario()):
+            assert [span.name for span in trace.root.children] == ["cache.hit"]
+            assert trace.root.find("coalesce.batch") is None
+
+    def test_counters_match_a_serve_only_replay(self, small_web_graph, executor):
+        stream = [(q, 5) for q in (0, 1, 0, 2, 1, 0, 3, 3, 2, 0, 2)]
+        replayed = ReverseTopKService.from_graph(small_web_graph)
+        reference = ReverseTopKService.from_graph(small_web_graph)
+
+        async def scenario():
+            coalescer = QueryCoalescer(replayed, executor)
+            for query, k in stream:  # one connection: one request at a time
+                await asyncio.shield(coalescer.submit(query, k)[0])
+            await coalescer.aclose()
+            return coalescer.stats
+
+        try:
+            stats = run(scenario())
+            for request in stream:
+                reference.serve([request])
+            ours, theirs = replayed.metrics(), reference.metrics()
+        finally:
+            replayed.close()
+            reference.close()
+        for name in ("n_requests", "n_cache_hits", "n_engine_queries"):
+            assert getattr(ours, name) == getattr(theirs, name)
+        assert ours.cache == theirs.cache
+        assert stats.n_loop_hits == theirs.n_cache_hits > 0
+        assert stats.n_batches == theirs.n_engine_queries

@@ -134,6 +134,24 @@ class TestTraceHeader:
         # the engine query's own wall clock.
         assert stage_sum <= engine["seconds"] * 1.05 + 1e-6
 
+    def test_traced_hit_is_answered_on_the_loop(self, obs_handle):
+        async def scenario(client):
+            miss = await client.query(6, 4, trace=True)
+            hit = await client.query(6, 4, trace=True)
+            return miss, hit
+
+        miss, hit = drive(obs_handle, scenario)
+        assert {k: v for k, v in hit.items() if k != "trace"} == {
+            k: v for k, v in miss.items() if k != "trace"
+        }
+        waited = find_span(hit["trace"], "await.result")
+        assert [child["name"] for child in waited["children"]] == ["cache.hit"]
+        assert waited["annotations"] == {"queued_behind": 0, "coalesced": False}
+        assert "coalesce.batch" not in span_names(hit["trace"])
+        # The miss before it kept its tree: the batch under the wait.
+        assert find_span(miss["trace"], "coalesce.batch") is not None
+        assert find_span(miss["trace"], "cache.hit") is None
+
     def test_untraced_query_has_no_trace_field(self, obs_handle):
         async def scenario(client):
             return await client.query(3, 4)
@@ -209,6 +227,18 @@ class TestDualMetrics:
             "tenants",
             "service",
         }
+
+    def test_loop_hits_are_exported_in_both_formats(self, obs_handle):
+        async def scenario(client):
+            for query in (1, 2, 1, 1, 2):
+                await client.query(query, 4)
+            return await client.metrics_text(), await client.metrics()
+
+        text, payload = drive(obs_handle, scenario)
+        coalesce = payload["coalesce"]
+        assert (coalesce["n_loop_hits"], coalesce["n_batches"]) == (3, 2)
+        assert "repro_coalesce_loop_hits_total 3" in text.splitlines()
+        assert payload["service"]["n_cache_hits"] == 3
 
     def test_hub_column_outcomes_survive_rollover(self, obs_handle, small_web_graph):
         """Each generation is a fresh clone re-bound onto the server's

@@ -229,6 +229,25 @@ class TestBackpressure:
 
         assert drive(server_handle, scenario) == 504
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e309", "-0"])
+    def test_non_finite_deadline_is_rejected_before_admission(
+        self, server_handle, raw
+    ):
+        async def scenario(client):
+            with pytest.raises(ServerRejected) as excinfo:
+                await client._request(
+                    "POST",
+                    "/query",
+                    body=json_payload({"query": 3, "k": 5}),
+                    headers={"X-Deadline-Ms": raw},
+                )
+            return excinfo.value.status, await client.metrics()
+
+        status, metrics = drive(server_handle, scenario)
+        assert status == 400
+        assert metrics["tenants"] == {}  # never admitted
+        assert metrics["coalesce"]["n_submitted"] == 0
+
 
 class TestRolloverOverHttp:
     def test_update_advances_generation_and_answers_track_graph(
@@ -348,6 +367,11 @@ class TestRolloverOverHttp:
             ("POST", "/update", b'{"updates": [["add", 1, 2, Infinity]]}'),
             ("POST", "/update", b'{"updates": [["remove", 0, 0]]}'),
             ("POST", "/update", b'{"updates": [["set_weight", 0, 59, 2.0]]}'),
+            # Far under the body limit, deeper than the JSON decoder's stack.
+            pytest.param("POST", "/query", b"[" * 5000, id="deep-query"),
+            pytest.param(
+                "POST", "/update", b'{"updates": ' + b"[" * 5000, id="deep-update"
+            ),
         ],
     )
     def test_malformed_input_is_a_client_error(

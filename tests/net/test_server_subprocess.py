@@ -2,8 +2,9 @@
 
 This is the CI smoke job's assertion set run in-suite: the standalone entry
 point (``python -m repro.net.server``) must come up, serve queries and a
-churn batch, expose metrics, and shut down gracefully on SIGTERM (drained
-connections, ``SHUTDOWN COMPLETE`` marker, exit code 0).
+churn batch, answer a repeated query from the cache without a burst, expose
+metrics, and shut down gracefully on SIGTERM (drained connections,
+``SHUTDOWN COMPLETE`` marker, exit code 0).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import sys
 import pytest
 
 from repro.net import ReverseTopKClient
+from repro.net.http import json_payload, read_response, render_request
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 
@@ -57,6 +59,24 @@ def server_process():
             process.wait(timeout=10)
 
 
+async def raw_query(host, port, query, k):
+    """One ``POST /query`` on its own socket; returns the response body bytes."""
+    reader, writer = await asyncio.open_connection(host, port)
+    try:
+        writer.write(
+            render_request(
+                "POST", "/query", body=json_payload({"query": query, "k": k})
+            )
+        )
+        await writer.drain()
+        status, _, body = await read_response(reader)
+    finally:
+        writer.close()
+        await writer.wait_closed()
+    assert status == 200, body
+    return body
+
+
 def test_subprocess_serves_and_shuts_down_gracefully(server_process):
     process, host, port = server_process
 
@@ -67,6 +87,14 @@ def test_subprocess_serves_and_shuts_down_gracefully(server_process):
                 *[client.query(q % 60, 5) for q in range(24)]
             )
             assert {r["index_version"] for r in responses} == {0}
+            # A repeated (query, k) is a cache hit answered on the event
+            # loop: the same bytes, one loop hit, and no burst.
+            first = await raw_query(host, port, 7, 3)
+            before = (await client.metrics())["coalesce"]
+            assert await raw_query(host, port, 7, 3) == first
+            after = (await client.metrics())["coalesce"]
+            assert after["n_loop_hits"] == before["n_loop_hits"] + 1
+            assert after["n_batches"] == before["n_batches"]
             ack = await client.update([("add", 0, 30), ("remove", 0, 30)])
             assert ack["applied"] == 2
             metrics = await client.metrics()

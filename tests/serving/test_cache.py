@@ -22,6 +22,14 @@ class TestResultCache:
         assert stats.misses == 1
         assert stats.hit_rate == 0.5
 
+    def test_uncounted_miss_still_counts_hits(self):
+        cache = ResultCache(4)
+        assert cache.get(_key(1), count_miss=False) is None
+        cache.put(_key(1), "r1")
+        assert cache.get(_key(1), count_miss=False) == "r1"
+        stats = cache.stats()
+        assert (stats.hits, stats.misses) == (1, 0)
+
     def test_lru_eviction_order(self):
         cache = ResultCache(2)
         cache.put(_key(1), "r1")

@@ -384,6 +384,122 @@ class TestReadWriteLock:
         assert sorted(order) == ["reader", "writer"]
 
 
+class TestCachedAnswer:
+    """The event loop's read: a hit counted as ``serve`` counts one, or None."""
+
+    def test_hit_counts_like_serve_and_miss_counts_nothing(self, serving_engine):
+        service = _fresh_service(serving_engine)
+        reference = _fresh_service(serving_engine)
+        assert service.cached_answer(4, 5) is None
+        assert service.metrics().n_requests == 0
+        assert service.metrics().cache.misses == 0
+        cold = service.query(4, 5)
+        warm = service.cached_answer(4, 5)
+        assert warm is not None and warm is not cold
+        assert warm.statistics is not cold.statistics
+        np.testing.assert_array_equal(warm.nodes, cold.nodes)
+        reference.query(4, 5)
+        reference.query(4, 5)
+        ours, theirs = service.metrics(), reference.metrics()
+        for name in ("n_requests", "n_cache_hits", "n_engine_queries"):
+            assert getattr(ours, name) == getattr(theirs, name)
+        assert ours.cache == theirs.cache
+        assert ours.serve_seconds > 0
+
+    def test_never_waits_on_a_writer(self, serving_engine):
+        import threading
+        import time
+
+        service = _fresh_service(serving_engine)
+        service.query(4, 5)
+        holding, release = threading.Event(), threading.Event()
+
+        def hold_read():
+            with service._index_lock.read():
+                holding.set()
+                release.wait(5)
+
+        def write():
+            with service._index_lock.write():
+                pass
+
+        reader = threading.Thread(target=hold_read)
+        reader.start()
+        assert holding.wait(5)
+        writer = threading.Thread(target=write)
+        writer.start()
+        # The writer queues behind the held read side.
+        started = time.monotonic()
+        while not service._index_lock._writers_waiting:
+            assert time.monotonic() - started < 5.0
+            time.sleep(0.001)
+        assert service.cached_answer(4, 5) is None  # a queued writer: no wait
+        release.set()
+        reader.join(5)
+        writer.join(5)
+        with service._index_lock.write():
+            assert service.cached_answer(4, 5) is None  # a holding writer
+        assert service.cached_answer(4, 5) is not None
+        assert service.metrics().n_cache_hits == 1
+
+    def test_counters_add_up_under_threads_and_a_writer(self, serving_engine):
+        import sys
+        import threading
+
+        service = _fresh_service(serving_engine)
+        keys = [(q, 5) for q in range(6)]
+        service.serve(keys)
+        n_threads, n_rounds = 6, 150
+        answered = [0] * n_threads  # requests each thread sent, hit or served
+        stop = threading.Event()
+
+        def reader(slot):
+            for i in range(n_rounds):
+                query, k = keys[(slot + i) % len(keys)]
+                if service.cached_answer(query, k) is None:
+                    service.serve([(query, k)])
+                answered[slot] += 1
+
+        def writer():
+            while not stop.is_set():
+                with service._index_lock.write():
+                    pass
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=reader, args=(i,)) for i in range(n_threads)]
+            churn = threading.Thread(target=writer)
+            churn.start()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+            stop.set()
+            churn.join(30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not churn.is_alive()
+        assert not any(thread.is_alive() for thread in threads)
+        metrics = service.metrics()
+        assert metrics.n_requests == len(keys) + sum(answered)
+        assert metrics.n_cache_hits == metrics.cache.hits
+        assert metrics.n_engine_queries == len(keys)  # every miss was a hit
+        assert metrics.n_cache_hits == sum(answered)
+
+    def test_disabled_cache_and_closed_service(self, serving_engine):
+        from repro.exceptions import ServiceClosedError
+
+        uncached = _fresh_service(serving_engine, cache_capacity=0)
+        uncached.query(4, 5)
+        assert uncached.cached_answer(4, 5) is None
+        service = _fresh_service(serving_engine)
+        service.query(4, 5)
+        service.close()
+        with pytest.raises(ServiceClosedError):
+            service.cached_answer(4, 5)
+
+
 class TestMetrics:
     def test_counters_add_up(self, serving_engine):
         service = _fresh_service(serving_engine)
