@@ -1,7 +1,9 @@
 """Dynamic-update benchmark: delta maintenance vs. rebuild-per-batch.
 
 An interleaved query/update churn stream runs twice against a 2,000-node
-copying-web graph:
+copying-web graph.  The perf harness's own generators draw it: Zipf queries
+over a hot pool (``zipf_stream``), cut into epochs with one add/remove batch
+(``update_batches``) after each:
 
 * **rebuild-per-batch** — the static system's only correct option: every
   update batch throws the index away and rebuilds it from scratch; queries
@@ -10,8 +12,8 @@ copying-web graph:
   :class:`DynamicReverseTopKService` applies each batch through the
   :class:`IndexMaintainer` (column splice + conservative invalidation +
   hub re-expansion, full rebuild only past the staleness ratio), while
-  queries ride the serving pipeline whose version-keyed cache survives
-  no-op batches and is retired exactly once per effective batch.
+  queries ride the serving pipeline whose version-keyed cache is retired
+  exactly once per effective batch.
 
 Both sides run the same pinned hub configuration — selected once on the
 initial graph — so delta maintenance is the *only* difference between them
@@ -35,14 +37,16 @@ from repro.dynamic import DynamicReverseTopKService, IndexMaintainer, apply_batc
 from repro.graph import copying_web_graph, transition_matrix
 from repro.serving import ServiceConfig
 from repro.utils.timer import Timer
-from repro.workloads import QueryEvent, churn_workload
+
+from benchmarks.perf.inputs import rank_order, update_batches, zipf_stream
 
 N_NODES = 2_000
 K = 10
 N_QUERIES = 240
 N_UPDATE_BATCHES = 8
 BATCH_SIZE = 4
-HOT_FRACTION = 0.02
+HOT_POOL = 40  # 2 % of the nodes
+ZIPF_S = 1.1
 MIN_SPEEDUP = 3.0
 
 PARAMS = IndexParams(capacity=50, hub_budget=8)
@@ -53,14 +57,19 @@ RESULTS_JSON = Path(__file__).resolve().parent / "results" / "runs" / "dynamic_u
 
 def test_dynamic_update_speedup():
     graph = copying_web_graph(N_NODES, out_degree=5, seed=3)
-    workload = churn_workload(
-        graph,
-        N_QUERIES,
-        N_UPDATE_BATCHES,
-        k=K,
-        batch_size=BATCH_SIZE,
-        hot_fraction=HOT_FRACTION,
-        seed=11,
+    adjacency = graph.adjacency
+    nodes = rank_order(adjacency.indptr, adjacency.indices)
+    rng = np.random.default_rng(11)
+    stream, _ = zipf_stream(nodes, rng, pool_size=HOT_POOL, s=ZIPF_S)
+    # One epoch of queries, then one update batch, N_UPDATE_BATCHES times.
+    epochs = np.array_split(stream[:N_QUERIES], N_UPDATE_BATCHES)
+    batches = update_batches(
+        adjacency.indptr,
+        adjacency.indices,
+        nodes,
+        rng,
+        n_batches=N_UPDATE_BATCHES,
+        ops_per_batch=BATCH_SIZE,
     )
 
     # The hub configuration both sides run: selected once, on day zero.
@@ -72,16 +81,13 @@ def test_dynamic_update_speedup():
     with Timer() as baseline_timer:
         current = graph
         engine = ReverseTopKEngine.build(graph, PARAMS, hubs=hubs)
-        for event in workload:
-            if isinstance(event, QueryEvent):
-                baseline_results.append(
-                    engine.query(event.query, event.k, update_index=False)
-                )
-            else:
-                current, _ = apply_batch(current, event.updates)
-                with Timer() as rebuild_timer:
-                    engine = ReverseTopKEngine.build(current, PARAMS, hubs=hubs)
-                rebuild_seconds.append(rebuild_timer.elapsed)
+        for queries, batch in zip(epochs, batches):
+            for query in queries.tolist():
+                baseline_results.append(engine.query(query, K, update_index=False))
+            current, _ = apply_batch(current, batch)
+            with Timer() as rebuild_timer:
+                engine = ReverseTopKEngine.build(current, PARAMS, hubs=hubs)
+            rebuild_seconds.append(rebuild_timer.elapsed)
 
     # --- the maintained dynamic service --------------------------------- #
     matrix = transition_matrix(graph)
@@ -99,16 +105,15 @@ def test_dynamic_update_speedup():
         maintained_engine, CONFIG, graph=graph, maintainer=maintainer
     ) as service:
         with Timer() as maintained_timer:
-            for event in workload:
-                if isinstance(event, QueryEvent):
-                    maintained_results.append(service.query(event.query, event.k))
-                else:
-                    reports.append(service.apply_updates(event.updates))
+            for queries, batch in zip(epochs, batches):
+                for query in queries.tolist():
+                    maintained_results.append(service.query(query, K))
+                reports.append(service.apply_updates(batch))
         metrics = service.metrics()
         update_metrics = service.update_metrics()
 
     # Bit-identical answers, query by query, across every update boundary.
-    assert len(baseline_results) == len(maintained_results) == workload.n_queries
+    assert len(baseline_results) == len(maintained_results) == N_QUERIES
     for direct, served in zip(baseline_results, maintained_results):
         np.testing.assert_array_equal(served.nodes, direct.nodes)
         np.testing.assert_array_equal(
@@ -120,10 +125,13 @@ def test_dynamic_update_speedup():
         "n_nodes": graph.n_nodes,
         "n_edges": graph.n_edges,
         "k": K,
-        "workload": workload.description,
-        "n_queries": workload.n_queries,
-        "n_update_batches": workload.n_update_batches,
-        "n_updates": workload.n_updates,
+        "workload": (
+            f"zipf (s={ZIPF_S}, pool={HOT_POOL}) queries, "
+            f"{N_UPDATE_BATCHES} add/remove batches x {BATCH_SIZE}"
+        ),
+        "n_queries": N_QUERIES,
+        "n_update_batches": len(batches),
+        "n_updates": sum(len(batch) for batch in batches),
         "capacity": PARAMS.capacity,
         "hub_budget": PARAMS.hub_budget,
         "rebuild_per_batch_seconds": baseline_timer.elapsed,
@@ -139,7 +147,7 @@ def test_dynamic_update_speedup():
 
     n_full = sum(report.full_rebuild for report in reports)
     print(
-        f"\n{workload.n_queries} queries / {workload.n_update_batches} update "
+        f"\n{N_QUERIES} queries / {len(batches)} update "
         f"batches on {graph.n_nodes}-node graph: rebuild-per-batch "
         f"{baseline_timer.elapsed:.2f}s, maintained {maintained_timer.elapsed:.2f}s "
         f"-> {speedup:.1f}x (invalidated {update_metrics.n_invalidated} states, "

@@ -4,11 +4,14 @@ A :class:`ReverseTopKServer` fronts a **sharded memory-mapped** dynamic
 service (the deployment shape: partitioned index, out-of-core backing) and
 is slammed over real sockets:
 
-* **main phase** — a churn workload (Zipf-skewed queries interleaved with
-  update batches) replayed over ~1,100 prewarmed concurrent connections
-  against an admission bound of 256: the excess **must** shed with 429 +
-  ``Retry-After`` and the well-behaved client retries until every query is
-  answered.  Update batches ride the zero-downtime rollover path.
+* **main phase** — a churn stream (Zipf queries over a hot pool from the
+  perf harness's ``zipf_stream``, cut into epochs with one add/remove batch
+  from its ``update_batches`` after each) replayed over ~1,100 prewarmed
+  concurrent connections against an admission bound of 256: the excess
+  **must** shed with 429 + ``Retry-After`` and the well-behaved client
+  retries until every query is answered.  Each update batch is a barrier —
+  the epoch's queries drain first — and rides the zero-downtime rollover
+  path, so every response maps to one definite graph state.
 * **overload probe** — a no-retry burst, recording the raw shed rate.
 
 Assertions (the PR's acceptance criteria):
@@ -28,25 +31,37 @@ import asyncio
 import json
 from pathlib import Path
 import tempfile
+import time
 
 import numpy as np
 
 from repro.core import IndexParams
 from repro.dynamic import DynamicReverseTopKService
-from repro.net import AdmissionPolicy, ServerConfig, start_in_thread
-from repro.workloads import (
-    QueryEvent,
-    UpdateEvent,
-    churn_workload,
-    replay_over_network,
+from repro.net import (
+    AdmissionPolicy,
+    ReverseTopKClient,
+    ServerConfig,
+    ServerRejected,
+    start_in_thread,
 )
+from repro.utils.timer import LatencyStats
+
+from benchmarks.perf.inputs import rank_order, update_batches, zipf_stream
 
 N_NODES = 600
 K = 10
 N_QUERIES = 1_400
 N_UPDATE_BATCHES = 3
-CONCURRENCY = 1_100  # in-flight requests == prewarmed open sockets
-MAX_PENDING = 256  # < CONCURRENCY: overload is guaranteed, sheds must fire
+BATCH_SIZE = 4
+# Enough distinct hot queries (40 % of the nodes) that the scan executor,
+# not the event loop, is the bottleneck: the pending queue genuinely fills
+# and the admission bound is exercised, not just configured.
+HOT_POOL = 240
+ZIPF_S = 1.1
+MAX_RETRIES = 200  # 429s absorbed per query before the replay gives up
+CONCURRENCY = 1_100  # prewarmed open sockets
+# An epoch's ~467 queries are in flight at once, past this bound: sheds must fire.
+MAX_PENDING = 256
 MIN_CONNECTIONS = 1_000
 N_SHARDS = 4
 
@@ -55,45 +70,82 @@ PARAMS = IndexParams(capacity=20, hub_budget=8)
 RESULTS_JSON = Path(__file__).resolve().parent / "results" / "runs" / "network_serving.json"
 
 
-def _verify_bit_identity(graph, events, responses, update_acks):
+def _replay(host, port, epochs, batches):
+    """Send each epoch's queries at once, then its update batch, over the wire.
+
+    The client holds ``CONCURRENCY`` prewarmed sockets, so the replay runs
+    over that many concurrent connections (keep-alive reuse would otherwise
+    let a fast server serve the stream over far fewer).  A 429 is retried
+    after its ``Retry-After`` hint; any other rejection (a 504 included)
+    fails the run.  The update batch is a barrier: the epoch's queries have
+    all been answered before it is sent.
+    """
+    latency = LatencyStats()
+    report = {"responses": [], "update_acks": [], "n_shed_retries": 0}
+
+    async def ask(client, query):
+        started = time.monotonic()
+        retries = 0
+        while True:
+            try:
+                response = await client.query(query, K)
+            except ServerRejected as exc:
+                if exc.status != 429 or retries == MAX_RETRIES:
+                    raise
+                retries += 1
+                await asyncio.sleep(exc.retry_after or 0.01)
+                continue
+            latency.record(time.monotonic() - started)
+            return response, retries
+
+    async def run():
+        async with ReverseTopKClient(
+            host, port, max_connections=CONCURRENCY
+        ) as client:
+            await client.prewarm(CONCURRENCY)
+            started = time.monotonic()
+            for queries, batch in zip(epochs, batches):
+                answers = await asyncio.gather(*[ask(client, q) for q in queries])
+                report["responses"].extend(response for response, _ in answers)
+                report["n_shed_retries"] += sum(retries for _, retries in answers)
+                report["update_acks"].append(await client.update(batch))
+            report["seconds"] = time.monotonic() - started
+
+    asyncio.run(run())
+    report["latency"] = latency.as_dict()
+    return report
+
+
+def _verify_bit_identity(graph, epochs, batches, responses, update_acks):
     """Replay the stream against a local mirror, epoch by epoch.
 
-    Update events are barriers in the replay, so every response between two
-    barriers was served by the generation current in that epoch; the mirror
-    applies the same batches in the same order, and the maintained index is
+    Update batches are barriers in the replay, so every response of an epoch
+    was served by the generation current in that epoch; the mirror applies
+    the same batches in the same order, and the maintained index is
     bit-identical to the server's (same initial build, same maintainer
     arithmetic).  Returns the number of responses verified.
     """
     mirror = DynamicReverseTopKService.from_graph(graph, PARAMS)
     try:
         verified = 0
-        slot = 0
-        batch_index = 0
-        reference = {}  # (query, k) -> direct engine result, per epoch
-        for event in events:
-            if isinstance(event, QueryEvent):
-                response = responses[slot]
-                slot += 1
-                assert response is not None, "no deadlines set: all must answer"
-                key = (event.query, event.k)
-                if key not in reference:
-                    reference[key] = mirror.engine.query(
-                        event.query, event.k, update_index=False
+        for queries, batch, ack in zip(epochs, batches, update_acks):
+            reference = {}  # query -> direct engine result, in this epoch
+            for query in queries:
+                response = responses[verified]
+                if query not in reference:
+                    reference[query] = mirror.engine.query(
+                        query, K, update_index=False
                     )
-                direct = reference[key]
+                direct = reference[query]
                 np.testing.assert_array_equal(response["nodes"], direct.nodes)
                 assert np.array_equal(
                     np.asarray(response["proximities"], dtype=np.float64),
                     direct.proximities_to_query[direct.nodes],
-                ), f"proximities not bit-identical for {key}"
+                ), f"proximities not bit-identical for {(query, K)}"
                 assert response["index_version"] == mirror.engine.index.version
                 verified += 1
-            elif isinstance(event, UpdateEvent):
-                ack = update_acks[batch_index]
-                batch_index += 1
-                mirror.apply_updates(list(event.updates))
-                assert ack["index_version"] == mirror.engine.index.version
-                reference.clear()  # new epoch, new answers
+            mirror.apply_updates(batch)
+            assert ack["index_version"] == mirror.engine.index.version
         return verified
     finally:
         mirror.close()
@@ -101,7 +153,6 @@ def _verify_bit_identity(graph, events, responses, update_acks):
 
 def _overload_probe(host, port, n_requests):
     """One no-retry burst: count served vs shed (the raw shed rate)."""
-    from repro.net import ReverseTopKClient, ServerRejected
 
     async def slam():
         async with ReverseTopKClient(
@@ -133,17 +184,21 @@ def test_network_serving_under_churn():
     from repro.graph import copying_web_graph
 
     graph = copying_web_graph(N_NODES, out_degree=5, seed=3)
-    workload = churn_workload(
-        graph,
-        N_QUERIES,
-        N_UPDATE_BATCHES,
-        k=K,
-        batch_size=4,
-        # Enough distinct hot queries that the scan executor (not the
-        # event loop) is the bottleneck: the pending queue genuinely fills
-        # and the admission bound is exercised, not just configured.
-        hot_fraction=0.4,
-        seed=17,
+    adjacency = graph.adjacency
+    nodes = rank_order(adjacency.indptr, adjacency.indices)
+    rng = np.random.default_rng(17)
+    stream, _ = zipf_stream(nodes, rng, pool_size=HOT_POOL, s=ZIPF_S)
+    epochs = [
+        epoch.tolist()
+        for epoch in np.array_split(stream[:N_QUERIES], N_UPDATE_BATCHES)
+    ]
+    batches = update_batches(
+        adjacency.indptr,
+        adjacency.indices,
+        nodes,
+        rng,
+        n_batches=N_UPDATE_BATCHES,
+        ops_per_batch=BATCH_SIZE,
     )
 
     with tempfile.TemporaryDirectory() as snapshot_dir:
@@ -169,14 +224,7 @@ def test_network_serving_under_churn():
         )
         try:
             # --- main phase: churn stream at >= 1k concurrent connections - #
-            report = replay_over_network(
-                workload,
-                handle.host,
-                handle.port,
-                concurrency=CONCURRENCY,
-                max_connections=CONCURRENCY,
-                prewarm=CONCURRENCY,
-            )
+            report = _replay(handle.host, handle.port, epochs, batches)
             metrics = handle.metrics()
 
             # --- overload probe: raw shed rate without client retries ----- #
@@ -185,14 +233,13 @@ def test_network_serving_under_churn():
             handle.stop()
 
     # 1. Everything answered, through explicit backpressure.
-    assert report.n_answered == N_QUERIES
-    assert report.n_deadline_failures == 0
-    assert report.n_shed_retries > 0, (
+    assert len(report["responses"]) == N_QUERIES
+    assert report["n_shed_retries"] > 0, (
         f"{CONCURRENCY} in-flight vs max_pending={MAX_PENDING}: "
         "backpressure must have engaged"
     )
     tenant = metrics["tenants"]["default"]["counters"]
-    assert tenant["shed_queue_full"] == report.n_shed_retries
+    assert tenant["shed_queue_full"] == report["n_shed_retries"]
 
     # 2. The queue stayed bounded (the explicit-backpressure contract).
     assert metrics["admission"]["peak_pending"] <= MAX_PENDING
@@ -206,30 +253,34 @@ def test_network_serving_under_churn():
 
     # 4. Rollovers happened and every answer is bit-identical to a direct
     #    engine call at the served index version.
-    assert report.n_update_batches == N_UPDATE_BATCHES
+    assert len(report["update_acks"]) == N_UPDATE_BATCHES
     assert metrics["rollover"]["n_rollovers"] >= 1
     verified = _verify_bit_identity(
-        graph, list(workload.events), report.responses, report.update_acks
+        graph, epochs, batches, report["responses"], report["update_acks"]
     )
     assert verified == N_QUERIES
 
+    throughput_qps = len(report["responses"]) / report["seconds"]
     record = {
         "n_nodes": graph.n_nodes,
         "n_edges": graph.n_edges,
         "k": K,
-        "workload": workload.description,
+        "workload": (
+            f"zipf (s={ZIPF_S}, pool={HOT_POOL}) queries, "
+            f"{N_UPDATE_BATCHES} add/remove batches x {BATCH_SIZE} as barriers"
+        ),
         "n_queries": N_QUERIES,
         "n_update_batches": N_UPDATE_BATCHES,
         "concurrency": CONCURRENCY,
         "max_pending": MAX_PENDING,
         "n_shards": N_SHARDS,
         "shard_backing": backing,
-        "seconds": report.seconds,
-        "throughput_qps": report.throughput_qps,
-        "n_answered": report.n_answered,
-        "n_shed_retries": report.n_shed_retries,
+        "seconds": report["seconds"],
+        "throughput_qps": throughput_qps,
+        "n_answered": len(report["responses"]),
+        "n_shed_retries": report["n_shed_retries"],
         "n_connections": n_connections,
-        "client_latency": report.latency,
+        "client_latency": report["latency"],
         "server_tenant_latency": metrics["tenants"]["default"]["latency"],
         "admission": metrics["admission"],
         "tenant_counters": tenant,
@@ -243,13 +294,13 @@ def test_network_serving_under_churn():
     }
     RESULTS_JSON.parent.mkdir(parents=True, exist_ok=True)
     RESULTS_JSON.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
-    latency = report.latency
+    latency = report["latency"]
     print(
         f"\nnetwork serving: {N_QUERIES} queries + {N_UPDATE_BATCHES} churn "
         f"batches over {n_connections} connections "
         f"({CONCURRENCY} concurrent, queue bound {MAX_PENDING}): "
-        f"{report.throughput_qps:.0f} qps, "
-        f"{report.n_shed_retries} sheds retried, "
+        f"{throughput_qps:.0f} qps, "
+        f"{report['n_shed_retries']} sheds retried, "
         f"p50/p95/p99 {latency['p50_seconds'] * 1e3:.1f}/"
         f"{latency['p95_seconds'] * 1e3:.1f}/"
         f"{latency['p99_seconds'] * 1e3:.1f} ms, "

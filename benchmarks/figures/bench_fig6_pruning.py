@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.core import ReverseTopKEngine, build_index
-from repro.workloads import uniform_query_workload
 
 BENCH_DATASETS = ("web-stanford-cs", "epinions", "web-stanford", "web-google")
 K_VALUES = (5, 10, 20, 50)
@@ -20,12 +19,12 @@ N_QUERIES = 15
 
 def figure6_pruning_power(graph, matrix, params):
     """Mean candidates / immediate hits / results per query, per ``k``."""
-    workload = uniform_query_workload(graph, N_QUERIES, seed=0)
+    queries = np.random.default_rng(0).integers(0, graph.n_nodes, N_QUERIES).tolist()
     index = build_index(graph, params, transition=matrix)
     candidates, hits, results = [], [], []
     for k in K_VALUES:
         engine = ReverseTopKEngine(matrix, copy.deepcopy(index))
-        stats = [r.statistics for r in engine.query_many(list(workload), k, update_index=True)]
+        stats = [r.statistics for r in engine.query_many(queries, k, update_index=True)]
         candidates.append(float(np.mean([s.n_candidates for s in stats])))
         hits.append(float(np.mean([s.n_hits for s in stats])))
         results.append(float(np.mean([s.n_results for s in stats])))

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.core import ReverseTopKEngine, build_index
-from repro.workloads import uniform_query_workload
 
 BENCH_DATASETS = ("web-stanford-cs", "web-stanford")
 N_QUERIES = 40
@@ -20,14 +19,14 @@ K = 20
 
 def figure7_refinement_effect(graph, matrix, params):
     """Per-query seconds and refinement iterations, with and without updates."""
-    workload = uniform_query_workload(graph, N_QUERIES, seed=0)
+    queries = np.random.default_rng(0).integers(0, graph.n_nodes, N_QUERIES).tolist()
     index = build_index(graph, params, transition=matrix)
     series = {}
     for prefix, update in (("update", True), ("no_update", False)):
         engine = ReverseTopKEngine(matrix, copy.deepcopy(index))
         stats = [
             result.statistics
-            for result in engine.query_many(list(workload), K, update_index=update)
+            for result in engine.query_many(queries, K, update_index=update)
         ]
         series[f"{prefix}_seconds"] = [s.seconds for s in stats]
         series[f"{prefix}_refinements"] = [

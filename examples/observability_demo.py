@@ -56,13 +56,12 @@ def profile_kernel(graph) -> None:
     )
     sources = np.arange(6, 106, dtype=np.int64)
     kernel.run(sources)
-    kernel.run(sources)  # the second run reuses the pooled scan planes
+    kernel.run(sources)
     print("kernel profile (2 runs, 100 sources each):")
     print(f"  block iterations : {profiler.n_block_iterations} "
           f"({profiler.n_live_columns} live columns)")
     print(f"  product time     : {profiler.product_seconds * 1e3:.1f} ms")
     print(f"  peak plane bytes : {profiler.peak_plane_bytes / 2**10:.0f} KiB")
-    print(f"  workspace reuse  : {profiler.workspace_hit_rate:.0%} hit rate")
 
 
 async def drive(handle) -> None:

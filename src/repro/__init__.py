@@ -10,7 +10,6 @@ The package is organised in layers:
 * :mod:`repro.rwr` — exact RWR proximity (power method, direct solvers);
 * :mod:`repro.core` — the paper's contribution (lower-bound index, PMPN,
   staircase upper bounds, online query engine, brute-force baselines);
-* :mod:`repro.workloads` — query and churn workload generators;
 * :mod:`repro.serving` — the serving runtime: result caching, request
   batching/dedup, thread-parallel execution, and warm-start index
   snapshots behind the :class:`ReverseTopKService` façade;

@@ -7,8 +7,6 @@ bad input the same way.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 from .exceptions import InvalidParameterError
@@ -93,15 +91,3 @@ def check_k(k: int, n_nodes: int, *, maximum: int | None = None) -> int:
     if maximum is not None and k > maximum:
         raise InvalidParameterError(f"k={k} exceeds the index capacity K={maximum}")
     return k
-
-
-def as_node_array(nodes: Iterable[int], n_nodes: int, name: str = "nodes") -> np.ndarray:
-    """Convert an iterable of node ids to a validated ``int64`` array."""
-    array = np.asarray(list(nodes), dtype=np.int64)
-    if array.ndim != 1:
-        raise InvalidParameterError(f"{name} must be one-dimensional")
-    if array.size and (array.min() < 0 or array.max() >= n_nodes):
-        raise InvalidParameterError(
-            f"{name} contains ids outside [0, {n_nodes - 1}]"
-        )
-    return array

@@ -182,7 +182,6 @@ BLOCKING_CALL_SYMBOLS: FrozenSet[str] = frozenset(
 BLOCKING_METHOD_NAMES: FrozenSet[str] = frozenset(
     {
         "serve",
-        "serve_workload",
         "query_many",
         "query_many_readonly",
         "refine",

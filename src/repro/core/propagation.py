@@ -289,11 +289,7 @@ class PropagationKernel:
                         seconds=time.perf_counter() - spill_start,
                     )
         if prof is not None:
-            prof.on_run(
-                n_sources=len(sources),
-                plane_bytes=peak,
-                workspace=self.workspace.stats(),
-            )
+            prof.on_run(n_sources=len(sources), plane_bytes=peak)
         return sink.collected()
 
     def _converge(self, chunk: np.ndarray, prof) -> tuple:

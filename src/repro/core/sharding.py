@@ -833,7 +833,9 @@ class ReverseTopKIndex:
         directory = Path(directory)
         meta_path = directory / _META_NAME
         try:
-            with np.load(meta_path, allow_pickle=False) as data:
+            with open(meta_path, "rb") as handle, np.load(
+                handle, allow_pickle=False
+            ) as data:
                 if int(data["layout_version"][0]) != _LAYOUT_VERSION:
                     raise SerializationError(
                         f"unsupported layout version "

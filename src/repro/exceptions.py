@@ -24,10 +24,6 @@ class NodeNotFoundError(GraphError, KeyError):
         self.node = node
 
 
-class EmptyGraphError(GraphError):
-    """Raised when an algorithm requires a non-empty graph."""
-
-
 class ConvergenceError(ReproError):
     """Raised when an iterative solver fails to converge within its budget."""
 
@@ -35,14 +31,6 @@ class ConvergenceError(ReproError):
         super().__init__(message)
         self.iterations = iterations
         self.residual = residual
-
-
-class IndexError_(ReproError):
-    """Raised when the reverse top-k index is missing or inconsistent."""
-
-
-class IndexNotBuiltError(IndexError_):
-    """Raised when a query is issued against an index that was never built."""
 
 
 class InvalidParameterError(ReproError, ValueError):

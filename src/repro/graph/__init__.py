@@ -21,13 +21,8 @@ from .generators import (
     star_graph,
     complete_graph,
 )
-from .io import (
-    stream_edge_list,
-    write_edge_list,
-    read_node_labels,
-    write_node_labels,
-)
-from .stats import GraphStats, degree_histogram, summarize
+from .io import stream_edge_list, write_edge_list
+from .stats import GraphStats, summarize
 from .transition import (
     DanglingPolicy,
     transition_matrix,
@@ -57,9 +52,6 @@ __all__ = [
     "datasets",
     "stream_edge_list",
     "write_edge_list",
-    "read_node_labels",
-    "write_node_labels",
     "GraphStats",
-    "degree_histogram",
     "summarize",
 ]

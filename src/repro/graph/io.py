@@ -1,8 +1,8 @@
-"""Edge-list and label I/O.
+"""Edge-list I/O.
 
 The paper's datasets are distributed as plain-text edge lists (SNAP / LAW
 format): one ``source target [weight]`` triple per line, ``#`` comments
-allowed.  Node labels (e.g. spam / normal) come as ``node label`` pairs.
+allowed.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import gzip
 import os
 from pathlib import Path
-from typing import Dict, Iterable, List, Tuple, Union
+from typing import List, Union
 import warnings
 
 import numpy as np
@@ -124,48 +124,3 @@ def write_edge_list(graph: DiGraph, path: PathLike, *, weighted: bool | None = N
                     handle.write(f"{source} {target}\n")
     except OSError as exc:
         raise SerializationError(f"cannot write edge list {path}: {exc}") from exc
-
-
-def read_node_labels(path: PathLike, *, comment: str = "#") -> Dict[int, str]:
-    """Read ``node label`` pairs into a dictionary."""
-    path = Path(path)
-    labels: Dict[int, str] = {}
-    try:
-        with path.open("r", encoding="utf-8") as handle:
-            for line_number, raw in enumerate(handle, start=1):
-                line = raw.strip()
-                if not line or line.startswith(comment):
-                    continue
-                parts = line.split()
-                if len(parts) < 2:
-                    raise SerializationError(
-                        f"{path}:{line_number}: expected 'node label', got {line!r}"
-                    )
-                labels[int(parts[0])] = parts[1]
-    except OSError as exc:
-        raise SerializationError(f"cannot read labels {path}: {exc}") from exc
-    return labels
-
-
-def write_node_labels(labels: Dict[int, str] | Iterable[Tuple[int, str]], path: PathLike) -> None:
-    """Write node labels as ``node label`` lines."""
-    if isinstance(labels, dict):
-        items = sorted(labels.items())
-    else:
-        items = sorted(labels)
-    path = Path(path)
-    try:
-        with path.open("w", encoding="utf-8") as handle:
-            for node, label in items:
-                handle.write(f"{int(node)} {label}\n")
-    except OSError as exc:
-        raise SerializationError(f"cannot write labels {path}: {exc}") from exc
-
-
-def labels_to_array(labels: Dict[int, str], n_nodes: int, *, positive: str) -> np.ndarray:
-    """Convert a label dict into a 0/1 array where ``positive`` maps to 1."""
-    array = np.zeros(n_nodes, dtype=np.int64)
-    for node, label in labels.items():
-        if 0 <= node < n_nodes and label == positive:
-            array[node] = 1
-    return array

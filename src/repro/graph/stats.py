@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
 import numpy as np
 
@@ -58,30 +58,3 @@ def summarize(graph: DiGraph) -> GraphStats:
         n_dangling=int((out_degree == 0).sum()),
         reciprocity=float(reciprocity),
     )
-
-
-def degree_histogram(graph: DiGraph, *, direction: str = "out") -> Tuple[np.ndarray, np.ndarray]:
-    """Return ``(degree_values, counts)`` of the out- or in-degree distribution.
-
-    Useful to confirm generators produce the heavy-tailed distributions the
-    hub-selection heuristic relies on.
-    """
-    if direction not in ("out", "in"):
-        raise ValueError(f"direction must be 'out' or 'in', got {direction!r}")
-    degrees = graph.out_degree if direction == "out" else graph.in_degree
-    values, counts = np.unique(degrees, return_counts=True)
-    return values.astype(np.int64), counts.astype(np.int64)
-
-
-def powerlaw_exponent_estimate(graph: DiGraph, *, direction: str = "in") -> float:
-    """Crude Hill-style estimate of the degree-distribution exponent.
-
-    Returns the maximum-likelihood power-law exponent of the degree tail
-    (degrees >= 1).  The value is only used descriptively in benchmark output.
-    """
-    degrees = graph.in_degree if direction == "in" else graph.out_degree
-    positive = degrees[degrees >= 1].astype(np.float64)
-    if positive.size < 2:
-        return float("nan")
-    d_min = positive.min()
-    return float(1.0 + positive.size / np.log(positive / d_min + 1e-12).sum())

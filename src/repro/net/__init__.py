@@ -21,7 +21,7 @@ answer:
   together, plus :func:`start_in_thread` for embedding and a CLI entry
   point (``python -m repro.net.server``);
 * :mod:`repro.net.client` — a connection-pooled async client used by the
-  replay workloads, the benchmark and the examples.
+  benchmarks, the examples and the tests.
 
 Every admitted query's answer is bit-identical to calling
 ``engine.query`` directly at the served index version — the protocol adds

@@ -1,9 +1,9 @@
 """Async HTTP client for the reverse top-k server (stdlib only).
 
 :class:`ReverseTopKClient` pools persistent connections to one server and
-exposes the three operations workloads need — ``query``, ``update`` and
+exposes the three operations a caller needs — ``query``, ``update`` and
 ``metrics`` — as coroutines.  It deliberately imports nothing from the
-serving layer: the replay tooling drives a server purely over the wire, so
+serving layer: a benchmark or test drives a server purely over the wire, so
 the client sees exactly what an external caller would (admission sheds
 included, surfaced as :class:`ServerRejected`).
 

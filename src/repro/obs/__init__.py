@@ -11,7 +11,7 @@ switched on must cost almost nothing):
   thread-pool boundary, plus the :class:`SlowQueryLog` ring buffer;
 * :mod:`repro.obs.profiler` — optional kernel profiling sinks for the
   blocked BCA engine (block iterations, plane bytes, product timings,
-  workspace reuse).
+  refinement steps).
 """
 
 from .profiler import NULL_PROFILER, KernelProfiler, NullProfiler

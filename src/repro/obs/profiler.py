@@ -14,8 +14,7 @@ when unused.  The contract:
   ``benchmarks/bench_observability_overhead.py``);
 * :class:`KernelProfiler` is the reference sink: thread-safe aggregate
   counters (chunk iterations, live-column totals, product and spill
-  seconds, sparse-plane bytes high-water, refinement-workspace reuse
-  hits/misses), optionally
+  seconds, sparse-plane bytes high-water, refinement steps), optionally
   mirrored into a :class:`~repro.obs.registry.MetricsRegistry` so kernel
   internals appear in the same exposition as serving metrics.
 
@@ -89,8 +88,6 @@ class KernelProfiler:
         self.product_seconds = 0.0
         self.spill_seconds = 0.0
         self.peak_plane_bytes = 0
-        self.workspace_hits = 0
-        self.workspace_misses = 0
         self._m: Optional[Dict[str, object]] = None
         if registry is not None:
             self._m = {
@@ -121,14 +118,6 @@ class KernelProfiler:
                 "plane_bytes": registry.gauge(
                     "repro_kernel_plane_bytes",
                     "High-water bytes across the kernel's sparse chunk planes",
-                ),
-                "ws_hits": registry.counter(
-                    "repro_kernel_workspace_hits_total",
-                    "Workspace buffer requests served without reallocation",
-                ),
-                "ws_misses": registry.counter(
-                    "repro_kernel_workspace_misses_total",
-                    "Workspace buffer requests that (re)allocated",
                 ),
             }
 
@@ -163,52 +152,22 @@ class KernelProfiler:
         if self._m is not None:
             self._m["steps"].inc()
 
-    def on_run(
-        self,
-        *,
-        n_sources: int,
-        plane_bytes: int,
-        workspace: Optional[Dict[str, int]] = None,
-    ) -> None:
+    def on_run(self, *, n_sources: int, plane_bytes: int) -> None:
         with self._lock:
             self.n_runs += 1
             self.n_sources += int(n_sources)
             if plane_bytes > self.peak_plane_bytes:
                 self.peak_plane_bytes = int(plane_bytes)
-            if workspace is not None:
-                # Cumulative per-workspace totals: keep the latest snapshot
-                # rather than summing snapshots of the same counters.
-                self.workspace_hits = int(workspace.get("hits", 0))
-                self.workspace_misses = int(workspace.get("misses", 0))
         if self._m is not None:
             self._m["runs"].inc()
             self._m["plane_bytes"].set(self.peak_plane_bytes)
-            if workspace is not None:
-                # Registry counters are monotonic; re-derive the delta from
-                # the cumulative workspace snapshot.
-                hits = float(workspace.get("hits", 0))
-                misses = float(workspace.get("misses", 0))
-                delta_hits = hits - self._m["ws_hits"].value
-                delta_misses = misses - self._m["ws_misses"].value
-                if delta_hits > 0:
-                    self._m["ws_hits"].inc(delta_hits)
-                if delta_misses > 0:
-                    self._m["ws_misses"].inc(delta_misses)
 
     # ------------------------------------------------------------------ #
     # reporting
     # ------------------------------------------------------------------ #
-    @property
-    def workspace_hit_rate(self) -> float:
-        """Fraction of workspace requests served without reallocation."""
-        with self._lock:
-            total = self.workspace_hits + self.workspace_misses
-            return self.workspace_hits / total if total else 0.0
-
     def as_dict(self) -> Dict[str, object]:
         """JSON-ready snapshot of the aggregates."""
         with self._lock:
-            total = self.workspace_hits + self.workspace_misses
             return {
                 "n_runs": self.n_runs,
                 "n_sources": self.n_sources,
@@ -223,11 +182,6 @@ class KernelProfiler:
                 "product_seconds": self.product_seconds,
                 "spill_seconds": self.spill_seconds,
                 "peak_plane_bytes": self.peak_plane_bytes,
-                "workspace_hits": self.workspace_hits,
-                "workspace_misses": self.workspace_misses,
-                "workspace_hit_rate": (
-                    self.workspace_hits / total if total else 0.0
-                ),
             }
 
     def __repr__(self) -> str:

@@ -41,7 +41,6 @@ from ..graph.digraph import DiGraph
 from ..obs.registry import MetricsRegistry, get_registry
 from ..obs.tracing import trace_span
 from ..utils.timer import LatencyStats, Timer
-from ..workloads.queries import QueryWorkload
 from .batching import BATCH_SIZE_BUCKETS, BatchScheduler, Request
 from .cache import CacheStats, ResultCache
 from .parallel import ParallelExecutor
@@ -490,10 +489,6 @@ class ReverseTopKService:
         obs["cache_hits"].inc()
         obs["index_version"].set(version)
         return result
-
-    def serve_workload(self, workload: QueryWorkload) -> List[QueryResult]:
-        """Serve every query of a :class:`QueryWorkload` at its depth ``k``."""
-        return self.serve([(query, workload.k) for query in workload])
 
     # ------------------------------------------------------------------ #
     # index refinement (the only write path)

@@ -1,22 +1,12 @@
 """Shared utilities: sparse helpers, timers, RNG plumbing."""
 
 from .rng import ensure_rng
-from .sparsetools import (
-    dense_top_k,
-    sparse_column_to_dense,
-    sparse_top_k,
-    sparse_vector_from_dict,
-    l1_norm,
-)
+from .sparsetools import dense_top_k
 from .timer import LatencyStats, StageTimer, Timer
 
 __all__ = [
     "ensure_rng",
     "dense_top_k",
-    "sparse_column_to_dense",
-    "sparse_top_k",
-    "sparse_vector_from_dict",
-    "l1_norm",
     "LatencyStats",
     "StageTimer",
     "Timer",

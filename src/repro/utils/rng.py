@@ -27,18 +27,3 @@ def ensure_rng(seed: SeedLike = None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def spawn_rngs(seed: SeedLike, count: int) -> list[np.random.Generator]:
-    """Split ``seed`` into ``count`` independent generators.
-
-    Useful for embarrassingly-parallel work (e.g. per-node index construction
-    or Monte Carlo walkers) where each chunk must have an independent stream
-    while the overall run remains reproducible.
-    """
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    if isinstance(seed, np.random.Generator):
-        return [np.random.default_rng(s) for s in seed.bit_generator.seed_seq.spawn(count)]
-    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in seq.spawn(count)]

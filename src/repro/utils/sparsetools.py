@@ -18,7 +18,7 @@ function falls back to NumPy with the same arguments and the same floats.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Tuple
+from typing import Mapping, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,10 +48,8 @@ def csr_matvec(
         _compiled.csr_matvec(n_row, n_col, indptr, indices, data, x, out)
         return
     lo, hi = indptr[0], indptr[-1]
-    rows = sp.csr_matrix(
-        (data[lo:hi], indices[lo:hi], indptr - lo), shape=(n_row, n_col)
-    )
-    out += rows @ x
+    rows = np.repeat(np.arange(n_row), np.diff(indptr))
+    np.add.at(out, rows, data[lo:hi] * x[indices[lo:hi]])
 
 
 def gather_rows(
@@ -100,35 +98,6 @@ def csc_matvec(
     np.add.at(out, indices[lo:hi], scales * data[lo:hi])
 
 
-def l1_norm(vector: np.ndarray | sp.spmatrix) -> float:
-    """Return the L1 norm of a dense or sparse vector."""
-    if sp.issparse(vector):
-        return float(np.abs(vector.data).sum()) if vector.nnz else 0.0
-    return float(np.abs(np.asarray(vector)).sum())
-
-
-def sparse_vector_from_dict(entries: Dict[int, float], size: int) -> sp.csc_matrix:
-    """Build an ``size x 1`` CSC column vector from a ``{index: value}`` dict."""
-    if not entries:
-        return sp.csc_matrix((size, 1), dtype=np.float64)
-    indices = np.fromiter(entries.keys(), dtype=np.int64, count=len(entries))
-    values = np.fromiter(entries.values(), dtype=np.float64, count=len(entries))
-    order = np.argsort(indices)
-    indices, values = indices[order], values[order]
-    indptr = np.array([0, len(indices)], dtype=np.int64)
-    return sp.csc_matrix((values, indices, indptr), shape=(size, 1))
-
-
-def sparse_column_to_dense(column: sp.spmatrix | np.ndarray, size: int | None = None) -> np.ndarray:
-    """Return a flat dense ``float64`` array for a (possibly sparse) column."""
-    if sp.issparse(column):
-        return np.asarray(column.todense(), dtype=np.float64).ravel()
-    dense = np.asarray(column, dtype=np.float64).ravel()
-    if size is not None and dense.size != size:
-        raise ValueError(f"expected a vector of length {size}, got {dense.size}")
-    return dense
-
-
 def dense_top_k(values: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
     """Return the indices and values of the ``k`` largest entries, descending.
 
@@ -144,29 +113,6 @@ def dense_top_k(values: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
     order = np.lexsort((candidate, -values[candidate]))
     top = candidate[order]
     return top.astype(np.int64), values[top]
-
-
-def sparse_top_k(column: sp.spmatrix, k: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Top-k of a sparse column without densifying the full vector.
-
-    Entries absent from the sparse structure are treated as zero; if fewer
-    than ``k`` stored entries exist, zeros pad the value array (with index -1)
-    only when the column genuinely has fewer than ``k`` non-zero entries but
-    the caller asked for more — callers that need exactly ``k`` physical slots
-    should handle padding themselves.
-    """
-    if not sp.issparse(column):
-        return dense_top_k(np.asarray(column), k)
-    column = column.tocoo()
-    if column.nnz == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    rows = column.row if column.shape[1] == 1 else column.col
-    values = column.data
-    k_eff = min(int(k), values.size)
-    candidate = np.argpartition(-values, k_eff - 1)[:k_eff]
-    order = np.lexsort((rows[candidate], -values[candidate]))
-    chosen = candidate[order]
-    return rows[chosen].astype(np.int64), values[chosen].astype(np.float64)
 
 
 def top_k_descending(values: np.ndarray, k: int) -> np.ndarray:
@@ -191,8 +137,8 @@ def splice_csc_columns(
     Spliced by contiguous spans, not per column: the unchanged stretches
     between replaced columns are copied as single slices, so the assembly
     cost scales with the number of *replaced* columns, not with the column
-    count.  Index dtypes follow ``matrix``; every other column keeps its
-    entries byte for byte.
+    count.  Every other column keeps its entries byte for byte; SciPy picks
+    the result's index dtype (int32 whenever the sizes fit).
     """
     n_columns = matrix.shape[1]
     column_indices = []

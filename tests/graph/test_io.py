@@ -1,17 +1,10 @@
-"""Tests for edge-list and label I/O."""
+"""Tests for edge-list I/O."""
 
 import pytest
 
 from repro.exceptions import SerializationError
-from repro.graph import (
-    read_node_labels,
-    ring_graph,
-    stream_edge_list,
-    write_edge_list,
-    write_node_labels,
-)
+from repro.graph import ring_graph, stream_edge_list, write_edge_list
 from repro.graph.generators import coauthorship_graph, copying_web_graph
-from repro.graph.io import labels_to_array
 
 
 class TestEdgeListRoundTrip:
@@ -63,31 +56,3 @@ class TestEdgeListRoundTrip:
         path = tmp_path / "ring.txt"
         write_edge_list(ring_graph(3), path)
         assert path.read_text().startswith("#")
-
-
-class TestNodeLabels:
-    def test_round_trip_dict(self, tmp_path):
-        labels = {0: "spam", 1: "normal", 5: "spam"}
-        path = tmp_path / "labels.txt"
-        write_node_labels(labels, path)
-        assert read_node_labels(path) == labels
-
-    def test_round_trip_pairs(self, tmp_path):
-        path = tmp_path / "labels.txt"
-        write_node_labels([(2, "a"), (1, "b")], path)
-        assert read_node_labels(path) == {1: "b", 2: "a"}
-
-    def test_malformed_label_line(self, tmp_path):
-        path = tmp_path / "labels.txt"
-        path.write_text("3\n")
-        with pytest.raises(SerializationError):
-            read_node_labels(path)
-
-    def test_labels_to_array(self):
-        labels = {0: "spam", 2: "normal", 4: "spam"}
-        array = labels_to_array(labels, 5, positive="spam")
-        assert array.tolist() == [1, 0, 0, 0, 1]
-
-    def test_labels_to_array_ignores_out_of_range(self):
-        array = labels_to_array({10: "spam"}, 3, positive="spam")
-        assert array.tolist() == [0, 0, 0]

@@ -1,17 +1,11 @@
 """Tests for graph summary statistics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.graph import (
-    DiGraph,
-    complete_graph,
-    copying_web_graph,
-    degree_histogram,
-    ring_graph,
-    summarize,
-)
-from repro.graph.stats import powerlaw_exponent_estimate
+from repro.graph import DiGraph, complete_graph, ring_graph, star_graph, summarize
 
 
 class TestSummarize:
@@ -36,33 +30,43 @@ class TestSummarize:
         stats = summarize(ring_graph(4)).as_dict()
         assert {"n_nodes", "n_edges", "density", "reciprocity"} <= set(stats)
 
+    def test_star_degrees(self):
+        stats = summarize(star_graph(6))
+        assert stats.max_out_degree == 6
+        assert stats.max_in_degree == 6
+        assert stats.n_edges == 12
+        assert stats.reciprocity == pytest.approx(1.0)
 
-class TestDegreeHistogram:
-    def test_ring_histogram(self):
-        values, counts = degree_histogram(ring_graph(6), direction="out")
-        assert values.tolist() == [1]
-        assert counts.tolist() == [6]
+    def test_partial_reciprocity_and_density(self):
+        # 0 <-> 1 and 1 -> 2: two of the three edges are reciprocated.
+        graph = DiGraph(np.array([[0, 1, 0], [1, 0, 1], [0, 0, 0]], dtype=float))
+        stats = summarize(graph)
+        assert stats.reciprocity == pytest.approx(2 / 3)
+        assert stats.density == pytest.approx(3 / 6)
+        assert stats.mean_out_degree == pytest.approx(1.0)
+        assert stats.n_dangling == 1
 
-    def test_in_direction(self):
-        values, counts = degree_histogram(ring_graph(6), direction="in")
-        assert counts.sum() == 6
+    def test_weights_do_not_change_structure_statistics(self):
+        weighted = DiGraph(np.array([[0, 2.5, 0], [0.1, 0, 7.0], [0, 0, 0]]))
+        unweighted = DiGraph(np.array([[0, 1, 0], [1, 0, 1], [0, 0, 0]], dtype=float))
+        assert summarize(weighted) == summarize(unweighted)
 
-    def test_invalid_direction(self):
-        with pytest.raises(ValueError):
-            degree_histogram(ring_graph(3), direction="sideways")
+    def test_graph_without_edges(self):
+        stats = summarize(DiGraph(np.zeros((4, 4))))
+        assert stats.n_edges == 0
+        assert stats.density == 0.0
+        assert stats.reciprocity == 0.0
+        assert stats.n_dangling == 4
+        assert stats.max_out_degree == 0
 
-    def test_web_graph_has_degree_spread(self):
-        values, counts = degree_histogram(copying_web_graph(150, seed=2), direction="in")
-        assert values.size > 3  # heavy-tailed: many distinct in-degrees
+    def test_single_node_density_is_zero(self):
+        assert summarize(DiGraph(np.zeros((1, 1)))).density == 0.0
 
+    def test_as_dict_matches_fields(self):
+        stats = summarize(star_graph(3))
+        assert stats.as_dict() == dataclasses.asdict(stats)
 
-class TestPowerLawEstimate:
-    def test_returns_finite_value_on_web_graph(self):
-        estimate = powerlaw_exponent_estimate(copying_web_graph(200, seed=1))
-        assert np.isfinite(estimate)
-        assert estimate > 1.0
-
-    def test_nan_on_tiny_graph(self):
-        graph = DiGraph(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        estimate = powerlaw_exponent_estimate(graph, direction="out")
-        assert np.isnan(estimate) or estimate > 0
+    def test_stats_are_frozen(self):
+        stats = summarize(ring_graph(3))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            stats.n_nodes = 4

@@ -12,7 +12,6 @@ from repro.core import ReverseTopKIndex, build_index
 from repro.core.baseline import FeasibleBruteForce
 from repro.graph import datasets, stream_edge_list, write_edge_list
 from repro.rwr import ProximityLU
-from repro.workloads import uniform_query_workload
 
 
 class TestFullPipeline:
@@ -23,8 +22,7 @@ class TestFullPipeline:
         exact = ProximityLU(matrix).matrix()
         params = IndexParams(capacity=12, hub_budget=4)
         engine = ReverseTopKEngine.build(graph, params, transition=matrix)
-        workload = uniform_query_workload(graph, 8, seed=1)
-        for query in workload:
+        for query in np.random.default_rng(1).integers(0, graph.n_nodes, 8).tolist():
             result = engine.query(query, 5)
             reverse_topk_checker(result.nodes, exact, query, 5)
 
@@ -64,8 +62,8 @@ class TestFullPipeline:
         engine = ReverseTopKEngine.build(
             small_web_graph, params, transition=small_transition
         )
-        workload = uniform_query_workload(small_web_graph, 25, seed=3)
-        for query in workload:
+        queries = np.random.default_rng(3).integers(0, small_web_graph.n_nodes, 25)
+        for query in queries.tolist():
             result = engine.query(query, 5, update_index=True)
             reverse_topk_checker(result.nodes, small_exact_matrix, query, 5)
 
@@ -77,7 +75,8 @@ class TestFullPipeline:
             small_web_graph, params, transition=small_transition
         )
         before = engine.index.columns.lower.copy()
-        for query in uniform_query_workload(small_web_graph, 10, seed=4):
+        queries = np.random.default_rng(4).integers(0, small_web_graph.n_nodes, 10)
+        for query in queries.tolist():
             engine.query(query, 8, update_index=True)
         after = engine.index.columns.lower
         assert np.all(after >= before - 1e-12)

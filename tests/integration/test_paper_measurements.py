@@ -16,7 +16,6 @@ import pytest
 from repro.core import IndexParams, ReverseTopKEngine, build_index
 from repro.graph import copying_web_graph, spam_host_graph, transition_matrix
 from repro.rwr import ProximityLU
-from repro.workloads import uniform_query_workload
 
 
 SMALL_PARAMS = IndexParams(capacity=10, hub_budget=4)
@@ -112,8 +111,8 @@ def tiny_case():
     graph = copying_web_graph(50, out_degree=4, seed=21)
     matrix = transition_matrix(graph)
     index = build_index(graph, TINY_PARAMS, transition=matrix)
-    workload = list(uniform_query_workload(graph, 8, seed=1))
-    return graph, matrix, index, workload
+    queries = np.random.default_rng(1).integers(0, graph.n_nodes, 8).tolist()
+    return graph, matrix, index, queries
 
 
 class TestFigureEffects:

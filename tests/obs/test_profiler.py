@@ -74,7 +74,6 @@ class TestKernelProfiler:
         assert profiler.peak_plane_bytes > 0
         snapshot = profiler.as_dict()
         assert snapshot["n_runs"] == 1
-        assert 0.0 <= snapshot["workspace_hit_rate"] <= 1.0
 
     def test_profiled_run_is_bit_identical(self, small_web_graph):
         from tests.conftest import run_states
@@ -89,22 +88,6 @@ class TestKernelProfiler:
         assert len(plain) == len(profiled)
         for expected, observed in zip(plain, profiled):
             assert_same_state(expected, observed)
-
-    def test_workspace_reuse_shows_up_across_runs(self, small_web_graph):
-        # Refinement working sets borrow their scratch from the kernel's
-        # workspace: the second candidate reuses the first one's vectors,
-        # and the next run reports the cumulative reuse.
-        profiler = KernelProfiler()
-        kernel, _ = _kernel(small_web_graph, profiler=profiler)
-        _refine(kernel, 3)
-        kernel.run(np.arange(3, 11, dtype=np.int64))
-        misses = profiler.workspace_misses
-        assert misses > 0
-        _refine(kernel, 4)
-        kernel.run(np.arange(3, 11, dtype=np.int64))
-        assert profiler.workspace_misses == misses
-        assert profiler.workspace_hits > 0
-        assert profiler.workspace_hit_rate > 0.0
 
     def test_registry_mirroring(self, small_web_graph):
         registry = MetricsRegistry()
@@ -121,10 +104,6 @@ class TestKernelProfiler:
         assert all(sample["labels"] == {} for sample in runs + iterations)
         steps = payload["repro_kernel_steps_total"]["samples"][0]["value"]
         assert steps == profiler.n_steps == 6
-        # The monotonic mirror of the cumulative workspace snapshot matches
-        # the profiler's own (latest-snapshot) counters.
-        hits = payload["repro_kernel_workspace_hits_total"]["samples"][0]["value"]
-        assert hits == profiler.workspace_hits
 
     def test_build_emits_into_default_registry(self, small_web_graph):
         from repro.obs import get_registry

@@ -12,7 +12,6 @@ from repro.serving import (
     ReverseTopKService,
     ServiceConfig,
 )
-from repro.workloads import replay, uniform_query_workload, zipfian_query_workload
 
 
 def _fresh_service(serving_engine, **overrides):
@@ -139,16 +138,6 @@ class TestServiceAnswers:
         service = _fresh_service(serving_engine)
         with pytest.raises(Exception):
             service.serve([(serving_engine.n_nodes + 5, 5)])
-
-    def test_serve_workload(self, serving_engine, small_web_graph):
-        service = _fresh_service(serving_engine)
-        workload = uniform_query_workload(small_web_graph, 12, k=5, seed=3)
-        results = service.serve_workload(workload)
-        assert len(results) == 12
-        for query, result in zip(workload, results):
-            expected = serving_engine.query(query, 5, update_index=False)
-            np.testing.assert_array_equal(result.nodes, expected.nodes)
-
 
 class TestParallelExecutor:
     def test_parallel_matches_sequential(self, serving_engine):
@@ -550,27 +539,6 @@ class TestMetrics:
         service.clear_cache()
         service.query(2, 5)
         assert service.metrics().n_engine_queries == 2
-
-
-class TestReplayDriver:
-    def test_replay_matches_direct_queries(self, serving_engine, small_web_graph):
-        service = _fresh_service(serving_engine)
-        workload = zipfian_query_workload(small_web_graph, 40, k=5, seed=7)
-        report = replay(service, workload, burst_size=8)
-        assert report.n_requests == 40
-        assert report.n_bursts == 5
-        assert report.throughput_qps > 0
-        for query, result in zip(workload, report.results):
-            expected = serving_engine.query(query, 5, update_index=False)
-            np.testing.assert_array_equal(result.nodes, expected.nodes)
-        # A zipf workload repeats queries, so the cache must have fired.
-        assert report.metrics.n_cache_hits + report.metrics.n_deduplicated > 0
-
-    def test_replay_single_burst(self, serving_engine, small_web_graph):
-        service = _fresh_service(serving_engine)
-        workload = uniform_query_workload(small_web_graph, 6, k=5, seed=1)
-        report = replay(service, workload, burst_size=len(workload))
-        assert report.n_bursts == 1
 
 
 class TestFromGraphWarmStart:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro._validation import (
-    as_node_array,
     check_k,
     check_node_index,
     check_non_negative_float,
@@ -18,7 +17,10 @@ from repro.exceptions import (
     GraphError,
     InvalidParameterError,
     NodeNotFoundError,
+    QueryError,
     ReproError,
+    SerializationError,
+    ServiceClosedError,
 )
 
 
@@ -135,20 +137,40 @@ class TestNodeChecks:
         with pytest.raises(InvalidParameterError):
             check_k(11, 100, maximum=10)
 
-    def test_as_node_array(self):
-        array = as_node_array([1, 2, 3], 5)
-        assert array.dtype == np.int64
+    def test_check_k_without_cap_allows_up_to_n(self):
+        assert check_k(100, 100) == 100
 
-    def test_as_node_array_rejects_out_of_range(self):
-        with pytest.raises(InvalidParameterError):
-            as_node_array([1, 9], 5)
 
-    def test_as_node_array_accepts_empty_and_rejects_negative(self):
-        empty = as_node_array([], 5)
-        assert empty.dtype == np.int64 and empty.size == 0
-        with pytest.raises(InvalidParameterError):
-            as_node_array([0, -1], 5)
+class TestNormalisedResults:
+    @pytest.mark.parametrize(
+        "check, value, expected_type",
+        [
+            (check_positive_int, np.int64(3), int),
+            (check_non_negative_int, np.uint8(0), int),
+            (check_positive_float, 2, float),
+            (check_non_negative_float, np.float32(0.5), float),
+            (check_probability, np.float32(0.5), float),
+        ],
+    )
+    def test_returns_a_python_scalar(self, check, value, expected_type):
+        result = check(value, "x")
+        assert type(result) is expected_type
+        assert result == value
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: check_probability(2.0, "alpha"),
+            lambda: check_positive_int(0, "alpha"),
+            lambda: check_non_negative_int(-1, "alpha"),
+            lambda: check_positive_float(-1.0, "alpha"),
+            lambda: check_non_negative_float(-1.0, "alpha"),
+            lambda: check_node_index(5, 3, "alpha"),
+        ],
+    )
+    def test_error_message_names_the_parameter(self, call):
+        with pytest.raises(InvalidParameterError, match="alpha"):
+            call()
 
 class TestExceptionHierarchy:
     def test_all_derive_from_repro_error(self):
@@ -168,3 +190,19 @@ class TestExceptionHierarchy:
         error = ConvergenceError("failed", iterations=5, residual=0.1)
         assert error.iterations == 5
         assert error.residual == 0.1
+
+    @pytest.mark.parametrize(
+        "error, bases",
+        [
+            (QueryError, (ReproError,)),
+            (SerializationError, (ReproError,)),
+            (ServiceClosedError, (ReproError, RuntimeError)),
+            (NodeNotFoundError, (GraphError, ReproError)),
+        ],
+    )
+    def test_specific_errors_keep_their_bases(self, error, bases):
+        for base in bases:
+            assert issubclass(error, base)
+
+    def test_node_not_found_message_names_the_node(self):
+        assert "'alice'" in str(NodeNotFoundError("alice"))

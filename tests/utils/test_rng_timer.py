@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import ensure_rng, spawn_rngs
+from repro.utils.rng import ensure_rng
 from repro.utils.timer import StageTimer, Timer
 
 
@@ -21,29 +21,6 @@ class TestEnsureRng:
     def test_seed_sequence_accepted(self):
         seq = np.random.SeedSequence(5)
         assert isinstance(ensure_rng(seq), np.random.Generator)
-
-
-class TestSpawnRngs:
-    def test_count(self):
-        rngs = spawn_rngs(0, 4)
-        assert len(rngs) == 4
-
-    def test_independent_streams(self):
-        first, second = spawn_rngs(0, 2)
-        assert first.random() != second.random()
-
-    def test_reproducible(self):
-        a = [rng.random() for rng in spawn_rngs(7, 3)]
-        b = [rng.random() for rng in spawn_rngs(7, 3)]
-        assert a == b
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
-
-    def test_spawn_from_generator(self):
-        rngs = spawn_rngs(np.random.default_rng(3), 2)
-        assert len(rngs) == 2
 
 
 class TestTimer:

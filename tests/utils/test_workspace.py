@@ -62,26 +62,54 @@ class TestTake:
         assert ws.take("a", (0, 5)).shape == (0, 5)
 
 
-class TestZerosAndArange:
-    def test_zeros_clears_previous_garbage(self):
+class TestClean:
+    def test_fresh_buffer_is_all_zero(self):
         ws = ArrayWorkspace()
-        ws.take("a", 16).fill(np.nan)
-        assert np.all(ws.zeros("a", 16) == 0.0)
+        array = ws.clean("a", (3, 4))
+        assert array.shape == (3, 4)
+        assert not array.any()
 
-    def test_zeros_bool_gives_false(self):
+    def test_bool_and_int_dtypes_start_zero(self):
         ws = ArrayWorkspace()
-        ws.take("m", 8, bool).fill(True)
-        assert not ws.zeros("m", 8, bool).any()
+        assert not ws.clean("flags", 9, bool).any()
+        assert ws.clean("counts", 9, np.int64).tolist() == [0] * 9
 
-    def test_arange_prefixes_stay_correct_after_shrink(self):
+    def test_reused_buffer_is_not_swept_again(self):
+        # Re-zeroing is the borrower's job: a reused buffer comes back as
+        # the last borrower left it, so the cost tracks the touched entries.
         ws = ArrayWorkspace()
-        np.testing.assert_array_equal(ws.arange("i", 10), np.arange(10))
-        np.testing.assert_array_equal(ws.arange("i", 4), np.arange(4))
-        np.testing.assert_array_equal(ws.arange("i", 12), np.arange(12))
+        first = ws.clean("a", 6)
+        first[2] = 5.0
+        second = ws.clean("a", 6)
+        assert second.base is first.base
+        assert second[2] == 5.0
 
-    def test_arange_dtype_is_int64(self):
+    def test_growth_clears_the_whole_new_buffer(self):
         ws = ArrayWorkspace()
-        assert ws.arange("i", 5).dtype == np.int64
+        small = ws.clean("a", 4)
+        small.fill(1.0)
+        big = ws.clean("a", 50)
+        assert big.base is not small.base
+        assert not big.any()
+        assert not ws.clean("a", 50).any()
+
+    def test_shares_its_pool_with_take(self):
+        ws = ArrayWorkspace()
+        zeros = ws.clean("a", 8)
+        assert ws.take("a", 8).base is zeros.base
+
+    def test_each_thread_gets_its_own_zeroed_buffer(self):
+        ws = ArrayWorkspace()
+        ws.clean("a", 8).fill(3.0)
+        seen = {}
+
+        def worker():
+            seen["values"] = ws.clean("a", 8).tolist()
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        thread.join()
+        assert seen["values"] == [0.0] * 8
 
 
 class TestIsolation:
